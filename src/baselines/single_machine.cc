@@ -146,19 +146,25 @@ Result<core::TrainResult> TrainSingleMachine(
   double best_val = -1.0;
   uint32_t since_best = 0;
 
+  // h[0] stays empty: layer 1 reads the features straight from the graph.
   std::vector<Matrix> h(L + 1), p(L + 1), z(L + 1), w(L), b(L);
-  h[0] = g.features();
   Matrix grads;
   for (uint32_t epoch = 0; epoch < options.epochs; ++epoch) {
     ThreadCpuTimer cpu;
     for (int l = 1; l <= L; ++l) {
       ps.Pull(l - 1, &w[l - 1], &b[l - 1]);
-      if (sage) {
-        Matrix agg;
-        adj.SpMM(h[l - 1], &agg);
-        p[l] = tensor::ConcatCols(h[l - 1], agg);
-      } else {
-        adj.SpMM(h[l - 1], &p[l]);
+      // The features never change, so the layer-1 aggregation P¹ is built
+      // once, in (and charged to) epoch 0, like the distributed trainer's
+      // with cached features (DESIGN.md §17).
+      if (l > 1 || epoch == 0) {
+        const Matrix& in = l == 1 ? g.features() : h[l - 1];
+        if (sage) {
+          Matrix agg;
+          adj.SpMM(in, &agg);
+          p[l] = tensor::ConcatCols(in, agg);
+        } else {
+          adj.SpMM(in, &p[l]);
+        }
       }
       tensor::Gemm(p[l], w[l - 1], &z[l]);
       tensor::AddRowBias(&z[l], b[l - 1]);

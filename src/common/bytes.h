@@ -64,7 +64,7 @@ class ByteReader {
   Status GetU32Vector(std::vector<uint32_t>* v) {
     uint64_t n = 0;
     ECG_RETURN_IF_ERROR(GetU64(&n));
-    if (n * sizeof(uint32_t) > remaining()) {
+    if (n > remaining() / sizeof(uint32_t)) {
       return Status::OutOfRange("u32 vector length exceeds buffer");
     }
     v->resize(n);
@@ -73,7 +73,7 @@ class ByteReader {
   Status GetF32Vector(std::vector<float>* v) {
     uint64_t n = 0;
     ECG_RETURN_IF_ERROR(GetU64(&n));
-    if (n * sizeof(float) > remaining()) {
+    if (n > remaining() / sizeof(float)) {
       return Status::OutOfRange("f32 vector length exceeds buffer");
     }
     v->resize(n);
@@ -81,6 +81,9 @@ class ByteReader {
   }
   /// Bulk read of `n` floats (no length prefix).
   Status GetF32Array(float* p, size_t n) {
+    if (n > remaining() / sizeof(float)) {
+      return Status::OutOfRange("f32 array length exceeds buffer");
+    }
     return GetRaw(p, n * sizeof(float));
   }
   Status GetBytes(std::vector<uint8_t>* v) {
@@ -94,12 +97,14 @@ class ByteReader {
   }
 
  private:
+  // Length checks compare against remaining() rather than adding to pos_
+  // or multiplying the element count, so a hostile u64 length cannot wrap.
   Status GetRaw(void* out, size_t n) {
-    if (pos_ + n > size_) {
+    if (n > remaining()) {
       return Status::OutOfRange("read past end of buffer at offset " +
                                 std::to_string(pos_));
     }
-    std::memcpy(out, data_ + pos_, n);
+    if (n > 0) std::memcpy(out, data_ + pos_, n);  // out may be null at 0
     pos_ += n;
     return Status::OK();
   }

@@ -359,6 +359,37 @@ void CopyBitRange(const uint32_t* src, size_t src_bit, uint32_t* dst,
   }
 }
 
+/// Decodes q row by row: row i's elements go to row_out(i)[c] through
+/// apply(element, bucket value). Supported widths never straddle a word,
+/// so each element is one shift+mask. Rows are independent, so targets
+/// must not overlap.
+template <typename RowOut, typename Apply>
+void DecodeRows(const QuantizedMatrix& q, const RowOut& row_out,
+                const Apply& apply) {
+  const uint32_t mask = (1u << q.bits) - 1;
+  const int bits = q.bits;
+  const size_t cols = q.cols;
+  const size_t row_bits = cols * static_cast<size_t>(bits);
+  const float* table = q.bucket_values.data();
+  const uint32_t* packed = q.packed_ids.data();
+  ThreadPool::Global().ParallelFor(
+      q.rows, kRowGrain, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          size_t w = (i * row_bits) >> 5;
+          int shift = static_cast<int>((i * row_bits) & 31);
+          float* out = row_out(i);
+          for (size_t c = 0; c < cols; ++c) {
+            apply(out[c], table[(packed[w] >> shift) & mask]);
+            shift += bits;
+            if (shift == 32) {
+              shift = 0;
+              ++w;
+            }
+          }
+        }
+      });
+}
+
 }  // namespace
 
 size_t QuantizedMatrix::WireBytes() const {
@@ -469,31 +500,22 @@ Status DequantizeInto(const QuantizedMatrix& q,
                                 std::to_string(r) + " out of range");
     }
   }
-  const uint32_t mask = (1u << q.bits) - 1;
-  const int bits = q.bits;
-  const size_t cols = q.cols;
-  const size_t row_bits = cols * static_cast<size_t>(bits);
-  const float* table = q.bucket_values.data();
-  const uint32_t* packed = q.packed_ids.data();
   // Decode straight into the target rows (the halo matrix), skipping the
-  // intermediate dense matrix + AssignRows copy. Supported widths never
-  // straddle a word, so each element is one shift+mask.
-  ThreadPool::Global().ParallelFor(
-      rows.size(), kRowGrain, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          size_t w = (i * row_bits) >> 5;
-          int shift = static_cast<int>((i * row_bits) & 31);
-          float* out = dst->Row(rows[i]);
-          for (size_t c = 0; c < cols; ++c) {
-            out[c] = table[(packed[w] >> shift) & mask];
-            shift += bits;
-            if (shift == 32) {
-              shift = 0;
-              ++w;
-            }
-          }
-        }
-      });
+  // intermediate dense matrix + AssignRows copy.
+  DecodeRows(
+      q, [&](size_t i) { return dst->Row(rows[i]); },
+      [](float& out, float value) { out = value; });
+  return Status::OK();
+}
+
+Status SubtractDequantized(const QuantizedMatrix& q, tensor::Matrix* m) {
+  ECG_RETURN_IF_ERROR(CheckDecodable(q));
+  if (m->rows() != q.rows || m->cols() != q.cols) {
+    return Status::InvalidArgument("SubtractDequantized shape mismatch");
+  }
+  DecodeRows(
+      q, [&](size_t i) { return m->Row(i); },
+      [](float& out, float value) { out -= value; });
   return Status::OK();
 }
 

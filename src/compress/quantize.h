@@ -90,6 +90,13 @@ Status DequantizeInto(const QuantizedMatrix& q,
                       const std::vector<uint32_t>& rows,
                       tensor::Matrix* dst);
 
+/// m -= Dequantize(q), fused: each element subtracts its bucket value as
+/// it is unpacked, so no dense decoded temporary is materialized. This is
+/// ResEC's residual update δ = (G + δ') − C(G + δ'); the result is bitwise
+/// equal to Dequantize followed by tensor::SubInPlace. `m` must have q's
+/// shape.
+Status SubtractDequantized(const QuantizedMatrix& q, tensor::Matrix* m);
+
 /// Measures the contraction factor alpha = ||x - C(x)|| / ||x|| of the
 /// quantizer on matrix x (Eq. 13); used by the Theorem-1 validation bench.
 Result<double> MeasureAlpha(const tensor::Matrix& x,

@@ -220,7 +220,6 @@ class ResEcBpExchanger : public BpExchanger {
           tensor::AddInPlace(&g_cpt, delta);  // G + δ^{t-1}
           ECG_ASSIGN_OR_RETURN(QuantizedMatrix q,
                                compress::Quantize(g_cpt, qopts));
-          ECG_ASSIGN_OR_RETURN(Matrix decoded, compress::Dequantize(q));
           if (config_.fault_fallback && injector != nullptr &&
               injector->PermanentlyLost(ctx->worker_id(), p, tag)) {
             // The receiver will exhaust its retries and get nothing, i.e.
@@ -233,9 +232,10 @@ class ResEcBpExchanger : public BpExchanger {
             obs::RecordStat("fault.degraded_resec", 1.0, epoch, layer,
                             static_cast<int32_t>(p));
           } else {
-            // δ^t = (G + δ^{t-1}) − C(G + δ^{t-1})  (Eq. 11).
+            // δ^t = (G + δ^{t-1}) − C(G + δ^{t-1})  (Eq. 11), with the
+            // decode fused into the subtraction.
             delta = std::move(g_cpt);
-            tensor::SubInPlace(&delta, decoded);
+            ECG_RETURN_IF_ERROR(compress::SubtractDequantized(q, &delta));
           }
           if (config_.bit_alloc) {
             // Solver feed: this group's element count, the quantizer range

@@ -2,16 +2,13 @@
 #define ECGRAPH_CORE_METRICS_BOARD_H_
 
 #include <atomic>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/stats.h"
 #include "core/epoch_metrics.h"
-#include "tensor/matrix.h"
 
 namespace ecg::core::internal {
 
@@ -227,20 +224,6 @@ class PhaseScope {
   const char* name_;
   double start_;
 };
-
-/// [owned ; halo] stacked into one matrix whose row indexing matches the
-/// columns of a WorkerPlan's sub-adjacency.
-inline void BuildCat(const tensor::Matrix& owned, const tensor::Matrix& halo,
-                     tensor::Matrix* cat) {
-  ECG_CHECK(owned.cols() == halo.cols() || halo.rows() == 0)
-      << "cat width mismatch";
-  cat->Reset(owned.rows() + halo.rows(), owned.cols());
-  std::memcpy(cat->data(), owned.data(), owned.size() * sizeof(float));
-  if (halo.rows() > 0) {
-    std::memcpy(cat->Row(owned.rows()), halo.data(),
-                halo.size() * sizeof(float));
-  }
-}
 
 }  // namespace ecg::core::internal
 

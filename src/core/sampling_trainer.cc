@@ -1,6 +1,7 @@
 #include "core/sampling_trainer.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -24,7 +25,6 @@ namespace {
 using dist::ParameterServerGroup;
 using dist::SimulatedCluster;
 using dist::WorkerContext;
-using internal::BuildCat;
 using internal::MetricsBoard;
 using tensor::Matrix;
 
@@ -165,7 +165,7 @@ Result<TrainResult> SamplingTrainer::Train() {
     std::vector<Matrix> h_owned(L + 1), p_cache(L + 1), z_cache(L + 1),
         w(L), bias(L);
     h_owned[0] = std::move(x_local);
-    Matrix cat, grads_logits;
+    Matrix grads_logits;
 
     for (uint32_t epoch = 0; epoch < options_.epochs; ++epoch) {
       // --- Per-epoch sampling (worker 0 builds the shared plans; the
@@ -294,9 +294,9 @@ Result<TrainResult> SamplingTrainer::Train() {
           Phase phase(ctx, &board, epoch, "fp_compute");
           ECG_TRACE_SCOPE("fp_compute", me, l);
           cpu.Reset();
-          BuildCat(h_owned[l - 1], halo, &cat);
           if (split_fp) {
-            plan.adj_boundary.SpMMRows(cat, plan.boundary_rows, &p_cache[l]);
+            plan.adj_boundary.SpMMRows(h_owned[l - 1], halo,
+                                       plan.boundary_rows, &p_cache[l]);
             // Int8 packed-domain boundary transform; falls back to float
             // GemmRows when off or unsupported (see trainer.cc).
             if (!(options_.int8_gemm &&
@@ -306,7 +306,7 @@ Result<TrainResult> SamplingTrainer::Train() {
                                &z_cache[l]);
             }
           } else {
-            plan.adj.SpMM(cat, &p_cache[l]);
+            plan.adj.SpMM(h_owned[l - 1], halo, &p_cache[l]);
             tensor::Gemm(p_cache[l], w[l - 1], &z_cache[l]);
           }
           tensor::AddRowBias(&z_cache[l], bias[l - 1]);
@@ -402,13 +402,12 @@ Result<TrainResult> SamplingTrainer::Train() {
           Phase phase(ctx, &board, epoch, "bp_compute");
           ECG_TRACE_SCOPE("bp_compute", me, l);
           cpu.Reset();
-          BuildCat(g, g_halo, &cat);
           if (overlap_bp) {
-            plan.adj_boundary.SpMMRows(cat, plan.boundary_rows, &t);
+            plan.adj_boundary.SpMMRows(g, g_halo, plan.boundary_rows, &t);
             tensor::GemmTransposeBRows(t, w[l - 1], plan.boundary_rows,
                                        &g_prev);
           } else {
-            plan.adj.SpMM(cat, &t);
+            plan.adj.SpMM(g, g_halo, &t);
             tensor::GemmTransposeB(t, w[l - 1], &g_prev);
           }
           const Matrix mask = tensor::ReluGrad(z_cache[l - 1]);

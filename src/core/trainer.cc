@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <memory>
 
 #include "common/flight_recorder.h"
@@ -28,7 +27,6 @@ namespace {
 using dist::ParameterServerGroup;
 using dist::SimulatedCluster;
 using dist::WorkerContext;
-using internal::BuildCat;
 using internal::MetricsBoard;
 using tensor::Matrix;
 
@@ -269,7 +267,15 @@ Result<TrainResult> DistributedTrainer::Train() {
     // The round covers epochs [epoch_base, round_stop); an elastic crash
     // response or a rebalance trigger breaks out early and the coordinator
     // starts the next round.
-    Matrix cat, grads_logits;
+    Matrix grads_logits;
+    // Epoch-invariant layer-1 aggregation (DESIGN.md §17). With cached
+    // features, [X | X_halo] is fixed for the whole round, so P¹ (Â·[X |
+    // X_halo] for GCN, [X | mean_N(X)] for SAGE) is built once, inside the
+    // round's first layer-1 fp_compute step, and reused by every later
+    // epoch's forward GEMM and backward dW. A crash restore rewinds the
+    // model, not the plan or the features, so P¹ survives it; a new
+    // membership round re-runs worker_fn and rebuilds it from its plan.
+    bool p1_built = false;
     double compute_mark = ctx->compute_seconds();  // rebalancer deposit base
     uint32_t epoch = epoch_base;
     while (epoch < round_stop) {
@@ -404,18 +410,21 @@ Result<TrainResult> DistributedTrainer::Train() {
           Phase phase(ctx, &board, epoch, "fp_compute");
           ECG_TRACE_SCOPE("fp_compute", ctx->worker_id(), l);
           cpu.Reset();
-          BuildCat(h_owned[l - 1], h_halo[l - 1], &cat);
-          if (sage) {
+          if (l == 1 && p1_built) {
+            tensor::Gemm(p_cache[l], *wl, &z_cache[l]);
+          } else if (sage) {
             // Z = [H | mean_N(H)] W + b; the stacked input is cached for dW.
             if (split_fp) {
-              plan.adj_boundary.SpMMRows(cat, plan.boundary_rows, &agg);
+              plan.adj_boundary.SpMMRows(h_owned[l - 1], h_halo[l - 1],
+                                         plan.boundary_rows, &agg);
             } else {
-              plan.adj.SpMM(cat, &agg);
+              plan.adj.SpMM(h_owned[l - 1], h_halo[l - 1], &agg);
             }
             p_cache[l] = tensor::ConcatCols(h_owned[l - 1], agg);
             tensor::Gemm(p_cache[l], *wl, &z_cache[l]);
           } else if (split_fp) {
-            plan.adj_boundary.SpMMRows(cat, plan.boundary_rows, &p_cache[l]);
+            plan.adj_boundary.SpMMRows(h_owned[l - 1], h_halo[l - 1],
+                                       plan.boundary_rows, &p_cache[l]);
             // With int8_gemm on, the boundary-row transform re-quantizes
             // the aggregated rows at 8 bits and runs fused in the packed
             // domain (no float materialization of the quantized operand);
@@ -427,8 +436,14 @@ Result<TrainResult> DistributedTrainer::Train() {
                                &z_cache[l]);
             }
           } else {
-            plan.adj.SpMM(cat, &p_cache[l]);
+            plan.adj.SpMM(h_owned[l - 1], h_halo[l - 1], &p_cache[l]);
             tensor::Gemm(p_cache[l], *wl, &z_cache[l]);
+          }
+          if (l == 1 && options_.cache_features && !p1_built) {
+            // The features are dead once P¹ holds their aggregation.
+            h_owned[0] = Matrix();
+            h_halo[0] = Matrix();
+            p1_built = true;
           }
           tensor::AddRowBias(&z_cache[l], *bl);
           h_owned[l] = z_cache[l];
@@ -541,8 +556,7 @@ Result<TrainResult> DistributedTrainer::Train() {
                 Phase phase(ctx, &board, epoch, "bp_compute");
                 ECG_TRACE_SCOPE("bp_compute", ctx->worker_id(), l);
                 cpu.Reset();
-                BuildCat(t_agg, g_halo[l], &cat);
-                plan.bp_adj().SpMM(cat, &g_prev);
+                plan.bp_adj().SpMM(t_agg, g_halo[l], &g_prev);
                 tensor::AddInPlace(&g_prev, t_self);
                 ctx->ChargeCompute(cpu.ElapsedSeconds());
               }
@@ -571,9 +585,8 @@ Result<TrainResult> DistributedTrainer::Train() {
                 Phase phase(ctx, &board, epoch, "bp_compute");
                 ECG_TRACE_SCOPE("bp_compute", ctx->worker_id(), l);
                 cpu.Reset();
-                BuildCat(t_agg, g_halo[l], &cat);
-                plan.bp_adj_boundary().SpMMRows(cat, plan.boundary_rows,
-                                                &g_prev);
+                plan.bp_adj_boundary().SpMMRows(t_agg, g_halo[l],
+                                                plan.boundary_rows, &g_prev);
                 tensor::AddInPlace(&g_prev, t_self);
                 ctx->ChargeCompute(cpu.ElapsedSeconds());
               }
@@ -592,9 +605,8 @@ Result<TrainResult> DistributedTrainer::Train() {
                 Phase phase(ctx, &board, epoch, "bp_compute");
                 ECG_TRACE_SCOPE("bp_compute", ctx->worker_id(), l);
                 cpu.Reset();
-                BuildCat(g, g_halo[l], &cat);
                 Matrix t;
-                plan.adj.SpMM(cat, &t);
+                plan.adj.SpMM(g, g_halo[l], &t);
                 tensor::GemmTransposeB(t, w[l - 1], &g_prev);
                 ctx->ChargeCompute(cpu.ElapsedSeconds());
               }
@@ -628,8 +640,8 @@ Result<TrainResult> DistributedTrainer::Train() {
                 Phase phase(ctx, &board, epoch, "bp_compute");
                 ECG_TRACE_SCOPE("bp_compute", ctx->worker_id(), l);
                 cpu.Reset();
-                BuildCat(g, g_halo[l], &cat);
-                plan.adj_boundary.SpMMRows(cat, plan.boundary_rows, &t);
+                plan.adj_boundary.SpMMRows(g, g_halo[l], plan.boundary_rows,
+                                           &t);
                 tensor::GemmTransposeBRows(t, w[l - 1], plan.boundary_rows,
                                            &g_prev);
                 ctx->ChargeCompute(cpu.ElapsedSeconds());

@@ -201,6 +201,7 @@ class MessageHub {
     std::vector<Delivery> overflow;
 
     bool empty() const { return !has_first && overflow.empty(); }
+    size_t size() const { return (has_first ? 1 : 0) + overflow.size(); }
     void push_back(Delivery d) {
       if (empty()) {
         first = std::move(d);

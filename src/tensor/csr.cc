@@ -65,21 +65,75 @@ Result<CsrMatrix> CsrMatrix::FromTriplets(
   return m;
 }
 
+namespace {
+
+// Rows per ParallelFor chunk of the SpMM kernels.
+constexpr size_t kSpmmGrain = 64;
+
+// Column c of one dense right-hand side.
+struct OneSource {
+  const Matrix& x;
+  const float* operator()(uint32_t c) const { return x.Row(c); }
+};
+
+// Column c of [top ; bottom].
+struct StackedRows {
+  const Matrix& top;
+  const Matrix& bottom;
+  const float* operator()(uint32_t c) const {
+    return c < top.rows() ? top.Row(c) : bottom.Row(c - top.rows());
+  }
+};
+
+// y.Row(r) += sum over row r's nonzeros, in stored order, of
+// value * row_of(col), for every listed row (every row when row_ids is
+// null). All four SpMM entry points run this one loop, which is what makes
+// a row from SpMMRows, or from a two-source call, bitwise equal to the same
+// row of a one-source SpMM.
+template <typename RowOf>
+void Accumulate(const CsrMatrix& a, const RowOf& row_of, size_t n,
+                const std::vector<uint32_t>* row_ids, Matrix* y) {
+  const uint64_t* row_ptr = a.row_ptr().data();
+  const uint32_t* col_idx = a.col_idx().data();
+  const float* values = a.values().data();
+  const size_t count = row_ids != nullptr ? row_ids->size() : a.rows();
+  ThreadPool::Global().ParallelFor(
+      count, kSpmmGrain, [&](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k) {
+          const size_t r = row_ids != nullptr ? (*row_ids)[k] : k;
+          float* yrow = y->Row(r);
+          for (uint64_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+            const float v = values[i];
+            const float* xrow = row_of(col_idx[i]);
+            for (size_t j = 0; j < n; ++j) yrow[j] += v * xrow[j];
+          }
+        }
+      });
+}
+
+void CheckStacked(const char* op, size_t csr_cols, const Matrix& top,
+                  const Matrix& bottom) {
+  ECG_CHECK(top.rows() + bottom.rows() == csr_cols)
+      << op << " dim mismatch: csr cols " << csr_cols << " vs dense rows "
+      << top.rows() << " + " << bottom.rows();
+  ECG_CHECK(bottom.rows() == 0 || bottom.cols() == top.cols())
+      << op << " width mismatch: " << top.cols() << " vs " << bottom.cols();
+}
+
+}  // namespace
+
 void CsrMatrix::SpMM(const Matrix& x, Matrix* y) const {
   ECG_CHECK(x.rows() == cols_) << "SpMM dim mismatch: csr cols " << cols_
                                << " vs dense rows " << x.rows();
   y->Reset(rows_, x.cols());
-  const size_t n = x.cols();
-  ThreadPool::Global().ParallelFor(rows_, 64, [&](size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
-      float* yrow = y->Row(r);
-      for (uint64_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
-        const float v = values_[i];
-        const float* xrow = x.Row(col_idx_[i]);
-        for (size_t j = 0; j < n; ++j) yrow[j] += v * xrow[j];
-      }
-    }
-  });
+  Accumulate(*this, OneSource{x}, x.cols(), nullptr, y);
+}
+
+void CsrMatrix::SpMM(const Matrix& top, const Matrix& bottom,
+                     Matrix* y) const {
+  CheckStacked("SpMM", cols_, top, bottom);
+  y->Reset(rows_, top.cols());
+  Accumulate(*this, StackedRows{top, bottom}, top.cols(), nullptr, y);
 }
 
 void CsrMatrix::SpMMRows(const Matrix& x, const std::vector<uint32_t>& row_ids,
@@ -88,19 +142,17 @@ void CsrMatrix::SpMMRows(const Matrix& x, const std::vector<uint32_t>& row_ids,
                                << " vs dense rows " << x.rows();
   ECG_CHECK(y->rows() == rows_ && y->cols() == x.cols())
       << "SpMMRows output must be pre-sized to " << rows_ << "x" << x.cols();
-  const size_t n = x.cols();
-  ThreadPool::Global().ParallelFor(
-      row_ids.size(), 64, [&](size_t begin, size_t end) {
-        for (size_t k = begin; k < end; ++k) {
-          const uint32_t r = row_ids[k];
-          float* yrow = y->Row(r);
-          for (uint64_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
-            const float v = values_[i];
-            const float* xrow = x.Row(col_idx_[i]);
-            for (size_t j = 0; j < n; ++j) yrow[j] += v * xrow[j];
-          }
-        }
-      });
+  Accumulate(*this, OneSource{x}, x.cols(), &row_ids, y);
+}
+
+void CsrMatrix::SpMMRows(const Matrix& top, const Matrix& bottom,
+                         const std::vector<uint32_t>& row_ids,
+                         Matrix* y) const {
+  CheckStacked("SpMMRows", cols_, top, bottom);
+  ECG_CHECK(y->rows() == rows_ && y->cols() == top.cols())
+      << "SpMMRows output must be pre-sized to " << rows_ << "x"
+      << top.cols();
+  Accumulate(*this, StackedRows{top, bottom}, top.cols(), &row_ids, y);
 }
 
 CsrMatrix CsrMatrix::Transposed() const {

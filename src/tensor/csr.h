@@ -13,7 +13,7 @@ namespace ecg::tensor {
 /// A compressed-sparse-row float matrix used for the normalized adjacency
 /// Â = D^{-1/2}(A+I)D^{-1/2} and its partitioned sub-blocks. Only the
 /// operations the GCN needs are provided: SpMM against a dense right-hand
-/// side and structural transpose.
+/// side (one matrix, or two stacked row blocks) and structural transpose.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
@@ -41,6 +41,18 @@ class CsrMatrix {
   /// identical to the same row from a full SpMM.
   void SpMMRows(const Matrix& x, const std::vector<uint32_t>& row_ids,
                 Matrix* y) const;
+
+  /// y = this * [top ; bottom] without materializing the stack: column c
+  /// reads top.Row(c) when c < top.rows() and bottom.Row(c - top.rows())
+  /// otherwise. This is how a WorkerPlan's slice multiplies
+  /// [H_owned ; H_halo]. The accumulation order per row is SpMM's, so the
+  /// result is bitwise identical to SpMM over the explicit concatenation.
+  void SpMM(const Matrix& top, const Matrix& bottom, Matrix* y) const;
+
+  /// SpMMRows over [top ; bottom], with the same contract as the
+  /// two-source SpMM.
+  void SpMMRows(const Matrix& top, const Matrix& bottom,
+                const std::vector<uint32_t>& row_ids, Matrix* y) const;
 
   /// Returns the transpose (cols x rows) with the same nnz.
   CsrMatrix Transposed() const;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace ecg {
@@ -87,6 +88,35 @@ TEST(BytesTest, CorruptLengthPrefixFails) {
   std::vector<uint8_t> b;
   ByteReader r3(buf);
   EXPECT_EQ(r3.GetBytes(&b).code(), StatusCode::kOutOfRange);
+}
+
+// Lengths whose byte count wraps a u64 (n * 4 == 0 for n = 2^62, and
+// pos + n wraps for n = UINT64_MAX) must be rejected before any resize.
+TEST(BytesTest, WrappingLengthPrefixFailsWithoutAllocating) {
+  for (const uint64_t n : {uint64_t{1} << 62, uint64_t{1} << 63,
+                           std::numeric_limits<uint64_t>::max()}) {
+    SCOPED_TRACE(n);
+    std::vector<uint8_t> buf;
+    ByteWriter w(&buf);
+    w.PutU64(n);
+    w.PutU64(0);  // a little payload, so remaining() > 0
+    std::vector<uint32_t> u;
+    ByteReader r(buf);
+    EXPECT_EQ(r.GetU32Vector(&u).code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(u.capacity(), 0u);
+    std::vector<float> f;
+    ByteReader r2(buf);
+    EXPECT_EQ(r2.GetF32Vector(&f).code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(f.capacity(), 0u);
+    std::vector<uint8_t> b;
+    ByteReader r3(buf);
+    EXPECT_EQ(r3.GetBytes(&b).code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(b.capacity(), 0u);
+    float out = 0.0f;
+    ByteReader r4(buf);
+    EXPECT_EQ(r4.GetF32Array(&out, static_cast<size_t>(n)).code(),
+              StatusCode::kOutOfRange);
+  }
 }
 
 TEST(BytesTest, EmptyVectors) {

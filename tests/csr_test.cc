@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -76,6 +77,76 @@ TEST(CsrTest, SpMMMatchesDenseReference) {
   Matrix expected;
   Gemm(m->ToDense(), x, &expected);
   EXPECT_TRUE(AllClose(y, expected, 1e-4f));
+}
+
+Matrix RandomDense(size_t rows, size_t cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = static_cast<float>(rng->NextGaussian());
+  }
+  return m;
+}
+
+// Explicit [top ; bottom] concatenation, the reference layout.
+Matrix Stack(const Matrix& top, const Matrix& bottom) {
+  Matrix cat(top.rows() + bottom.rows(), top.cols());
+  std::memcpy(cat.data(), top.data(), top.size() * sizeof(float));
+  if (bottom.rows() > 0) {
+    std::memcpy(cat.Row(top.rows()), bottom.data(),
+                bottom.size() * sizeof(float));
+  }
+  return cat;
+}
+
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(CsrTest, TwoSourceSpMMIsBitwiseSpMMOverTheConcatenation) {
+  // Random sparsity with empty rows (density 0 for every fifth row) and
+  // both halo sizes a WorkerPlan can have, including none at all.
+  Rng rng(77);
+  for (const size_t halo_rows : {size_t{0}, size_t{1}, size_t{23}}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      SCOPED_TRACE(testing::Message() << "halo " << halo_rows << " trial "
+                                      << trial);
+      const size_t rows = 31, owned = 31, dim = 1 + 5 * trial;
+      const size_t cols = owned + halo_rows;
+      std::vector<Triplet> trips;
+      for (size_t r = 0; r < rows; ++r) {
+        if (r % 5 == 3) continue;
+        for (size_t c = 0; c < cols; ++c) {
+          if (rng.NextBool(0.2)) {
+            trips.emplace_back(static_cast<uint32_t>(r),
+                               static_cast<uint32_t>(c),
+                               static_cast<float>(rng.NextGaussian()));
+          }
+        }
+      }
+      auto m = CsrMatrix::FromTriplets(rows, cols, trips);
+      ASSERT_TRUE(m.ok());
+      const Matrix top = RandomDense(owned, dim, &rng);
+      const Matrix bottom = RandomDense(halo_rows, dim, &rng);
+      const Matrix cat = Stack(top, bottom);
+
+      Matrix expected, got;
+      m->SpMM(cat, &expected);
+      m->SpMM(top, bottom, &got);
+      EXPECT_TRUE(BitwiseEqual(got, expected));
+
+      // Row subset into a pre-filled output: listed rows accumulate onto
+      // the sentinel exactly as the one-source kernel does, others stay.
+      std::vector<uint32_t> row_ids;
+      for (uint32_t r = 0; r < rows; r += 2) row_ids.push_back(r);
+      Matrix rows_expected(rows, dim), rows_got(rows, dim);
+      rows_expected.Fill(0.25f);
+      rows_got.Fill(0.25f);
+      m->SpMMRows(cat, row_ids, &rows_expected);
+      m->SpMMRows(top, bottom, row_ids, &rows_got);
+      EXPECT_TRUE(BitwiseEqual(rows_got, rows_expected));
+    }
+  }
 }
 
 TEST(CsrTest, TransposedMatchesDenseTranspose) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -308,6 +309,34 @@ TEST_P(QuantizeBits, DequantizeIntoMatchesDequantizeThenScatter) {
   std::vector<uint32_t> oob = targets;
   oob[4] = 14;  // out of range for dst
   EXPECT_FALSE(DequantizeInto(*q, oob, &dst).ok());
+}
+
+TEST_P(QuantizeBits, SubtractDequantizedMatchesDequantizeThenSub) {
+  // ResEC's residual update, fused: m − C(m) computed in the unpack pass
+  // must equal the two-step Dequantize + SubInPlace form bit for bit.
+  const int bits = GetParam();
+  for (auto mode :
+       {BucketValueMode::kMidpoint, BucketValueMode::kDataMean}) {
+    const Matrix m = RandomMatrix(37, 29, 700 + bits, 1.7f);
+    auto q = Quantize(m, {bits, mode});
+    ASSERT_TRUE(q.ok());
+    auto dense = Dequantize(*q);
+    ASSERT_TRUE(dense.ok());
+    Matrix two_step = m;
+    tensor::SubInPlace(&two_step, *dense);
+    Matrix fused = m;
+    ASSERT_TRUE(SubtractDequantized(*q, &fused).ok());
+    ASSERT_EQ(std::memcmp(fused.data(), two_step.data(),
+                          fused.size() * sizeof(float)),
+              0)
+        << "bits=" << bits;
+  }
+  const Matrix m = RandomMatrix(4, 5, 9, 1.0f);
+  auto q = Quantize(m, {bits, BucketValueMode::kMidpoint});
+  ASSERT_TRUE(q.ok());
+  Matrix wrong(4, 6);
+  EXPECT_EQ(SubtractDequantized(*q, &wrong).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "baselines/single_machine.h"
 #include "common/random.h"
+#include "dist/fault.h"
 #include "core/sampling_trainer.h"
 #include "core/trainer.h"
 #include "graph/datasets.h"
@@ -100,6 +101,86 @@ TEST(SageTest, DistributedSageMatchesSingleMachine) {
   auto dist = TrainDistributed(g, 3, dopt);
   ASSERT_TRUE(dist.ok()) << dist.status();
 
+  ASSERT_EQ(single->epochs.size(), dist->epochs.size());
+  for (size_t e = 0; e < single->epochs.size(); ++e) {
+    EXPECT_NEAR(single->epochs[e].loss, dist->epochs[e].loss, 1e-4)
+        << "epoch " << e;
+    EXPECT_DOUBLE_EQ(single->epochs[e].val_acc, dist->epochs[e].val_acc);
+  }
+}
+
+TrainOptions SageOptions(uint32_t epochs) {
+  TrainOptions opt;
+  opt.model.kind = GnnKind::kSage;
+  opt.model.num_layers = 2;
+  opt.model.hidden_dim = 16;
+  opt.epochs = epochs;
+  return opt;
+}
+
+TEST(SageTest, CachedLayerOneAggregationIsBitwiseTheUncachedOne) {
+  // SAGE's P¹ = [X | mean_N(X)] is built once with cached features and
+  // recomputed every epoch without; the curves must agree to the last bit.
+  const graph::Graph g = *graph::LoadDataset("tiny");
+  for (const bool overlap : {true, false}) {
+    SCOPED_TRACE(overlap);
+    TrainOptions cached = SageOptions(8);
+    cached.overlap = overlap;
+    TrainOptions uncached = cached;
+    uncached.cache_features = false;
+    auto r_cached = TrainDistributed(g, 3, cached);
+    auto r_uncached = TrainDistributed(g, 3, uncached);
+    ASSERT_TRUE(r_cached.ok()) << r_cached.status();
+    ASSERT_TRUE(r_uncached.ok()) << r_uncached.status();
+    ASSERT_EQ(r_cached->epochs.size(), r_uncached->epochs.size());
+    for (size_t e = 0; e < r_cached->epochs.size(); ++e) {
+      EXPECT_EQ(r_cached->epochs[e].loss, r_uncached->epochs[e].loss)
+          << "epoch " << e;
+      EXPECT_EQ(r_cached->epochs[e].val_acc, r_uncached->epochs[e].val_acc);
+    }
+  }
+}
+
+TEST(SageTest, CrashRestoreKeepsLayerOneAggregation) {
+  // The crash lands after P¹ was built; the restore rewinds the model but
+  // keeps P¹, and the rerun must reproduce the fault-free curve.
+  const graph::Graph g = *graph::LoadDataset("tiny");
+  TrainOptions opt = SageOptions(10);
+  opt.fp_mode = FpMode::kReqEc;
+  opt.bp_mode = BpMode::kResEc;
+  opt.exchange.fp_bits = 4;
+  opt.exchange.bp_bits = 4;
+  auto clean = TrainDistributed(g, 3, opt);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+
+  auto inj = dist::FaultInjector::Parse("crash@epoch=4:worker=1,restart=0.5");
+  ASSERT_TRUE(inj.ok());
+  dist::ScopedFaultInjector scoped(&*inj);
+  auto crashed = TrainDistributed(g, 3, opt);
+  ASSERT_TRUE(crashed.ok()) << crashed.status();
+  EXPECT_EQ(inj->counters().restores.load(), 1u);
+  ASSERT_EQ(crashed->epochs.size(), clean->epochs.size());
+  for (size_t e = 0; e < clean->epochs.size(); ++e) {
+    EXPECT_NEAR(crashed->epochs[e].loss, clean->epochs[e].loss, 1e-12)
+        << "epoch " << e;
+    EXPECT_DOUBLE_EQ(crashed->epochs[e].val_acc, clean->epochs[e].val_acc);
+  }
+}
+
+TEST(SageTest, ElasticLeaveRebuildsLayerOneAggregation) {
+  // The post-leave round rebuilds P¹ from its new plan; with exact
+  // exchange the run must still match single-machine SAGE.
+  const graph::Graph g = *graph::LoadDataset("tiny");
+  TrainOptions opt = SageOptions(12);
+  opt.elastic = "leave@epoch=5:worker=1,downtime=0.01";
+  auto dist = TrainDistributed(g, 3, opt);
+  ASSERT_TRUE(dist.ok()) << dist.status();
+
+  baselines::SingleMachineOptions sopt;
+  sopt.model = opt.model;
+  sopt.epochs = opt.epochs;
+  auto single = baselines::TrainSingleMachine(g, sopt);
+  ASSERT_TRUE(single.ok());
   ASSERT_EQ(single->epochs.size(), dist->epochs.size());
   for (size_t e = 0; e < single->epochs.size(); ++e) {
     EXPECT_NEAR(single->epochs[e].loss, dist->epochs[e].loss, 1e-4)

@@ -216,19 +216,56 @@ TEST(TrainerTest, ThreeLayerModelTrains) {
 }
 
 TEST(TrainerTest, UncachedFeaturesAlsoWork) {
+  // With cached features the trainer builds P¹ = Â·[X | X_halo] in epoch 0
+  // and reuses it; without, it re-exchanges X_halo (exactly, here) and
+  // re-aggregates every epoch. The curves must agree to the last bit.
   const graph::Graph g = TinyGraph();
-  TrainOptions cached = BaseOptions(8);
-  TrainOptions uncached = BaseOptions(8);
-  uncached.cache_features = false;
-  auto r_cached = TrainDistributed(g, 3, cached);
-  auto r_uncached = TrainDistributed(g, 3, uncached);
-  ASSERT_TRUE(r_cached.ok());
-  ASSERT_TRUE(r_uncached.ok());
-  // Identical math; the uncached run re-ships the feature halo per epoch.
-  for (size_t e = 0; e < 8; ++e) {
-    EXPECT_NEAR(r_cached->epochs[e].loss, r_uncached->epochs[e].loss, 1e-5);
+  for (const bool overlap : {true, false}) {
+    SCOPED_TRACE(overlap);
+    TrainOptions cached = BaseOptions(8);
+    cached.overlap = overlap;
+    TrainOptions uncached = cached;
+    uncached.cache_features = false;
+    auto r_cached = TrainDistributed(g, 3, cached);
+    auto r_uncached = TrainDistributed(g, 3, uncached);
+    ASSERT_TRUE(r_cached.ok());
+    ASSERT_TRUE(r_uncached.ok());
+    ASSERT_EQ(r_cached->epochs.size(), r_uncached->epochs.size());
+    for (size_t e = 0; e < r_cached->epochs.size(); ++e) {
+      EXPECT_EQ(r_cached->epochs[e].loss, r_uncached->epochs[e].loss)
+          << "epoch " << e;
+      EXPECT_EQ(r_cached->epochs[e].val_acc, r_uncached->epochs[e].val_acc);
+      EXPECT_EQ(r_cached->epochs[e].test_acc,
+                r_uncached->epochs[e].test_acc);
+    }
+    // The uncached run re-ships the feature halo every epoch.
+    EXPECT_GT(r_uncached->total_comm_bytes, r_cached->total_comm_bytes);
   }
-  EXPECT_GT(r_uncached->total_comm_bytes, r_cached->total_comm_bytes);
+}
+
+TEST(TrainerTest, ElasticLeaveRebuildsLayerOneAggregation) {
+  // After worker 1 leaves, the survivors own more rows and a new halo, so
+  // the round must rebuild P¹ from its new plan. Exact exchange makes the
+  // run worker-count independent, so it must still match single-machine
+  // training epoch for epoch.
+  const graph::Graph g = TinyGraph();
+  TrainOptions opt = BaseOptions(12);
+  opt.elastic = "leave@epoch=5:worker=1,downtime=0.01";
+  auto dist = TrainDistributed(g, 3, opt);
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+
+  baselines::SingleMachineOptions sopt;
+  sopt.model = opt.model;
+  sopt.epochs = opt.epochs;
+  auto single = baselines::TrainSingleMachine(g, sopt);
+  ASSERT_TRUE(single.ok());
+  ASSERT_EQ(single->epochs.size(), dist->epochs.size());
+  for (size_t e = 0; e < single->epochs.size(); ++e) {
+    EXPECT_NEAR(single->epochs[e].loss, dist->epochs[e].loss, 1e-4)
+        << "epoch " << e;
+    EXPECT_DOUBLE_EQ(single->epochs[e].val_acc, dist->epochs[e].val_acc);
+    EXPECT_DOUBLE_EQ(single->epochs[e].test_acc, dist->epochs[e].test_acc);
+  }
 }
 
 TEST(TrainerTest, SimulatedTimeAccountsComputeAndComm) {
