@@ -1,6 +1,5 @@
 #include "baselines/single_machine.h"
 
-#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -18,35 +17,89 @@ using tensor::Matrix;
 
 namespace {
 
-Result<CsrMatrix> BuildNormalizedAdjacency(const graph::Graph& g) {
+/// The full-graph aggregation of one model kind: Â = D^{-1/2}(A+I)D^{-1/2}
+/// for GCN, the row mean of A for SAGE (plus its transpose, which SAGE's
+/// backward aggregates with).
+struct Aggregation {
+  bool sage = false;
+  CsrMatrix adj;
+  CsrMatrix adj_t;
+};
+
+Result<Aggregation> BuildAggregation(const graph::Graph& g,
+                                     core::GnnKind kind) {
+  Aggregation a;
+  a.sage = kind == core::GnnKind::kSage;
   std::vector<std::tuple<uint32_t, uint32_t, float>> triplets;
   triplets.reserve(g.num_edges() + g.num_vertices());
   for (uint32_t v = 0; v < g.num_vertices(); ++v) {
-    triplets.emplace_back(v, v, g.NormWeight(v, v));
+    if (!a.sage) triplets.emplace_back(v, v, g.NormWeight(v, v));
     for (uint32_t u : g.Neighbors(v)) {
-      triplets.emplace_back(v, u, g.NormWeight(v, u));
+      triplets.emplace_back(
+          v, u, a.sage ? g.MeanWeight(v, u) : g.NormWeight(v, u));
     }
   }
-  return CsrMatrix::FromTriplets(g.num_vertices(), g.num_vertices(),
-                                 triplets);
+  ECG_ASSIGN_OR_RETURN(a.adj, CsrMatrix::FromTriplets(g.num_vertices(),
+                                                      g.num_vertices(),
+                                                      triplets));
+  if (a.sage) a.adj_t = a.adj.Transposed();
+  return a;
 }
 
-Result<CsrMatrix> BuildMeanAdjacency(const graph::Graph& g) {
-  std::vector<std::tuple<uint32_t, uint32_t, float>> triplets;
-  triplets.reserve(g.num_edges());
-  for (uint32_t v = 0; v < g.num_vertices(); ++v) {
-    for (uint32_t u : g.Neighbors(v)) {
-      triplets.emplace_back(v, u, g.MeanWeight(v, u));
-    }
+/// P = Â·H for GCN, [H | mean_N(H)] for SAGE.
+Matrix Aggregate(const Aggregation& a, const Matrix& h) {
+  Matrix p;
+  a.adj.SpMM(h, &p);
+  return a.sage ? tensor::ConcatCols(h, p) : p;
+}
+
+/// One full-batch forward + backward pass. `p1` caches layer 1's
+/// aggregation, which depends only on the features: it is built from them
+/// when empty and reused otherwise. `logits` receives H^L; the return
+/// value is the summed (not yet averaged) training cross-entropy.
+double ForwardBackward(const graph::Graph& g, const Aggregation& a,
+                       const std::vector<Matrix>& w,
+                       const std::vector<Matrix>& b, Matrix* p1,
+                       Matrix* logits, std::vector<Matrix>* dw,
+                       std::vector<Matrix>* db) {
+  const int L = static_cast<int>(w.size());
+  std::vector<Matrix> h(L + 1), p(L + 1), z(L + 1);
+  if (p1->rows() == 0) *p1 = Aggregate(a, g.features());
+  for (int l = 1; l <= L; ++l) {
+    if (l > 1) p[l] = Aggregate(a, h[l - 1]);
+    const Matrix& pl = l == 1 ? *p1 : p[l];
+    tensor::Gemm(pl, w[l - 1], &z[l]);
+    tensor::AddRowBias(&z[l], b[l - 1]);
+    h[l] = z[l];
+    if (l < L) tensor::ReluInPlace(&h[l]);
   }
-  return CsrMatrix::FromTriplets(g.num_vertices(), g.num_vertices(),
-                                 triplets);
-}
 
-Result<CsrMatrix> BuildAdjacencyFor(const graph::Graph& g,
-                                    core::GnnKind kind) {
-  return kind == core::GnnKind::kSage ? BuildMeanAdjacency(g)
-                                      : BuildNormalizedAdjacency(g);
+  Matrix grad;
+  const double loss_sum = tensor::SoftmaxCrossEntropy(
+      h[L], g.labels(), g.train_set(), g.train_set().size(), &grad);
+  dw->assign(L, Matrix());
+  db->assign(L, Matrix());
+  for (int l = L; l >= 1; --l) {
+    tensor::GemmTransposeA(l == 1 ? *p1 : p[l], grad, &(*dw)[l - 1]);
+    (*db)[l - 1] = tensor::ColumnSums(grad);
+    if (l == 1) break;
+    Matrix g_prev;
+    if (a.sage) {
+      const size_t din = h[l - 1].cols();
+      Matrix t_full;
+      tensor::GemmTransposeB(grad, w[l - 1], &t_full);
+      a.adj_t.SpMM(tensor::SliceCols(t_full, din, 2 * din), &g_prev);
+      tensor::AddInPlace(&g_prev, tensor::SliceCols(t_full, 0, din));
+    } else {
+      Matrix t;
+      a.adj.SpMM(grad, &t);
+      tensor::GemmTransposeB(t, w[l - 1], &g_prev);
+    }
+    tensor::HadamardInPlace(&g_prev, tensor::ReluGrad(z[l - 1]));
+    grad = std::move(g_prev);
+  }
+  *logits = std::move(h[L]);
+  return loss_sum;
 }
 
 }  // namespace
@@ -54,61 +107,14 @@ Result<CsrMatrix> BuildAdjacencyFor(const graph::Graph& g,
 Result<GcnGradients> ComputeFullBatchGradients(
     const graph::Graph& g, const std::vector<Matrix>& w,
     const std::vector<Matrix>& b, core::GnnKind kind) {
-  const int L = static_cast<int>(w.size());
-  if (L < 1 || b.size() != w.size()) {
+  if (w.empty() || b.size() != w.size()) {
     return Status::InvalidArgument("need matching weight/bias stacks");
   }
-  const bool sage = kind == core::GnnKind::kSage;
-  ECG_ASSIGN_OR_RETURN(CsrMatrix adj, BuildAdjacencyFor(g, kind));
-  CsrMatrix adj_t;
-  if (sage) adj_t = adj.Transposed();
-
-  std::vector<Matrix> h(L + 1), p(L + 1), z(L + 1);
-  h[0] = g.features();
-  for (int l = 1; l <= L; ++l) {
-    if (sage) {
-      Matrix agg;
-      adj.SpMM(h[l - 1], &agg);
-      p[l] = tensor::ConcatCols(h[l - 1], agg);
-    } else {
-      adj.SpMM(h[l - 1], &p[l]);
-    }
-    tensor::Gemm(p[l], w[l - 1], &z[l]);
-    tensor::AddRowBias(&z[l], b[l - 1]);
-    h[l] = z[l];
-    if (l < L) tensor::ReluInPlace(&h[l]);
-  }
-
+  ECG_ASSIGN_OR_RETURN(const Aggregation a, BuildAggregation(g, kind));
   GcnGradients out;
-  out.dw.resize(L);
-  out.db.resize(L);
-  Matrix grad;
-  out.loss = tensor::SoftmaxCrossEntropy(h[L], g.labels(), g.train_set(),
-                                         g.train_set().size(), &grad) /
+  Matrix p1, logits;
+  out.loss = ForwardBackward(g, a, w, b, &p1, &logits, &out.dw, &out.db) /
              static_cast<double>(g.train_set().size());
-  for (int l = L; l >= 1; --l) {
-    tensor::GemmTransposeA(p[l], grad, &out.dw[l - 1]);
-    out.db[l - 1] = tensor::ColumnSums(grad);
-    if (l > 1) {
-      const size_t din = h[l - 1].cols();
-      Matrix g_prev;
-      if (sage) {
-        Matrix t_full;
-        tensor::GemmTransposeB(grad, w[l - 1], &t_full);
-        Matrix t_agg = tensor::SliceCols(t_full, din, 2 * din);
-        adj_t.SpMM(t_agg, &g_prev);
-        Matrix t_self = tensor::SliceCols(t_full, 0, din);
-        tensor::AddInPlace(&g_prev, t_self);
-      } else {
-        Matrix t;
-        adj.SpMM(grad, &t);
-        tensor::GemmTransposeB(t, w[l - 1], &g_prev);
-      }
-      const Matrix mask = tensor::ReluGrad(z[l - 1]);
-      tensor::HadamardInPlace(&g_prev, mask);
-      grad = std::move(g_prev);
-    }
-  }
   return out;
 }
 
@@ -124,21 +130,12 @@ Result<core::TrainResult> TrainSingleMachine(
   ThreadPool::SetSerialMode(true);
 
   // Aggregation matrix over the full graph (Â for GCN, row-mean for SAGE).
-  const bool sage = options.model.kind == core::GnnKind::kSage;
-  ECG_ASSIGN_OR_RETURN(CsrMatrix adj, BuildAdjacencyFor(g, options.model.kind));
-  CsrMatrix adj_t;
-  if (sage) adj_t = adj.Transposed();
-
-  std::vector<size_t> dims(L + 1);
-  dims[0] = g.feature_dim();
-  for (int l = 1; l <= L; ++l) {
-    dims[l] = (l == L) ? static_cast<size_t>(g.num_classes())
-                       : options.model.hidden_dim;
-  }
+  ECG_ASSIGN_OR_RETURN(const Aggregation a,
+                       BuildAggregation(g, options.model.kind));
 
   // Parameters + Adam live locally; identical init to the server group.
   dist::ParameterServerGroup ps(
-      core::GcnLayerShapes(options.model, dims[0], g.num_classes()),
+      core::GcnLayerShapes(options.model, g.feature_dim(), g.num_classes()),
       /*num_servers=*/1, /*num_workers=*/1, options.model.learning_rate,
       options.model.seed);
 
@@ -146,65 +143,20 @@ Result<core::TrainResult> TrainSingleMachine(
   double best_val = -1.0;
   uint32_t since_best = 0;
 
-  // h[0] stays empty: layer 1 reads the features straight from the graph.
-  std::vector<Matrix> h(L + 1), p(L + 1), z(L + 1), w(L), b(L);
-  Matrix grads;
+  // The features never change, so the layer-1 aggregation P¹ is built
+  // once, in (and charged to) epoch 0, like the distributed trainer's with
+  // cached features (DESIGN.md §17).
+  std::vector<Matrix> w(L), b(L), dw, db;
+  Matrix p1, logits;
   for (uint32_t epoch = 0; epoch < options.epochs; ++epoch) {
     ThreadCpuTimer cpu;
-    for (int l = 1; l <= L; ++l) {
-      ps.Pull(l - 1, &w[l - 1], &b[l - 1]);
-      // The features never change, so the layer-1 aggregation P¹ is built
-      // once, in (and charged to) epoch 0, like the distributed trainer's
-      // with cached features (DESIGN.md §17).
-      if (l > 1 || epoch == 0) {
-        const Matrix& in = l == 1 ? g.features() : h[l - 1];
-        if (sage) {
-          Matrix agg;
-          adj.SpMM(in, &agg);
-          p[l] = tensor::ConcatCols(in, agg);
-        } else {
-          adj.SpMM(in, &p[l]);
-        }
-      }
-      tensor::Gemm(p[l], w[l - 1], &z[l]);
-      tensor::AddRowBias(&z[l], b[l - 1]);
-      h[l] = z[l];
-      if (l < L) tensor::ReluInPlace(&h[l]);
-    }
-
+    for (int l = 0; l < L; ++l) ps.Pull(l, &w[l], &b[l]);
     core::EpochMetrics m;
-    const double loss_sum = tensor::SoftmaxCrossEntropy(
-        h[L], g.labels(), g.train_set(), g.train_set().size(), &grads);
-    m.loss = loss_sum / static_cast<double>(g.train_set().size());
-    m.train_acc = tensor::Accuracy(h[L], g.labels(), g.train_set());
-    m.val_acc = tensor::Accuracy(h[L], g.labels(), g.val_set());
-    m.test_acc = tensor::Accuracy(h[L], g.labels(), g.test_set());
-
-    std::vector<Matrix> dw(L), db(L);
-    Matrix grad = std::move(grads);
-    for (int l = L; l >= 1; --l) {
-      tensor::GemmTransposeA(p[l], grad, &dw[l - 1]);
-      db[l - 1] = tensor::ColumnSums(grad);
-      if (l > 1) {
-        const size_t din = h[l - 1].cols();
-        Matrix g_prev;
-        if (sage) {
-          Matrix t_full;
-          tensor::GemmTransposeB(grad, w[l - 1], &t_full);
-          Matrix t_agg = tensor::SliceCols(t_full, din, 2 * din);
-          adj_t.SpMM(t_agg, &g_prev);
-          Matrix t_self = tensor::SliceCols(t_full, 0, din);
-          tensor::AddInPlace(&g_prev, t_self);
-        } else {
-          Matrix t;
-          adj.SpMM(grad, &t);
-          tensor::GemmTransposeB(t, w[l - 1], &g_prev);
-        }
-        const Matrix mask = tensor::ReluGrad(z[l - 1]);
-        tensor::HadamardInPlace(&g_prev, mask);
-        grad = std::move(g_prev);
-      }
-    }
+    m.loss = ForwardBackward(g, a, w, b, &p1, &logits, &dw, &db) /
+             static_cast<double>(g.train_set().size());
+    m.train_acc = tensor::Accuracy(logits, g.labels(), g.train_set());
+    m.val_acc = tensor::Accuracy(logits, g.labels(), g.val_set());
+    m.test_acc = tensor::Accuracy(logits, g.labels(), g.test_set());
     ps.Push(0, std::move(dw), std::move(db));
 
     m.sim_seconds = options.machine.ComputeSeconds(cpu.ElapsedSeconds());

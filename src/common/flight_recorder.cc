@@ -1,6 +1,9 @@
 #include "common/flight_recorder.h"
 
+#include <poll.h>
+#include <pthread.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -9,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "common/kernels.h"
 #include "common/logging.h"
@@ -24,14 +28,58 @@ void FatalLogHook(const char* message) {
                                          message ? message : "");
 }
 
-/// Not async-signal-safe (takes mutexes, allocates) — a flight recorder
-/// trades strict safety for having *any* post-mortem on an orderly
-/// SIGTERM (preemption, timeout kill). A wedged dump can't make the
-/// process more dead than the signal already will.
+// SIGTERM handoff. A dump takes mutexes and allocates, which a signal
+// handler must not do, so the handler only writes a byte to the request
+// pipe and waits on the ack pipe; the watcher thread Arm starts (with
+// SIGTERM masked) dumps and acks. A forked child that arms (death tests
+// fork) starts its own pipes and thread. The thread is detached: all it
+// reads lives as long as the process (the recorder is leaked, the fds
+// never closed), and a joinable member would outlive it in a child.
+int g_request_pipe[2] = {-1, -1};
+int g_ack_pipe[2] = {-1, -1};
+pid_t g_watcher_pid = 0;
+
+// Upper bound on the handler's wait: a dump wedged on a lock the
+// interrupted thread holds must not keep the process alive.
+constexpr int kSigtermDumpTimeoutMs = 5000;
+
 void SigtermHook(int signo) {
-  (void)FlightRecorder::Global().DumpNow("sigterm");
+  const int saved_errno = errno;
+  char byte = 0;
+  if (::write(g_request_pipe[1], &byte, 1) == 1) {
+    pollfd ack{g_ack_pipe[0], POLLIN, 0};
+    while (::poll(&ack, 1, kSigtermDumpTimeoutMs) < 0 && errno == EINTR) {
+    }
+  }
+  errno = saved_errno;
   std::signal(signo, SIG_DFL);
   std::raise(signo);
+}
+
+void SigtermWatcher(int request_fd, int ack_fd) {
+  char byte = 0;
+  while (true) {
+    const ssize_t n = ::read(request_fd, &byte, 1);
+    if (n < 0 && errno == EINTR) continue;
+    if (n != 1) return;
+    (void)FlightRecorder::Global().DumpNow("sigterm");
+    (void)::write(ack_fd, &byte, 1);
+  }
+}
+
+Status StartSigtermWatcher() {
+  if (g_watcher_pid == ::getpid()) return Status::OK();
+  if (::pipe(g_request_pipe) != 0 || ::pipe(g_ack_pipe) != 0) {
+    return Status::Internal("cannot create the SIGTERM dump pipes");
+  }
+  sigset_t term, old;
+  sigemptyset(&term);
+  sigaddset(&term, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &term, &old);
+  std::thread(SigtermWatcher, g_request_pipe[0], g_ack_pipe[1]).detach();
+  pthread_sigmask(SIG_SETMASK, &old, nullptr);
+  g_watcher_pid = ::getpid();
+  return Status::OK();
 }
 
 void AppendSpanJson(std::string* out, const TraceEvent& e) {
@@ -105,6 +153,7 @@ Status FlightRecorder::Arm(const std::string& dir, size_t last_n_spans) {
     std::lock_guard<std::mutex> lock(mu_);
     dir_ = dir;
     last_n_spans_ = last_n_spans == 0 ? 1 : last_n_spans;
+    ECG_RETURN_IF_ERROR(StartSigtermWatcher());
   }
   // Pre-resolve the commit: DumpNow must not fork a git subprocess from a
   // crash/signal context.

@@ -25,8 +25,10 @@ class FlightRecorder {
 
   /// Arms dumping into `dir` (created if missing), keeping the most
   /// recent `last_n_spans` spans per clock domain. Arming installs the
-  /// fatal-log hook and a SIGTERM handler, and enables snapshot-only
-  /// tracing at level 1 when tracing is off (no spans, no post-mortem).
+  /// fatal-log hook and a SIGTERM handler (which hands the dump to a
+  /// watcher thread, started once per process, and re-raises once it is
+  /// written), and enables snapshot-only tracing at level 1 when tracing
+  /// is off (no spans, no post-mortem).
   Status Arm(const std::string& dir, size_t last_n_spans = 256);
   void Disarm();
   bool armed() const { return armed_.load(std::memory_order_acquire); }

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 
 namespace ecg {
@@ -73,7 +72,10 @@ void ThreadPool::ParallelFor(size_t total, size_t grain,
     return;
   }
 
-  std::atomic<size_t> remaining{num_chunks - 1};
+  // `remaining` is only touched under done_mu: a chunk that counted down
+  // outside the lock could let the caller see zero, return and destroy
+  // done_mu before that chunk's thread locked it to notify.
+  size_t remaining = num_chunks - 1;
   std::mutex done_mu;
   std::condition_variable done_cv;
   for (size_t c = 1; c < num_chunks; ++c) {
@@ -81,16 +83,14 @@ void ThreadPool::ParallelFor(size_t total, size_t grain,
     const size_t end = std::min(total, begin + chunk);
     Enqueue([&, begin, end] {
       fn(begin, end);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_one();
-      }
+      std::lock_guard<std::mutex> lock(done_mu);
+      if (--remaining == 0) done_cv.notify_one();
     });
   }
   // The calling thread takes the first chunk instead of idling.
   fn(0, std::min(total, chunk));
   std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 ThreadPool& ThreadPool::Global() {

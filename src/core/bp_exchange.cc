@@ -56,78 +56,70 @@ void RecordBpSendStats(uint32_t epoch, uint16_t layer, uint32_t peer,
                   static_cast<int32_t>(peer));
 }
 
-/// Non-cp backward: raw float32 gradient rows.
-class ExactBpExchanger : public BpExchanger {
- public:
-  explicit ExactBpExchanger(const ExchangeConfig& config)
-      : allow_loss_(config.fault_fallback) {}
-
-  Status Start(dist::WorkerContext* ctx, const WorkerPlan& plan,
-               uint32_t epoch, uint16_t layer,
-               const Matrix& g_owned) override {
-    const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagBpData);
-    PeerBuffers out(ctx->num_workers());
-    ECG_RETURN_IF_ERROR(ForEachActivePeerParallel(
-        plan, ctx->num_workers(), [&](uint32_t p) -> Status {
-          ECG_TRACE_SCOPE_DETAIL("bp_encode", ctx->worker_id(), layer);
-          const Matrix rows = tensor::GatherRows(g_owned, plan.send_rows[p]);
-          ByteWriter w(&out[p]);
-          EncodeMatrix(rows, &w);
-          if (obs::StatsEnabled()) {
-            RecordBpSendStats(epoch, layer, p, rows.rows(), rows.cols(),
-                              out[p].size(), /*bits=*/32);
-          }
+/// Receive side shared by every BP exchanger: fan in each active peer's
+/// gradient rows — raw float32 or `quantized` — and decode them into
+/// g_halo.
+Status FinishBp(dist::WorkerContext* ctx, const WorkerPlan& plan,
+                uint32_t epoch, uint16_t layer, bool allow_loss,
+                bool quantized, Matrix* g_halo) {
+  const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagBpData);
+  ECG_ASSIGN_OR_RETURN(PeerRecvResult in,
+                       TryRecvFromActivePeers(ctx, plan, tag, allow_loss));
+  return ForEachActivePeerParallel(
+      plan, ctx->num_workers(), [&](uint32_t p) -> Status {
+        ECG_TRACE_SCOPE_DETAIL("bp_decode", ctx->worker_id(), layer);
+        if (in.lost[p]) {
+          // Under ResEC the sender detected the same permanent loss (same
+          // seeded schedule) and kept the full G_cpt in its residual;
+          // skipping here is what makes the compensation bookkeeping
+          // balance.
+          CountBpSkipped(epoch, layer, p);
           return Status::OK();
-        }));
-    SendToActivePeers(ctx, plan, tag, &out);
-    return Status::OK();
-  }
-
-  Status Finish(dist::WorkerContext* ctx, const WorkerPlan& plan,
-                uint32_t epoch, uint16_t layer, Matrix* g_halo) override {
-    const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagBpData);
-    ECG_ASSIGN_OR_RETURN(PeerRecvResult in, TryRecvFromActivePeers(
-                             ctx, plan, tag, allow_loss_));
-    return ForEachActivePeerParallel(
-        plan, ctx->num_workers(), [&](uint32_t p) -> Status {
-          ECG_TRACE_SCOPE_DETAIL("bp_decode", ctx->worker_id(), layer);
-          if (in.lost[p]) {
-            CountBpSkipped(epoch, layer, p);
-            return Status::OK();
-          }
-          ByteReader r(in.bufs[p]);
+        }
+        ByteReader r(in.bufs[p]);
+        if (!quantized) {
           Matrix rows;
           ECG_RETURN_IF_ERROR(DecodeMatrix(&r, &rows));
           return AssignRows(rows, plan.recv_halo_rows[p], g_halo);
-        });
-  }
+        }
+        QuantizedMatrix q;
+        ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(&r, &q));
+        return compress::DequantizeInto(q, plan.recv_halo_rows[p], g_halo);
+      });
+}
 
- private:
-  const bool allow_loss_;
-};
-
-/// Cp-bp-B: quantize gradients with getMaxMin bounds (Algorithm 6 lines
-/// 4-5) but no compensation.
-class CompressedBpExchanger : public BpExchanger {
+/// Non-cp (raw float32 gradient rows) and Cp-bp-B (quantized with
+/// getMaxMin bounds, Algorithm 6 lines 4-5, no compensation).
+class PlainBpExchanger : public BpExchanger {
  public:
-  explicit CompressedBpExchanger(const ExchangeConfig& config)
-      : config_(config) {}
+  PlainBpExchanger(const ExchangeConfig& config, bool quantized)
+      : config_(config), quantized_(quantized) {}
 
   Status Start(dist::WorkerContext* ctx, const WorkerPlan& plan,
                uint32_t epoch, uint16_t layer,
                const Matrix& g_owned) override {
     const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagBpData);
     QuantizerOptions qopts{config_.bp_bits, config_.value_mode};
-    // Fused: quantize each peer's gradient rows straight out of g_owned
-    // and decode straight into the halo matrix, all peers in parallel.
     PeerBuffers out(ctx->num_workers());
     ECG_RETURN_IF_ERROR(ForEachActivePeerParallel(
         plan, ctx->num_workers(), [&](uint32_t p) -> Status {
           ECG_TRACE_SCOPE_DETAIL("bp_encode", ctx->worker_id(), layer);
+          ByteWriter w(&out[p]);
+          if (!quantized_) {
+            const Matrix rows =
+                tensor::GatherRows(g_owned, plan.send_rows[p]);
+            EncodeMatrix(rows, &w);
+            if (obs::StatsEnabled()) {
+              RecordBpSendStats(epoch, layer, p, rows.rows(), rows.cols(),
+                                out[p].size(), /*bits=*/32);
+            }
+            return Status::OK();
+          }
+          // Fused: quantize each peer's gradient rows straight out of
+          // g_owned, all peers in parallel.
           ECG_ASSIGN_OR_RETURN(
               QuantizedMatrix q,
               compress::QuantizeRows(g_owned, plan.send_rows[p], qopts));
-          ByteWriter w(&out[p]);
           q.AppendTo(&w);
           if (obs::StatsEnabled()) {
             RecordBpSendStats(epoch, layer, p, q.rows, q.cols,
@@ -145,25 +137,13 @@ class CompressedBpExchanger : public BpExchanger {
 
   Status Finish(dist::WorkerContext* ctx, const WorkerPlan& plan,
                 uint32_t epoch, uint16_t layer, Matrix* g_halo) override {
-    const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagBpData);
-    ECG_ASSIGN_OR_RETURN(PeerRecvResult in, TryRecvFromActivePeers(
-                             ctx, plan, tag, config_.fault_fallback));
-    return ForEachActivePeerParallel(
-        plan, ctx->num_workers(), [&](uint32_t p) -> Status {
-          ECG_TRACE_SCOPE_DETAIL("bp_decode", ctx->worker_id(), layer);
-          if (in.lost[p]) {
-            CountBpSkipped(epoch, layer, p);
-            return Status::OK();
-          }
-          ByteReader r(in.bufs[p]);
-          QuantizedMatrix q;
-          ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(&r, &q));
-          return compress::DequantizeInto(q, plan.recv_halo_rows[p], g_halo);
-        });
+    return FinishBp(ctx, plan, epoch, layer, config_.fault_fallback,
+                    quantized_, g_halo);
   }
 
  private:
   const ExchangeConfig config_;
+  const bool quantized_;
 };
 
 /// The paper's ResEC-BP (Algorithms 5-6, Eqs. 11-12): the responder keeps
@@ -274,24 +254,8 @@ class ResEcBpExchanger : public BpExchanger {
 
   Status Finish(dist::WorkerContext* ctx, const WorkerPlan& plan,
                 uint32_t epoch, uint16_t layer, Matrix* g_halo) override {
-    const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagBpData);
-    ECG_ASSIGN_OR_RETURN(PeerRecvResult in, TryRecvFromActivePeers(
-                             ctx, plan, tag, config_.fault_fallback));
-    return ForEachActivePeerParallel(
-        plan, ctx->num_workers(), [&](uint32_t p) -> Status {
-          ECG_TRACE_SCOPE_DETAIL("bp_decode", ctx->worker_id(), layer);
-          if (in.lost[p]) {
-            // The sender detected the same permanent loss (same seeded
-            // schedule) and kept the full G_cpt in its residual; skipping
-            // here is what makes the compensation bookkeeping balance.
-            CountBpSkipped(epoch, layer, p);
-            return Status::OK();
-          }
-          ByteReader r(in.bufs[p]);
-          QuantizedMatrix q;
-          ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(&r, &q));
-          return compress::DequantizeInto(q, plan.recv_halo_rows[p], g_halo);
-        });
+    return FinishBp(ctx, plan, epoch, layer, config_.fault_fallback,
+                    /*quantized=*/true, g_halo);
   }
 
   /// Residual magnitude toward a peer (Theorem-1 validation hook).
@@ -473,9 +437,9 @@ std::unique_ptr<BpExchanger> MakeBpExchanger(BpMode mode,
                                              const WorkerPlan& plan) {
   switch (mode) {
     case BpMode::kExact:
-      return std::make_unique<ExactBpExchanger>(config);
+      return std::make_unique<PlainBpExchanger>(config, /*quantized=*/false);
     case BpMode::kCompressed:
-      return std::make_unique<CompressedBpExchanger>(config);
+      return std::make_unique<PlainBpExchanger>(config, /*quantized=*/true);
     case BpMode::kResEc:
       return std::make_unique<ResEcBpExchanger>(config, num_layers, plan);
   }

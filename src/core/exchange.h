@@ -209,8 +209,8 @@ class FpExchanger {
                         uint32_t epoch, uint16_t layer,
                         tensor::Matrix* h_halo) = 0;
 
-  /// One-shot exchange: Start + Finish + EndCommPhase("fp_comm"). Every
-  /// pre-split call site and the non-overlapped schedule use this; by
+  /// One-shot exchange: Start + Finish + EndCommPhase("fp_comm"), for
+  /// call sites with nothing to overlap (the one-time feature cache); by
   /// construction it is equivalent to the split-phase path. A streaming
   /// Finish still earns its arrival-order decode credit here — the decode
   /// of early peers ran while later ones were in flight regardless of the

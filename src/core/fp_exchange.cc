@@ -89,79 +89,38 @@ void RecordSelectorStats(const std::vector<uint32_t>& slt, uint32_t epoch,
   }
 }
 
-/// Non-cp: ship raw float32 rows every epoch.
-class ExactFpExchanger : public FpExchanger {
+/// Non-cp (raw float32 rows) and Cp-fp-B (bucket quantization, no
+/// compensation): every epoch ships every send row in one wire format.
+class PlainFpExchanger : public FpExchanger {
  public:
-  explicit ExactFpExchanger(const ExchangeConfig& config)
-      : allow_loss_(config.fault_fallback) {}
-
-  Status Start(dist::WorkerContext* ctx, const WorkerPlan& plan,
-               uint32_t epoch, uint16_t layer,
-               const Matrix& h_owned) override {
-    const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagFpData);
-    PeerBuffers out(ctx->num_workers());
-    ECG_RETURN_IF_ERROR(ForEachActivePeerParallel(
-        plan, ctx->num_workers(), [&](uint32_t p) -> Status {
-          ECG_TRACE_SCOPE_DETAIL("fp_encode", ctx->worker_id(), layer);
-          const Matrix rows = tensor::GatherRows(h_owned, plan.send_rows[p]);
-          ByteWriter w(&out[p]);
-          EncodeMatrix(rows, &w);
-          if (obs::StatsEnabled()) {
-            RecordFpSendStats(epoch, layer, p, rows.rows(), rows.cols(),
-                              out[p].size(), /*bits=*/32);
-          }
-          return Status::OK();
-        }));
-    SendToActivePeers(ctx, plan, tag, &out);
-    return Status::OK();
-  }
-
-  Status Finish(dist::WorkerContext* ctx, const WorkerPlan& plan,
-                uint32_t epoch, uint16_t layer, Matrix* h_halo) override {
-    const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagFpData);
-    ECG_ASSIGN_OR_RETURN(PeerRecvResult in, TryRecvFromActivePeers(
-                             ctx, plan, tag, allow_loss_));
-    return ForEachActivePeerParallel(
-        plan, ctx->num_workers(), [&](uint32_t p) -> Status {
-          ECG_TRACE_SCOPE_DETAIL("fp_decode", ctx->worker_id(), layer);
-          if (in.lost[p]) {
-            // Lost halo update: keep the stale cached rows (h_halo
-            // persists across epochs) — bounded staleness, not a crash.
-            CountFpDegraded(ctx, epoch, layer, p, /*stale=*/true);
-            return Status::OK();
-          }
-          ByteReader r(in.bufs[p]);
-          Matrix rows;
-          ECG_RETURN_IF_ERROR(DecodeMatrix(&r, &rows));
-          return AssignRows(rows, plan.recv_halo_rows[p], h_halo);
-        });
-  }
-
- private:
-  const bool allow_loss_;
-};
-
-/// Cp-fp-B: bucket quantization, no compensation.
-class CompressedFpExchanger : public FpExchanger {
- public:
-  explicit CompressedFpExchanger(const ExchangeConfig& config)
-      : config_(config) {}
+  PlainFpExchanger(const ExchangeConfig& config, bool quantized)
+      : config_(config), quantized_(quantized) {}
 
   Status Start(dist::WorkerContext* ctx, const WorkerPlan& plan,
                uint32_t epoch, uint16_t layer,
                const Matrix& h_owned) override {
     const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagFpData);
     QuantizerOptions qopts{config_.fp_bits, config_.value_mode};
-    // Fused send path: quantize each peer's row subset straight out of
-    // h_owned (no GatherRows copy), all peers in parallel.
     PeerBuffers out(ctx->num_workers());
     ECG_RETURN_IF_ERROR(ForEachActivePeerParallel(
         plan, ctx->num_workers(), [&](uint32_t p) -> Status {
           ECG_TRACE_SCOPE_DETAIL("fp_encode", ctx->worker_id(), layer);
+          ByteWriter w(&out[p]);
+          if (!quantized_) {
+            const Matrix rows =
+                tensor::GatherRows(h_owned, plan.send_rows[p]);
+            EncodeMatrix(rows, &w);
+            if (obs::StatsEnabled()) {
+              RecordFpSendStats(epoch, layer, p, rows.rows(), rows.cols(),
+                                out[p].size(), /*bits=*/32);
+            }
+            return Status::OK();
+          }
+          // Fused send path: quantize each peer's row subset straight out
+          // of h_owned (no GatherRows copy).
           ECG_ASSIGN_OR_RETURN(
               QuantizedMatrix q,
               compress::QuantizeRows(h_owned, plan.send_rows[p], qopts));
-          ByteWriter w(&out[p]);
           q.AppendTo(&w);
           if (obs::StatsEnabled()) {
             RecordFpSendStats(epoch, layer, p, q.rows, q.cols,
@@ -180,27 +139,37 @@ class CompressedFpExchanger : public FpExchanger {
   Status Finish(dist::WorkerContext* ctx, const WorkerPlan& plan,
                 uint32_t epoch, uint16_t layer, Matrix* h_halo) override {
     const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagFpData);
-    // Fused receive path: decode straight into the halo rows.
     ECG_ASSIGN_OR_RETURN(PeerRecvResult in, TryRecvFromActivePeers(
                              ctx, plan, tag, config_.fault_fallback));
     return ForEachActivePeerParallel(
         plan, ctx->num_workers(), [&](uint32_t p) -> Status {
           ECG_TRACE_SCOPE_DETAIL("fp_decode", ctx->worker_id(), layer);
           if (in.lost[p]) {
+            // Lost halo update: keep the stale cached rows (h_halo
+            // persists across epochs) — bounded staleness, not a crash.
             CountFpDegraded(ctx, epoch, layer, p, /*stale=*/true);
             return Status::OK();
           }
           ByteReader r(in.bufs[p]);
+          if (!quantized_) {
+            Matrix rows;
+            ECG_RETURN_IF_ERROR(DecodeMatrix(&r, &rows));
+            return AssignRows(rows, plan.recv_halo_rows[p], h_halo);
+          }
+          // Fused receive path: decode straight into the halo rows.
           QuantizedMatrix q;
           ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(&r, &q));
           return compress::DequantizeInto(q, plan.recv_halo_rows[p], h_halo);
         });
   }
 
-  int BitsTowards(uint32_t) const override { return config_.fp_bits; }
+  int BitsTowards(uint32_t) const override {
+    return quantized_ ? config_.fp_bits : 32;
+  }
 
  private:
   const ExchangeConfig config_;
+  const bool quantized_;
 };
 
 /// DistGNN's delayed remote partial aggregation: per epoch only the rows
@@ -1135,9 +1104,9 @@ std::unique_ptr<FpExchanger> MakeFpExchanger(FpMode mode,
                                              const WorkerPlan& plan) {
   switch (mode) {
     case FpMode::kExact:
-      return std::make_unique<ExactFpExchanger>(config);
+      return std::make_unique<PlainFpExchanger>(config, /*quantized=*/false);
     case FpMode::kCompressed:
-      return std::make_unique<CompressedFpExchanger>(config);
+      return std::make_unique<PlainFpExchanger>(config, /*quantized=*/true);
     case FpMode::kDelayed:
       return std::make_unique<DelayedFpExchanger>(config);
     case FpMode::kReqEc:

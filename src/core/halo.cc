@@ -7,27 +7,9 @@
 namespace ecg::core {
 namespace {
 
-// Extracts the listed rows of `src` into a rows x cols CSR slice. Rows not
-// listed come out empty; listed rows keep their exact (sorted, merged)
-// nonzero order, so SpMMRows over the slice matches SpMM over `src`
-// bitwise on those rows.
-Result<tensor::CsrMatrix> SliceRows(const tensor::CsrMatrix& src,
-                                    const std::vector<uint32_t>& row_ids,
-                                    size_t cols) {
-  std::vector<std::tuple<uint32_t, uint32_t, float>> triplets;
-  for (uint32_t r : row_ids) {
-    for (uint64_t i = src.row_ptr()[r]; i < src.row_ptr()[r + 1]; ++i) {
-      triplets.emplace_back(r, src.col_idx()[i], src.values()[i]);
-    }
-  }
-  return tensor::CsrMatrix::FromTriplets(src.rows(), cols, triplets);
-}
-
 // Classifies each local row of `adj` as interior (all columns < num_owned)
-// or boundary, then builds the row-partitioned slices.
-Status SplitInteriorBoundary(WorkerPlan* plan) {
-  plan->interior_rows.clear();
-  plan->boundary_rows.clear();
+// or boundary.
+void SplitInteriorBoundary(WorkerPlan* plan) {
   const auto& adj = plan->adj;
   const uint32_t num_owned = static_cast<uint32_t>(plan->num_owned());
   for (uint32_t r = 0; r < num_owned; ++r) {
@@ -40,20 +22,6 @@ Status SplitInteriorBoundary(WorkerPlan* plan) {
     }
     (interior ? plan->interior_rows : plan->boundary_rows).push_back(r);
   }
-  ECG_ASSIGN_OR_RETURN(plan->adj_interior,
-                       SliceRows(adj, plan->interior_rows, num_owned));
-  ECG_ASSIGN_OR_RETURN(plan->adj_boundary,
-                       SliceRows(adj, plan->boundary_rows, plan->cat_rows()));
-  if (plan->adj_bp.nnz() > 0) {
-    // adj_bp shares adj's sparsity, so the same classification applies.
-    ECG_ASSIGN_OR_RETURN(
-        plan->adj_bp_interior,
-        SliceRows(plan->adj_bp, plan->interior_rows, num_owned));
-    ECG_ASSIGN_OR_RETURN(
-        plan->adj_bp_boundary,
-        SliceRows(plan->adj_bp, plan->boundary_rows, plan->cat_rows()));
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -163,7 +131,7 @@ Status BuildWorkerPlansFromView(const AdjacencyView& g,
           plan.adj_bp, tensor::CsrMatrix::FromTriplets(
                            plan.owned.size(), plan.cat_rows(), bp_triplets));
     }
-    ECG_RETURN_IF_ERROR(SplitInteriorBoundary(&plan));
+    SplitInteriorBoundary(&plan);
     plan.send_rows.assign(parts, {});
   }
 

@@ -26,7 +26,10 @@ namespace ecg::core {
 ///  * the worker's slice of the normalized adjacency
 ///    Â = D^{-1/2}(A+I)D^{-1/2}: rows = owned vertices (local order),
 ///    columns = [owned local rows | halo rows] — multiplying it with
-///    H_cat = [H_owned ; H_halo] yields the aggregation of Eq. 2.
+///    H_cat = [H_owned ; H_halo] yields the aggregation of Eq. 2;
+///  * the interior/boundary split of the owned rows, as two row lists over
+///    that one adjacency (there is one adjacency per direction: `adj`, and
+///    `adj_bp` for asymmetric aggregators — no row-sliced copies).
 ///
 /// This is the 1-hop NAC (Neighbor Access Controller) of the paper, built
 /// once at partition time.
@@ -57,38 +60,21 @@ struct WorkerPlan {
   /// on the same sparsity.
   tensor::CsrMatrix adj_bp;
 
-  /// Interior/boundary row split for overlapped execution (the AdaQP
+  /// Interior/boundary row split for the exchange schedule (the AdaQP
   /// central/marginal vertex distinction): a local row is *interior* when
-  /// every adjacency column it touches is owned, so its aggregation needs
-  /// no halo data and can run while the exchange is still in flight.
-  /// Boundary rows touch at least one halo column. interior_rows and
-  /// boundary_rows together enumerate every local row exactly once,
-  /// ascending.
+  /// every column it touches in `adj` (and so in `adj_bp`, which shares
+  /// the sparsity) is owned, so its aggregation needs no halo data and can
+  /// run while the exchange is still in flight. Boundary rows touch at
+  /// least one halo column. The two lists are ascending and together
+  /// enumerate every local row exactly once. Both row sets run over the
+  /// one adjacency (`CsrMatrix::SpMMRows` over [H_owned ; H_halo]), whose
+  /// per-row accumulation order makes the split bitwise equal to one SpMM.
   std::vector<uint32_t> interior_rows;
   std::vector<uint32_t> boundary_rows;
-
-  /// Row-partitioned slices of `adj`: adj_interior is
-  /// owned.size() x owned.size() holding only interior rows' nonzeros
-  /// (interior rows reference owned columns only, so it multiplies
-  /// H_owned directly); adj_boundary is owned.size() x cat_rows() holding
-  /// only boundary rows' nonzeros. Per-row nonzero order matches `adj`
-  /// exactly, so SpMMRows over the two slices reproduces SpMM bitwise.
-  tensor::CsrMatrix adj_interior;
-  tensor::CsrMatrix adj_boundary;
-  /// Same split for adj_bp (populated iff adj_bp is; same sparsity as adj
-  /// so the interior/boundary classification is shared).
-  tensor::CsrMatrix adj_bp_interior;
-  tensor::CsrMatrix adj_bp_boundary;
 
   /// The aggregation slice BP should use.
   const tensor::CsrMatrix& bp_adj() const {
     return adj_bp.nnz() > 0 ? adj_bp : adj;
-  }
-  const tensor::CsrMatrix& bp_adj_interior() const {
-    return adj_bp.nnz() > 0 ? adj_bp_interior : adj_interior;
-  }
-  const tensor::CsrMatrix& bp_adj_boundary() const {
-    return adj_bp.nnz() > 0 ? adj_bp_boundary : adj_boundary;
   }
 
   size_t num_owned() const { return owned.size(); }

@@ -38,9 +38,12 @@ struct MetricsBoard {
   /// rebuild the last_* values from the retained epochs' deltas.
   double base_clock = 0.0;
   uint64_t base_comm_bytes = 0;
-  /// Per-phase simulated seconds of the epoch in flight (cleared by
-  /// FinalizeEpoch into EpochMetrics::phase_seconds).
-  std::map<std::string, double> phase_acc;
+  /// Per-phase simulated seconds by epoch, folded into
+  /// EpochMetrics::phase_seconds by ToResult. Keyed by epoch rather than
+  /// folded at FinalizeEpoch because a worker books its "barrier" phase
+  /// only once the barrier returns, which can be after worker 0 has
+  /// finalized that epoch.
+  std::map<uint32_t, std::map<std::string, double>> phase_acc;
 
   double best_val = -1.0;
   double test_at_best_val = 0.0;
@@ -84,7 +87,7 @@ struct MetricsBoard {
     if (epochs.size() > keep_epochs) epochs.resize(keep_epochs);
     loss_of.assign(loss_of.size(), 0.0);
     for (int i = 0; i < 3; ++i) correct[i] = totals[i] = 0;
-    phase_acc.clear();
+    phase_acc.erase(phase_acc.lower_bound(keep_epochs), phase_acc.end());
     last_clock = base_clock;
     last_comm_bytes = base_comm_bytes;
     last_param_bytes = 0;
@@ -117,7 +120,7 @@ struct MetricsBoard {
       obs::RecordStat(std::string("phase.") + phase, sim_seconds, epoch);
     }
     std::lock_guard<std::mutex> lock(mu);
-    phase_acc[phase] += sim_seconds;
+    phase_acc[epoch][phase] += sim_seconds;
   }
 
   /// Worker 0 calls this after the epoch barrier: folds the accumulators
@@ -145,8 +148,6 @@ struct MetricsBoard {
     const uint64_t pbytes = param_bytes.load(std::memory_order_relaxed);
     m.param_bytes = pbytes - last_param_bytes;
     last_param_bytes = pbytes;
-    m.phase_seconds.assign(phase_acc.begin(), phase_acc.end());
-    phase_acc.clear();
     epochs.push_back(m);
     loss_of.assign(loss_of.size(), 0.0);
     for (int i = 0; i < 3; ++i) correct[i] = totals[i] = 0;
@@ -182,6 +183,10 @@ struct MetricsBoard {
   TrainResult ToResult(double preprocess_seconds) {
     TrainResult result;
     result.epochs = std::move(epochs);
+    for (size_t e = 0; e < result.epochs.size(); ++e) {
+      const auto& phases = phase_acc[static_cast<uint32_t>(e)];
+      result.epochs[e].phase_seconds.assign(phases.begin(), phases.end());
+    }
     result.best_val_acc = best_val < 0.0 ? 0.0 : best_val;
     result.test_acc_at_best_val = test_at_best_val;
     result.best_epoch = best_epoch;

@@ -7,14 +7,13 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
-#include "compress/int8_gemm.h"
 #include "core/exchange.h"
 #include "core/halo.h"
 #include "core/metrics_board.h"
+#include "core/schedule.h"
 #include "dist/cluster.h"
 #include "tensor/nn.h"
 #include "tensor/ops.h"
@@ -211,223 +210,95 @@ Result<TrainResult> SamplingTrainer::Train() {
       }
 
       // --- Forward on the sampled structure -----------------------------
+      // Exchanges run the shared schedule (core/schedule.h).
+      const internal::Schedule sched(ctx, &board, epoch, options_.overlap);
       for (int l = 1; l <= L; ++l) {
         const WorkerPlan& plan = shared.per_layer[l - 1][me];
-        {
-          Phase phase(ctx, &board, epoch, "param_sync");
-          ECG_TRACE_SCOPE("param_pull", me, l - 1);
-          const auto pull = ps.Pull(l - 1, &w[l - 1], &bias[l - 1]);
-          ctx->ChargeCommSeconds(pull.Seconds(ctx->net()));
-          board.param_bytes.fetch_add(pull.bytes, std::memory_order_relaxed);
-          if (obs::StatsEnabled()) {
-            obs::RecordStat("ps.pull_bytes",
-                            static_cast<double>(pull.bytes), epoch, l - 1);
-          }
-        }
+        sched.Pull(ps, l - 1, &w[l - 1], &bias[l - 1]);
 
-        Matrix halo(plan.num_halo(), dims[l - 1]);
-        if (l == 1) {
-          Phase phase(ctx, &board, epoch, "fp_compute");
-          ECG_TRACE_SCOPE("halo_from_cache", me, 0);
-          cpu.Reset();
-          // Sampled feature halo comes from the one-time cache.
-          for (uint32_t i = 0; i < plan.num_halo(); ++i) {
-            const auto it = full_halo_row.find(plan.halo[i]);
-            if (it == full_halo_row.end()) {
-              return Status::Internal("sampled halo outside full halo");
-            }
-            std::memcpy(halo.Row(i), x_halo_cache.Row(it->second),
-                        dims[0] * sizeof(float));
-          }
-          ctx->ChargeCompute(cpu.ElapsedSeconds());
-        } else if (options_.overlap) {
-          // Split-phase: send H^(l-1) first, aggregate the interior rows
-          // (fully-owned neighborhoods) while the messages fly, then wait
-          // only for the boundary rows' halo.
-          {
-            Phase phase(ctx, &board, epoch, "fp_exchange");
-            ECG_TRACE_SCOPE("fp_exchange", me, l - 1);
-            ECG_RETURN_IF_ERROR(fp_ex->Start(ctx, plan, epoch,
-                                             static_cast<uint16_t>(l - 1),
-                                             h_owned[l - 1]));
-          }
-          double credit = 0.0;
-          {
-            Phase phase(ctx, &board, epoch, "fp_compute");
-            ECG_TRACE_SCOPE("fp_compute", me, l);
-            cpu.Reset();
-            p_cache[l].Reset(plan.num_owned(), dims[l - 1]);
-            plan.adj_interior.SpMMRows(h_owned[l - 1], plan.interior_rows,
-                                       &p_cache[l]);
-            // Interior rows of Z = P·W complete before Finish too.
-            z_cache[l].Reset(plan.num_owned(), dims[l]);
-            tensor::GemmRows(p_cache[l], w[l - 1], plan.interior_rows,
-                             &z_cache[l]);
-            credit = ctx->ChargeCompute(cpu.ElapsedSeconds());
-          }
-          {
-            Phase phase(ctx, &board, epoch, "fp_exchange");
-            ECG_TRACE_SCOPE("fp_finish", me, l - 1);
-            ECG_RETURN_IF_ERROR(fp_ex->Finish(ctx, plan, epoch,
-                                              static_cast<uint16_t>(l - 1),
-                                              &halo));
-            double comm_s = 0.0;
-            const double hidden =
-                ctx->EndCommPhaseOverlapped("fp_comm", credit, &comm_s);
-            if (obs::StatsEnabled()) {
-              obs::RecordStat("overlap.hidden_seconds", hidden, epoch, l - 1);
-              if (comm_s > 0.0) {
-                obs::RecordStat("overlap.frac", hidden / comm_s, epoch,
-                                l - 1);
-              }
-            }
-          }
-        } else {
-          Phase phase(ctx, &board, epoch, "fp_exchange");
-          ECG_TRACE_SCOPE("fp_exchange", me, l - 1);
-          ECG_RETURN_IF_ERROR(fp_ex->Exchange(ctx, plan, epoch,
-                                              static_cast<uint16_t>(l - 1),
-                                              h_owned[l - 1], &halo));
-        }
-        const bool split_fp = l > 1 && options_.overlap;
-        {
-          Phase phase(ctx, &board, epoch, "fp_compute");
-          ECG_TRACE_SCOPE("fp_compute", me, l);
-          cpu.Reset();
-          if (split_fp) {
-            plan.adj_boundary.SpMMRows(h_owned[l - 1], halo,
-                                       plan.boundary_rows, &p_cache[l]);
-            // Int8 packed-domain boundary transform; falls back to float
-            // GemmRows when off or unsupported (see trainer.cc).
-            if (!(options_.int8_gemm &&
-                  compress::Int8GemmRows(p_cache[l], w[l - 1],
-                                         plan.boundary_rows, &z_cache[l]))) {
-              tensor::GemmRows(p_cache[l], w[l - 1], plan.boundary_rows,
-                               &z_cache[l]);
-            }
-          } else {
-            plan.adj.SpMM(h_owned[l - 1], halo, &p_cache[l]);
-            tensor::Gemm(p_cache[l], w[l - 1], &z_cache[l]);
-          }
+        auto activate = [&] {
           tensor::AddRowBias(&z_cache[l], bias[l - 1]);
           h_owned[l] = z_cache[l];
           if (l < L) tensor::ReluInPlace(&h_owned[l]);
-          ctx->ChargeCompute(cpu.ElapsedSeconds());
+        };
+        Matrix halo(plan.num_halo(), dims[l - 1]);
+        if (l == 1) {
+          {
+            auto step = sched.Step("fp_compute", 0, "halo_from_cache");
+            // Sampled feature halo comes from the one-time cache.
+            for (uint32_t i = 0; i < plan.num_halo(); ++i) {
+              const auto it = full_halo_row.find(plan.halo[i]);
+              if (it == full_halo_row.end()) {
+                return Status::Internal("sampled halo outside full halo");
+              }
+              std::memcpy(halo.Row(i), x_halo_cache.Row(it->second),
+                          dims[0] * sizeof(float));
+            }
+          }
+          auto step = sched.Step("fp_compute", l);
+          plan.adj.SpMM(h_owned[0], halo, &p_cache[1]);
+          tensor::Gemm(p_cache[1], w[0], &z_cache[1]);
+          activate();
+          continue;
         }
+        const Matrix& h = h_owned[l - 1];
+        ECG_RETURN_IF_ERROR(sched.SplitPhase(
+            fp_ex.get(), plan, static_cast<uint16_t>(l - 1), h, &halo,
+            [&] {
+              p_cache[l].Reset(plan.num_owned(), dims[l - 1]);
+              z_cache[l].Reset(plan.num_owned(), dims[l]);
+              internal::GcnForwardRows(plan.adj, h, halo, w[l - 1],
+                                       plan.interior_rows, /*int8=*/false,
+                                       &p_cache[l], &z_cache[l]);
+            },
+            [&] {
+              internal::GcnForwardRows(plan.adj, h, halo, w[l - 1],
+                                       plan.boundary_rows, options_.int8_gemm,
+                                       &p_cache[l], &z_cache[l]);
+              activate();
+            }));
       }
 
-      uint64_t correct[3], totals[3];
-      double local_loss;
-      {
-        Phase phase(ctx, &board, epoch, "loss");
-        ECG_TRACE_SCOPE("loss", me, L);
-        cpu.Reset();
-        local_loss = tensor::SoftmaxCrossEntropy(
-            h_owned[L], labels_local, rows_of[0], global_train,
-            &grads_logits);
-        for (int s = 0; s < 3; ++s) {
-          totals[s] = rows_of[s].size();
-          correct[s] = static_cast<uint64_t>(
-              tensor::Accuracy(h_owned[L], labels_local, rows_of[s]) *
-                  static_cast<double>(rows_of[s].size()) +
-              0.5);
-        }
-        ctx->ChargeCompute(cpu.ElapsedSeconds());
-      }
-      board.AddLocal(ctx->worker_id(), local_loss, correct, totals);
+      sched.Loss(h_owned[L], labels_local, rows_of, global_train, L,
+                 &grads_logits);
 
       // --- Backward on the same sampled structure ------------------------
       std::vector<Matrix> dw(L), db(L);
       Matrix g = std::move(grads_logits);
       for (int l = L; l >= 1; --l) {
         const WorkerPlan& plan = shared.per_layer[l - 1][me];
-        const bool overlap_bp = options_.overlap && l > 1;
-        if (!overlap_bp) {
-          Phase phase(ctx, &board, epoch, "bp_compute");
-          ECG_TRACE_SCOPE("bp_compute", me, l);
-          cpu.Reset();
+        auto param_grads = [&] {
           tensor::GemmTransposeA(p_cache[l], g, &dw[l - 1]);
           db[l - 1] = tensor::ColumnSums(g);
-          ctx->ChargeCompute(cpu.ElapsedSeconds());
+        };
+        if (l == 1) {
+          auto step = sched.Step("bp_compute", l);
+          param_grads();
+          break;
         }
-        if (l > 1) {
-          Matrix g_halo(plan.num_halo(), dims[l]);
-          Matrix t, g_prev;
-          if (overlap_bp) {
-            // Split-phase mirror of FP: dW/db and the interior rows of the
-            // gradient aggregation hide the wire time of the G exchange.
-            {
-              Phase phase(ctx, &board, epoch, "bp_exchange");
-              ECG_TRACE_SCOPE("bp_exchange", me, l);
-              ECG_RETURN_IF_ERROR(bp_ex->Start(ctx, plan, epoch,
-                                               static_cast<uint16_t>(l), g));
-            }
-            double credit = 0.0;
-            {
-              Phase phase(ctx, &board, epoch, "bp_compute");
-              ECG_TRACE_SCOPE("bp_compute", me, l);
-              cpu.Reset();
-              tensor::GemmTransposeA(p_cache[l], g, &dw[l - 1]);
-              db[l - 1] = tensor::ColumnSums(g);
+        // Mirror of FP: dW/db and the interior rows of the gradient
+        // aggregation run before Finish.
+        Matrix g_halo(plan.num_halo(), dims[l]);
+        Matrix t, g_prev;
+        ECG_RETURN_IF_ERROR(sched.SplitPhase(
+            bp_ex.get(), plan, static_cast<uint16_t>(l), g, &g_halo,
+            [&] {
+              param_grads();
               t.Reset(plan.num_owned(), dims[l]);
-              plan.adj_interior.SpMMRows(g, plan.interior_rows, &t);
               g_prev.Reset(plan.num_owned(), dims[l - 1]);
-              tensor::GemmTransposeBRows(t, w[l - 1], plan.interior_rows,
-                                         &g_prev);
-              credit = ctx->ChargeCompute(cpu.ElapsedSeconds());
-            }
-            {
-              Phase phase(ctx, &board, epoch, "bp_exchange");
-              ECG_TRACE_SCOPE("bp_finish", me, l);
-              ECG_RETURN_IF_ERROR(bp_ex->Finish(ctx, plan, epoch,
-                                                static_cast<uint16_t>(l),
-                                                &g_halo));
-              double comm_s = 0.0;
-              const double hidden =
-                  ctx->EndCommPhaseOverlapped("bp_comm", credit, &comm_s);
-              if (obs::StatsEnabled()) {
-                obs::RecordStat("overlap.hidden_seconds", hidden, epoch, l);
-                if (comm_s > 0.0) {
-                  obs::RecordStat("overlap.frac", hidden / comm_s, epoch, l);
-                }
-              }
-            }
-          } else {
-            Phase phase(ctx, &board, epoch, "bp_exchange");
-            ECG_TRACE_SCOPE("bp_exchange", me, l);
-            ECG_RETURN_IF_ERROR(bp_ex->Exchange(ctx, plan, epoch,
-                                                static_cast<uint16_t>(l), g,
-                                                &g_halo));
-          }
-          Phase phase(ctx, &board, epoch, "bp_compute");
-          ECG_TRACE_SCOPE("bp_compute", me, l);
-          cpu.Reset();
-          if (overlap_bp) {
-            plan.adj_boundary.SpMMRows(g, g_halo, plan.boundary_rows, &t);
-            tensor::GemmTransposeBRows(t, w[l - 1], plan.boundary_rows,
-                                       &g_prev);
-          } else {
-            plan.adj.SpMM(g, g_halo, &t);
-            tensor::GemmTransposeB(t, w[l - 1], &g_prev);
-          }
-          const Matrix mask = tensor::ReluGrad(z_cache[l - 1]);
-          tensor::HadamardInPlace(&g_prev, mask);
-          g = std::move(g_prev);
-          ctx->ChargeCompute(cpu.ElapsedSeconds());
-        }
+              internal::GcnBackwardRows(plan.adj, g, g_halo, w[l - 1],
+                                        plan.interior_rows, &t, &g_prev);
+            },
+            [&] {
+              internal::GcnBackwardRows(plan.adj, g, g_halo, w[l - 1],
+                                        plan.boundary_rows, &t, &g_prev);
+              const Matrix mask = tensor::ReluGrad(z_cache[l - 1]);
+              tensor::HadamardInPlace(&g_prev, mask);
+              g = std::move(g_prev);
+            }));
       }
 
-      {
-        Phase phase(ctx, &board, epoch, "param_sync");
-        ECG_TRACE_SCOPE("param_push", me, -1);
-        const auto push = ps.Push(me, std::move(dw), std::move(db));
-        ctx->ChargeCommSeconds(push.Seconds(ctx->net()));
-        board.param_bytes.fetch_add(push.bytes, std::memory_order_relaxed);
-        if (obs::StatsEnabled()) {
-          obs::RecordStat("ps.push_bytes",
-                          static_cast<double>(push.bytes), epoch);
-        }
-      }
+      sched.Push(&ps, std::move(dw), std::move(db));
       {
         Phase phase(ctx, &board, epoch, "barrier");
         ctx->BarrierSync();

@@ -44,9 +44,9 @@ struct SamplingTrainOptions {
   BpMode bp_mode = BpMode::kCompressed;
   ExchangeConfig exchange;
   bool online_sampling = false;
-  /// Overlap halo exchanges with interior aggregation (split-phase
-  /// schedule, see TrainOptions::overlap). Per-epoch sampled plans carry
-  /// their own interior/boundary split, so the same pipelining applies.
+  /// Credit interior compute against halo exchanges (see
+  /// TrainOptions::overlap). Per-epoch sampled plans carry their own
+  /// interior/boundary split, so the same schedule applies.
   bool overlap = true;
   /// Int8 packed-domain boundary-row transform (see TrainOptions::int8_gemm).
   bool int8_gemm = false;

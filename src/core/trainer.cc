@@ -10,10 +10,10 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
-#include "compress/int8_gemm.h"
 #include "core/checkpoint.h"
 #include "core/halo.h"
 #include "core/metrics_board.h"
+#include "core/schedule.h"
 #include "core/wire_util.h"
 #include "dist/cluster.h"
 #include "dist/elastic.h"
@@ -32,8 +32,6 @@ using tensor::Matrix;
 
 /// Sim-clock phase accounting for one scope (see metrics_board.h).
 using Phase = internal::PhaseScope<WorkerContext>;
-
-enum class SplitKind : uint8_t { kNone = 0, kTrain, kVal, kTest };
 
 }  // namespace
 
@@ -69,11 +67,12 @@ Result<TrainResult> DistributedTrainer::Train() {
                        : options_.model.hidden_dim;
   }
 
-  // Split membership lookup shared by all workers.
-  std::vector<SplitKind> split_of(graph_.num_vertices(), SplitKind::kNone);
-  for (uint32_t v : graph_.train_set()) split_of[v] = SplitKind::kTrain;
-  for (uint32_t v : graph_.val_set()) split_of[v] = SplitKind::kVal;
-  for (uint32_t v : graph_.test_set()) split_of[v] = SplitKind::kTest;
+  // Split membership lookup shared by all workers: 1 train, 2 val,
+  // 3 test, 0 none.
+  std::vector<uint8_t> split_of(graph_.num_vertices(), 0);
+  for (uint32_t v : graph_.train_set()) split_of[v] = 1;
+  for (uint32_t v : graph_.val_set()) split_of[v] = 2;
+  for (uint32_t v : graph_.test_set()) split_of[v] = 3;
   const size_t global_train = graph_.train_set().size();
 
   MetricsBoard board;
@@ -149,19 +148,7 @@ Result<TrainResult> DistributedTrainer::Train() {
     for (uint32_t r = 0; r < plan.num_owned(); ++r) {
       const uint32_t v = plan.owned[r];
       labels_local[r] = graph_.labels()[v];
-      switch (split_of[v]) {
-        case SplitKind::kTrain:
-          rows_of[0].push_back(r);
-          break;
-        case SplitKind::kVal:
-          rows_of[1].push_back(r);
-          break;
-        case SplitKind::kTest:
-          rows_of[2].push_back(r);
-          break;
-        default:
-          break;
-      }
+      if (split_of[v] >= 1) rows_of[split_of[v] - 1].push_back(r);
     }
 
     auto fp_ex =
@@ -320,358 +307,149 @@ Result<TrainResult> DistributedTrainer::Train() {
           continue;
         }
       }
-      // Forward propagation (Algorithm 1). With overlap on, the exchange
-      // of H^(l-1) is Started as soon as H^(l-1) exists; the interior rows
-      // — owned rows whose whole in-neighborhood is owned — aggregate
-      // while the messages are in flight, and only the boundary rows wait
-      // for Finish. The comm phase then charges max(0, comm − interior
-      // compute). Both schedules produce bitwise-identical activations.
-      bool fp_pending = false;  // split-phase exchange of layer l-1 in flight
+      // Forward propagation (Algorithm 1). Each layer's halo exchange runs
+      // the shared schedule (core/schedule.h): interior rows — owned rows
+      // whose whole in-neighborhood is owned — aggregate and transform
+      // between Start and Finish, boundary rows after Finish. With
+      // overlap on, the interior compute hides wire time.
+      const internal::Schedule sched(ctx, &board, epoch, options_.overlap);
       for (int l = 1; l <= L; ++l) {
-        Matrix* wl = &w[l - 1];
-        Matrix* bl = &bias[l - 1];
-        {
-          Phase phase(ctx, &board, epoch, "param_sync");
-          ECG_TRACE_SCOPE("param_pull", ctx->worker_id(), l - 1);
-          const auto pull = ps->Pull(l - 1, wl, bl);
-          ctx->ChargeCommSeconds(pull.Seconds(ctx->net()));
-          board.param_bytes.fetch_add(pull.bytes, std::memory_order_relaxed);
-          if (obs::StatsEnabled()) {
-            obs::RecordStat("ps.pull_bytes",
-                            static_cast<double>(pull.bytes), epoch, l - 1);
-          }
-        }
+        sched.Pull(*ps, l - 1, &w[l - 1], &bias[l - 1]);
 
-        if (l == 1 && !options_.cache_features) {
-          Phase phase(ctx, &board, epoch, "fp_exchange");
-          ECG_TRACE_SCOPE("fp_exchange", ctx->worker_id(), 0);
-          if (options_.overlap) {
-            ECG_RETURN_IF_ERROR(
-                fp_ex->Start(ctx, plan, epoch, 0, h_owned[0]));
-            fp_pending = true;
-          } else {
-            ECG_RETURN_IF_ERROR(
-                fp_ex->Exchange(ctx, plan, epoch, 0, h_owned[0], &h_halo[0]));
-          }
-        }
-
-        Matrix agg;  // SAGE aggregation target; outlives the split phases
-        const bool split_fp = fp_pending;
-        if (fp_pending) {
-          // Interior aggregation reads only owned rows, so it runs under
-          // the in-flight exchange and earns comm-hiding credit.
-          double credit = 0.0;
-          {
-            Phase phase(ctx, &board, epoch, "fp_compute");
-            ECG_TRACE_SCOPE("fp_compute", ctx->worker_id(), l);
-            cpu.Reset();
+        auto activate = [&] {
+          tensor::AddRowBias(&z_cache[l], bias[l - 1]);
+          h_owned[l] = z_cache[l];
+          if (l < L) tensor::ReluInPlace(&h_owned[l]);
+        };
+        if (l == 1 && options_.cache_features) {
+          // The feature halo is cached: no exchange, and P¹ is built once.
+          auto step = sched.Step("fp_compute", l);
+          if (!p1_built) {
             if (sage) {
-              agg.Reset(plan.num_owned(), dims[l - 1]);
-              plan.adj_interior.SpMMRows(h_owned[l - 1], plan.interior_rows,
-                                         &agg);
+              Matrix agg;
+              plan.adj.SpMM(h_owned[0], h_halo[0], &agg);
+              p_cache[1] = tensor::ConcatCols(h_owned[0], agg);
             } else {
-              p_cache[l].Reset(plan.num_owned(), dims[l - 1]);
-              plan.adj_interior.SpMMRows(h_owned[l - 1], plan.interior_rows,
-                                         &p_cache[l]);
-              // The transform is row-decomposable too: interior rows of Z
-              // go through W while the wire is busy, boundary rows after
-              // Finish. (SAGE stacks [H | agg] first, so its transform
-              // waits for the halo.)
-              z_cache[l].Reset(plan.num_owned(), dims[l]);
-              tensor::GemmRows(p_cache[l], *wl, plan.interior_rows,
-                               &z_cache[l]);
+              plan.adj.SpMM(h_owned[0], h_halo[0], &p_cache[1]);
             }
-            credit = ctx->ChargeCompute(cpu.ElapsedSeconds());
-          }
-          {
-            Phase phase(ctx, &board, epoch, "fp_exchange");
-            ECG_TRACE_SCOPE("fp_finish", ctx->worker_id(), l - 1);
-            ECG_RETURN_IF_ERROR(fp_ex->Finish(ctx, plan, epoch,
-                                              static_cast<uint16_t>(l - 1),
-                                              &h_halo[l - 1]));
-            // Streaming (bit_alloc) decodes bank extra credit: boundary
-            // rows of early-arriving peers decoded while wider peers were
-            // still in flight. Zero on the non-streaming paths.
-            credit += fp_ex->TakeFinishCredit();
-            double comm_s = 0.0;
-            const double hidden =
-                ctx->EndCommPhaseOverlapped("fp_comm", credit, &comm_s);
-            if (obs::StatsEnabled()) {
-              obs::RecordStat("overlap.hidden_seconds", hidden, epoch, l - 1);
-              if (comm_s > 0.0) {
-                obs::RecordStat("overlap.frac", hidden / comm_s, epoch,
-                                l - 1);
-              }
-            }
-          }
-          fp_pending = false;
-        }
-        {
-          Phase phase(ctx, &board, epoch, "fp_compute");
-          ECG_TRACE_SCOPE("fp_compute", ctx->worker_id(), l);
-          cpu.Reset();
-          if (l == 1 && p1_built) {
-            tensor::Gemm(p_cache[l], *wl, &z_cache[l]);
-          } else if (sage) {
-            // Z = [H | mean_N(H)] W + b; the stacked input is cached for dW.
-            if (split_fp) {
-              plan.adj_boundary.SpMMRows(h_owned[l - 1], h_halo[l - 1],
-                                         plan.boundary_rows, &agg);
-            } else {
-              plan.adj.SpMM(h_owned[l - 1], h_halo[l - 1], &agg);
-            }
-            p_cache[l] = tensor::ConcatCols(h_owned[l - 1], agg);
-            tensor::Gemm(p_cache[l], *wl, &z_cache[l]);
-          } else if (split_fp) {
-            plan.adj_boundary.SpMMRows(h_owned[l - 1], h_halo[l - 1],
-                                       plan.boundary_rows, &p_cache[l]);
-            // With int8_gemm on, the boundary-row transform re-quantizes
-            // the aggregated rows at 8 bits and runs fused in the packed
-            // domain (no float materialization of the quantized operand);
-            // unsupported shapes fall through to the float kernel.
-            if (!(options_.int8_gemm &&
-                  compress::Int8GemmRows(p_cache[l], *wl, plan.boundary_rows,
-                                         &z_cache[l]))) {
-              tensor::GemmRows(p_cache[l], *wl, plan.boundary_rows,
-                               &z_cache[l]);
-            }
-          } else {
-            plan.adj.SpMM(h_owned[l - 1], h_halo[l - 1], &p_cache[l]);
-            tensor::Gemm(p_cache[l], *wl, &z_cache[l]);
-          }
-          if (l == 1 && options_.cache_features && !p1_built) {
             // The features are dead once P¹ holds their aggregation.
             h_owned[0] = Matrix();
             h_halo[0] = Matrix();
             p1_built = true;
           }
-          tensor::AddRowBias(&z_cache[l], *bl);
-          h_owned[l] = z_cache[l];
-          if (l < L) tensor::ReluInPlace(&h_owned[l]);
-          ctx->ChargeCompute(cpu.ElapsedSeconds());
+          tensor::Gemm(p_cache[1], w[l - 1], &z_cache[1]);
+          activate();
+          continue;
         }
-
-        if (l < L) {
-          Phase phase(ctx, &board, epoch, "fp_exchange");
-          ECG_TRACE_SCOPE("fp_exchange", ctx->worker_id(), l);
-          if (options_.overlap) {
-            ECG_RETURN_IF_ERROR(fp_ex->Start(ctx, plan, epoch,
-                                             static_cast<uint16_t>(l),
-                                             h_owned[l]));
-            fp_pending = true;
-          } else {
-            ECG_RETURN_IF_ERROR(
-                fp_ex->Exchange(ctx, plan, epoch, static_cast<uint16_t>(l),
-                                h_owned[l], &h_halo[l]));
-          }
-        }
+        const Matrix& h = h_owned[l - 1];
+        Matrix& halo = h_halo[l - 1];
+        Matrix agg;  // SAGE: mean_N(H), stacked after H for the transform
+        ECG_RETURN_IF_ERROR(sched.SplitPhase(
+            fp_ex.get(), plan, static_cast<uint16_t>(l - 1), h, &halo,
+            [&] {
+              if (sage) {
+                agg.Reset(plan.num_owned(), dims[l - 1]);
+                plan.adj.SpMMRows(h, halo, plan.interior_rows, &agg);
+                return;
+              }
+              // The transform is row-decomposable too, so interior rows
+              // of Z go through W before Finish. (SAGE stacks [H | agg]
+              // first, so its transform waits for the halo.)
+              p_cache[l].Reset(plan.num_owned(), dims[l - 1]);
+              z_cache[l].Reset(plan.num_owned(), dims[l]);
+              internal::GcnForwardRows(plan.adj, h, halo, w[l - 1],
+                                       plan.interior_rows, /*int8=*/false,
+                                       &p_cache[l], &z_cache[l]);
+            },
+            [&] {
+              if (sage) {
+                plan.adj.SpMMRows(h, halo, plan.boundary_rows, &agg);
+                p_cache[l] = tensor::ConcatCols(h, agg);
+                tensor::Gemm(p_cache[l], w[l - 1], &z_cache[l]);
+              } else {
+                // With int8_gemm on, the boundary-row transform
+                // re-quantizes the aggregated rows at 8 bits and runs
+                // fused in the packed domain.
+                internal::GcnForwardRows(plan.adj, h, halo, w[l - 1],
+                                         plan.boundary_rows,
+                                         options_.int8_gemm, &p_cache[l],
+                                         &z_cache[l]);
+              }
+              activate();
+            }));
       }
 
       // Loss + local metrics on the final logits.
-      uint64_t correct[3], totals[3];
-      double local_loss;
-      {
-        Phase phase(ctx, &board, epoch, "loss");
-        ECG_TRACE_SCOPE("loss", ctx->worker_id(), L);
-        cpu.Reset();
-        local_loss = tensor::SoftmaxCrossEntropy(
-            h_owned[L], labels_local, rows_of[0], global_train,
-            &grads_logits);
-        for (int s = 0; s < 3; ++s) {
-          totals[s] = rows_of[s].size();
-          correct[s] = static_cast<uint64_t>(
-              tensor::Accuracy(h_owned[L], labels_local, rows_of[s]) *
-                  static_cast<double>(rows_of[s].size()) +
-              0.5);
-        }
-        ctx->ChargeCompute(cpu.ElapsedSeconds());
-      }
-      board.AddLocal(ctx->worker_id(), local_loss, correct, totals);
+      sched.Loss(h_owned[L], labels_local, rows_of, global_train, L,
+                 &grads_logits);
 
-      // Backward propagation (Algorithm 2).
+      // Backward propagation (Algorithm 2). dW/db read only local
+      // matrices, so with an exchange ahead (l > 1) they run in its
+      // interior step and hide wire time too.
       std::vector<Matrix> dw(L), db(L);
       Matrix g = std::move(grads_logits);  // G^L (loss grad already merged)
       for (int l = L; l >= 1; --l) {
-        // With overlap on and an exchange ahead (l > 1), dW/db move after
-        // Start so they hide wire time too; they read only already-local
-        // matrices, so the reorder cannot change any value.
-        const bool overlap_bp = options_.overlap && l > 1;
-        if (!overlap_bp) {
-          Phase phase(ctx, &board, epoch, "bp_compute");
-          ECG_TRACE_SCOPE("bp_compute", ctx->worker_id(), l);
-          cpu.Reset();
+        auto param_grads = [&] {
           tensor::GemmTransposeA(p_cache[l], g, &dw[l - 1]);
           db[l - 1] = tensor::ColumnSums(g);
-          ctx->ChargeCompute(cpu.ElapsedSeconds());
+        };
+        if (l == 1) {
+          auto step = sched.Step("bp_compute", l);
+          param_grads();
+          break;
         }
-
-        if (l > 1) {
-          // Books the overlapped comm charge and the overlap.* stats once
-          // the exchange of layer l is finished.
-          auto finish_bp = [&](double credit) -> Status {
-            Phase phase(ctx, &board, epoch, "bp_exchange");
-            ECG_TRACE_SCOPE("bp_finish", ctx->worker_id(), l);
-            ECG_RETURN_IF_ERROR(bp_ex->Finish(ctx, plan, epoch,
-                                              static_cast<uint16_t>(l),
-                                              &g_halo[l]));
-            double comm_s = 0.0;
-            const double hidden =
-                ctx->EndCommPhaseOverlapped("bp_comm", credit, &comm_s);
-            if (obs::StatsEnabled()) {
-              obs::RecordStat("overlap.hidden_seconds", hidden, epoch, l);
-              if (comm_s > 0.0) {
-                obs::RecordStat("overlap.frac", hidden / comm_s, epoch, l);
-              }
-            }
-            return Status::OK();
-          };
-
-          Matrix g_prev;
-          if (sage) {
-            // dL/d[H|P] = G W^T splits into a direct self term and an
-            // aggregated term; only the aggregated rows cross workers.
-            Matrix t_self, t_agg;
-            {
-              Phase phase(ctx, &board, epoch, "bp_compute");
-              ECG_TRACE_SCOPE("bp_compute", ctx->worker_id(), l);
-              cpu.Reset();
-              Matrix t_full;
-              tensor::GemmTransposeB(g, w[l - 1], &t_full);
-              t_self = tensor::SliceCols(t_full, 0, dims[l - 1]);
-              t_agg =
-                  tensor::SliceCols(t_full, dims[l - 1], 2 * dims[l - 1]);
-              ctx->ChargeCompute(cpu.ElapsedSeconds());
-            }
-
-            g_halo[l].Reset(plan.num_halo(), dims[l - 1]);
-            if (!overlap_bp) {
-              {
-                Phase phase(ctx, &board, epoch, "bp_exchange");
-                ECG_TRACE_SCOPE("bp_exchange", ctx->worker_id(), l);
-                ECG_RETURN_IF_ERROR(bp_ex->Exchange(ctx, plan, epoch,
-                                                    static_cast<uint16_t>(l),
-                                                    t_agg, &g_halo[l]));
-              }
-              {
-                Phase phase(ctx, &board, epoch, "bp_compute");
-                ECG_TRACE_SCOPE("bp_compute", ctx->worker_id(), l);
-                cpu.Reset();
-                plan.bp_adj().SpMM(t_agg, g_halo[l], &g_prev);
-                tensor::AddInPlace(&g_prev, t_self);
-                ctx->ChargeCompute(cpu.ElapsedSeconds());
-              }
-            } else {
-              double credit = 0.0;
-              {
-                Phase phase(ctx, &board, epoch, "bp_exchange");
-                ECG_TRACE_SCOPE("bp_exchange", ctx->worker_id(), l);
-                ECG_RETURN_IF_ERROR(bp_ex->Start(ctx, plan, epoch,
-                                                 static_cast<uint16_t>(l),
-                                                 t_agg));
-              }
-              {
-                Phase phase(ctx, &board, epoch, "bp_compute");
-                ECG_TRACE_SCOPE("bp_compute", ctx->worker_id(), l);
-                cpu.Reset();
-                tensor::GemmTransposeA(p_cache[l], g, &dw[l - 1]);
-                db[l - 1] = tensor::ColumnSums(g);
-                g_prev.Reset(plan.num_owned(), dims[l - 1]);
-                plan.bp_adj_interior().SpMMRows(t_agg, plan.interior_rows,
-                                                &g_prev);
-                credit = ctx->ChargeCompute(cpu.ElapsedSeconds());
-              }
-              ECG_RETURN_IF_ERROR(finish_bp(credit));
-              {
-                Phase phase(ctx, &board, epoch, "bp_compute");
-                ECG_TRACE_SCOPE("bp_compute", ctx->worker_id(), l);
-                cpu.Reset();
-                plan.bp_adj_boundary().SpMMRows(t_agg, g_halo[l],
-                                                plan.boundary_rows, &g_prev);
-                tensor::AddInPlace(&g_prev, t_self);
-                ctx->ChargeCompute(cpu.ElapsedSeconds());
-              }
-            }
-          } else {
-            g_halo[l].Reset(plan.num_halo(), dims[l]);
-            if (!overlap_bp) {
-              {
-                Phase phase(ctx, &board, epoch, "bp_exchange");
-                ECG_TRACE_SCOPE("bp_exchange", ctx->worker_id(), l);
-                ECG_RETURN_IF_ERROR(bp_ex->Exchange(ctx, plan, epoch,
-                                                    static_cast<uint16_t>(l),
-                                                    g, &g_halo[l]));
-              }
-              {
-                Phase phase(ctx, &board, epoch, "bp_compute");
-                ECG_TRACE_SCOPE("bp_compute", ctx->worker_id(), l);
-                cpu.Reset();
-                Matrix t;
-                plan.adj.SpMM(g, g_halo[l], &t);
-                tensor::GemmTransposeB(t, w[l - 1], &g_prev);
-                ctx->ChargeCompute(cpu.ElapsedSeconds());
-              }
-            } else {
-              double credit = 0.0;
-              Matrix t;
-              {
-                Phase phase(ctx, &board, epoch, "bp_exchange");
-                ECG_TRACE_SCOPE("bp_exchange", ctx->worker_id(), l);
-                ECG_RETURN_IF_ERROR(bp_ex->Start(ctx, plan, epoch,
-                                                 static_cast<uint16_t>(l),
-                                                 g));
-              }
-              {
-                Phase phase(ctx, &board, epoch, "bp_compute");
-                ECG_TRACE_SCOPE("bp_compute", ctx->worker_id(), l);
-                cpu.Reset();
-                tensor::GemmTransposeA(p_cache[l], g, &dw[l - 1]);
-                db[l - 1] = tensor::ColumnSums(g);
-                t.Reset(plan.num_owned(), dims[l]);
-                plan.adj_interior.SpMMRows(g, plan.interior_rows, &t);
-                // Interior rows of G^(l-1) = rows of t · W^T: complete
-                // before Finish, so the projection earns credit too.
-                g_prev.Reset(plan.num_owned(), dims[l - 1]);
-                tensor::GemmTransposeBRows(t, w[l - 1], plan.interior_rows,
-                                           &g_prev);
-                credit = ctx->ChargeCompute(cpu.ElapsedSeconds());
-              }
-              ECG_RETURN_IF_ERROR(finish_bp(credit));
-              {
-                Phase phase(ctx, &board, epoch, "bp_compute");
-                ECG_TRACE_SCOPE("bp_compute", ctx->worker_id(), l);
-                cpu.Reset();
-                plan.adj_boundary.SpMMRows(g, g_halo[l], plan.boundary_rows,
-                                           &t);
-                tensor::GemmTransposeBRows(t, w[l - 1], plan.boundary_rows,
-                                           &g_prev);
-                ctx->ChargeCompute(cpu.ElapsedSeconds());
-              }
-            }
-          }
+        Matrix g_prev;
+        if (sage) {
+          // dL/d[H|P] = G W^T splits into a direct self term and an
+          // aggregated term; only the aggregated rows cross workers.
+          Matrix t_self, t_agg;
           {
-            Phase phase(ctx, &board, epoch, "bp_compute");
-            ECG_TRACE_SCOPE("bp_compute", ctx->worker_id(), l - 1);
-            cpu.Reset();
-            const Matrix mask = tensor::ReluGrad(z_cache[l - 1]);
-            tensor::HadamardInPlace(&g_prev, mask);
-            g = std::move(g_prev);
-            ctx->ChargeCompute(cpu.ElapsedSeconds());
+            auto step = sched.Step("bp_compute", l);
+            Matrix t_full;
+            tensor::GemmTransposeB(g, w[l - 1], &t_full);
+            t_self = tensor::SliceCols(t_full, 0, dims[l - 1]);
+            t_agg = tensor::SliceCols(t_full, dims[l - 1], 2 * dims[l - 1]);
           }
+          g_halo[l].Reset(plan.num_halo(), dims[l - 1]);
+          ECG_RETURN_IF_ERROR(sched.SplitPhase(
+              bp_ex.get(), plan, static_cast<uint16_t>(l), t_agg, &g_halo[l],
+              [&] {
+                param_grads();
+                g_prev.Reset(plan.num_owned(), dims[l - 1]);
+                plan.bp_adj().SpMMRows(t_agg, g_halo[l], plan.interior_rows,
+                                       &g_prev);
+              },
+              [&] {
+                plan.bp_adj().SpMMRows(t_agg, g_halo[l], plan.boundary_rows,
+                                       &g_prev);
+                tensor::AddInPlace(&g_prev, t_self);
+              }));
+        } else {
+          Matrix t;
+          g_halo[l].Reset(plan.num_halo(), dims[l]);
+          ECG_RETURN_IF_ERROR(sched.SplitPhase(
+              bp_ex.get(), plan, static_cast<uint16_t>(l), g, &g_halo[l],
+              [&] {
+                param_grads();
+                t.Reset(plan.num_owned(), dims[l]);
+                g_prev.Reset(plan.num_owned(), dims[l - 1]);
+                internal::GcnBackwardRows(plan.adj, g, g_halo[l], w[l - 1],
+                                          plan.interior_rows, &t, &g_prev);
+              },
+              [&] {
+                internal::GcnBackwardRows(plan.adj, g, g_halo[l], w[l - 1],
+                                          plan.boundary_rows, &t, &g_prev);
+              }));
+        }
+        {
+          auto step = sched.Step("bp_compute", l - 1);
+          const Matrix mask = tensor::ReluGrad(z_cache[l - 1]);
+          tensor::HadamardInPlace(&g_prev, mask);
+          g = std::move(g_prev);
         }
       }
 
-      {
-        Phase phase(ctx, &board, epoch, "param_sync");
-        ECG_TRACE_SCOPE("param_push", ctx->worker_id(), -1);
-        const auto push = ps->Push(ctx->worker_id(), std::move(dw),
-                                   std::move(db));
-        ctx->ChargeCommSeconds(push.Seconds(ctx->net()));
-        board.param_bytes.fetch_add(push.bytes, std::memory_order_relaxed);
-        if (obs::StatsEnabled()) {
-          obs::RecordStat("ps.push_bytes",
-                          static_cast<double>(push.bytes), epoch);
-        }
-      }
+      sched.Push(ps.get(), std::move(dw), std::move(db));
 
       // Superstep boundary: everyone's push is in, Adam has been applied
       // by the last pusher, clocks align to the slowest worker.

@@ -31,15 +31,14 @@ struct TrainOptions {
   /// the H^0 halo is shipped exactly once during preprocessing instead of
   /// re-fetched every epoch.
   bool cache_features = true;
-  /// Overlap halo exchanges with interior compute (split-phase schedule):
-  /// each exchange is Started as soon as its layer's activations are ready,
-  /// the aggregation of the rows whose neighborhoods are fully owned runs
-  /// while the messages are in flight, and the exchange is Finished just
-  /// before the boundary rows need the halo. The comm clock then charges
-  /// max(0, comm − overlapped compute). Results are bitwise identical to
-  /// the sequential schedule; `false` restores it exactly.
+  /// Credit interior compute against halo exchanges. Every exchange runs
+  /// one schedule (core/schedule.h): Start, the rows whose neighborhoods
+  /// are fully owned, Finish, then the boundary rows that need the halo.
+  /// With overlap on, the comm clock charges max(0, comm − interior
+  /// compute); off, the same steps run with zero credit. Results are
+  /// bitwise identical either way.
   bool overlap = true;
-  /// Run the boundary-row transform Z = P·W of the overlapped schedule in
+  /// Run the boundary-row transform Z = P·W of every exchanged layer in
   /// the int8 packed domain (quantize the boundary rows of P at 8 bits,
   /// then the fused compress::DequantGemmRows) instead of float GemmRows.
   /// Off by default: the result deviates from the float path by the

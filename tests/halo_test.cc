@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
+#include <span>
 #include <vector>
 
+#include "core/sampling.h"
 #include "graph/generator.h"
 #include "graph/partition.h"
 #include "tensor/ops.h"
@@ -133,6 +137,83 @@ TEST_P(HaloPlanTest, PartitionedAggregationMatchesGlobal) {
       }
     }
   }
+}
+
+// The exchange schedule runs the interior rows before Finish and the
+// boundary rows after it, both over the one adjacency per direction. That
+// is exact only if the two row lists partition the owned rows, interior
+// rows read owned columns only, and every boundary row needs the halo.
+void ExpectExactRowSplit(const WorkerPlan& plan) {
+  const uint32_t owned = static_cast<uint32_t>(plan.num_owned());
+  const auto ascending = [](const std::vector<uint32_t>& rows) {
+    return std::adjacent_find(rows.begin(), rows.end(),
+                              [](uint32_t a, uint32_t b) { return a >= b; }) ==
+           rows.end();
+  };
+  EXPECT_TRUE(ascending(plan.interior_rows));
+  EXPECT_TRUE(ascending(plan.boundary_rows));
+  std::vector<uint32_t> all = plan.interior_rows;
+  all.insert(all.end(), plan.boundary_rows.begin(), plan.boundary_rows.end());
+  std::sort(all.begin(), all.end());
+  std::vector<uint32_t> every_row(owned);
+  std::iota(every_row.begin(), every_row.end(), 0u);
+  EXPECT_EQ(all, every_row);  // disjoint and covering
+
+  std::vector<const tensor::CsrMatrix*> adjs = {&plan.adj};
+  if (plan.adj_bp.nnz() > 0) adjs.push_back(&plan.adj_bp);
+  for (const tensor::CsrMatrix* adj : adjs) {
+    const auto reads_halo = [&](uint32_t r) {
+      for (uint64_t i = adj->row_ptr()[r]; i < adj->row_ptr()[r + 1]; ++i) {
+        if (adj->col_idx()[i] >= owned) return true;
+      }
+      return false;
+    };
+    for (uint32_t r : plan.interior_rows) {
+      EXPECT_FALSE(reads_halo(r)) << "interior row " << r;
+    }
+    for (uint32_t r : plan.boundary_rows) {
+      EXPECT_TRUE(reads_halo(r)) << "boundary row " << r;
+    }
+  }
+}
+
+TEST_P(HaloPlanTest, InteriorBoundarySplitIsExact) {
+  const graph::Graph g = TestGraph();
+  const uint32_t parts = GetParam();
+  // Community-aligned ownership, so both row kinds occur.
+  auto partition = graph::MetisLikePartition(g, parts);
+  ASSERT_TRUE(partition.ok());
+
+  auto sampled = SampleLayerGraph(g, /*fanout=*/3, /*seed=*/11);
+  ASSERT_TRUE(sampled.ok());
+  AdjacencyView view;
+  view.num_vertices = g.num_vertices();
+  view.neighbors = [&](uint32_t v) {
+    return std::span<const uint32_t>(
+        sampled->adj.data() + sampled->offsets[v],
+        static_cast<size_t>(sampled->offsets[v + 1] - sampled->offsets[v]));
+  };
+  view.norm_weight = [&](uint32_t u, uint32_t v) {
+    return sampled->NormWeight(u, v);
+  };
+
+  std::vector<WorkerPlan> gcn, sage, sampled_plans;
+  ASSERT_TRUE(BuildWorkerPlans(g, *partition, &gcn, GnnKind::kGcn).ok());
+  ASSERT_TRUE(BuildWorkerPlans(g, *partition, &sage, GnnKind::kSage).ok());
+  ASSERT_TRUE(
+      BuildWorkerPlansFromView(view, *partition, &sampled_plans).ok());
+  size_t interior = 0, boundary = 0;
+  for (const auto* plans : {&gcn, &sage, &sampled_plans}) {
+    for (const WorkerPlan& plan : *plans) {
+      SCOPED_TRACE("worker " + std::to_string(plan.worker_id));
+      ExpectExactRowSplit(plan);
+      interior += plan.interior_rows.size();
+      boundary += plan.boundary_rows.size();
+    }
+  }
+  EXPECT_GT(sage.front().adj_bp.nnz(), 0u);  // SAGE's BP adjacency checked
+  EXPECT_GT(interior, 0u);
+  EXPECT_EQ(boundary > 0, parts > 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(PartCounts, HaloPlanTest,

@@ -388,7 +388,7 @@ TEST_F(KernTest, TrainerWithInt8GemmConvergesNearFloatPath) {
   opt.fp_mode = core::FpMode::kExact;
   opt.bp_mode = core::BpMode::kExact;
   opt.epochs = 30;
-  opt.overlap = true;  // the int8 path lives in the split-phase schedule
+  opt.overlap = true;  // int8 runs under either schedule setting
 
   opt.int8_gemm = false;
   auto base = core::TrainDistributed(g, 3, opt);

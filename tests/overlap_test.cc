@@ -299,6 +299,7 @@ struct TrainerCase {
   BpMode bp;
   GnnKind kind;
   bool cache_features;
+  bool int8_gemm;
   const char* name;
 };
 
@@ -315,6 +316,7 @@ TEST_P(OverlapTrainerEquivalence, OverlapMatchesSequentialBitForBit) {
   opt.fp_mode = tc.fp;
   opt.bp_mode = tc.bp;
   opt.cache_features = tc.cache_features;
+  opt.int8_gemm = tc.int8_gemm;
   opt.epochs = 8;
   opt.exchange.trend_period = 3;
 
@@ -347,13 +349,17 @@ INSTANTIATE_TEST_SUITE_P(
     Schedules, OverlapTrainerEquivalence,
     ::testing::Values(
         TrainerCase{FpMode::kExact, BpMode::kExact, GnnKind::kGcn, true,
-                    "noncp_gcn"},
+                    false, "noncp_gcn"},
         TrainerCase{FpMode::kCompressed, BpMode::kCompressed, GnnKind::kGcn,
-                    false, "cp_gcn_nocache"},
+                    false, false, "cp_gcn_nocache"},
         TrainerCase{FpMode::kReqEc, BpMode::kResEc, GnnKind::kGcn, true,
-                    "ec_gcn"},
+                    false, "ec_gcn"},
         TrainerCase{FpMode::kDelayed, BpMode::kExact, GnnKind::kSage, true,
-                    "delayed_sage"}),
+                    false, "delayed_sage"},
+        // The int8 boundary-row transform belongs to the schedule, so it
+        // runs (and matches) with overlap off too.
+        TrainerCase{FpMode::kExact, BpMode::kExact, GnnKind::kGcn, true,
+                    true, "int8_gcn"}),
     [](const ::testing::TestParamInfo<TrainerCase>& info) {
       return info.param.name;
     });
@@ -406,7 +412,15 @@ TEST(OverlapTrainerTest, SamplingTrainerOverlapMatchesSequential) {
   for (size_t e = 0; e < sequential->epochs.size(); ++e) {
     EXPECT_EQ(sequential->epochs[e].loss, overlapped->epochs[e].loss)
         << "epoch " << e;
+    EXPECT_EQ(sequential->epochs[e].train_acc,
+              overlapped->epochs[e].train_acc)
+        << "epoch " << e;
     EXPECT_EQ(sequential->epochs[e].val_acc, overlapped->epochs[e].val_acc)
+        << "epoch " << e;
+    EXPECT_EQ(sequential->epochs[e].test_acc, overlapped->epochs[e].test_acc)
+        << "epoch " << e;
+    EXPECT_EQ(sequential->epochs[e].comm_bytes,
+              overlapped->epochs[e].comm_bytes)
         << "epoch " << e;
   }
 }
