@@ -2,18 +2,26 @@
 #define ECGRAPH_CORE_EXCHANGE_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/stats.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
+#include "compress/bit_alloc.h"
 #include "compress/quantize.h"
 #include "core/halo.h"
+#include "core/wire_util.h"
 #include "dist/cluster.h"
 #include "dist/elastic.h"
 #include "tensor/matrix.h"
+#include "tensor/ops.h"
 
 namespace ecg::core {
 
@@ -182,6 +190,251 @@ enum ExchangeTagKind : uint16_t {
   kTagBpData = 3,
 };
 
+/// One direction of halo data traffic: its wire tag, the prefix of its
+/// `<prefix>.*` send stats and its per-peer detail spans.
+struct HaloDirection {
+  uint16_t tag_kind;
+  const char* prefix;
+  const char* encode_span;
+  const char* decode_span;
+};
+inline constexpr HaloDirection kFpData{kTagFpData, "fp", "fp_encode",
+                                       "fp_decode"};
+inline constexpr HaloDirection kBpData{kTagBpData, "bp", "bp_encode",
+                                       "bp_decode"};
+
+/// Send-side compression telemetry, keyed (epoch, layer, peer). `raw` is
+/// what the message would weigh as float32 rows — the Non-cp baseline —
+/// so `<prefix>.ratio` reads directly as the paper's compression factor.
+/// `q` is the codec output of a quantized message (bits > 0): it sets the
+/// recorded width and its bucket saturation is recorded too; raw float
+/// messages record 32 bits.
+inline Status RecordSendStats(const HaloDirection& dir, uint32_t epoch,
+                              uint16_t layer, uint32_t peer, double raw,
+                              size_t wire_bytes,
+                              const compress::QuantizedMatrix& q) {
+  const std::string prefix = dir.prefix;
+  const auto record = [&](const char* name, double value) {
+    obs::RecordStat(prefix + name, value, epoch, layer,
+                    static_cast<int32_t>(peer));
+  };
+  record(".raw_bytes", raw);
+  record(".wire_bytes", static_cast<double>(wire_bytes));
+  if (wire_bytes > 0) record(".ratio", raw / static_cast<double>(wire_bytes));
+  record(".bits", static_cast<double>(q.bits > 0 ? q.bits : 32));
+  if (q.bits > 0) {
+    ECG_ASSIGN_OR_RETURN(const double sat, compress::BucketSaturationRate(q));
+    record(".saturation", sat);
+  }
+  return Status::OK();
+}
+
+/// Encodes one message per active peer into `w`. A quantized message
+/// leaves its codec output in `*q` for the send stats.
+using EncodeFn = std::function<Status(uint32_t peer, ByteWriter* w,
+                                      compress::QuantizedMatrix* q)>;
+
+/// Send half of every halo exchange: runs `encode` for each active peer in
+/// parallel (one detail span each), records the send stats of rows
+/// `cols` wide, and hands the messages to the hub in peer order.
+inline Status FanOut(dist::WorkerContext* ctx, const WorkerPlan& plan,
+                     const HaloDirection& dir, uint32_t epoch,
+                     uint16_t layer, size_t cols, const EncodeFn& encode) {
+  std::vector<std::vector<uint8_t>> out(ctx->num_workers());
+  ECG_RETURN_IF_ERROR(ForEachActivePeerParallel(
+      plan, ctx->num_workers(), [&](uint32_t p) -> Status {
+        ECG_TRACE_SCOPE_DETAIL(dir.encode_span, ctx->worker_id(), layer);
+        ByteWriter w(&out[p]);
+        compress::QuantizedMatrix q;
+        ECG_RETURN_IF_ERROR(encode(p, &w, &q));
+        if (!obs::StatsEnabled()) return Status::OK();
+        const double raw =
+            static_cast<double>(plan.send_rows[p].size() * cols *
+                                sizeof(float));
+        return RecordSendStats(dir, epoch, layer, p, raw, out[p].size(), q);
+      }));
+  const uint64_t tag = dist::MessageHub::MakeTag(epoch, layer, dir.tag_kind);
+  for (uint32_t p = 0; p < ctx->num_workers(); ++p) {
+    if (ActivePeer(plan, p)) ctx->Send(p, tag, std::move(out[p]));
+  }
+  return Status::OK();
+}
+
+/// Receive half of every halo exchange: fans in every active peer's
+/// message (TryRecvFromActivePeers, so arrival order and loss tolerance
+/// are the same everywhere), then runs `decode` on each delivered payload
+/// or `on_lost` for each permanently lost one, peers in parallel. The
+/// lost-peer fallback is the mode's own.
+inline Status FanIn(dist::WorkerContext* ctx, const WorkerPlan& plan,
+                    const HaloDirection& dir, uint32_t epoch, uint16_t layer,
+                    bool allow_loss,
+                    const std::function<Status(uint32_t, ByteReader*)>& decode,
+                    const std::function<Status(uint32_t)>& on_lost) {
+  const uint64_t tag = dist::MessageHub::MakeTag(epoch, layer, dir.tag_kind);
+  ECG_ASSIGN_OR_RETURN(PeerRecvResult in,
+                       TryRecvFromActivePeers(ctx, plan, tag, allow_loss));
+  return ForEachActivePeerParallel(
+      plan, ctx->num_workers(), [&](uint32_t p) -> Status {
+        ECG_TRACE_SCOPE_DETAIL(dir.decode_span, ctx->worker_id(), layer);
+        if (in.lost[p]) return on_lost(p);
+        ByteReader r(in.bufs[p]);
+        return decode(p, &r);
+      });
+}
+
+/// Encodes `rows` of `owned` as one Non-cp (raw float32) or Cp
+/// (`quantized` with `opts`) message. The quantized path reads the rows
+/// straight out of `owned` (no GatherRows copy) and leaves its codec
+/// output in `*q`.
+inline Status EncodePlainRows(const tensor::Matrix& owned,
+                              const std::vector<uint32_t>& rows,
+                              bool quantized,
+                              const compress::QuantizerOptions& opts,
+                              ByteWriter* w, compress::QuantizedMatrix* q) {
+  if (!quantized) {
+    EncodeMatrix(tensor::GatherRows(owned, rows), w);
+    return Status::OK();
+  }
+  ECG_ASSIGN_OR_RETURN(*q, compress::QuantizeRows(owned, rows, opts));
+  q->AppendTo(w);
+  return Status::OK();
+}
+
+/// Decodes one message written by EncodePlainRows straight into `rows` of
+/// `dst`.
+inline Status DecodePlainRows(ByteReader* r, bool quantized,
+                              const std::vector<uint32_t>& rows,
+                              tensor::Matrix* dst) {
+  if (!quantized) {
+    tensor::Matrix m;
+    ECG_RETURN_IF_ERROR(DecodeMatrix(r, &m));
+    return AssignRows(m, rows, dst);
+  }
+  compress::QuantizedMatrix q;
+  ECG_RETURN_IF_ERROR(compress::QuantizedMatrix::ParseFrom(r, &q));
+  return compress::DequantizeInto(q, rows, dst);
+}
+
+/// Per-(layer, peer) message widths of an adaptive exchanger (ReqEC-FP's
+/// request widths, ResEC-BP's sender widths) and everything that reads or
+/// writes them: the AdaQP-style solver's feed and solve (DESIGN.md §16),
+/// the checkpoint vectors and the elastic bag entries. Every width starts
+/// at the configured global one, which is also the solver's reference.
+class WidthTable {
+ public:
+  WidthTable(size_t layers, size_t peers, int bits, double budget,
+             const char* stat)
+      : bits_(layers, std::vector<int>(peers, bits)),
+        feed_(layers, std::vector<GroupFeed>(peers)),
+        reference_bits_(bits),
+        budget_(budget),
+        stat_(stat) {}
+
+  int at(size_t layer, uint32_t peer) const { return bits_[layer][peer]; }
+
+  /// One width for every layer of `peer` (the global Bit-Tuner).
+  void SetPeer(uint32_t peer, int bits) {
+    for (auto& per_layer : bits_) per_layer[peer] = bits;
+  }
+
+  /// Solver feed of group (layer, peer): `elements` values went through
+  /// codec `q` this epoch. The group's error weight is elements·range²
+  /// plus `pressure` (ResEC adds its residual's squared L2). Per-group
+  /// slots are disjoint, so peers may feed in parallel.
+  void Feed(size_t layer, uint32_t peer, double elements,
+            const compress::QuantizedMatrix& q, double pressure = 0.0) {
+    const double range =
+        static_cast<double>(q.bucket_width) * std::exp2(q.bits);
+    GroupFeed& f = feed_[layer][peer];
+    f.elements = elements;
+    f.sensitivity = elements * range * range + pressure;
+    f.valid = elements > 0.0 && range > 0.0;
+  }
+
+  /// Greedy re-allocation of the traffic budget across every group with a
+  /// live feed (compress::SolveBitAllocation); records `stat` per group.
+  void Solve(uint32_t epoch) {
+    std::vector<compress::BitAllocGroup> groups;
+    std::vector<std::pair<size_t, uint32_t>> keys;
+    for (size_t l = 0; l < feed_.size(); ++l) {
+      for (uint32_t p = 0; p < feed_[l].size(); ++p) {
+        if (!feed_[l][p].valid) continue;
+        groups.push_back({feed_[l][p].elements, feed_[l][p].sensitivity});
+        keys.emplace_back(l, p);
+      }
+    }
+    if (groups.empty()) return;
+    compress::BitAllocConfig bc;
+    bc.budget_factor = budget_;
+    bc.reference_bits = reference_bits_;
+    bc.max_bits = kBitTunerMaxBits;
+    const std::vector<int> widths = compress::SolveBitAllocation(groups, bc);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const auto [l, p] = keys[i];
+      bits_[l][p] = widths[i];
+      obs::RecordStat(stat_, static_cast<double>(widths[i]), epoch,
+                      static_cast<int32_t>(l), static_cast<int32_t>(p));
+    }
+  }
+
+  /// Checkpoint section: one U32 vector of peer widths per layer.
+  void Save(ByteWriter* w) const {
+    for (const auto& per_layer : bits_) {
+      w->PutU32Vector(std::vector<uint32_t>(per_layer.begin(),
+                                            per_layer.end()));
+    }
+  }
+  Status Load(ByteReader* r) {
+    for (auto& per_layer : bits_) {
+      std::vector<uint32_t> bits;
+      ECG_RETURN_IF_ERROR(r->GetU32Vector(&bits));
+      if (bits.size() != per_layer.size()) {
+        return Status::InvalidArgument(
+            "checkpoint bit widths: expected " +
+            std::to_string(per_layer.size()) + " peers, got " +
+            std::to_string(bits.size()));
+      }
+      per_layer.assign(bits.begin(), bits.end());
+    }
+    return Status::OK();
+  }
+
+  /// Bag entries keyed (layer, this worker, peer), one per active link, so
+  /// the widths survive a repartition that keeps both link ends alive.
+  void Export(const WorkerPlan& plan,
+              elastic::ElasticStateBag::GroupBits* bag) const {
+    for (size_t l = 0; l < bits_.size(); ++l) {
+      for (uint32_t p = 0; p < bits_[l].size(); ++p) {
+        if (p >= plan.send_rows.size() || !ActivePeer(plan, p)) continue;
+        (*bag)[{static_cast<uint16_t>(l), plan.worker_id, p}] = bits_[l][p];
+      }
+    }
+  }
+  void Import(const WorkerPlan& plan,
+              const elastic::ElasticStateBag::GroupBits& bag) {
+    for (size_t l = 0; l < bits_.size(); ++l) {
+      for (uint32_t p = 0; p < bits_[l].size(); ++p) {
+        auto it = bag.find({static_cast<uint16_t>(l), plan.worker_id, p});
+        if (it != bag.end()) bits_[l][p] = it->second;
+      }
+    }
+  }
+
+ private:
+  /// Last observation of one (layer, peer) group.
+  struct GroupFeed {
+    double elements = 0.0;
+    double sensitivity = 0.0;
+    bool valid = false;
+  };
+
+  std::vector<std::vector<int>> bits_;        // [layer][peer]
+  std::vector<std::vector<GroupFeed>> feed_;  // [layer][peer]
+  const int reference_bits_;
+  const double budget_;
+  const char* stat_;
+};
+
 /// Fetches the halo rows of H^layer each epoch. `h_owned` holds the owned
 /// rows (local order); the exchanger fills the rows of `h_halo`
 /// (plan.num_halo() x dim). h_halo persists across epochs so stale-cache
@@ -211,43 +464,19 @@ class FpExchanger {
 
   /// One-shot exchange: Start + Finish + EndCommPhase("fp_comm"), for
   /// call sites with nothing to overlap (the one-time feature cache); by
-  /// construction it is equivalent to the split-phase path. A streaming
-  /// Finish still earns its arrival-order decode credit here — the decode
-  /// of early peers ran while later ones were in flight regardless of the
-  /// caller's schedule.
+  /// construction it is equivalent to the split-phase path.
   Status Exchange(dist::WorkerContext* ctx, const WorkerPlan& plan,
                   uint32_t epoch, uint16_t layer,
                   const tensor::Matrix& h_owned, tensor::Matrix* h_halo) {
     ECG_RETURN_IF_ERROR(Start(ctx, plan, epoch, layer, h_owned));
     ECG_RETURN_IF_ERROR(Finish(ctx, plan, epoch, layer, h_halo));
-    const double credit = TakeFinishCredit();
-    if (credit > 0.0) {
-      ctx->EndCommPhaseOverlapped("fp_comm", credit);
-    } else {
-      ctx->EndCommPhase("fp_comm");
-    }
+    ctx->EndCommPhase("fp_comm");
     return Status::OK();
   }
 
-  /// Current compression bits toward peer `p` (for logging/benches);
-  /// 32 means uncompressed. With bit_alloc on the width is per layer —
-  /// this reports layer 0's.
-  virtual int BitsTowards(uint32_t peer) const { return 32; }
-
-  /// Per-(layer, peer) width (the bit_alloc solver's unit of allocation).
-  /// Exchangers without per-layer state report the global width.
-  virtual int BitsTowards(uint16_t layer, uint32_t peer) const {
-    return BitsTowards(peer);
-  }
-
-  /// Decode compute charged during Finish while later peers were still in
-  /// flight (the streaming arrival-order decode of the bit_alloc path:
-  /// each peer's boundary rows decode the moment its message lands, so an
-  /// early narrow peer's decode hides under the wait for the wide ones).
-  /// Overlapped schedules fold this into their interior-compute credit;
-  /// reading resets the accumulator. Exchangers without a streaming path
-  /// return 0.
-  virtual double TakeFinishCredit() { return 0.0; }
+  /// Width this worker's messages from `peer` on `layer` are compressed
+  /// to (for logging/benches and tests); 32 means uncompressed.
+  virtual int BitsTowards(uint16_t layer, uint32_t peer) const { return 32; }
 
   /// Serializes the exchanger's compensation state (ReqEC trend baselines,
   /// Bit-Tuner widths) into the epoch checkpoint. Stateless exchangers

@@ -1,6 +1,5 @@
 #include <cmath>
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,9 +8,7 @@
 #include "common/bytes.h"
 #include "common/logging.h"
 #include "common/stats.h"
-#include "common/timer.h"
 #include "common/trace.h"
-#include "compress/bit_alloc.h"
 #include "core/exchange.h"
 #include "core/wire_util.h"
 #include "tensor/ops.h"
@@ -23,10 +20,6 @@ using compress::QuantizedMatrix;
 using compress::QuantizerOptions;
 using dist::MessageHub;
 using tensor::Matrix;
-
-/// Per-peer payload buffers for the parallel encode/decode loops; indexed
-/// by peer id, only active-peer slots are ever touched.
-using PeerBuffers = std::vector<std::vector<uint8_t>>;
 
 /// Books one FP degradation event: the halo rows from `peer` could not be
 /// delivered, so the requester kept its stale cached rows (stale=true) or
@@ -41,33 +34,6 @@ void CountFpDegraded(dist::WorkerContext* ctx, uint32_t epoch,
   }
   obs::RecordStat(stale ? "fault.degraded_stale" : "fault.degraded_pdt",
                   1.0, epoch, layer, static_cast<int32_t>(peer));
-}
-
-/// Hands the per-peer buffers built by a parallel encode loop to the hub.
-void SendToActivePeers(dist::WorkerContext* ctx, const WorkerPlan& plan,
-                       uint64_t tag, PeerBuffers* bufs) {
-  for (uint32_t p = 0; p < ctx->num_workers(); ++p) {
-    if (ActivePeer(plan, p)) ctx->Send(p, tag, std::move((*bufs)[p]));
-  }
-}
-
-/// Send-side compression telemetry, keyed (epoch, layer, peer). `raw` is
-/// what the message would weigh as float32 rows — the Non-cp baseline —
-/// so fp.ratio reads directly as the paper's compression factor.
-void RecordFpSendStats(uint32_t epoch, uint16_t layer, uint32_t peer,
-                       size_t rows, size_t cols, size_t wire_bytes,
-                       int bits) {
-  const double raw = static_cast<double>(rows * cols * sizeof(float));
-  obs::RecordStat("fp.raw_bytes", raw, epoch, layer,
-                  static_cast<int32_t>(peer));
-  obs::RecordStat("fp.wire_bytes", static_cast<double>(wire_bytes), epoch,
-                  layer, static_cast<int32_t>(peer));
-  if (wire_bytes > 0) {
-    obs::RecordStat("fp.ratio", raw / static_cast<double>(wire_bytes),
-                    epoch, layer, static_cast<int32_t>(peer));
-  }
-  obs::RecordStat("fp.bits", static_cast<double>(bits), epoch, layer,
-                  static_cast<int32_t>(peer));
 }
 
 /// ReqEC selector census: how many units (vertices or elements, depending
@@ -99,71 +65,31 @@ class PlainFpExchanger : public FpExchanger {
   Status Start(dist::WorkerContext* ctx, const WorkerPlan& plan,
                uint32_t epoch, uint16_t layer,
                const Matrix& h_owned) override {
-    const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagFpData);
-    QuantizerOptions qopts{config_.fp_bits, config_.value_mode};
-    PeerBuffers out(ctx->num_workers());
-    ECG_RETURN_IF_ERROR(ForEachActivePeerParallel(
-        plan, ctx->num_workers(), [&](uint32_t p) -> Status {
-          ECG_TRACE_SCOPE_DETAIL("fp_encode", ctx->worker_id(), layer);
-          ByteWriter w(&out[p]);
-          if (!quantized_) {
-            const Matrix rows =
-                tensor::GatherRows(h_owned, plan.send_rows[p]);
-            EncodeMatrix(rows, &w);
-            if (obs::StatsEnabled()) {
-              RecordFpSendStats(epoch, layer, p, rows.rows(), rows.cols(),
-                                out[p].size(), /*bits=*/32);
-            }
-            return Status::OK();
-          }
-          // Fused send path: quantize each peer's row subset straight out
-          // of h_owned (no GatherRows copy).
-          ECG_ASSIGN_OR_RETURN(
-              QuantizedMatrix q,
-              compress::QuantizeRows(h_owned, plan.send_rows[p], qopts));
-          q.AppendTo(&w);
-          if (obs::StatsEnabled()) {
-            RecordFpSendStats(epoch, layer, p, q.rows, q.cols,
-                              out[p].size(), q.bits);
-            ECG_ASSIGN_OR_RETURN(const double sat,
-                                 compress::BucketSaturationRate(q));
-            obs::RecordStat("fp.saturation", sat, epoch, layer,
-                            static_cast<int32_t>(p));
-          }
-          return Status::OK();
-        }));
-    SendToActivePeers(ctx, plan, tag, &out);
-    return Status::OK();
+    const QuantizerOptions qopts{config_.fp_bits, config_.value_mode};
+    return FanOut(ctx, plan, kFpData, epoch, layer, h_owned.cols(),
+                  [&](uint32_t p, ByteWriter* w, QuantizedMatrix* q) {
+                    return EncodePlainRows(h_owned, plan.send_rows[p],
+                                           quantized_, qopts, w, q);
+                  });
   }
 
   Status Finish(dist::WorkerContext* ctx, const WorkerPlan& plan,
                 uint32_t epoch, uint16_t layer, Matrix* h_halo) override {
-    const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagFpData);
-    ECG_ASSIGN_OR_RETURN(PeerRecvResult in, TryRecvFromActivePeers(
-                             ctx, plan, tag, config_.fault_fallback));
-    return ForEachActivePeerParallel(
-        plan, ctx->num_workers(), [&](uint32_t p) -> Status {
-          ECG_TRACE_SCOPE_DETAIL("fp_decode", ctx->worker_id(), layer);
-          if (in.lost[p]) {
-            // Lost halo update: keep the stale cached rows (h_halo
-            // persists across epochs) — bounded staleness, not a crash.
-            CountFpDegraded(ctx, epoch, layer, p, /*stale=*/true);
-            return Status::OK();
-          }
-          ByteReader r(in.bufs[p]);
-          if (!quantized_) {
-            Matrix rows;
-            ECG_RETURN_IF_ERROR(DecodeMatrix(&r, &rows));
-            return AssignRows(rows, plan.recv_halo_rows[p], h_halo);
-          }
-          // Fused receive path: decode straight into the halo rows.
-          QuantizedMatrix q;
-          ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(&r, &q));
-          return compress::DequantizeInto(q, plan.recv_halo_rows[p], h_halo);
+    return FanIn(
+        ctx, plan, kFpData, epoch, layer, config_.fault_fallback,
+        [&](uint32_t p, ByteReader* r) {
+          return DecodePlainRows(r, quantized_, plan.recv_halo_rows[p],
+                                 h_halo);
+        },
+        [&](uint32_t p) {
+          // Lost halo update: keep the stale cached rows (h_halo persists
+          // across epochs) — bounded staleness, not a crash.
+          CountFpDegraded(ctx, epoch, layer, p, /*stale=*/true);
+          return Status::OK();
         });
   }
 
-  int BitsTowards(uint32_t) const override {
+  int BitsTowards(uint16_t, uint32_t) const override {
     return quantized_ ? config_.fp_bits : 32;
   }
 
@@ -182,13 +108,14 @@ class DelayedFpExchanger : public FpExchanger {
       : r_(std::max<uint32_t>(1, config.delay_rounds)),
         allow_loss_(config.fault_fallback) {}
 
+  /// fp.raw_bytes counts the full send set, so fp.ratio shows the delayed
+  /// refresh's savings over shipping everything.
   Status Start(dist::WorkerContext* ctx, const WorkerPlan& plan,
                uint32_t epoch, uint16_t layer,
                const Matrix& h_owned) override {
-    const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagFpData);
-    PeerBuffers out(ctx->num_workers());
-    ECG_RETURN_IF_ERROR(ForEachActivePeerParallel(
-        plan, ctx->num_workers(), [&](uint32_t p) -> Status {
+    return FanOut(
+        ctx, plan, kFpData, epoch, layer, h_owned.cols(),
+        [&](uint32_t p, ByteWriter* w, QuantizedMatrix*) -> Status {
           const auto& send_rows = plan.send_rows[p];
           std::vector<uint32_t> positions;  // positions within send list
           for (uint32_t i = 0; i < send_rows.size(); ++i) {
@@ -197,40 +124,21 @@ class DelayedFpExchanger : public FpExchanger {
           std::vector<uint32_t> local_rows;
           local_rows.reserve(positions.size());
           for (uint32_t i : positions) local_rows.push_back(send_rows[i]);
-          const Matrix rows = tensor::GatherRows(h_owned, local_rows);
-          ByteWriter w(&out[p]);
-          w.PutU32Vector(positions);
-          EncodeMatrix(rows, &w);
-          if (obs::StatsEnabled()) {
-            // Raw = the full send set, so fp.ratio shows the delayed
-            // refresh's savings over shipping everything.
-            RecordFpSendStats(epoch, layer, p, send_rows.size(),
-                              h_owned.cols(), out[p].size(), /*bits=*/32);
-          }
+          w->PutU32Vector(positions);
+          EncodeMatrix(tensor::GatherRows(h_owned, local_rows), w);
           return Status::OK();
-        }));
-    SendToActivePeers(ctx, plan, tag, &out);
-    return Status::OK();
+        });
   }
 
   Status Finish(dist::WorkerContext* ctx, const WorkerPlan& plan,
                 uint32_t epoch, uint16_t layer, Matrix* h_halo) override {
-    const uint64_t tag = MessageHub::MakeTag(epoch, layer, kTagFpData);
-    ECG_ASSIGN_OR_RETURN(PeerRecvResult in, TryRecvFromActivePeers(
-                             ctx, plan, tag, allow_loss_));
-    return ForEachActivePeerParallel(
-        plan, ctx->num_workers(), [&](uint32_t p) -> Status {
-          if (in.lost[p]) {
-            // Lost refresh: the whole halo slice stays one round staler —
-            // the same degradation DistGNN's schedule already embraces.
-            CountFpDegraded(ctx, epoch, layer, p, /*stale=*/true);
-            return Status::OK();
-          }
-          ByteReader r(in.bufs[p]);
+    return FanIn(
+        ctx, plan, kFpData, epoch, layer, allow_loss_,
+        [&](uint32_t p, ByteReader* r) -> Status {
           std::vector<uint32_t> positions;
-          ECG_RETURN_IF_ERROR(r.GetU32Vector(&positions));
+          ECG_RETURN_IF_ERROR(r->GetU32Vector(&positions));
           Matrix rows;
-          ECG_RETURN_IF_ERROR(DecodeMatrix(&r, &rows));
+          ECG_RETURN_IF_ERROR(DecodeMatrix(r, &rows));
           const auto& halo_rows = plan.recv_halo_rows[p];
           std::vector<uint32_t> targets;
           targets.reserve(positions.size());
@@ -242,6 +150,12 @@ class DelayedFpExchanger : public FpExchanger {
             targets.push_back(halo_rows[i]);
           }
           return AssignRows(rows, targets, h_halo);
+        },
+        [&](uint32_t p) {
+          // Lost refresh: the whole halo slice stays one round staler —
+          // the same degradation DistGNN's schedule already embraces.
+          CountFpDegraded(ctx, epoch, layer, p, /*stale=*/true);
+          return Status::OK();
         });
   }
 
@@ -257,26 +171,21 @@ class ReqEcFpExchanger : public FpExchanger {
  public:
   ReqEcFpExchanger(const ExchangeConfig& config, uint16_t num_layers,
                    const WorkerPlan& plan)
-      : config_(config), num_layers_(num_layers) {
+      : config_(config),
+        num_layers_(num_layers),
+        responder_(num_layers,
+                   std::vector<TrendState>(plan.send_rows.size())),
+        requester_(num_layers,
+                   std::vector<TrendState>(plan.send_rows.size())),
+        // One width per (layer, peer): the global Bit-Tuner keeps every
+        // layer's entry in lock-step (wire-identical to a single per-peer
+        // width), the bit_alloc solver diverges them.
+        widths_(num_layers, plan.send_rows.size(), config.fp_bits,
+                config.bit_budget, "bitalloc.fp_bits"),
+        proportion_from_(plan.send_rows.size(), 0.0f) {
     ECG_CHECK(config.tuner_hi > config.tuner_lo)
         << "Bit-Tuner thresholds inverted (hi=" << config.tuner_hi
         << " <= lo=" << config.tuner_lo << ")";
-    const uint32_t workers =
-        static_cast<uint32_t>(plan.send_rows.size());
-    responder_.resize(num_layers);
-    requester_.resize(num_layers);
-    feed_.resize(num_layers);
-    for (uint16_t l = 0; l < num_layers; ++l) {
-      responder_[l].resize(workers);
-      requester_[l].resize(workers);
-      feed_[l].resize(workers);
-    }
-    // One width per (layer, peer): the global Bit-Tuner keeps every
-    // layer's entry in lock-step (wire-identical to the historical single
-    // per-peer width), the bit_alloc solver diverges them.
-    bits_towards_.assign(num_layers,
-                         std::vector<int>(workers, config.fp_bits));
-    proportion_from_.assign(workers, 0.0f);
   }
 
   Status Start(dist::WorkerContext* ctx, const WorkerPlan& plan,
@@ -295,7 +204,7 @@ class ReqEcFpExchanger : public FpExchanger {
       if (!ActivePeer(plan, p)) continue;
       std::vector<uint8_t> buf;
       ByteWriter w(&buf);
-      w.PutU8(static_cast<uint8_t>(bits_towards_[layer][p]));
+      w.PutU8(static_cast<uint8_t>(widths_.at(layer, p)));
       ctx->Send(p, req_tag, std::move(buf));
     }
 
@@ -306,11 +215,10 @@ class ReqEcFpExchanger : public FpExchanger {
     //    response carries its bits inline, so the requester still decodes).
     ECG_ASSIGN_OR_RETURN(PeerRecvResult reqs, TryRecvFromActivePeers(
                              ctx, plan, req_tag, config_.fault_fallback));
-    PeerBuffers out(ctx->num_workers());
     dist::FaultInjector* injector = ctx->fault_injector();
-    ECG_RETURN_IF_ERROR(ForEachActivePeerParallel(
-        plan, ctx->num_workers(), [&](uint32_t p) -> Status {
-          ECG_TRACE_SCOPE_DETAIL("fp_encode", ctx->worker_id(), layer);
+    return FanOut(
+        ctx, plan, kFpData, epoch, layer, h_owned.cols(),
+        [&](uint32_t p, ByteWriter* w, QuantizedMatrix* q) -> Status {
           int peer_bits = config_.fp_bits;
           if (!reqs.lost[p]) {
             ByteReader rr(reqs.bufs[p]);
@@ -318,79 +226,63 @@ class ReqEcFpExchanger : public FpExchanger {
             ECG_RETURN_IF_ERROR(rr.GetU8(&b));
             peer_bits = b;
           }
-          // Both ends evaluate the fault schedule, so the responder knows
-          // — without any extra message — when its response can never be
-          // delivered. On a trend epoch it must then keep the old baseline:
-          // the requester will keep predicting from the old one too.
-          const bool deliverable =
-              injector == nullptr ||
-              !injector->PermanentlyLost(ctx->worker_id(), p, data_tag);
-          ECG_RETURN_IF_ERROR(BuildResponse(plan, p, epoch, layer,
-                                            trend_epoch, step, peer_bits,
-                                            deliverable, h_owned, &out[p]));
-          if (obs::StatsEnabled()) {
-            RecordFpSendStats(epoch, layer, p, plan.send_rows[p].size(),
-                              h_owned.cols(), out[p].size(),
-                              trend_epoch ? 32 : peer_bits);
+          if (trend_epoch) {
+            // Both ends evaluate the fault schedule, so the responder
+            // knows — without any extra message — when its response can
+            // never be delivered. It must then keep the old baseline: the
+            // requester will keep predicting from the old one too.
+            const bool deliverable =
+                injector == nullptr ||
+                !injector->PermanentlyLost(ctx->worker_id(), p, data_tag);
+            BuildTrendResponse(plan, p, layer, deliverable, h_owned, w);
+            return Status::OK();
           }
-          return Status::OK();
-        }));
-    SendToActivePeers(ctx, plan, data_tag, &out);
-    return Status::OK();
+          // Quantize the send set straight out of h_owned — the gathered
+          // truth matrix is only materialized on the paths that compare
+          // candidates against it.
+          const QuantizerOptions qopts{peer_bits, config_.value_mode};
+          ECG_ASSIGN_OR_RETURN(
+              *q, compress::QuantizeRows(h_owned, plan.send_rows[p], qopts));
+          return BuildResponse(plan, p, epoch, layer, step, h_owned, *q, w);
+        });
   }
 
   Status Finish(dist::WorkerContext* ctx, const WorkerPlan& plan,
                 uint32_t epoch, uint16_t layer, Matrix* h_halo) override {
     ECG_CHECK(layer < num_layers_) << "ReqEC layer out of range";
-    const uint64_t data_tag = MessageHub::MakeTag(epoch, layer, kTagFpData);
-    const bool trend_epoch = (epoch + 1) % config_.trend_period == 0;
     const uint32_t step = epoch % config_.trend_period + 1;
 
     // 3) Parse responses (Algorithm 3) — per-peer requester state and halo
     //    row ranges are disjoint, so peers decode in parallel too. A lost
     //    response degrades to the pdt candidate (Eq. 8: H_last + step·M_cr,
     //    reconstructible from requester state with zero wire bytes).
-    //    Under bit_alloc the peers carry *different* widths, so the decode
-    //    streams in arrival order instead: each peer's marginal (boundary)
-    //    rows decode the moment its message lands, charging the decode as
-    //    compute that hides under the wait for the still-in-flight wide
-    //    peers. Both paths write identical halo values (per-peer row
-    //    ranges are disjoint).
-    if (config_.bit_alloc) {
-      ECG_RETURN_IF_ERROR(StreamingFinish(ctx, plan, epoch, layer,
-                                          trend_epoch, step, h_halo));
-    } else {
-      ECG_ASSIGN_OR_RETURN(PeerRecvResult in, TryRecvFromActivePeers(
-                               ctx, plan, data_tag, config_.fault_fallback));
-      ECG_RETURN_IF_ERROR(ForEachActivePeerParallel(
-          plan, ctx->num_workers(), [&](uint32_t p) -> Status {
-            ECG_TRACE_SCOPE_DETAIL("fp_decode", ctx->worker_id(), layer);
-            if (in.lost[p]) {
-              return DegradeLostResponse(ctx, plan, p, epoch, layer, step,
-                                         h_halo);
-            }
-            return ParseResponse(plan, p, layer, trend_epoch, step,
-                                 in.bufs[p], h_halo);
-          }));
-    }
+    ECG_RETURN_IF_ERROR(FanIn(
+        ctx, plan, kFpData, epoch, layer, config_.fault_fallback,
+        [&](uint32_t p, ByteReader* r) {
+          return ParseResponse(plan, p, layer, step, r, h_halo);
+        },
+        [&](uint32_t p) {
+          return DegradeLostResponse(ctx, plan, p, epoch, layer, step,
+                                     h_halo);
+        }));
+    if (layer + 1 != num_layers_) return Status::OK();
 
     // 4) Bit-Tuner, once per epoch after the last exchanged FP layer
     //    (Algorithm 3 lines 13-18). All layers move in lock-step, so the
-    //    wire behavior matches the historical single per-peer width.
-    //    Growth saturates at kBitTunerMaxBits — the widest id the packed
-    //    codecs encode — and shrink at 1.
-    if (config_.adaptive_bits && !config_.bit_alloc &&
-        layer + 1 == num_layers_) {
+    //    wire behavior matches a single per-peer width. Growth saturates
+    //    at kBitTunerMaxBits — the widest id the packed codecs encode —
+    //    and shrink at 1.
+    if (config_.adaptive_bits && !config_.bit_alloc) {
       for (uint32_t p = 0; p < ctx->num_workers(); ++p) {
         if (!ActivePeer(plan, p)) continue;
         const double prop = proportion_from_[p];
-        int b = bits_towards_[0][p];
+        int b = widths_.at(0, p);
         if (prop > config_.tuner_hi) {
           b = std::min(b * 2, kBitTunerMaxBits);
         } else if (prop < config_.tuner_lo && b > 1) {
           b /= 2;
         }
-        for (uint16_t l = 0; l < num_layers_; ++l) bits_towards_[l][p] = b;
+        widths_.SetPeer(p, b);
         if (obs::StatsEnabled()) {
           obs::RecordStat("reqec.tuner_bits", static_cast<double>(b), epoch,
                           /*layer=*/-1, static_cast<int32_t>(p));
@@ -400,31 +292,20 @@ class ReqEcFpExchanger : public FpExchanger {
       }
     }
 
-    // 5) Bit-allocation solve, every trend_period epochs right before the
-    //    trend snapshot resets the candidates: re-divide the traffic
-    //    budget across every (layer, peer) group from the feed the parsed
-    //    responses left behind. The new widths ride out with the next
-    //    epoch's requests.
-    if (config_.bit_alloc && layer + 1 == num_layers_ &&
-        (epoch + 1) % config_.trend_period == 0) {
-      SolveBits(plan, epoch);
+    // 5) Bit-allocation solve at the end of the epoch before each trend
+    //    snapshot, from the feed this epoch's responses left behind: the
+    //    new widths are in this epoch's checkpoint, ride out with the
+    //    trend epoch's requests (which trend responses ignore) and first
+    //    shape the epoch after it.
+    if (config_.bit_alloc && (epoch + 2) % config_.trend_period == 0) {
+      widths_.Solve(epoch);
     }
     return Status::OK();
   }
 
-  int BitsTowards(uint32_t peer) const override {
-    return bits_towards_[0][peer];
-  }
-
   /// Width this requester asks `peer` for on `layer` (bench/test hook).
   int BitsTowards(uint16_t layer, uint32_t peer) const override {
-    return bits_towards_[layer][peer];
-  }
-
-  double TakeFinishCredit() override {
-    const double credit = finish_credit_;
-    finish_credit_ = 0.0;
-    return credit;
+    return widths_.at(layer, peer);
   }
 
   /// Checkpoint format: per (layer, peer) the responder and requester
@@ -433,52 +314,31 @@ class ReqEcFpExchanger : public FpExchanger {
   void SaveState(ByteWriter* w) const override {
     for (uint16_t l = 0; l < num_layers_; ++l) {
       for (size_t p = 0; p < responder_[l].size(); ++p) {
-        const ResponderState& rs = responder_[l][p];
-        w->PutU8(rs.have_trend ? 1 : 0);
-        EncodeMatrix(rs.h_last, w);
-        EncodeMatrix(rs.m_cr, w);
-        const RequesterState& qs = requester_[l][p];
-        w->PutU8(qs.have_trend ? 1 : 0);
-        EncodeMatrix(qs.h_last, w);
-        EncodeMatrix(qs.m_cr, w);
+        SaveTrend(responder_[l][p], w);
+        SaveTrend(requester_[l][p], w);
       }
     }
-    for (uint16_t l = 0; l < num_layers_; ++l) {
-      std::vector<uint32_t> bits(bits_towards_[l].begin(),
-                                 bits_towards_[l].end());
-      w->PutU32Vector(bits);
-    }
+    widths_.Save(w);
     w->PutF32Vector(proportion_from_);
   }
 
   Status LoadState(ByteReader* r) override {
     for (uint16_t l = 0; l < num_layers_; ++l) {
       for (size_t p = 0; p < responder_[l].size(); ++p) {
-        ResponderState& rs = responder_[l][p];
-        uint8_t have = 0;
-        ECG_RETURN_IF_ERROR(r->GetU8(&have));
-        rs.have_trend = have != 0;
-        ECG_RETURN_IF_ERROR(DecodeMatrix(r, &rs.h_last));
-        ECG_RETURN_IF_ERROR(DecodeMatrix(r, &rs.m_cr));
-        RequesterState& qs = requester_[l][p];
-        ECG_RETURN_IF_ERROR(r->GetU8(&have));
-        qs.have_trend = have != 0;
-        ECG_RETURN_IF_ERROR(DecodeMatrix(r, &qs.h_last));
-        ECG_RETURN_IF_ERROR(DecodeMatrix(r, &qs.m_cr));
+        ECG_RETURN_IF_ERROR(LoadTrend(r, &responder_[l][p]));
+        ECG_RETURN_IF_ERROR(LoadTrend(r, &requester_[l][p]));
       }
     }
-    for (uint16_t l = 0; l < num_layers_; ++l) {
-      std::vector<uint32_t> bits;
-      ECG_RETURN_IF_ERROR(r->GetU32Vector(&bits));
-      if (bits.size() != bits_towards_[l].size()) {
-        return Status::InvalidArgument(
-            "ReqEC checkpoint bit widths: expected " +
-            std::to_string(bits_towards_[l].size()) + " peers, got " +
-            std::to_string(bits.size()));
-      }
-      bits_towards_[l].assign(bits.begin(), bits.end());
+    ECG_RETURN_IF_ERROR(widths_.Load(r));
+    std::vector<float> proportion;
+    ECG_RETURN_IF_ERROR(r->GetF32Vector(&proportion));
+    if (proportion.size() != proportion_from_.size()) {
+      return Status::InvalidArgument(
+          "ReqEC checkpoint proportions: expected " +
+          std::to_string(proportion_from_.size()) + " peers, got " +
+          std::to_string(proportion.size()));
     }
-    ECG_RETURN_IF_ERROR(r->GetF32Vector(&proportion_from_));
+    proportion_from_ = std::move(proportion);
     return Status::OK();
   }
 
@@ -493,7 +353,7 @@ class ReqEcFpExchanger : public FpExchanger {
                           elastic::ElasticStateBag* bag) const override {
     for (uint16_t l = 0; l < num_layers_; ++l) {
       for (size_t p = 0; p < responder_[l].size(); ++p) {
-        const ResponderState& rs = responder_[l][p];
+        const TrendState& rs = responder_[l][p];
         if (!rs.have_trend) continue;
         const auto& rows = plan.send_rows[p];
         if (rs.h_last.rows() != rows.size() ||
@@ -511,18 +371,10 @@ class ReqEcFpExchanger : public FpExchanger {
     }
     for (uint32_t p = 0; p < proportion_from_.size(); ++p) {
       if (!ActivePeer(plan, p)) continue;
-      bag->request_bits[std::make_pair(plan.worker_id, p)] =
-          bits_towards_[0][p];
       bag->proportion[std::make_pair(plan.worker_id, p)] =
           proportion_from_[p];
-      // Per-layer solver widths ride in their own map so a repartition
-      // keeps the bit_alloc assignment alive (the layer-0 entry above
-      // stays for the global-tuner path and older consumers).
-      for (uint16_t l = 0; l < num_layers_; ++l) {
-        bag->fp_group_bits[std::make_tuple(l, plan.worker_id, p)] =
-            bits_towards_[l][p];
-      }
     }
+    widths_.Export(plan, &bag->fp_group_bits);
   }
 
   /// Pulls this plan's rows back out of the bag. A (layer, pair) side gets
@@ -538,33 +390,23 @@ class ReqEcFpExchanger : public FpExchanger {
       for (uint32_t p = 0;
            p < responder_[l].size() && p < plan.send_rows.size(); ++p) {
         if (!ActivePeer(plan, p)) continue;
-        ResponderState& rs = responder_[l][p];
+        TrendState& rs = responder_[l][p];
         std::vector<uint32_t> gvs;
         gvs.reserve(plan.send_rows[p].size());
         for (uint32_t r : plan.send_rows[p]) gvs.push_back(plan.owned[r]);
         rs.have_trend = GatherTrend(bag, l, gvs, &rs.h_last, &rs.m_cr);
 
-        RequesterState& qs = requester_[l][p];
+        TrendState& qs = requester_[l][p];
         gvs.clear();
         for (uint32_t r : plan.recv_halo_rows[p]) gvs.push_back(plan.halo[r]);
         qs.have_trend = GatherTrend(bag, l, gvs, &qs.h_last, &qs.m_cr);
       }
     }
     for (uint32_t p = 0; p < proportion_from_.size(); ++p) {
-      auto itb = bag.request_bits.find(std::make_pair(plan.worker_id, p));
-      if (itb != bag.request_bits.end()) {
-        for (uint16_t l = 0; l < num_layers_; ++l) {
-          bits_towards_[l][p] = itb->second;
-        }
-      }
-      for (uint16_t l = 0; l < num_layers_; ++l) {
-        auto itl = bag.fp_group_bits.find(
-            std::make_tuple(l, plan.worker_id, p));
-        if (itl != bag.fp_group_bits.end()) bits_towards_[l][p] = itl->second;
-      }
       auto itp = bag.proportion.find(std::make_pair(plan.worker_id, p));
       if (itp != bag.proportion.end()) proportion_from_[p] = itp->second;
     }
+    widths_.Import(plan, bag.fp_group_bits);
     return Status::OK();
   }
 
@@ -580,16 +422,56 @@ class ReqEcFpExchanger : public FpExchanger {
   /// 10=average encoding.
   enum Selection : uint32_t { kCps = 0, kPdt = 1, kAvg = 2 };
 
-  struct ResponderState {
-    Matrix h_last;  // what the requester holds as its trend baseline
-    Matrix m_cr;
-    bool have_trend = false;
-  };
-  struct RequesterState {
+  /// One end's copy of a (layer, peer) trend group: the baseline H_last
+  /// of the last trend snapshot and its change rate M_cr. The responder
+  /// keeps what its requester holds, so in the fault-free protocol both
+  /// copies are bitwise identical.
+  struct TrendState {
     Matrix h_last;
     Matrix m_cr;
     bool have_trend = false;
   };
+
+  static void SaveTrend(const TrendState& st, ByteWriter* w) {
+    w->PutU8(st.have_trend ? 1 : 0);
+    EncodeMatrix(st.h_last, w);
+    EncodeMatrix(st.m_cr, w);
+  }
+  static Status LoadTrend(ByteReader* r, TrendState* st) {
+    uint8_t have = 0;
+    ECG_RETURN_IF_ERROR(r->GetU8(&have));
+    st->have_trend = have != 0;
+    ECG_RETURN_IF_ERROR(DecodeMatrix(r, &st->h_last));
+    return DecodeMatrix(r, &st->m_cr);
+  }
+
+  /// A requester baseline must cover the halo slice it predicts: one row
+  /// per halo row, M_cr shaped like H_last, as wide as h_halo. Baselines
+  /// come from checkpoints and trend responses — decoded input — so this
+  /// is checked before any row is read.
+  static Status CheckBaseline(const TrendState& st, size_t rows,
+                              const Matrix& h_halo) {
+    if (st.h_last.rows() != rows || st.m_cr.rows() != rows ||
+        st.m_cr.cols() != st.h_last.cols() ||
+        (rows > 0 && st.h_last.cols() != h_halo.cols())) {
+      return Status::InvalidArgument(
+          "ReqEC trend baseline is " + std::to_string(st.h_last.rows()) +
+          "x" + std::to_string(st.h_last.cols()) + " for " +
+          std::to_string(rows) + " halo rows of width " +
+          std::to_string(h_halo.cols()));
+    }
+    return Status::OK();
+  }
+
+  /// Eq. 8's pdt candidate of baseline row i: out = H_last + step·M_cr.
+  static void PredictRow(const TrendState& st, size_t i, uint32_t step,
+                         float* out) {
+    const float* last = st.h_last.Row(i);
+    const float* rate = st.m_cr.Row(i);
+    for (size_t c = 0; c < st.h_last.cols(); ++c) {
+      out[c] = last[c] + rate[c] * static_cast<float>(step);
+    }
+  }
 
   /// Assembles the (h_last, m_cr) matrices for `gvs` from the bag's
   /// canonical trend rows. All-or-nothing: returns false (and clears the
@@ -628,52 +510,41 @@ class ReqEcFpExchanger : public FpExchanger {
     return true;
   }
 
+  /// Trend epoch: ship the exact rows and the new change rate
+  /// M_cr = (H_now - H_last) / T_tr (Algorithm 4 line 4).
+  void BuildTrendResponse(const WorkerPlan& plan, uint32_t peer,
+                          uint16_t layer, bool deliverable,
+                          const Matrix& h_owned, ByteWriter* w) {
+    TrendState& st = responder_[layer][peer];
+    const Matrix h_send = tensor::GatherRows(h_owned, plan.send_rows[peer]);
+    Matrix m_cr(h_send.rows(), h_send.cols());
+    if (st.have_trend) {
+      m_cr = h_send;
+      tensor::SubInPlace(&m_cr, st.h_last);
+      tensor::ScaleInPlace(&m_cr,
+                           1.0f / static_cast<float>(config_.trend_period));
+    }
+    if (deliverable) {
+      st.h_last = h_send;
+      st.m_cr = m_cr;
+      st.have_trend = true;
+    }
+    w->PutU8(kTrend);
+    EncodeMatrix(h_send, w);
+    EncodeMatrix(m_cr, w);
+  }
+
+  /// Between trend epochs: the send set quantized at the requested width
+  /// (`q_full`) either ships whole (no baseline yet) or through the
+  /// selector.
   Status BuildResponse(const WorkerPlan& plan, uint32_t peer, uint32_t epoch,
-                       uint16_t layer, bool trend_epoch, uint32_t step,
-                       int peer_bits, bool deliverable, const Matrix& h_owned,
-                       std::vector<uint8_t>* buf) {
-    ResponderState& st = responder_[layer][peer];
-    ByteWriter w(buf);
-
-    if (trend_epoch) {
-      const Matrix h_send = tensor::GatherRows(h_owned, plan.send_rows[peer]);
-      Matrix m_cr(h_send.rows(), h_send.cols());
-      if (st.have_trend) {
-        // M_cr = (H_now - H_last) / T_tr (Algorithm 4 line 4).
-        m_cr = h_send;
-        tensor::SubInPlace(&m_cr, st.h_last);
-        tensor::ScaleInPlace(&m_cr,
-                             1.0f / static_cast<float>(config_.trend_period));
-      }
-      if (deliverable) {
-        st.h_last = h_send;
-        st.m_cr = m_cr;
-        st.have_trend = true;
-      }
-      w.PutU8(kTrend);
-      EncodeMatrix(h_send, &w);
-      EncodeMatrix(m_cr, &w);
-      return Status::OK();
-    }
-
-    // Quantize the send set straight out of h_owned — the gathered truth
-    // matrix is only materialized below, on the paths that compare
-    // candidates against it.
-    QuantizerOptions qopts{peer_bits, config_.value_mode};
-    ECG_ASSIGN_OR_RETURN(
-        QuantizedMatrix q_full,
-        compress::QuantizeRows(h_owned, plan.send_rows[peer], qopts));
-    if (obs::StatsEnabled()) {
-      ECG_ASSIGN_OR_RETURN(const double sat,
-                           compress::BucketSaturationRate(q_full));
-      obs::RecordStat("fp.saturation", sat, epoch, layer,
-                      static_cast<int32_t>(peer));
-    }
-
+                       uint16_t layer, uint32_t step, const Matrix& h_owned,
+                       const QuantizedMatrix& q_full, ByteWriter* w) {
+    const TrendState& st = responder_[layer][peer];
     if (!st.have_trend) {
       // First trend group: no prediction baseline exists on either end.
-      w.PutU8(kColdStart);
-      q_full.AppendTo(&w);
+      w->PutU8(kColdStart);
+      q_full.AppendTo(w);
       return Status::OK();
     }
 
@@ -687,8 +558,8 @@ class ReqEcFpExchanger : public FpExchanger {
     tensor::ScaleInPlace(&h_avg, 0.5f);
 
     if (config_.selector == SelectorGranularity::kElement) {
-      return BuildElementResponse(h_send, h_cps, h_pdt, h_avg, q_full,
-                                  peer_bits, epoch, layer, peer, &w);
+      return BuildElementResponse(h_send, h_cps, h_pdt, h_avg, q_full, epoch,
+                                  layer, peer, w);
     }
 
     // Selector: per-vertex L1 distances (Eq. 10), or a single matrix-wide
@@ -738,14 +609,14 @@ class ReqEcFpExchanger : public FpExchanger {
         n == 0 ? 0.0f : static_cast<float>(predicted) / n;
     RecordSelectorStats(slt, epoch, layer, peer);
 
-    w.PutU8(kSelected);
-    w.PutU8(static_cast<uint8_t>(peer_bits));
+    w->PutU8(kSelected);
+    w->PutU8(static_cast<uint8_t>(q_full.bits));
     std::vector<uint32_t> packed_slt;
     ECG_RETURN_IF_ERROR(PackBits(slt, /*bits=*/2, &packed_slt));
-    w.PutU64(n);
-    w.PutU32Vector(packed_slt);
-    q_sub.AppendTo(&w);
-    w.PutF32(proportion);
+    w->PutU64(n);
+    w->PutU32Vector(packed_slt);
+    q_sub.AppendTo(w);
+    w->PutF32(proportion);
     return Status::OK();
   }
 
@@ -753,9 +624,8 @@ class ReqEcFpExchanger : public FpExchanger {
   /// coordinates ship their bucket ids (sharing q_full's bucket table).
   Status BuildElementResponse(const Matrix& h_send, const Matrix& h_cps,
                               const Matrix& h_pdt, const Matrix& h_avg,
-                              const QuantizedMatrix& q_full, int peer_bits,
-                              uint32_t epoch, uint16_t layer, uint32_t peer,
-                              ByteWriter* w) {
+                              const QuantizedMatrix& q_full, uint32_t epoch,
+                              uint16_t layer, uint32_t peer, ByteWriter* w) {
     const size_t count = h_send.size();
     std::vector<uint32_t> full_ids;
     ECG_RETURN_IF_ERROR(
@@ -799,63 +669,13 @@ class ReqEcFpExchanger : public FpExchanger {
         PackBits(shipped_ids, q_full.bits, &q_sub.packed_ids));
 
     w->PutU8(kSelectedElement);
-    w->PutU8(static_cast<uint8_t>(peer_bits));
+    w->PutU8(static_cast<uint8_t>(q_full.bits));
     std::vector<uint32_t> packed_slt;
     ECG_RETURN_IF_ERROR(PackBits(slt, /*bits=*/2, &packed_slt));
     w->PutU64(count);
     w->PutU32Vector(packed_slt);
     q_sub.AppendTo(w);
     w->PutF32(proportion);
-    return Status::OK();
-  }
-
-  Status ParseElementResponse(const WorkerPlan& plan, uint32_t peer,
-                              uint16_t layer, const RequesterState& st,
-                              uint32_t step, ByteReader* r, Matrix* h_halo) {
-    const auto& halo_rows = plan.recv_halo_rows[peer];
-    uint8_t bits = 0;
-    uint64_t count = 0;
-    std::vector<uint32_t> packed_slt;
-    ECG_RETURN_IF_ERROR(r->GetU8(&bits));
-    ECG_RETURN_IF_ERROR(r->GetU64(&count));
-    ECG_RETURN_IF_ERROR(r->GetU32Vector(&packed_slt));
-    QuantizedMatrix q_sub;
-    ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(r, &q_sub));
-    float proportion = 0.0f;
-    ECG_RETURN_IF_ERROR(r->GetF32(&proportion));
-    proportion_from_[peer] = proportion;
-    RecordFeed(layer, peer, static_cast<double>(q_sub.cols), q_sub);
-
-    const size_t dim = st.h_last.cols();
-    if (count != halo_rows.size() * dim) {
-      return Status::InvalidArgument("element selector size mismatch");
-    }
-    std::vector<uint32_t> slt;
-    ECG_RETURN_IF_ERROR(UnpackBits(packed_slt, count, /*bits=*/2, &slt));
-    ECG_ASSIGN_OR_RETURN(Matrix d_sub, compress::Dequantize(q_sub));
-
-    size_t cursor = 0;
-    for (size_t i = 0; i < halo_rows.size(); ++i) {
-      float* out = h_halo->Row(halo_rows[i]);
-      const float* last = st.h_last.Row(i);
-      const float* rate = st.m_cr.Row(i);
-      for (size_t c = 0; c < dim; ++c) {
-        const float pdt = last[c] + rate[c] * static_cast<float>(step);
-        const uint32_t pick = slt[i * dim + c];
-        if (pick == kPdt) {
-          out[c] = pdt;
-          continue;
-        }
-        if (cursor >= d_sub.size()) {
-          return Status::OutOfRange("element subset underflow");
-        }
-        const float cps = d_sub.data()[cursor++];
-        out[c] = pick == kCps ? cps : 0.5f * (pdt + cps);
-      }
-    }
-    if (cursor != d_sub.size()) {
-      return Status::Internal("element subset not fully consumed");
-    }
     return Status::OK();
   }
 
@@ -866,43 +686,31 @@ class ReqEcFpExchanger : public FpExchanger {
   Status DegradeLostResponse(dist::WorkerContext* ctx, const WorkerPlan& plan,
                              uint32_t peer, uint32_t epoch, uint16_t layer,
                              uint32_t step, Matrix* h_halo) {
-    RequesterState& st = requester_[layer][peer];
+    const TrendState& st = requester_[layer][peer];
     const auto& halo_rows = plan.recv_halo_rows[peer];
     if (!st.have_trend) {
       CountFpDegraded(ctx, epoch, layer, peer, /*stale=*/true);
       return Status::OK();
     }
-    if (st.h_last.rows() != halo_rows.size()) {
-      return Status::Internal(
-          "pdt fallback baseline has " + std::to_string(st.h_last.rows()) +
-          " rows for " + std::to_string(halo_rows.size()) + " halo rows");
-    }
-    const size_t dim = st.h_last.cols();
+    ECG_RETURN_IF_ERROR(CheckBaseline(st, halo_rows.size(), *h_halo));
     for (size_t i = 0; i < halo_rows.size(); ++i) {
-      float* out = h_halo->Row(halo_rows[i]);
-      const float* last = st.h_last.Row(i);
-      const float* rate = st.m_cr.Row(i);
-      for (size_t c = 0; c < dim; ++c) {
-        out[c] = last[c] + rate[c] * static_cast<float>(step);
-      }
+      PredictRow(st, i, step, h_halo->Row(halo_rows[i]));
     }
     CountFpDegraded(ctx, epoch, layer, peer, /*stale=*/false);
     return Status::OK();
   }
 
   Status ParseResponse(const WorkerPlan& plan, uint32_t peer, uint16_t layer,
-                       bool trend_epoch, uint32_t step,
-                       const std::vector<uint8_t>& buf, Matrix* h_halo) {
-    RequesterState& st = requester_[layer][peer];
+                       uint32_t step, ByteReader* r, Matrix* h_halo) {
+    TrendState& st = requester_[layer][peer];
     const auto& halo_rows = plan.recv_halo_rows[peer];
-    ByteReader r(buf);
     uint8_t kind = 0;
-    ECG_RETURN_IF_ERROR(r.GetU8(&kind));
+    ECG_RETURN_IF_ERROR(r->GetU8(&kind));
 
     if (kind == kTrend) {
       Matrix h_exact, m_cr;
-      ECG_RETURN_IF_ERROR(DecodeMatrix(&r, &h_exact));
-      ECG_RETURN_IF_ERROR(DecodeMatrix(&r, &m_cr));
+      ECG_RETURN_IF_ERROR(DecodeMatrix(r, &h_exact));
+      ECG_RETURN_IF_ERROR(DecodeMatrix(r, &m_cr));
       ECG_RETURN_IF_ERROR(AssignRows(h_exact, halo_rows, h_halo));
       st.h_last = std::move(h_exact);
       st.m_cr = std::move(m_cr);
@@ -911,10 +719,10 @@ class ReqEcFpExchanger : public FpExchanger {
     }
     if (kind == kColdStart) {
       QuantizedMatrix q;
-      ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(&r, &q));
-      RecordFeed(layer, peer,
-                 static_cast<double>(q.rows) * static_cast<double>(q.cols),
-                 q);
+      ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(r, &q));
+      widths_.Feed(layer, peer,
+                   static_cast<double>(q.rows) * static_cast<double>(q.cols),
+                   q);
       return compress::DequantizeInto(q, halo_rows, h_halo);
     }
     if (kind != kSelected && kind != kSelectedElement) {
@@ -924,176 +732,70 @@ class ReqEcFpExchanger : public FpExchanger {
     if (!st.have_trend) {
       return Status::Internal("selected response before trend baseline");
     }
-    if (kind == kSelectedElement) {
-      return ParseElementResponse(plan, peer, layer, st, step, &r, h_halo);
-    }
+    ECG_RETURN_IF_ERROR(CheckBaseline(st, halo_rows.size(), *h_halo));
 
+    // kSelected and kSelectedElement share one layout; the selector counts
+    // vertices or coordinates.
     uint8_t bits = 0;
     uint64_t n = 0;
     std::vector<uint32_t> packed_slt;
-    ECG_RETURN_IF_ERROR(r.GetU8(&bits));
-    ECG_RETURN_IF_ERROR(r.GetU64(&n));
-    ECG_RETURN_IF_ERROR(r.GetU32Vector(&packed_slt));
+    ECG_RETURN_IF_ERROR(r->GetU8(&bits));
+    ECG_RETURN_IF_ERROR(r->GetU64(&n));
+    ECG_RETURN_IF_ERROR(r->GetU32Vector(&packed_slt));
     QuantizedMatrix q_sub;
-    ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(&r, &q_sub));
-    float proportion = 0.0f;
-    ECG_RETURN_IF_ERROR(r.GetF32(&proportion));
-    proportion_from_[peer] = proportion;
-    RecordFeed(layer, peer,
-               static_cast<double>(q_sub.rows) * st.h_last.cols(), q_sub);
-
-    if (n != halo_rows.size()) {
-      return Status::InvalidArgument("selector size mismatch");
+    ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(r, &q_sub));
+    ECG_RETURN_IF_ERROR(r->GetF32(&proportion_from_[peer]));
+    const size_t dim = st.h_last.cols();
+    const bool element = kind == kSelectedElement;
+    widths_.Feed(layer, peer,
+                 element ? static_cast<double>(q_sub.cols)
+                         : static_cast<double>(q_sub.rows) * dim,
+                 q_sub);
+    if (n != (element ? halo_rows.size() * dim : halo_rows.size())) {
+      return Status::InvalidArgument(element
+                                         ? "element selector size mismatch"
+                                         : "selector size mismatch");
     }
     std::vector<uint32_t> slt;
     ECG_RETURN_IF_ERROR(UnpackBits(packed_slt, n, /*bits=*/2, &slt));
     ECG_ASSIGN_OR_RETURN(Matrix d_sub, compress::Dequantize(q_sub));
 
-    const size_t dim = st.h_last.cols();
+    // Each row starts as its pdt candidate; shipped units overwrite it
+    // with the compressed value (kCps) or the average of both (kAvg).
+    const float* cps = d_sub.data();
+    const size_t units = element ? dim : 1;  // selector entries per row
+    const size_t unit = element ? 1 : dim;   // floats per selector entry
     size_t cursor = 0;
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < halo_rows.size(); ++i) {
       float* out = h_halo->Row(halo_rows[i]);
-      const float* last = st.h_last.Row(i);
-      const float* rate = st.m_cr.Row(i);
-      switch (slt[i]) {
-        case kPdt:
-          for (size_t c = 0; c < dim; ++c) {
-            out[c] = last[c] + rate[c] * static_cast<float>(step);
-          }
-          break;
-        case kCps: {
-          if (cursor >= d_sub.rows()) {
-            return Status::OutOfRange("compressed subset underflow");
-          }
-          std::memcpy(out, d_sub.Row(cursor), dim * sizeof(float));
-          ++cursor;
-          break;
-        }
-        case kAvg: {
-          if (cursor >= d_sub.rows()) {
-            return Status::OutOfRange("compressed subset underflow");
-          }
-          const float* cps = d_sub.Row(cursor);
-          for (size_t c = 0; c < dim; ++c) {
-            const float pdt = last[c] + rate[c] * static_cast<float>(step);
-            out[c] = 0.5f * (pdt + cps[c]);
-          }
-          ++cursor;
-          break;
-        }
-        default:
+      PredictRow(st, i, step, out);
+      for (size_t u = 0; u < units; ++u) {
+        const uint32_t pick = slt[i * units + u];
+        if (pick == kPdt) continue;
+        if (pick != kCps && pick != kAvg) {
           return Status::InvalidArgument("corrupt selector value");
+        }
+        if (cursor + unit > d_sub.size()) {
+          return Status::OutOfRange("compressed subset underflow");
+        }
+        float* dst = out + u * unit;
+        for (size_t c = 0; c < unit; ++c, ++cursor) {
+          dst[c] = pick == kCps ? cps[cursor] : 0.5f * (dst[c] + cps[cursor]);
+        }
       }
     }
-    if (cursor != d_sub.rows()) {
+    if (cursor != d_sub.size()) {
       return Status::Internal("compressed subset not fully consumed");
     }
     return Status::OK();
   }
 
-  /// Per-(layer, peer) observation the requester leaves behind for the
-  /// bit-allocation solver: how many elements the group actually shipped
-  /// last epoch and the quantizer range it saw. Overwritten every parsed
-  /// response (per-peer slots are disjoint across the parallel decode).
-  struct GroupFeed {
-    double elements = 0.0;
-    double sensitivity = 0.0;
-    bool valid = false;
-  };
-
-  void RecordFeed(uint16_t layer, uint32_t peer, double shipped_elements,
-                  const QuantizedMatrix& q) {
-    if (q.bits <= 0) return;
-    const double range =
-        static_cast<double>(q.bucket_width) * std::exp2(q.bits);
-    GroupFeed& f = feed_[layer][peer];
-    f.elements = shipped_elements;
-    f.sensitivity = shipped_elements * range * range;
-    f.valid = shipped_elements > 0.0 && range > 0.0;
-  }
-
-  /// Arrival-order Finish for the bit_alloc path: decode each peer's halo
-  /// slice the moment its message lands. The decode CPU of every arrival
-  /// but the last is banked as finish credit — it genuinely ran while the
-  /// remaining (wider/slower) peers were still on the wire, so the
-  /// overlapped schedule may hide that much wire time on top of its
-  /// interior-compute credit.
-  Status StreamingFinish(dist::WorkerContext* ctx, const WorkerPlan& plan,
-                         uint32_t epoch, uint16_t layer, bool trend_epoch,
-                         uint32_t step, Matrix* h_halo) {
-    const uint64_t data_tag = MessageHub::MakeTag(epoch, layer, kTagFpData);
-    std::vector<uint32_t> pending;
-    for (uint32_t p = 0; p < ctx->num_workers(); ++p) {
-      if (ActivePeer(plan, p)) pending.push_back(p);
-    }
-    double max_penalty = 0.0;
-    ThreadCpuTimer decode_cpu;
-    while (!pending.empty()) {
-      uint32_t from = 0;
-      std::vector<uint8_t> buf;
-      double penalty = 0.0;
-      Status s = ctx->TryRecvAny(pending, data_tag, &from, &buf, &penalty);
-      const bool lost = s.code() == StatusCode::kResourceExhausted;
-      if (!s.ok() && (!lost || !config_.fault_fallback)) {
-        ctx->ChargePhasePenalty(max_penalty);
-        return s;
-      }
-      max_penalty = std::max(max_penalty, penalty);
-      pending.erase(std::find(pending.begin(), pending.end(), from));
-      ECG_TRACE_SCOPE_DETAIL("fp_decode", ctx->worker_id(), layer);
-      decode_cpu.Reset();
-      Status d = lost ? DegradeLostResponse(ctx, plan, from, epoch, layer,
-                                            step, h_halo)
-                      : ParseResponse(plan, from, layer, trend_epoch, step,
-                                      buf, h_halo);
-      if (!d.ok()) {
-        ctx->ChargePhasePenalty(max_penalty);
-        return d;
-      }
-      const double charged = ctx->ChargeCompute(decode_cpu.ElapsedSeconds());
-      if (!pending.empty()) finish_credit_ += charged;
-    }
-    ctx->ChargePhasePenalty(max_penalty);
-    return Status::OK();
-  }
-
-  /// Greedy re-allocation of the FP traffic budget across every
-  /// (layer, peer) group with a live feed (DESIGN.md §16).
-  void SolveBits(const WorkerPlan& plan, uint32_t epoch) {
-    std::vector<compress::BitAllocGroup> groups;
-    std::vector<std::pair<uint16_t, uint32_t>> keys;
-    for (uint16_t l = 0; l < num_layers_; ++l) {
-      for (uint32_t p = 0; p < feed_[l].size(); ++p) {
-        if (!ActivePeer(plan, p) || !feed_[l][p].valid) continue;
-        groups.push_back(
-            {feed_[l][p].elements, feed_[l][p].sensitivity});
-        keys.emplace_back(l, p);
-      }
-    }
-    if (groups.empty()) return;
-    compress::BitAllocConfig bc;
-    bc.budget_factor = config_.bit_budget;
-    bc.reference_bits = config_.fp_bits;
-    bc.max_bits = kBitTunerMaxBits;
-    const std::vector<int> widths = compress::SolveBitAllocation(groups, bc);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      bits_towards_[keys[i].first][keys[i].second] = widths[i];
-      if (obs::StatsEnabled()) {
-        obs::RecordStat("bitalloc.fp_bits", static_cast<double>(widths[i]),
-                        epoch, keys[i].first,
-                        static_cast<int32_t>(keys[i].second));
-      }
-    }
-  }
-
   const ExchangeConfig config_;
   const uint16_t num_layers_;
-  std::vector<std::vector<ResponderState>> responder_;  // [layer][peer]
-  std::vector<std::vector<RequesterState>> requester_;  // [layer][peer]
-  std::vector<std::vector<int>> bits_towards_;          // [layer][peer]
-  std::vector<std::vector<GroupFeed>> feed_;            // [layer][peer]
-  std::vector<float> proportion_from_;                  // [peer]
-  double finish_credit_ = 0.0;
+  std::vector<std::vector<TrendState>> responder_;  // [layer][peer]
+  std::vector<std::vector<TrendState>> requester_;  // [layer][peer]
+  WidthTable widths_;
+  std::vector<float> proportion_from_;  // [peer]
 };
 
 }  // namespace

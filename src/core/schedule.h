@@ -82,9 +82,7 @@ class Schedule {
   /// Split-phase halo exchange of layer `layer`'s `owned` rows into
   /// `halo`, with `interior` and `boundary` run as the two compute steps.
   /// FP exchanges H^layer and books both steps as layer+1's fp_compute;
-  /// its streaming decodes add their finish credit under either setting
-  /// of overlap (they hide behind later peers, not behind compute). BP
-  /// exchanges G^layer and books both steps as layer's bp_compute.
+  /// BP exchanges G^layer and books both steps as layer's bp_compute.
   template <typename Exchanger>
   Status SplitPhase(Exchanger* ex, const WorkerPlan& plan, uint16_t layer,
                     const tensor::Matrix& owned, tensor::Matrix* halo,
@@ -111,7 +109,6 @@ class Schedule {
       ECG_TRACE_SCOPE(fp ? "fp_finish" : "bp_finish", ctx_->worker_id(),
                       layer);
       ECG_RETURN_IF_ERROR(ex->Finish(ctx_, plan, epoch_, layer, halo));
-      if constexpr (fp) credit += ex->TakeFinishCredit();
       double comm_s = 0.0;
       const double hidden = ctx_->EndCommPhaseOverlapped(
           fp ? "fp_comm" : "bp_comm", credit, &comm_s);

@@ -100,17 +100,6 @@ void ElasticStateBag::RemapWorkers(const std::vector<int32_t>& old_to_new) {
   }
   bp_residual = std::move(residual);
 
-  std::map<std::pair<uint32_t, uint32_t>, int> bits;
-  for (const auto& [key, v] : request_bits) {
-    const int32_t a = map_worker(key.first);
-    const int32_t b = map_worker(key.second);
-    if (a < 0 || b < 0) continue;
-    bits.emplace(std::make_pair(static_cast<uint32_t>(a),
-                                static_cast<uint32_t>(b)),
-                 v);
-  }
-  request_bits = std::move(bits);
-
   std::map<std::pair<uint32_t, uint32_t>, float> prop;
   for (const auto& [key, v] : proportion) {
     const int32_t a = map_worker(key.first);
@@ -124,20 +113,18 @@ void ElasticStateBag::RemapWorkers(const std::vector<int32_t>& old_to_new) {
 
   // Per-(layer, link) solver widths: both coordinates are workers, so a
   // departed end drops the entry and a renumbered end follows its new id.
-  auto remap_group_bits =
-      [&](std::map<std::tuple<uint16_t, uint32_t, uint32_t>, int>* m) {
-        std::map<std::tuple<uint16_t, uint32_t, uint32_t>, int> next;
-        for (const auto& [key, v] : *m) {
-          const int32_t a = map_worker(std::get<1>(key));
-          const int32_t b = map_worker(std::get<2>(key));
-          if (a < 0 || b < 0) continue;
-          next.emplace(std::make_tuple(std::get<0>(key),
-                                       static_cast<uint32_t>(a),
-                                       static_cast<uint32_t>(b)),
-                       v);
-        }
-        *m = std::move(next);
-      };
+  auto remap_group_bits = [&](GroupBits* m) {
+    GroupBits next;
+    for (const auto& [key, v] : *m) {
+      const int32_t a = map_worker(std::get<1>(key));
+      const int32_t b = map_worker(std::get<2>(key));
+      if (a < 0 || b < 0) continue;
+      next.emplace(std::make_tuple(std::get<0>(key), static_cast<uint32_t>(a),
+                                   static_cast<uint32_t>(b)),
+                   v);
+    }
+    *m = std::move(next);
+  };
   remap_group_bits(&fp_group_bits);
   remap_group_bits(&bp_group_bits);
   // fp_trend is keyed by (layer, vertex) only — nothing to remap.
@@ -146,7 +133,6 @@ void ElasticStateBag::RemapWorkers(const std::vector<int32_t>& old_to_new) {
 void ElasticStateBag::Clear() {
   fp_trend.clear();
   bp_residual.clear();
-  request_bits.clear();
   proportion.clear();
   fp_group_bits.clear();
   bp_group_bits.clear();

@@ -55,17 +55,18 @@ struct ElasticStateBag {
   /// per peer it ships gradients to.
   std::map<std::tuple<uint16_t, uint32_t, uint32_t>, std::vector<float>>
       bp_residual;
-  /// Bit-Tuner state, keyed by directed link (requester, responder).
-  std::map<std::pair<uint32_t, uint32_t>, int> request_bits;
+  /// Bit-Tuner predicted proportion, keyed by directed link (requester,
+  /// responder).
   std::map<std::pair<uint32_t, uint32_t>, float> proportion;
-  /// bit_alloc solver widths, keyed per message group:
-  /// (layer, requester, responder) for the FP request widths and
-  /// (layer, sender, receiver) for the ResEC sender widths. Entries whose
-  /// link lost either end are dropped by RemapWorkers — the surviving
-  /// pairs keep their solved width, new pairs start at the configured
-  /// global width until the next solve.
-  std::map<std::tuple<uint16_t, uint32_t, uint32_t>, int> fp_group_bits;
-  std::map<std::tuple<uint16_t, uint32_t, uint32_t>, int> bp_group_bits;
+  /// Message widths, one entry per message group: (layer, requester,
+  /// responder) for the FP request widths (Bit-Tuner or bit_alloc solver)
+  /// and (layer, sender, receiver) for the ResEC sender widths. Entries
+  /// whose link lost either end are dropped by RemapWorkers — the
+  /// surviving pairs keep their width, new pairs start at the configured
+  /// global width.
+  using GroupBits = std::map<std::tuple<uint16_t, uint32_t, uint32_t>, int>;
+  GroupBits fp_group_bits;
+  GroupBits bp_group_bits;
 
   /// Rewrites worker-keyed entries through `old_to_new` (old worker id →
   /// new id, -1 = departed). Entries touching a departed worker are
@@ -75,9 +76,8 @@ struct ElasticStateBag {
 
   void Clear();
   bool Empty() const {
-    return fp_trend.empty() && bp_residual.empty() && request_bits.empty() &&
-           proportion.empty() && fp_group_bits.empty() &&
-           bp_group_bits.empty();
+    return fp_trend.empty() && bp_residual.empty() && proportion.empty() &&
+           fp_group_bits.empty() && bp_group_bits.empty();
   }
 };
 

@@ -520,6 +520,37 @@ TEST(ChaosTrainingTest, CrashRestoresFromCheckpointDeterministically) {
   EXPECT_GT(crashed->total_sim_seconds, clean->total_sim_seconds);
 }
 
+TEST(ChaosTrainingTest, CrashRestoreReplaysBitAllocWidthsDeterministically) {
+  // bit_alloc on a 3-layer model with trend_period=2: FP widths are solved
+  // at the end of every even epoch, BP widths at the end of every odd one.
+  // The crash at epoch 5 restores the checkpoint taken after epoch 3 and
+  // replays epoch 4; the replay must solve exactly as the first run did.
+  const graph::Graph g = TinyGraph();
+  TrainOptions opt = EcOptions(10);
+  opt.model.num_layers = 3;
+  opt.exchange.bit_alloc = true;
+  opt.exchange.trend_period = 2;
+  opt.checkpoint_every = 2;
+  auto clean = core::TrainDistributed(g, 3, opt);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+  auto inj = FaultInjector::Parse("crash@epoch=5:worker=1,restart=0.5");
+  ASSERT_TRUE(inj.ok());
+  ScopedFaultInjector scoped(&*inj);
+  auto crashed = core::TrainDistributed(g, 3, opt);
+  ASSERT_TRUE(crashed.ok()) << crashed.status().ToString();
+  EXPECT_EQ(inj->counters().restores.load(), 1u);
+
+  ASSERT_EQ(crashed->epochs.size(), clean->epochs.size());
+  for (size_t e = 0; e < clean->epochs.size(); ++e) {
+    EXPECT_NEAR(crashed->epochs[e].loss, clean->epochs[e].loss, 1e-12)
+        << "epoch " << e;
+    EXPECT_DOUBLE_EQ(crashed->epochs[e].val_acc, clean->epochs[e].val_acc);
+    EXPECT_DOUBLE_EQ(crashed->epochs[e].test_acc,
+                     clean->epochs[e].test_acc);
+  }
+}
+
 TEST(ChaosTrainingTest, PeriodicCheckpointsMirrorToDisk) {
   const graph::Graph g = TinyGraph();
   TrainOptions opt = EcOptions(10);

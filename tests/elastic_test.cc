@@ -280,9 +280,9 @@ TEST(ElasticStateBagTest, RemapDropsDepartedWorkersAndRewritesIds) {
   bag.fp_trend[{uint16_t{0}, 5u}] = {{1.0f}, {2.0f}};
   bag.bp_residual[{uint16_t{0}, 7u, 1u}] = {0.5f};  // receiver departs
   bag.bp_residual[{uint16_t{0}, 8u, 2u}] = {0.25f};
-  bag.request_bits[{0u, 1u}] = 4;   // responder departs -> dropped
-  bag.request_bits[{1u, 2u}] = 6;   // requester departs -> dropped
-  bag.request_bits[{2u, 0u}] = 8;   // survives as (1, 0)
+  bag.fp_group_bits[{0, 0u, 1u}] = 4;  // responder departs -> dropped
+  bag.fp_group_bits[{0, 1u, 2u}] = 6;  // requester departs -> dropped
+  bag.fp_group_bits[{0, 2u, 0u}] = 8;  // survives as (0, 1, 0)
   bag.proportion[{2u, 0u}] = 0.75f;
 
   bag.RemapWorkers({0, -1, 1});
@@ -297,9 +297,9 @@ TEST(ElasticStateBagTest, RemapDropsDepartedWorkersAndRewritesIds) {
   EXPECT_EQ(std::get<2>(res_key), 1u);  // receiver 2 renumbered to 1
   EXPECT_EQ(res_row, std::vector<float>{0.25f});
 
-  ASSERT_EQ(bag.request_bits.size(), 1u);
-  EXPECT_EQ(bag.request_bits.begin()->first, std::make_pair(1u, 0u));
-  EXPECT_EQ(bag.request_bits.begin()->second, 8);
+  ASSERT_EQ(bag.fp_group_bits.size(), 1u);
+  EXPECT_EQ(bag.fp_group_bits.begin()->first, std::make_tuple(0, 1u, 0u));
+  EXPECT_EQ(bag.fp_group_bits.begin()->second, 8);
   ASSERT_EQ(bag.proportion.size(), 1u);
   EXPECT_EQ(bag.proportion.begin()->first, std::make_pair(1u, 0u));
 }
@@ -314,7 +314,8 @@ void ExpectBagsEqual(const ElasticStateBag& a, const ElasticStateBag& b) {
     EXPECT_EQ(row.m, it->second.m);
   }
   EXPECT_EQ(a.bp_residual, b.bp_residual);
-  EXPECT_EQ(a.request_bits, b.request_bits);
+  EXPECT_EQ(a.fp_group_bits, b.fp_group_bits);
+  EXPECT_EQ(a.bp_group_bits, b.bp_group_bits);
   EXPECT_EQ(a.proportion, b.proportion);
 }
 
@@ -374,7 +375,7 @@ TEST(ElasticStateBagTest, ExchangerStateRoundTripsBitExactly) {
   }
   EXPECT_FALSE(bag.fp_trend.empty());
   EXPECT_FALSE(bag.bp_residual.empty());
-  EXPECT_FALSE(bag.request_bits.empty());
+  EXPECT_FALSE(bag.fp_group_bits.empty());
 
   // Identity remap is a no-op.
   ElasticStateBag remapped = bag;
@@ -584,6 +585,41 @@ TEST(ElasticTrainingTest, CrashReplaceReproducesTheFaultFreeCurve) {
   EXPECT_EQ(log[0].moved_rows, 0u);
   ExpectSameCurve(*clean, *r);
   EXPECT_GT(r->total_sim_seconds, clean->total_sim_seconds);
+}
+
+/// bit_alloc widths are solved from a feed that is neither checkpointed nor
+/// exported, so every solve must land in the checkpoint of the epoch that
+/// fed it. With trend_period=3 the FP widths are solved at the end of
+/// epochs 1, 4, 7 and the BP widths at the end of epochs 2, 5, 8; a crash
+/// at `crash_epoch` restores the replacement from the checkpoint taken
+/// right after one of them.
+void ExpectBitAllocCrashReplaceMatchesFaultFree(uint32_t crash_epoch) {
+  const graph::Graph g = TinyGraph();
+  TrainOptions opt = EcOptions(10);
+  opt.model.num_layers = 3;
+  opt.exchange.bit_alloc = true;
+  opt.exchange.trend_period = 3;
+  auto clean = core::TrainDistributed(g, 3, opt);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+  auto inj = FaultInjector::Parse("crash@epoch=" +
+                                  std::to_string(crash_epoch) +
+                                  ":worker=1,restart=0.5");
+  ASSERT_TRUE(inj.ok());
+  ScopedFaultInjector scoped(&*inj);
+  opt.elastic = "on_crash=replace,downtime=0.01";
+  auto r = core::TrainDistributed(g, 3, opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(inj->counters().crashes.load(), 1u);
+  ExpectSameCurve(*clean, *r);
+}
+
+TEST(ElasticTrainingTest, CrashReplaceAfterFpWidthSolveKeepsTheCurve) {
+  ExpectBitAllocCrashReplaceMatchesFaultFree(/*crash_epoch=*/2);
+}
+
+TEST(ElasticTrainingTest, CrashReplaceAfterBpWidthSolveKeepsTheCurve) {
+  ExpectBitAllocCrashReplaceMatchesFaultFree(/*crash_epoch=*/3);
 }
 
 // ---------------------------------------------------------------------

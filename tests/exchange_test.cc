@@ -6,7 +6,9 @@
 #include <functional>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/halo.h"
+#include "core/wire_util.h"
 #include "dist/cluster.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
@@ -254,7 +256,7 @@ TEST(ExchangeTest, BitTunerGrowsBitsWhenPredictionsDominate) {
     const WorkerPlan& plan = fx.plans[ctx->worker_id()];
     auto ex = MakeFpExchanger(FpMode::kReqEc, config, /*num_layers=*/2, plan);
     const uint32_t peer = 1 - ctx->worker_id();
-    EXPECT_EQ(ex->BitsTowards(peer), 2);
+    EXPECT_EQ(ex->BitsTowards(0, peer), 2);
     Matrix halo(plan.num_halo(), kDim);
     for (uint32_t epoch = 0; epoch < 9; ++epoch) {
       const Matrix owned = MakeOwned(plan, [&](uint32_t v, size_t c) {
@@ -263,7 +265,7 @@ TEST(ExchangeTest, BitTunerGrowsBitsWhenPredictionsDominate) {
       // layer 1 == last FP layer for a 2-layer model -> tuner runs.
       ECG_RETURN_IF_ERROR(ex->Exchange(ctx, plan, epoch, 1, owned, &halo));
     }
-    EXPECT_GT(ex->BitsTowards(peer), 2);
+    EXPECT_GT(ex->BitsTowards(0, peer), 2);
     return Status::OK();
   });
   ASSERT_TRUE(status.ok()) << status;
@@ -291,9 +293,9 @@ TEST(ExchangeTest, BitTunerSaturatesAtTheSixteenBitCeiling) {
         return static_cast<float>(v + c) + 3.0f * static_cast<float>(epoch);
       });
       ECG_RETURN_IF_ERROR(ex->Exchange(ctx, plan, epoch, 1, owned, &halo));
-      EXPECT_LE(ex->BitsTowards(peer), kBitTunerMaxBits);
+      EXPECT_LE(ex->BitsTowards(0, peer), kBitTunerMaxBits);
     }
-    EXPECT_EQ(ex->BitsTowards(peer), kBitTunerMaxBits);
+    EXPECT_EQ(ex->BitsTowards(0, peer), kBitTunerMaxBits);
     return Status::OK();
   });
   ASSERT_TRUE(status.ok()) << status;
@@ -457,6 +459,79 @@ TEST(ExchangeTest, ResEcErrorFeedbackAveragesOutBias) {
   }
   EXPECT_LT(err_ec, err_plain / 4)
       << "EC avg err " << err_ec << " vs plain " << err_plain;
+}
+
+// ReqEC checkpoint and response decoding must be total: a blob or a
+// baseline that does not fit the plan is an InvalidArgument, never an
+// out-of-bounds read.
+
+TEST(ExchangeTest, ReqEcLoadStateRejectsAShortProportionVector) {
+  TwoWorkerFixture fx;
+  auto ex = MakeFpExchanger(FpMode::kReqEc, {}, /*num_layers=*/2,
+                            fx.plans[0]);
+  std::vector<uint8_t> blob;
+  ByteWriter w(&blob);
+  ex->SaveState(&w);
+  // The blob ends with the per-peer proportion vector (u64 length + one
+  // float per worker); swap it for an empty one.
+  const size_t tail = sizeof(uint64_t) + 2 * sizeof(float);
+  ASSERT_GE(blob.size(), tail);
+  blob.resize(blob.size() - tail);
+  w.PutF32Vector({});
+  ByteReader r(blob);
+  const Status s = ex->LoadState(&r);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
+}
+
+/// A ReqEC checkpoint whose responder baselines are sound but whose
+/// requester baselines are one row short of the halo slice they predict.
+std::vector<uint8_t> ShortRequesterBaselineBlob(const WorkerPlan& plan) {
+  std::vector<uint8_t> blob;
+  ByteWriter w(&blob);
+  const uint32_t workers = static_cast<uint32_t>(plan.send_rows.size());
+  for (uint16_t l = 0; l < 2; ++l) {
+    for (uint32_t p = 0; p < workers; ++p) {
+      const bool active = ActivePeer(plan, p);
+      const size_t rows = plan.send_rows[p].size();
+      w.PutU8(active ? 1 : 0);  // responder
+      EncodeMatrix(Matrix(rows, kDim), &w);
+      EncodeMatrix(Matrix(rows, kDim), &w);
+      const size_t short_rows = active ? plan.recv_halo_rows[p].size() - 1 : 0;
+      w.PutU8(active ? 1 : 0);  // requester
+      EncodeMatrix(Matrix(short_rows, kDim), &w);
+      EncodeMatrix(Matrix(short_rows, kDim), &w);
+    }
+  }
+  for (uint16_t l = 0; l < 2; ++l) {
+    w.PutU32Vector(std::vector<uint32_t>(workers, 2));
+  }
+  w.PutF32Vector(std::vector<float>(workers, 0.0f));
+  return blob;
+}
+
+TEST(ExchangeTest, ReqEcRejectsABaselineShorterThanTheHaloSlice) {
+  for (SelectorGranularity selector :
+       {SelectorGranularity::kVertex, SelectorGranularity::kElement}) {
+    SCOPED_TRACE(static_cast<int>(selector));
+    TwoWorkerFixture fx;
+    ExchangeConfig config;
+    config.trend_period = 4;  // epoch 1 is a selected (non-trend) epoch
+    config.selector = selector;
+    SimulatedCluster cluster(2, dist::NetworkModel{});
+    const Status status = cluster.Run([&](WorkerContext* ctx) -> Status {
+      const WorkerPlan& plan = fx.plans[ctx->worker_id()];
+      auto ex = MakeFpExchanger(FpMode::kReqEc, config, 2, plan);
+      const std::vector<uint8_t> blob = ShortRequesterBaselineBlob(plan);
+      ByteReader r(blob);
+      ECG_RETURN_IF_ERROR(ex->LoadState(&r));
+      const Matrix owned = MakeOwned(plan, [](uint32_t v, size_t c) {
+        return 0.01f * static_cast<float>(v + c);
+      });
+      Matrix halo(plan.num_halo(), kDim);
+      return ex->Exchange(ctx, plan, /*epoch=*/1, 1, owned, &halo);
+    });
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  }
 }
 
 TEST(ExchangeTest, ModeNamesAreStable) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/stats.h"
 #include "core/exchange.h"
 #include "core/halo.h"
 #include "core/sampling_trainer.h"
@@ -174,6 +175,38 @@ constexpr char kFaultSpec[] =
     "drop=0.3,corrupt=0.05,delay=0.2@secs=0.002,"
     "seed=11,retries=2,timeout_ms=250,backoff=0.001";
 
+/// Runs `run_both` fault-free or under kFaultSpec.
+void WithFaults(bool faults, const std::function<void()>& run_both) {
+  if (!faults) {
+    run_both();
+    return;
+  }
+  auto inj = dist::FaultInjector::Parse(kFaultSpec);
+  ASSERT_TRUE(inj.ok()) << inj.status();
+  ScopedFaultInjector scoped(&*inj);
+  run_both();
+}
+
+void ExpectFpSplitMatchesOneShot(FpMode mode, bool faults,
+                                 const ExchangeConfig& config) {
+  WithFaults(faults, [&] {
+    TwoWorkerFixture fx_one, fx_split;
+    const RunCapture one = RunFp(&fx_one, mode, config, /*split=*/false);
+    const RunCapture split = RunFp(&fx_split, mode, config, /*split=*/true);
+    ExpectIdentical(one, split);
+  });
+}
+
+void ExpectBpSplitMatchesOneShot(BpMode mode, bool faults,
+                                 const ExchangeConfig& config) {
+  WithFaults(faults, [&] {
+    TwoWorkerFixture fx_one, fx_split;
+    const RunCapture one = RunBp(&fx_one, mode, config, /*split=*/false);
+    const RunCapture split = RunBp(&fx_split, mode, config, /*split=*/true);
+    ExpectIdentical(one, split);
+  });
+}
+
 class FpSplitEquivalence
     : public ::testing::TestWithParam<std::tuple<FpMode, bool>> {};
 
@@ -184,20 +217,19 @@ TEST_P(FpSplitEquivalence, SplitPhaseMatchesOneShot) {
   config.trend_period = 4;
   config.adaptive_bits = true;  // exercise the Bit-Tuner under both paths
   config.delay_rounds = 2;
-  auto run_both = [&] {
-    TwoWorkerFixture fx_one, fx_split;
-    const RunCapture one = RunFp(&fx_one, mode, config, /*split=*/false);
-    const RunCapture split = RunFp(&fx_split, mode, config, /*split=*/true);
-    ExpectIdentical(one, split);
-  };
-  if (faults) {
-    auto inj = dist::FaultInjector::Parse(kFaultSpec);
-    ASSERT_TRUE(inj.ok()) << inj.status();
-    ScopedFaultInjector scoped(&*inj);
-    run_both();
-  } else {
-    run_both();
-  }
+  ExpectFpSplitMatchesOneShot(mode, faults, config);
+}
+
+TEST_P(FpSplitEquivalence, BitAllocSplitPhaseMatchesOneShot) {
+  // bit_alloc decodes through the same fan-in as every other mode; the
+  // solver runs at the end of epochs 2 and 6.
+  const auto [mode, faults] = GetParam();
+  ExchangeConfig config;
+  config.fp_bits = 2;
+  config.trend_period = 4;
+  config.bit_alloc = true;
+  config.delay_rounds = 2;
+  ExpectFpSplitMatchesOneShot(mode, faults, config);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -213,20 +245,17 @@ TEST_P(BpSplitEquivalence, SplitPhaseMatchesOneShot) {
   const auto [mode, faults] = GetParam();
   ExchangeConfig config;
   config.bp_bits = 2;
-  auto run_both = [&] {
-    TwoWorkerFixture fx_one, fx_split;
-    const RunCapture one = RunBp(&fx_one, mode, config, /*split=*/false);
-    const RunCapture split = RunBp(&fx_split, mode, config, /*split=*/true);
-    ExpectIdentical(one, split);
-  };
-  if (faults) {
-    auto inj = dist::FaultInjector::Parse(kFaultSpec);
-    ASSERT_TRUE(inj.ok()) << inj.status();
-    ScopedFaultInjector scoped(&*inj);
-    run_both();
-  } else {
-    run_both();
-  }
+  ExpectBpSplitMatchesOneShot(mode, faults, config);
+}
+
+TEST_P(BpSplitEquivalence, BitAllocSplitPhaseMatchesOneShot) {
+  // ResEC solves its sender widths at the end of epochs 3 and 7.
+  const auto [mode, faults] = GetParam();
+  ExchangeConfig config;
+  config.bp_bits = 2;
+  config.trend_period = 4;
+  config.bit_alloc = true;
+  ExpectBpSplitMatchesOneShot(mode, faults, config);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -391,6 +420,36 @@ TEST(OverlapTrainerTest, OverlapNeverChargesMoreCommThanSequential) {
   const double overlapped = sum_comm(true);
   EXPECT_GT(sequential, 0.0);
   EXPECT_LE(overlapped, sequential + 1e-9);
+}
+
+TEST(OverlapTrainerTest, BitAllocHidesNothingWithOverlapOff) {
+  // Overlap is the only source of credit: with it off no comm is hidden,
+  // bit_alloc's ReqEC decode included.
+  const graph::Graph g = *graph::LoadDataset("tiny");
+  TrainOptions opt;
+  opt.model.num_layers = 3;
+  opt.model.hidden_dim = 16;
+  opt.epochs = 6;
+  opt.fp_mode = FpMode::kReqEc;
+  opt.bp_mode = BpMode::kResEc;
+  opt.exchange.bit_alloc = true;
+  opt.exchange.trend_period = 3;
+  obs::StatsRegistry& stats = obs::StatsRegistry::Global();
+  auto hidden_seconds = [&](bool overlap) {
+    stats.Reset();
+    stats.Enable();
+    opt.overlap = overlap;
+    auto r = TrainDistributed(g, 3, opt);
+    EXPECT_TRUE(r.ok()) << r.status();
+    const double hidden = stats.SumFor("overlap.hidden_seconds");
+    stats.Disable();
+    stats.Reset();
+    return hidden;
+  };
+  // Every row is >= 0, so a zero sum means every row is 0.
+  EXPECT_EQ(hidden_seconds(/*overlap=*/false), 0.0);
+  // The rows are recorded: with overlap on the interior steps hide some.
+  EXPECT_GT(hidden_seconds(/*overlap=*/true), 0.0);
 }
 
 TEST(OverlapTrainerTest, SamplingTrainerOverlapMatchesSequential) {
