@@ -11,12 +11,14 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -139,11 +141,12 @@ BENCHMARK(BM_QuantizeRoundTripFused)
     ->Args({8, 0})
     ->Args({8, 1});
 
-void BM_SpMM(benchmark::State& state) {
+/// Normalized adjacency of a seeded SBM (8 classes, the given degree).
+ecg::tensor::CsrMatrix SbmAdjacency(uint32_t vertices, double avg_degree) {
   ecg::graph::SbmConfig cfg;
-  cfg.num_vertices = 4000;
+  cfg.num_vertices = vertices;
   cfg.num_classes = 8;
-  cfg.avg_degree = 16.0;
+  cfg.avg_degree = avg_degree;
   cfg.feature_dim = 4;
   cfg.seed = 5;
   auto g = ecg::graph::GenerateSbm(cfg);
@@ -157,14 +160,19 @@ void BM_SpMM(benchmark::State& state) {
   auto adj = ecg::tensor::CsrMatrix::FromTriplets(g->num_vertices(),
                                                   g->num_vertices(), trips);
   adj.status().CheckOk();
-  const Matrix x = RandomMatrix(g->num_vertices(), 64, 6);
+  return std::move(*adj);
+}
+
+void BM_SpMM(benchmark::State& state) {
+  const ecg::tensor::CsrMatrix adj = SbmAdjacency(4000, 16.0);
+  const Matrix x = RandomMatrix(adj.rows(), 64, 6);
   Matrix y;
   for (auto _ : state) {
-    adj->SpMM(x, &y);
+    adj.SpMM(x, &y);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          adj->nnz() * 64);
+                          adj.nnz() * 64);
 }
 BENCHMARK(BM_SpMM);
 
@@ -877,6 +885,124 @@ int RunFaultOverhead(const std::string& json_path) {
 }
 
 // ---------------------------------------------------------------------------
+// --gemm mode: the float tensor kernels of the registry on the benchmark
+// workloads' hot shapes, timed under every variant with the pool in serial
+// mode (as inside a simulated worker), and each variant's output compared
+// with memcmp against the forced-scalar reference. Exits non-zero on any
+// mismatch; the timings are recorded, not gated.
+// ---------------------------------------------------------------------------
+
+struct GemmCase {
+  std::string name;
+  std::string op;  // "gemm", "gemmt_a", "gemmt_b" or "spmm"
+  Matrix a, b;
+};
+
+/// ReLU'd Gaussian: about half the entries are exact zeros, like a
+/// hidden activation.
+Matrix ReluMatrix(size_t rows, size_t cols, uint64_t seed) {
+  Matrix m = RandomMatrix(rows, cols, seed);
+  for (size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = std::max(m.data()[i], 0.0f);
+  }
+  return m;
+}
+
+int RunGemmBench(const std::string& json_path) {
+  constexpr int kReps = 5;
+  // Per-worker shapes of the benchmark workloads (4 workers): reddit-sim
+  // layer 1 is 4000 owned rows x 602 features -> hidden 16; products-sim
+  // is 8000 owned rows, 100 features, hidden 64.
+  std::vector<GemmCase> cases;
+  cases.push_back({"reddit.l1.gemm", "gemm", RandomMatrix(4000, 602, 21),
+                   RandomMatrix(602, 16, 22)});
+  cases.push_back({"reddit.l1.gemmt_a", "gemmt_a",
+                   RandomMatrix(4000, 602, 21), RandomMatrix(4000, 16, 23)});
+  cases.push_back({"products.l1.gemm", "gemm", RandomMatrix(8000, 100, 24),
+                   RandomMatrix(100, 64, 25)});
+  cases.push_back({"products.l2.gemm", "gemm", ReluMatrix(8000, 64, 26),
+                   RandomMatrix(64, 64, 27)});
+  cases.push_back({"products.l2.gemmt_a", "gemmt_a", ReluMatrix(8000, 64, 26),
+                   RandomMatrix(8000, 64, 28)});
+  cases.push_back({"products.l2.gemmt_b", "gemmt_b", RandomMatrix(8000, 64, 28),
+                   RandomMatrix(64, 64, 27)});
+  cases.push_back({"sbm.spmm.h16", "spmm", RandomMatrix(8000, 16, 29), {}});
+  cases.push_back({"sbm.spmm.h64", "spmm", ReluMatrix(8000, 64, 30), {}});
+  const ecg::tensor::CsrMatrix adj = SbmAdjacency(8000, 16.0);
+
+  auto run = [&](const GemmCase& c, Matrix* out) {
+    if (c.op == "gemm") {
+      ecg::tensor::Gemm(c.a, c.b, out);
+    } else if (c.op == "gemmt_a") {
+      ecg::tensor::GemmTransposeA(c.a, c.b, out);
+    } else if (c.op == "gemmt_b") {
+      ecg::tensor::GemmTransposeB(c.a, c.b, out);
+    } else {
+      adj.SpMM(c.a, out);
+    }
+  };
+
+  std::ofstream out(json_path);
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+    return 1;
+  }
+  ecg::ThreadPool::SetSerialMode(true);
+  const auto variants = ecg::kern::AvailableVariants();
+  bool all_equal = true;
+  out << "{\n  \"stamp\": " << ecg::bench::BenchStampJson()
+      << ",\n  \"reps\": " << kReps << ",\n  \"serial\": true"
+      << ",\n  \"cases\": [";
+  for (size_t ci = 0; ci < cases.size(); ++ci) {
+    const GemmCase& c = cases[ci];
+    ECG_CHECK(ecg::kern::ForceVariant("scalar"));
+    Matrix ref;
+    run(c, &ref);
+    out << (ci == 0 ? "" : ",") << "\n    {\"name\": \"" << c.name
+        << "\", \"op\": \"" << c.op << "\", \"a\": [" << c.a.rows() << ", "
+        << c.a.cols() << "]";
+    if (c.op != "spmm") {
+      out << ", \"b\": [" << c.b.rows() << ", " << c.b.cols() << "]";
+    } else {
+      out << ", \"nnz\": " << adj.nnz();
+    }
+    out << ",\n     \"variants\": [";
+    double scalar_ms = 0.0;
+    for (size_t vi = variants.size(); vi-- > 0;) {  // scalar first
+      const ecg::kern::Kernels* v = variants[vi];
+      ECG_CHECK(ecg::kern::ForceVariant(v->name));
+      Matrix got;
+      const double ms = BestOfMs(kReps, [&] {
+        run(c, &got);
+        benchmark::DoNotOptimize(got.data());
+      });
+      const bool equal =
+          got.rows() == ref.rows() && got.cols() == ref.cols() &&
+          (ref.size() == 0 ||
+           std::memcmp(got.data(), ref.data(), ref.size() * sizeof(float)) ==
+               0);
+      all_equal = all_equal && equal;
+      if (vi + 1 == variants.size()) scalar_ms = ms;
+      out << (vi + 1 == variants.size() ? "" : ", ") << "{\"variant\": \""
+          << v->name << "\", \"ms\": " << ms
+          << ", \"speedup_vs_scalar\": " << scalar_ms / ms
+          << ", \"memcmp_equal\": " << (equal ? "true" : "false") << "}";
+      std::printf("%-20s %-8s %-7s %9.3f ms  %6.2fx  %s\n", c.name.c_str(),
+                  c.op.c_str(), v->name, ms, scalar_ms / ms,
+                  equal ? "memcmp-equal" : "MISMATCH vs scalar");
+    }
+    out << "]}";
+  }
+  ECG_CHECK(ecg::kern::ForceVariant("auto"));
+  ecg::ThreadPool::SetSerialMode(false);
+  out << "\n  ],\n  \"all_memcmp_equal\": " << (all_equal ? "true" : "false")
+      << "\n}\n";
+  std::printf("gemm/spmm variants vs scalar: %s\n",
+              all_equal ? "all memcmp-equal" : "MISMATCH");
+  return all_equal ? 0 : 1;
+}
+
+// ---------------------------------------------------------------------------
 // --overlap mode: end-to-end simulated makespan of the split-phase
 // overlapped schedule vs the sequential one. Comm-bound configuration on
 // purpose — uncompressed (Non-cp) fp32 halos over the default NetworkModel
@@ -1024,6 +1150,10 @@ int main(int argc, char** argv) {
           "1%%)\n"
           "  --overlap[=PATH]         overlapped vs sequential makespan "
           "(budget >= 10%%)\n"
+          "  --gemm[=PATH]            float GEMM/SpMM kernels per variant on "
+          "the workload\n"
+          "                           shapes (fails on any memcmp mismatch "
+          "with scalar)\n"
           "kernel dispatch:\n"
           "  --kernels=NAME           force a registry variant: "
           "scalar|avx2|avx512|neon|auto\n"
@@ -1054,6 +1184,12 @@ int main(int argc, char** argv) {
       const auto eq = arg.find('=');
       if (eq != std::string::npos) path = arg.substr(eq + 1);
       return RunFaultOverhead(path);
+    }
+    if (arg.rfind("--gemm", 0) == 0) {
+      std::string path = "BENCH_gemm.json";
+      const auto eq = arg.find('=');
+      if (eq != std::string::npos) path = arg.substr(eq + 1);
+      return RunGemmBench(path);
     }
     if (arg.rfind("--overlap", 0) == 0) {
       std::string path = "BENCH_overlap.json";

@@ -10,23 +10,30 @@ namespace ecg::kern {
 
 /// Runtime-dispatched kernel registry. Every hot inner loop of the
 /// compression pipeline (quantize pack, dequantize unpack, min/max
-/// reduction, bit packing) and the int8 packed-domain GEMM goes through
-/// one of the function pointers below. The same implementation source
-/// (kernels_impl.inc) is compiled once per architecture variant — scalar,
-/// AVX2, AVX-512, NEON — each in its own translation unit with per-file
-/// arch flags, and the table matching the host CPU (or the ECG_KERNELS
-/// override) is selected at first use.
+/// reduction, bit packing), the int8 packed-domain GEMM and the float
+/// tensor kernels (dense GEMM in all its transpose/row-subset forms, CSR
+/// SpMM) goes through one of the function pointers below. The same
+/// implementation source (kernels_impl.inc) is compiled once per
+/// architecture variant — scalar, AVX2, AVX-512, NEON — each in its own
+/// translation unit with per-file arch flags, and the table matching the
+/// host CPU (or the ECG_KERNELS override) is selected at first use.
 ///
-/// Bit-exactness contract: for identical inputs, every variant of every
-/// kernel in this table produces byte-identical outputs to the scalar
-/// variant. This holds structurally: the float kernels are element-wise
-/// (no reductions that could reassociate) and all variant TUs compile
-/// with -ffp-contract=off, so wider SIMD only changes instruction
-/// selection, never arithmetic; the integer kernels (bitpack, int8 GEMM
-/// accumulation) are exact in any evaluation order. The intrinsic paths
-/// that diverge from the portable source (the int8 dot product) are
-/// integer-only. tests/kern_test.cc enforces the contract across every
-/// registered variant.
+/// Bit-exactness contract: for identical finite inputs, every variant of
+/// every kernel in this table produces byte-identical outputs to the
+/// scalar variant. The element-wise float kernels hold this structurally.
+/// The float reductions (gemm, spmm_rows) fix the order of every output
+/// element's sum: it starts from the value already in the output and adds
+/// its terms one at a time in ascending k (stored nonzero order for
+/// SpMM), each term a separate multiply then add. Variants may tile,
+/// block and vectorize across output elements, never within one sum. All
+/// variant TUs compile with -ffp-contract=off, so no multiply-add is
+/// fused. The integer kernels (bitpack, int8 GEMM accumulation) are exact
+/// in any evaluation order. For non-finite inputs the float reductions
+/// follow IEEE arithmetic with no zero-skipping (0 * inf is NaN): every
+/// variant yields NaN in the same elements and identical bits in every
+/// other element, while NaN sign and payload bits are unspecified.
+/// tests/kern_test.cc enforces the contract across every registered
+/// variant.
 struct Kernels {
   /// Registry name: "scalar", "avx2", "avx512" or "neon".
   const char* name;
@@ -73,6 +80,29 @@ struct Kernels {
   /// out[i] = id[i] - 128 (mod 256, i.e. id XOR 0x80).
   void (*unpack_ids_s8)(int bits, const uint32_t* packed, size_t count,
                         int8_t* out);
+
+  /// Dense GEMM: C(i, j) += sum over kk < k of A(i, kk) * B(kk, j), for
+  /// j < n and m rows i: i = row_ids[0..m) (distinct) when row_ids is
+  /// non-null, else i = 0..m-1. A(i, kk) is
+  /// a[i * a_row_stride + kk * a_k_stride], so one entry serves A
+  /// (k-stride 1) and A^T (row stride 1); B(kk, j) = b[kk * ldb + j];
+  /// C(i, j) = c[i * ldc + j]. Each C element is summed in ascending kk
+  /// from its prior value, one multiply then one add per term, with no
+  /// zero skip (see the contract above).
+  void (*gemm)(const float* a, size_t a_row_stride, size_t a_k_stride,
+               const float* b, size_t ldb, float* c, size_t ldc,
+               const uint32_t* row_ids, size_t m, size_t n, size_t k);
+
+  /// CSR SpMM rows: for count rows r (r = row_ids[i], distinct, when
+  /// row_ids is non-null, else r = i),
+  /// y[r * n + j] += values[e] * X(col_idx[e], j) for the nonzeros e of
+  /// row r in stored order, j < n. X is the stack
+  /// [top ; bottom] of two row-major blocks of width n: X(c, .) is
+  /// top + c * n when c < top_rows, else bottom + (c - top_rows) * n.
+  void (*spmm_rows)(const uint64_t* row_ptr, const uint32_t* col_idx,
+                    const float* values, const float* top, size_t top_rows,
+                    const float* bottom, size_t n, const uint32_t* row_ids,
+                    size_t count, float* y);
 };
 
 /// The table the runtime dispatch (or a force) selected. First call

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/bytes.h"
+#include "common/kernels.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/spec.h"
@@ -216,15 +217,12 @@ void InferenceServer::ComputeRow(size_t layer_idx, uint32_t v,
     for (size_t j = 0; j < d_in; ++j) agg[j] += w_self * self[j];
   }
 
-  // Per-row GEMV: out = b + agg * W, accumulated over input dims in
-  // ascending order (same order for batched and naive paths).
+  // Per-row GEMV: out = b + agg * W through the registry's GEMM kernel (one
+  // row, accumulating onto the bias), so every element sums the input dims
+  // in ascending order on the batched and naive paths alike.
   std::memcpy(out, b.Row(0), d_out * sizeof(float));
-  for (size_t j = 0; j < d_total; ++j) {
-    const float a = agg[j];
-    if (a == 0.0f) continue;
-    const float* wrow = W.Row(j);
-    for (size_t k = 0; k < d_out; ++k) out[k] += a * wrow[k];
-  }
+  kern::Active().gemm(agg.data(), d_total, 1, W.data(), d_out, out, d_out,
+                      nullptr, 1, d_out, d_total);
   if (layer_idx + 1 < static_cast<size_t>(model_.num_layers)) {
     for (size_t k = 0; k < d_out; ++k) out[k] = std::max(out[k], 0.0f);
   }

@@ -4,6 +4,7 @@
 #include <string>
 #include <tuple>
 
+#include "common/kernels.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
@@ -70,43 +71,27 @@ namespace {
 // Rows per ParallelFor chunk of the SpMM kernels.
 constexpr size_t kSpmmGrain = 64;
 
-// Column c of one dense right-hand side.
-struct OneSource {
-  const Matrix& x;
-  const float* operator()(uint32_t c) const { return x.Row(c); }
-};
-
-// Column c of [top ; bottom].
-struct StackedRows {
-  const Matrix& top;
-  const Matrix& bottom;
-  const float* operator()(uint32_t c) const {
-    return c < top.rows() ? top.Row(c) : bottom.Row(c - top.rows());
-  }
-};
-
 // y.Row(r) += sum over row r's nonzeros, in stored order, of
-// value * row_of(col), for every listed row (every row when row_ids is
-// null). All four SpMM entry points run this one loop, which is what makes
-// a row from SpMMRows, or from a two-source call, bitwise equal to the same
-// row of a one-source SpMM.
-template <typename RowOf>
-void Accumulate(const CsrMatrix& a, const RowOf& row_of, size_t n,
+// value * [top ; bottom].Row(col), for every listed row (every row when
+// row_ids is null). All four SpMM entry points run this one registry
+// kernel, which is what makes a row from SpMMRows, or from a two-source
+// call, bitwise equal to the same row of a one-source SpMM.
+void Accumulate(const CsrMatrix& a, const Matrix& top, const Matrix& bottom,
                 const std::vector<uint32_t>* row_ids, Matrix* y) {
-  const uint64_t* row_ptr = a.row_ptr().data();
-  const uint32_t* col_idx = a.col_idx().data();
-  const float* values = a.values().data();
+  const kern::Kernels& kern = kern::Active();
   const size_t count = row_ids != nullptr ? row_ids->size() : a.rows();
   ThreadPool::Global().ParallelFor(
       count, kSpmmGrain, [&](size_t begin, size_t end) {
-        for (size_t k = begin; k < end; ++k) {
-          const size_t r = row_ids != nullptr ? (*row_ids)[k] : k;
-          float* yrow = y->Row(r);
-          for (uint64_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-            const float v = values[i];
-            const float* xrow = row_of(col_idx[i]);
-            for (size_t j = 0; j < n; ++j) yrow[j] += v * xrow[j];
-          }
+        const uint64_t* row_ptr = a.row_ptr().data();
+        if (row_ids != nullptr) {
+          kern.spmm_rows(row_ptr, a.col_idx().data(), a.values().data(),
+                         top.data(), top.rows(), bottom.data(), top.cols(),
+                         row_ids->data() + begin, end - begin, y->data());
+        } else {
+          kern.spmm_rows(row_ptr + begin, a.col_idx().data(),
+                         a.values().data(), top.data(), top.rows(),
+                         bottom.data(), top.cols(), nullptr, end - begin,
+                         y->Row(begin));
         }
       });
 }
@@ -126,14 +111,14 @@ void CsrMatrix::SpMM(const Matrix& x, Matrix* y) const {
   ECG_CHECK(x.rows() == cols_) << "SpMM dim mismatch: csr cols " << cols_
                                << " vs dense rows " << x.rows();
   y->Reset(rows_, x.cols());
-  Accumulate(*this, OneSource{x}, x.cols(), nullptr, y);
+  Accumulate(*this, x, Matrix(), nullptr, y);
 }
 
 void CsrMatrix::SpMM(const Matrix& top, const Matrix& bottom,
                      Matrix* y) const {
   CheckStacked("SpMM", cols_, top, bottom);
   y->Reset(rows_, top.cols());
-  Accumulate(*this, StackedRows{top, bottom}, top.cols(), nullptr, y);
+  Accumulate(*this, top, bottom, nullptr, y);
 }
 
 void CsrMatrix::SpMMRows(const Matrix& x, const std::vector<uint32_t>& row_ids,
@@ -142,7 +127,7 @@ void CsrMatrix::SpMMRows(const Matrix& x, const std::vector<uint32_t>& row_ids,
                                << " vs dense rows " << x.rows();
   ECG_CHECK(y->rows() == rows_ && y->cols() == x.cols())
       << "SpMMRows output must be pre-sized to " << rows_ << "x" << x.cols();
-  Accumulate(*this, OneSource{x}, x.cols(), &row_ids, y);
+  Accumulate(*this, x, Matrix(), &row_ids, y);
 }
 
 void CsrMatrix::SpMMRows(const Matrix& top, const Matrix& bottom,
@@ -152,7 +137,7 @@ void CsrMatrix::SpMMRows(const Matrix& top, const Matrix& bottom,
   ECG_CHECK(y->rows() == rows_ && y->cols() == top.cols())
       << "SpMMRows output must be pre-sized to " << rows_ << "x"
       << top.cols();
-  Accumulate(*this, StackedRows{top, bottom}, top.cols(), &row_ids, y);
+  Accumulate(*this, top, bottom, &row_ids, y);
 }
 
 CsrMatrix CsrMatrix::Transposed() const {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/kernels.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
@@ -23,28 +24,38 @@ void CheckSameShape(const Matrix& a, const Matrix& b, const char* op) {
       << b.rows() << "x" << b.cols();
 }
 
+// C += A * B over every row of C (row_ids null, m rows) or the listed rows,
+// threaded over those rows, through the one registry kernel. A(i, k) is
+// a[i * a_row_stride + k * a_k_stride], so the five GEMM forms below differ
+// only in how they address A and which rows they visit: a row computed by
+// any of them, in any chunking, is bitwise equal to the same row of the
+// full product.
+void GemmChunks(const float* a, size_t a_row_stride, size_t a_k_stride,
+                size_t k, const Matrix& b,
+                const std::vector<uint32_t>* row_ids, size_t m, Matrix* c) {
+  const kern::Kernels& kern = kern::Active();
+  const size_t count = row_ids != nullptr ? row_ids->size() : m;
+  ThreadPool::Global().ParallelFor(
+      count, kRowGrain, [&](size_t begin, size_t end) {
+        if (row_ids != nullptr) {
+          kern.gemm(a, a_row_stride, a_k_stride, b.data(), b.cols(),
+                    c->data(), c->cols(), row_ids->data() + begin,
+                    end - begin, b.cols(), k);
+        } else {
+          kern.gemm(a + begin * a_row_stride, a_row_stride, a_k_stride,
+                    b.data(), b.cols(), c->Row(begin), c->cols(), nullptr,
+                    end - begin, b.cols(), k);
+        }
+      });
+}
+
 }  // namespace
 
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c) {
   ECG_CHECK(a.cols() == b.rows()) << "Gemm inner dim mismatch: " << a.cols()
                                   << " vs " << b.rows();
   c->Reset(a.rows(), b.cols());
-  const size_t n = b.cols();
-  const size_t k_dim = a.cols();
-  ThreadPool::Global().ParallelFor(
-      a.rows(), kRowGrain, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const float* arow = a.Row(i);
-          float* crow = c->Row(i);
-          // ikj order: stream through rows of B, unit-stride writes to C.
-          for (size_t k = 0; k < k_dim; ++k) {
-            const float av = arow[k];
-            if (av == 0.0f) continue;
-            const float* brow = b.Row(k);
-            for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-          }
-        }
-      });
+  GemmChunks(a.data(), a.cols(), 1, a.cols(), b, nullptr, a.rows(), c);
 }
 
 void GemmRows(const Matrix& a, const Matrix& b,
@@ -54,64 +65,25 @@ void GemmRows(const Matrix& a, const Matrix& b,
   ECG_CHECK(c->rows() == a.rows() && c->cols() == b.cols())
       << "GemmRows output must be pre-sized to " << a.rows() << "x"
       << b.cols();
-  const size_t n = b.cols();
-  const size_t k_dim = a.cols();
-  ThreadPool::Global().ParallelFor(
-      row_ids.size(), kRowGrain, [&](size_t begin, size_t end) {
-        for (size_t r = begin; r < end; ++r) {
-          const size_t i = row_ids[r];
-          const float* arow = a.Row(i);
-          float* crow = c->Row(i);
-          // Same ikj loop as Gemm: a row partition of calls is bitwise
-          // identical to the full product.
-          for (size_t k = 0; k < k_dim; ++k) {
-            const float av = arow[k];
-            if (av == 0.0f) continue;
-            const float* brow = b.Row(k);
-            for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-          }
-        }
-      });
+  GemmChunks(a.data(), a.cols(), 1, a.cols(), b, &row_ids, 0, c);
 }
 
 void GemmTransposeA(const Matrix& a, const Matrix& b, Matrix* c) {
   ECG_CHECK(a.rows() == b.rows()) << "GemmTransposeA dim mismatch";
-  // C (a.cols x b.cols) = sum over rows r of outer(a.Row(r), b.Row(r)).
-  // Parallelize over output rows (= columns of A) to avoid write conflicts.
+  // Row i of C sums over the rows r of A and B: A^T(i, r) = a(r, i), so A
+  // is read with row stride 1 and k-stride a.cols(). Threaded over output
+  // rows (= columns of A), so no two chunks write one row.
   c->Reset(a.cols(), b.cols());
-  const size_t n = b.cols();
-  ThreadPool::Global().ParallelFor(
-      a.cols(), kRowGrain, [&](size_t begin, size_t end) {
-        for (size_t r = 0; r < a.rows(); ++r) {
-          const float* arow = a.Row(r);
-          const float* brow = b.Row(r);
-          for (size_t i = begin; i < end; ++i) {
-            const float av = arow[i];
-            if (av == 0.0f) continue;
-            float* crow = c->Row(i);
-            for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-          }
-        }
-      });
+  if (a.rows() == 0) return;  // empty sum; a.data() may be null
+  GemmChunks(a.data(), 1, a.cols(), a.rows(), b, nullptr, a.cols(), c);
 }
 
 void GemmTransposeB(const Matrix& a, const Matrix& b, Matrix* c) {
   ECG_CHECK(a.cols() == b.cols()) << "GemmTransposeB dim mismatch";
   c->Reset(a.rows(), b.rows());
-  const size_t k_dim = a.cols();
-  ThreadPool::Global().ParallelFor(
-      a.rows(), kRowGrain, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const float* arow = a.Row(i);
-          float* crow = c->Row(i);
-          for (size_t j = 0; j < b.rows(); ++j) {
-            const float* brow = b.Row(j);
-            float acc = 0.0f;
-            for (size_t k = 0; k < k_dim; ++k) acc += arow[k] * brow[k];
-            crow[j] = acc;
-          }
-        }
-      });
+  // B^T is packed once as a k-major panel, so this is Gemm's kernel.
+  GemmChunks(a.data(), a.cols(), 1, a.cols(), Transpose(b), nullptr,
+             a.rows(), c);
 }
 
 void GemmTransposeBRows(const Matrix& a, const Matrix& b,
@@ -120,21 +92,7 @@ void GemmTransposeBRows(const Matrix& a, const Matrix& b,
   ECG_CHECK(c->rows() == a.rows() && c->cols() == b.rows())
       << "GemmTransposeBRows output must be pre-sized to " << a.rows() << "x"
       << b.rows();
-  const size_t k_dim = a.cols();
-  ThreadPool::Global().ParallelFor(
-      row_ids.size(), kRowGrain, [&](size_t begin, size_t end) {
-        for (size_t r = begin; r < end; ++r) {
-          const size_t i = row_ids[r];
-          const float* arow = a.Row(i);
-          float* crow = c->Row(i);
-          for (size_t j = 0; j < b.rows(); ++j) {
-            const float* brow = b.Row(j);
-            float acc = 0.0f;
-            for (size_t k = 0; k < k_dim; ++k) acc += arow[k] * brow[k];
-            crow[j] = acc;
-          }
-        }
-      });
+  GemmChunks(a.data(), a.cols(), 1, a.cols(), Transpose(b), &row_ids, 0, c);
 }
 
 Matrix Transpose(const Matrix& a) {

@@ -11,6 +11,10 @@ namespace ecg::tensor {
 /// Dense kernels shared by the GCN forward/backward passes. All kernels are
 /// deterministic (fixed reduction order) so that distributed and
 /// single-machine runs can be compared bit-for-bit when compression is off.
+/// The five GEMM forms run one ecg::kern registry kernel: every output
+/// element starts at zero and adds its terms in ascending k, one multiply
+/// then one add each, whatever the kernel variant, thread count or row
+/// split (kernels.h states the contract, including non-finite operands).
 
 /// C = A * B. Threaded over rows of A via the global thread pool.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c);
@@ -30,8 +34,9 @@ void GemmTransposeA(const Matrix& a, const Matrix& b, Matrix* c);
 /// C = A * B^T.
 void GemmTransposeB(const Matrix& a, const Matrix& b, Matrix* c);
 
-/// Rows `row_ids` of C = A * B^T; same contract as GemmRows (pre-sized C,
-/// row partition across calls ≡ one GemmTransposeB bit-for-bit).
+/// Rows `row_ids` of C = A * B^T; same contract as GemmRows (pre-sized C
+/// with the target rows zeroed, row partition across calls ≡ one
+/// GemmTransposeB bit-for-bit).
 void GemmTransposeBRows(const Matrix& a, const Matrix& b,
                         const std::vector<uint32_t>& row_ids, Matrix* c);
 

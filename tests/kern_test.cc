@@ -3,9 +3,12 @@
 // outputs to the scalar reference for the float kernels and the integer
 // kernels alike — the contract stated in kernels.h. Also covers the
 // ForceVariant override, the bitpack width-rejection surface across the
-// full 1..32 range, and the int8 packed-domain GEMM: bitwise determinism
-// across variants, bounded error against the float path, and end-to-end
-// trainer convergence with int8_gemm on.
+// full 1..32 range, the int8 packed-domain GEMM (bitwise determinism
+// across variants, bounded error against the float path, end-to-end
+// trainer convergence with int8_gemm on), and the float GEMM / SpMM
+// kernels behind tensor/ops.h and tensor/csr.h: ragged shapes, row
+// subsets, preloaded outputs, a golden copy of the loop they replaced, and
+// the non-finite contract.
 
 #include "common/kernels.h"
 
@@ -13,7 +16,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/bitpack.h"
@@ -22,6 +27,7 @@
 #include "compress/quantize.h"
 #include "core/trainer.h"
 #include "graph/generator.h"
+#include "tensor/csr.h"
 #include "tensor/ops.h"
 
 namespace ecg {
@@ -367,6 +373,275 @@ TEST_F(KernTest, DequantGemmRowsBitIdenticalAcrossVariants) {
     EXPECT_EQ(0, std::memcmp(ref.data(), got.data(),
                              ref.size() * sizeof(float)))
         << v->name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Float GEMM / SpMM kernels.
+// ---------------------------------------------------------------------------
+
+// Output widths around every tile and vector boundary of every variant
+// (NEON 4, AVX2 8, AVX-512 16 lanes; 16-column GEMM tiles; 64-column
+// SpMM chunks).
+const size_t kWidths[] = {1, 7, 8, 15, 16, 17, 41, 64};
+
+/// Same-length float buffers are equal under memcmp.
+bool BitsEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// The non-finite contract: NaN in the same elements, every other element
+/// bit-identical (NaN sign and payload are unspecified).
+bool BitsEqualUpToNanBits(const std::vector<float>& a,
+                          const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) != std::isnan(b[i])) return false;
+    if (!std::isnan(a[i]) &&
+        std::memcmp(&a[i], &b[i], sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Every third row of [0, rows) plus the last, in descending order, so a
+/// subset is neither a prefix nor sorted.
+std::vector<uint32_t> RowSubset(size_t rows) {
+  std::vector<uint32_t> ids;
+  for (size_t r = rows; r-- > 0;) {
+    if (r % 3 == 0 || r + 1 == rows) ids.push_back(static_cast<uint32_t>(r));
+  }
+  return ids;
+}
+
+// kern.gemm on every variant against scalar, for A addressed by rows
+// (k-stride 1, Gemm) and by columns (row stride 1, GemmTransposeA), full
+// ranges and row subsets, onto a preloaded C.
+TEST_F(KernTest, GemmBitIdenticalAcrossVariants) {
+  const auto variants = kern::AvailableVariants();
+  const kern::Kernels* scalar = variants.back();
+  for (size_t m : {size_t{0}, size_t{1}, size_t{5}, size_t{13}}) {
+    for (size_t k : {size_t{0}, size_t{1}, size_t{9}, size_t{300}}) {
+      for (size_t n : kWidths) {
+        const uint64_t seed = 1000 + m * 7919 + k * 131 + n;
+        const std::vector<float> a = RandomFloats(m * k, seed);
+        const std::vector<float> b = RandomFloats(k * n, seed + 1);
+        const std::vector<float> c0 = RandomFloats(m * n, seed + 2);
+        const std::vector<uint32_t> subset = RowSubset(m);
+        for (bool transposed : {false, true}) {
+          // Transposed: A is stored k x m and read down its columns.
+          const size_t row_stride = transposed ? 1 : k;
+          const size_t k_stride = transposed ? m : 1;
+          for (bool use_subset : {false, true}) {
+            const uint32_t* ids = use_subset ? subset.data() : nullptr;
+            const size_t count = use_subset ? subset.size() : m;
+            std::vector<float> ref = c0;
+            scalar->gemm(a.data(), row_stride, k_stride, b.data(), n,
+                         ref.data(), n, ids, count, n, k);
+            for (const kern::Kernels* v : variants) {
+              std::vector<float> got = c0;
+              v->gemm(a.data(), row_stride, k_stride, b.data(), n,
+                      got.data(), n, ids, count, n, k);
+              EXPECT_TRUE(BitsEqual(ref, got))
+                  << v->name << " m=" << m << " k=" << k << " n=" << n
+                  << " transposed=" << transposed
+                  << " subset=" << use_subset;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// kern.spmm_rows on every variant against scalar: one and two stacked
+// sources, full ranges and row subsets, empty rows, preloaded output.
+TEST_F(KernTest, SpmmRowsBitIdenticalAcrossVariants) {
+  const auto variants = kern::AvailableVariants();
+  const kern::Kernels* scalar = variants.back();
+  for (size_t rows : {size_t{0}, size_t{1}, size_t{11}}) {
+    const size_t cols = 19;
+    Rng rng(1100 + rows);
+    std::vector<std::tuple<uint32_t, uint32_t, float>> trips;
+    for (uint32_t r = 0; r < rows; ++r) {
+      if (r % 4 == 2) continue;  // an empty row
+      const uint64_t deg = 1 + rng.NextBelow(7);
+      for (uint64_t e = 0; e < deg; ++e) {
+        trips.emplace_back(r, static_cast<uint32_t>(rng.NextBelow(cols)),
+                           static_cast<float>(rng.NextGaussian()));
+      }
+    }
+    auto adj = tensor::CsrMatrix::FromTriplets(rows, cols, trips);
+    ASSERT_TRUE(adj.ok());
+    const std::vector<uint32_t> subset = RowSubset(rows);
+    for (size_t n : kWidths) {
+      const std::vector<float> x = RandomFloats(cols * n, 1200 + n);
+      const std::vector<float> y0 = RandomFloats(rows * n, 1300 + n);
+      for (size_t top_rows : {cols, size_t{12}}) {  // one source, stacked
+        const float* bottom = x.data() + top_rows * n;
+        for (bool use_subset : {false, true}) {
+          const uint32_t* ids = use_subset ? subset.data() : nullptr;
+          const size_t count = use_subset ? subset.size() : rows;
+          std::vector<float> ref = y0;
+          scalar->spmm_rows(adj->row_ptr().data(), adj->col_idx().data(),
+                            adj->values().data(), x.data(), top_rows, bottom,
+                            n, ids, count, ref.data());
+          for (const kern::Kernels* v : variants) {
+            std::vector<float> got = y0;
+            v->spmm_rows(adj->row_ptr().data(), adj->col_idx().data(),
+                         adj->values().data(), x.data(), top_rows, bottom, n,
+                         ids, count, got.data());
+            EXPECT_TRUE(BitsEqual(ref, got))
+                << v->name << " rows=" << rows << " n=" << n
+                << " top_rows=" << top_rows << " subset=" << use_subset;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Golden: the loops the registry kernels replaced — Gemm's ikj loop and
+// GemmTransposeA's outer-product loop, both skipping av == 0 — copied
+// verbatim. For finite operands, dropping the skip is bit-neutral (an
+// accumulator starting at +0 never becomes -0), so the public Gemm and
+// GemmTransposeA must memcmp-equal them under every variant, on dense and
+// on ReLU-sparse A.
+Matrix SkipLoopGemm(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    const float* arow = a.Row(i);
+    float* crow = c.Row(i);
+    for (size_t k = 0; k < a.cols(); ++k) {
+      const float av = arow[k];
+      if (av == 0.0f) continue;
+      const float* brow = b.Row(k);
+      for (size_t j = 0; j < b.cols(); ++j) crow[j] += av * brow[j];
+    }
+  }
+  return c;
+}
+
+Matrix SkipLoopGemmTransposeA(const Matrix& a, const Matrix& b) {
+  Matrix c(a.cols(), b.cols());
+  for (size_t r = 0; r < a.rows(); ++r) {
+    const float* arow = a.Row(r);
+    const float* brow = b.Row(r);
+    for (size_t i = 0; i < a.cols(); ++i) {
+      const float av = arow[i];
+      if (av == 0.0f) continue;
+      float* crow = c.Row(i);
+      for (size_t j = 0; j < b.cols(); ++j) crow[j] += av * brow[j];
+    }
+  }
+  return c;
+}
+
+bool SameMatrixBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST_F(KernTest, GemmMatchesTheZeroSkipLoopItReplaced) {
+  for (bool relu : {false, true}) {
+    Matrix a = RandomMatrix(37, 150, 1400);
+    if (relu) {
+      for (size_t i = 0; i < a.size(); ++i) {
+        a.data()[i] = std::max(a.data()[i], 0.0f);
+      }
+    }
+    const Matrix b = RandomMatrix(150, 41, 1401);
+    const Matrix g = RandomMatrix(37, 23, 1402);
+    const Matrix want = SkipLoopGemm(a, b);
+    const Matrix want_t = SkipLoopGemmTransposeA(a, g);
+    for (const kern::Kernels* v : kern::AvailableVariants()) {
+      ASSERT_TRUE(kern::ForceVariant(v->name));
+      Matrix got, got_t;
+      tensor::Gemm(a, b, &got);
+      tensor::GemmTransposeA(a, g, &got_t);
+      EXPECT_TRUE(SameMatrixBits(want, got)) << v->name << " relu=" << relu;
+      EXPECT_TRUE(SameMatrixBits(want_t, got_t))
+          << v->name << " relu=" << relu;
+    }
+  }
+}
+
+// The non-finite contract (kernels.h): no zero skip, so 0 * inf and
+// 0 * NaN are NaN, a zero A row adds +0 terms to a preloaded -0 (giving
+// +0), and every variant agrees on which elements are NaN and on the bits
+// of all others.
+TEST_F(KernTest, GemmNonFiniteContractSameInEveryVariant) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const size_t m = 6, k = 5, n = 17;
+  std::vector<float> a = RandomFloats(m * k, 1500);
+  for (size_t kk = 0; kk < k; ++kk) a[0 * k + kk] = 0.0f;  // row 0: zeros
+  a[1 * k + 2] = 0.0f;  // row 1 meets B's inf / NaN row with a zero
+  a[2 * k + 3] = -0.0f;
+  std::vector<float> b = RandomFloats(k * n, 1501);
+  for (size_t j = 0; j < n; ++j) b[0 * n + j] = std::fabs(b[0 * n + j]);
+  b[2 * n + 0] = inf;
+  b[2 * n + 1] = -inf;
+  b[2 * n + 2] = nan;
+  b[3 * n + 4] = -0.0f;
+  b[3 * n + 5] = 0.0f;
+  b[4 * n + 6] = inf;
+  std::vector<float> c0(m * n, 0.0f);
+  for (size_t j = 0; j < n; ++j) c0[0 * n + j] = -0.0f;
+
+  const auto variants = kern::AvailableVariants();
+  std::vector<float> ref = c0;
+  variants.back()->gemm(a.data(), k, 1, b.data(), n, ref.data(), n, nullptr,
+                        m, n, k);
+  // Row 0 of A is all zeros and B's row 0 is non-negative: every term is
+  // +0, which turns each preloaded -0 into +0 (a zero skip would keep -0).
+  for (size_t j = 0; j < n; ++j) {
+    if (std::isnan(ref[j]) || std::isinf(ref[j])) continue;  // inf/NaN col
+    EXPECT_FALSE(std::signbit(ref[j])) << "col " << j;
+  }
+  // 0 * inf and 0 * NaN are NaN: row 1 meets B(2, 0..2) with a zero.
+  for (size_t j = 0; j < 3; ++j) EXPECT_TRUE(std::isnan(ref[1 * n + j]));
+  for (const kern::Kernels* v : variants) {
+    std::vector<float> got = c0;
+    v->gemm(a.data(), k, 1, b.data(), n, got.data(), n, nullptr, m, n, k);
+    EXPECT_TRUE(BitsEqualUpToNanBits(ref, got)) << v->name;
+    // A read down its columns gives the same answer as A by rows.
+    std::vector<float> at(k * m);
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t kk = 0; kk < k; ++kk) at[kk * m + i] = a[i * k + kk];
+    }
+    std::vector<float> got_t = c0;
+    v->gemm(at.data(), 1, m, b.data(), n, got_t.data(), n, nullptr, m, n, k);
+    EXPECT_TRUE(BitsEqualUpToNanBits(ref, got_t)) << v->name;
+  }
+}
+
+// The public entry points over empty shapes under every variant: zero
+// rows, zero inner dimension (the product is all zeros), zero width.
+TEST_F(KernTest, TensorKernelsHandleEmptyShapes) {
+  for (const kern::Kernels* v : kern::AvailableVariants()) {
+    ASSERT_TRUE(kern::ForceVariant(v->name));
+    Matrix c;
+    tensor::Gemm(Matrix(0, 4), Matrix(4, 3), &c);
+    EXPECT_EQ(c.rows(), 0u);
+    tensor::Gemm(Matrix(3, 0), Matrix(0, 5), &c);
+    EXPECT_TRUE(SameMatrixBits(c, Matrix(3, 5))) << v->name;
+    tensor::GemmTransposeA(Matrix(0, 40), Matrix(0, 6), &c);
+    EXPECT_TRUE(SameMatrixBits(c, Matrix(40, 6))) << v->name;
+    tensor::GemmTransposeB(Matrix(2, 0), Matrix(3, 0), &c);
+    EXPECT_TRUE(SameMatrixBits(c, Matrix(2, 3))) << v->name;
+    tensor::Gemm(Matrix(3, 4), Matrix(4, 0), &c);
+    EXPECT_EQ(c.size(), 0u);
+    auto adj = tensor::CsrMatrix::FromTriplets(3, 2, {{0, 1, 2.0f}});
+    ASSERT_TRUE(adj.ok());
+    Matrix y;
+    adj->SpMM(Matrix(2, 0), &y);
+    EXPECT_EQ(y.rows(), 3u);
+    EXPECT_EQ(y.size(), 0u);
   }
 }
 
