@@ -14,6 +14,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -32,11 +33,13 @@
 #include "common/trace.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "compress/int8_gemm.h"
 #include "compress/quantize.h"
+#include "core/exchange.h"
+#include "core/halo.h"
 #include "core/trainer.h"
 #include "dist/comm.h"
 #include "dist/fault.h"
+#include "graph/datasets.h"
 #include "graph/generator.h"
 #include "graph/partition.h"
 #include "tensor/csr.h"
@@ -338,8 +341,7 @@ int RunCompressComparison(const std::string& json_path) {
 
   // Kernel-registry section: the runtime-dispatched variant vs the forced
   // scalar reference on the same fused round trip (the dispatch gain the
-  // per-arch TUs buy over the portable build), plus the fused int8
-  // packed-domain GEMM against its dequantize-then-float-GEMM equivalent.
+  // per-arch TUs buy over the portable build).
   out << "\n  \"registry\": {\n    \"auto_variant\": \""
       << ecg::kern::ActiveName() << "\",\n    \"variants\": [";
   {
@@ -374,61 +376,7 @@ int RunCompressComparison(const std::string& json_path) {
                 bits, ecg::kern::ActiveName(), auto_ms, scalar_ms,
                 scalar_ms / auto_ms);
   }
-  out << "\n    ],";
-
-  // Int8 packed-domain GEMM gate: boundary-row transform at B=8 — the
-  // fused DequantGemmRows consuming the packed payload vs DequantizeInto
-  // followed by float GemmRows. Min-of-3 on the full pool, budget >= 1.5x.
-  {
-    constexpr size_t kN = 256;
-    constexpr int kGemmReps = 3;
-    const Matrix w = RandomMatrix(kCols, kN, 13);
-    std::vector<uint32_t> rows(kRows);
-    for (size_t i = 0; i < kRows; ++i) rows[i] = static_cast<uint32_t>(i);
-    auto q8 = ecg::compress::QuantizeRows(
-        m, rows, QuantizerOptions{8, BucketValueMode::kMidpoint});
-    q8.status().CheckOk();
-    const ecg::compress::Int8Panel panel = ecg::compress::PackWeightPanel(w);
-    Matrix scratch(kRows, kCols);
-    Matrix c_ref(kRows, kN), c_fused(kRows, kN);
-
-    ecg::compress::DequantizeInto(*q8, rows, &scratch).CheckOk();  // warm
-    ecg::tensor::GemmRows(scratch, w, rows, &c_ref);
-    ecg::compress::DequantGemmRows(*q8, panel, rows, &c_fused).CheckOk();
-    double max_abs_err = 0.0;
-    for (size_t i = 0; i < c_ref.size(); ++i) {
-      max_abs_err = std::max(
-          max_abs_err, std::fabs(static_cast<double>(c_ref.data()[i]) -
-                                 c_fused.data()[i]));
-    }
-
-    const double ref_ms = BestOfMs(kGemmReps, [&] {
-      c_ref.Reset(kRows, kN);
-      ecg::compress::DequantizeInto(*q8, rows, &scratch).CheckOk();
-      ecg::tensor::GemmRows(scratch, w, rows, &c_ref);
-      benchmark::DoNotOptimize(c_ref.data());
-    });
-    const double fused_ms = BestOfMs(kGemmReps, [&] {
-      c_fused.Reset(kRows, kN);
-      ecg::compress::DequantGemmRows(*q8, panel, rows, &c_fused).CheckOk();
-      benchmark::DoNotOptimize(c_fused.data());
-    });
-    const double speedup = ref_ms / fused_ms;
-    const bool int8_pass = speedup >= 1.5;
-    out << "\n    \"int8_gemm\": {\"rows\": " << kRows << ", \"k\": " << kCols
-        << ", \"n\": " << kN << ", \"bits\": 8, \"reps\": " << kGemmReps
-        << ",\n      \"dequant_then_float_gemm_ms\": " << ref_ms
-        << ",\n      \"fused_dequant_gemm_ms\": " << fused_ms
-        << ",\n      \"speedup\": " << speedup
-        << ",\n      \"max_abs_error\": " << max_abs_err
-        << ",\n      \"budget_speedup\": 1.5,\n      \"pass\": "
-        << (int8_pass ? "true" : "false") << "}\n  }\n}\n";
-    std::printf(
-        "int8 gemm B=8 %zux%zux%zu: dequant+gemm %.3f ms | fused %.3f ms "
-        "(%.2fx, max err %.2e) -> %s\n",
-        kRows, kCols, kN, ref_ms, fused_ms, speedup, max_abs_err,
-        int8_pass ? "PASS (>=1.5x)" : "FAIL (<1.5x)");
-  }
+  out << "\n    ]\n  }\n}\n";
   return 0;
 }
 
@@ -926,6 +874,16 @@ int RunGemmBench(const std::string& json_path) {
                    RandomMatrix(8000, 64, 28)});
   cases.push_back({"products.l2.gemmt_b", "gemmt_b", RandomMatrix(8000, 64, 28),
                    RandomMatrix(64, 64, 27)});
+  // The output layers: products-sim has 47 classes, reddit-sim 41, so
+  // their last columns run the GEMM kernels' ragged-width tail.
+  cases.push_back({"products.l3.gemm", "gemm", ReluMatrix(8000, 64, 31),
+                   RandomMatrix(64, 47, 32)});
+  cases.push_back({"products.l3.gemmt_a", "gemmt_a", ReluMatrix(8000, 64, 31),
+                   RandomMatrix(8000, 47, 33)});
+  cases.push_back({"reddit.l2.gemm", "gemm", ReluMatrix(4000, 16, 34),
+                   RandomMatrix(16, 41, 35)});
+  cases.push_back({"reddit.l2.gemmt_a", "gemmt_a", ReluMatrix(4000, 16, 34),
+                   RandomMatrix(4000, 41, 36)});
   cases.push_back({"sbm.spmm.h16", "spmm", RandomMatrix(8000, 16, 29), {}});
   cases.push_back({"sbm.spmm.h64", "spmm", ReluMatrix(8000, 64, 30), {}});
   const ecg::tensor::CsrMatrix adj = SbmAdjacency(8000, 16.0);
@@ -998,6 +956,191 @@ int RunGemmBench(const std::string& json_path) {
   out << "\n  ],\n  \"all_memcmp_equal\": " << (all_equal ? "true" : "false")
       << "\n}\n";
   std::printf("gemm/spmm variants vs scalar: %s\n",
+              all_equal ? "all memcmp-equal" : "MISMATCH");
+  return all_equal ? 0 : 1;
+}
+
+// ---------------------------------------------------------------------------
+// --codec mode: the halo codec paths the exchangers run, on worker 0 of the
+// benchmark workloads' partitions (hash, 4 workers), timed under every
+// registry variant with the pool in serial mode (as inside a simulated
+// worker). Each path's output bytes are compared with memcmp against the
+// forced-scalar run; any mismatch exits non-zero. Timings are recorded,
+// not gated.
+//   quantize_rows        QuantizeRows of each send list (Cp modes, ReqEC
+//                        cold start)
+//   reqec_select         GatherQuantizeRows + SelectReqEc per send list
+//                        against a noisy trend baseline (ReqEC send)
+//   resec_encode         GatherQuantizeRows with the δ fold, then
+//                        SubtractDequantized into the residual (ResEC send)
+//   dequantize_into      DequantizeInto each message's rows (receive)
+//   subtract_dequantized SubtractDequantized of each message, in place
+// ---------------------------------------------------------------------------
+
+struct CodecShape {
+  std::string name;
+  std::string dataset;
+  size_t dim;
+  int bits;
+};
+
+/// Appends the raw bytes of `n` elements at p to out.
+template <typename T>
+void AppendBytes(std::vector<uint8_t>* out, const T* p, size_t n) {
+  const auto* b = reinterpret_cast<const uint8_t*>(p);
+  out->insert(out->end(), b, b + n * sizeof(T));
+}
+
+int RunCodecBench(const std::string& json_path) {
+  constexpr int kReps = 5;
+  const std::vector<CodecShape> shapes = {
+      {"products", "products-sim", 64, 4},
+      {"reddit", "reddit-sim", 16, 2},
+  };
+  std::ofstream out(json_path);
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+    return 1;
+  }
+  ecg::ThreadPool::SetSerialMode(true);
+  const auto variants = ecg::kern::AvailableVariants();
+  bool all_equal = true;
+  out << "{\n  \"stamp\": " << ecg::bench::BenchStampJson()
+      << ",\n  \"reps\": " << kReps << ",\n  \"serial\": true"
+      << ",\n  \"cases\": [";
+  bool first_case = true;
+  for (const CodecShape& shape : shapes) {
+    auto g = ecg::graph::LoadDataset(shape.dataset);
+    ECG_CHECK(g.ok()) << g.status();
+    auto part = ecg::graph::HashPartition(*g, 4);
+    ECG_CHECK(part.ok()) << part.status();
+    std::vector<ecg::core::WorkerPlan> plans;
+    ecg::core::BuildWorkerPlans(*g, *part, &plans).CheckOk();
+    const ecg::core::WorkerPlan& plan = plans[0];
+    std::vector<const std::vector<uint32_t>*> lists;
+    size_t send_rows = 0;
+    for (uint32_t p = 0; p < plan.send_rows.size(); ++p) {
+      if (!ecg::core::ActivePeer(plan, p)) continue;
+      lists.push_back(&plan.send_rows[p]);
+      send_rows += plan.send_rows[p].size();
+    }
+    const Matrix h = ReluMatrix(plan.num_owned(), shape.dim, 41);
+    const Matrix grad = RandomMatrix(plan.num_owned(), shape.dim, 42);
+    const QuantizerOptions opts{shape.bits, BucketValueMode::kMidpoint};
+    // Per send list: a trend baseline near the truth, a small residual,
+    // and the quantized message the receive paths decode.
+    std::vector<Matrix> last, rate, delta;
+    std::vector<ecg::compress::QuantizedMatrix> messages;
+    for (size_t i = 0; i < lists.size(); ++i) {
+      const Matrix truth = ecg::tensor::GatherRows(h, *lists[i]);
+      Matrix noise = RandomMatrix(truth.rows(), shape.dim, 50 + i);
+      ecg::tensor::ScaleInPlace(&noise, 0.05f);
+      last.push_back(truth);
+      ecg::tensor::AddInPlace(&last.back(), noise);
+      rate.push_back(RandomMatrix(truth.rows(), shape.dim, 60 + i));
+      ecg::tensor::ScaleInPlace(&rate.back(), 0.01f);
+      delta.push_back(RandomMatrix(truth.rows(), shape.dim, 70 + i));
+      ecg::tensor::ScaleInPlace(&delta.back(), 0.02f);
+      messages.push_back(*ecg::compress::QuantizeRows(h, *lists[i], opts));
+    }
+
+    using PathFn = std::function<void(std::vector<uint8_t>*)>;
+    const std::vector<std::pair<std::string, PathFn>> paths = {
+        {"quantize_rows",
+         [&](std::vector<uint8_t>* bytes) {
+           for (const auto* rows : lists) {
+             auto q = ecg::compress::QuantizeRows(h, *rows, opts);
+             q.status().CheckOk();
+             if (bytes == nullptr) continue;
+             AppendBytes(bytes, q->packed_ids.data(), q->packed_ids.size());
+           }
+         }},
+        {"reqec_select",
+         [&](std::vector<uint8_t>* bytes) {
+           for (size_t i = 0; i < lists.size(); ++i) {
+             Matrix truth;
+             auto q = ecg::compress::GatherQuantizeRows(h, *lists[i], nullptr,
+                                                        opts, &truth);
+             q.status().CheckOk();
+             auto sel = ecg::core::SelectReqEc(
+                 truth, last[i], rate[i], 3, *q,
+                 ecg::core::SelectorGranularity::kVertex);
+             sel.status().CheckOk();
+             if (bytes == nullptr) continue;
+             AppendBytes(bytes, sel->slt.data(), sel->slt.size());
+             AppendBytes(bytes, sel->shipped.packed_ids.data(),
+                         sel->shipped.packed_ids.size());
+           }
+         }},
+        {"resec_encode",
+         [&](std::vector<uint8_t>* bytes) {
+           for (size_t i = 0; i < lists.size(); ++i) {
+             Matrix residual;
+             auto q = ecg::compress::GatherQuantizeRows(grad, *lists[i],
+                                                        &delta[i], opts,
+                                                        &residual);
+             q.status().CheckOk();
+             ecg::compress::SubtractDequantized(*q, &residual).CheckOk();
+             if (bytes == nullptr) continue;
+             AppendBytes(bytes, q->packed_ids.data(), q->packed_ids.size());
+             AppendBytes(bytes, residual.data(), residual.size());
+           }
+         }},
+        {"dequantize_into",
+         [&](std::vector<uint8_t>* bytes) {
+           Matrix halo(plan.num_owned(), shape.dim);
+           for (size_t i = 0; i < lists.size(); ++i) {
+             ecg::compress::DequantizeInto(messages[i], *lists[i], &halo)
+                 .CheckOk();
+           }
+           if (bytes != nullptr) AppendBytes(bytes, halo.data(), halo.size());
+         }},
+        {"subtract_dequantized",
+         [&](std::vector<uint8_t>* bytes) {
+           for (size_t i = 0; i < lists.size(); ++i) {
+             Matrix m = last[i];
+             ecg::compress::SubtractDequantized(messages[i], &m).CheckOk();
+             if (bytes != nullptr) AppendBytes(bytes, m.data(), m.size());
+           }
+         }},
+    };
+
+    for (const auto& [path, fn] : paths) {
+      const std::string name = shape.name + "." + path;
+      ECG_CHECK(ecg::kern::ForceVariant("scalar"));
+      std::vector<uint8_t> ref;
+      fn(&ref);
+      out << (first_case ? "" : ",") << "\n    {\"name\": \"" << name
+          << "\", \"dim\": " << shape.dim << ", \"bits\": " << shape.bits
+          << ", \"peers\": " << lists.size()
+          << ", \"send_rows\": " << send_rows << ",\n     \"variants\": [";
+      first_case = false;
+      double scalar_ms = 0.0;
+      for (size_t vi = variants.size(); vi-- > 0;) {  // scalar first
+        const ecg::kern::Kernels* v = variants[vi];
+        ECG_CHECK(ecg::kern::ForceVariant(v->name));
+        std::vector<uint8_t> got;
+        fn(&got);
+        const bool equal = got == ref;
+        all_equal = all_equal && equal;
+        const double ms = BestOfMs(kReps, [&] { fn(nullptr); });
+        if (vi + 1 == variants.size()) scalar_ms = ms;
+        out << (vi + 1 == variants.size() ? "" : ", ") << "{\"variant\": \""
+            << v->name << "\", \"ms\": " << ms
+            << ", \"speedup_vs_scalar\": " << scalar_ms / ms
+            << ", \"memcmp_equal\": " << (equal ? "true" : "false") << "}";
+        std::printf("%-32s %-7s %9.3f ms  %6.2fx  %s\n", name.c_str(),
+                    v->name, ms, scalar_ms / ms,
+                    equal ? "memcmp-equal" : "MISMATCH vs scalar");
+      }
+      out << "]}";
+    }
+  }
+  ECG_CHECK(ecg::kern::ForceVariant("auto"));
+  ecg::ThreadPool::SetSerialMode(false);
+  out << "\n  ],\n  \"all_memcmp_equal\": " << (all_equal ? "true" : "false")
+      << "\n}\n";
+  std::printf("codec paths vs scalar: %s\n",
               all_equal ? "all memcmp-equal" : "MISMATCH");
   return all_equal ? 0 : 1;
 }
@@ -1138,10 +1281,7 @@ int main(int argc, char** argv) {
           "variant/threads):\n"
           "  --compress_json[=PATH]   fused codec vs seed pipeline; also "
           "the kernel-registry\n"
-          "                           auto-vs-scalar round trips and the "
-          "fused int8 GEMM gate\n"
-          "                           (the trainers' --int8_gemm path, "
-          "budget >= 1.5x)\n"
+          "                           auto-vs-scalar round trips\n"
           "  --trace_overhead[=PATH]  observability hook cost (budget < "
           "2%%)\n"
           "  --metrics_overhead[=PATH] metrics-plane hook cost (off < "
@@ -1154,6 +1294,11 @@ int main(int argc, char** argv) {
           "the workload\n"
           "                           shapes (fails on any memcmp mismatch "
           "with scalar)\n"
+          "  --codec[=PATH]           halo codec paths (quantize, ReqEC "
+          "select, ResEC encode,\n"
+          "                           decode) per variant on the workload "
+          "send lists (fails on\n"
+          "                           any memcmp mismatch with scalar)\n"
           "kernel dispatch:\n"
           "  --kernels=NAME           force a registry variant: "
           "scalar|avx2|avx512|neon|auto\n"
@@ -1190,6 +1335,12 @@ int main(int argc, char** argv) {
       const auto eq = arg.find('=');
       if (eq != std::string::npos) path = arg.substr(eq + 1);
       return RunGemmBench(path);
+    }
+    if (arg.rfind("--codec", 0) == 0) {
+      std::string path = "BENCH_codec.json";
+      const auto eq = arg.find('=');
+      if (eq != std::string::npos) path = arg.substr(eq + 1);
+      return RunCodecBench(path);
     }
     if (arg.rfind("--overlap", 0) == 0) {
       std::string path = "BENCH_overlap.json";

@@ -8,9 +8,8 @@ namespace ecg::kern {
 /// ELF HWCAP auxiliary vector. Everything else reports scalar-only.
 struct CpuFeatures {
   bool avx2 = false;
-  /// True only when the F+BW+VL subset this repo's kernels use is present
-  /// (Skylake-SP and later; BW/VL cover the byte/word integer ops of the
-  /// int8 GEMM path).
+  /// True only when the F+BW+VL subset the AVX-512 variant is compiled
+  /// for is present (Skylake-SP and later).
   bool avx512 = false;
   bool neon = false;
 };

@@ -97,6 +97,20 @@ const Kernels& Active() {
 
 const char* ActiveName() { return Active().name; }
 
+const float* BuildUnpackLut(int bits, const float* table,
+                            std::vector<float>* storage) {
+  if (bits > 4) return table;
+  const size_t per_byte = 8 / static_cast<size_t>(bits);
+  const uint32_t mask = (1u << bits) - 1;
+  storage->resize(256 * per_byte);
+  for (uint32_t byte = 0; byte < 256; ++byte) {
+    for (size_t j = 0; j < per_byte; ++j) {
+      (*storage)[byte * per_byte + j] = table[(byte >> (j * bits)) & mask];
+    }
+  }
+  return storage->data();
+}
+
 std::vector<const Kernels*> AvailableVariants() {
   const CpuFeatures& cpu = DetectCpuFeatures();
   std::vector<const Kernels*> out;

@@ -10,9 +10,9 @@ namespace ecg::kern {
 
 /// Runtime-dispatched kernel registry. Every hot inner loop of the
 /// compression pipeline (quantize pack, dequantize unpack, min/max
-/// reduction, bit packing), the int8 packed-domain GEMM and the float
-/// tensor kernels (dense GEMM in all its transpose/row-subset forms, CSR
-/// SpMM) goes through one of the function pointers below. The same
+/// reduction, bit packing, the halo row gather, the ReqEC selector) and
+/// the float tensor kernels (dense GEMM in all its transpose/row-subset
+/// forms, CSR SpMM) goes through one of the function pointers below. The same
 /// implementation source (kernels_impl.inc) is compiled once per
 /// architecture variant — scalar, AVX2, AVX-512, NEON — each in its own
 /// translation unit with per-file arch flags, and the table matching the
@@ -21,15 +21,18 @@ namespace ecg::kern {
 /// Bit-exactness contract: for identical finite inputs, every variant of
 /// every kernel in this table produces byte-identical outputs to the
 /// scalar variant. The element-wise float kernels hold this structurally.
-/// The float reductions (gemm, spmm_rows) fix the order of every output
-/// element's sum: it starts from the value already in the output and adds
-/// its terms one at a time in ascending k (stored nonzero order for
-/// SpMM), each term a separate multiply then add. Variants may tile,
+/// The float reductions (gemm, spmm_rows, reqec_row_l1) fix the order of
+/// every output element's sum: it starts from the value already in the
+/// output (+0 for the selector distances) and adds its terms one at a time
+/// in ascending k (stored nonzero order for SpMM, ascending column for the
+/// selector), each term a separate multiply then add. Variants may tile,
 /// block and vectorize across output elements, never within one sum. All
 /// variant TUs compile with -ffp-contract=off, so no multiply-add is
-/// fused. The integer kernels (bitpack, int8 GEMM accumulation) are exact
-/// in any evaluation order. For non-finite inputs the float reductions
-/// follow IEEE arithmetic with no zero-skipping (0 * inf is NaN): every
+/// fused. The min/max folds use a fixed lane count written in the shared
+/// source, so even the sign of a zero bound is variant-independent. The
+/// integer kernels (bitpack) are exact in any evaluation order. For
+/// non-finite inputs the float reductions follow IEEE arithmetic with no
+/// zero-skipping (0 * inf is NaN): every
 /// variant yields NaN in the same elements and identical bits in every
 /// other element, while NaN sign and payload bits are unspecified.
 /// tests/kern_test.cc enforces the contract across every registered
@@ -48,11 +51,13 @@ struct Kernels {
                     float inv_width, uint32_t* packed);
 
   /// Dequantize hot loop: decodes the ids backing
-  /// packed[word_begin, word_end) through the 2^bits-entry table into
-  /// data (flat indexing). bits in {1, 2, 4, 8, 16}.
+  /// packed[word_begin, word_end) through `lut` (BuildUnpackLut's table
+  /// for this width, built once per call site) into data (flat indexing):
+  /// data[i] = value, or data[i] -= value with `subtract`. bits in
+  /// {1, 2, 4, 8, 16}.
   void (*unpack_flat)(int bits, const uint32_t* packed, size_t count,
-                      size_t word_begin, size_t word_end, const float* table,
-                      float* data);
+                      size_t word_begin, size_t word_end, const float* lut,
+                      bool subtract, float* data);
 
   /// Serial min/max over data[0, count); count must be > 0. NaNs lose
   /// every comparison (same contract as the quantizer's reduction; the
@@ -69,17 +74,31 @@ struct Kernels {
   void (*bitpack_unpack)(const uint32_t* packed, size_t count, int bits,
                          uint32_t* out);
 
-  /// Int8 GEMM inner loop: acc[j] += sum_k a[k] * wt[j*wt_stride + k]
-  /// for j in [0, n). Products and sums are exact in int32 (|a*b| <=
-  /// 128*127, so k up to ~130k cannot overflow), hence bit-identical
-  /// across variants regardless of accumulation order.
-  void (*gemm_s8_row)(const int8_t* a, const int8_t* wt, size_t k, size_t n,
-                      size_t wt_stride, int32_t* acc);
+  /// Halo row gather: out row i = src row rows[i] (+ add row i, one add
+  /// per element, when add is non-null), for count rows cols wide; src
+  /// rows are src_stride floats apart, out and add are dense; out may be
+  /// add itself (in-place fold) or null (bounds only). When mn is
+  /// non-null, every gathered value is folded into the caller-seeded
+  /// *mn / *mx; NaN loses every comparison.
+  void (*gather_rows)(const float* src, size_t src_stride,
+                      const uint32_t* rows, size_t count, size_t cols,
+                      const float* add, float* out, float* mn, float* mx);
 
-  /// Decodes count packed bucket ids (bits <= 8) into centered int8:
-  /// out[i] = id[i] - 128 (mod 256, i.e. id XOR 0x80).
-  void (*unpack_ids_s8)(int bits, const uint32_t* packed, size_t count,
-                        int8_t* out);
+  /// ReqEC vertex selector distances (Eqs. 8-10). For row i < count and
+  /// column c < cols, with x = x[i * cols + c] for each input: v = truth,
+  /// cps = the requester's decode of v's bucket, pdt = last + rate * step,
+  /// avg = (pdt + cps) * 0.5. l1[3 i + 0/1/2] = the sum of |cps - v| /
+  /// |pdt - v| / |avg - v| over c, each from +0 in ascending c.
+  void (*reqec_row_l1)(const float* truth, const float* cps,
+                       const float* last, const float* rate, size_t count,
+                       size_t cols, float step, float* l1);
+
+  /// ReqEC element selector: for each of count elements (candidates as in
+  /// reqec_row_l1), pick[i] = 0 (cps), 1 (pdt) or 2 (avg), whichever has
+  /// the smallest error, the earlier one on ties.
+  void (*reqec_element_pick)(const float* truth, const float* cps,
+                             const float* last, const float* rate,
+                             size_t count, float step, uint32_t* pick);
 
   /// Dense GEMM: C(i, j) += sum over kk < k of A(i, kk) * B(kk, j), for
   /// j < n and m rows i: i = row_ids[0..m) (distinct) when row_ids is
@@ -113,6 +132,14 @@ const Kernels& Active();
 
 /// Name of the active table (for telemetry / bench stamps).
 const char* ActiveName();
+
+/// The decode table unpack_flat reads for a 2^bits bucket table: for
+/// bits <= 4 a per-byte expansion (256 * 8/bits floats, byte b decoding to
+/// its 8/bits bucket values in order) built in `storage`; for 8 and 16
+/// bits the bucket table itself. Build it once per decode call and share
+/// it across every block and thread of that call.
+const float* BuildUnpackLut(int bits, const float* table,
+                            std::vector<float>* storage);
 
 /// Variants compiled into this binary AND supported by the host CPU, in
 /// dispatch preference order (widest first, scalar last).

@@ -1,6 +1,5 @@
 // AVX2 variant: compiled with -mavx2 (see src/common/CMakeLists.txt), so
-// the auto-vectorized loops widen to 256 bits and the int8 GEMM uses the
-// maddubs intrinsic path.
+// the auto-vectorized loops and the register tiles widen to 256 bits.
 #define ECG_KERN_NS kern_avx2
 #define ECG_KERN_VARIANT_NAME "avx2"
 #define ECG_KERN_GETTER GetKernels_avx2

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 
@@ -24,8 +25,17 @@ constexpr size_t kWordGrain = 1024;
 /// Minimum flat elements per chunk of the min/max reduction.
 constexpr size_t kElemGrain = 1 << 15;
 
-/// Minimum rows per chunk of the row-wise scatter/gather kernels.
+/// Minimum rows per chunk of the row-wise gather kernels.
 constexpr size_t kRowGrain = 16;
+
+/// Elements per block of the row-gathered encode and decode paths: a
+/// multiple of 32, so a block that starts on a block boundary starts on a
+/// packed-word boundary at every width, and 16 KiB of floats, so a block
+/// stays in L1 between its gather and its pack (or its unpack and its
+/// scatter).
+constexpr size_t kBlockElems = 4096;
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
 
 /// Rebuilds the uniform-grid midpoint table from (min, width, bits).
 std::vector<float> MidpointTable(float min_value, float width, int bits) {
@@ -36,56 +46,87 @@ std::vector<float> MidpointTable(float min_value, float width, int bits) {
   return table;
 }
 
-/// Bucket id of value v given the precomputed reciprocal bucket width.
-/// `top` is num_buckets - 1.
-inline uint32_t BucketOf(float v, float mn, float inv_width, uint32_t top) {
-  const float rel = (v - mn) * inv_width;
-  if (rel <= 0.0f) return 0u;
-  const uint32_t id = static_cast<uint32_t>(rel);
-  return id < top ? id : top;
-}
-
-/// Streams the elements of a contiguous buffer.
-struct FlatCursor {
-  const float* p;
-  float Next() { return *p++; }
+/// Merges one chunk's bounds into the call's (exact in any order).
+struct BoundsMerger {
+  std::mutex mu;
+  float mn = kInf, mx = -kInf;
+  void Merge(float lo, float hi) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (lo < mn) mn = lo;
+    if (hi > mx) mx = hi;
+  }
 };
 
-/// Streams the elements of a gathered row view (logical row i is
-/// src.Row(indices[i])) in row-major order starting at flat element
-/// `begin`, without a div/mod per element. Must only be constructed with
-/// begin < indices.size() * cols.
-class RowCursor {
- public:
-  RowCursor(const tensor::Matrix& src, const std::vector<uint32_t>& indices,
-            size_t begin)
-      : src_(src.data()),
-        cols_(src.cols()),
-        indices_(indices),
-        row_(begin / src.cols()),
-        col_(begin % src.cols()) {
-    ptr_ = src_ + static_cast<size_t>(indices_[row_]) * cols_;
-  }
+/// Parallel min/max over a contiguous buffer; the per-chunk scan is the
+/// dispatched kern::minmax kernel. Merging per-chunk bounds is
+/// commutative, so the result is exact regardless of chunking. NaNs lose
+/// every comparison and are skipped unless they land first in a chunk;
+/// the finite-ness check downstream is on the bounds, not every element.
+void MinMaxFlat(const float* data, size_t count, float* mn_out, float* mx_out) {
+  BoundsMerger bounds;
+  const kern::Kernels& k = kern::Active();
+  ThreadPool::Global().ParallelFor(
+      count, kElemGrain, [&](size_t begin, size_t end) {
+        float mn, mx;
+        k.minmax(data + begin, end - begin, &mn, &mx);
+        bounds.Merge(mn, mx);
+      });
+  *mn_out = bounds.mn;
+  *mx_out = bounds.mx;
+}
 
-  float Next() {
-    const float v = ptr_[col_];
-    if (++col_ == cols_) {
-      col_ = 0;
-      ++row_;
-      ptr_ = row_ < indices_.size()
-                 ? src_ + static_cast<size_t>(indices_[row_]) * cols_
-                 : nullptr;
-    }
-    return v;
-  }
+/// Parallel kern::gather_rows over `rows` of m: bounds of the gathered
+/// values (+ add), and the gathered rows themselves into `out` when it is
+/// non-null.
+void GatherBounds(const tensor::Matrix& m, const std::vector<uint32_t>& rows,
+                  const tensor::Matrix* add, float* out, float* mn_out,
+                  float* mx_out) {
+  BoundsMerger bounds;
+  const size_t cols = m.cols();
+  const kern::Kernels& k = kern::Active();
+  ThreadPool::Global().ParallelFor(
+      rows.size(), kRowGrain, [&](size_t begin, size_t end) {
+        float mn = kInf, mx = -kInf;
+        k.gather_rows(m.data(), cols, rows.data() + begin, end - begin, cols,
+                      add != nullptr ? add->Row(begin) : nullptr,
+                      out != nullptr ? out + begin * cols : nullptr, &mn,
+                      &mx);
+        bounds.Merge(mn, mx);
+      });
+  *mn_out = bounds.mn;
+  *mx_out = bounds.mx;
+}
 
- private:
-  const float* src_;
-  const size_t cols_;
-  const std::vector<uint32_t>& indices_;
-  size_t row_;
-  size_t col_;
-  const float* ptr_;
+/// Copies flat elements [begin, end) of the gathered view (logical row i is
+/// m.Row(rows[i])) into buf, one memcpy per row segment.
+void GatherRange(const tensor::Matrix& m, const std::vector<uint32_t>& rows,
+                 size_t begin, size_t end, float* buf) {
+  const size_t cols = m.cols();
+  size_t r = begin / cols, c = begin % cols;
+  for (size_t e = begin; e < end;) {
+    const size_t n = std::min(cols - c, end - e);
+    std::memcpy(buf, m.Row(rows[r]) + c, n * sizeof(float));
+    buf += n;
+    e += n;
+    ++r;
+    c = 0;
+  }
+}
+
+/// Where the quantizer reads its elements: a contiguous buffer, or a row
+/// view of a matrix gathered block by block.
+struct EncodeSource {
+  const float* flat = nullptr;
+  const tensor::Matrix* m = nullptr;
+  const std::vector<uint32_t>* rows = nullptr;
+
+  /// Elements [begin, end) as a contiguous span (buf holds >= end - begin
+  /// floats when the source is a row view).
+  const float* Block(size_t begin, size_t end, float* buf) const {
+    if (flat != nullptr) return flat + begin;
+    GatherRange(*m, *rows, begin, end, buf);
+    return buf;
+  }
 };
 
 /// Per-chunk bucket statistics for BucketValueMode::kDataMean.
@@ -94,157 +135,22 @@ struct BucketHist {
   std::vector<uint64_t> counts;
 };
 
-/// The fused quantize inner loop: bucket-assigns the elements backing
-/// packed words [word_begin, word_end) and ORs the ids straight into the
-/// output words (each word is owned by exactly one chunk, so no races and
-/// no intermediate id vector). Accumulates the kDataMean histogram when
-/// `hist` is non-null. BITS is a template parameter so the per-word loop
-/// is fully unrolled with compile-time shift amounts.
-template <int BITS, typename Cursor>
-void PackWords(Cursor cursor, size_t count, size_t word_begin,
-               size_t word_end, float mn, float inv_width, uint32_t* packed,
-               BucketHist* hist) {
-  constexpr size_t kPerWord = 32 / static_cast<size_t>(BITS);
-  constexpr uint32_t kTop = (1u << BITS) - 1;
-  size_t i = word_begin * kPerWord;
-  for (size_t w = word_begin; w < word_end; ++w) {
-    const size_t n = std::min(kPerWord, count - i);
-    uint32_t word = 0;
-    if (hist == nullptr && n == kPerWord) {
-      // Hot path: a full word with no histogram — unrolled, constant
-      // shifts, no per-element bookkeeping.
-      for (size_t j = 0; j < kPerWord; ++j) {
-        word |= BucketOf(cursor.Next(), mn, inv_width, kTop)
-                << (j * BITS);
-      }
-      i += kPerWord;
-    } else {
-      int shift = 0;
-      for (size_t j = 0; j < n; ++j, ++i, shift += BITS) {
-        const float v = cursor.Next();
-        const uint32_t id = BucketOf(v, mn, inv_width, kTop);
-        word |= id << shift;
-        if (hist) {
-          hist->sums[id] += static_cast<double>(v);
-          ++hist->counts[id];
-        }
-      }
-    }
-    packed[w] = word;
-  }
-}
-
-/// Runtime-to-compile-time bit-width dispatch for the pack kernel.
-template <typename Cursor>
-void PackWordsDispatch(int bits, Cursor cursor, size_t count,
-                       size_t word_begin, size_t word_end, float mn,
-                       float inv_width, uint32_t* packed, BucketHist* hist) {
-  switch (bits) {
-    case 1:
-      PackWords<1>(cursor, count, word_begin, word_end, mn, inv_width,
-                   packed, hist);
-      break;
-    case 2:
-      PackWords<2>(cursor, count, word_begin, word_end, mn, inv_width,
-                   packed, hist);
-      break;
-    case 4:
-      PackWords<4>(cursor, count, word_begin, word_end, mn, inv_width,
-                   packed, hist);
-      break;
-    case 8:
-      PackWords<8>(cursor, count, word_begin, word_end, mn, inv_width,
-                   packed, hist);
-      break;
-    case 16:
-      PackWords<16>(cursor, count, word_begin, word_end, mn, inv_width,
-                    packed, hist);
-      break;
-    default:
-      ECG_CHECK(false) << "unreachable bit width " << bits;
-  }
-}
-
-/// Parallel min/max over a contiguous buffer; the per-chunk scan is the
-/// dispatched kern::minmax kernel. Merging per-chunk bounds is
-/// commutative, so the result is exact regardless of chunking. NaNs lose
-/// every comparison and are skipped unless they land first in a chunk —
-/// same contract as the std::minmax_element scan this replaces; the
-/// finite-ness check downstream is on the bounds, not every element.
-void MinMaxFlat(const float* data, size_t count, float* mn_out, float* mx_out) {
-  std::mutex mu;
-  float g_mn = data[0], g_mx = data[0];
-  const kern::Kernels& k = kern::Active();
-  ThreadPool::Global().ParallelFor(
-      count, kElemGrain, [&](size_t begin, size_t end) {
-        float mn, mx;
-        k.minmax(data + begin, end - begin, &mn, &mx);
-        std::lock_guard<std::mutex> lock(mu);
-        if (mn < g_mn) g_mn = mn;
-        if (mx > g_mx) g_mx = mx;
-      });
-  *mn_out = g_mn;
-  *mx_out = g_mx;
-}
-
-/// Parallel min/max over a gathered row view.
-void MinMaxRows(const tensor::Matrix& m, const std::vector<uint32_t>& rows,
-                float* mn_out, float* mx_out) {
-  std::mutex mu;
-  const size_t cols = m.cols();
-  float g_mn = m.Row(rows[0])[0], g_mx = g_mn;
-  ThreadPool::Global().ParallelFor(
-      rows.size(), kRowGrain, [&](size_t begin, size_t end) {
-        float mn = m.Row(rows[begin])[0], mx = mn;
-        for (size_t r = begin; r < end; ++r) {
-          const float* row = m.Row(rows[r]);
-          for (size_t c = 0; c < cols; ++c) {
-            const float v = row[c];
-            if (v < mn) mn = v;
-            if (v > mx) mx = v;
-          }
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        if (mn < g_mn) g_mn = mn;
-        if (mx > g_mx) g_mx = mx;
-      });
-  *mn_out = g_mn;
-  *mx_out = g_mx;
-}
-
-/// Shared implementation of Quantize / QuantizeRows. `rows` selects a
-/// gathered view of `m` when non-null; bucket assignment and wire bytes
-/// are identical to quantizing the materialized GatherRows copy.
-Result<QuantizedMatrix> QuantizeImpl(const tensor::Matrix& m,
-                                     const std::vector<uint32_t>* rows,
-                                     const QuantizerOptions& options) {
-  if (!IsSupportedBitWidth(options.bits)) {
-    return Status::InvalidArgument("unsupported quantizer bits " +
-                                   std::to_string(options.bits));
-  }
-  if (rows != nullptr) {
-    for (uint32_t r : *rows) {
-      if (r >= m.rows()) {
-        return Status::OutOfRange("quantize row " + std::to_string(r) +
-                                  " out of range");
-      }
-    }
-  }
-  const size_t nrows = rows ? rows->size() : m.rows();
-  const size_t cols = m.cols();
+/// The pack pass shared by every quantize entry point, given the bounds.
+/// Chunks are word-aligned so each output word has a single writer, and
+/// the chunk partition is fixed up front so the kDataMean histograms merge
+/// in chunk order; within a chunk, blocks of kBlockElems elements run
+/// kern::pack_flat (and, for kDataMean, fold each element into its
+/// bucket's sum in element order).
+Result<QuantizedMatrix> EncodeBounded(const EncodeSource& src, size_t nrows,
+                                      size_t cols, float mn, float mx,
+                                      const QuantizerOptions& options) {
   const size_t count = nrows * cols;
   const uint32_t num_buckets = 1u << options.bits;
-
-  float mn = 0.0f, mx = 0.0f;
-  if (count > 0) {
-    if (rows) {
-      MinMaxRows(m, *rows, &mn, &mx);
-    } else {
-      MinMaxFlat(m.data(), count, &mn, &mx);
-    }
-    if (!std::isfinite(mn) || !std::isfinite(mx)) {
-      return Status::InvalidArgument("quantizer input has non-finite values");
-    }
+  if (count == 0) {
+    mn = 0.0f;
+    mx = 0.0f;
+  } else if (!std::isfinite(mn) || !std::isfinite(mx)) {
+    return Status::InvalidArgument("quantizer input has non-finite values");
   }
   const float range = mx - mn;
   const float width = range > 0.0f ? range / static_cast<float>(num_buckets)
@@ -261,43 +167,39 @@ Result<QuantizedMatrix> QuantizeImpl(const tensor::Matrix& m,
 
   const bool data_mean =
       options.value_mode == BucketValueMode::kDataMean && count > 0;
-
-  // One fused pass: bucket ids computed and packed word-at-a-time. Chunks
-  // are word-aligned so each output word has a single writer; the chunk
-  // partition is fixed up front so the kDataMean histograms can be merged
-  // in deterministic chunk order afterwards.
   const size_t num_words = q.packed_ids.size();
   const size_t max_chunks = ThreadPool::Global().num_threads() + 1;
   const size_t chunk_words =
       std::max(kWordGrain, (num_words + max_chunks - 1) / max_chunks);
   const size_t num_chunks = (num_words + chunk_words - 1) / chunk_words;
   const size_t per_word = 32 / static_cast<size_t>(options.bits);
+  const kern::Kernels& k = kern::Active();
   std::vector<BucketHist> hists(data_mean ? num_chunks : 0);
   ThreadPool::Global().ParallelFor(
       num_chunks, 1, [&](size_t chunk_begin, size_t chunk_end) {
+        std::vector<float> buf(src.flat != nullptr ? 0 : kBlockElems);
+        std::vector<uint32_t> ids(data_mean ? kBlockElems : 0);
         for (size_t c = chunk_begin; c < chunk_end; ++c) {
-          const size_t wb = c * chunk_words;
-          const size_t we = std::min(num_words, wb + chunk_words);
-          BucketHist* hist = nullptr;
-          if (data_mean) {
-            hist = &hists[c];
+          const size_t end =
+              std::min(count, (c + 1) * chunk_words * per_word);
+          BucketHist* hist = data_mean ? &hists[c] : nullptr;
+          if (hist != nullptr) {
             hist->sums.assign(num_buckets, 0.0);
             hist->counts.assign(num_buckets, 0);
           }
-          if (rows) {
-            PackWordsDispatch(options.bits, RowCursor(m, *rows, wb * per_word),
-                              count, wb, we, mn, inv_width,
-                              q.packed_ids.data(), hist);
-          } else if (hist) {
-            PackWordsDispatch(options.bits,
-                              FlatCursor{m.data() + wb * per_word}, count, wb,
-                              we, mn, inv_width, q.packed_ids.data(), hist);
-          } else {
-            // Contiguous input, no histogram: the dispatched flat kernel
-            // (vectorizable block clamp + compile-time shifts; scalar and
-            // SIMD variants are bit-identical by contract).
-            kern::Active().pack_flat(options.bits, m.data(), count, wb, we,
-                                     mn, inv_width, q.packed_ids.data());
+          for (size_t e = c * chunk_words * per_word; e < end;
+               e += kBlockElems) {
+            const size_t n = std::min(kBlockElems, end - e);
+            const float* data = src.Block(e, e + n, buf.data());
+            uint32_t* words = q.packed_ids.data() + e / per_word;
+            k.pack_flat(options.bits, data, n, 0,
+                        (n + per_word - 1) / per_word, mn, inv_width, words);
+            if (hist == nullptr) continue;
+            k.bitpack_unpack(words, n, options.bits, ids.data());
+            for (size_t i = 0; i < n; ++i) {
+              hist->sums[ids[i]] += static_cast<double>(data[i]);
+              ++hist->counts[ids[i]];
+            }
           }
         }
       });
@@ -326,6 +228,22 @@ Result<QuantizedMatrix> QuantizeImpl(const tensor::Matrix& m,
     }
   }
   return q;
+}
+
+/// Argument checks shared by the row-view entry points.
+Status CheckRowArgs(const tensor::Matrix& m, const std::vector<uint32_t>& rows,
+                    const QuantizerOptions& options) {
+  if (!IsSupportedBitWidth(options.bits)) {
+    return Status::InvalidArgument("unsupported quantizer bits " +
+                                   std::to_string(options.bits));
+  }
+  for (uint32_t r : rows) {
+    if (r >= m.rows()) {
+      return Status::OutOfRange("quantize row " + std::to_string(r) +
+                                " out of range");
+    }
+  }
+  return Status::OK();
 }
 
 /// Validates the fields every decode path depends on.
@@ -359,34 +277,17 @@ void CopyBitRange(const uint32_t* src, size_t src_bit, uint32_t* dst,
   }
 }
 
-/// Decodes q row by row: row i's elements go to row_out(i)[c] through
-/// apply(element, bucket value). Supported widths never straddle a word,
-/// so each element is one shift+mask. Rows are independent, so targets
-/// must not overlap.
-template <typename RowOut, typename Apply>
-void DecodeRows(const QuantizedMatrix& q, const RowOut& row_out,
-                const Apply& apply) {
-  const uint32_t mask = (1u << q.bits) - 1;
-  const int bits = q.bits;
-  const size_t cols = q.cols;
-  const size_t row_bits = cols * static_cast<size_t>(bits);
-  const float* table = q.bucket_values.data();
-  const uint32_t* packed = q.packed_ids.data();
+/// Decodes elements [word_begin * per_word, ...) backing packed words
+/// [word_begin, word_end) of q through one LUT into data (flat indexing,
+/// assigned or subtracted), chunked over the pool.
+void DecodeFlat(const QuantizedMatrix& q, const float* lut, bool subtract,
+                float* data) {
+  const size_t count = static_cast<size_t>(q.rows) * q.cols;
+  const kern::Kernels& k = kern::Active();
   ThreadPool::Global().ParallelFor(
-      q.rows, kRowGrain, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          size_t w = (i * row_bits) >> 5;
-          int shift = static_cast<int>((i * row_bits) & 31);
-          float* out = row_out(i);
-          for (size_t c = 0; c < cols; ++c) {
-            apply(out[c], table[(packed[w] >> shift) & mask]);
-            shift += bits;
-            if (shift == 32) {
-              shift = 0;
-              ++w;
-            }
-          }
-        }
+      PackedWordCount(count, q.bits), kWordGrain, [&](size_t wb, size_t we) {
+        k.unpack_flat(q.bits, q.packed_ids.data(), count, wb, we, lut,
+                      subtract, data);
       });
 }
 
@@ -461,29 +362,53 @@ Status QuantizedMatrix::ParseFrom(ecg::ByteReader* r, QuantizedMatrix* out) {
 
 Result<QuantizedMatrix> Quantize(const tensor::Matrix& m,
                                  const QuantizerOptions& options) {
-  return QuantizeImpl(m, nullptr, options);
+  if (!IsSupportedBitWidth(options.bits)) {
+    return Status::InvalidArgument("unsupported quantizer bits " +
+                                   std::to_string(options.bits));
+  }
+  float mn = 0.0f, mx = 0.0f;
+  if (m.size() > 0) MinMaxFlat(m.data(), m.size(), &mn, &mx);
+  EncodeSource src;
+  src.flat = m.data();
+  return EncodeBounded(src, m.rows(), m.cols(), mn, mx, options);
 }
 
 Result<QuantizedMatrix> QuantizeRows(const tensor::Matrix& m,
                                      const std::vector<uint32_t>& rows,
                                      const QuantizerOptions& options) {
-  return QuantizeImpl(m, &rows, options);
+  ECG_RETURN_IF_ERROR(CheckRowArgs(m, rows, options));
+  float mn = 0.0f, mx = 0.0f;
+  GatherBounds(m, rows, nullptr, nullptr, &mn, &mx);
+  EncodeSource src;
+  src.m = &m;
+  src.rows = &rows;
+  return EncodeBounded(src, rows.size(), m.cols(), mn, mx, options);
+}
+
+Result<QuantizedMatrix> GatherQuantizeRows(const tensor::Matrix& m,
+                                           const std::vector<uint32_t>& rows,
+                                           const tensor::Matrix* add,
+                                           const QuantizerOptions& options,
+                                           tensor::Matrix* gathered) {
+  ECG_RETURN_IF_ERROR(CheckRowArgs(m, rows, options));
+  if (add != nullptr &&
+      (add->rows() != rows.size() || add->cols() != m.cols())) {
+    return Status::InvalidArgument("GatherQuantizeRows fold shape mismatch");
+  }
+  if (gathered != add) gathered->Reset(rows.size(), m.cols());
+  float mn = 0.0f, mx = 0.0f;
+  GatherBounds(m, rows, add, gathered->data(), &mn, &mx);
+  EncodeSource src;
+  src.flat = gathered->data();
+  return EncodeBounded(src, rows.size(), m.cols(), mn, mx, options);
 }
 
 Result<tensor::Matrix> Dequantize(const QuantizedMatrix& q) {
   ECG_RETURN_IF_ERROR(CheckDecodable(q));
-  const size_t count = static_cast<size_t>(q.rows) * q.cols;
   tensor::Matrix out(q.rows, q.cols);
-  // Fused unpack + table lookup, word-at-a-time: each chunk writes the
-  // disjoint element range backing its packed words.
-  const float* table = q.bucket_values.data();
-  const uint32_t* packed = q.packed_ids.data();
-  float* data = out.data();
-  const kern::Kernels& k = kern::Active();
-  ThreadPool::Global().ParallelFor(
-      q.packed_ids.size(), kWordGrain, [&](size_t wb, size_t we) {
-        k.unpack_flat(q.bits, packed, count, wb, we, table, data);
-      });
+  std::vector<float> storage;
+  DecodeFlat(q, kern::BuildUnpackLut(q.bits, q.bucket_values.data(), &storage),
+             /*subtract=*/false, out.data());
   return out;
 }
 
@@ -500,11 +425,49 @@ Status DequantizeInto(const QuantizedMatrix& q,
                                 std::to_string(r) + " out of range");
     }
   }
-  // Decode straight into the target rows (the halo matrix), skipping the
-  // intermediate dense matrix + AssignRows copy.
-  DecodeRows(
-      q, [&](size_t i) { return dst->Row(rows[i]); },
-      [](float& out, float value) { out = value; });
+  // Rows that fill whole packed words decode straight into their target
+  // rows (the halo matrix); otherwise whole-word blocks of kBlockElems
+  // elements decode into an L1 buffer and scatter. No dense temporary.
+  const size_t cols = q.cols;
+  const size_t count = static_cast<size_t>(q.rows) * cols;
+  if (count == 0) return Status::OK();
+  std::vector<float> storage;
+  const float* lut =
+      kern::BuildUnpackLut(q.bits, q.bucket_values.data(), &storage);
+  const size_t per_word = 32 / static_cast<size_t>(q.bits);
+  const kern::Kernels& k = kern::Active();
+  const size_t row_bits = cols * static_cast<size_t>(q.bits);
+  if (row_bits % 32 == 0) {
+    const size_t row_words = row_bits / 32;
+    ThreadPool::Global().ParallelFor(
+        q.rows, kRowGrain, [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            k.unpack_flat(q.bits, q.packed_ids.data() + i * row_words, cols, 0,
+                          row_words, lut, /*subtract=*/false,
+                          dst->Row(rows[i]));
+          }
+        });
+    return Status::OK();
+  }
+  ThreadPool::Global().ParallelFor(
+      (count + kBlockElems - 1) / kBlockElems, 1,
+      [&](size_t block_begin, size_t block_end) {
+        std::vector<float> buf(kBlockElems);
+        for (size_t b = block_begin; b < block_end; ++b) {
+          const size_t begin = b * kBlockElems;
+          const size_t n = std::min(kBlockElems, count - begin);
+          k.unpack_flat(q.bits, q.packed_ids.data() + begin / per_word, n, 0,
+                        (n + per_word - 1) / per_word, lut,
+                        /*subtract=*/false, buf.data());
+          size_t r = begin / cols, c = begin % cols;
+          for (size_t e = 0; e < n; ++r, c = 0) {
+            const size_t len = std::min(cols - c, n - e);
+            std::memcpy(dst->Row(rows[r]) + c, buf.data() + e,
+                        len * sizeof(float));
+            e += len;
+          }
+        }
+      });
   return Status::OK();
 }
 
@@ -513,9 +476,9 @@ Status SubtractDequantized(const QuantizedMatrix& q, tensor::Matrix* m) {
   if (m->rows() != q.rows || m->cols() != q.cols) {
     return Status::InvalidArgument("SubtractDequantized shape mismatch");
   }
-  DecodeRows(
-      q, [&](size_t i) { return m->Row(i); },
-      [](float& out, float value) { out -= value; });
+  std::vector<float> storage;
+  DecodeFlat(q, kern::BuildUnpackLut(q.bits, q.bucket_values.data(), &storage),
+             /*subtract=*/true, m->data());
   return Status::OK();
 }
 
@@ -537,14 +500,39 @@ Result<double> BucketSaturationRate(const QuantizedMatrix& q) {
   ECG_RETURN_IF_ERROR(CheckDecodable(q));
   const size_t count = static_cast<size_t>(q.rows) * q.cols;
   if (count == 0) return 0.0;
-  std::vector<uint32_t> ids;
-  ECG_RETURN_IF_ERROR(UnpackBits(q.packed_ids, count, q.bits, &ids));
-  const uint32_t top = (q.bits >= 32 ? ~0u : (1u << q.bits) - 1u);
-  size_t saturated = 0;
-  for (uint32_t id : ids) {
-    if (id == 0 || id == top) ++saturated;
+  // Counted on the packed words, a field at a time across the word: with
+  // H the top bit of every field and L the rest, field f of x is nonzero
+  // iff bit H of ((x & L) + L) | x is set — the add cannot carry out of a
+  // field. Zero ids are zero fields of the word, top ids zero fields of
+  // its complement. Fields past `count` in the final word are masked off.
+  const int bits = q.bits;
+  const size_t per_word = 32 / static_cast<size_t>(bits);
+  uint32_t high = 0;
+  for (size_t j = 0; j < per_word; ++j) high |= 1u << (j * bits + bits - 1);
+  const uint32_t low = ~high;
+  const auto nonzero_fields = [&](uint32_t x, uint32_t live) {
+    // Bit count without a popcnt instruction in the baseline ISA (a
+    // library call per word otherwise).
+    uint32_t v = (((x & low) + low) | x) & live;
+    v = v - ((v >> 1) & 0x55555555u);
+    v = (v & 0x33333333u) + ((v >> 2) & 0x33333333u);
+    return static_cast<size_t>(
+        (((v + (v >> 4)) & 0x0F0F0F0Fu) * 0x01010101u) >> 24);
+  };
+  size_t nonzero = 0;
+  const size_t full = count / per_word;
+  for (size_t w = 0; w < full; ++w) {
+    const uint32_t x = q.packed_ids[w];
+    nonzero += nonzero_fields(x, high) + nonzero_fields(~x, high);
   }
-  return static_cast<double>(saturated) / static_cast<double>(count);
+  if (const size_t rest = count - full * per_word; rest > 0) {
+    const uint32_t live =
+        high & ((1u << (rest * static_cast<size_t>(bits))) - 1u);
+    const uint32_t x = q.packed_ids[full];
+    nonzero += nonzero_fields(x, live) + nonzero_fields(~x, live);
+  }
+  return static_cast<double>(2 * count - nonzero) /
+         static_cast<double>(count);
 }
 
 Result<QuantizedMatrix> GatherQuantizedRows(

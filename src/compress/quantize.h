@@ -67,25 +67,39 @@ struct QuantizedMatrix {
 Result<QuantizedMatrix> Quantize(const tensor::Matrix& m,
                                  const QuantizerOptions& options);
 
-/// Quantizes rows `rows[0], rows[1], ...` of `m` as if they had first been
-/// copied out with GatherRows — same bucket assignment, same wire bytes —
-/// but without materializing the gathered copy. This is what the exchangers
-/// call on the send path: per peer they quantize a row subset of the owned
-/// table, and the gather used to cost a full extra read+write of the
-/// message before the quantizer even started.
+/// Quantizes rows `rows[0], rows[1], ...` of `m` exactly as
+/// Quantize(GatherRows(m, rows)) would — same bucket assignment, same wire
+/// bytes — without materializing the gathered copy: one bounds pass over
+/// the rows (kern::gather_rows), then fixed-size blocks of the row view are
+/// gathered into an L1 buffer and packed flat (kern::pack_flat). This is
+/// the send path of the uncompensated exchangers.
 Result<QuantizedMatrix> QuantizeRows(const tensor::Matrix& m,
                                      const std::vector<uint32_t>& rows,
                                      const QuantizerOptions& options);
 
+/// The send path of the compensated exchangers: *gathered =
+/// GatherRows(m, rows), plus *add element by element when add is non-null
+/// (ResEC's δ fold; add may be `gathered` itself, folding in place), then
+/// quantized. Gather, fold and bounds are one pass over the rows; the
+/// result equals Quantize(*gathered) bit for bit. ReqEC keeps *gathered as
+/// its selector's truth, ResEC as the compensated gradient its residual is
+/// taken from.
+Result<QuantizedMatrix> GatherQuantizeRows(const tensor::Matrix& m,
+                                           const std::vector<uint32_t>& rows,
+                                           const tensor::Matrix* add,
+                                           const QuantizerOptions& options,
+                                           tensor::Matrix* gathered);
+
 /// Reconstructs the dense matrix from its quantized form. Fused parallel
-/// unpack + bucket-table lookup (no intermediate ID vector).
+/// unpack + bucket-table lookup (no intermediate ID vector). Like every
+/// decode below, it builds the kern::unpack_flat LUT once per call.
 Result<tensor::Matrix> Dequantize(const QuantizedMatrix& q);
 
 /// Decodes row i of `q` directly into dst->Row(rows[i]) — the receive-path
-/// dual of QuantizeRows. Replaces Dequantize + AssignRows on the halo
-/// matrices, eliminating the intermediate dense matrix. `rows` must have
-/// exactly q.rows entries; targets should be distinct (halo rows are), as
-/// duplicate targets are written concurrently.
+/// dual of QuantizeRows: whole-word blocks decode into an L1 buffer and
+/// scatter to their rows, with no intermediate dense matrix. `rows` must
+/// have exactly q.rows entries; targets should be distinct (halo rows
+/// are), as duplicate targets are written concurrently.
 Status DequantizeInto(const QuantizedMatrix& q,
                       const std::vector<uint32_t>& rows,
                       tensor::Matrix* dst);
@@ -104,8 +118,8 @@ Result<double> MeasureAlpha(const tensor::Matrix& x,
 
 /// Fraction of elements sitting in the two extreme buckets (id 0 or
 /// 2^bits - 1) — the rows a wider [min, max] range or more bits would
-/// reconstruct better. Telemetry for the obs stats registry; costs a full
-/// unpack, so call only when stats collection is on.
+/// reconstruct better. Telemetry for the obs stats registry, counted on the
+/// packed words (no id vector).
 Result<double> BucketSaturationRate(const QuantizedMatrix& q);
 
 /// Extracts the given rows of a quantized matrix into a new quantized

@@ -8,7 +8,6 @@
 #include "common/trace.h"
 #include "core/exchange.h"
 #include "core/wire_util.h"
-#include "tensor/ops.h"
 
 namespace ecg::core {
 namespace {
@@ -101,28 +100,28 @@ class ResEcBpExchanger : public BpExchanger {
         ctx, plan, kBpData, epoch, layer, g_owned.cols(),
         [&](uint32_t p, ByteWriter* w, QuantizedMatrix* q) -> Status {
           QuantizerOptions qopts{widths_.at(layer, p), config_.value_mode};
-          Matrix g_cpt = tensor::GatherRows(g_owned, plan.send_rows[p]);
+          const std::vector<uint32_t>& rows = plan.send_rows[p];
           Matrix& delta = delta_[layer][p];
-          if (delta.rows() != g_cpt.rows() || delta.cols() != g_cpt.cols()) {
-            delta.Reset(g_cpt.rows(), g_cpt.cols());  // δ^{-1} = 0
+          if (delta.rows() != rows.size() || delta.cols() != g_owned.cols()) {
+            delta.Reset(rows.size(), g_owned.cols());  // δ^{-1} = 0
           }
-          tensor::AddInPlace(&g_cpt, delta);  // G + δ^{t-1}
-          ECG_ASSIGN_OR_RETURN(*q, compress::Quantize(g_cpt, qopts));
+          // δ := G_cpt = G + δ^{t-1}, folded in place: gather, fold and
+          // bounds in one pass.
+          ECG_ASSIGN_OR_RETURN(*q, compress::GatherQuantizeRows(
+                                       g_owned, rows, &delta, qopts, &delta));
           if (config_.fault_fallback && injector != nullptr &&
               injector->PermanentlyLost(ctx->worker_id(), p, tag)) {
             // The receiver will exhaust its retries and get nothing, i.e.
             // the effective transmitted message is 0 — so the residual is
             // the entire compensated gradient: δ^t = G_cpt (Eqs. 11-12
             // fold the whole loss into the next epoch's message).
-            delta = std::move(g_cpt);
             injector->counters().degraded_resec.fetch_add(
                 1, std::memory_order_relaxed);
             obs::RecordStat("fault.degraded_resec", 1.0, epoch, layer,
                             static_cast<int32_t>(p));
           } else {
-            // δ^t = (G + δ^{t-1}) − C(G + δ^{t-1})  (Eq. 11), with the
-            // decode fused into the subtraction.
-            delta = std::move(g_cpt);
+            // δ^t = G_cpt − C(G_cpt)  (Eq. 11), decoded through the LUT
+            // straight into the subtraction.
             ECG_RETURN_IF_ERROR(compress::SubtractDequantized(*q, &delta));
           }
           if (config_.bit_alloc) {

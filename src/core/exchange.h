@@ -82,6 +82,35 @@ enum class BpMode {
 /// approximation for the whole message.
 enum class SelectorGranularity { kElement, kVertex, kMatrix };
 
+/// ReqEC candidate ids, matching the paper's selector encoding 00 =
+/// compressed, 01 = predicted, 10 = average.
+enum ReqEcCandidate : uint32_t { kCps = 0, kPdt = 1, kAvg = 2 };
+
+/// One ReqEC responder decision over a message (Algorithm 4 lines 5-14).
+struct ReqEcSelection {
+  /// Candidate per vertex (vertex and matrix granularity) or per
+  /// coordinate (element granularity).
+  std::vector<uint32_t> slt;
+  /// The non-predicted units of the message, with its bucket table: rows
+  /// of q_full (vertex, matrix), or one row of coordinate ids (element).
+  compress::QuantizedMatrix shipped;
+  /// Units that picked kPdt.
+  size_t predicted = 0;
+};
+
+/// The ReqEC selector of one message: `truth` is the gathered send set,
+/// `q_full` its quantization, and (h_last, m_cr) the trend baseline of the
+/// same rows. For every row it computes cps (the requester's decode of
+/// q_full), pdt = h_last + step·m_cr and avg = (pdt + cps)/2, and picks by
+/// L1 distance to the truth per vertex (each distance summed in ascending
+/// column order), per coordinate or over the whole matrix. One fused pass
+/// through the kern::reqec_* kernels; no candidate matrix is built.
+Result<ReqEcSelection> SelectReqEc(const tensor::Matrix& truth,
+                                   const tensor::Matrix& h_last,
+                                   const tensor::Matrix& m_cr, uint32_t step,
+                                   const compress::QuantizedMatrix& q_full,
+                                   SelectorGranularity granularity);
+
 /// Hard ceiling of every adaptive width path (Bit-Tuner growth, bit_alloc
 /// solver): the bucket codecs pack {1, 2, 4, 8, 16}-bit ids, so 16 is the
 /// widest quantized message the wire format can carry. fp_bits/bp_bits are

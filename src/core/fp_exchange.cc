@@ -6,6 +6,7 @@
 
 #include "common/bitpack.h"
 #include "common/bytes.h"
+#include "common/kernels.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "common/trace.h"
@@ -20,6 +21,10 @@ using compress::QuantizedMatrix;
 using compress::QuantizerOptions;
 using dist::MessageHub;
 using tensor::Matrix;
+
+/// Rows per block of the ReqEC selector: a multiple of 32, so every block
+/// starts on a packed-word boundary at every width.
+constexpr size_t kSelectRows = 64;
 
 /// Books one FP degradation event: the halo rows from `peer` could not be
 /// delivered, so the requester kept its stale cached rows (stale=true) or
@@ -237,13 +242,25 @@ class ReqEcFpExchanger : public FpExchanger {
             BuildTrendResponse(plan, p, layer, deliverable, h_owned, w);
             return Status::OK();
           }
-          // Quantize the send set straight out of h_owned — the gathered
-          // truth matrix is only materialized on the paths that compare
-          // candidates against it.
           const QuantizerOptions qopts{peer_bits, config_.value_mode};
+          const TrendState& st = responder_[layer][p];
+          if (!st.have_trend) {
+            // First trend group: no prediction baseline exists on either
+            // end, so the whole send set ships compressed, quantized
+            // straight out of h_owned.
+            ECG_ASSIGN_OR_RETURN(*q, compress::QuantizeRows(
+                                         h_owned, plan.send_rows[p], qopts));
+            w->PutU8(kColdStart);
+            q->AppendTo(w);
+            return Status::OK();
+          }
+          // The selector compares candidates against the truth, so the
+          // send set is gathered once and quantized from that copy.
+          Matrix truth;
           ECG_ASSIGN_OR_RETURN(
-              *q, compress::QuantizeRows(h_owned, plan.send_rows[p], qopts));
-          return BuildResponse(plan, p, epoch, layer, step, h_owned, *q, w);
+              *q, compress::GatherQuantizeRows(h_owned, plan.send_rows[p],
+                                               nullptr, qopts, &truth));
+          return BuildResponse(st, step, truth, *q, epoch, layer, p, w);
         });
   }
 
@@ -418,9 +435,6 @@ class ReqEcFpExchanger : public FpExchanger {
     kColdStart = 2,        // compressed everything (no trend baseline yet)
     kSelectedElement = 3,  // per-element SltArr + compressed subset
   };
-  /// Selector ids, matching the paper's 00=compressed, 01=predicted,
-  /// 10=average encoding.
-  enum Selection : uint32_t { kCps = 0, kPdt = 1, kAvg = 2 };
 
   /// One end's copy of a (layer, peer) trend group: the baseline H_last
   /// of the last trend snapshot and its change rate M_cr. The responder
@@ -534,148 +548,28 @@ class ReqEcFpExchanger : public FpExchanger {
     EncodeMatrix(m_cr, w);
   }
 
-  /// Between trend epochs: the send set quantized at the requested width
-  /// (`q_full`) either ships whole (no baseline yet) or through the
-  /// selector.
-  Status BuildResponse(const WorkerPlan& plan, uint32_t peer, uint32_t epoch,
-                       uint16_t layer, uint32_t step, const Matrix& h_owned,
-                       const QuantizedMatrix& q_full, ByteWriter* w) {
-    const TrendState& st = responder_[layer][peer];
-    if (!st.have_trend) {
-      // First trend group: no prediction baseline exists on either end.
-      w->PutU8(kColdStart);
-      q_full.AppendTo(w);
-      return Status::OK();
-    }
-
-    const Matrix h_send = tensor::GatherRows(h_owned, plan.send_rows[peer]);
-    // Reconstruct the three candidates exactly as the requester would.
-    ECG_ASSIGN_OR_RETURN(Matrix h_cps, compress::Dequantize(q_full));
-    Matrix h_pdt = st.h_last;
-    tensor::Axpy(static_cast<float>(step), st.m_cr, &h_pdt);
-    Matrix h_avg = h_pdt;
-    tensor::AddInPlace(&h_avg, h_cps);
-    tensor::ScaleInPlace(&h_avg, 0.5f);
-
-    if (config_.selector == SelectorGranularity::kElement) {
-      return BuildElementResponse(h_send, h_cps, h_pdt, h_avg, q_full, epoch,
-                                  layer, peer, w);
-    }
-
-    // Selector: per-vertex L1 distances (Eq. 10), or a single matrix-wide
-    // decision under the coarse granularity ablation.
-    const std::vector<float> s_cps = tensor::RowL1Distance(h_cps, h_send);
-    const std::vector<float> s_pdt = tensor::RowL1Distance(h_pdt, h_send);
-    const std::vector<float> s_avg = tensor::RowL1Distance(h_avg, h_send);
-    const size_t n = h_send.rows();
-    std::vector<uint32_t> slt(n, kCps);
-    if (config_.selector == SelectorGranularity::kVertex) {
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t best = kCps;
-        float best_s = s_cps[i];
-        if (s_pdt[i] < best_s) {
-          best = kPdt;
-          best_s = s_pdt[i];
-        }
-        if (s_avg[i] < best_s) best = kAvg;
-        slt[i] = best;
-      }
-    } else {
-      double t_cps = 0, t_pdt = 0, t_avg = 0;
-      for (size_t i = 0; i < n; ++i) {
-        t_cps += s_cps[i];
-        t_pdt += s_pdt[i];
-        t_avg += s_avg[i];
-      }
-      uint32_t best = kCps;
-      if (t_pdt < t_cps && t_pdt <= t_avg) best = kPdt;
-      if (t_avg < t_cps && t_avg < t_pdt) best = kAvg;
-      std::fill(slt.begin(), slt.end(), best);
-    }
-
-    // Predicted rows are never shipped (Algorithm 4 line 14).
-    std::vector<uint32_t> shipped;
-    size_t predicted = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-      if (slt[i] == kPdt) {
-        ++predicted;
-      } else {
-        shipped.push_back(i);
-      }
-    }
-    ECG_ASSIGN_OR_RETURN(QuantizedMatrix q_sub,
-                         compress::GatherQuantizedRows(q_full, shipped));
-    const float proportion =
-        n == 0 ? 0.0f : static_cast<float>(predicted) / n;
-    RecordSelectorStats(slt, epoch, layer, peer);
-
-    w->PutU8(kSelected);
+  /// Between trend epochs: the selector's picks and the shipped subset of
+  /// `q_full` (the send set `truth` quantized at the requested width).
+  Status BuildResponse(const TrendState& st, uint32_t step,
+                       const Matrix& truth, const QuantizedMatrix& q_full,
+                       uint32_t epoch, uint16_t layer, uint32_t peer,
+                       ByteWriter* w) {
+    ECG_ASSIGN_OR_RETURN(
+        const ReqEcSelection sel,
+        SelectReqEc(truth, st.h_last, st.m_cr, step, q_full,
+                    config_.selector));
+    RecordSelectorStats(sel.slt, epoch, layer, peer);
+    const bool element = config_.selector == SelectorGranularity::kElement;
+    w->PutU8(element ? kSelectedElement : kSelected);
     w->PutU8(static_cast<uint8_t>(q_full.bits));
     std::vector<uint32_t> packed_slt;
-    ECG_RETURN_IF_ERROR(PackBits(slt, /*bits=*/2, &packed_slt));
-    w->PutU64(n);
+    ECG_RETURN_IF_ERROR(PackBits(sel.slt, /*bits=*/2, &packed_slt));
+    w->PutU64(sel.slt.size());
     w->PutU32Vector(packed_slt);
-    q_sub.AppendTo(w);
-    w->PutF32(proportion);
-    return Status::OK();
-  }
-
-  /// Element-wise schema: 2-bit selector per COORDINATE; only non-predicted
-  /// coordinates ship their bucket ids (sharing q_full's bucket table).
-  Status BuildElementResponse(const Matrix& h_send, const Matrix& h_cps,
-                              const Matrix& h_pdt, const Matrix& h_avg,
-                              const QuantizedMatrix& q_full, uint32_t epoch,
-                              uint16_t layer, uint32_t peer, ByteWriter* w) {
-    const size_t count = h_send.size();
-    std::vector<uint32_t> full_ids;
-    ECG_RETURN_IF_ERROR(
-        UnpackBits(q_full.packed_ids, count, q_full.bits, &full_ids));
-
-    std::vector<uint32_t> slt(count, kCps);
-    std::vector<uint32_t> shipped_ids;
-    size_t predicted = 0;
-    for (size_t i = 0; i < count; ++i) {
-      const float truth = h_send.data()[i];
-      const float e_cps = std::fabs(h_cps.data()[i] - truth);
-      const float e_pdt = std::fabs(h_pdt.data()[i] - truth);
-      const float e_avg = std::fabs(h_avg.data()[i] - truth);
-      uint32_t pick = kCps;
-      float best = e_cps;
-      if (e_pdt < best) {
-        pick = kPdt;
-        best = e_pdt;
-      }
-      if (e_avg < best) pick = kAvg;
-      slt[i] = pick;
-      if (pick == kPdt) {
-        ++predicted;
-      } else {
-        shipped_ids.push_back(full_ids[i]);
-      }
-    }
-    const float proportion =
-        count == 0 ? 0.0f : static_cast<float>(predicted) / count;
-    RecordSelectorStats(slt, epoch, layer, peer);
-
-    QuantizedMatrix q_sub;
-    q_sub.rows = 1;
-    q_sub.cols = static_cast<uint32_t>(shipped_ids.size());
-    q_sub.bits = q_full.bits;
-    q_sub.implicit_midpoints = q_full.implicit_midpoints;
-    q_sub.min_value = q_full.min_value;
-    q_sub.bucket_width = q_full.bucket_width;
-    q_sub.bucket_values = q_full.bucket_values;
-    ECG_RETURN_IF_ERROR(
-        PackBits(shipped_ids, q_full.bits, &q_sub.packed_ids));
-
-    w->PutU8(kSelectedElement);
-    w->PutU8(static_cast<uint8_t>(q_full.bits));
-    std::vector<uint32_t> packed_slt;
-    ECG_RETURN_IF_ERROR(PackBits(slt, /*bits=*/2, &packed_slt));
-    w->PutU64(count);
-    w->PutU32Vector(packed_slt);
-    q_sub.AppendTo(w);
-    w->PutF32(proportion);
+    sel.shipped.AppendTo(w);
+    w->PutF32(sel.slt.empty() ? 0.0f
+                              : static_cast<float>(sel.predicted) /
+                                    sel.slt.size());
     return Status::OK();
   }
 
@@ -747,6 +641,16 @@ class ReqEcFpExchanger : public FpExchanger {
     ECG_RETURN_IF_ERROR(r->GetF32(&proportion_from_[peer]));
     const size_t dim = st.h_last.cols();
     const bool element = kind == kSelectedElement;
+    // Shipped units are whole rows `dim` wide (vertex) or the coordinates
+    // of one row (element); only that shape splits back into units.
+    if (element ? q_sub.rows != 1 : q_sub.cols != dim) {
+      return Status::InvalidArgument(
+          "ReqEC " + std::string(element ? "element" : "vertex") +
+          " response ships a " + std::to_string(q_sub.rows) + "x" +
+          std::to_string(q_sub.cols) + " subset; expected " +
+          (element ? std::string("one row")
+                   : "rows " + std::to_string(dim) + " wide"));
+    }
     widths_.Feed(layer, peer,
                  element ? static_cast<double>(q_sub.cols)
                          : static_cast<double>(q_sub.rows) * dim,
@@ -799,6 +703,118 @@ class ReqEcFpExchanger : public FpExchanger {
 };
 
 }  // namespace
+
+Result<ReqEcSelection> SelectReqEc(const Matrix& truth, const Matrix& h_last,
+                                   const Matrix& m_cr, uint32_t step,
+                                   const QuantizedMatrix& q_full,
+                                   SelectorGranularity granularity) {
+  const size_t n = truth.rows(), cols = truth.cols(), count = truth.size();
+  if (!IsSupportedBitWidth(q_full.bits) ||
+      q_full.bucket_values.size() != (size_t{1} << q_full.bits) ||
+      q_full.packed_ids.size() < PackedWordCount(count, q_full.bits) ||
+      h_last.rows() != n || h_last.cols() != cols || m_cr.rows() != n ||
+      m_cr.cols() != cols || q_full.rows != n || q_full.cols != cols) {
+    return Status::InvalidArgument(
+        "ReqEC selector: baseline " + std::to_string(h_last.rows()) + "x" +
+        std::to_string(h_last.cols()) + " and message " +
+        std::to_string(q_full.rows) + "x" + std::to_string(q_full.cols) +
+        " do not match the " + std::to_string(n) + "x" +
+        std::to_string(cols) + " send set");
+  }
+  // Blocks of kSelectRows rows start on a packed-word boundary at every
+  // width, so each block's cps decodes straight from q_full's words into an
+  // L1 buffer through one LUT, and the kernels read truth, cps and the
+  // baseline rows in one pass.
+  const kern::Kernels& k = kern::Active();
+  const float fstep = static_cast<float>(step);
+  const bool element = granularity == SelectorGranularity::kElement;
+  const size_t per_word = 32 / static_cast<size_t>(q_full.bits);
+  std::vector<float> storage;
+  const float* lut =
+      kern::BuildUnpackLut(q_full.bits, q_full.bucket_values.data(), &storage);
+  ReqEcSelection sel;
+  std::vector<float> l1(element ? 0 : 3 * n);
+  sel.slt.assign(element ? count : n, kCps);
+  ThreadPool::Global().ParallelFor(
+      (n + kSelectRows - 1) / kSelectRows, 1, [&](size_t b0, size_t b1) {
+        std::vector<float> cps(kSelectRows * cols);
+        for (size_t b = b0; b < b1; ++b) {
+          const size_t r0 = b * kSelectRows;
+          const size_t rows = std::min(kSelectRows, n - r0);
+          const size_t e0 = r0 * cols, len = rows * cols;
+          k.unpack_flat(q_full.bits, q_full.packed_ids.data() + e0 / per_word,
+                        len, 0, (len + per_word - 1) / per_word, lut,
+                        /*subtract=*/false, cps.data());
+          if (element) {
+            k.reqec_element_pick(truth.data() + e0, cps.data(),
+                                 h_last.data() + e0, m_cr.data() + e0, len,
+                                 fstep, sel.slt.data() + e0);
+          } else {
+            k.reqec_row_l1(truth.data() + e0, cps.data(), h_last.data() + e0,
+                           m_cr.data() + e0, rows, cols, fstep,
+                           l1.data() + 3 * r0);
+          }
+        }
+      });
+  if (element) {
+    // Only the non-predicted coordinates ship their bucket ids (sharing
+    // q_full's bucket table).
+    std::vector<uint32_t> full_ids, shipped_ids;
+    ECG_RETURN_IF_ERROR(
+        UnpackBits(q_full.packed_ids, count, q_full.bits, &full_ids));
+    for (size_t i = 0; i < count; ++i) {
+      if (sel.slt[i] == kPdt) {
+        ++sel.predicted;
+      } else {
+        shipped_ids.push_back(full_ids[i]);
+      }
+    }
+    sel.shipped = q_full;
+    sel.shipped.rows = 1;
+    sel.shipped.cols = static_cast<uint32_t>(shipped_ids.size());
+    ECG_RETURN_IF_ERROR(
+        PackBits(shipped_ids, q_full.bits, &sel.shipped.packed_ids));
+    return sel;
+  }
+
+  // Per-vertex L1 distances (Eq. 10), or a single matrix-wide decision
+  // under the coarse granularity ablation.
+  if (granularity == SelectorGranularity::kVertex) {
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t best = kCps;
+      float best_s = l1[3 * i + kCps];
+      if (l1[3 * i + kPdt] < best_s) {
+        best = kPdt;
+        best_s = l1[3 * i + kPdt];
+      }
+      if (l1[3 * i + kAvg] < best_s) best = kAvg;
+      sel.slt[i] = best;
+    }
+  } else {
+    double t_cps = 0, t_pdt = 0, t_avg = 0;
+    for (size_t i = 0; i < n; ++i) {
+      t_cps += l1[3 * i + kCps];
+      t_pdt += l1[3 * i + kPdt];
+      t_avg += l1[3 * i + kAvg];
+    }
+    uint32_t best = kCps;
+    if (t_pdt < t_cps && t_pdt <= t_avg) best = kPdt;
+    if (t_avg < t_cps && t_avg < t_pdt) best = kAvg;
+    std::fill(sel.slt.begin(), sel.slt.end(), best);
+  }
+  // Predicted rows are never shipped (Algorithm 4 line 14).
+  std::vector<uint32_t> shipped;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (sel.slt[i] == kPdt) {
+      ++sel.predicted;
+    } else {
+      shipped.push_back(i);
+    }
+  }
+  ECG_ASSIGN_OR_RETURN(sel.shipped,
+                       compress::GatherQuantizedRows(q_full, shipped));
+  return sel;
+}
 
 std::unique_ptr<FpExchanger> MakeFpExchanger(FpMode mode,
                                              const ExchangeConfig& config,

@@ -248,13 +248,13 @@ Result<TrainResult> SamplingTrainer::Train() {
               p_cache[l].Reset(plan.num_owned(), dims[l - 1]);
               z_cache[l].Reset(plan.num_owned(), dims[l]);
               internal::GcnForwardRows(plan.adj, h, halo, w[l - 1],
-                                       plan.interior_rows, /*int8=*/false,
-                                       &p_cache[l], &z_cache[l]);
+                                       plan.interior_rows, &p_cache[l],
+                                       &z_cache[l]);
             },
             [&] {
               internal::GcnForwardRows(plan.adj, h, halo, w[l - 1],
-                                       plan.boundary_rows, options_.int8_gemm,
-                                       &p_cache[l], &z_cache[l]);
+                                       plan.boundary_rows, &p_cache[l],
+                                       &z_cache[l]);
               activate();
             }));
       }

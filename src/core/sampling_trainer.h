@@ -48,8 +48,6 @@ struct SamplingTrainOptions {
   /// TrainOptions::overlap). Per-epoch sampled plans carry their own
   /// interior/boundary split, so the same schedule applies.
   bool overlap = true;
-  /// Int8 packed-domain boundary-row transform (see TrainOptions::int8_gemm).
-  bool int8_gemm = false;
   uint32_t num_servers = 1;
   uint32_t epochs = 100;
   dist::NetworkModel network;

@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "common/trace.h"
-#include "compress/int8_gemm.h"
 #include "core/exchange.h"
 #include "core/halo.h"
 #include "core/metrics_board.h"
@@ -186,19 +185,16 @@ class Schedule {
 };
 
 /// GCN forward on `rows`: P[rows] = Â[rows]·[H ; H_halo], then
-/// Z[rows] = P[rows]·W — in the int8 packed domain when `int8` is set and
-/// the shape allows (compress::Int8GemmRows), else float GemmRows. `p` and
-/// `z` are pre-sized; rows not listed are left untouched.
+/// Z[rows] = P[rows]·W. `p` and `z` are pre-sized; rows not listed are
+/// left untouched.
 inline void GcnForwardRows(const tensor::CsrMatrix& adj,
                            const tensor::Matrix& h,
                            const tensor::Matrix& h_halo,
                            const tensor::Matrix& w,
-                           const std::vector<uint32_t>& rows, bool int8,
+                           const std::vector<uint32_t>& rows,
                            tensor::Matrix* p, tensor::Matrix* z) {
   adj.SpMMRows(h, h_halo, rows, p);
-  if (!(int8 && compress::Int8GemmRows(*p, w, rows, z))) {
-    tensor::GemmRows(*p, w, rows, z);
-  }
+  tensor::GemmRows(*p, w, rows, z);
 }
 
 /// GCN backward on `rows`: T[rows] = Â[rows]·[G ; G_halo], then

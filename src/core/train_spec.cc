@@ -103,8 +103,6 @@ void BindTrainSpec(config::Spec& spec, TrainSpec* ts) {
       .Help("early-stop patience, epochs (0 = off)");
   spec.Bool("overlap", &opt->overlap)
       .Help("split-phase halo exchange overlapped with interior compute");
-  spec.Bool("int8_gemm", &opt->int8_gemm)
-      .Help("boundary-row transform in the int8 packed domain");
   spec.U32("log_every", &opt->log_every)
       .Help("progress line cadence, epochs (0 = silent)");
   spec.U32("checkpoint_every", &opt->checkpoint_every)
@@ -184,7 +182,6 @@ Result<TrainSpec> ParseTrainSpec(const std::vector<std::string>& args) {
                                       : BpMode::kCompressed;
     ts.sampling.exchange = ts.options.exchange;
     ts.sampling.overlap = ts.options.overlap;
-    ts.sampling.int8_gemm = ts.options.int8_gemm;
     ts.sampling.num_servers = ts.options.num_servers;
     ts.sampling.epochs = ts.options.epochs;
     ts.sampling.network = ts.options.network;

@@ -28,7 +28,7 @@ Result<graph::Partition> MakePartition(const graph::Graph& g,
 /// hidden(16), lr(0.01), model=gcn|sage, fp=exact|cp|reqec|delayed(reqec),
 /// bp=exact|cp|resec(resec), fp_bits(2), bp_bits(2), adapt=on|off(off),
 /// partitioner=hash|metis|streaming(hash), patience(0), overlap=on|off(on),
-/// int8_gemm=on|off(off), log_every(10), checkpoint_every(0),
+/// log_every(10), checkpoint_every(0),
 /// checkpoint_dir=DIR, elastic=SPEC, worker_scale=A:B:...
 ///
 /// `sampling=SPEC` switches to the SamplingTrainer (EC-Graph-S /

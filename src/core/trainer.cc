@@ -358,8 +358,8 @@ Result<TrainResult> DistributedTrainer::Train() {
               p_cache[l].Reset(plan.num_owned(), dims[l - 1]);
               z_cache[l].Reset(plan.num_owned(), dims[l]);
               internal::GcnForwardRows(plan.adj, h, halo, w[l - 1],
-                                       plan.interior_rows, /*int8=*/false,
-                                       &p_cache[l], &z_cache[l]);
+                                       plan.interior_rows, &p_cache[l],
+                                       &z_cache[l]);
             },
             [&] {
               if (sage) {
@@ -367,12 +367,8 @@ Result<TrainResult> DistributedTrainer::Train() {
                 p_cache[l] = tensor::ConcatCols(h, agg);
                 tensor::Gemm(p_cache[l], w[l - 1], &z_cache[l]);
               } else {
-                // With int8_gemm on, the boundary-row transform
-                // re-quantizes the aggregated rows at 8 bits and runs
-                // fused in the packed domain.
                 internal::GcnForwardRows(plan.adj, h, halo, w[l - 1],
-                                         plan.boundary_rows,
-                                         options_.int8_gemm, &p_cache[l],
+                                         plan.boundary_rows, &p_cache[l],
                                          &z_cache[l]);
               }
               activate();

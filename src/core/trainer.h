@@ -38,14 +38,6 @@ struct TrainOptions {
   /// compute); off, the same steps run with zero credit. Results are
   /// bitwise identical either way.
   bool overlap = true;
-  /// Run the boundary-row transform Z = P·W of every exchanged layer in
-  /// the int8 packed domain (quantize the boundary rows of P at 8 bits,
-  /// then the fused compress::DequantGemmRows) instead of float GemmRows.
-  /// Off by default: the result deviates from the float path by the
-  /// weight-quantization error (see int8_gemm.h), so it trades a bounded
-  /// accuracy perturbation for GEMM throughput. Shapes the fused kernel
-  /// cannot take fall back to the float path automatically.
-  bool int8_gemm = false;
   /// Early stopping: stop when val accuracy hasn't improved for `patience`
   /// epochs (0 disables). All workers stop together.
   uint32_t patience = 0;

@@ -2,14 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/bitpack.h"
 #include "common/bytes.h"
+#include "common/random.h"
 #include "core/halo.h"
 #include "core/wire_util.h"
 #include "dist/cluster.h"
+#include "graph/datasets.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "tensor/ops.h"
@@ -531,6 +537,464 @@ TEST(ExchangeTest, ReqEcRejectsABaselineShorterThanTheHaloSlice) {
       return ex->Exchange(ctx, plan, /*epoch=*/1, 1, owned, &halo);
     });
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  }
+}
+
+/// Worker 1's side of epoch `epoch` with a hand-built ReqEC response:
+/// it answers worker 0's request with `response` and drains the rest.
+Status FakeReqEcResponder(WorkerContext* ctx, uint32_t epoch,
+                          std::vector<uint8_t> response) {
+  const uint16_t layer = 1;
+  std::vector<uint8_t> request;
+  ByteWriter(&request).PutU8(2);
+  ctx->Send(0, dist::MessageHub::MakeTag(epoch, layer, kTagFpRequest),
+            std::move(request));
+  ctx->Recv(0, dist::MessageHub::MakeTag(epoch, layer, kTagFpRequest));
+  ctx->Send(0, dist::MessageHub::MakeTag(epoch, layer, kTagFpData),
+            std::move(response));
+  ctx->Recv(0, dist::MessageHub::MakeTag(epoch, layer, kTagFpData));
+  return Status::OK();
+}
+
+/// A selected response (vertex or element schema) for two halo rows of
+/// width kDim whose selector and element count are consistent, but whose
+/// compressed subset is `rows` x `cols`.
+std::vector<uint8_t> SelectedResponse(bool element, uint32_t rows,
+                                      uint32_t cols) {
+  const uint8_t kind = element ? 3 : 1;
+  // Vertex: row 0 compressed, row 1 predicted (one row's worth shipped).
+  // Element: every coordinate compressed.
+  const std::vector<uint32_t> slt =
+      element ? std::vector<uint32_t>(2 * kDim, kCps)
+              : std::vector<uint32_t>{kCps, kPdt};
+  std::vector<uint8_t> buf;
+  ByteWriter w(&buf);
+  w.PutU8(kind);
+  w.PutU8(2);
+  w.PutU64(slt.size());
+  std::vector<uint32_t> packed;
+  EXPECT_TRUE(PackBits(slt, 2, &packed).ok());
+  w.PutU32Vector(packed);
+  Matrix subset(rows, cols);
+  for (size_t i = 0; i < subset.size(); ++i) {
+    subset.data()[i] = static_cast<float>(i);
+  }
+  auto q =
+      compress::Quantize(subset, {2, compress::BucketValueMode::kMidpoint});
+  EXPECT_TRUE(q.ok());
+  q->AppendTo(&w);
+  w.PutF32(0.5f);
+  return buf;
+}
+
+// A selected response splits its compressed subset back into whole units:
+// rows exactly `dim` wide (vertex) or the coordinates of one row
+// (element). A subset with the right element count but another shape is
+// malformed and must be rejected, not silently re-cut.
+TEST(ExchangeTest, ReqEcRejectsASubsetOfTheWrongShape) {
+  struct Shape {
+    bool element;
+    uint32_t rows, cols;
+  };
+  for (const Shape& shape : {Shape{false, 2, kDim / 2}, Shape{true, 2, kDim}}) {
+    SCOPED_TRACE(shape.element ? "element" : "vertex");
+    TwoWorkerFixture fx;
+    ExchangeConfig config;
+    config.trend_period = 4;  // epoch 3 sets the baseline, epoch 4 selects
+    config.selector = shape.element ? SelectorGranularity::kElement
+                                    : SelectorGranularity::kVertex;
+    SimulatedCluster cluster(2, dist::NetworkModel{});
+    const Status status = cluster.Run([&](WorkerContext* ctx) -> Status {
+      const WorkerPlan& plan = fx.plans[ctx->worker_id()];
+      auto ex = MakeFpExchanger(FpMode::kReqEc, config, 2, plan);
+      Matrix halo(plan.num_halo(), kDim);
+      for (uint32_t epoch = 0; epoch < 4; ++epoch) {
+        const Matrix owned = MakeOwned(plan, [&](uint32_t v, size_t c) {
+          return 0.25f * static_cast<float>(v + c + epoch);
+        });
+        ECG_RETURN_IF_ERROR(ex->Exchange(ctx, plan, epoch, 1, owned, &halo));
+      }
+      if (ctx->worker_id() == 1) {
+        return FakeReqEcResponder(
+            ctx, 4, SelectedResponse(shape.element, shape.rows, shape.cols));
+      }
+      const Matrix owned = MakeOwned(plan, [](uint32_t v, size_t c) {
+        return 0.25f * static_cast<float>(v + c + 4);
+      });
+      return ex->Exchange(ctx, plan, 4, 1, owned, &halo);
+    });
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  }
+}
+
+// ---------------------------------------------------------------------
+// ReqEC selector: the fused pass against a verbatim copy of the op
+// sequence it replaced (three candidate matrices, then three RowL1Distance
+// passes or an element loop), on every width, both bucket-value modes and
+// every granularity, with exact candidate ties.
+
+struct OldSelection {
+  std::vector<uint32_t> slt;
+  compress::QuantizedMatrix shipped;
+  size_t predicted = 0;
+};
+
+/// The previous BuildResponse, minus the wire framing.
+OldSelection OldBuildResponseSelection(const Matrix& h_send,
+                                       const Matrix& h_last,
+                                       const Matrix& m_cr, uint32_t step,
+                                       const compress::QuantizedMatrix& q_full,
+                                       SelectorGranularity selector) {
+  OldSelection out;
+  Matrix h_cps = *compress::Dequantize(q_full);
+  Matrix h_pdt = h_last;
+  tensor::Axpy(static_cast<float>(step), m_cr, &h_pdt);
+  Matrix h_avg = h_pdt;
+  tensor::AddInPlace(&h_avg, h_cps);
+  tensor::ScaleInPlace(&h_avg, 0.5f);
+  if (selector == SelectorGranularity::kElement) {
+    const size_t count = h_send.size();
+    std::vector<uint32_t> full_ids;
+    EXPECT_TRUE(
+        UnpackBits(q_full.packed_ids, count, q_full.bits, &full_ids).ok());
+    out.slt.assign(count, kCps);
+    std::vector<uint32_t> shipped_ids;
+    for (size_t i = 0; i < count; ++i) {
+      const float truth = h_send.data()[i];
+      const float e_cps = std::fabs(h_cps.data()[i] - truth);
+      const float e_pdt = std::fabs(h_pdt.data()[i] - truth);
+      const float e_avg = std::fabs(h_avg.data()[i] - truth);
+      uint32_t pick = kCps;
+      float best = e_cps;
+      if (e_pdt < best) {
+        pick = kPdt;
+        best = e_pdt;
+      }
+      if (e_avg < best) pick = kAvg;
+      out.slt[i] = pick;
+      if (pick == kPdt) {
+        ++out.predicted;
+      } else {
+        shipped_ids.push_back(full_ids[i]);
+      }
+    }
+    out.shipped = q_full;
+    out.shipped.rows = 1;
+    out.shipped.cols = static_cast<uint32_t>(shipped_ids.size());
+    EXPECT_TRUE(
+        PackBits(shipped_ids, q_full.bits, &out.shipped.packed_ids).ok());
+    return out;
+  }
+  const std::vector<float> s_cps = tensor::RowL1Distance(h_cps, h_send);
+  const std::vector<float> s_pdt = tensor::RowL1Distance(h_pdt, h_send);
+  const std::vector<float> s_avg = tensor::RowL1Distance(h_avg, h_send);
+  const size_t n = h_send.rows();
+  out.slt.assign(n, kCps);
+  if (selector == SelectorGranularity::kVertex) {
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t best = kCps;
+      float best_s = s_cps[i];
+      if (s_pdt[i] < best_s) {
+        best = kPdt;
+        best_s = s_pdt[i];
+      }
+      if (s_avg[i] < best_s) best = kAvg;
+      out.slt[i] = best;
+    }
+  } else {
+    double t_cps = 0, t_pdt = 0, t_avg = 0;
+    for (size_t i = 0; i < n; ++i) {
+      t_cps += s_cps[i];
+      t_pdt += s_pdt[i];
+      t_avg += s_avg[i];
+    }
+    uint32_t best = kCps;
+    if (t_pdt < t_cps && t_pdt <= t_avg) best = kPdt;
+    if (t_avg < t_cps && t_avg < t_pdt) best = kAvg;
+    std::fill(out.slt.begin(), out.slt.end(), best);
+  }
+  std::vector<uint32_t> shipped;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (out.slt[i] == kPdt) {
+      ++out.predicted;
+    } else {
+      shipped.push_back(i);
+    }
+  }
+  out.shipped = *compress::GatherQuantizedRows(q_full, shipped);
+  return out;
+}
+
+std::vector<uint8_t> Wire(const compress::QuantizedMatrix& q) {
+  std::vector<uint8_t> out;
+  ByteWriter w(&out);
+  q.AppendTo(&w);
+  return out;
+}
+
+TEST(ExchangeTest, FusedSelectorMatchesTheOpSequenceItReplaced) {
+  using compress::BucketValueMode;
+  Rng rng(17);
+  Matrix h_owned(400, 13);
+  for (size_t i = 0; i < h_owned.size(); ++i) {
+    h_owned.data()[i] =
+        std::max(0.0f, static_cast<float>(rng.NextGaussian()));
+  }
+  std::vector<uint32_t> rows(300);
+  for (auto& r : rows) r = static_cast<uint32_t>(rng.NextBelow(400));
+  const uint32_t step = 3;
+  for (int bits : {1, 2, 4, 8, 16}) {
+    for (auto mode : {BucketValueMode::kMidpoint, BucketValueMode::kDataMean}) {
+      const compress::QuantizerOptions opt{bits, mode};
+      Matrix truth;
+      auto q = compress::GatherQuantizeRows(h_owned, rows, nullptr, opt,
+                                            &truth);
+      ASSERT_TRUE(q.ok());
+      const Matrix h_send = tensor::GatherRows(h_owned, rows);
+      auto q_old = compress::Quantize(h_send, opt);
+      ASSERT_TRUE(q_old.ok());
+      ASSERT_EQ(Wire(*q), Wire(*q_old));
+      const Matrix cps = *compress::Dequantize(*q);
+      // Mixed baseline: noisy trends, then exact ties — rows whose pdt
+      // (and so avg) equals cps, and rows whose pdt is the truth.
+      Matrix h_last(rows.size(), 13), m_cr(rows.size(), 13);
+      for (size_t i = 0; i < h_last.size(); ++i) {
+        h_last.data()[i] = h_send.data()[i] +
+                           0.3f * static_cast<float>(rng.NextGaussian());
+        m_cr.data()[i] = 0.05f * static_cast<float>(rng.NextGaussian());
+      }
+      for (size_t i = 0; i < 40 * 13; ++i) {
+        h_last.data()[i] = cps.data()[i];
+        m_cr.data()[i] = 0.0f;
+      }
+      for (size_t i = 40 * 13; i < 80 * 13; ++i) {
+        h_last.data()[i] = h_send.data()[i];
+        m_cr.data()[i] = 0.0f;
+      }
+      // All-tie baseline: every candidate equals cps, so the matrix-wide
+      // totals tie too.
+      const Matrix tie_rate(rows.size(), 13);
+      for (SelectorGranularity selector :
+           {SelectorGranularity::kVertex, SelectorGranularity::kElement,
+            SelectorGranularity::kMatrix}) {
+        for (const Matrix* last : {&std::as_const(h_last), &cps}) {
+          const Matrix& rate = last == &cps ? tie_rate : m_cr;
+          SCOPED_TRACE(::testing::Message()
+                       << "bits=" << bits << " mode=" << static_cast<int>(mode)
+                       << " selector=" << static_cast<int>(selector)
+                       << (last == &cps ? " all-tie" : " mixed"));
+          const OldSelection want = OldBuildResponseSelection(
+              h_send, *last, rate, step, *q_old, selector);
+          auto got = SelectReqEc(truth, *last, rate, step, *q, selector);
+          ASSERT_TRUE(got.ok()) << got.status();
+          EXPECT_EQ(got->slt, want.slt);
+          EXPECT_EQ(got->predicted, want.predicted);
+          EXPECT_EQ(Wire(got->shipped), Wire(want.shipped));
+        }
+      }
+    }
+  }
+  // A baseline that does not cover the send set is an error, not a crash.
+  Matrix truth;
+  auto q = compress::GatherQuantizeRows(h_owned, rows, nullptr, {2}, &truth);
+  ASSERT_TRUE(q.ok());
+  const Matrix short_last(rows.size() - 1, 13);
+  EXPECT_EQ(SelectReqEc(truth, short_last, short_last, step, *q,
+                        SelectorGranularity::kVertex)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------
+// Codec parity. Every byte the halo codec produces — halos, wire bytes,
+// checkpoint state — must stay what the previous implementation produced
+// on the same inputs. The digests were recorded from that implementation:
+// per epoch and layer, each worker's halo bits and its wire bytes; at the
+// end, its SaveState bytes. Inputs sit on a 1/64 grid (exact in float, no
+// libm), so the digests depend only on the codec's arithmetic.
+
+constexpr size_t kParityDim = 12;  // 12·bits is word-ragged below 8 bits
+constexpr uint32_t kParityEpochs = 12;
+
+uint64_t Fnv(uint64_t h, const void* data, size_t n) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// A trend plus, on every third vertex, noise: ReqEC predicts the former
+/// and must ship the latter. FP inputs are ReLU'd like hidden activations.
+float ParityValue(uint32_t v, size_t c, uint32_t epoch, uint16_t layer,
+                  bool relu) {
+  uint32_t x = v * 2654435761u ^ static_cast<uint32_t>(c * 40503u) ^
+               (layer * 7919u);
+  x ^= x >> 13;
+  x *= 0x5bd1e995u;
+  x ^= x >> 15;
+  const int base = static_cast<int>(x % 1201u) - 600;
+  const int slope = static_cast<int>((x >> 11) % 9u) - 4;
+  int noise = 0;
+  if (v % 3 == 0) {
+    noise = static_cast<int>(((x >> 7) ^ (epoch * 2246822519u)) % 65u) - 32;
+  }
+  const float f =
+      static_cast<float>(base + slope * static_cast<int>(epoch) + noise) /
+      64.0f;
+  return relu ? std::max(f, 0.0f) : f;
+}
+
+struct ParityCase {
+  const char* name;
+  bool fp;
+  FpMode fp_mode;
+  BpMode bp_mode;
+  ExchangeConfig config;
+  uint64_t digest;
+};
+
+uint64_t ParityDigest(const ParityCase& pc) {
+  const graph::Graph g = *graph::LoadDataset("tiny");
+  const graph::Partition part = *graph::HashPartition(g, 3);
+  std::vector<WorkerPlan> plans;
+  EXPECT_TRUE(BuildWorkerPlans(g, part, &plans).ok());
+  // Unit bandwidth, no latency: a phase's modelled seconds are its bytes.
+  dist::NetworkModel wire;
+  wire.bandwidth_bytes_per_sec = 1.0;
+  wire.latency_sec = 0.0;
+  SimulatedCluster cluster(3, wire);
+  std::vector<uint64_t> digests(3, 0xcbf29ce484222325ull);
+  const Status status = cluster.Run([&](WorkerContext* ctx) -> Status {
+    const WorkerPlan& plan = plans[ctx->worker_id()];
+    std::unique_ptr<FpExchanger> fp;
+    std::unique_ptr<BpExchanger> bp;
+    if (pc.fp) {
+      fp = MakeFpExchanger(pc.fp_mode, pc.config, /*num_layers=*/3, plan);
+    } else {
+      bp = MakeBpExchanger(pc.bp_mode, pc.config, /*num_layers=*/3, plan);
+    }
+    std::vector<Matrix> halos(4, Matrix(plan.num_halo(), kParityDim));
+    uint64_t& h = digests[ctx->worker_id()];
+    for (uint32_t epoch = 0; epoch < kParityEpochs; ++epoch) {
+      // FP exchanges H^1, H^2 upward; BP exchanges G^3, G^2 downward.
+      for (uint16_t layer : pc.fp ? std::vector<uint16_t>{1, 2}
+                                  : std::vector<uint16_t>{3, 2}) {
+        Matrix owned(plan.num_owned(), kParityDim);
+        for (size_t r = 0; r < plan.num_owned(); ++r) {
+          for (size_t c = 0; c < kParityDim; ++c) {
+            owned.At(r, c) =
+                ParityValue(plan.owned[r], c, epoch, layer, pc.fp);
+          }
+        }
+        Matrix& halo = halos[layer];
+        if (pc.fp) {
+          ECG_RETURN_IF_ERROR(
+              fp->Exchange(ctx, plan, epoch, layer, owned, &halo));
+        } else {
+          halo.Reset(plan.num_halo(), kParityDim);
+          ECG_RETURN_IF_ERROR(
+              bp->Exchange(ctx, plan, epoch, layer, owned, &halo));
+        }
+        const double wire_bytes = ctx->comm_seconds();
+        h = Fnv(h, halo.data(), halo.size() * sizeof(float));
+        h = Fnv(h, &wire_bytes, sizeof(wire_bytes));
+      }
+    }
+    std::vector<uint8_t> state;
+    ByteWriter w(&state);
+    if (pc.fp) {
+      fp->SaveState(&w);
+    } else {
+      bp->SaveState(&w);
+    }
+    h = Fnv(h, state.data(), state.size());
+    return Status::OK();
+  });
+  EXPECT_TRUE(status.ok()) << status;
+  return Fnv(0xcbf29ce484222325ull, digests.data(),
+             digests.size() * sizeof(uint64_t));
+}
+
+ExchangeConfig ParityConfig(int bits, SelectorGranularity selector,
+                            compress::BucketValueMode value_mode) {
+  ExchangeConfig config;
+  config.fp_bits = bits;
+  config.bp_bits = bits;
+  config.selector = selector;
+  config.value_mode = value_mode;
+  config.trend_period = 4;
+  config.delay_rounds = 3;
+  return config;
+}
+
+TEST(ExchangeTest, CodecParityWithRecordedDigests) {
+  using compress::BucketValueMode;
+  const ExchangeConfig v2 = ParityConfig(2, SelectorGranularity::kVertex,
+                                         BucketValueMode::kMidpoint);
+  const ExchangeConfig e4 = ParityConfig(4, SelectorGranularity::kElement,
+                                         BucketValueMode::kMidpoint);
+  const ExchangeConfig m1 = ParityConfig(1, SelectorGranularity::kMatrix,
+                                         BucketValueMode::kMidpoint);
+  const ExchangeConfig v8 = ParityConfig(8, SelectorGranularity::kVertex,
+                                         BucketValueMode::kMidpoint);
+  const ExchangeConfig d4 = ParityConfig(4, SelectorGranularity::kVertex,
+                                         BucketValueMode::kDataMean);
+  const ExchangeConfig s16 = ParityConfig(16, SelectorGranularity::kVertex,
+                                          BucketValueMode::kMidpoint);
+  ExchangeConfig adapt = v2;
+  adapt.adaptive_bits = true;
+  ExchangeConfig alloc = ParityConfig(4, SelectorGranularity::kVertex,
+                                      BucketValueMode::kMidpoint);
+  alloc.bit_alloc = true;
+  const ParityCase cases[] = {
+      {"fp_exact", true, FpMode::kExact, BpMode::kExact, v2,
+       0xb387488f44229c98ull},
+      {"fp_cp2", true, FpMode::kCompressed, BpMode::kExact, v2,
+       0x1904a7e3f7e8d81full},
+      {"fp_cp4_datamean", true, FpMode::kCompressed, BpMode::kExact, d4,
+       0x4c2a7f33896065aaull},
+      {"fp_cp16", true, FpMode::kCompressed, BpMode::kExact, s16,
+       0xc77d51f792297062ull},
+      {"fp_delayed", true, FpMode::kDelayed, BpMode::kExact, v2,
+       0x6d55c0299fb2a4afull},
+      {"fp_reqec_vertex2", true, FpMode::kReqEc, BpMode::kExact, v2,
+       0xcef63287009b5b69ull},
+      {"fp_reqec_vertex8", true, FpMode::kReqEc, BpMode::kExact, v8,
+       0xb9504845ad0fb901ull},
+      {"fp_reqec_element4", true, FpMode::kReqEc, BpMode::kExact, e4,
+       0x785fa1c21237d218ull},
+      {"fp_reqec_matrix1", true, FpMode::kReqEc, BpMode::kExact, m1,
+       0x47a2e3b6242d5cd0ull},
+      {"fp_reqec_datamean4", true, FpMode::kReqEc, BpMode::kExact, d4,
+       0xbe16660fb884edf8ull},
+      {"fp_reqec_adaptive", true, FpMode::kReqEc, BpMode::kExact, adapt,
+       0xb7078e086074eda7ull},
+      {"fp_reqec_bitalloc", true, FpMode::kReqEc, BpMode::kExact, alloc,
+       0xe0f3b10df319a3c3ull},
+      {"bp_exact", false, FpMode::kExact, BpMode::kExact, v2,
+       0x1f934b618e759744ull},
+      {"bp_cp2", false, FpMode::kExact, BpMode::kCompressed, v2,
+       0x2a4016f0e2d27b88ull},
+      {"bp_cp4_datamean", false, FpMode::kExact, BpMode::kCompressed, d4,
+       0xc6a51a72bdac8f9cull},
+      {"bp_resec2", false, FpMode::kExact, BpMode::kResEc, v2,
+       0xfefc9dddc67fa9e3ull},
+      {"bp_resec1", false, FpMode::kExact, BpMode::kResEc, m1,
+       0x1842d46d4bdb2471ull},
+      {"bp_resec_datamean4", false, FpMode::kExact, BpMode::kResEc, d4,
+       0x69c36a532ea2e17bull},
+      {"bp_resec16", false, FpMode::kExact, BpMode::kResEc, s16,
+       0xa3855b0d9c961a2bull},
+      {"bp_resec_bitalloc", false, FpMode::kExact, BpMode::kResEc, alloc,
+       0x1ec90e9adc8db54full},
+  };
+  for (const ParityCase& pc : cases) {
+    const uint64_t digest = ParityDigest(pc);
+    EXPECT_EQ(digest, pc.digest)
+        << pc.name << ": 0x" << std::hex << digest << "ull";
   }
 }
 

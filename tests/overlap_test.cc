@@ -328,7 +328,6 @@ struct TrainerCase {
   BpMode bp;
   GnnKind kind;
   bool cache_features;
-  bool int8_gemm;
   const char* name;
 };
 
@@ -345,7 +344,6 @@ TEST_P(OverlapTrainerEquivalence, OverlapMatchesSequentialBitForBit) {
   opt.fp_mode = tc.fp;
   opt.bp_mode = tc.bp;
   opt.cache_features = tc.cache_features;
-  opt.int8_gemm = tc.int8_gemm;
   opt.epochs = 8;
   opt.exchange.trend_period = 3;
 
@@ -378,17 +376,13 @@ INSTANTIATE_TEST_SUITE_P(
     Schedules, OverlapTrainerEquivalence,
     ::testing::Values(
         TrainerCase{FpMode::kExact, BpMode::kExact, GnnKind::kGcn, true,
-                    false, "noncp_gcn"},
+                    "noncp_gcn"},
         TrainerCase{FpMode::kCompressed, BpMode::kCompressed, GnnKind::kGcn,
-                    false, false, "cp_gcn_nocache"},
+                    false, "cp_gcn_nocache"},
         TrainerCase{FpMode::kReqEc, BpMode::kResEc, GnnKind::kGcn, true,
-                    false, "ec_gcn"},
+                    "ec_gcn"},
         TrainerCase{FpMode::kDelayed, BpMode::kExact, GnnKind::kSage, true,
-                    false, "delayed_sage"},
-        // The int8 boundary-row transform belongs to the schedule, so it
-        // runs (and matches) with overlap off too.
-        TrainerCase{FpMode::kExact, BpMode::kExact, GnnKind::kGcn, true,
-                    true, "int8_gcn"}),
+                    "delayed_sage"}),
     [](const ::testing::TestParamInfo<TrainerCase>& info) {
       return info.param.name;
     });

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
 
+#include "common/bitpack.h"
 #include "common/bytes.h"
 #include "common/random.h"
 #include "tensor/matrix.h"
@@ -337,6 +339,188 @@ TEST_P(QuantizeBits, SubtractDequantizedMatchesDequantizeThenSub) {
   Matrix wrong(4, 6);
   EXPECT_EQ(SubtractDequantized(*q, &wrong).code(),
             StatusCode::kInvalidArgument);
+}
+
+/// Serialized bytes of a quantized matrix.
+std::vector<uint8_t> WireOf(const QuantizedMatrix& q) {
+  std::vector<uint8_t> out;
+  ByteWriter w(&out);
+  q.AppendTo(&w);
+  return out;
+}
+
+/// ReLU'd Gaussian: about half the entries are exact zeros, the input the
+/// FP send path quantizes.
+Matrix ReluMatrix(size_t rows, size_t cols, uint64_t seed) {
+  Matrix m = RandomMatrix(rows, cols, seed, 1.3f);
+  for (size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = std::max(m.data()[i], 0.0f);
+  }
+  return m;
+}
+
+TEST_P(QuantizeBits, RowGatheredEncodesMatchGatherThenQuantize) {
+  // The block-gathered QuantizeRows and the one-pass GatherQuantizeRows
+  // must reproduce Quantize(GatherRows) byte for byte on ReLU'd input:
+  // many blocks with a ragged last one, 13-wide rows (13·bits is not a
+  // multiple of 32 below 32 bits), repeated rows, one row, no rows.
+  const int bits = GetParam();
+  const Matrix m = ReluMatrix(1500, 13, 800 + bits);
+  Rng rng(900 + bits);
+  std::vector<uint32_t> many(1400);
+  for (auto& r : many) r = static_cast<uint32_t>(rng.NextBelow(m.rows()));
+  const std::vector<std::vector<uint32_t>> lists = {many, {777}, {}};
+  for (auto mode : {BucketValueMode::kMidpoint, BucketValueMode::kDataMean}) {
+    const QuantizerOptions opt{bits, mode};
+    for (const auto& rows : lists) {
+      SCOPED_TRACE(::testing::Message() << "bits=" << bits << " rows="
+                                        << rows.size() << " mode="
+                                        << static_cast<int>(mode));
+      const Matrix gathered = tensor::GatherRows(m, rows);
+      auto want = Quantize(gathered, opt);
+      ASSERT_TRUE(want.ok());
+      auto blocked = QuantizeRows(m, rows, opt);
+      ASSERT_TRUE(blocked.ok());
+      EXPECT_EQ(WireOf(*blocked), WireOf(*want));
+      EXPECT_EQ(blocked->bucket_values, want->bucket_values);
+      Matrix copy;
+      auto one_pass = GatherQuantizeRows(m, rows, nullptr, opt, &copy);
+      ASSERT_TRUE(one_pass.ok());
+      EXPECT_EQ(WireOf(*one_pass), WireOf(*want));
+      ASSERT_EQ(copy.rows(), gathered.rows());
+      EXPECT_TRUE(gathered.size() == 0 ||
+                  std::memcmp(copy.data(), gathered.data(),
+                              gathered.size() * sizeof(float)) == 0);
+    }
+  }
+  Matrix copy;
+  EXPECT_EQ(GatherQuantizeRows(m, {1500}, nullptr, {bits}, &copy)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST_P(QuantizeBits, DequantizeIntoDecodesEveryRowLayoutAlike) {
+  // Rows that fill whole packed words decode straight into their targets;
+  // other widths go through word-aligned blocks. Both must land exactly
+  // Dequantize's floats, across several blocks, in permuted target rows.
+  const int bits = GetParam();
+  for (size_t cols : {size_t{13}, size_t{16}, size_t{32}, size_t{64}}) {
+    const Matrix m = RandomMatrix(700, cols, 1400 + bits + cols, 1.1f);
+    auto q = Quantize(m, {bits, BucketValueMode::kDataMean});
+    ASSERT_TRUE(q.ok());
+    auto dense = Dequantize(*q);
+    ASSERT_TRUE(dense.ok());
+    std::vector<uint32_t> targets(m.rows());
+    for (size_t i = 0; i < targets.size(); ++i) {
+      targets[i] = static_cast<uint32_t>((i * 337 + 11) % 701);
+    }
+    Matrix dst(701, cols);
+    dst.Fill(-5.0f);
+    ASSERT_TRUE(DequantizeInto(*q, targets, &dst).ok());
+    for (size_t i = 0; i < targets.size(); ++i) {
+      ASSERT_EQ(std::memcmp(dst.Row(targets[i]), dense->Row(i),
+                            cols * sizeof(float)),
+                0)
+          << "bits=" << bits << " cols=" << cols << " row=" << i;
+    }
+  }
+}
+
+TEST_P(QuantizeBits, GatherQuantizeRowsFoldsLikeTheResEcSequence) {
+  // ResEC's encode, fused: gather + δ fold + bounds in one pass, then the
+  // residual through the LUT decode. Packed words, wire bytes and the new
+  // residual must equal the sequence it replaced: GatherRows, AddInPlace,
+  // Quantize, then Dequantize + SubInPlace.
+  const int bits = GetParam();
+  const Matrix g = RandomMatrix(900, 13, 1000 + bits, 0.8f);
+  Rng rng(1100 + bits);
+  std::vector<uint32_t> rows(700);
+  for (auto& r : rows) r = static_cast<uint32_t>(rng.NextBelow(g.rows()));
+  Matrix delta = RandomMatrix(rows.size(), 13, 1200 + bits, 0.05f);
+  // A fresh residual is all +0: -0 + +0 = +0 must survive the fold.
+  for (size_t i = 0; i < 13 * 50; ++i) delta.data()[i] = 0.0f;
+  for (auto mode : {BucketValueMode::kMidpoint, BucketValueMode::kDataMean}) {
+    const QuantizerOptions opt{bits, mode};
+    Matrix old_cpt = tensor::GatherRows(g, rows);
+    tensor::AddInPlace(&old_cpt, delta);
+    auto old_q = Quantize(old_cpt, opt);
+    ASSERT_TRUE(old_q.ok());
+    auto old_dec = Dequantize(*old_q);
+    ASSERT_TRUE(old_dec.ok());
+    Matrix old_residual = old_cpt;
+    tensor::SubInPlace(&old_residual, *old_dec);
+
+    // Out of place, and in place as ResEC folds its residual.
+    Matrix folded;
+    auto q = GatherQuantizeRows(g, rows, &delta, opt, &folded);
+    ASSERT_TRUE(q.ok());
+    EXPECT_EQ(WireOf(*q), WireOf(*old_q)) << "bits=" << bits;
+    EXPECT_EQ(std::memcmp(folded.data(), old_cpt.data(),
+                          folded.size() * sizeof(float)),
+              0);
+    Matrix residual = delta;
+    q = GatherQuantizeRows(g, rows, &residual, opt, &residual);
+    ASSERT_TRUE(q.ok());
+    EXPECT_EQ(WireOf(*q), WireOf(*old_q)) << "bits=" << bits;
+    ASSERT_TRUE(SubtractDequantized(*q, &residual).ok());
+    ASSERT_EQ(residual.size(), old_residual.size());
+    EXPECT_EQ(std::memcmp(residual.data(), old_residual.data(),
+                          residual.size() * sizeof(float)),
+              0)
+        << "bits=" << bits;
+  }
+  Matrix wrong(3, 13), out;
+  EXPECT_EQ(GatherQuantizeRows(g, rows, &wrong, {bits}, &out).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_P(QuantizeBits, SaturationRateMatchesTheIdCount) {
+  // The packed-word count must equal the definition it replaced: unpack
+  // every id and count those equal to 0 or to the top bucket. Covers
+  // ragged final words, including stray bits past the last id.
+  const int bits = GetParam();
+  const uint32_t top = (1u << bits) - 1u;
+  for (size_t count : {size_t{1}, size_t{5}, size_t{31}, size_t{32},
+                       size_t{33}, size_t{63}, size_t{65}, size_t{1025},
+                       size_t{4103}}) {
+    Rng rng(1300 + count * 7 + bits);
+    std::vector<uint32_t> ids(count);
+    for (auto& id : ids) {
+      // Extremes are over-represented so both counts are exercised.
+      const uint64_t pick = rng.NextBelow(4);
+      id = pick == 0 ? 0u
+           : pick == 1
+               ? top
+               : static_cast<uint32_t>(rng.NextBelow(uint64_t{top} + 1));
+    }
+    QuantizedMatrix q;
+    q.rows = 1;
+    q.cols = static_cast<uint32_t>(count);
+    q.bits = bits;
+    q.bucket_values.assign(size_t{1} << bits, 0.0f);
+    ASSERT_TRUE(PackBits(ids, bits, &q.packed_ids).ok());
+    size_t want = 0;
+    for (uint32_t id : ids) want += (id == 0 || id == top) ? 1 : 0;
+    const double rate = static_cast<double>(want) / static_cast<double>(count);
+    auto got = BucketSaturationRate(q);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, rate) << "bits=" << bits << " count=" << count;
+    // Bits past the last id in its word are not ids.
+    const size_t per_word = 32 / static_cast<size_t>(bits);
+    if (count % per_word != 0) {
+      q.packed_ids.back() |= ~0u << ((count % per_word) * bits);
+      auto stray = BucketSaturationRate(q);
+      ASSERT_TRUE(stray.ok());
+      EXPECT_EQ(*stray, rate) << "bits=" << bits << " count=" << count;
+    }
+  }
+  QuantizedMatrix empty;
+  empty.bits = bits;
+  empty.bucket_values.assign(size_t{1} << bits, 0.0f);
+  auto none = BucketSaturationRate(empty);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(*none, 0.0);
 }
 
 }  // namespace
