@@ -5,15 +5,15 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "core/gnn_layer.h"
 #include "core/metrics_board.h"
+#include "core/schedule.h"
 #include "dist/cluster.h"
 #include "dist/param_server.h"
 #include "tensor/csr.h"
-#include "tensor/nn.h"
 #include "tensor/ops.h"
 
 namespace ecg::baselines {
@@ -138,9 +138,8 @@ Result<core::TrainResult> TrainMlCentered(const graph::Graph& g,
       options.fanouts.size() != static_cast<size_t>(L)) {
     return Status::InvalidArgument("need one fan-out per layer");
   }
-  if (options.model.kind != core::GnnKind::kGcn) {
-    return Status::NotImplemented("ML-centered baselines train GCN only");
-  }
+  ECG_RETURN_IF_ERROR(
+      core::RequireGcn(options.model, "ML-centered baselines train GCN only"));
   const uint32_t workers = partition.num_parts;
 
   // Preprocessing: materialize each worker's ego stack.
@@ -161,21 +160,11 @@ Result<core::TrainResult> TrainMlCentered(const graph::Graph& g,
     }
   }
 
-  std::vector<size_t> dims(L + 1);
-  dims[0] = g.feature_dim();
-  for (int l = 1; l <= L; ++l) {
-    dims[l] = (l == L) ? static_cast<size_t>(g.num_classes())
-                       : options.model.hidden_dim;
-  }
   ParameterServerGroup ps(
-      core::GcnLayerShapes(options.model, dims[0], g.num_classes()),
+      core::GcnLayerShapes(options.model, g.feature_dim(), g.num_classes()),
       options.num_servers, workers, options.model.learning_rate,
       options.model.seed);
 
-  std::vector<uint8_t> split_of(g.num_vertices(), 0);
-  for (uint32_t v : g.train_set()) split_of[v] = 1;
-  for (uint32_t v : g.val_set()) split_of[v] = 2;
-  for (uint32_t v : g.test_set()) split_of[v] = 3;
   const size_t global_train = g.train_set().size();
 
   MetricsBoard board;
@@ -188,15 +177,9 @@ Result<core::TrainResult> TrainMlCentered(const graph::Graph& g,
     const EgoStack& stack = stacks[me];
 
     ThreadCpuTimer cpu;
-    Matrix x0 = tensor::GatherRows(g.features(), stack.levels[0]);
+    const Matrix x = tensor::GatherRows(g.features(), stack.levels[0]);
     // Target-row bookkeeping (rows of S_L).
-    std::vector<int32_t> labels_local(stack.levels[L].size());
-    std::vector<uint32_t> rows_of[3];
-    for (uint32_t r = 0; r < stack.levels[L].size(); ++r) {
-      const uint32_t v = stack.levels[L][r];
-      labels_local[r] = g.labels()[v];
-      if (split_of[v] >= 1) rows_of[split_of[v] - 1].push_back(r);
-    }
+    const core::LocalSplits local = core::LocalizeSplits(g, stack.levels[L]);
     ctx->ChargeCompute(cpu.ElapsedSeconds());
 
     // One-time preprocessing pull of the L-hop information.
@@ -209,73 +192,42 @@ Result<core::TrainResult> TrainMlCentered(const graph::Graph& g,
     }
     ctx->BarrierSync();
 
-    std::vector<Matrix> h(L + 1), p(L + 1), z(L + 1), w(L), b(L);
-    h[0] = std::move(x0);
-    Matrix grads;
+    // Every input of the ego stack is local: the layers aggregate over
+    // [H ; no halo], and no worker-to-worker traffic ever flows.
+    const Matrix no_halo;
+    std::vector<core::GnnLayer> layers = core::MakeGnnLayers(options.model);
+    Matrix grad;
     for (uint32_t epoch = 0; epoch < options.epochs; ++epoch) {
+      const core::internal::Schedule sched(ctx, &board, epoch,
+                                           /*overlap=*/false);
       for (int l = 1; l <= L; ++l) {
-        const auto pull = ps.Pull(l - 1, &w[l - 1], &b[l - 1]);
-        ctx->ChargeCommSeconds(pull.Seconds(ctx->net()));
-        board.param_bytes.fetch_add(pull.bytes, std::memory_order_relaxed);
-        cpu.Reset();
-        stack.adj[l - 1].SpMM(h[l - 1], &p[l]);
-        tensor::Gemm(p[l], w[l - 1], &z[l]);
-        tensor::AddRowBias(&z[l], b[l - 1]);
-        h[l] = z[l];
-        if (l < L) tensor::ReluInPlace(&h[l]);
-        ctx->ChargeCompute(cpu.ElapsedSeconds());
+        core::GnnLayer& layer = layers[l - 1];
+        sched.Pull(ps, l - 1, &layer.w, &layer.b);
+        auto step = sched.Step("fp_compute", l);
+        layer.Forward(stack.adj[l - 1], l == 1 ? x : layers[l - 2].out(),
+                      no_halo);
       }
+      sched.Loss(layers[L - 1].out(), local.labels, local.rows_of,
+                 global_train, L, &grad);
 
-      cpu.Reset();
-      const double local_loss = tensor::SoftmaxCrossEntropy(
-          h[L], labels_local, rows_of[0], global_train, &grads);
-      uint64_t correct[3], totals[3];
-      for (int s = 0; s < 3; ++s) {
-        totals[s] = rows_of[s].size();
-        correct[s] = static_cast<uint64_t>(
-            tensor::Accuracy(h[L], labels_local, rows_of[s]) *
-                static_cast<double>(rows_of[s].size()) +
-            0.5);
-      }
-      ctx->ChargeCompute(cpu.ElapsedSeconds());
-      board.AddLocal(ctx->worker_id(), local_loss, correct, totals);
-
+      // G^{l-1}[S_{l-1}] = (A_l^T G^l) W^T, masked by layer l-1's ReLU.
       std::vector<Matrix> dw(L), db(L);
-      Matrix grad = std::move(grads);
       for (int l = L; l >= 1; --l) {
-        cpu.Reset();
-        tensor::GemmTransposeA(p[l], grad, &dw[l - 1]);
-        db[l - 1] = tensor::ColumnSums(grad);
-        if (l > 1) {
-          // G^{l-1}[S_{l-1}] = (A_l^T G^l) W^T ⊙ σ'(Z^{l-1}); everything
-          // is local to the cached ego-net — no worker-to-worker traffic.
-          Matrix t;
-          stack.adj_t[l - 1].SpMM(grad, &t);
-          Matrix g_prev;
-          tensor::GemmTransposeB(t, w[l - 1], &g_prev);
-          const Matrix mask = tensor::ReluGrad(z[l - 1]);
-          tensor::HadamardInPlace(&g_prev, mask);
-          grad = std::move(g_prev);
-        }
-        ctx->ChargeCompute(cpu.ElapsedSeconds());
+        auto step = sched.Step("bp_compute", l);
+        Matrix g_in;
+        layers[l - 1].Backward(stack.adj_t[l - 1], no_halo, &grad,
+                               &dw[l - 1], &db[l - 1],
+                               l > 1 ? &g_in : nullptr);
+        grad = std::move(g_in);
       }
-      const auto push = ps.Push(me, std::move(dw), std::move(db));
-      ctx->ChargeCommSeconds(push.Seconds(ctx->net()));
-      board.param_bytes.fetch_add(push.bytes, std::memory_order_relaxed);
+      sched.Push(&ps, std::move(dw), std::move(db));
       ctx->BarrierSync();
 
-      if (me == 0) {
-        board.FinalizeEpoch(epoch, ctx->total_seconds(),
-                            cluster.stats().TotalBytes(), global_train,
-                            options.patience);
-        if (options.log_every > 0 && epoch % options.log_every == 0) {
-          const core::EpochMetrics& m = board.epochs.back();
-          ECG_LOG(Info) << g.name << " [ml-centered] epoch " << epoch
-                        << " loss " << m.loss << " val " << m.val_acc;
-        }
+      if (sched.EndEpoch(ctx->total_seconds(), cluster.stats().TotalBytes(),
+                         global_train, options.patience, options.log_every,
+                         g.name + " [ml-centered]")) {
+        break;
       }
-      ctx->BarrierSync();
-      if (board.stop.load(std::memory_order_relaxed)) break;
     }
     return Status::OK();
   };

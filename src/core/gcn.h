@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "dist/param_server.h"
+#include "graph/graph.h"
 
 namespace ecg::core {
 
@@ -35,21 +37,63 @@ struct GcnConfig {
   uint64_t seed = 42;
 };
 
-/// Per-layer parameter shapes given input features and classes:
-/// d0 -> hidden -> ... -> hidden -> classes. SAGE doubles the input dim
-/// of every layer (stacked self/neighbour weights).
+/// Per-layer widths d0 -> hidden -> ... -> hidden -> classes: dims[0] is
+/// the feature width and dims[l] the output width of layer l.
+inline std::vector<size_t> GcnLayerDims(const GcnConfig& config,
+                                        size_t feature_dim,
+                                        size_t num_classes) {
+  std::vector<size_t> dims(config.num_layers + 1);
+  dims[0] = feature_dim;
+  for (int l = 1; l <= config.num_layers; ++l) {
+    dims[l] = (l == config.num_layers) ? num_classes : config.hidden_dim;
+  }
+  return dims;
+}
+
+/// Per-layer parameter shapes given input features and classes (see
+/// GcnLayerDims). SAGE doubles the input dim of every layer (stacked
+/// self/neighbour weights).
 inline std::vector<dist::ParameterServerGroup::LayerShape> GcnLayerShapes(
     const GcnConfig& config, size_t feature_dim, size_t num_classes) {
-  std::vector<dist::ParameterServerGroup::LayerShape> shapes;
+  const std::vector<size_t> dims =
+      GcnLayerDims(config, feature_dim, num_classes);
   const size_t in_factor = config.kind == GnnKind::kSage ? 2 : 1;
-  size_t in = feature_dim;
+  std::vector<dist::ParameterServerGroup::LayerShape> shapes;
   for (int l = 0; l < config.num_layers; ++l) {
-    const size_t out =
-        (l + 1 == config.num_layers) ? num_classes : config.hidden_dim;
-    shapes.push_back({in * in_factor, out});
-    in = out;
+    shapes.push_back({dims[l] * in_factor, dims[l + 1]});
   }
   return shapes;
+}
+
+/// NotImplemented(`why`) unless `config` is a GCN: for trainers whose
+/// structures carry GCN normalization only.
+inline Status RequireGcn(const GcnConfig& config, const char* why) {
+  return config.kind == GnnKind::kGcn ? Status::OK()
+                                      : Status::NotImplemented(why);
+}
+
+/// A worker's loss inputs: the label of each of its rows (local row r is
+/// global vertex `vertices[r]`) and, per split (0 train, 1 val, 2 test),
+/// its local rows in that split, ascending.
+struct LocalSplits {
+  std::vector<int32_t> labels;
+  std::vector<uint32_t> rows_of[3];
+};
+
+inline LocalSplits LocalizeSplits(const graph::Graph& g,
+                                  const std::vector<uint32_t>& vertices) {
+  std::vector<uint8_t> split_of(g.num_vertices(), 0);  // 0 = none
+  for (uint32_t v : g.train_set()) split_of[v] = 1;
+  for (uint32_t v : g.val_set()) split_of[v] = 2;
+  for (uint32_t v : g.test_set()) split_of[v] = 3;
+  LocalSplits out;
+  out.labels.resize(vertices.size());
+  for (uint32_t r = 0; r < vertices.size(); ++r) {
+    const uint32_t v = vertices[r];
+    out.labels[r] = g.labels()[v];
+    if (split_of[v] >= 1) out.rows_of[split_of[v] - 1].push_back(r);
+  }
+  return out;
 }
 
 inline const char* GnnKindName(GnnKind kind) {

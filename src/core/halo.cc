@@ -91,12 +91,15 @@ Status BuildWorkerPlansFromView(const AdjacencyView& g,
       plan.recv_halo_rows[plan.halo_owner[i]].push_back(i);
     }
 
-    // Âsub rows over [owned | halo] columns with GCN normalization,
-    // including the self loop of (A + I).
+    // Âsub rows over [owned | halo] columns, with the self loop of
+    // (A + I). A zero self weight (SAGE's mean: W_self carries v itself)
+    // stores no entry, in either direction: a stored zero would still
+    // turn a non-finite H[v] into NaN.
     std::vector<std::tuple<uint32_t, uint32_t, float>> triplets;
     for (uint32_t r = 0; r < plan.owned.size(); ++r) {
       const uint32_t v = plan.owned[r];
-      triplets.emplace_back(r, r, g.norm_weight(v, v));
+      const float self = g.norm_weight(v, v);
+      if (self != 0.0f) triplets.emplace_back(r, r, self);
       for (uint32_t u : g.neighbors(v)) {
         uint32_t col;
         if (partition.owner[u] == w) {
@@ -116,7 +119,8 @@ Status BuildWorkerPlansFromView(const AdjacencyView& g,
       bp_triplets.reserve(triplets.size());
       for (uint32_t r = 0; r < plan.owned.size(); ++r) {
         const uint32_t v = plan.owned[r];
-        bp_triplets.emplace_back(r, r, g.norm_weight_bp(v, v));
+        const float self = g.norm_weight_bp(v, v);
+        if (self != 0.0f) bp_triplets.emplace_back(r, r, self);
         for (uint32_t u : g.neighbors(v)) {
           uint32_t col;
           if (partition.owner[u] == w) {

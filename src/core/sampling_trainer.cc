@@ -1,12 +1,9 @@
 #include "core/sampling_trainer.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
@@ -15,7 +12,6 @@
 #include "core/metrics_board.h"
 #include "core/schedule.h"
 #include "dist/cluster.h"
-#include "tensor/nn.h"
 #include "tensor/ops.h"
 
 namespace ecg::core {
@@ -74,10 +70,9 @@ Result<TrainResult> SamplingTrainer::Train() {
     return Status::InvalidArgument(
         "ResEC-BP needs a stable halo layout; use full-batch training");
   }
-  if (options_.model.kind != GnnKind::kGcn) {
-    return Status::NotImplemented(
-        "sampling mode currently trains GCN only (SAGE is full-batch)");
-  }
+  ECG_RETURN_IF_ERROR(RequireGcn(
+      options_.model,
+      "sampling mode currently trains GCN only (SAGE is full-batch)"));
   Fanouts fanouts = options_.fanouts;
   if (fanouts.empty()) fanouts.assign(L, 10);
   if (fanouts.size() != static_cast<size_t>(L)) {
@@ -91,21 +86,12 @@ Result<TrainResult> SamplingTrainer::Train() {
   std::vector<WorkerPlan> full_plans;
   ECG_RETURN_IF_ERROR(BuildWorkerPlans(graph_, partition_, &full_plans));
 
-  std::vector<size_t> dims(L + 1);
-  dims[0] = graph_.feature_dim();
-  for (int l = 1; l <= L; ++l) {
-    dims[l] = (l == L) ? static_cast<size_t>(graph_.num_classes())
-                       : options_.model.hidden_dim;
-  }
   ParameterServerGroup ps(
-      GcnLayerShapes(options_.model, dims[0], graph_.num_classes()),
+      GcnLayerShapes(options_.model, graph_.feature_dim(),
+                     graph_.num_classes()),
       options_.num_servers, workers, options_.model.learning_rate,
       options_.model.seed);
 
-  std::vector<uint8_t> split_of(graph_.num_vertices(), 0);
-  for (uint32_t v : graph_.train_set()) split_of[v] = 1;
-  for (uint32_t v : graph_.val_set()) split_of[v] = 2;
-  for (uint32_t v : graph_.test_set()) split_of[v] = 3;
   const size_t global_train = graph_.train_set().size();
 
   MetricsBoard board;
@@ -121,20 +107,8 @@ Result<TrainResult> SamplingTrainer::Train() {
     const uint16_t num_layers = static_cast<uint16_t>(L);
 
     ThreadCpuTimer cpu;
-    Matrix x_local = tensor::GatherRows(graph_.features(), full_plan.owned);
-    std::vector<int32_t> labels_local(full_plan.num_owned());
-    std::vector<uint32_t> rows_of[3];
-    for (uint32_t r = 0; r < full_plan.num_owned(); ++r) {
-      const uint32_t v = full_plan.owned[r];
-      labels_local[r] = graph_.labels()[v];
-      if (split_of[v] >= 1) rows_of[split_of[v] - 1].push_back(r);
-    }
-    // Full-halo row lookup for the cached feature table.
-    std::unordered_map<uint32_t, uint32_t> full_halo_row;
-    full_halo_row.reserve(full_plan.num_halo() * 2);
-    for (uint32_t i = 0; i < full_plan.num_halo(); ++i) {
-      full_halo_row[full_plan.halo[i]] = i;
-    }
+    const Matrix x = tensor::GatherRows(graph_.features(), full_plan.owned);
+    const LocalSplits local = LocalizeSplits(graph_, full_plan.owned);
 
     auto fp_ex = MakeFpExchanger(options_.fp_mode, options_.exchange,
                                  num_layers, full_plan);
@@ -146,12 +120,12 @@ Result<TrainResult> SamplingTrainer::Train() {
     ctx->ChargeCompute(cpu.ElapsedSeconds());
 
     // One-time feature-halo cache over the full (unsampled) halo.
-    Matrix x_halo_cache(full_plan.num_halo(), dims[0]);
+    Matrix x_halo_cache(full_plan.num_halo(), x.cols());
     {
       ECG_TRACE_SCOPE("feature_cache", me, 0);
       ECG_RETURN_IF_ERROR(exact_fp->Exchange(ctx, full_plan,
                                              /*epoch=*/0xFFFFFFFFu,
-                                             /*layer=*/0, x_local,
+                                             /*layer=*/0, x,
                                              &x_halo_cache));
     }
     ctx->BarrierSync();
@@ -161,10 +135,7 @@ Result<TrainResult> SamplingTrainer::Train() {
     }
     ctx->BarrierSync();
 
-    std::vector<Matrix> h_owned(L + 1), p_cache(L + 1), z_cache(L + 1),
-        w(L), bias(L);
-    h_owned[0] = std::move(x_local);
-    Matrix grads_logits;
+    std::vector<GnnLayer> layers = MakeGnnLayers(options_.model);
 
     for (uint32_t epoch = 0; epoch < options_.epochs; ++epoch) {
       // --- Per-epoch sampling (worker 0 builds the shared plans; the
@@ -214,88 +185,47 @@ Result<TrainResult> SamplingTrainer::Train() {
       const internal::Schedule sched(ctx, &board, epoch, options_.overlap);
       for (int l = 1; l <= L; ++l) {
         const WorkerPlan& plan = shared.per_layer[l - 1][me];
-        sched.Pull(ps, l - 1, &w[l - 1], &bias[l - 1]);
-
-        auto activate = [&] {
-          tensor::AddRowBias(&z_cache[l], bias[l - 1]);
-          h_owned[l] = z_cache[l];
-          if (l < L) tensor::ReluInPlace(&h_owned[l]);
-        };
-        Matrix halo(plan.num_halo(), dims[l - 1]);
+        GnnLayer& layer = layers[l - 1];
+        sched.Pull(ps, l - 1, &layer.w, &layer.b);
         if (l == 1) {
+          Matrix halo;
           {
             auto step = sched.Step("fp_compute", 0, "halo_from_cache");
-            // Sampled feature halo comes from the one-time cache.
+            // Sampled feature halo comes from the one-time cache; both
+            // halos list global ids in ascending order.
+            const std::vector<uint32_t>& full = full_plan.halo;
+            std::vector<uint32_t> rows(plan.num_halo());
             for (uint32_t i = 0; i < plan.num_halo(); ++i) {
-              const auto it = full_halo_row.find(plan.halo[i]);
-              if (it == full_halo_row.end()) {
+              const auto it =
+                  std::lower_bound(full.begin(), full.end(), plan.halo[i]);
+              if (it == full.end() || *it != plan.halo[i]) {
                 return Status::Internal("sampled halo outside full halo");
               }
-              std::memcpy(halo.Row(i), x_halo_cache.Row(it->second),
-                          dims[0] * sizeof(float));
+              rows[i] = static_cast<uint32_t>(it - full.begin());
             }
+            halo = tensor::GatherRows(x_halo_cache, rows);
           }
           auto step = sched.Step("fp_compute", l);
-          plan.adj.SpMM(h_owned[0], halo, &p_cache[1]);
-          tensor::Gemm(p_cache[1], w[0], &z_cache[1]);
-          activate();
+          layer.Forward(plan.adj, x, halo);
           continue;
         }
-        const Matrix& h = h_owned[l - 1];
-        ECG_RETURN_IF_ERROR(sched.SplitPhase(
-            fp_ex.get(), plan, static_cast<uint16_t>(l - 1), h, &halo,
-            [&] {
-              p_cache[l].Reset(plan.num_owned(), dims[l - 1]);
-              z_cache[l].Reset(plan.num_owned(), dims[l]);
-              internal::GcnForwardRows(plan.adj, h, halo, w[l - 1],
-                                       plan.interior_rows, &p_cache[l],
-                                       &z_cache[l]);
-            },
-            [&] {
-              internal::GcnForwardRows(plan.adj, h, halo, w[l - 1],
-                                       plan.boundary_rows, &p_cache[l],
-                                       &z_cache[l]);
-              activate();
-            }));
+        const Matrix& in = layers[l - 2].out();
+        Matrix halo(plan.num_halo(), in.cols());
+        ECG_RETURN_IF_ERROR(
+            sched.Forward(fp_ex.get(), plan, l, &layer, in, &halo));
       }
 
-      sched.Loss(h_owned[L], labels_local, rows_of, global_train, L,
-                 &grads_logits);
+      Matrix g;
+      sched.Loss(layers[L - 1].out(), local.labels, local.rows_of,
+                 global_train, L, &g);
 
       // --- Backward on the same sampled structure ------------------------
       std::vector<Matrix> dw(L), db(L);
-      Matrix g = std::move(grads_logits);
       for (int l = L; l >= 1; --l) {
-        const WorkerPlan& plan = shared.per_layer[l - 1][me];
-        auto param_grads = [&] {
-          tensor::GemmTransposeA(p_cache[l], g, &dw[l - 1]);
-          db[l - 1] = tensor::ColumnSums(g);
-        };
-        if (l == 1) {
-          auto step = sched.Step("bp_compute", l);
-          param_grads();
-          break;
-        }
-        // Mirror of FP: dW/db and the interior rows of the gradient
-        // aggregation run before Finish.
-        Matrix g_halo(plan.num_halo(), dims[l]);
-        Matrix t, g_prev;
-        ECG_RETURN_IF_ERROR(sched.SplitPhase(
-            bp_ex.get(), plan, static_cast<uint16_t>(l), g, &g_halo,
-            [&] {
-              param_grads();
-              t.Reset(plan.num_owned(), dims[l]);
-              g_prev.Reset(plan.num_owned(), dims[l - 1]);
-              internal::GcnBackwardRows(plan.adj, g, g_halo, w[l - 1],
-                                        plan.interior_rows, &t, &g_prev);
-            },
-            [&] {
-              internal::GcnBackwardRows(plan.adj, g, g_halo, w[l - 1],
-                                        plan.boundary_rows, &t, &g_prev);
-              const Matrix mask = tensor::ReluGrad(z_cache[l - 1]);
-              tensor::HadamardInPlace(&g_prev, mask);
-              g = std::move(g_prev);
-            }));
+        ECG_RETURN_IF_ERROR(sched.Backward(bp_ex.get(),
+                                           shared.per_layer[l - 1][me], l,
+                                           &layers[l - 1], &g, &dw[l - 1],
+                                           &db[l - 1]));
       }
 
       sched.Push(&ps, std::move(dw), std::move(db));
@@ -304,19 +234,11 @@ Result<TrainResult> SamplingTrainer::Train() {
         ctx->BarrierSync();
       }
 
-      if (me == 0) {
-        board.FinalizeEpoch(epoch, ctx->total_seconds(),
-                            cluster.stats().TotalBytes(), global_train,
-                            options_.patience);
-        if (options_.log_every > 0 && epoch % options_.log_every == 0) {
-          const EpochMetrics& m = board.epochs.back();
-          ECG_LOG(Info) << graph_.name << " [sampled] epoch " << epoch
-                        << " loss " << m.loss << " val " << m.val_acc
-                        << " sim_s " << m.sim_seconds;
-        }
+      if (sched.EndEpoch(ctx->total_seconds(), cluster.stats().TotalBytes(),
+                         global_train, options_.patience, options_.log_every,
+                         graph_.name + " [sampled]")) {
+        break;
       }
-      ctx->BarrierSync();
-      if (board.stop.load(std::memory_order_relaxed)) break;
     }
     return Status::OK();
   };

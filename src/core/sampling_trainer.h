@@ -44,9 +44,8 @@ struct SamplingTrainOptions {
   BpMode bp_mode = BpMode::kCompressed;
   ExchangeConfig exchange;
   bool online_sampling = false;
-  /// Credit interior compute against halo exchanges (see
-  /// TrainOptions::overlap). Per-epoch sampled plans carry their own
-  /// interior/boundary split, so the same schedule applies.
+  /// As TrainOptions::overlap: each epoch's sampled plans carry their own
+  /// interior/boundary split for the layers' row steps.
   bool overlap = true;
   uint32_t num_servers = 1;
   uint32_t epochs = 100;

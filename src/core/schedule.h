@@ -3,14 +3,17 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <type_traits>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "core/exchange.h"
+#include "core/gnn_layer.h"
 #include "core/halo.h"
 #include "core/metrics_board.h"
 #include "dist/cluster.h"
@@ -123,6 +126,55 @@ class Schedule {
     return Status::OK();
   }
 
+  /// Layer `l`'s (1-based) forward: its input `x` goes out through `ex`
+  /// into `halo` around the layer's interior and boundary steps.
+  Status Forward(FpExchanger* ex, const WorkerPlan& plan, int32_t l,
+                 GnnLayer* layer, const tensor::Matrix& x,
+                 tensor::Matrix* halo) const {
+    return SplitPhase(
+        ex, plan, static_cast<uint16_t>(l - 1), x, halo,
+        [&] { layer->ForwardInterior(plan.adj, x, *halo, plan.interior_rows); },
+        [&] {
+          layer->ForwardBoundary(plan.adj, x, *halo, plan.boundary_rows);
+        });
+  }
+
+  /// Layer `l`'s backward: `*g` is dL/dH^l on entry, dL/dH^{l-1} on
+  /// return. The ReLU mask, layer 1's dW/db and SAGE's G·Wᵀ are bp_compute
+  /// steps of their own; from layer 2 up the shipped matrix goes out
+  /// through `ex` around the interior and boundary steps.
+  Status Backward(BpExchanger* ex, const WorkerPlan& plan, int32_t l,
+                  GnnLayer* layer, tensor::Matrix* g, tensor::Matrix* dw,
+                  tensor::Matrix* db) const {
+    if (layer->relu()) {
+      auto step = Step("bp_compute", l);
+      layer->ReluBackward(g);
+    }
+    if (l == 1) {
+      auto step = Step("bp_compute", l);
+      layer->ParamGrads(*g, dw, db);
+      return Status::OK();
+    }
+    const tensor::Matrix* shipped = g;
+    if (layer->TransformsBeforeShip()) {
+      auto step = Step("bp_compute", l);
+      shipped = &layer->Ship(*g);
+    }
+    tensor::Matrix halo(plan.num_halo(), shipped->cols()), g_in;
+    ECG_RETURN_IF_ERROR(SplitPhase(
+        ex, plan, static_cast<uint16_t>(l), *shipped, &halo,
+        [&] {
+          layer->BackwardInterior(plan.bp_adj(), *g, halo,
+                                  plan.interior_rows, dw, db, &g_in);
+        },
+        [&] {
+          layer->BackwardBoundary(plan.bp_adj(), *g, halo,
+                                  plan.boundary_rows, &g_in);
+        }));
+    *g = std::move(g_in);
+    return Status::OK();
+  }
+
   /// Pulls layer `layer`'s weights and bias (param_sync phase).
   void Pull(const dist::ParameterServerGroup& ps, int32_t layer,
             tensor::Matrix* w, tensor::Matrix* b) const {
@@ -175,6 +227,26 @@ class Schedule {
     board_->AddLocal(ctx_->worker_id(), local_loss, correct, totals);
   }
 
+  /// Ends the epoch: worker 0 books it at `clock` with `comm_bytes` sent
+  /// so far (logged as `tag` every `log_every` epochs), then all workers
+  /// sync. Returns whether early stopping ends the run.
+  bool EndEpoch(double clock, uint64_t comm_bytes, size_t global_train,
+                uint32_t patience, uint32_t log_every,
+                const std::string& tag) const {
+    if (ctx_->worker_id() == 0) {
+      board_->FinalizeEpoch(epoch_, clock, comm_bytes, global_train,
+                            patience);
+      if (log_every > 0 && epoch_ % log_every == 0) {
+        const EpochMetrics& m = board_->epochs.back();
+        ECG_LOG(Info) << tag << " epoch " << epoch_ << " loss " << m.loss
+                      << " val " << m.val_acc << " test " << m.test_acc
+                      << " sim_s " << m.sim_seconds;
+      }
+    }
+    ctx_->BarrierSync();
+    return board_->stop.load(std::memory_order_relaxed);
+  }
+
  private:
   using Phase = PhaseScope<dist::WorkerContext>;
 
@@ -183,31 +255,6 @@ class Schedule {
   uint32_t epoch_;
   bool overlap_;
 };
-
-/// GCN forward on `rows`: P[rows] = Â[rows]·[H ; H_halo], then
-/// Z[rows] = P[rows]·W. `p` and `z` are pre-sized; rows not listed are
-/// left untouched.
-inline void GcnForwardRows(const tensor::CsrMatrix& adj,
-                           const tensor::Matrix& h,
-                           const tensor::Matrix& h_halo,
-                           const tensor::Matrix& w,
-                           const std::vector<uint32_t>& rows,
-                           tensor::Matrix* p, tensor::Matrix* z) {
-  adj.SpMMRows(h, h_halo, rows, p);
-  tensor::GemmRows(*p, w, rows, z);
-}
-
-/// GCN backward on `rows`: T[rows] = Â[rows]·[G ; G_halo], then
-/// G_prev[rows] = T[rows]·Wᵀ. `t` and `g_prev` are pre-sized.
-inline void GcnBackwardRows(const tensor::CsrMatrix& adj,
-                            const tensor::Matrix& g,
-                            const tensor::Matrix& g_halo,
-                            const tensor::Matrix& w,
-                            const std::vector<uint32_t>& rows,
-                            tensor::Matrix* t, tensor::Matrix* g_prev) {
-  adj.SpMMRows(g, g_halo, rows, t);
-  tensor::GemmTransposeBRows(*t, w, rows, g_prev);
-}
 
 }  // namespace ecg::core::internal
 

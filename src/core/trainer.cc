@@ -18,7 +18,6 @@
 #include "dist/cluster.h"
 #include "dist/elastic.h"
 #include "dist/fault.h"
-#include "tensor/nn.h"
 #include "tensor/ops.h"
 
 namespace ecg::core {
@@ -57,22 +56,8 @@ Result<TrainResult> DistributedTrainer::Train() {
                                         options_.worker_compute_scale);
   if (elastic_on) elastic::MembershipLog::Global().Reset();
 
-  const bool sage = options_.model.kind == GnnKind::kSage;
-
-  // Per-layer output dims: d0 -> hidden^(L-1) -> classes.
-  std::vector<size_t> dims(L + 1);
-  dims[0] = graph_.feature_dim();
-  for (int l = 1; l <= L; ++l) {
-    dims[l] = (l == L) ? static_cast<size_t>(graph_.num_classes())
-                       : options_.model.hidden_dim;
-  }
-
-  // Split membership lookup shared by all workers: 1 train, 2 val,
-  // 3 test, 0 none.
-  std::vector<uint8_t> split_of(graph_.num_vertices(), 0);
-  for (uint32_t v : graph_.train_set()) split_of[v] = 1;
-  for (uint32_t v : graph_.val_set()) split_of[v] = 2;
-  for (uint32_t v : graph_.test_set()) split_of[v] = 3;
+  const std::vector<size_t> dims = GcnLayerDims(
+      options_.model, graph_.feature_dim(), graph_.num_classes());
   const size_t global_train = graph_.train_set().size();
 
   MetricsBoard board;
@@ -142,14 +127,8 @@ Result<TrainResult> DistributedTrainer::Train() {
 
     // ---- Local data setup -------------------------------------------
     ThreadCpuTimer cpu;
-    Matrix x_local = tensor::GatherRows(graph_.features(), plan.owned);
-    std::vector<int32_t> labels_local(plan.num_owned());
-    std::vector<uint32_t> rows_of[3];
-    for (uint32_t r = 0; r < plan.num_owned(); ++r) {
-      const uint32_t v = plan.owned[r];
-      labels_local[r] = graph_.labels()[v];
-      if (split_of[v] >= 1) rows_of[split_of[v] - 1].push_back(r);
-    }
+    Matrix x = tensor::GatherRows(graph_.features(), plan.owned);
+    const LocalSplits local = LocalizeSplits(graph_, plan.owned);
 
     auto fp_ex =
         MakeFpExchanger(options_.fp_mode, options_.exchange, num_layers, plan);
@@ -166,9 +145,8 @@ Result<TrainResult> DistributedTrainer::Train() {
       ECG_RETURN_IF_ERROR(bp_ex->ImportElasticState(plan, bag));
     }
 
-    std::vector<Matrix> h_owned(L + 1), h_halo(L), p_cache(L + 1),
-        z_cache(L + 1), g_halo(L + 1), w(L), bias(L);
-    h_owned[0] = std::move(x_local);
+    std::vector<GnnLayer> layers = MakeGnnLayers(options_.model);
+    std::vector<Matrix> h_halo(L);
     for (int l = 0; l < L; ++l) h_halo[l].Reset(plan.num_halo(), dims[l]);
     ctx->ChargeCompute(cpu.ElapsedSeconds());
 
@@ -176,8 +154,7 @@ Result<TrainResult> DistributedTrainer::Train() {
     if (options_.cache_features) {
       ECG_TRACE_SCOPE("feature_cache", ctx->worker_id(), 0);
       ECG_RETURN_IF_ERROR(exact_fp->Exchange(ctx, plan, /*epoch=*/0xFFFFFFFFu,
-                                             /*layer=*/0, h_owned[0],
-                                             &h_halo[0]));
+                                             /*layer=*/0, x, &h_halo[0]));
     }
     ctx->BarrierSync();
     if (ctx->worker_id() == 0 && first_round) {
@@ -254,14 +231,11 @@ Result<TrainResult> DistributedTrainer::Train() {
     // The round covers epochs [epoch_base, round_stop); an elastic crash
     // response or a rebalance trigger breaks out early and the coordinator
     // starts the next round.
-    Matrix grads_logits;
-    // Epoch-invariant layer-1 aggregation (DESIGN.md §17). With cached
-    // features, [X | X_halo] is fixed for the whole round, so P¹ (Â·[X |
-    // X_halo] for GCN, [X | mean_N(X)] for SAGE) is built once, inside the
-    // round's first layer-1 fp_compute step, and reused by every later
-    // epoch's forward GEMM and backward dW. A crash restore rewinds the
-    // model, not the plan or the features, so P¹ survives it; a new
-    // membership round re-runs worker_fn and rebuilds it from its plan.
+    // Epoch-invariant layer-1 aggregation (DESIGN.md §17): with cached
+    // features, [X | X_halo] is fixed for the round, so the round's first
+    // forward builds P¹ and every later epoch reuses it (Transform, dW).
+    // A crash restore rewinds the model, not the features, so P¹ survives
+    // it; a new membership round rebuilds it from its plan.
     bool p1_built = false;
     double compute_mark = ctx->compute_seconds();  // rebalancer deposit base
     uint32_t epoch = epoch_base;
@@ -307,142 +281,42 @@ Result<TrainResult> DistributedTrainer::Train() {
           continue;
         }
       }
-      // Forward propagation (Algorithm 1). Each layer's halo exchange runs
-      // the shared schedule (core/schedule.h): interior rows — owned rows
-      // whose whole in-neighborhood is owned — aggregate and transform
-      // between Start and Finish, boundary rows after Finish. With
-      // overlap on, the interior compute hides wire time.
+      // Forward propagation (Algorithm 1); every exchange overlaps the
+      // layer's interior step (core/schedule.h).
       const internal::Schedule sched(ctx, &board, epoch, options_.overlap);
       for (int l = 1; l <= L; ++l) {
-        sched.Pull(*ps, l - 1, &w[l - 1], &bias[l - 1]);
-
-        auto activate = [&] {
-          tensor::AddRowBias(&z_cache[l], bias[l - 1]);
-          h_owned[l] = z_cache[l];
-          if (l < L) tensor::ReluInPlace(&h_owned[l]);
-        };
+        GnnLayer& layer = layers[l - 1];
+        sched.Pull(*ps, l - 1, &layer.w, &layer.b);
         if (l == 1 && options_.cache_features) {
           // The feature halo is cached: no exchange, and P¹ is built once.
           auto step = sched.Step("fp_compute", l);
           if (!p1_built) {
-            if (sage) {
-              Matrix agg;
-              plan.adj.SpMM(h_owned[0], h_halo[0], &agg);
-              p_cache[1] = tensor::ConcatCols(h_owned[0], agg);
-            } else {
-              plan.adj.SpMM(h_owned[0], h_halo[0], &p_cache[1]);
-            }
+            layer.Forward(plan.adj, x, h_halo[0]);
             // The features are dead once P¹ holds their aggregation.
-            h_owned[0] = Matrix();
+            x = Matrix();
             h_halo[0] = Matrix();
             p1_built = true;
+          } else {
+            layer.Transform();
           }
-          tensor::Gemm(p_cache[1], w[l - 1], &z_cache[1]);
-          activate();
           continue;
         }
-        const Matrix& h = h_owned[l - 1];
-        Matrix& halo = h_halo[l - 1];
-        Matrix agg;  // SAGE: mean_N(H), stacked after H for the transform
-        ECG_RETURN_IF_ERROR(sched.SplitPhase(
-            fp_ex.get(), plan, static_cast<uint16_t>(l - 1), h, &halo,
-            [&] {
-              if (sage) {
-                agg.Reset(plan.num_owned(), dims[l - 1]);
-                plan.adj.SpMMRows(h, halo, plan.interior_rows, &agg);
-                return;
-              }
-              // The transform is row-decomposable too, so interior rows
-              // of Z go through W before Finish. (SAGE stacks [H | agg]
-              // first, so its transform waits for the halo.)
-              p_cache[l].Reset(plan.num_owned(), dims[l - 1]);
-              z_cache[l].Reset(plan.num_owned(), dims[l]);
-              internal::GcnForwardRows(plan.adj, h, halo, w[l - 1],
-                                       plan.interior_rows, &p_cache[l],
-                                       &z_cache[l]);
-            },
-            [&] {
-              if (sage) {
-                plan.adj.SpMMRows(h, halo, plan.boundary_rows, &agg);
-                p_cache[l] = tensor::ConcatCols(h, agg);
-                tensor::Gemm(p_cache[l], w[l - 1], &z_cache[l]);
-              } else {
-                internal::GcnForwardRows(plan.adj, h, halo, w[l - 1],
-                                         plan.boundary_rows, &p_cache[l],
-                                         &z_cache[l]);
-              }
-              activate();
-            }));
+        ECG_RETURN_IF_ERROR(sched.Forward(fp_ex.get(), plan, l, &layer,
+                                          l == 1 ? x : layers[l - 2].out(),
+                                          &h_halo[l - 1]));
       }
 
-      // Loss + local metrics on the final logits.
-      sched.Loss(h_owned[L], labels_local, rows_of, global_train, L,
-                 &grads_logits);
+      // Loss + local metrics on the final logits; g = dL/dZ^L.
+      Matrix g;
+      sched.Loss(layers[L - 1].out(), local.labels, local.rows_of,
+                 global_train, L, &g);
 
-      // Backward propagation (Algorithm 2). dW/db read only local
-      // matrices, so with an exchange ahead (l > 1) they run in its
-      // interior step and hide wire time too.
+      // Backward propagation (Algorithm 2); dW/db run in the interior step.
       std::vector<Matrix> dw(L), db(L);
-      Matrix g = std::move(grads_logits);  // G^L (loss grad already merged)
       for (int l = L; l >= 1; --l) {
-        auto param_grads = [&] {
-          tensor::GemmTransposeA(p_cache[l], g, &dw[l - 1]);
-          db[l - 1] = tensor::ColumnSums(g);
-        };
-        if (l == 1) {
-          auto step = sched.Step("bp_compute", l);
-          param_grads();
-          break;
-        }
-        Matrix g_prev;
-        if (sage) {
-          // dL/d[H|P] = G W^T splits into a direct self term and an
-          // aggregated term; only the aggregated rows cross workers.
-          Matrix t_self, t_agg;
-          {
-            auto step = sched.Step("bp_compute", l);
-            Matrix t_full;
-            tensor::GemmTransposeB(g, w[l - 1], &t_full);
-            t_self = tensor::SliceCols(t_full, 0, dims[l - 1]);
-            t_agg = tensor::SliceCols(t_full, dims[l - 1], 2 * dims[l - 1]);
-          }
-          g_halo[l].Reset(plan.num_halo(), dims[l - 1]);
-          ECG_RETURN_IF_ERROR(sched.SplitPhase(
-              bp_ex.get(), plan, static_cast<uint16_t>(l), t_agg, &g_halo[l],
-              [&] {
-                param_grads();
-                g_prev.Reset(plan.num_owned(), dims[l - 1]);
-                plan.bp_adj().SpMMRows(t_agg, g_halo[l], plan.interior_rows,
-                                       &g_prev);
-              },
-              [&] {
-                plan.bp_adj().SpMMRows(t_agg, g_halo[l], plan.boundary_rows,
-                                       &g_prev);
-                tensor::AddInPlace(&g_prev, t_self);
-              }));
-        } else {
-          Matrix t;
-          g_halo[l].Reset(plan.num_halo(), dims[l]);
-          ECG_RETURN_IF_ERROR(sched.SplitPhase(
-              bp_ex.get(), plan, static_cast<uint16_t>(l), g, &g_halo[l],
-              [&] {
-                param_grads();
-                t.Reset(plan.num_owned(), dims[l]);
-                g_prev.Reset(plan.num_owned(), dims[l - 1]);
-                internal::GcnBackwardRows(plan.adj, g, g_halo[l], w[l - 1],
-                                          plan.interior_rows, &t, &g_prev);
-              },
-              [&] {
-                internal::GcnBackwardRows(plan.adj, g, g_halo[l], w[l - 1],
-                                          plan.boundary_rows, &t, &g_prev);
-              }));
-        }
-        {
-          auto step = sched.Step("bp_compute", l - 1);
-          const Matrix mask = tensor::ReluGrad(z_cache[l - 1]);
-          tensor::HadamardInPlace(&g_prev, mask);
-          g = std::move(g_prev);
-        }
+        ECG_RETURN_IF_ERROR(sched.Backward(bp_ex.get(), plan, l,
+                                           &layers[l - 1], &g, &dw[l - 1],
+                                           &db[l - 1]));
       }
 
       sched.Push(ps.get(), std::move(dw), std::move(db));
@@ -492,19 +366,12 @@ Result<TrainResult> DistributedTrainer::Train() {
         take_checkpoint(epoch + 1);
       }
 
-      if (ctx->worker_id() == 0) {
-        board.FinalizeEpoch(epoch, sim_base + ctx->total_seconds(),
-                            comm_base + cluster->stats().TotalBytes(),
-                            global_train, options_.patience);
-        if (options_.log_every > 0 && epoch % options_.log_every == 0) {
-          const EpochMetrics& m = board.epochs.back();
-          ECG_LOG(Info) << graph_.name << " epoch " << epoch << " loss "
-                        << m.loss << " val " << m.val_acc << " test "
-                        << m.test_acc << " sim_s " << m.sim_seconds;
-        }
+      if (sched.EndEpoch(sim_base + ctx->total_seconds(),
+                         comm_base + cluster->stats().TotalBytes(),
+                         global_train, options_.patience,
+                         options_.log_every, graph_.name)) {
+        break;
       }
-      ctx->BarrierSync();
-      if (board.stop.load(std::memory_order_relaxed)) break;
       ++epoch;
       if (elastic_on &&
           rebal_break_at.load(std::memory_order_relaxed) == epoch) {

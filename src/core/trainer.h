@@ -31,12 +31,10 @@ struct TrainOptions {
   /// the H^0 halo is shipped exactly once during preprocessing instead of
   /// re-fetched every epoch.
   bool cache_features = true;
-  /// Credit interior compute against halo exchanges. Every exchange runs
-  /// one schedule (core/schedule.h): Start, the rows whose neighborhoods
-  /// are fully owned, Finish, then the boundary rows that need the halo.
-  /// With overlap on, the comm clock charges max(0, comm − interior
-  /// compute); off, the same steps run with zero credit. Results are
-  /// bitwise identical either way.
+  /// Credit a layer's interior step (GnnLayer: the rows that read no halo)
+  /// against its halo exchange (Schedule::Forward/Backward): the comm clock
+  /// charges max(0, comm − interior compute). Off, the same steps run with
+  /// zero credit; results are bitwise identical either way.
   bool overlap = true;
   /// Early stopping: stop when val accuracy hasn't improved for `patience`
   /// epochs (0 disables). All workers stop together.

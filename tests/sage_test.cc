@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "baselines/single_machine.h"
 #include "common/random.h"
 #include "dist/fault.h"
+#include "core/halo.h"
 #include "core/sampling_trainer.h"
 #include "core/trainer.h"
 #include "graph/datasets.h"
 #include "graph/generator.h"
+#include "graph/partition.h"
 #include "tensor/nn.h"
 #include "tensor/ops.h"
 
@@ -43,6 +48,52 @@ TEST(SageTest, MeanWeightExcludesSelfAndNormalizesRows) {
     float row_sum = 0.0f;
     for (uint32_t u : g.Neighbors(v)) row_sum += g.MeanWeight(v, u);
     if (g.Degree(v) > 0) EXPECT_NEAR(row_sum, 1.0f, 1e-5f);
+  }
+}
+
+// The mean aggregator has no self term (that path is W_self), so a SAGE
+// plan stores exactly one entry per edge: no zero-weight (v, v) entry,
+// whose 0 · inf = NaN would poison v's own mean when H[v] is not finite.
+TEST(SageTest, PlansStoreNoSelfEntry) {
+  const graph::Graph g = *graph::LoadDataset("tiny");
+  const graph::Partition part = *graph::HashPartition(g, 3);
+  std::vector<WorkerPlan> plans;
+  ASSERT_TRUE(BuildWorkerPlans(g, part, &plans, GnnKind::kSage).ok());
+  for (const WorkerPlan& plan : plans) {
+    uint64_t degrees = 0;
+    for (uint32_t v : plan.owned) degrees += g.Degree(v);
+    EXPECT_EQ(plan.adj.nnz(), degrees);
+    EXPECT_EQ(plan.adj_bp.nnz(), degrees);
+  }
+
+  // Plant inf in an owned row r that has an owned neighbour u: u's mean
+  // turns inf, r's own mean stays finite in both directions.
+  const WorkerPlan& plan = plans[0];
+  uint32_t r = 0, u = 0;
+  bool found = false;
+  for (uint32_t i = 0; i < plan.num_owned() && !found; ++i) {
+    for (uint32_t nb : g.Neighbors(plan.owned[i])) {
+      const auto it =
+          std::lower_bound(plan.owned.begin(), plan.owned.end(), nb);
+      if (it != plan.owned.end() && *it == nb) {
+        r = i;
+        u = static_cast<uint32_t>(it - plan.owned.begin());
+        found = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+  Matrix x = tensor::GatherRows(g.features(), plan.owned);
+  const Matrix halo = tensor::GatherRows(g.features(), plan.halo);
+  x.At(r, 0) = std::numeric_limits<float>::infinity();
+  for (const tensor::CsrMatrix* adj : {&plan.adj, &plan.adj_bp}) {
+    Matrix agg;
+    adj->SpMM(x, halo, &agg);
+    for (size_t c = 0; c < agg.cols(); ++c) {
+      EXPECT_TRUE(std::isfinite(agg.At(r, c))) << "column " << c;
+    }
+    EXPECT_TRUE(std::isinf(agg.At(u, 0)));
   }
 }
 
