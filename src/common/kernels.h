@@ -11,8 +11,8 @@ namespace ecg::kern {
 /// Runtime-dispatched kernel registry. Every hot inner loop of the
 /// compression pipeline (quantize pack, dequantize unpack, min/max
 /// reduction, bit packing, the halo row gather, the ReqEC selector) and
-/// the float tensor kernels (dense GEMM in all its transpose/row-subset
-/// forms, CSR SpMM) goes through one of the function pointers below. The same
+/// the float tensor kernels (dense GEMM in all its transpose forms, CSR
+/// SpMM) goes through one of the function pointers below. The same
 /// implementation source (kernels_impl.inc) is compiled once per
 /// architecture variant — scalar, AVX2, AVX-512, NEON — each in its own
 /// translation unit with per-file arch flags, and the table matching the
@@ -101,27 +101,27 @@ struct Kernels {
                              size_t count, float step, uint32_t* pick);
 
   /// Dense GEMM: C(i, j) += sum over kk < k of A(i, kk) * B(kk, j), for
-  /// j < n and m rows i: i = row_ids[0..m) (distinct) when row_ids is
-  /// non-null, else i = 0..m-1. A(i, kk) is
-  /// a[i * a_row_stride + kk * a_k_stride], so one entry serves A
-  /// (k-stride 1) and A^T (row stride 1); B(kk, j) = b[kk * ldb + j];
-  /// C(i, j) = c[i * ldc + j]. Each C element is summed in ascending kk
-  /// from its prior value, one multiply then one add per term, with no
-  /// zero skip (see the contract above).
+  /// i < m and j < n. A(i, kk) is a[i * a_row_stride + kk * a_k_stride],
+  /// so one entry serves A (k-stride 1) and A^T (row stride 1);
+  /// B(kk, j) = b[kk * ldb + j]; C(i, j) = c[i * ldc + j]. Each C element
+  /// is summed in ascending kk from its prior value, one multiply then one
+  /// add per term, with no zero skip (see the contract above).
   void (*gemm)(const float* a, size_t a_row_stride, size_t a_k_stride,
-               const float* b, size_t ldb, float* c, size_t ldc,
-               const uint32_t* row_ids, size_t m, size_t n, size_t k);
+               const float* b, size_t ldb, float* c, size_t ldc, size_t m,
+               size_t n, size_t k);
 
-  /// CSR SpMM rows: for count rows r (r = row_ids[i], distinct, when
-  /// row_ids is non-null, else r = i),
-  /// y[r * n + j] += values[e] * X(col_idx[e], j) for the nonzeros e of
-  /// row r in stored order, j < n. X is the stack
+  /// CSR SpMM rows: for count rows i and j < n,
+  /// y[i * n + j] += values[e] * X(col_idx[e], j) for the nonzeros e in
+  /// [begin[i], end[i]), in stored order. Whole rows pass
+  /// (row_ptr, row_ptr + 1). With a split offset s[i] inside each row, the
+  /// prefix pass (row_ptr, s) then the suffix pass (s, row_ptr + 1) onto
+  /// the same y is bitwise the whole-row pass. X is the stack
   /// [top ; bottom] of two row-major blocks of width n: X(c, .) is
   /// top + c * n when c < top_rows, else bottom + (c - top_rows) * n.
-  void (*spmm_rows)(const uint64_t* row_ptr, const uint32_t* col_idx,
-                    const float* values, const float* top, size_t top_rows,
-                    const float* bottom, size_t n, const uint32_t* row_ids,
-                    size_t count, float* y);
+  void (*spmm_rows)(const uint64_t* begin, const uint64_t* end,
+                    const uint32_t* col_idx, const float* values,
+                    const float* top, size_t top_rows, const float* bottom,
+                    size_t n, size_t count, float* y);
 };
 
 /// The table the runtime dispatch (or a force) selected. First call

@@ -1,7 +1,6 @@
 #ifndef ECGRAPH_CORE_GNN_LAYER_H_
 #define ECGRAPH_CORE_GNN_LAYER_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "core/gcn.h"
@@ -23,16 +22,16 @@ namespace ecg::core {
 ///             SAGE ships T_agg of [T_self | T_agg] = G·Wᵀ,
 ///             G_in = Ā_bp·[T_agg ; T_agg_halo] + T_self
 ///
-/// Each direction comes whole-matrix and as two row steps: the interior
-/// step (rows that read no halo column, so it can run while the halo is
-/// in flight) and the boundary step, which finishes the layer. Row steps
-/// run the row-list kernels and whole forms the whole-matrix ones, which
-/// agree bit for bit. Exchanges and clocks are the caller's
-/// (core/schedule.h).
+/// Each direction comes whole-matrix and as two steps split by column
+/// (DistGNN's local/remote partial aggregation): the owned step aggregates
+/// every row's owned columns, so it can run while the halo is in flight,
+/// and the halo step adds the halo columns and finishes the layer. The
+/// steps run the adjacency's owned and halo passes, the whole forms its
+/// one-pass SpMM, and the two agree bit for bit. Exchanges and clocks are
+/// the caller's (core/schedule.h).
 class GnnLayer {
   using Matrix = tensor::Matrix;
   using Csr = tensor::CsrMatrix;
-  using Rows = std::vector<uint32_t>;
 
  public:
   /// `relu` is false for the last layer, whose Z is the logits.
@@ -47,33 +46,20 @@ class GnnLayer {
   const Matrix& out() const { return h_; }
 
   void Forward(const Csr& adj, const Matrix& x, const Matrix& halo) {
-    adj.SpMM(x, halo, sage_ ? &agg_ : &p_);
-    if (sage_) StackSelf(x);
-    Transform();
+    adj.SpMM(x, halo, Agg());
+    Finish(x);
   }
   /// Forward's transform alone, over the P the last forward built.
   void Transform() {
     tensor::Gemm(p_, w, &z_);
     Activate();
   }
-  /// SAGE only aggregates here: [X | agg] needs every row of agg.
-  void ForwardInterior(const Csr& adj, const Matrix& x, const Matrix& halo,
-                       const Rows& rows) {
-    Matrix* agg = sage_ ? &agg_ : &p_;
-    agg->Reset(adj.rows(), x.cols());
-    if (!sage_) z_.Reset(adj.rows(), w.cols());
-    adj.SpMMRows(x, halo, rows, agg);
-    if (!sage_) tensor::GemmRows(p_, w, rows, &z_);
+  void ForwardOwned(const Csr& adj, const Matrix& x) {
+    adj.SpMMOwned(x, Agg());
   }
-  void ForwardBoundary(const Csr& adj, const Matrix& x, const Matrix& halo,
-                       const Rows& rows) {
-    adj.SpMMRows(x, halo, rows, sage_ ? &agg_ : &p_);
-    if (sage_) {
-      StackSelf(x);
-      return Transform();
-    }
-    tensor::GemmRows(p_, w, rows, &z_);
-    Activate();
+  void ForwardHalo(const Csr& adj, const Matrix& x, const Matrix& halo) {
+    adj.SpMMHalo(halo, Agg());
+    Finish(x);
   }
 
   /// ReluBackward and ParamGrads, then, when `g_in` is set, dL/dX.
@@ -83,8 +69,7 @@ class GnnLayer {
     if (g_in == nullptr) return ParamGrads(*g, dw, db);
     const Matrix& shipped = Ship(*g);
     ParamGrads(*g, dw, db);
-    adj_bp.SpMM(shipped, halo, sage_ ? g_in : &t_);
-    if (!sage_) tensor::GemmTransposeB(t_, w, g_in);
+    adj_bp.SpMM(shipped, halo, BpAgg(g_in));
     FinishInputGrad(g_in);
   }
   /// G ⊙= ReLU'(Z); nothing without ReLU.
@@ -97,7 +82,7 @@ class GnnLayer {
   }
   /// SAGE computes what it ships from G (GCN ships G itself).
   bool TransformsBeforeShip() const { return sage_; }
-  /// The matrix BP exchanges, valid until the boundary step: G, or T_agg.
+  /// The matrix BP exchanges, valid until the halo step: G, or T_agg.
   const Matrix& Ship(const Matrix& g) {
     if (!sage_) return g;
     Matrix t_full;  // only its aggregated half crosses workers
@@ -107,39 +92,45 @@ class GnnLayer {
     t_agg_ = tensor::SliceCols(t_full, in, 2 * in);
     return t_agg_;
   }
-  /// ParamGrads, then the interior rows of dL/dX; `halo` holds the
-  /// exchanged rows of Ship's matrix.
-  void BackwardInterior(const Csr& adj_bp, const Matrix& g,
-                        const Matrix& halo, const Rows& rows, Matrix* dw,
-                        Matrix* db, Matrix* g_in) {
+  /// ParamGrads, then the owned columns of dL/dX's aggregation.
+  void BackwardOwned(const Csr& adj_bp, const Matrix& g, Matrix* dw,
+                     Matrix* db, Matrix* g_in) {
     ParamGrads(g, dw, db);
-    const Matrix& shipped = sage_ ? t_agg_ : g;
-    Matrix* agg = sage_ ? g_in : &t_;
-    agg->Reset(adj_bp.rows(), shipped.cols());
-    if (!sage_) g_in->Reset(adj_bp.rows(), w.rows());
-    adj_bp.SpMMRows(shipped, halo, rows, agg);
-    if (!sage_) tensor::GemmTransposeBRows(t_, w, rows, g_in);
+    adj_bp.SpMMOwned(sage_ ? t_agg_ : g, BpAgg(g_in));
   }
-  void BackwardBoundary(const Csr& adj_bp, const Matrix& g,
-                        const Matrix& halo, const Rows& rows, Matrix* g_in) {
-    adj_bp.SpMMRows(sage_ ? t_agg_ : g, halo, rows, sage_ ? g_in : &t_);
-    if (!sage_) tensor::GemmTransposeBRows(t_, w, rows, g_in);
+  /// `halo` holds the exchanged rows of Ship's matrix.
+  void BackwardHalo(const Csr& adj_bp, const Matrix& halo, Matrix* g_in) {
+    adj_bp.SpMMHalo(halo, BpAgg(g_in));
     FinishInputGrad(g_in);
   }
 
  private:
-  void StackSelf(const Matrix& x) {
-    p_ = tensor::ConcatCols(x, agg_);
-    agg_ = Matrix();
+  /// Where the forward aggregates: SAGE's Ā·[X ; X_halo], or GCN's P.
+  Matrix* Agg() { return sage_ ? &agg_ : &p_; }
+  /// Where the backward aggregates: SAGE's dL/dX, or GCN's
+  /// Â_bp·[G ; G_halo].
+  Matrix* BpAgg(Matrix* g_in) { return sage_ ? g_in : &t_; }
+  /// SAGE stacks [X | agg], then the transform.
+  void Finish(const Matrix& x) {
+    if (sage_) {
+      p_ = tensor::ConcatCols(x, agg_);
+      agg_ = Matrix();
+    }
+    Transform();
   }
   void Activate() {
     tensor::AddRowBias(&z_, b);
     h_ = z_;
     if (relu_) tensor::ReluInPlace(&h_);
   }
-  /// SAGE adds T_self; the backward's scratch is released.
+  /// GCN applies ·Wᵀ, SAGE adds T_self; the backward's scratch is
+  /// released.
   void FinishInputGrad(Matrix* g_in) {
-    if (sage_) tensor::AddInPlace(g_in, t_self_);
+    if (sage_) {
+      tensor::AddInPlace(g_in, t_self_);
+    } else {
+      tensor::GemmTransposeB(t_, w, g_in);
+    }
     t_ = t_self_ = t_agg_ = Matrix();
   }
 

@@ -5,26 +5,6 @@
 #include <unordered_map>
 
 namespace ecg::core {
-namespace {
-
-// Classifies each local row of `adj` as interior (all columns < num_owned)
-// or boundary.
-void SplitInteriorBoundary(WorkerPlan* plan) {
-  const auto& adj = plan->adj;
-  const uint32_t num_owned = static_cast<uint32_t>(plan->num_owned());
-  for (uint32_t r = 0; r < num_owned; ++r) {
-    bool interior = true;
-    for (uint64_t i = adj.row_ptr()[r]; i < adj.row_ptr()[r + 1]; ++i) {
-      if (adj.col_idx()[i] >= num_owned) {
-        interior = false;
-        break;
-      }
-    }
-    (interior ? plan->interior_rows : plan->boundary_rows).push_back(r);
-  }
-}
-
-}  // namespace
 
 Status BuildWorkerPlans(const graph::Graph& g,
                         const graph::Partition& partition,
@@ -113,6 +93,7 @@ Status BuildWorkerPlansFromView(const AdjacencyView& g,
     ECG_ASSIGN_OR_RETURN(
         plan.adj, tensor::CsrMatrix::FromTriplets(
                       plan.owned.size(), plan.cat_rows(), triplets));
+    plan.adj.SplitColumns(plan.num_owned());
     if (g.norm_weight_bp) {
       // Same sparsity, transposed values: entry (v, u) = Ā[u, v].
       std::vector<std::tuple<uint32_t, uint32_t, float>> bp_triplets;
@@ -134,8 +115,8 @@ Status BuildWorkerPlansFromView(const AdjacencyView& g,
       ECG_ASSIGN_OR_RETURN(
           plan.adj_bp, tensor::CsrMatrix::FromTriplets(
                            plan.owned.size(), plan.cat_rows(), bp_triplets));
+      plan.adj_bp.SplitColumns(plan.num_owned());
     }
-    SplitInteriorBoundary(&plan);
     plan.send_rows.assign(parts, {});
   }
 

@@ -27,9 +27,9 @@ namespace ecg::core {
 ///    Â = D^{-1/2}(A+I)D^{-1/2}: rows = owned vertices (local order),
 ///    columns = [owned local rows | halo rows] — multiplying it with
 ///    H_cat = [H_owned ; H_halo] yields the aggregation of Eq. 2;
-///  * the interior/boundary split of the owned rows, as two row lists over
-///    that one adjacency (there is one adjacency per direction: `adj`, and
-///    `adj_bp` for asymmetric aggregators — no row-sliced copies).
+///  * one adjacency per direction (`adj`, and `adj_bp` for asymmetric
+///    aggregators), each with every row split into its owned columns and
+///    its halo columns.
 ///
 /// This is the 1-hop NAC (Neighbor Access Controller) of the paper, built
 /// once at partition time.
@@ -51,7 +51,12 @@ struct WorkerPlan {
   /// global-id order as p's send_rows[this worker].
   std::vector<std::vector<uint32_t>> recv_halo_rows;
 
-  /// Âsub: owned.size() x (owned.size() + halo.size()).
+  /// Âsub: owned.size() x (owned.size() + halo.size()), split by
+  /// `SplitColumns(owned.size())` for the exchange schedule (DistGNN's
+  /// local/remote partial aggregation): `SpMMOwned` aggregates every row's
+  /// owned columns while the halo is in flight, `SpMMHalo` adds its halo
+  /// columns after, and the two passes are bitwise one SpMM. `adj_bp`,
+  /// when populated, is split the same way.
   tensor::CsrMatrix adj;
   /// Backward-flow aggregation slice over the same [owned | halo] column
   /// layout. Empty (nnz == 0) when the aggregation matrix is symmetric
@@ -59,18 +64,6 @@ struct WorkerPlan {
   /// (GraphSAGE mean): entry (v, u) = Ā[u, v], i.e. the transpose values
   /// on the same sparsity.
   tensor::CsrMatrix adj_bp;
-
-  /// Interior/boundary row split for the exchange schedule (the AdaQP
-  /// central/marginal vertex distinction): a local row is *interior* when
-  /// every column it touches in `adj` (and so in `adj_bp`, which shares
-  /// the sparsity) is owned, so its aggregation needs no halo data and can
-  /// run while the exchange is still in flight. Boundary rows touch at
-  /// least one halo column. The two lists are ascending and together
-  /// enumerate every local row exactly once. Both row sets run over the
-  /// one adjacency (`CsrMatrix::SpMMRows` over [H_owned ; H_halo]), whose
-  /// per-row accumulation order makes the split bitwise equal to one SpMM.
-  std::vector<uint32_t> interior_rows;
-  std::vector<uint32_t> boundary_rows;
 
   /// The aggregation slice BP should use.
   const tensor::CsrMatrix& bp_adj() const {

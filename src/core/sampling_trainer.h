@@ -45,7 +45,7 @@ struct SamplingTrainOptions {
   ExchangeConfig exchange;
   bool online_sampling = false;
   /// As TrainOptions::overlap: each epoch's sampled plans carry their own
-  /// interior/boundary split for the layers' row steps.
+  /// owned/halo column split for the layers' two steps.
   bool overlap = true;
   uint32_t num_servers = 1;
   uint32_t epochs = 100;

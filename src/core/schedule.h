@@ -58,15 +58,15 @@ class ComputeStep {
 /// The one epoch schedule both trainers run, for one worker and one
 /// epoch. Every halo exchange goes
 ///
-///   Start → interior step → Finish → comm charge + overlap.* stats
-///         → boundary step
+///   Start → owned step → Finish → comm charge + overlap.* stats
+///         → halo step
 ///
-/// where the interior step computes the rows whose aggregation reads only
-/// owned columns and the boundary step the rest. `overlap` only decides
-/// whether the interior step's CPU is credited against the exchange's
-/// wire time: with it off the same steps run in the same order with zero
-/// credit, so activations, gradients and wire bytes are identical either
-/// way.
+/// where the owned step aggregates every row's owned columns and the halo
+/// step adds its halo columns and finishes the layer (GnnLayer). `overlap`
+/// only decides whether the owned step's CPU is credited against the
+/// exchange's wire time: with it off the same steps run in the same order
+/// with zero credit, so activations, gradients and wire bytes are
+/// identical either way.
 class Schedule {
  public:
   Schedule(dist::WorkerContext* ctx, MetricsBoard* board, uint32_t epoch,
@@ -82,14 +82,15 @@ class Schedule {
   }
 
   /// Split-phase halo exchange of layer `layer`'s `owned` rows into
-  /// `halo`, with `interior` and `boundary` run as the two compute steps.
+  /// `halo`, with `owned_step` and `halo_step` run as the two compute
+  /// steps.
   /// FP exchanges H^layer and books both steps as layer+1's fp_compute;
   /// BP exchanges G^layer and books both steps as layer's bp_compute.
   template <typename Exchanger>
   Status SplitPhase(Exchanger* ex, const WorkerPlan& plan, uint16_t layer,
                     const tensor::Matrix& owned, tensor::Matrix* halo,
-                    const std::function<void()>& interior,
-                    const std::function<void()>& boundary) const {
+                    const std::function<void()>& owned_step,
+                    const std::function<void()>& halo_step) const {
     constexpr bool fp = std::is_base_of_v<FpExchanger, Exchanger>;
     const char* exchange = fp ? "fp_exchange" : "bp_exchange";
     const char* compute = fp ? "fp_compute" : "bp_compute";
@@ -103,7 +104,7 @@ class Schedule {
     {
       ComputeStep step(ctx_, board_, epoch_, compute, compute, compute_layer,
                        &credit);
-      interior();
+      owned_step();
     }
     if (!overlap_) credit = 0.0;
     {
@@ -122,27 +123,25 @@ class Schedule {
       }
     }
     ComputeStep step(ctx_, board_, epoch_, compute, compute, compute_layer);
-    boundary();
+    halo_step();
     return Status::OK();
   }
 
   /// Layer `l`'s (1-based) forward: its input `x` goes out through `ex`
-  /// into `halo` around the layer's interior and boundary steps.
+  /// into `halo` around the layer's owned and halo steps.
   Status Forward(FpExchanger* ex, const WorkerPlan& plan, int32_t l,
                  GnnLayer* layer, const tensor::Matrix& x,
                  tensor::Matrix* halo) const {
     return SplitPhase(
         ex, plan, static_cast<uint16_t>(l - 1), x, halo,
-        [&] { layer->ForwardInterior(plan.adj, x, *halo, plan.interior_rows); },
-        [&] {
-          layer->ForwardBoundary(plan.adj, x, *halo, plan.boundary_rows);
-        });
+        [&] { layer->ForwardOwned(plan.adj, x); },
+        [&] { layer->ForwardHalo(plan.adj, x, *halo); });
   }
 
   /// Layer `l`'s backward: `*g` is dL/dH^l on entry, dL/dH^{l-1} on
   /// return. The ReLU mask, layer 1's dW/db and SAGE's G·Wᵀ are bp_compute
   /// steps of their own; from layer 2 up the shipped matrix goes out
-  /// through `ex` around the interior and boundary steps.
+  /// through `ex` around the owned and halo steps.
   Status Backward(BpExchanger* ex, const WorkerPlan& plan, int32_t l,
                   GnnLayer* layer, tensor::Matrix* g, tensor::Matrix* dw,
                   tensor::Matrix* db) const {
@@ -163,14 +162,8 @@ class Schedule {
     tensor::Matrix halo(plan.num_halo(), shipped->cols()), g_in;
     ECG_RETURN_IF_ERROR(SplitPhase(
         ex, plan, static_cast<uint16_t>(l), *shipped, &halo,
-        [&] {
-          layer->BackwardInterior(plan.bp_adj(), *g, halo,
-                                  plan.interior_rows, dw, db, &g_in);
-        },
-        [&] {
-          layer->BackwardBoundary(plan.bp_adj(), *g, halo,
-                                  plan.boundary_rows, &g_in);
-        }));
+        [&] { layer->BackwardOwned(plan.bp_adj(), *g, dw, db, &g_in); },
+        [&] { layer->BackwardHalo(plan.bp_adj(), halo, &g_in); }));
     *g = std::move(g_in);
     return Status::OK();
   }

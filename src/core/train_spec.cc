@@ -102,7 +102,7 @@ void BindTrainSpec(config::Spec& spec, TrainSpec* ts) {
   spec.U32("patience", &opt->patience)
       .Help("early-stop patience, epochs (0 = off)");
   spec.Bool("overlap", &opt->overlap)
-      .Help("split-phase halo exchange overlapped with interior compute");
+      .Help("split-phase halo exchange overlapped with owned-column compute");
   spec.U32("log_every", &opt->log_every)
       .Help("progress line cadence, epochs (0 = silent)");
   spec.U32("checkpoint_every", &opt->checkpoint_every)

@@ -282,7 +282,7 @@ Result<TrainResult> DistributedTrainer::Train() {
         }
       }
       // Forward propagation (Algorithm 1); every exchange overlaps the
-      // layer's interior step (core/schedule.h).
+      // layer's owned step (core/schedule.h).
       const internal::Schedule sched(ctx, &board, epoch, options_.overlap);
       for (int l = 1; l <= L; ++l) {
         GnnLayer& layer = layers[l - 1];
@@ -311,7 +311,7 @@ Result<TrainResult> DistributedTrainer::Train() {
       sched.Loss(layers[L - 1].out(), local.labels, local.rows_of,
                  global_train, L, &g);
 
-      // Backward propagation (Algorithm 2); dW/db run in the interior step.
+      // Backward propagation (Algorithm 2); dW/db run in the owned step.
       std::vector<Matrix> dw(L), db(L);
       for (int l = L; l >= 1; --l) {
         ECG_RETURN_IF_ERROR(sched.Backward(bp_ex.get(), plan, l,

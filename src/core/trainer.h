@@ -31,10 +31,10 @@ struct TrainOptions {
   /// the H^0 halo is shipped exactly once during preprocessing instead of
   /// re-fetched every epoch.
   bool cache_features = true;
-  /// Credit a layer's interior step (GnnLayer: the rows that read no halo)
+  /// Credit a layer's owned step (GnnLayer: every row's owned columns)
   /// against its halo exchange (Schedule::Forward/Backward): the comm clock
-  /// charges max(0, comm − interior compute). Off, the same steps run with
-  /// zero credit; results are bitwise identical either way.
+  /// charges max(0, comm − owned-step compute). Off, the same steps run
+  /// with zero credit; results are bitwise identical either way.
   bool overlap = true;
   /// Early stopping: stop when val accuracy hasn't improved for `patience`
   /// epochs (0 disables). All workers stop together.

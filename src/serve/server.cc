@@ -221,8 +221,8 @@ void InferenceServer::ComputeRow(size_t layer_idx, uint32_t v,
   // row, accumulating onto the bias), so every element sums the input dims
   // in ascending order on the batched and naive paths alike.
   std::memcpy(out, b.Row(0), d_out * sizeof(float));
-  kern::Active().gemm(agg.data(), d_total, 1, W.data(), d_out, out, d_out,
-                      nullptr, 1, d_out, d_total);
+  kern::Active().gemm(agg.data(), d_total, 1, W.data(), d_out, out, d_out, 1,
+                      d_out, d_total);
   if (layer_idx + 1 < static_cast<size_t>(model_.num_layers)) {
     for (size_t k = 0; k < d_out; ++k) out[k] = std::max(out[k], 0.0f);
   }

@@ -71,28 +71,20 @@ namespace {
 // Rows per ParallelFor chunk of the SpMM kernels.
 constexpr size_t kSpmmGrain = 64;
 
-// y.Row(r) += sum over row r's nonzeros, in stored order, of
-// value * [top ; bottom].Row(col), for every listed row (every row when
-// row_ids is null). All four SpMM entry points run this one registry
-// kernel, which is what makes a row from SpMMRows, or from a two-source
-// call, bitwise equal to the same row of a one-source SpMM.
-void Accumulate(const CsrMatrix& a, const Matrix& top, const Matrix& bottom,
-                const std::vector<uint32_t>* row_ids, Matrix* y) {
+// y.Row(r) += sum over the nonzeros [begin[r], end[r]) of row r, in
+// stored order, of value * [top ; bottom].Row(col), for every row. Every
+// SpMM entry point runs this one registry kernel, which is what makes a
+// two-source call, or an owned pass then a halo pass, bitwise equal to
+// the same row of a one-source SpMM.
+void Accumulate(const CsrMatrix& a, const uint64_t* begin,
+                const uint64_t* end, const float* top, size_t top_rows,
+                const float* bottom, Matrix* y) {
   const kern::Kernels& kern = kern::Active();
-  const size_t count = row_ids != nullptr ? row_ids->size() : a.rows();
   ThreadPool::Global().ParallelFor(
-      count, kSpmmGrain, [&](size_t begin, size_t end) {
-        const uint64_t* row_ptr = a.row_ptr().data();
-        if (row_ids != nullptr) {
-          kern.spmm_rows(row_ptr, a.col_idx().data(), a.values().data(),
-                         top.data(), top.rows(), bottom.data(), top.cols(),
-                         row_ids->data() + begin, end - begin, y->data());
-        } else {
-          kern.spmm_rows(row_ptr + begin, a.col_idx().data(),
-                         a.values().data(), top.data(), top.rows(),
-                         bottom.data(), top.cols(), nullptr, end - begin,
-                         y->Row(begin));
-        }
+      a.rows(), kSpmmGrain, [&](size_t lo, size_t hi) {
+        kern.spmm_rows(begin + lo, end + lo, a.col_idx().data(),
+                       a.values().data(), top, top_rows, bottom, y->cols(),
+                       hi - lo, y->Row(lo));
       });
 }
 
@@ -111,33 +103,49 @@ void CsrMatrix::SpMM(const Matrix& x, Matrix* y) const {
   ECG_CHECK(x.rows() == cols_) << "SpMM dim mismatch: csr cols " << cols_
                                << " vs dense rows " << x.rows();
   y->Reset(rows_, x.cols());
-  Accumulate(*this, x, Matrix(), nullptr, y);
+  Accumulate(*this, row_ptr_.data(), row_ptr_.data() + 1, x.data(), cols_,
+             nullptr, y);
 }
 
 void CsrMatrix::SpMM(const Matrix& top, const Matrix& bottom,
                      Matrix* y) const {
   CheckStacked("SpMM", cols_, top, bottom);
   y->Reset(rows_, top.cols());
-  Accumulate(*this, top, bottom, nullptr, y);
+  Accumulate(*this, row_ptr_.data(), row_ptr_.data() + 1, top.data(),
+             top.rows(), bottom.data(), y);
 }
 
-void CsrMatrix::SpMMRows(const Matrix& x, const std::vector<uint32_t>& row_ids,
-                         Matrix* y) const {
-  ECG_CHECK(x.rows() == cols_) << "SpMMRows dim mismatch: csr cols " << cols_
-                               << " vs dense rows " << x.rows();
-  ECG_CHECK(y->rows() == rows_ && y->cols() == x.cols())
-      << "SpMMRows output must be pre-sized to " << rows_ << "x" << x.cols();
-  Accumulate(*this, x, Matrix(), &row_ids, y);
+void CsrMatrix::SplitColumns(size_t owned_cols) {
+  ECG_CHECK(owned_cols <= cols_)
+      << "SplitColumns at " << owned_cols << " of " << cols_ << " columns";
+  owned_cols_ = owned_cols;
+  split_.resize(rows_);
+  for (size_t r = 0; r < rows_; ++r) {
+    split_[r] = static_cast<uint64_t>(
+        std::lower_bound(col_idx_.begin() + row_ptr_[r],
+                         col_idx_.begin() + row_ptr_[r + 1],
+                         static_cast<uint32_t>(owned_cols)) -
+        col_idx_.begin());
+  }
 }
 
-void CsrMatrix::SpMMRows(const Matrix& top, const Matrix& bottom,
-                         const std::vector<uint32_t>& row_ids,
-                         Matrix* y) const {
-  CheckStacked("SpMMRows", cols_, top, bottom);
-  ECG_CHECK(y->rows() == rows_ && y->cols() == top.cols())
-      << "SpMMRows output must be pre-sized to " << rows_ << "x"
-      << top.cols();
-  Accumulate(*this, top, bottom, &row_ids, y);
+void CsrMatrix::SpMMOwned(const Matrix& top, Matrix* y) const {
+  ECG_CHECK(split_.size() == rows_ && top.rows() == owned_cols_)
+      << "SpMMOwned needs SplitColumns(" << top.rows() << ")";
+  y->Reset(rows_, top.cols());
+  Accumulate(*this, row_ptr_.data(), split_.data(), top.data(), owned_cols_,
+             nullptr, y);
+}
+
+void CsrMatrix::SpMMHalo(const Matrix& bottom, Matrix* y) const {
+  ECG_CHECK(split_.size() == rows_ && bottom.rows() == cols_ - owned_cols_)
+      << "SpMMHalo dim mismatch: " << cols_ - owned_cols_
+      << " halo columns vs dense rows " << bottom.rows();
+  ECG_CHECK(y->rows() == rows_ &&
+            (bottom.rows() == 0 || bottom.cols() == y->cols()))
+      << "SpMMHalo adds onto SpMMOwned's " << rows_ << "-row output";
+  Accumulate(*this, split_.data(), row_ptr_.data() + 1, nullptr, owned_cols_,
+             bottom.data(), y);
 }
 
 CsrMatrix CsrMatrix::Transposed() const {

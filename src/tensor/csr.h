@@ -13,7 +13,8 @@ namespace ecg::tensor {
 /// A compressed-sparse-row float matrix used for the normalized adjacency
 /// Â = D^{-1/2}(A+I)D^{-1/2} and its partitioned sub-blocks. Only the
 /// operations the GCN needs are provided: SpMM against a dense right-hand
-/// side (one matrix, or two stacked row blocks) and structural transpose.
+/// side (one matrix, or two stacked row blocks, or the two blocks in two
+/// passes split by column) and structural transpose.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
@@ -31,16 +32,12 @@ class CsrMatrix {
   const std::vector<uint64_t>& row_ptr() const { return row_ptr_; }
   const std::vector<uint32_t>& col_idx() const { return col_idx_; }
   const std::vector<float>& values() const { return values_; }
+  /// Per row, its first nonzero in a column >= SplitColumns' column
+  /// (empty before SplitColumns).
+  const std::vector<uint64_t>& split() const { return split_; }
 
   /// y = this * x (rows x x.cols()); threaded over rows.
   void SpMM(const Matrix& x, Matrix* y) const;
-
-  /// Computes only the listed rows of y = this * x, accumulating into the
-  /// already-sized y (the caller Resets once; other rows are untouched).
-  /// The inner loop matches SpMM exactly so a row computed here is bitwise
-  /// identical to the same row from a full SpMM.
-  void SpMMRows(const Matrix& x, const std::vector<uint32_t>& row_ids,
-                Matrix* y) const;
 
   /// y = this * [top ; bottom] without materializing the stack: column c
   /// reads top.Row(c) when c < top.rows() and bottom.Row(c - top.rows())
@@ -49,10 +46,23 @@ class CsrMatrix {
   /// result is bitwise identical to SpMM over the explicit concatenation.
   void SpMM(const Matrix& top, const Matrix& bottom, Matrix* y) const;
 
-  /// SpMMRows over [top ; bottom], with the same contract as the
-  /// two-source SpMM.
-  void SpMMRows(const Matrix& top, const Matrix& bottom,
-                const std::vector<uint32_t>& row_ids, Matrix* y) const;
+  /// Splits every row's nonzeros at its first column >= owned_cols, for
+  /// SpMMOwned and SpMMHalo. A WorkerPlan slice's columns are
+  /// [owned | halo] and each row is sorted by column, so the split leaves
+  /// the owned columns in a prefix of the row and the halo columns in the
+  /// suffix.
+  void SplitColumns(size_t owned_cols);
+
+  /// y = this[:, < owned_cols] * top: each row's owned prefix, from zero
+  /// (top.rows() == owned_cols). Needs SplitColumns.
+  void SpMMOwned(const Matrix& top, Matrix* y) const;
+
+  /// y += this[:, >= owned_cols] * bottom: each row's halo suffix, onto
+  /// SpMMOwned's output. Each row's sum continues where the owned pass
+  /// stopped, in stored order, so SpMMOwned(top) then SpMMHalo(bottom) is
+  /// bitwise SpMM(top, bottom). This is what lets the owned pass run
+  /// while the halo rows are still in flight.
+  void SpMMHalo(const Matrix& bottom, Matrix* y) const;
 
   /// Returns the transpose (cols x rows) with the same nnz.
   CsrMatrix Transposed() const;
@@ -63,7 +73,9 @@ class CsrMatrix {
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
-  std::vector<uint64_t> row_ptr_;
+  std::vector<uint64_t> row_ptr_ = {0};  // rows_ + 1 offsets
+  size_t owned_cols_ = 0;  // SplitColumns' column
+  std::vector<uint64_t> split_;
   std::vector<uint32_t> col_idx_;
   std::vector<float> values_;
 };

@@ -24,28 +24,19 @@ void CheckSameShape(const Matrix& a, const Matrix& b, const char* op) {
       << b.rows() << "x" << b.cols();
 }
 
-// C += A * B over every row of C (row_ids null, m rows) or the listed rows,
-// threaded over those rows, through the one registry kernel. A(i, k) is
-// a[i * a_row_stride + k * a_k_stride], so the five GEMM forms below differ
-// only in how they address A and which rows they visit: a row computed by
+// C += A * B, threaded over the m rows of C, through the one registry
+// kernel. A(i, k) is a[i * a_row_stride + k * a_k_stride], so the three
+// GEMM forms below differ only in how they address A: a row computed by
 // any of them, in any chunking, is bitwise equal to the same row of the
 // full product.
 void GemmChunks(const float* a, size_t a_row_stride, size_t a_k_stride,
-                size_t k, const Matrix& b,
-                const std::vector<uint32_t>* row_ids, size_t m, Matrix* c) {
+                size_t k, const Matrix& b, size_t m, Matrix* c) {
   const kern::Kernels& kern = kern::Active();
-  const size_t count = row_ids != nullptr ? row_ids->size() : m;
   ThreadPool::Global().ParallelFor(
-      count, kRowGrain, [&](size_t begin, size_t end) {
-        if (row_ids != nullptr) {
-          kern.gemm(a, a_row_stride, a_k_stride, b.data(), b.cols(),
-                    c->data(), c->cols(), row_ids->data() + begin,
-                    end - begin, b.cols(), k);
-        } else {
-          kern.gemm(a + begin * a_row_stride, a_row_stride, a_k_stride,
-                    b.data(), b.cols(), c->Row(begin), c->cols(), nullptr,
-                    end - begin, b.cols(), k);
-        }
+      m, kRowGrain, [&](size_t begin, size_t end) {
+        kern.gemm(a + begin * a_row_stride, a_row_stride, a_k_stride,
+                  b.data(), b.cols(), c->Row(begin), c->cols(), end - begin,
+                  b.cols(), k);
       });
 }
 
@@ -55,17 +46,7 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix* c) {
   ECG_CHECK(a.cols() == b.rows()) << "Gemm inner dim mismatch: " << a.cols()
                                   << " vs " << b.rows();
   c->Reset(a.rows(), b.cols());
-  GemmChunks(a.data(), a.cols(), 1, a.cols(), b, nullptr, a.rows(), c);
-}
-
-void GemmRows(const Matrix& a, const Matrix& b,
-              const std::vector<uint32_t>& row_ids, Matrix* c) {
-  ECG_CHECK(a.cols() == b.rows()) << "GemmRows inner dim mismatch: "
-                                  << a.cols() << " vs " << b.rows();
-  ECG_CHECK(c->rows() == a.rows() && c->cols() == b.cols())
-      << "GemmRows output must be pre-sized to " << a.rows() << "x"
-      << b.cols();
-  GemmChunks(a.data(), a.cols(), 1, a.cols(), b, &row_ids, 0, c);
+  GemmChunks(a.data(), a.cols(), 1, a.cols(), b, a.rows(), c);
 }
 
 void GemmTransposeA(const Matrix& a, const Matrix& b, Matrix* c) {
@@ -75,24 +56,14 @@ void GemmTransposeA(const Matrix& a, const Matrix& b, Matrix* c) {
   // rows (= columns of A), so no two chunks write one row.
   c->Reset(a.cols(), b.cols());
   if (a.rows() == 0) return;  // empty sum; a.data() may be null
-  GemmChunks(a.data(), 1, a.cols(), a.rows(), b, nullptr, a.cols(), c);
+  GemmChunks(a.data(), 1, a.cols(), a.rows(), b, a.cols(), c);
 }
 
 void GemmTransposeB(const Matrix& a, const Matrix& b, Matrix* c) {
   ECG_CHECK(a.cols() == b.cols()) << "GemmTransposeB dim mismatch";
   c->Reset(a.rows(), b.rows());
   // B^T is packed once as a k-major panel, so this is Gemm's kernel.
-  GemmChunks(a.data(), a.cols(), 1, a.cols(), Transpose(b), nullptr,
-             a.rows(), c);
-}
-
-void GemmTransposeBRows(const Matrix& a, const Matrix& b,
-                        const std::vector<uint32_t>& row_ids, Matrix* c) {
-  ECG_CHECK(a.cols() == b.cols()) << "GemmTransposeBRows dim mismatch";
-  ECG_CHECK(c->rows() == a.rows() && c->cols() == b.rows())
-      << "GemmTransposeBRows output must be pre-sized to " << a.rows() << "x"
-      << b.rows();
-  GemmChunks(a.data(), a.cols(), 1, a.cols(), Transpose(b), &row_ids, 0, c);
+  GemmChunks(a.data(), a.cols(), 1, a.cols(), Transpose(b), a.rows(), c);
 }
 
 Matrix Transpose(const Matrix& a) {
@@ -179,18 +150,6 @@ Matrix GatherRows(const Matrix& src, const std::vector<uint32_t>& indices) {
     std::memcpy(out.Row(i), src.Row(indices[i]), src.cols() * sizeof(float));
   }
   return out;
-}
-
-void ScatterAddRows(const Matrix& src, const std::vector<uint32_t>& indices,
-                    Matrix* dst) {
-  ECG_CHECK(src.rows() == indices.size() && src.cols() == dst->cols())
-      << "ScatterAddRows shape mismatch";
-  for (size_t i = 0; i < indices.size(); ++i) {
-    ECG_CHECK(indices[i] < dst->rows()) << "ScatterAddRows index out of range";
-    float* drow = dst->Row(indices[i]);
-    const float* srow = src.Row(i);
-    for (size_t c = 0; c < src.cols(); ++c) drow[c] += srow[c];
-  }
 }
 
 Matrix ConcatCols(const Matrix& a, const Matrix& b) {

@@ -11,34 +11,19 @@ namespace ecg::tensor {
 /// Dense kernels shared by the GCN forward/backward passes. All kernels are
 /// deterministic (fixed reduction order) so that distributed and
 /// single-machine runs can be compared bit-for-bit when compression is off.
-/// The five GEMM forms run one ecg::kern registry kernel: every output
+/// The three GEMM forms run one ecg::kern registry kernel: every output
 /// element starts at zero and adds its terms in ascending k, one multiply
-/// then one add each, whatever the kernel variant, thread count or row
-/// split (kernels.h states the contract, including non-finite operands).
+/// then one add each, whatever the kernel variant or thread count
+/// (kernels.h states the contract, including non-finite operands).
 
 /// C = A * B. Threaded over rows of A via the global thread pool.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c);
-
-/// Rows `row_ids` of C = A * B; the other rows of C are untouched. C must
-/// be pre-sized (a.rows() x b.cols()) and the target rows zeroed (Reset).
-/// Per-row arithmetic matches Gemm exactly, so computing a partition of
-/// the rows in any number of calls is bitwise identical to one Gemm —
-/// overlapped schedules transform interior rows under an in-flight
-/// exchange and boundary rows after it.
-void GemmRows(const Matrix& a, const Matrix& b,
-              const std::vector<uint32_t>& row_ids, Matrix* c);
 
 /// C = A^T * B, where A is rows x cols and C is cols x b.cols().
 void GemmTransposeA(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// C = A * B^T.
 void GemmTransposeB(const Matrix& a, const Matrix& b, Matrix* c);
-
-/// Rows `row_ids` of C = A * B^T; same contract as GemmRows (pre-sized C
-/// with the target rows zeroed, row partition across calls ≡ one
-/// GemmTransposeB bit-for-bit).
-void GemmTransposeBRows(const Matrix& a, const Matrix& b,
-                        const std::vector<uint32_t>& row_ids, Matrix* c);
 
 /// Returns A^T as a new matrix.
 Matrix Transpose(const Matrix& a);
@@ -66,10 +51,6 @@ Matrix ColumnSums(const Matrix& a);
 
 /// Copies rows `indices` of src into a new matrix (len(indices) x cols).
 Matrix GatherRows(const Matrix& src, const std::vector<uint32_t>& indices);
-
-/// dst.Row(indices[i]) += src.Row(i) for all i.
-void ScatterAddRows(const Matrix& src, const std::vector<uint32_t>& indices,
-                    Matrix* dst);
 
 /// [a | b]: column-wise concatenation of two matrices with equal row
 /// counts (GraphSAGE's [H | mean_N(H)] input stacking).

@@ -134,17 +134,50 @@ TEST(CsrTest, TwoSourceSpMMIsBitwiseSpMMOverTheConcatenation) {
       m->SpMM(cat, &expected);
       m->SpMM(top, bottom, &got);
       EXPECT_TRUE(BitwiseEqual(got, expected));
+    }
+  }
+}
 
-      // Row subset into a pre-filled output: listed rows accumulate onto
-      // the sentinel exactly as the one-source kernel does, others stay.
-      std::vector<uint32_t> row_ids;
-      for (uint32_t r = 0; r < rows; r += 2) row_ids.push_back(r);
-      Matrix rows_expected(rows, dim), rows_got(rows, dim);
-      rows_expected.Fill(0.25f);
-      rows_got.Fill(0.25f);
-      m->SpMMRows(cat, row_ids, &rows_expected);
-      m->SpMMRows(top, bottom, row_ids, &rows_got);
-      EXPECT_TRUE(BitwiseEqual(rows_got, rows_expected));
+TEST(CsrTest, OwnedThenHaloPassIsBitwiseOneSpMM) {
+  // Rows of every kind a WorkerPlan slice has: empty, owned columns only,
+  // halo columns only, and both; with no halo at all, one halo row, many.
+  Rng rng(78);
+  for (const size_t halo_rows : {size_t{0}, size_t{1}, size_t{23}}) {
+    for (const size_t dim : {size_t{1}, size_t{6}, size_t{16}, size_t{37}}) {
+      SCOPED_TRACE(testing::Message() << "halo " << halo_rows << " dim "
+                                      << dim);
+      const size_t rows = 31, owned = 19;
+      const size_t cols = owned + halo_rows;
+      std::vector<Triplet> trips;
+      for (size_t r = 0; r < rows; ++r) {
+        const size_t kind = r % 4;  // 0 empty, 1 owned, 2 halo, 3 both
+        const size_t lo = kind == 2 ? owned : 0;
+        const size_t hi = kind == 1 ? owned : cols;
+        for (size_t c = lo; kind != 0 && c < hi; ++c) {
+          if (rng.NextBool(0.3)) {
+            trips.emplace_back(static_cast<uint32_t>(r),
+                               static_cast<uint32_t>(c),
+                               static_cast<float>(rng.NextGaussian()));
+          }
+        }
+      }
+      auto m = CsrMatrix::FromTriplets(rows, cols, trips);
+      ASSERT_TRUE(m.ok());
+      m->SplitColumns(owned);
+      const Matrix top = RandomDense(owned, dim, &rng);
+      const Matrix bottom = RandomDense(halo_rows, dim, &rng);
+
+      Matrix expected, got;
+      m->SpMM(Stack(top, bottom), &expected);
+      m->SpMMOwned(top, &got);
+      m->SpMMHalo(bottom, &got);
+      EXPECT_TRUE(BitwiseEqual(got, expected));
+
+      // The owned pass alone is the product with the halo zeroed.
+      Matrix owned_only;
+      m->SpMMOwned(top, &got);
+      m->SpMM(Stack(top, Matrix(halo_rows, dim)), &owned_only);
+      EXPECT_TRUE(AllClose(got, owned_only, 0.0f));
     }
   }
 }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <set>
 #include <span>
 #include <vector>
@@ -139,40 +138,30 @@ TEST_P(HaloPlanTest, PartitionedAggregationMatchesGlobal) {
   }
 }
 
-// The exchange schedule runs the interior rows before Finish and the
-// boundary rows after it, both over the one adjacency per direction. That
-// is exact only if the two row lists partition the owned rows, interior
-// rows read owned columns only, and every boundary row needs the halo.
-void ExpectExactRowSplit(const WorkerPlan& plan) {
+// The exchange schedule aggregates every row's owned columns before
+// Finish and its halo columns after it, over the one adjacency per
+// direction. That is exact only if each row's split offset lies inside the
+// row, every nonzero before it reads an owned column, and every nonzero
+// from it on reads a halo column.
+void ExpectExactColumnSplit(const WorkerPlan& plan, size_t* owned_nnz,
+                            size_t* halo_nnz) {
   const uint32_t owned = static_cast<uint32_t>(plan.num_owned());
-  const auto ascending = [](const std::vector<uint32_t>& rows) {
-    return std::adjacent_find(rows.begin(), rows.end(),
-                              [](uint32_t a, uint32_t b) { return a >= b; }) ==
-           rows.end();
-  };
-  EXPECT_TRUE(ascending(plan.interior_rows));
-  EXPECT_TRUE(ascending(plan.boundary_rows));
-  std::vector<uint32_t> all = plan.interior_rows;
-  all.insert(all.end(), plan.boundary_rows.begin(), plan.boundary_rows.end());
-  std::sort(all.begin(), all.end());
-  std::vector<uint32_t> every_row(owned);
-  std::iota(every_row.begin(), every_row.end(), 0u);
-  EXPECT_EQ(all, every_row);  // disjoint and covering
-
   std::vector<const tensor::CsrMatrix*> adjs = {&plan.adj};
   if (plan.adj_bp.nnz() > 0) adjs.push_back(&plan.adj_bp);
   for (const tensor::CsrMatrix* adj : adjs) {
-    const auto reads_halo = [&](uint32_t r) {
-      for (uint64_t i = adj->row_ptr()[r]; i < adj->row_ptr()[r + 1]; ++i) {
-        if (adj->col_idx()[i] >= owned) return true;
+    ASSERT_EQ(adj->split().size(), adj->rows());
+    for (size_t r = 0; r < adj->rows(); ++r) {
+      const uint64_t begin = adj->row_ptr()[r], end = adj->row_ptr()[r + 1];
+      const uint64_t split = adj->split()[r];
+      ASSERT_TRUE(begin <= split && split <= end) << "row " << r;
+      for (uint64_t i = begin; i < split; ++i) {
+        EXPECT_LT(adj->col_idx()[i], owned) << "row " << r;
       }
-      return false;
-    };
-    for (uint32_t r : plan.interior_rows) {
-      EXPECT_FALSE(reads_halo(r)) << "interior row " << r;
-    }
-    for (uint32_t r : plan.boundary_rows) {
-      EXPECT_TRUE(reads_halo(r)) << "boundary row " << r;
+      for (uint64_t i = split; i < end; ++i) {
+        EXPECT_GE(adj->col_idx()[i], owned) << "row " << r;
+      }
+      *owned_nnz += split - begin;
+      *halo_nnz += end - split;
     }
   }
 }
@@ -180,7 +169,6 @@ void ExpectExactRowSplit(const WorkerPlan& plan) {
 TEST_P(HaloPlanTest, InteriorBoundarySplitIsExact) {
   const graph::Graph g = TestGraph();
   const uint32_t parts = GetParam();
-  // Community-aligned ownership, so both row kinds occur.
   auto partition = graph::MetisLikePartition(g, parts);
   ASSERT_TRUE(partition.ok());
 
@@ -202,18 +190,16 @@ TEST_P(HaloPlanTest, InteriorBoundarySplitIsExact) {
   ASSERT_TRUE(BuildWorkerPlans(g, *partition, &sage, GnnKind::kSage).ok());
   ASSERT_TRUE(
       BuildWorkerPlansFromView(view, *partition, &sampled_plans).ok());
-  size_t interior = 0, boundary = 0;
+  size_t owned_nnz = 0, halo_nnz = 0;
   for (const auto* plans : {&gcn, &sage, &sampled_plans}) {
     for (const WorkerPlan& plan : *plans) {
       SCOPED_TRACE("worker " + std::to_string(plan.worker_id));
-      ExpectExactRowSplit(plan);
-      interior += plan.interior_rows.size();
-      boundary += plan.boundary_rows.size();
+      ExpectExactColumnSplit(plan, &owned_nnz, &halo_nnz);
     }
   }
   EXPECT_GT(sage.front().adj_bp.nnz(), 0u);  // SAGE's BP adjacency checked
-  EXPECT_GT(interior, 0u);
-  EXPECT_EQ(boundary > 0, parts > 1);
+  EXPECT_GT(owned_nnz, 0u);
+  EXPECT_EQ(halo_nnz > 0, parts > 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(PartCounts, HaloPlanTest,

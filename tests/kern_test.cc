@@ -432,19 +432,9 @@ bool BitsEqualUpToNanBits(const std::vector<float>& a,
   return true;
 }
 
-/// Every third row of [0, rows) plus the last, in descending order, so a
-/// subset is neither a prefix nor sorted.
-std::vector<uint32_t> RowSubset(size_t rows) {
-  std::vector<uint32_t> ids;
-  for (size_t r = rows; r-- > 0;) {
-    if (r % 3 == 0 || r + 1 == rows) ids.push_back(static_cast<uint32_t>(r));
-  }
-  return ids;
-}
-
 // kern.gemm on every variant against scalar, for A addressed by rows
-// (k-stride 1, Gemm) and by columns (row stride 1, GemmTransposeA), full
-// ranges and row subsets, onto a preloaded C.
+// (k-stride 1, Gemm) and by columns (row stride 1, GemmTransposeA), onto a
+// preloaded C.
 TEST_F(KernTest, GemmBitIdenticalAcrossVariants) {
   const auto variants = kern::AvailableVariants();
   const kern::Kernels* scalar = variants.back();
@@ -455,26 +445,20 @@ TEST_F(KernTest, GemmBitIdenticalAcrossVariants) {
         const std::vector<float> a = RandomFloats(m * k, seed);
         const std::vector<float> b = RandomFloats(k * n, seed + 1);
         const std::vector<float> c0 = RandomFloats(m * n, seed + 2);
-        const std::vector<uint32_t> subset = RowSubset(m);
         for (bool transposed : {false, true}) {
           // Transposed: A is stored k x m and read down its columns.
           const size_t row_stride = transposed ? 1 : k;
           const size_t k_stride = transposed ? m : 1;
-          for (bool use_subset : {false, true}) {
-            const uint32_t* ids = use_subset ? subset.data() : nullptr;
-            const size_t count = use_subset ? subset.size() : m;
-            std::vector<float> ref = c0;
-            scalar->gemm(a.data(), row_stride, k_stride, b.data(), n,
-                         ref.data(), n, ids, count, n, k);
-            for (const kern::Kernels* v : variants) {
-              std::vector<float> got = c0;
-              v->gemm(a.data(), row_stride, k_stride, b.data(), n,
-                      got.data(), n, ids, count, n, k);
-              EXPECT_TRUE(BitsEqual(ref, got))
-                  << v->name << " m=" << m << " k=" << k << " n=" << n
-                  << " transposed=" << transposed
-                  << " subset=" << use_subset;
-            }
+          std::vector<float> ref = c0;
+          scalar->gemm(a.data(), row_stride, k_stride, b.data(), n,
+                       ref.data(), n, m, n, k);
+          for (const kern::Kernels* v : variants) {
+            std::vector<float> got = c0;
+            v->gemm(a.data(), row_stride, k_stride, b.data(), n, got.data(),
+                    n, m, n, k);
+            EXPECT_TRUE(BitsEqual(ref, got))
+                << v->name << " m=" << m << " k=" << k << " n=" << n
+                << " transposed=" << transposed;
           }
         }
       }
@@ -483,7 +467,10 @@ TEST_F(KernTest, GemmBitIdenticalAcrossVariants) {
 }
 
 // kern.spmm_rows on every variant against scalar: one and two stacked
-// sources, full ranges and row subsets, empty rows, preloaded output.
+// sources, empty rows, preloaded output. Each row is also run split in
+// two, a prefix pass then a suffix pass onto its output, at an offset
+// that leaves the prefix empty, part of the row, or all of it; that must
+// equal the whole-row pass bit for bit.
 TEST_F(KernTest, SpmmRowsBitIdenticalAcrossVariants) {
   const auto variants = kern::AvailableVariants();
   const kern::Kernels* scalar = variants.back();
@@ -501,28 +488,36 @@ TEST_F(KernTest, SpmmRowsBitIdenticalAcrossVariants) {
     }
     auto adj = tensor::CsrMatrix::FromTriplets(rows, cols, trips);
     ASSERT_TRUE(adj.ok());
-    const std::vector<uint32_t> subset = RowSubset(rows);
+    const uint64_t* row_ptr = adj->row_ptr().data();
+    std::vector<uint64_t> split(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      split[r] = row_ptr[r] + (row_ptr[r + 1] - row_ptr[r]) * (r % 3) / 2;
+    }
+    const uint32_t* col_idx = adj->col_idx().data();
+    const float* values = adj->values().data();
     for (size_t n : kWidths) {
       const std::vector<float> x = RandomFloats(cols * n, 1200 + n);
       const std::vector<float> y0 = RandomFloats(rows * n, 1300 + n);
       for (size_t top_rows : {cols, size_t{12}}) {  // one source, stacked
         const float* bottom = x.data() + top_rows * n;
-        for (bool use_subset : {false, true}) {
-          const uint32_t* ids = use_subset ? subset.data() : nullptr;
-          const size_t count = use_subset ? subset.size() : rows;
-          std::vector<float> ref = y0;
-          scalar->spmm_rows(adj->row_ptr().data(), adj->col_idx().data(),
-                            adj->values().data(), x.data(), top_rows, bottom,
-                            n, ids, count, ref.data());
-          for (const kern::Kernels* v : variants) {
-            std::vector<float> got = y0;
-            v->spmm_rows(adj->row_ptr().data(), adj->col_idx().data(),
-                         adj->values().data(), x.data(), top_rows, bottom, n,
-                         ids, count, got.data());
-            EXPECT_TRUE(BitsEqual(ref, got))
-                << v->name << " rows=" << rows << " n=" << n
-                << " top_rows=" << top_rows << " subset=" << use_subset;
-          }
+        std::vector<float> ref = y0;
+        scalar->spmm_rows(row_ptr, row_ptr + 1, col_idx, values, x.data(),
+                          top_rows, bottom, n, rows, ref.data());
+        for (const kern::Kernels* v : variants) {
+          std::vector<float> got = y0;
+          v->spmm_rows(row_ptr, row_ptr + 1, col_idx, values, x.data(),
+                       top_rows, bottom, n, rows, got.data());
+          EXPECT_TRUE(BitsEqual(ref, got))
+              << v->name << " rows=" << rows << " n=" << n
+              << " top_rows=" << top_rows;
+          std::vector<float> halves = y0;
+          v->spmm_rows(row_ptr, split.data(), col_idx, values, x.data(),
+                       top_rows, bottom, n, rows, halves.data());
+          v->spmm_rows(split.data(), row_ptr + 1, col_idx, values, x.data(),
+                       top_rows, bottom, n, rows, halves.data());
+          EXPECT_TRUE(BitsEqual(ref, halves))
+              << v->name << " split rows=" << rows << " n=" << n
+              << " top_rows=" << top_rows;
         }
       }
     }
@@ -620,8 +615,7 @@ TEST_F(KernTest, GemmNonFiniteContractSameInEveryVariant) {
 
   const auto variants = kern::AvailableVariants();
   std::vector<float> ref = c0;
-  variants.back()->gemm(a.data(), k, 1, b.data(), n, ref.data(), n, nullptr,
-                        m, n, k);
+  variants.back()->gemm(a.data(), k, 1, b.data(), n, ref.data(), n, m, n, k);
   // Row 0 of A is all zeros and B's row 0 is non-negative: every term is
   // +0, which turns each preloaded -0 into +0 (a zero skip would keep -0).
   for (size_t j = 0; j < n; ++j) {
@@ -632,7 +626,7 @@ TEST_F(KernTest, GemmNonFiniteContractSameInEveryVariant) {
   for (size_t j = 0; j < 3; ++j) EXPECT_TRUE(std::isnan(ref[1 * n + j]));
   for (const kern::Kernels* v : variants) {
     std::vector<float> got = c0;
-    v->gemm(a.data(), k, 1, b.data(), n, got.data(), n, nullptr, m, n, k);
+    v->gemm(a.data(), k, 1, b.data(), n, got.data(), n, m, n, k);
     EXPECT_TRUE(BitsEqualUpToNanBits(ref, got)) << v->name;
     // A read down its columns gives the same answer as A by rows.
     std::vector<float> at(k * m);
@@ -640,7 +634,7 @@ TEST_F(KernTest, GemmNonFiniteContractSameInEveryVariant) {
       for (size_t kk = 0; kk < k; ++kk) at[kk * m + i] = a[i * k + kk];
     }
     std::vector<float> got_t = c0;
-    v->gemm(at.data(), 1, m, b.data(), n, got_t.data(), n, nullptr, m, n, k);
+    v->gemm(at.data(), 1, m, b.data(), n, got_t.data(), n, m, n, k);
     EXPECT_TRUE(BitsEqualUpToNanBits(ref, got_t)) << v->name;
   }
 }

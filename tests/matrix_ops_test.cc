@@ -122,14 +122,10 @@ TEST(OpsTest, AddRowBiasAndColumnSums) {
   EXPECT_TRUE(AllClose(sums, Matrix(1, 3, {25, 47, 69})));
 }
 
-TEST(OpsTest, GatherAndScatterRows) {
+TEST(OpsTest, GatherRows) {
   const Matrix src(3, 2, {1, 2, 3, 4, 5, 6});
   const Matrix picked = GatherRows(src, {2, 0, 2});
   EXPECT_TRUE(AllClose(picked, Matrix(3, 2, {5, 6, 1, 2, 5, 6})));
-
-  Matrix dst(3, 2);
-  ScatterAddRows(picked, {0, 1, 0}, &dst);
-  EXPECT_TRUE(AllClose(dst, Matrix(3, 2, {10, 12, 1, 2, 0, 0})));
 }
 
 TEST(OpsTest, RowL1Distance) {
