@@ -164,15 +164,20 @@ Result<TrainResult> SamplingTrainer::Train() {
 
         if (options_.online_sampling) {
           // DistDGL-like online sampling: fetching sampled neighbour lists
-          // from remote graph stores costs one RPC per peer per layer plus
-          // the frontier ids / adjacency payloads.
+          // from remote graph stores costs one RPC per peer per layer, a
+          // request with the frontier ids and a response with the
+          // adjacency payload, 4 bytes per halo row each way. Both count
+          // in the cluster's bytes like any other message.
           for (int l = 1; l <= L; ++l) {
             const WorkerPlan& plan = shared.per_layer[l - 1][me];
             uint64_t bytes = 0, msgs = 0;
             for (uint32_t p = 0; p < workers; ++p) {
               if (p == me || plan.recv_halo_rows[p].empty()) continue;
-              bytes += plan.recv_halo_rows[p].size() * 8ull;
-              msgs += 2;  // request + response
+              const uint64_t each_way = plan.recv_halo_rows[p].size() * 4ull;
+              cluster.stats().RecordSend(me, p, each_way);  // request
+              cluster.stats().RecordSend(p, me, each_way);  // response
+              bytes += 2 * each_way;
+              msgs += 2;
             }
             ctx->ChargeCommSeconds(
                 ctx->net().TransferSeconds(bytes, msgs));

@@ -142,8 +142,8 @@ TEST(CurveParityTest, SamplingMatchesRecordedDigests) {
   const Case cases[] = {
       {false, FpMode::kExact, BpMode::kExact, 0xab20d022d1f96605ull},
       {false, FpMode::kCompressed, BpMode::kCompressed, 0x2f3b78fa85f1c42cull},
-      {true, FpMode::kExact, BpMode::kExact, 0xab20d022d1f96605ull},
-      {true, FpMode::kCompressed, BpMode::kCompressed, 0x2f3b78fa85f1c42cull},
+      {true, FpMode::kExact, BpMode::kExact, 0x6c604a70ee22841full},
+      {true, FpMode::kCompressed, BpMode::kCompressed, 0xf26fffab13dc0b94ull},
   };
   const graph::Graph g = *graph::LoadDataset("tiny");
   for (const Case& c : cases) {

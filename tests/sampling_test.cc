@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <vector>
 
+#include "core/halo.h"
 #include "core/sampling_trainer.h"
 #include "graph/datasets.h"
 #include "graph/generator.h"
+#include "graph/partition.h"
 
 namespace ecg::core {
 namespace {
@@ -139,6 +142,63 @@ TEST(SamplingTrainerTest, OnlineSamplingCostsMoreTime) {
   // Identical math (same seeds); the online variant pays sampling RPCs.
   EXPECT_NEAR(r_off->epochs.back().loss, r_on->epochs.back().loss, 1e-6);
   EXPECT_GT(r_on->total_sim_seconds, r_off->total_sim_seconds);
+}
+
+// Online sampling's RPCs cross the wire: each worker asks every peer that
+// owns part of a layer's sampled halo for those rows, 4 bytes per row each
+// way, and the cluster's byte count includes them.
+TEST(SamplingTrainerTest, OnlineSamplingCountsItsRpcBytes) {
+  const graph::Graph g = *graph::LoadDataset("tiny");
+  const uint32_t workers = 3;
+  SamplingTrainOptions offline;
+  offline.model.num_layers = 2;
+  offline.fanouts = {5, 5};
+  offline.fp_mode = FpMode::kExact;
+  offline.bp_mode = BpMode::kExact;
+  offline.epochs = 4;
+  SamplingTrainOptions online = offline;
+  online.online_sampling = true;
+  auto r_off = TrainSampled(g, workers, offline);
+  auto r_on = TrainSampled(g, workers, online);
+  ASSERT_TRUE(r_off.ok());
+  ASSERT_TRUE(r_on.ok());
+  ASSERT_EQ(r_off->epochs.size(), offline.epochs);
+  ASSERT_EQ(r_on->epochs.size(), offline.epochs);
+
+  // The halos of the samples the trainer draws (its per-epoch seeds).
+  auto partition = graph::HashPartition(g, workers);
+  ASSERT_TRUE(partition.ok());
+  uint64_t total_rpc_bytes = 0;
+  for (uint32_t epoch = 0; epoch < offline.epochs; ++epoch) {
+    uint64_t rpc_bytes = 0;
+    for (uint32_t l = 1; l <= 2; ++l) {
+      auto sg = SampleLayerGraph(
+          g, offline.fanouts[l - 1],
+          offline.sample_seed * 0x9e3779b9ULL + epoch * 131u + l);
+      ASSERT_TRUE(sg.ok());
+      AdjacencyView view;
+      view.num_vertices = g.num_vertices();
+      view.neighbors = [&](uint32_t v) {
+        return std::span<const uint32_t>(
+            sg->adj.data() + sg->offsets[v],
+            static_cast<size_t>(sg->offsets[v + 1] - sg->offsets[v]));
+      };
+      view.norm_weight = [&](uint32_t u, uint32_t v) {
+        return sg->NormWeight(u, v);
+      };
+      std::vector<WorkerPlan> plans;
+      ASSERT_TRUE(BuildWorkerPlansFromView(view, *partition, &plans).ok());
+      for (const WorkerPlan& plan : plans) rpc_bytes += plan.num_halo() * 8;
+    }
+    EXPECT_EQ(r_on->epochs[epoch].comm_bytes -
+                  r_off->epochs[epoch].comm_bytes,
+              rpc_bytes)
+        << "epoch " << epoch;
+    total_rpc_bytes += rpc_bytes;
+  }
+  EXPECT_GT(total_rpc_bytes, 0u);
+  EXPECT_EQ(r_on->total_comm_bytes - r_off->total_comm_bytes,
+            total_rpc_bytes);
 }
 
 TEST(SamplingTrainerTest, RejectsStatefulCompensationModes) {
