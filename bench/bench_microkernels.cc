@@ -1149,12 +1149,13 @@ int RunCodecBench(const std::string& json_path) {
 // --overlap mode: end-to-end simulated makespan of the split-phase
 // overlapped schedule vs the sequential one. Comm-bound configuration on
 // purpose — uncompressed (Non-cp) fp32 halos over the default NetworkModel
-// — so the interior-compute window is the only thing that can hide wire
-// time. The partition is aligned with the SBM's planted communities: the
-// bench gates the overlap schedule, not partitioner quality, and the
-// planted clustering makes the cut (and with it the interior fraction that
-// earns overlap credit) a controlled function of homophily instead of
-// whatever MetisLike converges to on a given seed. Budget: the overlapped
+// — so the owned step (every row's owned-column aggregation, plus dW/db
+// in BP) is the only thing that can hide wire time. The partition is
+// aligned with the SBM's planted communities: the bench gates the overlap
+// schedule, not partitioner quality, and the planted clustering makes the
+// cut (and with it the owned share of the nonzeros, which earns overlap
+// credit) a controlled function of homophily instead of whatever MetisLike
+// converges to on a given seed. Budget: the overlapped
 // schedule must cut the simulated makespan by at least 10% at 8 workers.
 // Compute charges are measured thread-CPU, so load spikes inflate
 // individual runs; each schedule is run three times and the minimum
@@ -1175,11 +1176,11 @@ OverlapRow MeasureOverlapMakespan(uint32_t workers) {
   ecg::graph::SbmConfig c;
   c.num_vertices = 12000;
   c.num_classes = 8;
-  // Low degree keeps the interior fraction high: a row is interior only if
-  // every neighbor is owned, so P(interior) falls off like
-  // homophily^degree. Degree 4 at homophily 0.85 leaves roughly half the
-  // rows earning overlap credit while the cut still pushes real halo
-  // traffic.
+  // Homophily 0.85 keeps about that share of each row's nonzeros in owned
+  // columns, which the owned step aggregates under the exchange, while
+  // the cut still pushes real halo traffic. (The config dates from the
+  // row split, where only rows with no halo neighbour earned credit, so
+  // low degree kept about half the rows interior.)
   c.avg_degree = 4.0;
   c.feature_dim = 64;
   c.homophily = 0.85;
@@ -1204,10 +1205,11 @@ OverlapRow MeasureOverlapMakespan(uint32_t workers) {
 
   ecg::core::TrainOptions opt;
   // Four layers: the middle exchanges carry hidden-width halos whose
-  // windows also hold hidden x hidden interior transforms — the
-  // best-hidden case. The first window is narrow on the wire (feature
-  // dim) and the last is credit-poor (hidden x classes transform), so
-  // deeper stacks raise the hidable share.
+  // windows hold hidden-width owned aggregations (and, in BP, the
+  // hidden x hidden dW); the transforms themselves run after Finish,
+  // since every row's aggregate needs its halo columns. The first window
+  // is narrow on the wire (feature dim), so deeper stacks raise the
+  // hidable share.
   opt.model.num_layers = 4;
   opt.model.hidden_dim = 256;
   opt.fp_mode = ecg::core::FpMode::kExact;

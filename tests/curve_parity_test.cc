@@ -87,7 +87,7 @@ uint64_t FullBatchDigest(const FullBatchCase& c, bool overlap,
   return r.ok() ? CurveDigest(*r) : 0;
 }
 
-// Overlap only decides how interior compute is credited against wire
+// Overlap only decides how owned-step compute is credited against wire
 // time, so both settings must reproduce the one recorded curve.
 TEST(CurveParityTest, FullBatchMatchesRecordedDigests) {
   constexpr GnnKind kGcn = GnnKind::kGcn;

@@ -7,9 +7,10 @@
 //  * split-phase equivalence — for every FP/BP mode, with and without a
 //    fault schedule, Start+Finish+EndCommPhase delivers bit-identical
 //    halos and identical compensation state to the one-shot Exchange;
-//  * trainer equivalence — the overlapped schedule (interior aggregation
-//    under the in-flight exchange, boundary rows after Finish) reproduces
-//    the sequential schedule's losses and accuracies bit-for-bit.
+//  * trainer equivalence — the overlapped schedule (owned-column
+//    aggregation under the in-flight exchange, halo columns after Finish)
+//    reproduces the sequential schedule's losses and accuracies
+//    bit-for-bit.
 
 #include <gtest/gtest.h>
 
@@ -319,7 +320,7 @@ TEST(OverlapClockTest, CreditHidesCommUpToItsFullDuration) {
 
 // ---------------------------------------------------------------------
 // Trainer-level equivalence: the overlapped schedule splits the SpMM into
-// interior + boundary row sets that partition the owned rows, preserving
+// an owned-column pass and a halo-column pass over every row, preserving
 // each row's accumulation order — activations, gradients, and therefore
 // the whole training curve must match bit-for-bit.
 
@@ -388,7 +389,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(OverlapTrainerTest, OverlapNeverChargesMoreCommThanSequential) {
-  // A slow interconnect makes comm dominate; hiding interior compute can
+  // A slow interconnect makes comm dominate; hiding owned-step compute can
   // only shrink the modelled comm share, never grow it. (Compute is
   // measured, so total makespans are compared in bench_microkernels
   // --overlap, not here.)
@@ -442,7 +443,7 @@ TEST(OverlapTrainerTest, BitAllocHidesNothingWithOverlapOff) {
   };
   // Every row is >= 0, so a zero sum means every row is 0.
   EXPECT_EQ(hidden_seconds(/*overlap=*/false), 0.0);
-  // The rows are recorded: with overlap on the interior steps hide some.
+  // The rows are recorded: with overlap on the owned steps hide some.
   EXPECT_GT(hidden_seconds(/*overlap=*/true), 0.0);
 }
 
