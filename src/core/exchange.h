@@ -2,6 +2,7 @@
 #define ECGRAPH_CORE_EXCHANGE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -20,6 +21,7 @@
 #include "core/wire_util.h"
 #include "dist/cluster.h"
 #include "dist/elastic.h"
+#include "dist/fault.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 
@@ -220,24 +222,62 @@ enum ExchangeTagKind : uint16_t {
 };
 
 /// One direction of halo data traffic: its wire tag, the prefix of its
-/// `<prefix>.*` send stats and its per-peer detail spans.
+/// `<prefix>.*` send stats, the names its exchanges are booked under and
+/// what a permanently lost message books at the receiver.
 struct HaloDirection {
   uint16_t tag_kind;
   const char* prefix;
+  /// Per-peer detail spans of the encode and the decode.
   const char* encode_span;
   const char* decode_span;
+  /// Simulated-clock phase and span of Start and Finish; span of Finish.
+  const char* exchange;
+  const char* finish;
+  /// Comm phase the exchange's wire time is charged to.
+  const char* comm;
+  /// Compute phase of the steps around the exchange of `layer`, booked at
+  /// `layer + compute_layer_offset`: FP exchanges H^layer as the next
+  /// layer's input, BP exchanges G^layer inside the layer's backward.
+  const char* compute;
+  int32_t compute_layer_offset;
+  /// Stat and FaultCounters slot (none if null) of a lost message.
+  const char* lost_stat;
+  std::atomic<uint64_t> dist::FaultCounters::*lost_counter;
 };
-inline constexpr HaloDirection kFpData{kTagFpData, "fp", "fp_encode",
-                                       "fp_decode"};
-inline constexpr HaloDirection kBpData{kTagBpData, "bp", "bp_encode",
-                                       "bp_decode"};
+inline constexpr HaloDirection kFpData{
+    kTagFpData,    "fp",        "fp_encode", "fp_decode",
+    "fp_exchange", "fp_finish", "fp_comm",   "fp_compute",
+    1,             "fault.degraded_stale",
+    &dist::FaultCounters::degraded_stale};
+inline constexpr HaloDirection kBpData{
+    kTagBpData,    "bp",        "bp_encode", "bp_decode",
+    "bp_exchange", "bp_finish", "bp_comm",   "bp_compute",
+    0,             "fault.degraded_skip",
+    nullptr};
+
+/// Width of a raw float32 message (Non-cp, Delayed) wherever widths are
+/// reported; the bucket codecs pack at most 16-bit ids.
+inline constexpr int kRawBits = 32;
+
+/// Books a permanently lost message of direction `dir` from `peer` at the
+/// receiver: `dir.lost_stat` and its FaultCounters slot.
+inline void CountLost(dist::WorkerContext* ctx, const HaloDirection& dir,
+                      uint32_t epoch, uint16_t layer, uint32_t peer) {
+  dist::FaultInjector* injector = ctx->fault_injector();
+  if (injector != nullptr && dir.lost_counter != nullptr) {
+    (injector->counters().*dir.lost_counter)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
+  obs::RecordStat(dir.lost_stat, 1.0, epoch, layer,
+                  static_cast<int32_t>(peer));
+}
 
 /// Send-side compression telemetry, keyed (epoch, layer, peer). `raw` is
 /// what the message would weigh as float32 rows — the Non-cp baseline —
 /// so `<prefix>.ratio` reads directly as the paper's compression factor.
 /// `q` is the codec output of a quantized message (bits > 0): it sets the
 /// recorded width and its bucket saturation is recorded too; raw float
-/// messages record 32 bits.
+/// messages record kRawBits.
 inline Status RecordSendStats(const HaloDirection& dir, uint32_t epoch,
                               uint16_t layer, uint32_t peer, double raw,
                               size_t wire_bytes,
@@ -250,7 +290,7 @@ inline Status RecordSendStats(const HaloDirection& dir, uint32_t epoch,
   record(".raw_bytes", raw);
   record(".wire_bytes", static_cast<double>(wire_bytes));
   if (wire_bytes > 0) record(".ratio", raw / static_cast<double>(wire_bytes));
-  record(".bits", static_cast<double>(q.bits > 0 ? q.bits : 32));
+  record(".bits", static_cast<double>(q.bits > 0 ? q.bits : kRawBits));
   if (q.bits > 0) {
     ECG_ASSIGN_OR_RETURN(const double sat, compress::BucketSaturationRate(q));
     record(".saturation", sat);
@@ -291,57 +331,31 @@ inline Status FanOut(dist::WorkerContext* ctx, const WorkerPlan& plan,
 
 /// Receive half of every halo exchange: fans in every active peer's
 /// message (TryRecvFromActivePeers, so arrival order and loss tolerance
-/// are the same everywhere), then runs `decode` on each delivered payload
-/// or `on_lost` for each permanently lost one, peers in parallel. The
-/// lost-peer fallback is the mode's own.
+/// are the same everywhere), then runs `decode` on each delivered payload,
+/// peers in parallel. A permanently lost message runs the mode's own
+/// `on_lost` fallback if it has one; otherwise the peer's halo rows stay
+/// as they are and the loss is booked (CountLost). FP then keeps its stale
+/// cached rows (h_halo persists across epochs); BP skips the gradient
+/// (g_halo is zeroed every epoch).
 inline Status FanIn(dist::WorkerContext* ctx, const WorkerPlan& plan,
                     const HaloDirection& dir, uint32_t epoch, uint16_t layer,
                     bool allow_loss,
                     const std::function<Status(uint32_t, ByteReader*)>& decode,
-                    const std::function<Status(uint32_t)>& on_lost) {
+                    const std::function<Status(uint32_t)>& on_lost = nullptr) {
   const uint64_t tag = dist::MessageHub::MakeTag(epoch, layer, dir.tag_kind);
   ECG_ASSIGN_OR_RETURN(PeerRecvResult in,
                        TryRecvFromActivePeers(ctx, plan, tag, allow_loss));
   return ForEachActivePeerParallel(
       plan, ctx->num_workers(), [&](uint32_t p) -> Status {
         ECG_TRACE_SCOPE_DETAIL(dir.decode_span, ctx->worker_id(), layer);
-        if (in.lost[p]) return on_lost(p);
+        if (in.lost[p]) {
+          if (on_lost) return on_lost(p);
+          CountLost(ctx, dir, epoch, layer, p);
+          return Status::OK();
+        }
         ByteReader r(in.bufs[p]);
         return decode(p, &r);
       });
-}
-
-/// Encodes `rows` of `owned` as one Non-cp (raw float32) or Cp
-/// (`quantized` with `opts`) message. The quantized path reads the rows
-/// straight out of `owned` (no GatherRows copy) and leaves its codec
-/// output in `*q`.
-inline Status EncodePlainRows(const tensor::Matrix& owned,
-                              const std::vector<uint32_t>& rows,
-                              bool quantized,
-                              const compress::QuantizerOptions& opts,
-                              ByteWriter* w, compress::QuantizedMatrix* q) {
-  if (!quantized) {
-    EncodeMatrix(tensor::GatherRows(owned, rows), w);
-    return Status::OK();
-  }
-  ECG_ASSIGN_OR_RETURN(*q, compress::QuantizeRows(owned, rows, opts));
-  q->AppendTo(w);
-  return Status::OK();
-}
-
-/// Decodes one message written by EncodePlainRows straight into `rows` of
-/// `dst`.
-inline Status DecodePlainRows(ByteReader* r, bool quantized,
-                              const std::vector<uint32_t>& rows,
-                              tensor::Matrix* dst) {
-  if (!quantized) {
-    tensor::Matrix m;
-    ECG_RETURN_IF_ERROR(DecodeMatrix(r, &m));
-    return AssignRows(m, rows, dst);
-  }
-  compress::QuantizedMatrix q;
-  ECG_RETURN_IF_ERROR(compress::QuantizedMatrix::ParseFrom(r, &q));
-  return compress::DequantizeInto(q, rows, dst);
 }
 
 /// Per-(layer, peer) message widths of an adaptive exchanger (ReqEC-FP's
@@ -464,52 +478,61 @@ class WidthTable {
   const char* stat_;
 };
 
-/// Fetches the halo rows of H^layer each epoch. `h_owned` holds the owned
-/// rows (local order); the exchanger fills the rows of `h_halo`
-/// (plan.num_halo() x dim). h_halo persists across epochs so stale-cache
-/// policies (kDelayed) can leave rows untouched.
-class FpExchanger {
+/// Fetches the halo rows of one direction's matrix each epoch: H^layer in
+/// FP, G^layer in BP. `owned` holds the owned rows (local order); the
+/// exchanger fills the rows of `halo` (plan.num_halo() x dim). An FP halo
+/// persists across epochs, so stale-cache policies (kDelayed) can leave
+/// rows untouched.
+class HaloExchanger {
  public:
-  virtual ~FpExchanger() = default;
+  explicit HaloExchanger(const HaloDirection& direction)
+      : direction_(direction) {}
+  virtual ~HaloExchanger() = default;
+  HaloExchanger(const HaloExchanger&) = delete;
+  HaloExchanger& operator=(const HaloExchanger&) = delete;
+
+  const HaloDirection& direction() const { return direction_; }
 
   /// Split-phase API for overlapped schedules. Start encodes and SENDS
   /// everything this exchange will put on the wire (for ReqEC that means
   /// the whole request/respond handshake: it also *drains* the peers'
-  /// requests and ships the responses). Start may mutate responder-side
-  /// compensation state; it must not touch h_halo. Between Start and
-  /// Finish the caller may run arbitrary compute — the comm phase counters
-  /// keep accumulating until the caller ends the phase.
+  /// requests and ships the responses). Start may mutate sender-side
+  /// compensation state (ReqEC's responder baselines, ResEC's residuals);
+  /// it must not touch `halo`. Between Start and Finish the caller may run
+  /// arbitrary compute — the comm phase counters keep accumulating until
+  /// the caller ends the phase.
   virtual Status Start(dist::WorkerContext* ctx, const WorkerPlan& plan,
                        uint32_t epoch, uint16_t layer,
-                       const tensor::Matrix& h_owned) = 0;
+                       const tensor::Matrix& owned) = 0;
 
-  /// Receives (in arrival order) and decodes into h_halo, updating
-  /// requester-side compensation state. Does NOT end the comm phase: the
+  /// Receives (in arrival order) and decodes into `halo`, updating
+  /// receiver-side compensation state. Does NOT end the comm phase: the
   /// caller charges it, with overlap credit when compute ran in between
   /// (WorkerContext::EndCommPhaseOverlapped).
   virtual Status Finish(dist::WorkerContext* ctx, const WorkerPlan& plan,
                         uint32_t epoch, uint16_t layer,
-                        tensor::Matrix* h_halo) = 0;
+                        tensor::Matrix* halo) = 0;
 
-  /// One-shot exchange: Start + Finish + EndCommPhase("fp_comm"), for
-  /// call sites with nothing to overlap (the one-time feature cache); by
-  /// construction it is equivalent to the split-phase path.
+  /// One-shot exchange: Start + Finish + EndCommPhase, for call sites with
+  /// nothing to overlap (the one-time feature cache); by construction it
+  /// is equivalent to the split-phase path.
   Status Exchange(dist::WorkerContext* ctx, const WorkerPlan& plan,
-                  uint32_t epoch, uint16_t layer,
-                  const tensor::Matrix& h_owned, tensor::Matrix* h_halo) {
-    ECG_RETURN_IF_ERROR(Start(ctx, plan, epoch, layer, h_owned));
-    ECG_RETURN_IF_ERROR(Finish(ctx, plan, epoch, layer, h_halo));
-    ctx->EndCommPhase("fp_comm");
+                  uint32_t epoch, uint16_t layer, const tensor::Matrix& owned,
+                  tensor::Matrix* halo) {
+    ECG_RETURN_IF_ERROR(Start(ctx, plan, epoch, layer, owned));
+    ECG_RETURN_IF_ERROR(Finish(ctx, plan, epoch, layer, halo));
+    ctx->EndCommPhase(direction_.comm);
     return Status::OK();
   }
 
-  /// Width this worker's messages from `peer` on `layer` are compressed
-  /// to (for logging/benches and tests); 32 means uncompressed.
-  virtual int BitsTowards(uint16_t layer, uint32_t peer) const { return 32; }
+  /// Width on the wire of the (layer, peer) group whose width this worker
+  /// sets: what it sends `peer` (row exchangers) or asks `peer` for
+  /// (ReqEC); kRawBits for raw float32 rows.
+  virtual int BitsTowards(uint16_t layer, uint32_t peer) const = 0;
 
   /// Serializes the exchanger's compensation state (ReqEC trend baselines,
-  /// Bit-Tuner widths) into the epoch checkpoint. Stateless exchangers
-  /// write nothing.
+  /// ResEC residuals, adaptive widths) into the epoch checkpoint.
+  /// Stateless exchangers write nothing.
   virtual void SaveState(ByteWriter* w) const {}
   virtual Status LoadState(ByteReader* r) { return Status::OK(); }
 
@@ -523,64 +546,32 @@ class FpExchanger {
                                     const elastic::ElasticStateBag& bag) {
     return Status::OK();
   }
-};
 
-/// Fetches the halo rows of G^layer each epoch during BP.
-class BpExchanger {
- public:
-  virtual ~BpExchanger() = default;
-
-  /// Split-phase API, mirroring FpExchanger. Start encodes and sends
-  /// (ResEC mutates its residual state here — the residual update depends
-  /// only on the outgoing gradient); Finish receives in arrival order and
-  /// decodes into g_halo without ending the comm phase.
-  virtual Status Start(dist::WorkerContext* ctx, const WorkerPlan& plan,
-                       uint32_t epoch, uint16_t layer,
-                       const tensor::Matrix& g_owned) = 0;
-  virtual Status Finish(dist::WorkerContext* ctx, const WorkerPlan& plan,
-                        uint32_t epoch, uint16_t layer,
-                        tensor::Matrix* g_halo) = 0;
-
-  /// One-shot exchange: Start + Finish + EndCommPhase("bp_comm").
-  Status Exchange(dist::WorkerContext* ctx, const WorkerPlan& plan,
-                  uint32_t epoch, uint16_t layer,
-                  const tensor::Matrix& g_owned, tensor::Matrix* g_halo) {
-    ECG_RETURN_IF_ERROR(Start(ctx, plan, epoch, layer, g_owned));
-    ECG_RETURN_IF_ERROR(Finish(ctx, plan, epoch, layer, g_halo));
-    ctx->EndCommPhase("bp_comm");
-    return Status::OK();
-  }
-
-  /// Per-(layer, peer) sender-side width (the bit_alloc solver's unit of
-  /// allocation); 32 means uncompressed / not width-adaptive.
-  virtual int BitsTowards(uint16_t layer, uint32_t peer) const {
-    return 32;
-  }
-
-  /// Serializes the error-feedback state (ResEC residuals) into the epoch
-  /// checkpoint. Stateless exchangers write nothing.
-  virtual void SaveState(ByteWriter* w) const {}
-  virtual Status LoadState(ByteReader* r) { return Status::OK(); }
-
-  /// Elastic membership support (see FpExchanger::ExportElasticState).
-  virtual void ExportElasticState(const WorkerPlan& plan,
-                                  elastic::ElasticStateBag* bag) const {}
-  virtual Status ImportElasticState(const WorkerPlan& plan,
-                                    const elastic::ElasticStateBag& bag) {
-    return Status::OK();
-  }
+ private:
+  const HaloDirection direction_;
 };
 
 /// Factories. `num_layers` lets stateful exchangers pre-size per-layer
 /// state. One exchanger instance per worker (they hold per-peer state).
-std::unique_ptr<FpExchanger> MakeFpExchanger(FpMode mode,
-                                             const ExchangeConfig& config,
-                                             uint16_t num_layers,
-                                             const WorkerPlan& plan);
-std::unique_ptr<BpExchanger> MakeBpExchanger(BpMode mode,
-                                             const ExchangeConfig& config,
-                                             uint16_t num_layers,
-                                             const WorkerPlan& plan);
+std::unique_ptr<HaloExchanger> MakeFpExchanger(FpMode mode,
+                                               const ExchangeConfig& config,
+                                               uint16_t num_layers,
+                                               const WorkerPlan& plan);
+std::unique_ptr<HaloExchanger> MakeBpExchanger(BpMode mode,
+                                               const ExchangeConfig& config,
+                                               uint16_t num_layers,
+                                               const WorkerPlan& plan);
+
+/// The one exchanger of every mode that ships the whole send set as rows
+/// each epoch: Non-cp (`bits` = kRawBits) and Cp-B in either direction,
+/// and with `feedback` ResEC-BP's error feedback. The factories above
+/// build it; only BpMode::kResEc sets `feedback`, and its state is BP
+/// state (`bitalloc.bp_bits`, the bag's `bp_*` entries).
+std::unique_ptr<HaloExchanger> MakeRowExchanger(const HaloDirection& dir,
+                                                int bits, bool feedback,
+                                                const ExchangeConfig& config,
+                                                uint16_t num_layers,
+                                                const WorkerPlan& plan);
 
 const char* FpModeName(FpMode mode);
 const char* BpModeName(BpMode mode);

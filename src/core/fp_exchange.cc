@@ -25,21 +25,6 @@ using tensor::Matrix;
 /// starts on a packed-word boundary at every width.
 constexpr size_t kSelectRows = 64;
 
-/// Books one FP degradation event: the halo rows from `peer` could not be
-/// delivered, so the requester kept its stale cached rows (stale=true) or
-/// reconstructed the pdt prediction (stale=false).
-void CountFpDegraded(dist::WorkerContext* ctx, uint32_t epoch,
-                     uint16_t layer, uint32_t peer, bool stale) {
-  dist::FaultInjector* injector = ctx->fault_injector();
-  if (injector != nullptr) {
-    auto& counter = stale ? injector->counters().degraded_stale
-                          : injector->counters().degraded_pdt;
-    counter.fetch_add(1, std::memory_order_relaxed);
-  }
-  obs::RecordStat(stale ? "fault.degraded_stale" : "fault.degraded_pdt",
-                  1.0, epoch, layer, static_cast<int32_t>(peer));
-}
-
 /// ReqEC selector census: how many units (vertices or elements, depending
 /// on the granularity) picked each candidate. Values 0/1/2 match the
 /// Selection enum (cps/pdt/avg).
@@ -59,57 +44,15 @@ void RecordSelectorStats(const std::vector<uint32_t>& slt, uint32_t epoch,
   }
 }
 
-/// Non-cp (raw float32 rows) and Cp-fp-B (bucket quantization, no
-/// compensation): every epoch ships every send row in one wire format.
-class PlainFpExchanger : public FpExchanger {
- public:
-  PlainFpExchanger(const ExchangeConfig& config, bool quantized)
-      : config_(config), quantized_(quantized) {}
-
-  Status Start(dist::WorkerContext* ctx, const WorkerPlan& plan,
-               uint32_t epoch, uint16_t layer,
-               const Matrix& h_owned) override {
-    const QuantizerOptions qopts{config_.fp_bits, config_.value_mode};
-    return FanOut(ctx, plan, kFpData, epoch, layer, h_owned.cols(),
-                  [&](uint32_t p, ByteWriter* w, QuantizedMatrix* q) {
-                    return EncodePlainRows(h_owned, plan.send_rows[p],
-                                           quantized_, qopts, w, q);
-                  });
-  }
-
-  Status Finish(dist::WorkerContext* ctx, const WorkerPlan& plan,
-                uint32_t epoch, uint16_t layer, Matrix* h_halo) override {
-    return FanIn(
-        ctx, plan, kFpData, epoch, layer, config_.fault_fallback,
-        [&](uint32_t p, ByteReader* r) {
-          return DecodePlainRows(r, quantized_, plan.recv_halo_rows[p],
-                                 h_halo);
-        },
-        [&](uint32_t p) {
-          // Lost halo update: keep the stale cached rows (h_halo persists
-          // across epochs) — bounded staleness, not a crash.
-          CountFpDegraded(ctx, epoch, layer, p, /*stale=*/true);
-          return Status::OK();
-        });
-  }
-
-  int BitsTowards(uint16_t, uint32_t) const override {
-    return quantized_ ? config_.fp_bits : 32;
-  }
-
- private:
-  const ExchangeConfig config_;
-  const bool quantized_;
-};
-
 /// DistGNN's delayed remote partial aggregation: per epoch only the rows
 /// with index ≡ epoch (mod r) are refreshed (shipped exactly); the
 /// requester keeps stale values for the rest. Epoch 0 ships everything so
 /// the caches start populated.
-class DelayedFpExchanger : public FpExchanger {
+class DelayedFpExchanger : public HaloExchanger {
  public:
   explicit DelayedFpExchanger(const ExchangeConfig& config)
-      : r_(std::max<uint32_t>(1, config.delay_rounds)),
+      : HaloExchanger(kFpData),
+        r_(std::max<uint32_t>(1, config.delay_rounds)),
         allow_loss_(config.fault_fallback) {}
 
   /// fp.raw_bytes counts the full send set, so fp.ratio shows the delayed
@@ -134,6 +77,8 @@ class DelayedFpExchanger : public FpExchanger {
         });
   }
 
+  /// A lost refresh leaves the whole halo slice one round staler (FanIn)
+  /// — the same degradation DistGNN's schedule already embraces.
   Status Finish(dist::WorkerContext* ctx, const WorkerPlan& plan,
                 uint32_t epoch, uint16_t layer, Matrix* h_halo) override {
     return FanIn(
@@ -154,14 +99,10 @@ class DelayedFpExchanger : public FpExchanger {
             targets.push_back(halo_rows[i]);
           }
           return AssignRows(rows, targets, h_halo);
-        },
-        [&](uint32_t p) {
-          // Lost refresh: the whole halo slice stays one round staler —
-          // the same degradation DistGNN's schedule already embraces.
-          CountFpDegraded(ctx, epoch, layer, p, /*stale=*/true);
-          return Status::OK();
         });
   }
+
+  int BitsTowards(uint16_t, uint32_t) const override { return kRawBits; }
 
  private:
   const uint32_t r_;
@@ -171,11 +112,12 @@ class DelayedFpExchanger : public FpExchanger {
 /// The paper's ReqEC-FP (Algorithms 3 and 4): trend snapshots every T_tr
 /// epochs, three candidate approximations per vertex in between, 2-bit
 /// selector array on the wire, and the adaptive Bit-Tuner.
-class ReqEcFpExchanger : public FpExchanger {
+class ReqEcFpExchanger : public HaloExchanger {
  public:
   ReqEcFpExchanger(const ExchangeConfig& config, uint16_t num_layers,
                    const WorkerPlan& plan)
-      : config_(config),
+      : HaloExchanger(kFpData),
+        config_(config),
         num_layers_(num_layers),
         responder_(num_layers,
                    std::vector<TrendState>(plan.send_rows.size())),
@@ -582,14 +524,19 @@ class ReqEcFpExchanger : public FpExchanger {
     const TrendState& st = requester_[layer][peer];
     const auto& halo_rows = plan.recv_halo_rows[peer];
     if (!st.have_trend) {
-      CountFpDegraded(ctx, epoch, layer, peer, /*stale=*/true);
+      CountLost(ctx, kFpData, epoch, layer, peer);
       return Status::OK();
     }
     ECG_RETURN_IF_ERROR(CheckBaseline(st, halo_rows.size(), *h_halo));
     for (size_t i = 0; i < halo_rows.size(); ++i) {
       PredictRow(st, i, step, h_halo->Row(halo_rows[i]));
     }
-    CountFpDegraded(ctx, epoch, layer, peer, /*stale=*/false);
+    if (dist::FaultInjector* injector = ctx->fault_injector()) {
+      injector->counters().degraded_pdt.fetch_add(1,
+                                                  std::memory_order_relaxed);
+    }
+    obs::RecordStat("fault.degraded_pdt", 1.0, epoch, layer,
+                    static_cast<int32_t>(peer));
     return Status::OK();
   }
 
@@ -816,15 +763,17 @@ Result<ReqEcSelection> SelectReqEc(const Matrix& truth, const Matrix& h_last,
   return sel;
 }
 
-std::unique_ptr<FpExchanger> MakeFpExchanger(FpMode mode,
-                                             const ExchangeConfig& config,
-                                             uint16_t num_layers,
-                                             const WorkerPlan& plan) {
+std::unique_ptr<HaloExchanger> MakeFpExchanger(FpMode mode,
+                                               const ExchangeConfig& config,
+                                               uint16_t num_layers,
+                                               const WorkerPlan& plan) {
   switch (mode) {
     case FpMode::kExact:
-      return std::make_unique<PlainFpExchanger>(config, /*quantized=*/false);
+      return MakeRowExchanger(kFpData, kRawBits, /*feedback=*/false, config,
+                              num_layers, plan);
     case FpMode::kCompressed:
-      return std::make_unique<PlainFpExchanger>(config, /*quantized=*/true);
+      return MakeRowExchanger(kFpData, config.fp_bits, /*feedback=*/false,
+                              config, num_layers, plan);
     case FpMode::kDelayed:
       return std::make_unique<DelayedFpExchanger>(config);
     case FpMode::kReqEc:

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -83,38 +82,34 @@ class Schedule {
 
   /// Split-phase halo exchange of layer `layer`'s `owned` rows into
   /// `halo`, with `owned_step` and `halo_step` run as the two compute
-  /// steps.
-  /// FP exchanges H^layer and books both steps as layer+1's fp_compute;
-  /// BP exchanges G^layer and books both steps as layer's bp_compute.
-  template <typename Exchanger>
-  Status SplitPhase(Exchanger* ex, const WorkerPlan& plan, uint16_t layer,
+  /// steps. The exchanger's direction names the phases: FP exchanges
+  /// H^layer and books both steps as layer+1's fp_compute; BP exchanges
+  /// G^layer and books both steps as layer's bp_compute.
+  Status SplitPhase(HaloExchanger* ex, const WorkerPlan& plan, uint16_t layer,
                     const tensor::Matrix& owned, tensor::Matrix* halo,
                     const std::function<void()>& owned_step,
                     const std::function<void()>& halo_step) const {
-    constexpr bool fp = std::is_base_of_v<FpExchanger, Exchanger>;
-    const char* exchange = fp ? "fp_exchange" : "bp_exchange";
-    const char* compute = fp ? "fp_compute" : "bp_compute";
-    const int32_t compute_layer = fp ? layer + 1 : layer;
+    const HaloDirection& dir = ex->direction();
+    const int32_t compute_layer = layer + dir.compute_layer_offset;
     {
-      Phase phase(ctx_, board_, epoch_, exchange);
-      ECG_TRACE_SCOPE(exchange, ctx_->worker_id(), layer);
+      Phase phase(ctx_, board_, epoch_, dir.exchange);
+      ECG_TRACE_SCOPE(dir.exchange, ctx_->worker_id(), layer);
       ECG_RETURN_IF_ERROR(ex->Start(ctx_, plan, epoch_, layer, owned));
     }
     double credit = 0.0;
     {
-      ComputeStep step(ctx_, board_, epoch_, compute, compute, compute_layer,
-                       &credit);
+      ComputeStep step(ctx_, board_, epoch_, dir.compute, dir.compute,
+                       compute_layer, &credit);
       owned_step();
     }
     if (!overlap_) credit = 0.0;
     {
-      Phase phase(ctx_, board_, epoch_, exchange);
-      ECG_TRACE_SCOPE(fp ? "fp_finish" : "bp_finish", ctx_->worker_id(),
-                      layer);
+      Phase phase(ctx_, board_, epoch_, dir.exchange);
+      ECG_TRACE_SCOPE(dir.finish, ctx_->worker_id(), layer);
       ECG_RETURN_IF_ERROR(ex->Finish(ctx_, plan, epoch_, layer, halo));
       double comm_s = 0.0;
-      const double hidden = ctx_->EndCommPhaseOverlapped(
-          fp ? "fp_comm" : "bp_comm", credit, &comm_s);
+      const double hidden =
+          ctx_->EndCommPhaseOverlapped(dir.comm, credit, &comm_s);
       if (obs::StatsEnabled()) {
         obs::RecordStat("overlap.hidden_seconds", hidden, epoch_, layer);
         if (comm_s > 0.0) {
@@ -122,14 +117,15 @@ class Schedule {
         }
       }
     }
-    ComputeStep step(ctx_, board_, epoch_, compute, compute, compute_layer);
+    ComputeStep step(ctx_, board_, epoch_, dir.compute, dir.compute,
+                     compute_layer);
     halo_step();
     return Status::OK();
   }
 
   /// Layer `l`'s (1-based) forward: its input `x` goes out through `ex`
   /// into `halo` around the layer's owned and halo steps.
-  Status Forward(FpExchanger* ex, const WorkerPlan& plan, int32_t l,
+  Status Forward(HaloExchanger* ex, const WorkerPlan& plan, int32_t l,
                  GnnLayer* layer, const tensor::Matrix& x,
                  tensor::Matrix* halo) const {
     return SplitPhase(
@@ -142,7 +138,7 @@ class Schedule {
   /// return. The ReLU mask, layer 1's dW/db and SAGE's G·Wᵀ are bp_compute
   /// steps of their own; from layer 2 up the shipped matrix goes out
   /// through `ex` around the owned and halo steps.
-  Status Backward(BpExchanger* ex, const WorkerPlan& plan, int32_t l,
+  Status Backward(HaloExchanger* ex, const WorkerPlan& plan, int32_t l,
                   GnnLayer* layer, tensor::Matrix* g, tensor::Matrix* dw,
                   tensor::Matrix* db) const {
     if (layer->relu()) {

@@ -338,8 +338,8 @@ TEST(ElasticStateBagTest, ExchangerStateRoundTripsBitExactly) {
   const size_t kDim = 6;
 
   // Run a few real exchange epochs so both exchangers accumulate state.
-  std::vector<std::unique_ptr<core::FpExchanger>> fps(3);
-  std::vector<std::unique_ptr<core::BpExchanger>> bps(3);
+  std::vector<std::unique_ptr<core::HaloExchanger>> fps(3);
+  std::vector<std::unique_ptr<core::HaloExchanger>> bps(3);
   dist::SimulatedCluster cluster(3, dist::NetworkModel{});
   Status run = cluster.Run([&](dist::WorkerContext* ctx) -> Status {
     const uint32_t w = ctx->worker_id();

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -474,6 +475,217 @@ TEST(ExchangeTest, ResEcErrorFeedbackAveragesOutBias) {
       << "EC avg err " << err_ec << " vs plain " << err_plain;
 }
 
+/// Every exchange mode that ships the whole send set as rows: Non-cp and
+/// Cp in both directions, and ResEC-BP.
+struct RowMode {
+  const char* name;
+  bool fp;
+  FpMode fp_mode;
+  BpMode bp_mode;
+};
+constexpr RowMode kRowModes[] = {
+    {"fp_exact", true, FpMode::kExact, BpMode::kExact},
+    {"fp_cp", true, FpMode::kCompressed, BpMode::kExact},
+    {"bp_exact", false, FpMode::kExact, BpMode::kExact},
+    {"bp_cp", false, FpMode::kExact, BpMode::kCompressed},
+    {"bp_resec", false, FpMode::kExact, BpMode::kResEc},
+};
+
+/// Runs `epochs` epochs of `mode` on the fixture's two workers, exchanging
+/// H^1, H^2 (FP) or G^3, G^2 (BP) with 3 layers. Before each exchange
+/// `before(worker, epoch, layer, ex)` sees the exchanger; after it
+/// `after(worker, epoch, layer, plan, halo)` sees the halo. BP halos start
+/// each exchange at zero, as the trainers' do.
+void RunRowMode(
+    TwoWorkerFixture* fx, const RowMode& mode, const ExchangeConfig& config,
+    dist::FaultInjector* injector, uint32_t epochs,
+    const std::function<void(uint32_t, uint32_t, uint16_t,
+                             const HaloExchanger&)>& before,
+    const std::function<void(uint32_t, uint32_t, uint16_t,
+                             const WorkerPlan&, const Matrix&)>& after) {
+  SimulatedCluster cluster(2, dist::NetworkModel{});
+  cluster.hub().set_fault_injector(injector);
+  const Status status = cluster.Run([&](WorkerContext* ctx) -> Status {
+    const uint32_t me = ctx->worker_id();
+    const WorkerPlan& plan = fx->plans[me];
+    std::unique_ptr<HaloExchanger> ex =
+        mode.fp ? MakeFpExchanger(mode.fp_mode, config, 3, plan)
+                : MakeBpExchanger(mode.bp_mode, config, 3, plan);
+    std::vector<Matrix> halos(4, Matrix(plan.num_halo(), kDim));
+    for (uint32_t epoch = 0; epoch < epochs; ++epoch) {
+      for (uint16_t layer : mode.fp ? std::vector<uint16_t>{1, 2}
+                                    : std::vector<uint16_t>{3, 2}) {
+        const Matrix owned = MakeOwned(plan, [&](uint32_t v, size_t c) {
+          return 0.25f * static_cast<float>(v * 3 + c * layer) -
+                 0.5f * static_cast<float>((v + c + epoch) % 5);
+        });
+        Matrix& halo = halos[layer];
+        if (!mode.fp) halo.Reset(plan.num_halo(), kDim);
+        before(me, epoch, layer, *ex);
+        ECG_RETURN_IF_ERROR(
+            ex->Exchange(ctx, plan, epoch, layer, owned, &halo));
+        after(me, epoch, layer, plan, halo);
+      }
+    }
+    return Status::OK();
+  });
+  ASSERT_TRUE(status.ok()) << mode.name << ": " << status;
+}
+
+TEST(ExchangeTest, LostRowMessagesDegradePerDirection) {
+  // Worker 0's epoch-1 messages to worker 1 are permanently lost. FP keeps
+  // the stale halo rows; BP skips the lost gradient; ResEC's sender folds
+  // the whole compensated gradient into its residual.
+  for (const RowMode& mode : kRowModes) {
+    SCOPED_TRACE(mode.name);
+    auto inj = dist::FaultInjector::Parse("drop=1@epoch=1:from=0:to=1");
+    ASSERT_TRUE(inj.ok());
+    obs::StatsRegistry& stats = obs::StatsRegistry::Global();
+    stats.Reset();
+    stats.Enable();
+    ExchangeConfig config;
+    config.fp_bits = config.bp_bits = 4;
+    TwoWorkerFixture fx;
+    std::mutex mu;
+    std::map<uint16_t, Matrix> epoch0_halo;  // worker 1's, by layer
+    RunRowMode(
+        &fx, mode, config, &*inj, 3,
+        [](uint32_t, uint32_t, uint16_t, const HaloExchanger&) {},
+        [&](uint32_t worker, uint32_t epoch, uint16_t layer,
+            const WorkerPlan& plan, const Matrix& halo) {
+          if (worker != 1) return;
+          std::lock_guard<std::mutex> lock(mu);
+          if (epoch == 0) epoch0_halo[layer] = halo;
+          if (epoch != 1) return;
+          for (uint32_t row : plan.recv_halo_rows[0]) {
+            for (size_t c = 0; c < kDim; ++c) {
+              EXPECT_EQ(halo.At(row, c),
+                        mode.fp ? epoch0_halo[layer].At(row, c) : 0.0f)
+                  << "layer " << layer << " row " << row;
+            }
+          }
+        });
+    const auto snapshot = stats.Snapshot();
+    stats.Disable();
+    stats.Reset();
+    auto count = [&](const char* name, uint16_t layer, int32_t peer) {
+      auto it = snapshot.find(obs::StatKey{name, 1, layer, peer});
+      return it == snapshot.end() ? 0.0 : it->second.sum;
+    };
+    const dist::FaultCounters& c = inj->counters();
+    const bool resec = !mode.fp && mode.bp_mode == BpMode::kResEc;
+    for (uint16_t layer : mode.fp ? std::vector<uint16_t>{1, 2}
+                                  : std::vector<uint16_t>{3, 2}) {
+      // The receiver (worker 1) books the loss against sender peer 0.
+      EXPECT_EQ(count("fault.degraded_stale", layer, 0), mode.fp ? 1.0 : 0.0);
+      EXPECT_EQ(count("fault.degraded_skip", layer, 0), mode.fp ? 0.0 : 1.0);
+      // The sender (worker 0) books the fold against receiver peer 1.
+      EXPECT_EQ(count("fault.degraded_resec", layer, 1), resec ? 1.0 : 0.0);
+    }
+    EXPECT_EQ(c.lost.load(), 2u);
+    EXPECT_EQ(c.degraded_stale.load(), mode.fp ? 2u : 0u);
+    EXPECT_EQ(c.degraded_resec.load(), resec ? 2u : 0u);
+    EXPECT_EQ(c.degraded_pdt.load(), 0u);
+  }
+}
+
+TEST(ExchangeTest, BitsTowardsIsTheWidthOnTheWire) {
+  // For every row mode, BitsTowards(layer, peer) before an exchange is the
+  // `<dir>.bits` the sender records for the same (epoch, layer, peer):
+  // the configured width, the solver's width under bit_alloc, or 32 for
+  // raw float32 rows.
+  ExchangeConfig config;
+  config.fp_bits = config.bp_bits = 4;
+  config.trend_period = 2;
+  config.bit_alloc = true;
+  for (const RowMode& mode : kRowModes) {
+    SCOPED_TRACE(mode.name);
+    obs::StatsRegistry& stats = obs::StatsRegistry::Global();
+    stats.Reset();
+    stats.Enable();
+    TwoWorkerFixture fx;
+    std::mutex mu;
+    std::map<obs::StatKey, int> expected;
+    RunRowMode(
+        &fx, mode, config, nullptr, 6,
+        [&](uint32_t worker, uint32_t epoch, uint16_t layer,
+            const HaloExchanger& ex) {
+          const uint32_t peer = 1 - worker;
+          std::lock_guard<std::mutex> lock(mu);
+          expected[obs::StatKey{std::string(mode.fp ? "fp" : "bp") + ".bits",
+                                epoch, layer, static_cast<int32_t>(peer)}] =
+              ex.BitsTowards(layer, peer);
+        },
+        [](uint32_t, uint32_t, uint16_t, const WorkerPlan&, const Matrix&) {});
+    const auto snapshot = stats.Snapshot();
+    stats.Disable();
+    stats.Reset();
+    ASSERT_EQ(expected.size(), 6u * 2 * 2);
+    std::set<int> widths;
+    for (const auto& [key, bits] : expected) {
+      widths.insert(bits);
+      auto it = snapshot.find(key);
+      ASSERT_NE(it, snapshot.end()) << key.name << " epoch " << key.epoch;
+      EXPECT_EQ(it->second.last, bits)
+          << key.name << " epoch " << key.epoch << " layer " << key.layer
+          << " peer " << key.peer;
+    }
+    // Only ResEC's solver moves a width off the configured one.
+    EXPECT_EQ(widths.size() > 1, mode.bp_mode == BpMode::kResEc && !mode.fp);
+  }
+}
+
+/// A ResEC checkpoint of 3 layers for `plan` whose residual toward `peer`
+/// on layer 2 is `bad`; every other residual is empty (a cold start).
+std::vector<uint8_t> ResEcBlob(const WorkerPlan& plan, uint32_t peer,
+                               const Matrix& bad) {
+  std::vector<uint8_t> blob;
+  ByteWriter w(&blob);
+  const uint32_t workers = static_cast<uint32_t>(plan.send_rows.size());
+  for (uint16_t l = 0; l <= 3; ++l) {
+    for (uint32_t p = 0; p < workers; ++p) {
+      EncodeMatrix(l == 2 && p == peer ? bad : Matrix(), &w);
+    }
+  }
+  for (uint16_t l = 0; l <= 3; ++l) {
+    w.PutU32Vector(std::vector<uint32_t>(workers, 2));
+  }
+  return blob;
+}
+
+TEST(ExchangeTest, ResEcRejectsAMisshapenResidual) {
+  // A residual restored from a checkpoint must fit its (layer, peer)
+  // group: one row per send row, as wide as the gradient it folds into.
+  // Only an empty one is a cold start.
+  TwoWorkerFixture fx;
+  const size_t rows = fx.plans[0].send_rows[1].size();
+  const Matrix cases[] = {Matrix(), Matrix(rows, kDim),
+                          Matrix(rows + 1, kDim), Matrix(rows, kDim + 1)};
+  const bool fits[] = {true, true, false, false};
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    SCOPED_TRACE(i);
+    SimulatedCluster cluster(2, dist::NetworkModel{});
+    const Status status = cluster.Run([&](WorkerContext* ctx) -> Status {
+      if (ctx->worker_id() != 0) return Status::OK();
+      const WorkerPlan& plan = fx.plans[0];
+      auto ex = MakeBpExchanger(BpMode::kResEc, {}, 3, plan);
+      const std::vector<uint8_t> blob = ResEcBlob(plan, 1, cases[i]);
+      ByteReader r(blob);
+      ECG_RETURN_IF_ERROR(ex->LoadState(&r));
+      const Matrix owned = MakeOwned(plan, [](uint32_t v, size_t c) {
+        return 0.1f * static_cast<float>(v + c);
+      });
+      // Start only sends: worker 1 never receives, so nothing blocks.
+      return ex->Start(ctx, plan, 0, 2, owned);
+    });
+    if (fits[i]) {
+      EXPECT_TRUE(status.ok()) << status;
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    }
+  }
+}
+
 // ReqEC checkpoint and response decoding must be total: a blob or a
 // baseline that does not fit the plan is an InvalidArgument, never an
 // out-of-bounds read.
@@ -886,8 +1098,8 @@ ParityDigests ParityDigest(const ParityCase& pc) {
   std::vector<uint64_t> comm(3, 0xcbf29ce484222325ull);
   const Status status = cluster.Run([&](WorkerContext* ctx) -> Status {
     const WorkerPlan& plan = plans[ctx->worker_id()];
-    std::unique_ptr<FpExchanger> fp;
-    std::unique_ptr<BpExchanger> bp;
+    std::unique_ptr<HaloExchanger> fp;
+    std::unique_ptr<HaloExchanger> bp;
     if (pc.fp) {
       fp = MakeFpExchanger(pc.fp_mode, pc.config, /*num_layers=*/3, plan);
     } else {
@@ -1037,7 +1249,7 @@ struct TrendSide {
 /// requester}.
 using TrendSides = std::vector<std::vector<std::array<TrendSide, 2>>>;
 
-TrendSides ReadTrendSides(const FpExchanger& ex, uint16_t layers,
+TrendSides ReadTrendSides(const HaloExchanger& ex, uint16_t layers,
                           uint32_t workers) {
   std::vector<uint8_t> blob;
   ByteWriter w(&blob);
@@ -1077,7 +1289,7 @@ size_t TrendCols(uint16_t layer) { return layer == 1 ? 12 : 5; }
 struct TrendRun {
   std::vector<WorkerPlan> plans;
   ExchangeConfig config;
-  std::vector<std::unique_ptr<FpExchanger>> ex;
+  std::vector<std::unique_ptr<HaloExchanger>> ex;
   std::vector<std::vector<Matrix>> halos;  // [worker][layer]
   /// Bytes each worker sent per (epoch, layer): one request plus one
   /// response, both towards its one peer.
