@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <utility>
@@ -14,13 +13,6 @@
 
 namespace ecg::obs {
 
-int StatValue::HistBucket(double v) {
-  const double mag = std::fabs(v);
-  if (mag == 0.0 || !std::isfinite(mag)) return 0;
-  const int exp = std::ilogb(mag);
-  return std::clamp(exp + kHistBias, 1, kHistBuckets - 1);
-}
-
 void StatValue::Add(double v) {
   if (count == 0) {
     min = max = v;
@@ -31,7 +23,6 @@ void StatValue::Add(double v) {
   ++count;
   sum += v;
   last = v;
-  ++hist[HistBucket(v)];
 }
 
 void StatValue::Merge(const StatValue& o) {
@@ -46,7 +37,6 @@ void StatValue::Merge(const StatValue& o) {
   count += o.count;
   sum += o.sum;
   last = o.last;
-  for (int b = 0; b < kHistBuckets; ++b) hist[b] += o.hist[b];
 }
 
 StatsRegistry& StatsRegistry::Global() {
@@ -58,6 +48,7 @@ void StatsRegistry::Enable(const std::string& jsonl_path) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     path_ = jsonl_path;
+    summary_written_ = false;
     if (!jsonl_path.empty()) {
       // Truncate once at enable; epoch flushes append. The first row is a
       // header stamping the run environment (same identity the benches
@@ -77,21 +68,22 @@ void StatsRegistry::Disable() {
 }
 
 void StatsRegistry::Record(const std::string& name, double value,
-                           uint32_t epoch, int32_t layer, int32_t peer) {
+                           uint32_t epoch, int32_t layer, int32_t peer,
+                           int32_t worker) {
   Histogram* bridged = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    live_[StatKey{name, epoch, layer, peer}].Add(value);
+    live_[StatKey{name, epoch, layer, peer, worker}].Add(value);
     // Bridge into the live metrics plane: every stat series doubles as a
-    // Prometheus histogram labelled by (layer, peer) — epoch is
+    // Prometheus histogram labelled by (layer, peer, worker) — epoch is
     // deliberately dropped (a scrape series per epoch would be unbounded
     // cardinality; the time dimension is the scraper's job). This one hook
-    // is what makes exchangers, trainers, the param server and the fault
-    // transport all visible live without touching each call site. Handle
-    // acquisition (string building, metrics-registry lock) happens once
-    // per series; steady state is the cache hit below.
+    // is what makes exchangers, trainers, the param server, the transport
+    // and elastic transitions visible live without touching each call
+    // site. Handle acquisition (string building, metrics-registry lock)
+    // happens once per series; steady state is the cache hit below.
     if (MetricsEnabled()) {
-      Histogram*& slot = bridge_[std::make_tuple(name, layer, peer)];
+      Histogram*& slot = bridge_[StatKey{name, kNoEpoch, layer, peer, worker}];
       if (slot == nullptr) {
         std::string metric = "ecg_";
         metric.reserve(metric.size() + name.size());
@@ -99,6 +91,9 @@ void StatsRegistry::Record(const std::string& name, double value,
         MetricLabels labels;
         if (layer >= 0) labels.emplace_back("layer", std::to_string(layer));
         if (peer >= 0) labels.emplace_back("peer", std::to_string(peer));
+        if (worker >= 0) {
+          labels.emplace_back("worker", std::to_string(worker));
+        }
         slot = MetricsRegistry::Global().GetHistogram(
             metric, "Bridged from stat series '" + name + "'.",
             std::move(labels));
@@ -132,6 +127,7 @@ void StatsRegistry::WriteRow(std::ostream& os, const StatKey& key,
   row += ",\"name\":\"" + key.name + "\"";
   if (key.layer >= 0) row += ",\"layer\":" + std::to_string(key.layer);
   if (key.peer >= 0) row += ",\"peer\":" + std::to_string(key.peer);
+  if (key.worker >= 0) row += ",\"worker\":" + std::to_string(key.worker);
   row += ",\"count\":" + std::to_string(value.count);
   row += ",\"sum\":";
   AppendNumber(&row, value.sum);
@@ -143,24 +139,15 @@ void StatsRegistry::WriteRow(std::ostream& os, const StatKey& key,
   AppendNumber(&row, value.Avg());
   row += ",\"last\":";
   AppendNumber(&row, value.last);
-  // Histogram in sparse "bucket:count" form; bucket b>0 covers |v| in
-  // [2^(b-32), 2^(b-31)), bucket 0 counts zeros/non-finites.
-  row += ",\"hist\":\"";
-  bool first = true;
-  for (int b = 0; b < StatValue::kHistBuckets; ++b) {
-    if (value.hist[b] == 0) continue;
-    if (!first) row += ",";
-    row += std::to_string(b) + ":" + std::to_string(value.hist[b]);
-    first = false;
-  }
-  row += "\"}\n";
+  row += "}\n";
   os << row;
 }
 
 void StatsRegistry::DumpEpochTo(uint32_t epoch, std::ostream& os,
                                 bool erase) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.lower_bound(StatKey{"", epoch, INT32_MIN, INT32_MIN});
+  auto it = live_.lower_bound(StatKey{"", epoch, INT32_MIN, INT32_MIN,
+                                      INT32_MIN});
   while (it != live_.end() && it->first.epoch == epoch) {
     WriteRow(os, it->first, it->second, /*summary=*/false);
     if (erase) {
@@ -175,7 +162,7 @@ void StatsRegistry::DumpEpochTo(uint32_t epoch, std::ostream& os,
 void StatsRegistry::DumpSummaryTo(std::ostream& os) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, value] : summary_) {
-    WriteRow(os, StatKey{name, kNoEpoch, -1, -1}, value, /*summary=*/true);
+    WriteRow(os, StatKey{name}, value, /*summary=*/true);
   }
 }
 
@@ -214,7 +201,13 @@ void StatsRegistry::FlushAll() {
   }
   std::ofstream out(path, std::ios::app);
   for (uint32_t e : epochs) DumpEpochTo(e, out, /*erase=*/true);
-  DumpSummaryTo(out);
+  bool write_summary = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    write_summary = !summary_written_;
+    summary_written_ = true;
+  }
+  if (write_summary) DumpSummaryTo(out);
 }
 
 std::map<StatKey, StatValue> StatsRegistry::Snapshot() const {
@@ -238,6 +231,7 @@ void StatsRegistry::Reset() {
   live_.clear();
   summary_.clear();
   path_.clear();
+  summary_written_ = false;
   bridge_.clear();
 }
 

@@ -17,47 +17,42 @@ class Histogram;  // common/metrics.h; the bridge caches handles to it
 /// record; such rows are emitted with the final summary, not per epoch).
 inline constexpr uint32_t kNoEpoch = 0xFFFFFFFFu;
 
-/// A stat series is addressed by name plus the (epoch, layer, peer)
-/// coordinates of the paper's pipeline; -1 means "not applicable".
+/// A stat series is addressed by name plus the (epoch, layer, peer,
+/// worker) coordinates of the paper's pipeline; -1 means "not applicable".
+/// `worker` is the recording worker where the series is per link (the
+/// sender of `comm.sent_bytes`, the NACKing receiver of
+/// `fault.backoff_seconds`); elsewhere the sender is implied.
 struct StatKey {
   std::string name;
   uint32_t epoch = kNoEpoch;
   int32_t layer = -1;
   int32_t peer = -1;
+  int32_t worker = -1;
 
   bool operator<(const StatKey& o) const {
-    if (epoch != o.epoch) return epoch < o.epoch;
-    if (name != o.name) return name < o.name;
-    if (layer != o.layer) return layer < o.layer;
-    return peer < o.peer;
+    return std::tie(epoch, name, layer, peer, worker) <
+           std::tie(o.epoch, o.name, o.layer, o.peer, o.worker);
   }
 };
 
-/// One aggregated series. The same cell serves as counter (read `sum`),
-/// gauge (read `last`) and histogram (count/min/max/avg plus base-2
-/// magnitude buckets): every Record folds into all views, so callers never
-/// pre-declare a metric type.
+/// One aggregated series per epoch. The same cell serves as counter (read
+/// `sum`) and gauge (read `last`), plus count/min/max/avg, so callers never
+/// pre-declare a metric type. A series' distribution lives only in the
+/// metrics plane's `Histogram` the bridge keeps for it.
 struct StatValue {
-  /// log2-magnitude histogram: bucket 0 counts zeros, bucket b (1..63)
-  /// counts |v| in [2^(b-32), 2^(b-31)), exponents clamped to the range.
-  static constexpr int kHistBuckets = 64;
-  static constexpr int kHistBias = 32;
-
   uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
   double last = 0.0;
-  uint32_t hist[kHistBuckets] = {0};
 
   void Add(double v);
   void Merge(const StatValue& o);
   double Avg() const { return count == 0 ? 0.0 : sum / count; }
-  static int HistBucket(double v);
 };
 
-/// Process-wide registry of named stats recorded per (epoch, layer, peer)
-/// and exported as JSON Lines: one row per series per epoch (flushed by
+/// Process-wide registry of named stats recorded per (epoch, layer, peer,
+/// worker) and exported as JSON Lines: one row per series per epoch (flushed by
 /// the trainer as each epoch finalizes) plus a cross-epoch summary row per
 /// name at shutdown. Recording takes a mutex — call sites are per-message
 /// / per-phase (a few dozen per worker per epoch), never per-element — and
@@ -75,18 +70,20 @@ class StatsRegistry {
   }
   const std::string& output_path() const { return path_; }
 
-  /// Folds `value` into the (name, epoch, layer, peer) series. Callers on
-  /// hot paths should gate on enabled() (or use RecordStat below).
+  /// Folds `value` into the (name, epoch, layer, peer, worker) series and,
+  /// with the metrics plane on, into its bridged histogram. Callers on hot
+  /// paths should gate on enabled() (or use RecordStat below).
   void Record(const std::string& name, double value,
               uint32_t epoch = kNoEpoch, int32_t layer = -1,
-              int32_t peer = -1);
+              int32_t peer = -1, int32_t worker = -1);
 
   /// Writes (and retires) every series of `epoch` as JSONL rows; the
   /// retired series keep contributing to the per-name summary.
   void FlushEpoch(uint32_t epoch);
 
-  /// Flushes every remaining epoch plus the summary rows. Idempotent;
-  /// wired to the CLI/bench exit paths.
+  /// Flushes every remaining epoch plus the summary rows. Idempotent: the
+  /// summary rows are written once per Enable, so the CLI's explicit flush
+  /// and the atexit hook do not both append them.
   void FlushAll();
 
   /// Deterministic row serialization (key-sorted); `erase` retires the
@@ -117,21 +114,25 @@ class StatsRegistry {
   std::map<StatKey, StatValue> live_;
   std::map<std::string, StatValue> summary_;
   std::string path_;
-  /// Metrics-bridge handle cache, keyed by (name, layer, peer) — the
-  /// coordinates that survive into the metric's labels. Handle acquisition
+  bool summary_written_ = false;
+  /// Metrics-bridge handle cache, keyed by the series' key with its epoch
+  /// dropped: the coordinates that survive into the metric's labels. Handle
+  /// acquisition
   /// builds strings and locks the metrics registry; with the cache, the
   /// steady-state bridge is one map hit under `mu_` plus a lock-free
   /// Observe. Cleared by Reset (handles die with MetricsRegistry::Reset).
-  std::map<std::tuple<std::string, int32_t, int32_t>, Histogram*> bridge_;
+  std::map<StatKey, Histogram*> bridge_;
 };
 
 /// One-liner used by instrumentation sites: a single branch when stats
 /// collection is off.
 inline void RecordStat(const std::string& name, double value,
                        uint32_t epoch = kNoEpoch, int32_t layer = -1,
-                       int32_t peer = -1) {
+                       int32_t peer = -1, int32_t worker = -1) {
   StatsRegistry& registry = StatsRegistry::Global();
-  if (registry.enabled()) registry.Record(name, value, epoch, layer, peer);
+  if (registry.enabled()) {
+    registry.Record(name, value, epoch, layer, peer, worker);
+  }
 }
 
 /// Cheap global guard for instrumentation whose *inputs* are expensive to

@@ -13,11 +13,12 @@ void WorkerContext::Send(uint32_t to, uint64_t tag,
                          std::vector<uint8_t> payload) {
   if (obs::StatsEnabled()) {
     // Tags carry (epoch, layer) by construction (MakeTag), so the
-    // transport can attribute every wire byte without the exchangers
-    // passing coordinates down.
+    // transport can attribute every wire byte to its (layer, peer, worker)
+    // link without the exchangers passing coordinates down.
     obs::RecordStat("comm.sent_bytes", static_cast<double>(payload.size()),
                     MessageHub::TagEpoch(tag), MessageHub::TagLayer(tag),
-                    static_cast<int32_t>(to));
+                    static_cast<int32_t>(to),
+                    static_cast<int32_t>(worker_id_));
   }
   phase_sent_bytes_ += payload.size();
   ++phase_sent_msgs_;

@@ -7,7 +7,6 @@
 #include "common/bytes.h"
 #include "common/crc32c.h"
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/stats.h"
 #include "common/trace.h"
 
@@ -168,21 +167,6 @@ void MessageHub::Send(uint32_t from, uint32_t to, uint64_t tag,
   if (obs::TraceEnabled(1)) {
     obs::Tracer::Global().RecordFlow(obs::FlowPhase::kStart, "msg", from, to,
                                      FlowLayer(tag), FlowId(from, to, tag));
-  }
-  if (obs::MetricsEnabled()) {
-    std::atomic<obs::Counter*>& slot =
-        sent_counters_[static_cast<size_t>(from) * parties_ + to];
-    obs::Counter* counter = slot.load(std::memory_order_acquire);
-    if (counter == nullptr) {
-      // Racing acquirers get the same cell back from the registry, so the
-      // last store wins harmlessly.
-      counter = obs::MetricsRegistry::Global().GetCounter(
-          "ecg_hub_sent_bytes_total",
-          "Payload bytes entering the hub, by sender and peer.",
-          {{"worker", std::to_string(from)}, {"peer", std::to_string(to)}});
-      slot.store(counter, std::memory_order_release);
-    }
-    counter->Inc(static_cast<double>(payload.size()));
   }
   Mailbox& box = boxes_[to];
   if (injector_ == nullptr) {
@@ -369,8 +353,6 @@ Status MessageHub::ResolveFramedLocked(Mailbox& box,
       counters.nacks.fetch_add(1, std::memory_order_relaxed);
       obs::RecordStat("fault.retried", 1.0, TagEpoch(tag), TagLayer(tag),
                       static_cast<int32_t>(from));
-      obs::RecordStat("fault.nack", 1.0, TagEpoch(tag), TagLayer(tag),
-                      static_cast<int32_t>(from));
       const double backoff = injector_->retry_backoff_seconds();
       oc.penalty_seconds += backoff;
       std::vector<uint8_t> frame =
@@ -383,17 +365,11 @@ Status MessageHub::ResolveFramedLocked(Mailbox& box,
       obs::RecordStat("fault.retransmit_bytes",
                       static_cast<double>(frame.size()), TagEpoch(tag),
                       TagLayer(tag), static_cast<int32_t>(from));
-      if (obs::MetricsEnabled()) {
-        // Per-link backoff distribution: the retry-storm signal the chaos
-        // bench watches (worker = receiver issuing the NACK).
-        obs::MetricsRegistry::Global()
-            .GetHistogram(
-                "ecg_fault_backoff_seconds",
-                "Simulated retry backoff charged per NACK, per link.",
-                {{"worker", std::to_string(to)},
-                 {"peer", std::to_string(from)}})
-            ->Observe(backoff);
-      }
+      // Per-link backoff: the retry-storm signal the chaos bench watches
+      // (worker = the receiver issuing the NACK).
+      obs::RecordStat("fault.backoff_seconds", backoff, TagEpoch(tag),
+                      TagLayer(tag), static_cast<int32_t>(from),
+                      static_cast<int32_t>(to));
       if (obs::TraceEnabled(1)) {
         obs::Tracer::Global().RecordFlow(obs::FlowPhase::kStep, "msg", to,
                                          from, FlowLayer(tag),

@@ -1,7 +1,6 @@
 #ifndef ECGRAPH_DIST_COMM_H_
 #define ECGRAPH_DIST_COMM_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -10,10 +9,6 @@
 
 #include "common/status.h"
 #include "dist/fault.h"
-
-namespace ecg::obs {
-class Counter;  // common/metrics.h; Send caches per-link handles to it
-}  // namespace ecg::obs
 
 namespace ecg::dist {
 
@@ -94,8 +89,7 @@ struct RecvOutcome {
 class MessageHub {
  public:
   explicit MessageHub(uint32_t parties)
-      : parties_(parties), boxes_(parties), stats_(parties),
-        sent_counters_(static_cast<size_t>(parties) * parties) {}
+      : parties_(parties), boxes_(parties), stats_(parties) {}
 
   MessageHub(const MessageHub&) = delete;
   MessageHub& operator=(const MessageHub&) = delete;
@@ -255,11 +249,6 @@ class MessageHub {
   std::vector<Mailbox> boxes_;
   CommStats stats_;
   FaultInjector* injector_ = nullptr;
-  /// Lazily acquired `ecg_hub_sent_bytes_total{worker,peer}` handles, one
-  /// per directed link (parties² cells). Acquisition locks the metrics
-  /// registry and builds label strings; caching keeps the per-Send cost at
-  /// one relaxed load plus a lock-free Inc.
-  mutable std::vector<std::atomic<obs::Counter*>> sent_counters_;
 };
 
 }  // namespace ecg::dist

@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "common/flight_recorder.h"
-#include "common/metrics.h"
 #include "common/spec.h"
 #include "common/stats.h"
 #include "common/trace.h"
@@ -587,24 +586,10 @@ void ElasticController::Commit(const Transition& t, uint32_t resume_epoch,
   e.downtime_seconds = downtime_seconds;
   MembershipLog::Global().Add(e);
 
-  if (obs::StatsEnabled()) {
-    obs::RecordStat("elastic.migrated_rows",
-                    static_cast<double>(t.moved_rows), resume_epoch);
-    obs::RecordStat("elastic.repartition_seconds", downtime_seconds,
-                    resume_epoch);
-  }
-  if (obs::MetricsEnabled()) {
-    auto& reg = obs::MetricsRegistry::Global();
-    reg.GetCounter("ecg_elastic_migrated_rows_total",
-                   "Vertex rows moved by elastic membership transitions",
-                   {{"kind", t.kind}})
-        ->Inc(static_cast<double>(t.moved_rows));
-    reg.GetCounter("ecg_elastic_repartition_seconds",
-                   "Simulated seconds spent in elastic transitions "
-                   "(downtime + state migration)",
-                   {{"kind", t.kind}})
-        ->Inc(downtime_seconds);
-  }
+  obs::RecordStat("elastic.migrated_rows", static_cast<double>(t.moved_rows),
+                  resume_epoch);
+  obs::RecordStat("elastic.repartition_seconds", downtime_seconds,
+                  resume_epoch);
   if (obs::TraceEnabled()) {
     obs::Tracer::Global().RecordSimSpan("elastic_repartition", /*worker=*/0,
                                         /*layer=*/-1, sim_clock,

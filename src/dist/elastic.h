@@ -272,8 +272,9 @@ class ElasticController {
                                     const graph::Partition& part,
                                     uint32_t epoch, int32_t straggler);
 
-  /// Records the committed transition: membership log + `elastic.*` stats +
-  /// `ecg_elastic_*` metrics + an `elastic_repartition` span on the
+  /// Records the committed transition: membership log (which carries the
+  /// transition's kind) + `elastic.*` stats (bridged to the
+  /// `ecg_elastic_*` histograms) + an `elastic_repartition` span on the
   /// simulated timeline at `sim_clock`, then remaps worker scales, adopts
   /// the new worker count and resets the rebalancer.
   void Commit(const Transition& t, uint32_t resume_epoch,

@@ -1,7 +1,6 @@
 #include "dist/param_server.h"
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/timer.h"
@@ -99,14 +98,6 @@ void ParameterServerGroup::ApplyLocked() {
   }
   if (obs::StatsEnabled()) {
     obs::RecordStat("ps.apply_seconds", apply_cpu.ElapsedSeconds());
-  }
-  if (obs::MetricsEnabled()) {
-    obs::MetricsRegistry::Global()
-        .GetHistogram("ecg_ps_apply_seconds",
-                      "Real CPU seconds spent applying one optimizer step "
-                      "over all workers' gradients.",
-                      {})
-        ->Observe(apply_cpu.ElapsedSeconds());
   }
   for (uint32_t w = 0; w < num_workers_; ++w) {
     pending_dw_[w].clear();

@@ -23,6 +23,12 @@
 #include "common/metrics_http.h"
 #include "common/random.h"
 #include "common/stats.h"
+#include "core/trainer.h"
+#include "dist/cluster.h"
+#include "dist/elastic.h"
+#include "dist/fault.h"
+#include "dist/param_server.h"
+#include "graph/datasets.h"
 
 // Allocation counter for the disabled-path check: with the plane off, the
 // instrumentation shape `if (MetricsEnabled()) {...}` and RecordStat must
@@ -366,6 +372,114 @@ TEST_F(MetricsTest, StatsBridgePublishesLayerPeerSeries) {
   EXPECT_NE(text.find("ecg_fp_saturation_sum{layer=\"1\"} 0.125"),
             std::string::npos);
   EXPECT_EQ(text.find("epoch="), std::string::npos);
+}
+
+/// Sum of the values of every sample line of `text` that starts with
+/// `series` (e.g. "ecg_comm_sent_bytes_sum") and contains `label` ("" for
+/// any label set).
+double SumSamples(const std::string& text, const std::string& series,
+                  const std::string& label = "") {
+  std::istringstream in(text);
+  double total = 0.0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.compare(0, series.size(), series) != 0) continue;
+    const char next = line[series.size()];
+    if (next != ' ' && next != '{') continue;
+    if (!label.empty() && line.find(label) == std::string::npos) continue;
+    total += std::strtod(line.c_str() + line.rfind(' ') + 1, nullptr);
+  }
+  return total;
+}
+
+TEST_F(MetricsTest, SentBytesPerWorkerMatchTheHub) {
+  // `comm.sent_bytes` carries the sender as `worker`, so each worker's
+  // bridged sums add up to the hub's own per-sender accounting, lossy
+  // links included.
+  StatsRegistry::Global().Enable("");
+  auto inj = dist::FaultInjector::Parse("drop=0.2,seed=7");
+  ASSERT_TRUE(inj.ok());
+  dist::SimulatedCluster cluster(3, dist::NetworkModel{});
+  cluster.hub().set_fault_injector(&*inj);
+  const Status status = cluster.Run([](dist::WorkerContext* ctx) {
+    const uint32_t me = ctx->worker_id();
+    for (uint32_t epoch = 0; epoch < 4; ++epoch) {
+      const uint64_t tag = dist::MessageHub::MakeTag(epoch, 1, 1);
+      for (uint32_t to = 0; to < 3; ++to) {
+        if (to != me) {
+          ctx->Send(to, tag, std::vector<uint8_t>(8 * (me + 1) + to + epoch));
+        }
+      }
+      for (uint32_t from = 0; from < 3; ++from) {
+        std::vector<uint8_t> out;
+        if (from != me) (void)ctx->TryRecv(from, tag, &out);
+      }
+    }
+    return Status::OK();
+  });
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_GT(inj->counters().nacks.load(), 0u);
+
+  const std::string text = MetricsRegistry::Global().PrometheusText();
+  ValidatePrometheusText(text);
+  for (uint32_t w = 0; w < 3; ++w) {
+    const std::string label = "worker=\"" + std::to_string(w) + "\"";
+    EXPECT_DOUBLE_EQ(SumSamples(text, "ecg_comm_sent_bytes_sum", label),
+                     static_cast<double>(cluster.stats().BytesSent(w)))
+        << label;
+  }
+  // One backoff sample per NACK, booked at the receiver that issued it.
+  EXPECT_DOUBLE_EQ(SumSamples(text, "ecg_fault_backoff_seconds_count"),
+                   static_cast<double>(inj->counters().nacks.load()));
+}
+
+TEST_F(MetricsTest, ElasticFaultyTrainingExposesOneConsistentPlane) {
+  StatsRegistry::Global().Enable("");
+  elastic::MembershipLog::Global().Reset();
+  auto inj = dist::FaultInjector::Parse("drop=0.05,seed=7");
+  ASSERT_TRUE(inj.ok());
+  dist::ScopedFaultInjector scoped(&*inj);
+
+  core::TrainOptions opt;
+  opt.model.num_layers = 2;
+  opt.model.hidden_dim = 16;
+  opt.epochs = 10;
+  opt.fp_mode = core::FpMode::kReqEc;
+  opt.bp_mode = core::BpMode::kResEc;
+  opt.exchange.fp_bits = 4;
+  opt.exchange.bp_bits = 4;
+  opt.elastic = "leave@epoch=4:worker=1,downtime=0.01";
+  auto r = core::TrainDistributed(*graph::LoadDataset("tiny"), 3, opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->epochs.size(), 10u);
+
+  const std::string text = MetricsRegistry::Global().PrometheusText();
+  ValidatePrometheusText(text);
+  const auto log = elastic::MembershipLog::Global().Snapshot();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_DOUBLE_EQ(SumSamples(text, "ecg_elastic_migrated_rows_sum"),
+                   static_cast<double>(log[0].moved_rows));
+  EXPECT_DOUBLE_EQ(SumSamples(text, "ecg_elastic_repartition_seconds_count"),
+                   1.0);
+  // The transition's kind lives in the membership log, not in a label.
+  EXPECT_EQ(text.find("kind="), std::string::npos);
+  // One parameter-server apply per epoch, observed once.
+  EXPECT_DOUBLE_EQ(SumSamples(text, "ecg_ps_apply_seconds_count"), 10.0);
+  EXPECT_DOUBLE_EQ(SumSamples(text, "ecg_fault_backoff_seconds_count"),
+                   static_cast<double>(inj->counters().nacks.load()));
+  EXPECT_GT(inj->counters().nacks.load(), 0u);
+  EXPECT_EQ(text.find("ecg_hub_sent_bytes_total"), std::string::npos);
+  EXPECT_EQ(text.find("ecg_fault_nack"), std::string::npos);
+  elastic::MembershipLog::Global().Reset();
+}
+
+TEST_F(MetricsTest, OneOptimizerStepIsOneApplySample) {
+  StatsRegistry::Global().Enable("");
+  dist::ParameterServerGroup ps({{4, 3}}, /*num_servers=*/1,
+                                /*num_workers=*/1, 0.1f, /*seed=*/7);
+  ps.Push(0, {tensor::Matrix(4, 3)}, {tensor::Matrix(1, 3)});
+  const std::string text = MetricsRegistry::Global().PrometheusText();
+  ValidatePrometheusText(text);
+  EXPECT_NE(text.find("\necg_ps_apply_seconds_count 1\n"), std::string::npos);
 }
 
 // ---- disabled path -------------------------------------------------------

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -54,7 +52,7 @@ TEST_F(StatsTest, OneCellServesCounterGaugeAndHistogram) {
   EXPECT_EQ(v.count, 3u);          // counter view
   EXPECT_DOUBLE_EQ(v.sum, 4500.0);
   EXPECT_DOUBLE_EQ(v.last, 500.0);  // gauge view
-  EXPECT_DOUBLE_EQ(v.min, 500.0);   // histogram view
+  EXPECT_DOUBLE_EQ(v.min, 500.0);   // extremes
   EXPECT_DOUBLE_EQ(v.max, 3000.0);
   EXPECT_DOUBLE_EQ(v.Avg(), 1500.0);
 }
@@ -66,21 +64,8 @@ TEST_F(StatsTest, DistinctCoordinatesAreDistinctSeries) {
   registry.Record("bp.ratio", 8.0, 1, 0, 1);  // other peer
   registry.Record("bp.ratio", 2.0, 1, 1, 0);  // other layer
   registry.Record("bp.ratio", 6.0, 2, 0, 0);  // other epoch
-  EXPECT_EQ(registry.Snapshot().size(), 4u);
-}
-
-TEST_F(StatsTest, HistogramBucketsFollowLog2Magnitude) {
-  EXPECT_EQ(StatValue::HistBucket(0.0), 0);
-  EXPECT_EQ(StatValue::HistBucket(
-                std::numeric_limits<double>::quiet_NaN()), 0);
-  EXPECT_EQ(StatValue::HistBucket(1.0), 32);   // [1, 2)
-  EXPECT_EQ(StatValue::HistBucket(1.99), 32);
-  EXPECT_EQ(StatValue::HistBucket(2.0), 33);   // [2, 4)
-  EXPECT_EQ(StatValue::HistBucket(0.5), 31);   // [0.5, 1)
-  EXPECT_EQ(StatValue::HistBucket(-4.0), 34);  // sign-blind
-  // Extremes clamp into the open-ended edge buckets.
-  EXPECT_EQ(StatValue::HistBucket(1e300), StatValue::kHistBuckets - 1);
-  EXPECT_EQ(StatValue::HistBucket(1e-300), 1);
+  registry.Record("bp.ratio", 6.0, 2, 0, 0, /*worker=*/3);  // other worker
+  EXPECT_EQ(registry.Snapshot().size(), 5u);
 }
 
 TEST_F(StatsTest, JsonlRowMatchesSchemaGolden) {
@@ -89,14 +74,19 @@ TEST_F(StatsTest, JsonlRowMatchesSchemaGolden) {
   registry.Record("fp.wire_bytes", 1000.0, 3, 1, 2);
   registry.Record("fp.wire_bytes", 3000.0, 3, 1, 2);
 
+  registry.Record("comm.sent_bytes", 512.0, 3, 1, 2, /*worker=*/0);
+
   std::ostringstream out;
   registry.DumpEpochTo(3, out, /*erase=*/false);
-  // 1000 has magnitude 2^9..2^10 -> bucket 9+32=41; 3000 -> bucket 43.
+  // `worker` prints only when set; the distribution lives in the bridged
+  // metrics histogram, not in the row.
   EXPECT_EQ(out.str(),
+            "{\"epoch\":3,\"name\":\"comm.sent_bytes\",\"layer\":1,"
+            "\"peer\":2,\"worker\":0,\"count\":1,\"sum\":512,"
+            "\"min\":512,\"max\":512,\"avg\":512,\"last\":512}\n"
             "{\"epoch\":3,\"name\":\"fp.wire_bytes\",\"layer\":1,"
             "\"peer\":2,\"count\":2,\"sum\":4000,\"min\":1000,"
-            "\"max\":3000,\"avg\":2000,\"last\":3000,"
-            "\"hist\":\"41:1,43:1\"}\n");
+            "\"max\":3000,\"avg\":2000,\"last\":3000}\n");
 }
 
 TEST_F(StatsTest, CoordinateFreeRowsOmitLayerAndPeer) {
@@ -167,6 +157,32 @@ TEST_F(StatsTest, FlushAllWritesEpochRowsThenSummaryToFile) {
   std::remove(path.c_str());
 }
 
+TEST_F(StatsTest, FlushAllWritesTheSummaryOnce) {
+  // The CLI flushes explicitly and again from its atexit hook; the second
+  // flush must not append the summary rows a second time.
+  const std::string path = ::testing::TempDir() + "/ecg_stats_twice.jsonl";
+  auto& registry = StatsRegistry::Global();
+  registry.Enable(path);
+  registry.Record("a", 1.0, /*epoch=*/0);
+  registry.Record("b", 2.0, /*epoch=*/0, /*layer=*/1, /*peer=*/0,
+                  /*worker=*/1);
+  registry.FlushAll();
+  registry.FlushAll();
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::vector<std::string> summaries;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"summary\":true") != std::string::npos) {
+      summaries.push_back(line);
+    }
+  }
+  ASSERT_EQ(summaries.size(), 2u);
+  EXPECT_NE(summaries[0].find("\"name\":\"a\""), std::string::npos);
+  EXPECT_NE(summaries[1].find("\"name\":\"b\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
 TEST_F(StatsTest, RecordStatGatesOnEnabledFlag) {
   RecordStat("dropped", 1.0, 0);
   EXPECT_TRUE(StatsRegistry::Global().Snapshot().empty());
@@ -189,8 +205,6 @@ TEST_F(StatsTest, MergePreservesEveryView) {
   EXPECT_DOUBLE_EQ(a.min, 0.25);
   EXPECT_DOUBLE_EQ(a.max, 4.0);
   EXPECT_DOUBLE_EQ(a.last, 0.25);
-  EXPECT_EQ(a.hist[StatValue::HistBucket(0.25)], 1u);
-  EXPECT_EQ(a.hist[StatValue::HistBucket(4.0)], 1u);
 }
 
 }  // namespace
