@@ -185,9 +185,12 @@ void StatsRegistry::FlushEpoch(uint32_t epoch) {
 void StatsRegistry::FlushAll() {
   std::vector<uint32_t> epochs;
   std::string path;
+  bool write_summary = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     path = path_;
+    write_summary = !summary_written_;
+    summary_written_ = true;
     for (const auto& [key, value] : live_) {
       if (epochs.empty() || epochs.back() != key.epoch) {
         epochs.push_back(key.epoch);
@@ -201,12 +204,6 @@ void StatsRegistry::FlushAll() {
   }
   std::ofstream out(path, std::ios::app);
   for (uint32_t e : epochs) DumpEpochTo(e, out, /*erase=*/true);
-  bool write_summary = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    write_summary = !summary_written_;
-    summary_written_ = true;
-  }
   if (write_summary) DumpSummaryTo(out);
 }
 

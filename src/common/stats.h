@@ -19,9 +19,9 @@ inline constexpr uint32_t kNoEpoch = 0xFFFFFFFFu;
 
 /// A stat series is addressed by name plus the (epoch, layer, peer,
 /// worker) coordinates of the paper's pipeline; -1 means "not applicable".
-/// `worker` is the recording worker where the series is per link (the
+/// Per-link series set `worker` to the worker that records them: the
 /// sender of `comm.sent_bytes`, the NACKing receiver of
-/// `fault.backoff_seconds`); elsewhere the sender is implied.
+/// `fault.backoff_seconds`.
 struct StatKey {
   std::string name;
   uint32_t epoch = kNoEpoch;
@@ -52,11 +52,11 @@ struct StatValue {
 };
 
 /// Process-wide registry of named stats recorded per (epoch, layer, peer,
-/// worker) and exported as JSON Lines: one row per series per epoch (flushed by
-/// the trainer as each epoch finalizes) plus a cross-epoch summary row per
-/// name at shutdown. Recording takes a mutex — call sites are per-message
-/// / per-phase (a few dozen per worker per epoch), never per-element — and
-/// the disabled path is one relaxed atomic load.
+/// worker) and exported as JSON Lines: one row per series per epoch
+/// (flushed by the trainer as each epoch finalizes) plus a cross-epoch
+/// summary row per name at shutdown. Recording takes a mutex — call sites
+/// are per-message / per-phase (a few dozen per worker per epoch), never
+/// per-element — and the disabled path is one relaxed atomic load.
 class StatsRegistry {
  public:
   static StatsRegistry& Global();
@@ -116,11 +116,11 @@ class StatsRegistry {
   std::string path_;
   bool summary_written_ = false;
   /// Metrics-bridge handle cache, keyed by the series' key with its epoch
-  /// dropped: the coordinates that survive into the metric's labels. Handle
-  /// acquisition
-  /// builds strings and locks the metrics registry; with the cache, the
-  /// steady-state bridge is one map hit under `mu_` plus a lock-free
-  /// Observe. Cleared by Reset (handles die with MetricsRegistry::Reset).
+  /// dropped: the coordinates that survive into the metric's labels.
+  /// Handle acquisition builds strings and locks the metrics registry; with
+  /// the cache, the steady-state bridge is one map hit under `mu_` plus a
+  /// lock-free Observe. Cleared by Reset (handles die with
+  /// MetricsRegistry::Reset).
   std::map<StatKey, Histogram*> bridge_;
 };
 
