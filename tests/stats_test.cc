@@ -73,7 +73,6 @@ TEST_F(StatsTest, JsonlRowMatchesSchemaGolden) {
   registry.Enable();
   registry.Record("fp.wire_bytes", 1000.0, 3, 1, 2);
   registry.Record("fp.wire_bytes", 3000.0, 3, 1, 2);
-
   registry.Record("comm.sent_bytes", 512.0, 3, 1, 2, /*worker=*/0);
 
   std::ostringstream out;
