@@ -971,6 +971,11 @@ int RunGemmBench(const std::string& json_path) {
 //                        cold start)
 //   reqec_select         GatherQuantizeRows + SelectReqEc per send list
 //                        against a noisy trend baseline (ReqEC send)
+//   reqec_select_store   the same against one baseline row per owned
+//                        vertex, read through the send list (the ReqEC
+//                        responder's shared trend store)
+//   reqec_predict        the pdt candidate of each send list's baseline
+//                        (ReqEC receive and lost-response fallback)
 //   resec_encode         GatherQuantizeRows with the δ fold, then
 //                        SubtractDequantized into the residual (ResEC send)
 //   dequantize_into      DequantizeInto each message's rows (receive)
@@ -1031,6 +1036,12 @@ int RunCodecBench(const std::string& json_path) {
     // and the quantized message the receive paths decode.
     std::vector<Matrix> last, rate, delta;
     std::vector<ecg::compress::QuantizedMatrix> messages;
+    // One baseline row per owned vertex, as the responder's store keeps it.
+    Matrix store_last = h, store_rate = RandomMatrix(h.rows(), shape.dim, 49);
+    Matrix store_noise = RandomMatrix(h.rows(), shape.dim, 48);
+    ecg::tensor::ScaleInPlace(&store_noise, 0.05f);
+    ecg::tensor::AddInPlace(&store_last, store_noise);
+    ecg::tensor::ScaleInPlace(&store_rate, 0.01f);
     for (size_t i = 0; i < lists.size(); ++i) {
       const Matrix truth = ecg::tensor::GatherRows(h, *lists[i]);
       Matrix noise = RandomMatrix(truth.rows(), shape.dim, 50 + i);
@@ -1070,6 +1081,35 @@ int RunCodecBench(const std::string& json_path) {
              AppendBytes(bytes, sel->slt.data(), sel->slt.size());
              AppendBytes(bytes, sel->shipped.packed_ids.data(),
                          sel->shipped.packed_ids.size());
+           }
+         }},
+        {"reqec_select_store",
+         [&](std::vector<uint8_t>* bytes) {
+           for (const auto* rows : lists) {
+             Matrix truth;
+             auto q = ecg::compress::GatherQuantizeRows(h, *rows, nullptr,
+                                                        opts, &truth);
+             q.status().CheckOk();
+             auto sel = ecg::core::SelectReqEc(
+                 truth, store_last, store_rate, 3, *q,
+                 ecg::core::SelectorGranularity::kVertex, rows);
+             sel.status().CheckOk();
+             if (bytes == nullptr) continue;
+             AppendBytes(bytes, sel->slt.data(), sel->slt.size());
+             AppendBytes(bytes, sel->shipped.packed_ids.data(),
+                         sel->shipped.packed_ids.size());
+           }
+         }},
+        {"reqec_predict",
+         [&](std::vector<uint8_t>* bytes) {
+           const ecg::kern::Kernels& k = ecg::kern::Active();
+           for (size_t i = 0; i < lists.size(); ++i) {
+             Matrix pdt(last[i].rows(), shape.dim);
+             for (size_t r = 0; r < pdt.rows(); ++r) {
+               k.reqec_predict(last[i].Row(r), rate[i].Row(r), shape.dim,
+                               3.0f, pdt.Row(r));
+             }
+             if (bytes != nullptr) AppendBytes(bytes, pdt.data(), pdt.size());
            }
          }},
         {"resec_encode",

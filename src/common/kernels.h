@@ -10,13 +10,14 @@ namespace ecg::kern {
 
 /// Runtime-dispatched kernel registry. Every hot inner loop of the
 /// compression pipeline (quantize pack, dequantize unpack, min/max
-/// reduction, bit packing, the halo row gather, the ReqEC selector) and
-/// the float tensor kernels (dense GEMM in all its transpose forms, CSR
-/// SpMM) goes through one of the function pointers below. The same
-/// implementation source (kernels_impl.inc) is compiled once per
-/// architecture variant — scalar, AVX2, AVX-512, NEON — each in its own
-/// translation unit with per-file arch flags, and the table matching the
-/// host CPU (or the ECG_KERNELS override) is selected at first use.
+/// reduction, bit packing, the halo row gather, the ReqEC selector and
+/// predictor) and the float tensor kernels (dense GEMM in all its
+/// transpose forms, CSR SpMM) goes through one of the function pointers
+/// below. The same implementation source (kernels_impl.inc) is compiled
+/// once per architecture variant — scalar, AVX2, AVX-512, NEON — each in
+/// its own translation unit with per-file arch flags, and the table
+/// matching the host CPU (or the ECG_KERNELS override) is selected at
+/// first use.
 ///
 /// Bit-exactness contract: for identical finite inputs, every variant of
 /// every kernel in this table produces byte-identical outputs to the
@@ -99,6 +100,12 @@ struct Kernels {
   void (*reqec_element_pick)(const float* truth, const float* cps,
                              const float* last, const float* rate,
                              size_t count, float step, uint32_t* pick);
+
+  /// ReqEC pdt candidate (Eq. 8): out[i] = last[i] + rate[i] * step for
+  /// i < count, one multiply then one add (the selector's pdt, bit for
+  /// bit). out must not overlap last or rate.
+  void (*reqec_predict)(const float* last, const float* rate, size_t count,
+                        float step, float* out);
 
   /// Dense GEMM: C(i, j) += sum over kk < k of A(i, kk) * B(kk, j), for
   /// i < m and j < n. A(i, kk) is a[i * a_row_stride + kk * a_k_stride],

@@ -1,6 +1,7 @@
 #include "common/stats.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <utility>
@@ -106,11 +107,16 @@ void StatsRegistry::Record(const std::string& name, double value,
 
 namespace {
 
-/// %.6g keeps integers exact through 2^31 and rows compact; stats are
-/// telemetry, not wire data.
+/// Exact and round-trippable: integral values below 2^53 (byte and row
+/// counts, whatever their size) print as integers, everything else with
+/// %.17g.
 void AppendNumber(std::string* out, double v) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  if (std::fabs(v) < 0x1p53 && v == std::trunc(v)) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
   *out += buf;
 }
 

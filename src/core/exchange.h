@@ -101,17 +101,19 @@ struct ReqEcSelection {
 };
 
 /// The ReqEC selector of one message: `truth` is the gathered send set,
-/// `q_full` its quantization, and (h_last, m_cr) the trend baseline of the
-/// same rows. For every row it computes cps (the requester's decode of
-/// q_full), pdt = h_last + step·m_cr and avg = (pdt + cps)/2, and picks by
-/// L1 distance to the truth per vertex (each distance summed in ascending
-/// column order), per coordinate or over the whole matrix. One fused pass
-/// through the kern::reqec_* kernels; no candidate matrix is built.
-Result<ReqEcSelection> SelectReqEc(const tensor::Matrix& truth,
-                                   const tensor::Matrix& h_last,
-                                   const tensor::Matrix& m_cr, uint32_t step,
-                                   const compress::QuantizedMatrix& q_full,
-                                   SelectorGranularity granularity);
+/// `q_full` its quantization, and (h_last, m_cr) the trend baseline: row i
+/// of the send set reads baseline row (*baseline_rows)[i], or row i when
+/// `baseline_rows` is null. For every row it computes cps (the requester's
+/// decode of q_full), pdt = h_last + step·m_cr and avg = (pdt + cps)/2,
+/// and picks by L1 distance to the truth per vertex (each distance summed
+/// in ascending column order), per coordinate or over the whole matrix.
+/// One fused pass through the kern::reqec_* kernels; no candidate matrix is
+/// built, and indexed baseline rows are gathered a block at a time.
+Result<ReqEcSelection> SelectReqEc(
+    const tensor::Matrix& truth, const tensor::Matrix& h_last,
+    const tensor::Matrix& m_cr, uint32_t step,
+    const compress::QuantizedMatrix& q_full, SelectorGranularity granularity,
+    const std::vector<uint32_t>* baseline_rows = nullptr);
 
 /// Hard ceiling of every adaptive width path (Bit-Tuner growth, bit_alloc
 /// solver): the bucket codecs pack {1, 2, 4, 8, 16}-bit ids, so 16 is the

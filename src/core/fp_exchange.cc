@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -112,6 +113,15 @@ class DelayedFpExchanger : public HaloExchanger {
 /// The paper's ReqEC-FP (Algorithms 3 and 4): trend snapshots every T_tr
 /// epochs, three candidate approximations per vertex in between, 2-bit
 /// selector array on the wire, and the adaptive Bit-Tuner.
+///
+/// The responder keeps its trend baselines once per owned boundary vertex:
+/// a fault-free snapshot gives every (layer, peer) group the same rows of
+/// h_owned, so each layer has one (h_last, m_cr) store that every group
+/// reads through its row index. Only a group whose baseline diverges from
+/// the store (its trend response can never arrive) copies its rows out
+/// into a private baseline, until two delivered snapshots make them equal
+/// again. The requester's halo rows are disjoint per peer, so it keeps one
+/// baseline per group.
 class ReqEcFpExchanger : public HaloExchanger {
  public:
   ReqEcFpExchanger(const ExchangeConfig& config, uint16_t num_layers,
@@ -119,8 +129,9 @@ class ReqEcFpExchanger : public HaloExchanger {
       : HaloExchanger(kFpData),
         config_(config),
         num_layers_(num_layers),
-        responder_(num_layers,
-                   std::vector<TrendState>(plan.send_rows.size())),
+        worker_(static_cast<int32_t>(plan.worker_id)),
+        store_index_(plan.send_rows.size()),
+        responder_(num_layers),
         requester_(num_layers,
                    std::vector<TrendState>(plan.send_rows.size())),
         // One width per (layer, peer): the global Bit-Tuner keeps every
@@ -132,6 +143,23 @@ class ReqEcFpExchanger : public HaloExchanger {
     ECG_CHECK(config.tuner_hi > config.tuner_lo)
         << "Bit-Tuner thresholds inverted (hi=" << config.tuner_hi
         << " <= lo=" << config.tuner_lo << ")";
+    // Store rows follow ascending owned row; only active groups index it.
+    constexpr uint32_t kUnused = ~0u;
+    std::vector<uint32_t> slot(plan.num_owned(), kUnused);
+    for (uint32_t p = 0; p < plan.send_rows.size(); ++p) {
+      if (!ActivePeer(plan, p)) continue;
+      for (uint32_t r : plan.send_rows[p]) slot[r] = 0;
+    }
+    for (uint32_t r = 0; r < slot.size(); ++r) {
+      if (slot[r] == kUnused) continue;
+      slot[r] = static_cast<uint32_t>(store_owned_.size());
+      store_owned_.push_back(r);
+    }
+    for (uint32_t p = 0; p < plan.send_rows.size(); ++p) {
+      if (!ActivePeer(plan, p)) continue;
+      for (uint32_t r : plan.send_rows[p]) store_index_[p].push_back(slot[r]);
+    }
+    for (ResponderLayer& rl : responder_) rl.Clear(store_index_);
   }
 
   Status Start(dist::WorkerContext* ctx, const WorkerPlan& plan,
@@ -140,7 +168,7 @@ class ReqEcFpExchanger : public HaloExchanger {
     ECG_CHECK(layer < num_layers_) << "ReqEC layer out of range";
     const uint64_t req_tag = MessageHub::MakeTag(epoch, layer, kTagFpRequest);
     const uint64_t data_tag = MessageHub::MakeTag(epoch, layer, kTagFpData);
-    const bool trend_epoch = (epoch + 1) % config_.trend_period == 0;
+    const bool trend_epoch = TrendEpoch(epoch);
     // Eq. 7's (t mod T_tr + 1): epochs since the last trend snapshot.
     const uint32_t step = epoch % config_.trend_period + 1;
 
@@ -156,13 +184,19 @@ class ReqEcFpExchanger : public HaloExchanger {
 
     // 2) Respond (Algorithm 4). Requests are drained first, then every
     //    peer's response — candidate construction, selector, quantize —
-    //    is built in parallel (the per-peer responder state is disjoint).
-    //    A lost request degrades to the configured default bit width (the
-    //    response carries its bits inline, so the requester still decodes).
+    //    is built in parallel (the store is read-only until every response
+    //    is built; private baselines are per peer). A lost request
+    //    degrades to the configured default bit width (the response
+    //    carries its bits inline, so the requester still decodes).
     ECG_ASSIGN_OR_RETURN(PeerRecvResult reqs, TryRecvFromActivePeers(
                              ctx, plan, req_tag, config_.fault_fallback));
+    ResponderLayer& rl = responder_[layer];
+    if (trend_epoch) {
+      ECG_RETURN_IF_ERROR(
+          CheckBaseline(rl.store, store_owned_.size(), h_owned));
+    }
     dist::FaultInjector* injector = ctx->fault_injector();
-    return FanOut(
+    ECG_RETURN_IF_ERROR(FanOut(
         ctx, plan, kFpData, epoch, layer, h_owned.cols(),
         [&](uint32_t p, ByteWriter* w, QuantizedMatrix* q) -> Status {
           int peer_bits = config_.fp_bits;
@@ -183,8 +217,8 @@ class ReqEcFpExchanger : public HaloExchanger {
             return BuildTrendResponse(plan, p, layer, deliverable, h_owned, w);
           }
           const QuantizerOptions qopts{peer_bits, config_.value_mode};
-          const TrendState& st = responder_[layer][p];
-          if (!st.have_trend) {
+          const Baseline base = ResponderBaseline(layer, p);
+          if (!base.st->have_trend) {
             // First trend group: no prediction baseline exists on either
             // end, so the whole send set ships compressed, quantized
             // straight out of h_owned.
@@ -200,8 +234,21 @@ class ReqEcFpExchanger : public HaloExchanger {
           ECG_ASSIGN_OR_RETURN(
               *q, compress::GatherQuantizeRows(h_owned, plan.send_rows[p],
                                                nullptr, qopts, &truth));
-          return BuildResponse(st, step, truth, *q, epoch, layer, p, w);
-        });
+          return BuildResponse(base, step, truth, *q, epoch, layer, p, w);
+        }));
+    if (!trend_epoch) return Status::OK();
+    // Every group that still shares the store takes this snapshot, once
+    // per owned vertex. Two delivered snapshots after a fork, a private
+    // group's baseline equals the store's rows again and goes back to them.
+    Snapshot(&rl.store, h_owned, store_owned_);
+    for (uint32_t p = 0; p < rl.own.size(); ++p) {
+      if (rl.shared[p] || !SameRows(rl.own[p], rl.store, store_index_[p])) {
+        continue;
+      }
+      rl.own[p] = TrendState{};
+      rl.shared[p] = 1;
+    }
+    return Status::OK();
   }
 
   Status Finish(dist::WorkerContext* ctx, const WorkerPlan& plan,
@@ -222,6 +269,7 @@ class ReqEcFpExchanger : public HaloExchanger {
           return DegradeLostResponse(ctx, plan, p, epoch, layer, step,
                                      h_halo);
         }));
+    if (TrendEpoch(epoch)) RecordStateBytes(epoch, layer);
     if (layer + 1 != num_layers_) return Status::OK();
 
     // 4) Bit-Tuner, once per epoch after the last exchanged FP layer
@@ -267,11 +315,22 @@ class ReqEcFpExchanger : public HaloExchanger {
 
   /// Checkpoint format: per (layer, peer) the responder and requester
   /// trend snapshots, then the per-layer width vectors and last predicted
-  /// proportions. Everything the paper's compensation depends on.
+  /// proportions. Everything the paper's compensation depends on. A group
+  /// that shares the responder store writes its rows gathered in send
+  /// order, so the bytes do not depend on how the responder keeps them.
   void SaveState(ByteWriter* w) const override {
     for (uint16_t l = 0; l < num_layers_; ++l) {
-      for (size_t p = 0; p < responder_[l].size(); ++p) {
-        SaveTrend(responder_[l][p], w);
+      const ResponderLayer& rl = responder_[l];
+      for (size_t p = 0; p < requester_[l].size(); ++p) {
+        if (!rl.shared[p]) {
+          SaveTrend(rl.own[p], w);
+        } else if (!rl.store.have_trend) {
+          SaveTrend(TrendState{}, w);
+        } else {
+          w->PutU8(1);
+          EncodeMatrixRows(rl.store.h_last, store_index_[p], w);
+          EncodeMatrixRows(rl.store.m_cr, store_index_[p], w);
+        }
         SaveTrend(requester_[l][p], w);
       }
     }
@@ -279,10 +338,14 @@ class ReqEcFpExchanger : public HaloExchanger {
     w->PutF32Vector(proportion_from_);
   }
 
+  /// Rebuilds the responder store from the per-group snapshots (Adopt).
   Status LoadState(ByteReader* r) override {
     for (uint16_t l = 0; l < num_layers_; ++l) {
-      for (size_t p = 0; p < responder_[l].size(); ++p) {
-        ECG_RETURN_IF_ERROR(LoadTrend(r, &responder_[l][p]));
+      Adopter adopt(this, l);
+      for (uint32_t p = 0; p < requester_[l].size(); ++p) {
+        TrendState rs;
+        ECG_RETURN_IF_ERROR(LoadTrend(r, &rs));
+        adopt.Add(p, std::move(rs));
         ECG_RETURN_IF_ERROR(LoadTrend(r, &requester_[l][p]));
       }
     }
@@ -296,6 +359,9 @@ class ReqEcFpExchanger : public HaloExchanger {
           std::to_string(proportion.size()));
     }
     proportion_from_ = std::move(proportion);
+    for (uint16_t l = 0; l < num_layers_; ++l) {
+      RecordStateBytes(obs::kNoEpoch, l);
+    }
     return Status::OK();
   }
 
@@ -305,21 +371,28 @@ class ReqEcFpExchanger : public HaloExchanger {
   /// (layer, vertex) serves the responder and every future requester. (If
   /// degraded deliveries had diverged a pair's baselines, the transition
   /// collapses both ends back to this canonical copy — still consistent,
-  /// since both ends re-import the same entry.)
+  /// since both ends re-import the same entry. Groups are written in peer
+  /// order, so a vertex a private group also holds takes the copy of the
+  /// last group that sends it.)
   void ExportElasticState(const WorkerPlan& plan,
                           elastic::ElasticStateBag* bag) const override {
     for (uint16_t l = 0; l < num_layers_; ++l) {
-      for (size_t p = 0; p < responder_[l].size(); ++p) {
-        const TrendState& rs = responder_[l][p];
+      for (uint32_t p = 0; p < requester_[l].size(); ++p) {
+        const Baseline base = ResponderBaseline(l, p);
+        const TrendState& rs = *base.st;
         if (!rs.have_trend) continue;
         const auto& rows = plan.send_rows[p];
-        if (!CheckBaseline(rs, rows.size(), rs.h_last).ok()) continue;
+        const size_t n = base.index ? store_owned_.size() : rows.size();
+        if ((base.index && base.index->size() != rows.size()) ||
+            !CheckBaseline(rs, n, rs.h_last).ok()) {
+          continue;
+        }
         for (size_t i = 0; i < rows.size(); ++i) {
-          const uint32_t gv = plan.owned[rows[i]];
+          const size_t s = base.index ? (*base.index)[i] : i;
           elastic::TrendRow& tr =
-              (*bag).fp_trend[std::make_pair(l, gv)];
-          tr.h.assign(rs.h_last.Row(i), rs.h_last.Row(i) + rs.h_last.cols());
-          tr.m.assign(rs.m_cr.Row(i), rs.m_cr.Row(i) + rs.m_cr.cols());
+              (*bag).fp_trend[std::make_pair(l, plan.owned[rows[i]])];
+          tr.h.assign(rs.h_last.Row(s), rs.h_last.Row(s) + rs.h_last.cols());
+          tr.m.assign(rs.m_cr.Row(s), rs.m_cr.Row(s) + rs.m_cr.cols());
         }
       }
     }
@@ -337,18 +410,21 @@ class ReqEcFpExchanger : public HaloExchanger {
   /// canonical vertex list, so responder and requester always agree on
   /// have_trend (a partial set means some vertex became boundary only
   /// through the repartition; the pair cold-starts and the protocol's
-  /// self-describing responses handle the rest).
+  /// self-describing responses handle the rest). The responder store is
+  /// rebuilt from the groups' baselines as LoadState rebuilds it.
   Status ImportElasticState(const WorkerPlan& plan,
                             const elastic::ElasticStateBag& bag) override {
     for (uint16_t l = 0; l < num_layers_; ++l) {
+      Adopter adopt(this, l);
       for (uint32_t p = 0;
-           p < responder_[l].size() && p < plan.send_rows.size(); ++p) {
+           p < requester_[l].size() && p < plan.send_rows.size(); ++p) {
         if (!ActivePeer(plan, p)) continue;
-        TrendState& rs = responder_[l][p];
         std::vector<uint32_t> gvs;
         gvs.reserve(plan.send_rows[p].size());
         for (uint32_t r : plan.send_rows[p]) gvs.push_back(plan.owned[r]);
+        TrendState rs;
         rs.have_trend = GatherTrend(bag, l, gvs, &rs.h_last, &rs.m_cr);
+        adopt.Add(p, std::move(rs));
 
         TrendState& qs = requester_[l][p];
         gvs.clear();
@@ -361,6 +437,9 @@ class ReqEcFpExchanger : public HaloExchanger {
       if (itp != bag.proportion.end()) proportion_from_[p] = itp->second;
     }
     widths_.Import(plan, bag.fp_group_bits);
+    for (uint16_t l = 0; l < num_layers_; ++l) {
+      RecordStateBytes(obs::kNoEpoch, l);
+    }
     return Status::OK();
   }
 
@@ -373,14 +452,169 @@ class ReqEcFpExchanger : public HaloExchanger {
     kSelectedElement = 3,  // per-element SltArr + compressed subset
   };
 
-  /// One end's copy of a (layer, peer) trend group: the baseline H_last of
-  /// the last trend snapshot and its change rate M_cr. Both ends run
-  /// TrendRate on equal inputs, so fault-free copies are bitwise identical.
+  /// One copy of trend baselines: H_last of the last trend snapshot and
+  /// its change rate M_cr, one row per vertex. Both ends snapshot equal
+  /// inputs, so fault-free copies are bitwise identical.
   struct TrendState {
     Matrix h_last;
     Matrix m_cr;
     bool have_trend = false;
+
+    size_t bytes() const {
+      return (h_last.size() + m_cr.size()) * sizeof(float);
+    }
+    /// What a group holds before its first snapshot.
+    bool blank() const {
+      return !have_trend && h_last.rows() == 0 && h_last.cols() == 0 &&
+             m_cr.rows() == 0 && m_cr.cols() == 0;
+    }
   };
+
+  /// The responder's trend state of one layer. Invariant: a group with
+  /// shared[p] set has the baseline `store` rows store_index_[p] (and
+  /// have_trend iff the store has); every other group's baseline is
+  /// own[p], in send order. Groups of inactive peers are never shared and
+  /// never hold rows.
+  struct ResponderLayer {
+    TrendState store;             // [store row]
+    std::vector<uint8_t> shared;  // [peer]; bytes, written by peer in parallel
+    std::vector<TrendState> own;  // [peer]
+
+    /// Every active group shares the empty store.
+    void Clear(const std::vector<std::vector<uint32_t>>& index) {
+      store = TrendState{};
+      shared.assign(index.size(), 0);
+      own.assign(index.size(), TrendState{});
+      for (size_t p = 0; p < index.size(); ++p) shared[p] = !index[p].empty();
+    }
+  };
+
+  /// A responder group's baseline: its TrendState, and the row index that
+  /// maps send row i to a row of it (null: row i).
+  struct Baseline {
+    const TrendState* st;
+    const std::vector<uint32_t>* index;
+  };
+
+  Baseline ResponderBaseline(uint16_t layer, uint32_t peer) const {
+    const ResponderLayer& rl = responder_[layer];
+    if (rl.shared[peer]) return {&rl.store, &store_index_[peer]};
+    return {&rl.own[peer], nullptr};
+  }
+
+  /// Rebuilds a layer's responder state from one baseline per group, as a
+  /// checkpoint or the elastic bag holds them (groups added in peer order).
+  /// A group shares the store when it is well-shaped and every row equals
+  /// the first stored copy of the same vertex; otherwise it keeps its
+  /// baseline as a private one. A group with no baseline shares the store
+  /// only if no group has one (nothing was ever snapshotted); otherwise it
+  /// diverged at the first snapshot and stays private.
+  class Adopter {
+   public:
+    Adopter(ReqEcFpExchanger* ex, uint16_t layer)
+        : ex_(ex),
+          rl_(ex->responder_[layer]),
+          filled_(ex->store_owned_.size(), 0) {
+      rl_.Clear(ex->store_index_);
+    }
+    /// Runs on every exit of the load, so the layer's invariant holds
+    /// even when a later group fails to decode.
+    ~Adopter() {
+      if (rl_.store.have_trend) return;
+      for (size_t p = 0; p < rl_.own.size(); ++p) {
+        if (!ex_->store_index_[p].empty() && rl_.own[p].blank()) {
+          rl_.shared[p] = 1;
+        }
+      }
+    }
+
+    void Add(uint32_t peer, TrendState st) {
+      rl_.shared[peer] = 0;
+      const std::vector<uint32_t>& index = ex_->store_index_[peer];
+      TrendState& store = rl_.store;
+      const size_t cols = st.h_last.cols();
+      if (st.have_trend && !index.empty() && cols > 0 &&
+          st.h_last.rows() == index.size() && st.m_cr.rows() == index.size() &&
+          st.m_cr.cols() == cols &&
+          (!store.have_trend || store.h_last.cols() == cols)) {
+        if (!store.have_trend) {
+          store.h_last.Reset(filled_.size(), cols);
+          store.m_cr.Reset(filled_.size(), cols);
+          store.have_trend = true;
+        }
+        bool same = true;
+        for (size_t i = 0; same && i < index.size(); ++i) {
+          same = !filled_[index[i]] || SameRow(st, i, store, index[i]);
+        }
+        if (same) {
+          const size_t row_bytes = cols * sizeof(float);
+          for (size_t i = 0; i < index.size(); ++i) {
+            const uint32_t s = index[i];
+            if (filled_[s]) continue;
+            std::memcpy(store.h_last.Row(s), st.h_last.Row(i), row_bytes);
+            std::memcpy(store.m_cr.Row(s), st.m_cr.Row(i), row_bytes);
+            filled_[s] = 1;
+          }
+          rl_.shared[peer] = 1;
+          return;
+        }
+      }
+      rl_.own[peer] = std::move(st);
+    }
+
+   private:
+    ReqEcFpExchanger* ex_;
+    ResponderLayer& rl_;
+    std::vector<uint8_t> filled_;  // [store row] holds a group's copy
+  };
+
+  /// Row i of `st` equals row s of `store`, both matrices bit for bit.
+  /// Both must be as wide.
+  static bool SameRow(const TrendState& st, size_t i, const TrendState& store,
+                      uint32_t s) {
+    const size_t row_bytes = st.h_last.cols() * sizeof(float);
+    return std::memcmp(st.h_last.Row(i), store.h_last.Row(s), row_bytes) ==
+               0 &&
+           std::memcmp(st.m_cr.Row(i), store.m_cr.Row(s), row_bytes) == 0;
+  }
+
+  /// `st` holds a baseline equal, row for row, to the store rows `index`.
+  static bool SameRows(const TrendState& st, const TrendState& store,
+                       const std::vector<uint32_t>& index) {
+    if (!st.have_trend || !store.have_trend || index.empty() ||
+        st.h_last.rows() != index.size() || st.m_cr.rows() != index.size() ||
+        st.h_last.cols() != store.h_last.cols() ||
+        st.m_cr.cols() != store.h_last.cols()) {
+      return false;
+    }
+    for (size_t i = 0; i < index.size(); ++i) {
+      if (!SameRow(st, i, store, index[i])) return false;
+    }
+    return true;
+  }
+
+  bool TrendEpoch(uint32_t epoch) const {
+    return (epoch + 1) % config_.trend_period == 0;
+  }
+
+  /// mem.reqec.{responder,requester}_bytes: the bytes of this worker's
+  /// trend baselines on `layer` — the responder store plus its private
+  /// groups, and the requester's groups.
+  void RecordStateBytes(uint32_t epoch, uint16_t layer) const {
+    if (!obs::StatsEnabled()) return;
+    const ResponderLayer& rl = responder_[layer];
+    size_t responder = rl.store.bytes(), requester = 0;
+    for (size_t p = 0; p < rl.own.size(); ++p) {
+      responder += rl.own[p].bytes();
+      requester += requester_[layer][p].bytes();
+    }
+    obs::RecordStat("mem.reqec.responder_bytes",
+                    static_cast<double>(responder), epoch, layer,
+                    /*peer=*/-1, worker_);
+    obs::RecordStat("mem.reqec.requester_bytes",
+                    static_cast<double>(requester), epoch, layer,
+                    /*peer=*/-1, worker_);
+  }
 
   static void SaveTrend(const TrendState& st, ByteWriter* w) {
     w->PutU8(st.have_trend ? 1 : 0);
@@ -396,9 +630,9 @@ class ReqEcFpExchanger : public HaloExchanger {
   }
 
   /// A baseline, if `st` has one, must cover the slice it predicts: one row
-  /// per halo (or send) row, M_cr shaped like H_last, as wide as `like`.
-  /// Baselines come from checkpoints and trend responses — decoded input —
-  /// so this is checked before any row is read.
+  /// per halo (or send, or store) row, M_cr shaped like H_last, as wide as
+  /// `like`. Baselines come from checkpoints and trend responses — decoded
+  /// input — so this is checked before any row is read.
   static Status CheckBaseline(const TrendState& st, size_t rows,
                               const Matrix& like) {
     if (!st.have_trend) return Status::OK();
@@ -414,25 +648,28 @@ class ReqEcFpExchanger : public HaloExchanger {
     return Status::OK();
   }
 
-  /// Algorithm 4 line 4's M_cr = (H_now - H_last) / T_tr in one pass, or
-  /// zeros before the first snapshot. `st` must pass CheckBaseline.
-  Matrix TrendRate(const Matrix& h_now, const TrendState& st) const {
-    Matrix m_cr(h_now.rows(), h_now.cols());
+  /// Algorithm 4 line 4 in place over rows `rows` of `src` (H):
+  /// M_cr = (H - H_last) / T_tr, then H_last = H; the first snapshot
+  /// allocates the baseline and leaves M_cr zero. `st` must pass
+  /// CheckBaseline against `rows.size()` rows of `src`.
+  void Snapshot(TrendState* st, const Matrix& src,
+                const std::vector<uint32_t>& rows) const {
     const float inv = 1.0f / static_cast<float>(config_.trend_period);
-    for (size_t i = 0; st.have_trend && i < m_cr.size(); ++i) {
-      m_cr.data()[i] = (h_now.data()[i] - st.h_last.data()[i]) * inv;
+    const size_t cols = src.cols();
+    if (!st->have_trend) {
+      st->h_last.Reset(rows.size(), cols);
+      st->m_cr.Reset(rows.size(), cols);
     }
-    return m_cr;
-  }
-
-  /// Eq. 8's pdt candidate of baseline row i: out = H_last + step·M_cr.
-  static void PredictRow(const TrendState& st, size_t i, uint32_t step,
-                         float* out) {
-    const float* last = st.h_last.Row(i);
-    const float* rate = st.m_cr.Row(i);
-    for (size_t c = 0; c < st.h_last.cols(); ++c) {
-      out[c] = last[c] + rate[c] * static_cast<float>(step);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const float* h = src.Row(rows[i]);
+      float* last = st->h_last.Row(i);
+      if (st->have_trend) {
+        float* rate = st->m_cr.Row(i);
+        for (size_t c = 0; c < cols; ++c) rate[c] = (h[c] - last[c]) * inv;
+      }
+      std::copy(h, h + cols, last);
     }
+    st->have_trend = true;
   }
 
   /// Assembles the (h_last, m_cr) matrices for `gvs` from the bag's
@@ -472,33 +709,45 @@ class ReqEcFpExchanger : public HaloExchanger {
     return true;
   }
 
-  /// Trend epoch: ship the exact rows only (Algorithm 4 line 4). The
-  /// requester holds the same H_last, so it derives the new M_cr itself.
+  /// Trend epoch: ship the exact rows only (Algorithm 4 line 4), straight
+  /// out of h_owned. The requester holds the same H_last, so it derives the
+  /// new M_cr itself. A group sharing the store takes the snapshot with it
+  /// after FanOut, unless the response can never arrive: then the group
+  /// forks, keeping a private copy of its old rows.
   Status BuildTrendResponse(const WorkerPlan& plan, uint32_t peer,
                             uint16_t layer, bool deliverable,
                             const Matrix& h_owned, ByteWriter* w) {
-    TrendState& st = responder_[layer][peer];
-    Matrix h_send = tensor::GatherRows(h_owned, plan.send_rows[peer]);
+    const auto& rows = plan.send_rows[peer];
     w->PutU8(kTrend);
-    EncodeMatrix(h_send, w);
+    EncodeMatrixRows(h_owned, rows, w);
+    ResponderLayer& rl = responder_[layer];
+    TrendState& own = rl.own[peer];
+    if (rl.shared[peer]) {
+      if (deliverable) return Status::OK();
+      if (rl.store.have_trend) {
+        own.h_last = tensor::GatherRows(rl.store.h_last, store_index_[peer]);
+        own.m_cr = tensor::GatherRows(rl.store.m_cr, store_index_[peer]);
+        own.have_trend = true;
+      }
+      rl.shared[peer] = 0;
+      return Status::OK();
+    }
     if (!deliverable) return Status::OK();
-    ECG_RETURN_IF_ERROR(CheckBaseline(st, h_send.rows(), h_send));
-    st.m_cr = TrendRate(h_send, st);
-    st.h_last = std::move(h_send);
-    st.have_trend = true;
+    ECG_RETURN_IF_ERROR(CheckBaseline(own, rows.size(), h_owned));
+    Snapshot(&own, h_owned, rows);
     return Status::OK();
   }
 
   /// Between trend epochs: the selector's picks and the shipped subset of
   /// `q_full` (the send set `truth` quantized at the requested width).
-  Status BuildResponse(const TrendState& st, uint32_t step,
+  Status BuildResponse(const Baseline& base, uint32_t step,
                        const Matrix& truth, const QuantizedMatrix& q_full,
                        uint32_t epoch, uint16_t layer, uint32_t peer,
                        ByteWriter* w) {
     ECG_ASSIGN_OR_RETURN(
         const ReqEcSelection sel,
-        SelectReqEc(truth, st.h_last, st.m_cr, step, q_full,
-                    config_.selector));
+        SelectReqEc(truth, base.st->h_last, base.st->m_cr, step, q_full,
+                    config_.selector, base.index));
     RecordSelectorStats(sel.slt, epoch, layer, peer);
     const bool element = config_.selector == SelectorGranularity::kElement;
     w->PutU8(element ? kSelectedElement : kSelected);
@@ -528,8 +777,10 @@ class ReqEcFpExchanger : public HaloExchanger {
       return Status::OK();
     }
     ECG_RETURN_IF_ERROR(CheckBaseline(st, halo_rows.size(), *h_halo));
+    const kern::Kernels& k = kern::Active();
     for (size_t i = 0; i < halo_rows.size(); ++i) {
-      PredictRow(st, i, step, h_halo->Row(halo_rows[i]));
+      k.reqec_predict(st.h_last.Row(i), st.m_cr.Row(i), st.h_last.cols(),
+                      static_cast<float>(step), h_halo->Row(halo_rows[i]));
     }
     if (dist::FaultInjector* injector = ctx->fault_injector()) {
       injector->counters().degraded_pdt.fetch_add(1,
@@ -540,6 +791,34 @@ class ReqEcFpExchanger : public HaloExchanger {
     return Status::OK();
   }
 
+  /// A trend response (exact H) is checked in full — header, shape and
+  /// byte count against the halo slice and the baseline — before any halo
+  /// row or baseline row is written; then both update in place.
+  Status ParseTrendResponse(ByteReader* r, TrendState* st,
+                            const std::vector<uint32_t>& halo_rows,
+                            Matrix* h_halo) {
+    uint32_t rows = 0, cols = 0;
+    ECG_RETURN_IF_ERROR(DecodeMatrixHeader(r, &rows, &cols));
+    if (rows != halo_rows.size() || cols != h_halo->cols()) {
+      return Status::InvalidArgument(
+          "ReqEC trend response is " + std::to_string(rows) + "x" +
+          std::to_string(cols) + " for a halo slice of " +
+          std::to_string(halo_rows.size()) + " rows of width " +
+          std::to_string(h_halo->cols()));
+    }
+    ECG_RETURN_IF_ERROR(CheckBaseline(*st, rows, *h_halo));
+    for (uint32_t hr : halo_rows) {
+      if (hr >= h_halo->rows()) {
+        return Status::OutOfRange("ReqEC halo row out of range");
+      }
+    }
+    for (uint32_t hr : halo_rows) {
+      ECG_RETURN_IF_ERROR(r->GetF32Array(h_halo->Row(hr), cols));
+    }
+    Snapshot(st, *h_halo, halo_rows);
+    return Status::OK();
+  }
+
   Status ParseResponse(const WorkerPlan& plan, uint32_t peer, uint16_t layer,
                        uint32_t step, ByteReader* r, Matrix* h_halo) {
     TrendState& st = requester_[layer][peer];
@@ -547,17 +826,7 @@ class ReqEcFpExchanger : public HaloExchanger {
     uint8_t kind = 0;
     ECG_RETURN_IF_ERROR(r->GetU8(&kind));
 
-    if (kind == kTrend) {
-      // H must fit the baseline and (AssignRows) the halo slice first.
-      Matrix h_now;
-      ECG_RETURN_IF_ERROR(DecodeMatrix(r, &h_now));
-      ECG_RETURN_IF_ERROR(CheckBaseline(st, halo_rows.size(), h_now));
-      ECG_RETURN_IF_ERROR(AssignRows(h_now, halo_rows, h_halo));
-      st.m_cr = TrendRate(h_now, st);
-      st.h_last = std::move(h_now);
-      st.have_trend = true;
-      return Status::OK();
-    }
+    if (kind == kTrend) return ParseTrendResponse(r, &st, halo_rows, h_halo);
     if (kind == kColdStart) {
       QuantizedMatrix q;
       ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(r, &q));
@@ -613,13 +882,15 @@ class ReqEcFpExchanger : public HaloExchanger {
 
     // Each row starts as its pdt candidate; shipped units overwrite it
     // with the compressed value (kCps) or the average of both (kAvg).
+    const kern::Kernels& k = kern::Active();
     const float* cps = d_sub.data();
     const size_t units = element ? dim : 1;  // selector entries per row
     const size_t unit = element ? 1 : dim;   // floats per selector entry
     size_t cursor = 0;
     for (size_t i = 0; i < halo_rows.size(); ++i) {
       float* out = h_halo->Row(halo_rows[i]);
-      PredictRow(st, i, step, out);
+      k.reqec_predict(st.h_last.Row(i), st.m_cr.Row(i), dim,
+                      static_cast<float>(step), out);
       for (size_t u = 0; u < units; ++u) {
         const uint32_t pick = slt[i * units + u];
         if (pick == kPdt) continue;
@@ -643,7 +914,14 @@ class ReqEcFpExchanger : public HaloExchanger {
 
   const ExchangeConfig config_;
   const uint16_t num_layers_;
-  std::vector<std::vector<TrendState>> responder_;  // [layer][peer]
+  const int32_t worker_;
+  /// store_owned_[s]: the owned row of responder store row s — each owned
+  /// row some active peer is sent, once, ascending.
+  std::vector<uint32_t> store_owned_;
+  /// store_index_[p][i]: the store row of send_rows[p][i] (empty for an
+  /// inactive peer).
+  std::vector<std::vector<uint32_t>> store_index_;
+  std::vector<ResponderLayer> responder_;            // [layer]
   std::vector<std::vector<TrendState>> requester_;  // [layer][peer]
   WidthTable widths_;
   std::vector<float> proportion_from_;  // [peer]
@@ -654,13 +932,20 @@ class ReqEcFpExchanger : public HaloExchanger {
 Result<ReqEcSelection> SelectReqEc(const Matrix& truth, const Matrix& h_last,
                                    const Matrix& m_cr, uint32_t step,
                                    const QuantizedMatrix& q_full,
-                                   SelectorGranularity granularity) {
+                                   SelectorGranularity granularity,
+                                   const std::vector<uint32_t>* baseline_rows) {
   const size_t n = truth.rows(), cols = truth.cols(), count = truth.size();
+  const size_t last_rows = baseline_rows ? h_last.rows() : n;
+  bool rows_ok = baseline_rows == nullptr || baseline_rows->size() == n;
+  for (size_t i = 0; rows_ok && baseline_rows && i < n; ++i) {
+    rows_ok = (*baseline_rows)[i] < last_rows;
+  }
   if (!IsSupportedBitWidth(q_full.bits) ||
       q_full.bucket_values.size() != (size_t{1} << q_full.bits) ||
       q_full.packed_ids.size() < PackedWordCount(count, q_full.bits) ||
-      h_last.rows() != n || h_last.cols() != cols || m_cr.rows() != n ||
-      m_cr.cols() != cols || q_full.rows != n || q_full.cols != cols) {
+      !rows_ok || h_last.rows() != last_rows || h_last.cols() != cols ||
+      m_cr.rows() != last_rows || m_cr.cols() != cols || q_full.rows != n ||
+      q_full.cols != cols) {
     return Status::InvalidArgument(
         "ReqEC selector: baseline " + std::to_string(h_last.rows()) + "x" +
         std::to_string(h_last.cols()) + " and message " +
@@ -670,8 +955,9 @@ Result<ReqEcSelection> SelectReqEc(const Matrix& truth, const Matrix& h_last,
   }
   // Blocks of kSelectRows rows start on a packed-word boundary at every
   // width, so each block's cps decodes straight from q_full's words into an
-  // L1 buffer through one LUT, and the kernels read truth, cps and the
-  // baseline rows in one pass.
+  // L1 buffer through one LUT (an indexed baseline's rows are gathered
+  // next to it), and the kernels read truth, cps and the baseline rows in
+  // one pass.
   const kern::Kernels& k = kern::Active();
   const float fstep = static_cast<float>(step);
   const bool element = granularity == SelectorGranularity::kElement;
@@ -684,22 +970,35 @@ Result<ReqEcSelection> SelectReqEc(const Matrix& truth, const Matrix& h_last,
   sel.slt.assign(element ? count : n, kCps);
   ThreadPool::Global().ParallelFor(
       (n + kSelectRows - 1) / kSelectRows, 1, [&](size_t b0, size_t b1) {
-        std::vector<float> cps(kSelectRows * cols);
+        const size_t block = kSelectRows * cols;
+        std::vector<float> buf((baseline_rows ? 3 : 1) * block);
+        float* cps = buf.data();
         for (size_t b = b0; b < b1; ++b) {
           const size_t r0 = b * kSelectRows;
           const size_t rows = std::min(kSelectRows, n - r0);
           const size_t e0 = r0 * cols, len = rows * cols;
           k.unpack_flat(q_full.bits, q_full.packed_ids.data() + e0 / per_word,
                         len, 0, (len + per_word - 1) / per_word, lut,
-                        /*subtract=*/false, cps.data());
+                        /*subtract=*/false, cps);
+          const float* last = h_last.data() + e0;
+          const float* rate = m_cr.data() + e0;
+          if (baseline_rows) {
+            float* last_buf = buf.data() + block;
+            float* rate_buf = buf.data() + 2 * block;
+            const uint32_t* idx = baseline_rows->data() + r0;
+            k.gather_rows(h_last.data(), cols, idx, rows, cols, nullptr,
+                          last_buf, nullptr, nullptr);
+            k.gather_rows(m_cr.data(), cols, idx, rows, cols, nullptr,
+                          rate_buf, nullptr, nullptr);
+            last = last_buf;
+            rate = rate_buf;
+          }
           if (element) {
-            k.reqec_element_pick(truth.data() + e0, cps.data(),
-                                 h_last.data() + e0, m_cr.data() + e0, len,
+            k.reqec_element_pick(truth.data() + e0, cps, last, rate, len,
                                  fstep, sel.slt.data() + e0);
           } else {
-            k.reqec_row_l1(truth.data() + e0, cps.data(), h_last.data() + e0,
-                           m_cr.data() + e0, rows, cols, fstep,
-                           l1.data() + 3 * r0);
+            k.reqec_row_l1(truth.data() + e0, cps, last, rate, rows, cols,
+                           fstep, l1.data() + 3 * r0);
           }
         }
       });

@@ -19,27 +19,47 @@ inline void EncodeMatrix(const tensor::Matrix& m, ByteWriter* w) {
   w->PutF32Array(m.data(), m.size());
 }
 
-inline Status DecodeMatrix(ByteReader* r, tensor::Matrix* out) {
-  uint32_t rows = 0, cols = 0;
+/// EncodeMatrix of rows `rows` of m, in that order, without gathering them
+/// into a matrix first.
+inline void EncodeMatrixRows(const tensor::Matrix& m,
+                             const std::vector<uint32_t>& rows,
+                             ByteWriter* w) {
+  w->PutU32(static_cast<uint32_t>(rows.size()));
+  w->PutU32(static_cast<uint32_t>(m.cols()));
+  w->PutU64(static_cast<uint64_t>(rows.size()) * m.cols());
+  for (uint32_t r : rows) w->PutF32Array(m.Row(r), m.cols());
+}
+
+/// Reads EncodeMatrix's shape header and checks it against what follows:
+/// the element count must be rows x cols and its floats must all be in
+/// the buffer. The caller then reads the rows x cols floats.
+inline Status DecodeMatrixHeader(ByteReader* r, uint32_t* rows,
+                                 uint32_t* cols) {
   uint64_t count = 0;
-  ECG_RETURN_IF_ERROR(r->GetU32(&rows));
-  ECG_RETURN_IF_ERROR(r->GetU32(&cols));
+  ECG_RETURN_IF_ERROR(r->GetU32(rows));
+  ECG_RETURN_IF_ERROR(r->GetU32(cols));
   ECG_RETURN_IF_ERROR(r->GetU64(&count));
-  if (count != static_cast<uint64_t>(rows) * cols) {
+  if (count != static_cast<uint64_t>(*rows) * *cols) {
     return Status::InvalidArgument(
-        "matrix wire size mismatch: header says " + std::to_string(rows) +
-        "x" + std::to_string(cols) + " (" +
-        std::to_string(static_cast<uint64_t>(rows) * cols) +
+        "matrix wire size mismatch: header says " + std::to_string(*rows) +
+        "x" + std::to_string(*cols) + " (" +
+        std::to_string(static_cast<uint64_t>(*rows) * *cols) +
         " elements) but carries " + std::to_string(count));
   }
-  if (count * sizeof(float) > r->remaining()) {
+  if (count > r->remaining() / sizeof(float)) {
     return Status::OutOfRange(
         "matrix payload exceeds buffer: needs " +
         std::to_string(count * sizeof(float)) + " bytes, " +
         std::to_string(r->remaining()) + " remain");
   }
+  return Status::OK();
+}
+
+inline Status DecodeMatrix(ByteReader* r, tensor::Matrix* out) {
+  uint32_t rows = 0, cols = 0;
+  ECG_RETURN_IF_ERROR(DecodeMatrixHeader(r, &rows, &cols));
   out->Reset(rows, cols);
-  return r->GetF32Array(out->data(), count);
+  return r->GetF32Array(out->data(), out->size());
 }
 
 /// dst.Row(indices[i]) = src.Row(i) (assignment, not accumulation).

@@ -18,6 +18,7 @@
 #include "common/bitpack.h"
 #include "common/bytes.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "core/halo.h"
 #include "core/wire_util.h"
 #include "dist/cluster.h"
@@ -1283,21 +1284,22 @@ constexpr uint16_t kTrendLayers = 3;  // FP exchanges H^1 and H^2
 
 size_t TrendCols(uint16_t layer) { return layer == 1 ? 12 : 5; }
 
-/// Two ReqEC workers on `tiny` whose exchangers and halos outlive each
-/// simulated cluster, so a run can stop, checkpoint or migrate between
-/// epochs and go on.
+/// ReqEC workers (two on `tiny` by default) whose exchangers and halos
+/// outlive each simulated cluster, so a run can stop, checkpoint or migrate
+/// between epochs and go on.
 struct TrendRun {
   std::vector<WorkerPlan> plans;
   ExchangeConfig config;
   std::vector<std::unique_ptr<HaloExchanger>> ex;
   std::vector<std::vector<Matrix>> halos;  // [worker][layer]
   /// Bytes each worker sent per (epoch, layer): one request plus one
-  /// response, both towards its one peer.
+  /// response towards each peer.
   std::map<std::tuple<uint32_t, uint32_t, uint16_t>, uint64_t> sent;
 
-  TrendRun() {
-    const graph::Graph g = *graph::LoadDataset("tiny");
-    EXPECT_TRUE(BuildWorkerPlans(g, *graph::HashPartition(g, 2), &plans).ok());
+  explicit TrendRun(uint32_t workers = 2, const char* dataset = "tiny") {
+    const graph::Graph g = *graph::LoadDataset(dataset);
+    EXPECT_TRUE(
+        BuildWorkerPlans(g, *graph::HashPartition(g, workers), &plans).ok());
     config.fp_bits = 2;
     config.trend_period = 3;  // trend epochs 2 and 5
     config.fault_fallback = true;
@@ -1314,7 +1316,8 @@ struct TrendRun {
   /// Runs epochs [first, last) of layers 1 and 2.
   void Epochs(uint32_t first, uint32_t last,
               dist::FaultInjector* injector = nullptr) {
-    SimulatedCluster cluster(2, dist::NetworkModel{});
+    SimulatedCluster cluster(static_cast<uint32_t>(plans.size()),
+                             dist::NetworkModel{});
     cluster.hub().set_fault_injector(injector);
     std::mutex mu;
     const Status status = cluster.Run([&](WorkerContext* ctx) -> Status {
@@ -1344,15 +1347,50 @@ struct TrendRun {
   /// Every responder side holds a baseline and equals its requester's
   /// copy, bit for bit.
   void ExpectBothEndsAgree() {
-    const TrendSides s0 = ReadTrendSides(*ex[0], kTrendLayers, 2);
-    const TrendSides s1 = ReadTrendSides(*ex[1], kTrendLayers, 2);
-    for (uint16_t l = 1; l < kTrendLayers; ++l) {
-      SCOPED_TRACE(l);
-      EXPECT_EQ(s0[l][1][0].have, 1);
-      EXPECT_EQ(s1[l][0][0].have, 1);
-      EXPECT_TRUE(SameSide(s0[l][1][0], s1[l][0][1]));  // 0 responds to 1
-      EXPECT_TRUE(SameSide(s1[l][0][0], s0[l][1][1]));  // 1 responds to 0
+    const uint32_t n = static_cast<uint32_t>(plans.size());
+    std::vector<TrendSides> s;
+    for (uint32_t w = 0; w < n; ++w) {
+      s.push_back(ReadTrendSides(*ex[w], kTrendLayers, n));
     }
+    for (uint16_t l = 1; l < kTrendLayers; ++l) {
+      for (uint32_t w = 0; w < n; ++w) {
+        for (uint32_t p = 0; p < n; ++p) {
+          if (!ActivePeer(plans[w], p)) continue;
+          SCOPED_TRACE(testing::Message() << "layer " << l << ": " << w
+                                          << " responds to " << p);
+          EXPECT_EQ(s[w][l][p][0].have, 1);
+          EXPECT_TRUE(SameSide(s[w][l][p][0], s[p][l][w][1]));
+        }
+      }
+    }
+  }
+
+  /// Bytes of the trend state gauge `name` recorded by `worker` for
+  /// (epoch, layer) in `stats`.
+  static double Gauge(const std::map<obs::StatKey, obs::StatValue>& stats,
+                      const char* name, uint32_t epoch, uint16_t layer,
+                      uint32_t worker) {
+    auto it = stats.find(obs::StatKey{name, epoch, layer, -1,
+                                      static_cast<int32_t>(worker)});
+    return it == stats.end() ? -1.0 : it->second.last;
+  }
+
+  /// Rows of worker w's responder store (each owned vertex some peer is
+  /// sent, once) and of its requester baselines (its halo rows).
+  size_t StoreRows(uint32_t w) const {
+    std::set<uint32_t> rows;
+    for (uint32_t p = 0; p < plans.size(); ++p) {
+      if (!ActivePeer(plans[w], p)) continue;
+      rows.insert(plans[w].send_rows[p].begin(), plans[w].send_rows[p].end());
+    }
+    return rows.size();
+  }
+  size_t RequesterRows(uint32_t w) const {
+    size_t rows = 0;
+    for (uint32_t p = 0; p < plans.size(); ++p) {
+      if (ActivePeer(plans[w], p)) rows += plans[w].recv_halo_rows[p].size();
+    }
+    return rows;
   }
 };
 
@@ -1442,6 +1480,113 @@ TEST(ExchangeTest, ReqEcTrendEndsAgreeAfterAnElasticTransition) {
   run.ExpectBothEndsAgree();
   run.Epochs(4, 6);
   run.ExpectBothEndsAgree();
+}
+
+// The responder keeps one trend row per owned boundary vertex, however
+// many peers it is sent to; the requester one per halo row.
+TEST(ExchangeTest, ReqEcTrendStateGaugeCountsEachOwnedVertexOnce) {
+  obs::StatsRegistry& stats = obs::StatsRegistry::Global();
+  stats.Reset();
+  stats.Enable();
+  TrendRun run(4, "cora-sim");
+  run.Epochs(0, 6);
+  const auto snapshot = stats.Snapshot();
+  stats.Disable();
+  stats.Reset();
+  size_t send_rows = 0, store_rows = 0;
+  for (uint32_t w = 0; w < 4; ++w) {
+    for (uint32_t p = 0; p < 4; ++p) {
+      if (ActivePeer(run.plans[w], p)) {
+        send_rows += run.plans[w].send_rows[p].size();
+      }
+    }
+    store_rows += run.StoreRows(w);
+    for (uint32_t epoch : {2u, 5u}) {
+      for (uint16_t layer : {1, 2}) {
+        SCOPED_TRACE(testing::Message() << "worker " << w << " epoch "
+                                        << epoch << " layer " << layer);
+        const double row_bytes = TrendCols(layer) * 8.0;
+        EXPECT_EQ(TrendRun::Gauge(snapshot, "mem.reqec.responder_bytes",
+                                  epoch, layer, w),
+                  run.StoreRows(w) * row_bytes);
+        EXPECT_EQ(TrendRun::Gauge(snapshot, "mem.reqec.requester_bytes",
+                                  epoch, layer, w),
+                  run.RequesterRows(w) * row_bytes);
+      }
+    }
+  }
+  // The plan sends vertices to more than one peer, so sharing saves rows.
+  EXPECT_GT(send_rows, store_rows);
+  run.ExpectBothEndsAgree();
+}
+
+// A trend response that can never arrive forks exactly its own group: the
+// responder copies that group's old rows out, the other groups keep
+// sharing the store, and both ends of every group still agree. A
+// checkpoint reloads the fork as it was, and two delivered snapshots later
+// the group shares the store again.
+TEST(ExchangeTest, ReqEcLostTrendResponseForksOnlyItsGroup) {
+  obs::StatsRegistry& stats = obs::StatsRegistry::Global();
+  stats.Reset();
+  stats.Enable();
+  TrendRun run(4, "cora-sim");
+  auto injector = dist::FaultInjector::Parse(
+      "drop=1@epoch=5:layer=1:from=0:to=3,retries=1,timeout_ms=20");
+  ASSERT_TRUE(injector.ok()) << injector.status();
+  run.Epochs(0, 3);
+  run.Epochs(3, 6, &*injector);
+  ASSERT_GT(injector->counters().dropped.load(), 0u);
+  ASSERT_TRUE(ActivePeer(run.plans[0], 3));
+  const auto snapshot = stats.Snapshot();
+  for (uint32_t w = 0; w < 4; ++w) {
+    for (uint16_t layer : {1, 2}) {
+      SCOPED_TRACE(testing::Message() << "worker " << w << " layer "
+                                      << layer);
+      const double row_bytes = TrendCols(layer) * 8.0;
+      const size_t forked =
+          w == 0 && layer == 1 ? run.plans[0].send_rows[3].size() : 0;
+      EXPECT_EQ(TrendRun::Gauge(snapshot, "mem.reqec.responder_bytes", 5,
+                                layer, w),
+                (run.StoreRows(w) + forked) * row_bytes);
+      EXPECT_EQ(TrendRun::Gauge(snapshot, "mem.reqec.requester_bytes", 5,
+                                layer, w),
+                run.RequesterRows(w) * row_bytes);
+    }
+  }
+  run.ExpectBothEndsAgree();
+
+  // Reloaded, the forked group's rows differ from the store's copy of the
+  // same vertices, so it is private again; the checkpoint bytes and the
+  // gauge are what they were.
+  std::vector<uint8_t> blob;
+  ByteWriter bw(&blob);
+  run.ex[0]->SaveState(&bw);
+  run.ex[0] = MakeFpExchanger(FpMode::kReqEc, run.config, kTrendLayers,
+                              run.plans[0]);
+  ByteReader r(blob);
+  ASSERT_TRUE(run.ex[0]->LoadState(&r).ok());
+  std::vector<uint8_t> again;
+  ByteWriter aw(&again);
+  run.ex[0]->SaveState(&aw);
+  EXPECT_EQ(again, blob);
+
+  // Epoch 8's snapshot leaves the fork's rate unequal to the store's
+  // (it spans epochs 2-8, the store's 5-8); epoch 11's makes them equal.
+  run.Epochs(6, 12);
+  run.ExpectBothEndsAgree();
+  const auto later = stats.Snapshot();
+  stats.Disable();
+  stats.Reset();
+  const double row_bytes = TrendCols(1) * 8.0;
+  const double store_bytes = run.StoreRows(0) * row_bytes;
+  const double fork_bytes = run.plans[0].send_rows[3].size() * row_bytes;
+  EXPECT_EQ(TrendRun::Gauge(later, "mem.reqec.responder_bytes",
+                            obs::kNoEpoch, 1, 0),
+            store_bytes + fork_bytes);
+  EXPECT_EQ(TrendRun::Gauge(later, "mem.reqec.responder_bytes", 8, 1, 0),
+            store_bytes + fork_bytes);
+  EXPECT_EQ(TrendRun::Gauge(later, "mem.reqec.responder_bytes", 11, 1, 0),
+            store_bytes);
 }
 
 // A trend response is decoded in full and checked against the halo slice

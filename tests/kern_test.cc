@@ -407,6 +407,32 @@ TEST_F(KernTest, ReqEcSelectorBitIdenticalAcrossVariants) {
   }
 }
 
+TEST_F(KernTest, ReqEcPredictBitIdenticalAcrossVariants) {
+  const auto variants = kern::AvailableVariants();
+  const kern::Kernels* scalar = variants.back();
+  for (size_t cols : kCodecCols) {
+    for (size_t rows : kCodecRows) {
+      const size_t count = rows * cols;
+      const SelectorInputs in = MakeSelectorInputs(count, 950 + count);
+      std::vector<float> ref(count, -1.0f);
+      scalar->reqec_predict(in.last.data(), in.rate.data(), count, 3.0f,
+                            ref.data());
+      // The reference is a separate multiply and add per element.
+      for (size_t i = 0; i < count; ++i) {
+        const float product = in.rate[i] * 3.0f;
+        ASSERT_TRUE(FloatBitsEqual(ref[i], in.last[i] + product));
+      }
+      for (const kern::Kernels* v : variants) {
+        std::vector<float> got(count, -1.0f);
+        v->reqec_predict(in.last.data(), in.rate.data(), count, 3.0f,
+                         got.data());
+        EXPECT_TRUE(BitsEqual(ref, got))
+            << v->name << " " << rows << "x" << cols;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Float GEMM / SpMM kernels.
 // ---------------------------------------------------------------------------

@@ -72,20 +72,26 @@ TEST_F(StatsTest, JsonlRowMatchesSchemaGolden) {
   auto& registry = StatsRegistry::Global();
   registry.Enable();
   registry.Record("fp.wire_bytes", 1000.0, 3, 1, 2);
-  registry.Record("fp.wire_bytes", 3000.0, 3, 1, 2);
+  registry.Record("fp.wire_bytes", 9260451.0, 3, 1, 2);
   registry.Record("comm.sent_bytes", 512.0, 3, 1, 2, /*worker=*/0);
+  registry.Record("fp.ratio", 0.1, 3, 1, 2);
 
   std::ostringstream out;
   registry.DumpEpochTo(3, out, /*erase=*/false);
   // `worker` prints only when set; the distribution lives in the bridged
-  // metrics histogram, not in the row.
+  // metrics histogram, not in the row. Integral values print exactly at
+  // any size, others with 17 significant digits.
   EXPECT_EQ(out.str(),
             "{\"epoch\":3,\"name\":\"comm.sent_bytes\",\"layer\":1,"
             "\"peer\":2,\"worker\":0,\"count\":1,\"sum\":512,"
             "\"min\":512,\"max\":512,\"avg\":512,\"last\":512}\n"
+            "{\"epoch\":3,\"name\":\"fp.ratio\",\"layer\":1,"
+            "\"peer\":2,\"count\":1,\"sum\":0.10000000000000001,"
+            "\"min\":0.10000000000000001,\"max\":0.10000000000000001,"
+            "\"avg\":0.10000000000000001,\"last\":0.10000000000000001}\n"
             "{\"epoch\":3,\"name\":\"fp.wire_bytes\",\"layer\":1,"
-            "\"peer\":2,\"count\":2,\"sum\":4000,\"min\":1000,"
-            "\"max\":3000,\"avg\":2000,\"last\":3000}\n");
+            "\"peer\":2,\"count\":2,\"sum\":9261451,\"min\":1000,"
+            "\"max\":9260451,\"avg\":4630725.5,\"last\":9260451}\n");
 }
 
 TEST_F(StatsTest, CoordinateFreeRowsOmitLayerAndPeer) {
