@@ -1,6 +1,7 @@
 #ifndef ECGRAPH_COMMON_BYTES_H_
 #define ECGRAPH_COMMON_BYTES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -17,6 +18,15 @@ namespace ecg {
 class ByteWriter {
  public:
   explicit ByteWriter(std::vector<uint8_t>* out) : out_(out) {}
+
+  /// Makes room for `n` more bytes, so a large payload written in pieces
+  /// grows the buffer at most once (still geometrically).
+  void Reserve(size_t n) {
+    const size_t need = out_->size() + n;
+    if (need > out_->capacity()) {
+      out_->reserve(std::max(need, 2 * out_->capacity()));
+    }
+  }
 
   void PutU8(uint8_t v) { out_->push_back(v); }
   void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }

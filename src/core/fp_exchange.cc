@@ -338,7 +338,7 @@ class ReqEcFpExchanger : public HaloExchanger {
     w->PutF32Vector(proportion_from_);
   }
 
-  /// Rebuilds the responder store from the per-group snapshots (Adopt).
+  /// Rebuilds the responder store from the per-group snapshots (Adopter).
   Status LoadState(ByteReader* r) override {
     for (uint16_t l = 0; l < num_layers_; ++l) {
       Adopter adopt(this, l);

@@ -24,6 +24,7 @@ inline void EncodeMatrix(const tensor::Matrix& m, ByteWriter* w) {
 inline void EncodeMatrixRows(const tensor::Matrix& m,
                              const std::vector<uint32_t>& rows,
                              ByteWriter* w) {
+  w->Reserve(16 + rows.size() * m.cols() * sizeof(float));
   w->PutU32(static_cast<uint32_t>(rows.size()));
   w->PutU32(static_cast<uint32_t>(m.cols()));
   w->PutU64(static_cast<uint64_t>(rows.size()) * m.cols());
