@@ -1531,7 +1531,7 @@ TEST(ExchangeTest, ReqEcLostTrendResponseForksOnlyItsGroup) {
   stats.Enable();
   TrendRun run(4, "cora-sim");
   auto injector = dist::FaultInjector::Parse(
-      "drop=1@epoch=5:layer=1:from=0:to=3,retries=1,timeout_ms=20");
+      "drop=1@epoch=5:layer=1:from=0:to=3,retries=1,timeout_ms=500");
   ASSERT_TRUE(injector.ok()) << injector.status();
   run.Epochs(0, 3);
   run.Epochs(3, 6, &*injector);
