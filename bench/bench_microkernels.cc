@@ -886,6 +886,11 @@ int RunGemmBench(const std::string& json_path) {
                    RandomMatrix(4000, 41, 36)});
   cases.push_back({"sbm.spmm.h16", "spmm", RandomMatrix(8000, 16, 29), {}});
   cases.push_back({"sbm.spmm.h64", "spmm", ReluMatrix(8000, 64, 30), {}});
+  // The BP widths of the output layers (41, 47), whose last columns run
+  // SpMM's ragged tail, against the whole-vector width between them.
+  cases.push_back({"sbm.spmm.h41", "spmm", RandomMatrix(8000, 41, 37), {}});
+  cases.push_back({"sbm.spmm.h47", "spmm", RandomMatrix(8000, 47, 38), {}});
+  cases.push_back({"sbm.spmm.h48", "spmm", RandomMatrix(8000, 48, 39), {}});
   const ecg::tensor::CsrMatrix adj = SbmAdjacency(8000, 16.0);
 
   auto run = [&](const GemmCase& c, Matrix* out) {

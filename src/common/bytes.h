@@ -48,6 +48,16 @@ class ByteWriter {
   /// Bulk write of `n` floats with no length prefix (caller knows n).
   void PutF32Array(const float* p, size_t n) { PutRaw(p, n * sizeof(float)); }
 
+  /// Appends `n` zero bytes and returns where they start, for a codec that
+  /// fills its payload in place; valid until the next write.
+  uint8_t* Extend(size_t n) {
+    out_->resize(out_->size() + n);
+    return out_->data() + out_->size() - n;
+  }
+  /// Drops the last `n` bytes written (an in-place payload that came out
+  /// shorter than the bound Extend reserved).
+  void Unwrite(size_t n) { out_->resize(out_->size() - n); }
+
  private:
   void PutRaw(const void* data, size_t n) {
     const auto* p = static_cast<const uint8_t*>(data);
@@ -95,6 +105,17 @@ class ByteReader {
       return Status::OutOfRange("f32 array length exceeds buffer");
     }
     return GetRaw(p, n * sizeof(float));
+  }
+  /// The next `n` bytes in place (no copy); the reader moves past them.
+  Status GetSpan(size_t n, const uint8_t** p) {
+    if (n > remaining()) {
+      return Status::OutOfRange("span of " + std::to_string(n) +
+                                " bytes exceeds buffer at offset " +
+                                std::to_string(pos_));
+    }
+    *p = data_ + pos_;
+    pos_ += n;
+    return Status::OK();
   }
   Status GetBytes(std::vector<uint8_t>* v) {
     uint64_t n = 0;

@@ -10,8 +10,8 @@ namespace ecg::kern {
 
 /// Runtime-dispatched kernel registry. Every hot inner loop of the
 /// compression pipeline (quantize pack, dequantize unpack, min/max
-/// reduction, bit packing, the halo row gather, the ReqEC selector and
-/// predictor) and the float tensor kernels (dense GEMM in all its
+/// reduction, bit packing, the halo row gather, zero suppression, the ReqEC
+/// selector and predictor) and the float tensor kernels (dense GEMM in all its
 /// transpose forms, CSR SpMM) goes through one of the function pointers
 /// below. The same implementation source (kernels_impl.inc) is compiled
 /// once per architecture variant — scalar, AVX2, AVX-512, NEON — each in
@@ -85,21 +85,42 @@ struct Kernels {
                       const uint32_t* rows, size_t count, size_t cols,
                       const float* add, float* out, float* mn, float* mx);
 
-  /// ReqEC vertex selector distances (Eqs. 8-10). For row i < count and
-  /// column c < cols, with x = x[i * cols + c] for each input: v = truth,
-  /// cps = the requester's decode of v's bucket, pdt = last + rate * step,
-  /// avg = (pdt + cps) * 0.5. l1[3 i + 0/1/2] = the sum of |cps - v| /
-  /// |pdt - v| / |avg - v| over c, each from +0 in ascending c.
-  void (*reqec_row_l1)(const float* truth, const float* cps,
-                       const float* last, const float* rate, size_t count,
-                       size_t cols, float step, float* l1);
+  /// Zero suppression of n floats (the ReqEC trend payload): for i < n,
+  /// bit bit0 + i of `map` (bit b is bit b % 8 of byte b / 8) is set iff
+  /// the bits of src[i] are not all zero, and those floats' bits are
+  /// written in order to `out`, which has room for n floats. The n map
+  /// bits must be clear on entry; no other bit changes. Returns the count
+  /// written.
+  size_t (*nonzero_pack)(const float* src, size_t n, uint64_t bit0,
+                         uint8_t* map, uint8_t* out);
 
-  /// ReqEC element selector: for each of count elements (candidates as in
-  /// reqec_row_l1), pick[i] = 0 (cps), 1 (pdt) or 2 (avg), whichever has
-  /// the smallest error, the earlier one on ties.
+  /// Inverse of nonzero_pack: for i < n, dst[i] gets the bits of the next
+  /// float of `values` where map bit bit0 + i is set, +0.0 elsewhere.
+  /// Reads only the floats it places; returns their count.
+  size_t (*nonzero_unpack)(const uint8_t* map, uint64_t bit0, size_t n,
+                           const uint8_t* values, float* dst);
+
+  /// ReqEC vertex selector distances (Eqs. 8-10). For row i < count and
+  /// column c < cols: v = truth[i * cols + c], cps = cps[i * cols + c] (the
+  /// requester's decode of v's bucket), pdt = last + rate * step and
+  /// avg = (pdt + cps) * 0.5, where last and rate are read at
+  /// b * cols + c of the baseline row b = rows[i], or b = i when rows is
+  /// null (so a baseline kept once per vertex is read in place).
+  /// l1[3 i + 0/1/2] = the sum of |cps - v| / |pdt - v| / |avg - v| over
+  /// c, each from +0 in ascending c.
+  void (*reqec_row_l1)(const float* truth, const float* cps,
+                       const float* last, const float* rate,
+                       const uint32_t* rows, size_t count, size_t cols,
+                       float step, float* l1);
+
+  /// ReqEC element selector: for each of the count x cols elements
+  /// (candidates and baseline rows as in reqec_row_l1),
+  /// pick[i * cols + c] = 0 (cps), 1 (pdt) or 2 (avg), whichever has the
+  /// smallest error, the earlier one on ties.
   void (*reqec_element_pick)(const float* truth, const float* cps,
                              const float* last, const float* rate,
-                             size_t count, float step, uint32_t* pick);
+                             const uint32_t* rows, size_t count, size_t cols,
+                             float step, uint32_t* pick);
 
   /// ReqEC pdt candidate (Eq. 8): out[i] = last[i] + rate[i] * step for
   /// i < count, one multiply then one add (the selector's pdt, bit for

@@ -108,7 +108,7 @@ struct ReqEcSelection {
 /// and picks by L1 distance to the truth per vertex (each distance summed
 /// in ascending column order), per coordinate or over the whole matrix.
 /// One fused pass through the kern::reqec_* kernels; no candidate matrix is
-/// built, and indexed baseline rows are gathered a block at a time.
+/// built, and indexed baseline rows are read in place.
 Result<ReqEcSelection> SelectReqEc(
     const tensor::Matrix& truth, const tensor::Matrix& h_last,
     const tensor::Matrix& m_cr, uint32_t step,

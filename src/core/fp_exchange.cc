@@ -446,7 +446,7 @@ class ReqEcFpExchanger : public HaloExchanger {
  private:
   /// Message kinds inside an FP data payload.
   enum ResponseKind : uint8_t {
-    kTrend = 0,            // exact H (last epoch of a trend group)
+    kTrend = 0,            // exact H, zero-suppressed (last epoch of a group)
     kSelected = 1,         // per-vertex SltArr + compressed subset
     kColdStart = 2,        // compressed everything (no trend baseline yet)
     kSelectedElement = 3,  // per-element SltArr + compressed subset
@@ -710,7 +710,8 @@ class ReqEcFpExchanger : public HaloExchanger {
   }
 
   /// Trend epoch: ship the exact rows only (Algorithm 4 line 4), straight
-  /// out of h_owned. The requester holds the same H_last, so it derives the
+  /// out of h_owned with their +0.0 elements suppressed (ReLU outputs are
+  /// about half zeros). The requester holds the same H_last, so it derives the
   /// new M_cr itself. A group sharing the store takes the snapshot with it
   /// after FanOut, unless the response can never arrive: then the group
   /// forks, keeping a private copy of its old rows.
@@ -719,7 +720,7 @@ class ReqEcFpExchanger : public HaloExchanger {
                             const Matrix& h_owned, ByteWriter* w) {
     const auto& rows = plan.send_rows[peer];
     w->PutU8(kTrend);
-    EncodeMatrixRows(h_owned, rows, w);
+    EncodeNonzeroRows(h_owned, rows, w);
     ResponderLayer& rl = responder_[layer];
     TrendState& own = rl.own[peer];
     if (rl.shared[peer]) {
@@ -791,30 +792,34 @@ class ReqEcFpExchanger : public HaloExchanger {
     return Status::OK();
   }
 
-  /// A trend response (exact H) is checked in full — header, shape and
-  /// byte count against the halo slice and the baseline — before any halo
-  /// row or baseline row is written; then both update in place.
+  /// A trend response (exact H, zero-suppressed) is checked in full —
+  /// header, bitmap, shape and byte count against the halo slice and the
+  /// baseline — before any halo row or baseline row is written; then both
+  /// update in place.
   Status ParseTrendResponse(ByteReader* r, TrendState* st,
                             const std::vector<uint32_t>& halo_rows,
                             Matrix* h_halo) {
-    uint32_t rows = 0, cols = 0;
-    ECG_RETURN_IF_ERROR(DecodeMatrixHeader(r, &rows, &cols));
-    if (rows != halo_rows.size() || cols != h_halo->cols()) {
+    NonzeroRows nz;
+    ECG_RETURN_IF_ERROR(DecodeNonzeroRows(r, &nz));
+    if (nz.rows != halo_rows.size() || nz.cols != h_halo->cols()) {
       return Status::InvalidArgument(
-          "ReqEC trend response is " + std::to_string(rows) + "x" +
-          std::to_string(cols) + " for a halo slice of " +
+          "ReqEC trend response is " + std::to_string(nz.rows) + "x" +
+          std::to_string(nz.cols) + " for a halo slice of " +
           std::to_string(halo_rows.size()) + " rows of width " +
           std::to_string(h_halo->cols()));
     }
-    ECG_RETURN_IF_ERROR(CheckBaseline(*st, rows, *h_halo));
+    if (r->remaining() != 0) {
+      return Status::InvalidArgument(
+          "ReqEC trend response has " + std::to_string(r->remaining()) +
+          " trailing bytes");
+    }
+    ECG_RETURN_IF_ERROR(CheckBaseline(*st, nz.rows, *h_halo));
     for (uint32_t hr : halo_rows) {
       if (hr >= h_halo->rows()) {
         return Status::OutOfRange("ReqEC halo row out of range");
       }
     }
-    for (uint32_t hr : halo_rows) {
-      ECG_RETURN_IF_ERROR(r->GetF32Array(h_halo->Row(hr), cols));
-    }
+    ExpandNonzeroRows(nz, halo_rows, h_halo);
     Snapshot(st, *h_halo, halo_rows);
     return Status::OK();
   }
@@ -955,9 +960,8 @@ Result<ReqEcSelection> SelectReqEc(const Matrix& truth, const Matrix& h_last,
   }
   // Blocks of kSelectRows rows start on a packed-word boundary at every
   // width, so each block's cps decodes straight from q_full's words into an
-  // L1 buffer through one LUT (an indexed baseline's rows are gathered
-  // next to it), and the kernels read truth, cps and the baseline rows in
-  // one pass.
+  // L1 buffer through one LUT, and the kernels read truth, cps and the
+  // baseline rows (through the row index, in place) in one pass.
   const kern::Kernels& k = kern::Active();
   const float fstep = static_cast<float>(step);
   const bool element = granularity == SelectorGranularity::kElement;
@@ -970,35 +974,25 @@ Result<ReqEcSelection> SelectReqEc(const Matrix& truth, const Matrix& h_last,
   sel.slt.assign(element ? count : n, kCps);
   ThreadPool::Global().ParallelFor(
       (n + kSelectRows - 1) / kSelectRows, 1, [&](size_t b0, size_t b1) {
-        const size_t block = kSelectRows * cols;
-        std::vector<float> buf((baseline_rows ? 3 : 1) * block);
-        float* cps = buf.data();
+        std::vector<float> cps(kSelectRows * cols);
         for (size_t b = b0; b < b1; ++b) {
           const size_t r0 = b * kSelectRows;
           const size_t rows = std::min(kSelectRows, n - r0);
           const size_t e0 = r0 * cols, len = rows * cols;
           k.unpack_flat(q_full.bits, q_full.packed_ids.data() + e0 / per_word,
                         len, 0, (len + per_word - 1) / per_word, lut,
-                        /*subtract=*/false, cps);
-          const float* last = h_last.data() + e0;
-          const float* rate = m_cr.data() + e0;
-          if (baseline_rows) {
-            float* last_buf = buf.data() + block;
-            float* rate_buf = buf.data() + 2 * block;
-            const uint32_t* idx = baseline_rows->data() + r0;
-            k.gather_rows(h_last.data(), cols, idx, rows, cols, nullptr,
-                          last_buf, nullptr, nullptr);
-            k.gather_rows(m_cr.data(), cols, idx, rows, cols, nullptr,
-                          rate_buf, nullptr, nullptr);
-            last = last_buf;
-            rate = rate_buf;
-          }
+                        /*subtract=*/false, cps.data());
+          const uint32_t* idx =
+              baseline_rows ? baseline_rows->data() + r0 : nullptr;
+          const size_t l0 = baseline_rows ? 0 : e0;
           if (element) {
-            k.reqec_element_pick(truth.data() + e0, cps, last, rate, len,
-                                 fstep, sel.slt.data() + e0);
+            k.reqec_element_pick(truth.data() + e0, cps.data(),
+                                 h_last.data() + l0, m_cr.data() + l0, idx,
+                                 rows, cols, fstep, sel.slt.data() + e0);
           } else {
-            k.reqec_row_l1(truth.data() + e0, cps, last, rate, rows, cols,
-                           fstep, l1.data() + 3 * r0);
+            k.reqec_row_l1(truth.data() + e0, cps.data(), h_last.data() + l0,
+                           m_cr.data() + l0, idx, rows, cols, fstep,
+                           l1.data() + 3 * r0);
           }
         }
       });

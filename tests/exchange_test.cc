@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -1194,19 +1195,19 @@ TEST(ExchangeTest, CodecParityWithRecordedDigests) {
       {"fp_delayed", true, FpMode::kDelayed, BpMode::kExact, v2,
        0x390ba95db98dc645ull, 0xdf73274e2b8789b1ull},
       {"fp_reqec_vertex2", true, FpMode::kReqEc, BpMode::kExact, v2,
-       0x5b34fc900bc7ebf7ull, 0x6215d084fe2bdab7ull},
+       0x5b34fc900bc7ebf7ull, 0x2deb50d585fe8054ull},
       {"fp_reqec_vertex8", true, FpMode::kReqEc, BpMode::kExact, v8,
-       0xa718da534530eeb5ull, 0x6b110af7ac19cd95ull},
+       0xa718da534530eeb5ull, 0x1b4ab12a7fd50c7aull},
       {"fp_reqec_element4", true, FpMode::kReqEc, BpMode::kExact, e4,
-       0x5a6a0abdc7faa081ull, 0xbbbeac338b2b09dull},
+       0x5a6a0abdc7faa081ull, 0x14968ef0434afull},
       {"fp_reqec_matrix1", true, FpMode::kReqEc, BpMode::kExact, m1,
-       0xef0d1aa96877bf30ull, 0x1c1d664d23fe1ec8ull},
+       0xef0d1aa96877bf30ull, 0x4152413a0bb064fdull},
       {"fp_reqec_datamean4", true, FpMode::kReqEc, BpMode::kExact, d4,
-       0x2d66620a29b622b7ull, 0xcbe24b5c0cf98e2aull},
+       0x2d66620a29b622b7ull, 0x3d4f760518b739ddull},
       {"fp_reqec_adaptive", true, FpMode::kReqEc, BpMode::kExact, adapt,
-       0x50a2db89b9e3734eull, 0x17f614a3700fb545ull},
+       0x50a2db89b9e3734eull, 0x1a4e97ac1f84238cull},
       {"fp_reqec_bitalloc", true, FpMode::kReqEc, BpMode::kExact, alloc,
-       0xe44144bf0054c500ull, 0x94b6d4cc6535f663ull},
+       0xe44144bf0054c500ull, 0x97a4a1bda751a271ull},
       {"bp_exact", false, FpMode::kExact, BpMode::kExact, v2,
        0xb4854aa0a4dcc3e8ull, 0x6b12ab303879deb8ull},
       {"bp_cp2", false, FpMode::kExact, BpMode::kCompressed, v2,
@@ -1402,11 +1403,21 @@ TEST(ExchangeTest, ReqEcTrendResponsesShipOnlyH) {
       for (uint16_t layer : {1, 2}) {
         SCOPED_TRACE(testing::Message() << "epoch " << epoch << " worker "
                                         << w << " layer " << layer);
-        const uint64_t rows = run.plans[w].send_rows[1 - w].size();
+        const WorkerPlan& plan = run.plans[w];
+        const uint64_t rows = plan.send_rows[1 - w].size();
         ASSERT_GT(rows, 0u);
-        // A 1-byte request, then kind + matrix header + rows·cols floats.
+        uint64_t nnz = 0;
+        for (uint32_t r : plan.send_rows[1 - w]) {
+          for (size_t c = 0; c < TrendCols(layer); ++c) {
+            nnz += std::bit_cast<uint32_t>(ParityValue(
+                       plan.owned[r], c, epoch, layer, true)) != 0;
+          }
+        }
+        // A 1-byte request, then kind + the rows with their zeros
+        // suppressed (header, bitmap, nonzero floats).
         EXPECT_EQ(run.sent.at({w, epoch, layer}),
-                  1 + (1 + 16 + rows * TrendCols(layer) * 4));
+                  1 + (1 + NonzeroRowsBytes(rows, TrendCols(layer), nnz)));
+        EXPECT_LT(nnz, rows * TrendCols(layer));
       }
     }
   }
@@ -1592,87 +1603,173 @@ TEST(ExchangeTest, ReqEcLostTrendResponseForksOnlyItsGroup) {
 // A trend response is decoded in full and checked against the halo slice
 // and any existing baseline before the halo or the requester's state is
 // written: a malformed one is rejected and leaves both as they were.
+/// Worker 0's layer-1 exchange at a trend epoch, answered by worker 1 with
+/// `response` (kind byte first) into a halo `halo_cols` wide; with
+/// `baseline`, an earlier trend epoch has set worker 0's trend baseline.
+/// Whatever the status, a rejected response must have left worker 0's halo
+/// and requester baseline as they were, and an accepted one updated both.
+Status ExchangeHandBuiltTrendResponse(const std::vector<uint8_t>& response,
+                                      size_t halo_cols, bool baseline) {
+  // Trend epochs are 3 and 7; with a baseline, epoch 3 sets it.
+  const uint32_t epoch = baseline ? 7 : 3;
+  TwoWorkerFixture fx;
+  ExchangeConfig config;
+  config.trend_period = 4;
+  SimulatedCluster cluster(2, dist::NetworkModel{});
+  return cluster.Run([&](WorkerContext* ctx) -> Status {
+    const WorkerPlan& plan = fx.plans[ctx->worker_id()];
+    auto ex = MakeFpExchanger(FpMode::kReqEc, config, 2, plan);
+    const auto owned_at = [&](uint32_t e) {
+      return MakeOwned(plan, [&](uint32_t v, size_t col) {
+        return 0.25f * static_cast<float>(v + col) +
+               static_cast<float>(e * e);
+      });
+    };
+    Matrix halo(plan.num_halo(), kDim);
+    for (uint32_t e = 0; e < epoch; ++e) {
+      ECG_RETURN_IF_ERROR(ex->Exchange(ctx, plan, e, 1, owned_at(e), &halo));
+    }
+    if (ctx->worker_id() == 1) {
+      return FakeReqEcResponder(ctx, epoch, response);
+    }
+    Matrix wide(plan.num_halo(), halo_cols);
+    for (size_t i = 0; i < wide.size(); ++i) {
+      wide.data()[i] = -1.0f - static_cast<float>(i);
+    }
+    const Matrix halo_before = wide;
+    const TrendSides before = ReadTrendSides(*ex, 2, 2);
+    const Status s =
+        ex->Exchange(ctx, plan, epoch, 1, owned_at(epoch), &wide);
+    const TrendSides after = ReadTrendSides(*ex, 2, 2);
+    EXPECT_EQ(before[1][1][1].have, baseline ? 1 : 0);
+    if (s.ok()) {
+      EXPECT_FALSE(SameMatrix(wide, halo_before));
+      EXPECT_EQ(after[1][1][1].have, 1);
+    } else {
+      EXPECT_TRUE(SameMatrix(wide, halo_before));
+      EXPECT_TRUE(SameSide(after[1][1][1], before[1][1][1]));
+    }
+    return s;
+  });
+}
+
 TEST(ExchangeTest, ReqEcRejectsAMalformedTrendResponse) {
+  // The requester's halo slice is 2 x kDim; every float sent is nonzero,
+  // so a well-formed bitmap sets its first rows x cols bits.
   struct Case {
     const char* name;
-    uint32_t rows, cols;  // header shape
-    uint64_t count;       // header element count
-    uint64_t floats;      // floats actually carried
-    size_t halo_cols;     // requester's halo width
-    bool needs_baseline;
-    StatusCode code;
+    uint32_t rows = 2, cols = kDim;  // header shape
+    uint64_t nnz = 2 * kDim;         // header nonzero count
+    uint64_t set = 2 * kDim;         // leading bitmap bits set
+    bool stray = false;              // + the last bitmap byte's top bit
+    uint64_t floats = 2 * kDim;      // floats after the bitmap
+    size_t cut = 0;                  // bytes cut off the end
+    size_t trailing = 0;             // bytes appended
+    size_t halo_cols = kDim;         // requester's halo width
+    bool needs_baseline = false;
+    StatusCode code = StatusCode::kOk;
   };
-  const uint64_t n = 2 * kDim;  // the requester's halo slice is 2 x kDim
+  const uint64_t n = 2 * kDim;
   const Case cases[] = {
-      {"well-formed", 2, kDim, n, n, kDim, false, StatusCode::kOk},
-      {"truncated", 2, kDim, n, n - 1, kDim, false, StatusCode::kOutOfRange},
-      {"wrong rows", 3, kDim, 3 * kDim, 3 * kDim, kDim, false,
-       StatusCode::kInvalidArgument},
-      {"wrong cols", 2, kDim + 1, n + 2, n + 2, kDim, false,
-       StatusCode::kInvalidArgument},
-      {"count mismatch", 2, kDim, n - 1, n - 1, kDim, false,
-       StatusCode::kInvalidArgument},
-      {"width change", 2, 2 * kDim, 2 * n, 2 * n, 2 * kDim, true,
-       StatusCode::kInvalidArgument},
+      {.name = "well-formed"},
+      {.name = "truncated", .cut = 4, .code = StatusCode::kOutOfRange},
+      {.name = "truncated bitmap",
+       .cut = n * 4 + 1,
+       .code = StatusCode::kOutOfRange},
+      {.name = "nnz beyond the buffer",
+       .nnz = n + 1,
+       .code = StatusCode::kOutOfRange},
+      {.name = "popcount != nnz",
+       .nnz = n - 1,
+       .floats = n - 1,
+       .code = StatusCode::kInvalidArgument},
+      {.name = "stray bits past rows x cols",
+       .cols = kDim - 1,
+       .nnz = n - 2,
+       .set = n - 3,
+       .stray = true,
+       .floats = n - 2,
+       .halo_cols = kDim - 1,
+       .code = StatusCode::kInvalidArgument},
+      {.name = "trailing bytes",
+       .trailing = 4,
+       .code = StatusCode::kInvalidArgument},
+      {.name = "wrong rows",
+       .rows = 3,
+       .nnz = 3 * kDim,
+       .set = 3 * kDim,
+       .floats = 3 * kDim,
+       .code = StatusCode::kInvalidArgument},
+      {.name = "wrong cols",
+       .cols = kDim + 1,
+       .nnz = n + 2,
+       .set = n + 2,
+       .floats = n + 2,
+       .code = StatusCode::kInvalidArgument},
+      {.name = "width change",
+       .cols = 2 * kDim,
+       .nnz = 2 * n,
+       .set = 2 * n,
+       .floats = 2 * n,
+       .halo_cols = 2 * kDim,
+       .needs_baseline = true,
+       .code = StatusCode::kInvalidArgument},
   };
   for (const Case& c : cases) {
+    std::vector<uint8_t> map((static_cast<uint64_t>(c.rows) * c.cols + 7) /
+                             8);
+    for (uint64_t i = 0; i < c.set; ++i) map[i / 8] |= 1u << (i % 8);
+    if (c.stray) map.back() |= 0x80;
+    std::vector<uint8_t> response;
+    ByteWriter w(&response);
+    w.PutU8(0);  // kTrend
+    w.PutU32(c.rows);
+    w.PutU32(c.cols);
+    w.PutU64(c.nnz);
+    for (uint8_t b : map) w.PutU8(b);
+    for (uint64_t i = 0; i < c.floats; ++i) {
+      w.PutF32(0.5f + static_cast<float>(i));
+    }
+    for (size_t i = 0; i < c.trailing; ++i) w.PutU8(0);
+    response.resize(response.size() - c.cut);
     for (const bool baseline : {false, true}) {
       if (c.needs_baseline && !baseline) continue;
       SCOPED_TRACE(testing::Message() << c.name << " baseline=" << baseline);
-      // Trend epochs are 3 and 7; with a baseline, epoch 3 sets it.
-      const uint32_t epoch = baseline ? 7 : 3;
-      TwoWorkerFixture fx;
-      ExchangeConfig config;
-      config.trend_period = 4;
-      SimulatedCluster cluster(2, dist::NetworkModel{});
-      const Status status = cluster.Run([&](WorkerContext* ctx) -> Status {
-        const WorkerPlan& plan = fx.plans[ctx->worker_id()];
-        auto ex = MakeFpExchanger(FpMode::kReqEc, config, 2, plan);
-        const auto owned_at = [&](uint32_t e) {
-          return MakeOwned(plan, [&](uint32_t v, size_t col) {
-            return 0.25f * static_cast<float>(v + col) +
-                   static_cast<float>(e * e);
-          });
-        };
-        Matrix halo(plan.num_halo(), kDim);
-        for (uint32_t e = 0; e < epoch; ++e) {
-          ECG_RETURN_IF_ERROR(ex->Exchange(ctx, plan, e, 1, owned_at(e),
-                                           &halo));
-        }
-        if (ctx->worker_id() == 1) {
-          std::vector<uint8_t> response;
-          ByteWriter w(&response);
-          w.PutU8(0);  // kTrend
-          w.PutU32(c.rows);
-          w.PutU32(c.cols);
-          w.PutU64(c.count);
-          std::vector<float> values(c.floats);
-          for (size_t i = 0; i < values.size(); ++i) {
-            values[i] = 0.5f + static_cast<float>(i);
-          }
-          w.PutF32Array(values.data(), values.size());
-          return FakeReqEcResponder(ctx, epoch, std::move(response));
-        }
-        Matrix wide(plan.num_halo(), c.halo_cols);
-        for (size_t i = 0; i < wide.size(); ++i) {
-          wide.data()[i] = -1.0f - static_cast<float>(i);
-        }
-        const Matrix halo_before = wide;
-        const TrendSides before = ReadTrendSides(*ex, 2, 2);
-        const Status s = ex->Exchange(ctx, plan, epoch, 1, owned_at(epoch),
-                                      &wide);
-        const TrendSides after = ReadTrendSides(*ex, 2, 2);
-        EXPECT_EQ(before[1][1][1].have, baseline ? 1 : 0);
-        if (s.ok()) {
-          EXPECT_FALSE(SameMatrix(wide, halo_before));
-          EXPECT_EQ(after[1][1][1].have, 1);
-        } else {
-          EXPECT_TRUE(SameMatrix(wide, halo_before));
-          EXPECT_TRUE(SameSide(after[1][1][1], before[1][1][1]));
-        }
-        return s;
-      });
+      const Status status =
+          ExchangeHandBuiltTrendResponse(response, c.halo_cols, baseline);
       EXPECT_EQ(status.code(), c.code) << status;
+    }
+  }
+}
+
+// A golden trend response, then every truncation of it and every single
+// bit flip of its shape header, nonzero count and bitmap: each must be
+// rejected before a halo or baseline row is written. (A flip inside a
+// float is a well-formed payload carrying another value.)
+TEST(ExchangeTest, ReqEcTrendPayloadMutationsAreRejected) {
+  Matrix rows(2, kDim);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows.data()[i] = i % 3 == 0 ? 0.0f : 0.5f + static_cast<float>(i);
+  }
+  std::vector<uint8_t> golden;
+  ByteWriter w(&golden);
+  w.PutU8(0);  // kTrend
+  EncodeNonzeroRows(rows, {0, 1}, &w);
+  const size_t checked = 1 + 16 + (rows.size() + 7) / 8;  // through bitmap
+  for (const bool baseline : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "baseline=" << baseline);
+    ASSERT_TRUE(ExchangeHandBuiltTrendResponse(golden, kDim, baseline).ok());
+    for (size_t len = 1; len < golden.size(); ++len) {
+      const std::vector<uint8_t> cut(golden.begin(), golden.begin() + len);
+      EXPECT_FALSE(ExchangeHandBuiltTrendResponse(cut, kDim, baseline).ok())
+          << "truncated to " << len << " bytes";
+    }
+    for (size_t bit = 8; bit < 8 * checked; ++bit) {
+      std::vector<uint8_t> flipped = golden;
+      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      EXPECT_FALSE(
+          ExchangeHandBuiltTrendResponse(flipped, kDim, baseline).ok())
+          << "bit " << bit << " flipped";
     }
   }
 }

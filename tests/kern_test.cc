@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -247,6 +248,74 @@ bool FloatBitsEqual(float a, float b) {
   return std::memcmp(&a, &b, sizeof(float)) == 0;
 }
 
+// kern.nonzero_pack / nonzero_unpack on every variant against scalar, at
+// bit offsets on and off a byte boundary and lengths around the 8- and
+// 16-float blocks: the same map bytes (bits outside the run untouched),
+// the same kept bits in order, and the unpack restoring every input bit,
+// -0.0, NaN payloads and denormals included. Buffers are exactly sized,
+// so ASan sees any read or write past them.
+TEST_F(KernTest, NonzeroPackRoundTripsBitExactAcrossVariants) {
+  const auto variants = kern::AvailableVariants();
+  const kern::Kernels* scalar = variants.back();
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{15},
+                   size_t{16}, size_t{17}, size_t{41}, size_t{64},
+                   size_t{100}}) {
+    for (uint64_t bit0 : {uint64_t{0}, uint64_t{3}, uint64_t{8},
+                          uint64_t{13}}) {
+      std::vector<float> src = RandomFloats(n, 1400 + n + bit0);
+      for (size_t i = 0; i < n; ++i) {
+        if (i % 3 == 0) src[i] = 0.0f;
+        if (i % 7 == 1) src[i] = -0.0f;
+        if (i % 11 == 2) src[i] = std::bit_cast<float>(static_cast<uint32_t>(0x7fc00001u + i));
+        if (i % 13 == 3) src[i] = std::bit_cast<float>(static_cast<uint32_t>(0x5u + i));
+      }
+      if (n == 41) std::fill(src.begin(), src.begin() + 20, 0.0f);
+      const size_t map_bytes = (bit0 + n + 7) / 8 + 1;
+      // Bits outside [bit0, bit0 + n) start set and must stay so.
+      std::vector<uint8_t> map0(map_bytes, 0xff);
+      for (size_t i = 0; i < n; ++i) {
+        map0[(bit0 + i) / 8] &= static_cast<uint8_t>(~(1u << ((bit0 + i) % 8)));
+      }
+      std::vector<uint8_t> ref_map = map0;
+      std::vector<uint8_t> ref_out(n * sizeof(float));
+      const size_t kept =
+          scalar->nonzero_pack(src.data(), n, bit0, ref_map.data(),
+                               ref_out.data());
+      size_t want = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t bits = std::bit_cast<uint32_t>(src[i]);
+        const bool set = (ref_map[(bit0 + i) / 8] >> ((bit0 + i) % 8)) & 1u;
+        ASSERT_EQ(set, bits != 0) << "n=" << n << " bit0=" << bit0;
+        if (bits != 0) {
+          ASSERT_EQ(std::memcmp(ref_out.data() + want * sizeof(float), &bits,
+                                sizeof(bits)),
+                    0);
+          ++want;
+        }
+      }
+      ASSERT_EQ(kept, want);
+      for (const kern::Kernels* v : variants) {
+        SCOPED_TRACE(testing::Message()
+                     << v->name << " n=" << n << " bit0=" << bit0);
+        std::vector<uint8_t> map = map0;
+        std::vector<uint8_t> out(n * sizeof(float));
+        EXPECT_EQ(v->nonzero_pack(src.data(), n, bit0, map.data(), out.data()),
+                  kept);
+        EXPECT_EQ(map, ref_map);
+        EXPECT_EQ(std::memcmp(out.data(), ref_out.data(), kept * sizeof(float)),
+                  0);
+        const std::vector<uint8_t> values(ref_out.begin(),
+                                          ref_out.begin() + kept * 4);
+        std::vector<float> back(n, 5.0f);
+        EXPECT_EQ(v->nonzero_unpack(ref_map.data(), bit0, n, values.data(),
+                                    back.data()),
+                  kept);
+        EXPECT_TRUE(BitsEqual(src, back));
+      }
+    }
+  }
+}
+
 TEST_F(KernTest, GatherRowsBitIdenticalAcrossVariants) {
   const auto variants = kern::AvailableVariants();
   const kern::Kernels* scalar = variants.back();
@@ -372,7 +441,8 @@ TEST_F(KernTest, ReqEcSelectorBitIdenticalAcrossVariants) {
       const SelectorInputs in = MakeSelectorInputs(count, 900 + count);
       std::vector<float> ref(3 * rows, -1.0f);
       scalar->reqec_row_l1(in.truth.data(), in.cps.data(), in.last.data(),
-                           in.rate.data(), rows, cols, 3.0f, ref.data());
+                           in.rate.data(), nullptr, rows, cols, 3.0f,
+                           ref.data());
       // The reference is the plain running sum of each row.
       for (size_t i = 0; i < rows; ++i) {
         float acc[3] = {0.0f, 0.0f, 0.0f};
@@ -390,18 +460,46 @@ TEST_F(KernTest, ReqEcSelectorBitIdenticalAcrossVariants) {
       }
       std::vector<uint32_t> ref_pick(count, 9u);
       scalar->reqec_element_pick(in.truth.data(), in.cps.data(),
-                                 in.last.data(), in.rate.data(), count, 3.0f,
-                                 ref_pick.data());
+                                 in.last.data(), in.rate.data(), nullptr,
+                                 rows, cols, 3.0f, ref_pick.data());
+      // The same baseline rows read through a row index: scattered, in
+      // reverse, into a store with spare rows on either side.
+      const size_t store_rows = 2 * rows + 3;
+      std::vector<uint32_t> index(rows);
+      std::vector<float> store_last(store_rows * cols, -7.0f);
+      std::vector<float> store_rate(store_rows * cols, 5.0f);
+      for (size_t i = 0; i < rows; ++i) {
+        index[i] = static_cast<uint32_t>(2 * (rows - 1 - i) + 1);
+        std::copy_n(in.last.data() + i * cols, cols,
+                    store_last.data() + index[i] * cols);
+        std::copy_n(in.rate.data() + i * cols, cols,
+                    store_rate.data() + index[i] * cols);
+      }
       for (const kern::Kernels* v : variants) {
         std::vector<float> got(3 * rows, -1.0f);
         v->reqec_row_l1(in.truth.data(), in.cps.data(), in.last.data(),
-                        in.rate.data(), rows, cols, 3.0f, got.data());
+                        in.rate.data(), nullptr, rows, cols, 3.0f,
+                        got.data());
         EXPECT_TRUE(BitsEqual(ref, got))
             << v->name << " " << rows << "x" << cols;
+        std::vector<float> indexed(3 * rows, -1.0f);
+        v->reqec_row_l1(in.truth.data(), in.cps.data(), store_last.data(),
+                        store_rate.data(), index.data(), rows, cols, 3.0f,
+                        indexed.data());
+        EXPECT_TRUE(BitsEqual(ref, indexed))
+            << v->name << " indexed " << rows << "x" << cols;
         std::vector<uint32_t> pick(count, 9u);
         v->reqec_element_pick(in.truth.data(), in.cps.data(), in.last.data(),
-                              in.rate.data(), count, 3.0f, pick.data());
+                              in.rate.data(), nullptr, rows, cols, 3.0f,
+                              pick.data());
         EXPECT_EQ(ref_pick, pick) << v->name << " " << rows << "x" << cols;
+        std::vector<uint32_t> indexed_pick(count, 9u);
+        v->reqec_element_pick(in.truth.data(), in.cps.data(),
+                              store_last.data(), store_rate.data(),
+                              index.data(), rows, cols, 3.0f,
+                              indexed_pick.data());
+        EXPECT_EQ(ref_pick, indexed_pick)
+            << v->name << " indexed " << rows << "x" << cols;
       }
     }
   }
@@ -439,9 +537,11 @@ TEST_F(KernTest, ReqEcPredictBitIdenticalAcrossVariants) {
 
 // Output widths around every tile and vector boundary of every variant
 // (NEON 4, AVX2 8, AVX-512 16 lanes; 16-column GEMM tiles; 64-column
-// SpMM chunks), and the two class counts (41, 47) whose last columns run
-// the zero-padded tail tile.
-const size_t kWidths[] = {1, 7, 8, 15, 16, 17, 41, 47, 64};
+// SpMM chunks), the two class counts (41, 47) whose last columns run
+// the GEMM's zero-padded tail tile and SpMM's overlapped last vector, and
+// widths past one SpMM chunk whose ragged tail rides in a second chunk
+// alone (79) or behind full vectors (127).
+const size_t kWidths[] = {1, 7, 8, 15, 16, 17, 41, 47, 64, 65, 79, 127};
 
 /// The non-finite contract: NaN in the same elements, every other element
 /// bit-identical (NaN sign and payload are unspecified).
