@@ -711,8 +711,8 @@ class ReqEcFpExchanger : public HaloExchanger {
 
   /// Trend epoch: ship the exact rows only (Algorithm 4 line 4), straight
   /// out of h_owned with their +0.0 elements suppressed (ReLU outputs are
-  /// about half zeros). The requester holds the same H_last, so it derives the
-  /// new M_cr itself. A group sharing the store takes the snapshot with it
+  /// about half zeros). The requester holds the same H_last, so it derives
+  /// the new M_cr itself. A group sharing the store takes the snapshot with it
   /// after FanOut, unless the response can never arrive: then the group
   /// forks, keeping a private copy of its old rows.
   Status BuildTrendResponse(const WorkerPlan& plan, uint32_t peer,
