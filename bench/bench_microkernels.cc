@@ -37,6 +37,7 @@
 #include "core/exchange.h"
 #include "core/halo.h"
 #include "core/trainer.h"
+#include "core/wire_util.h"
 #include "dist/comm.h"
 #include "dist/fault.h"
 #include "graph/datasets.h"
@@ -981,6 +982,10 @@ int RunGemmBench(const std::string& json_path) {
 //                        responder's shared trend store)
 //   reqec_predict        the pdt candidate of each send list's baseline
 //                        (ReqEC receive and lost-response fallback)
+//   trend_encode         EncodeNonzeroRows of each send list (a ReqEC
+//                        trend response, zero-suppressed ReLU rows)
+//   trend_decode         DecodeNonzeroRows + ExpandNonzeroRows of each
+//                        trend response into its halo rows
 //   resec_encode         GatherQuantizeRows with the δ fold, then
 //                        SubtractDequantized into the residual (ResEC send)
 //   dequantize_into      DequantizeInto each message's rows (receive)
@@ -1041,6 +1046,7 @@ int RunCodecBench(const std::string& json_path) {
     // and the quantized message the receive paths decode.
     std::vector<Matrix> last, rate, delta;
     std::vector<ecg::compress::QuantizedMatrix> messages;
+    std::vector<std::vector<uint8_t>> trend_msgs;
     // One baseline row per owned vertex, as the responder's store keeps it.
     Matrix store_last = h, store_rate = RandomMatrix(h.rows(), shape.dim, 49);
     Matrix store_noise = RandomMatrix(h.rows(), shape.dim, 48);
@@ -1058,6 +1064,8 @@ int RunCodecBench(const std::string& json_path) {
       delta.push_back(RandomMatrix(truth.rows(), shape.dim, 70 + i));
       ecg::tensor::ScaleInPlace(&delta.back(), 0.02f);
       messages.push_back(*ecg::compress::QuantizeRows(h, *lists[i], opts));
+      ecg::ByteWriter w(&trend_msgs.emplace_back());
+      ecg::core::EncodeNonzeroRows(h, *lists[i], &w);
     }
 
     using PathFn = std::function<void(std::vector<uint8_t>*)>;
@@ -1116,6 +1124,26 @@ int RunCodecBench(const std::string& json_path) {
              }
              if (bytes != nullptr) AppendBytes(bytes, pdt.data(), pdt.size());
            }
+         }},
+        {"trend_encode",
+         [&](std::vector<uint8_t>* bytes) {
+           for (const auto* rows : lists) {
+             std::vector<uint8_t> buf;
+             ecg::ByteWriter w(&buf);
+             ecg::core::EncodeNonzeroRows(h, *rows, &w);
+             if (bytes != nullptr) AppendBytes(bytes, buf.data(), buf.size());
+           }
+         }},
+        {"trend_decode",
+         [&](std::vector<uint8_t>* bytes) {
+           Matrix halo(plan.num_owned(), shape.dim);
+           for (size_t i = 0; i < lists.size(); ++i) {
+             ecg::ByteReader r(trend_msgs[i]);
+             ecg::core::NonzeroRows nz;
+             ecg::core::DecodeNonzeroRows(&r, &nz).CheckOk();
+             ecg::core::ExpandNonzeroRows(nz, *lists[i], &halo);
+           }
+           if (bytes != nullptr) AppendBytes(bytes, halo.data(), halo.size());
          }},
         {"resec_encode",
          [&](std::vector<uint8_t>* bytes) {
