@@ -1600,9 +1600,6 @@ TEST(ExchangeTest, ReqEcLostTrendResponseForksOnlyItsGroup) {
             store_bytes);
 }
 
-// A trend response is decoded in full and checked against the halo slice
-// and any existing baseline before the halo or the requester's state is
-// written: a malformed one is rejected and leaves both as they were.
 /// Worker 0's layer-1 exchange at a trend epoch, answered by worker 1 with
 /// `response` (kind byte first) into a halo `halo_cols` wide; with
 /// `baseline`, an earlier trend epoch has set worker 0's trend baseline.
@@ -1653,6 +1650,9 @@ Status ExchangeHandBuiltTrendResponse(const std::vector<uint8_t>& response,
   });
 }
 
+// A trend response is decoded in full and checked against the halo slice
+// and any existing baseline before the halo or the requester's state is
+// written: a malformed one is rejected and leaves both as they were.
 TEST(ExchangeTest, ReqEcRejectsAMalformedTrendResponse) {
   // The requester's halo slice is 2 x kDim; every float sent is nonzero,
   // so a well-formed bitmap sets its first rows x cols bits.
