@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "common/bytes.h"
