@@ -205,7 +205,8 @@ void BM_WireRoundTrip(benchmark::State& state) {
     q->AppendTo(&w);
     ecg::ByteReader r(buf);
     ecg::compress::QuantizedMatrix parsed;
-    ecg::compress::QuantizedMatrix::ParseFrom(&r, &parsed).CheckOk();
+    ecg::compress::QuantizedMatrix::ParseFrom(&r, {q->rows, q->cols}, &parsed)
+        .CheckOk();
     benchmark::DoNotOptimize(parsed);
   }
 }
@@ -990,6 +991,14 @@ int RunGemmBench(const std::string& json_path) {
 //                        SubtractDequantized into the residual (ResEC send)
 //   dequantize_into      DequantizeInto each message's rows (receive)
 //   subtract_dequantized SubtractDequantized of each message, in place
+//   rans_encode.<p>      QuantizedMatrix::AppendTo of each payload p: the
+//                        byte histogram, the frequency table and the
+//                        kern::rans_encode stream (h1: FP cold-start H^1;
+//                        g2: BP G^2, a dense gradient; g3: BP G^3, zero on
+//                        every row outside the train set)
+//   rans_decode.<p>      QuantizedMatrix::ParseFrom of each coded payload
+// The coder rows also report the packed bytes they code, ns per such byte
+// and the coded share of them.
 // ---------------------------------------------------------------------------
 
 struct CodecShape {
@@ -1068,8 +1077,41 @@ int RunCodecBench(const std::string& json_path) {
       ecg::core::EncodeNonzeroRows(h, *lists[i], &w);
     }
 
+    // The entropy coder's payloads: FP cold-start H^1 (the ReLU rows
+    // above), BP G^2 (a dense gradient) and BP G^3 (the output gradient,
+    // zero on the row of every vertex outside the train set).
+    Matrix grad3 = grad;
+    std::vector<bool> in_train(g->num_vertices(), false);
+    for (uint32_t v : g->train_set()) in_train[v] = true;
+    for (size_t r = 0; r < plan.num_owned(); ++r) {
+      if (in_train[plan.owned[r]]) continue;
+      std::fill(grad3.Row(r), grad3.Row(r) + shape.dim, 0.0f);
+    }
+    struct CoderPayload {
+      std::string kind;
+      std::vector<ecg::compress::QuantizedMatrix> q;
+      std::vector<std::vector<uint8_t>> wire;
+      size_t raw_bytes = 0;
+      size_t coded_bytes = 0;
+    };
+    std::vector<CoderPayload> payloads(3);
+    const Matrix* payload_src[] = {&h, &grad, &grad3};
+    const char* payload_kind[] = {"h1", "g2", "g3"};
+    for (size_t k = 0; k < payloads.size(); ++k) {
+      CoderPayload& pl = payloads[k];
+      pl.kind = payload_kind[k];
+      for (const auto* rows : lists) {
+        pl.q.push_back(
+            *ecg::compress::QuantizeRows(*payload_src[k], *rows, opts));
+        ecg::ByteWriter w(&pl.wire.emplace_back());
+        pl.q.back().AppendTo(&w);
+        pl.raw_bytes += pl.q.back().packed_ids.size() * sizeof(uint32_t);
+        pl.coded_bytes += pl.wire.back().size();
+      }
+    }
+
     using PathFn = std::function<void(std::vector<uint8_t>*)>;
-    const std::vector<std::pair<std::string, PathFn>> paths = {
+    std::vector<std::pair<std::string, PathFn>> paths = {
         {"quantize_rows",
          [&](std::vector<uint8_t>* bytes) {
            for (const auto* rows : lists) {
@@ -1178,15 +1220,51 @@ int RunCodecBench(const std::string& json_path) {
          }},
     };
 
+    // Per coder path: the packed bytes it codes and the coded share.
+    std::map<std::string, std::pair<size_t, double>> coder_rows;
+    for (const CoderPayload& pl : payloads) {
+      const double ratio = static_cast<double>(pl.coded_bytes) /
+                           static_cast<double>(pl.raw_bytes);
+      coder_rows["rans_encode." + pl.kind] = {pl.raw_bytes, ratio};
+      coder_rows["rans_decode." + pl.kind] = {pl.raw_bytes, ratio};
+      paths.emplace_back(
+          "rans_encode." + pl.kind, [&pl](std::vector<uint8_t>* bytes) {
+            for (const auto& q : pl.q) {
+              std::vector<uint8_t> buf;
+              ecg::ByteWriter w(&buf);
+              q.AppendTo(&w);
+              if (bytes != nullptr) AppendBytes(bytes, buf.data(), buf.size());
+            }
+          });
+      paths.emplace_back(
+          "rans_decode." + pl.kind, [&pl](std::vector<uint8_t>* bytes) {
+            for (const auto& buf : pl.wire) {
+              ecg::ByteReader r(buf);
+              ecg::compress::QuantizedMatrix q;
+              ecg::compress::QuantizedMatrix::ParseFrom(
+                  &r, {UINT32_MAX, pl.q[0].cols}, &q)
+                  .CheckOk();
+              if (bytes == nullptr) continue;
+              AppendBytes(bytes, q.packed_ids.data(), q.packed_ids.size());
+            }
+          });
+    }
+
     for (const auto& [path, fn] : paths) {
       const std::string name = shape.name + "." + path;
+      const auto coder = coder_rows.find(path);
       ECG_CHECK(ecg::kern::ForceVariant("scalar"));
       std::vector<uint8_t> ref;
       fn(&ref);
       out << (first_case ? "" : ",") << "\n    {\"name\": \"" << name
           << "\", \"dim\": " << shape.dim << ", \"bits\": " << shape.bits
           << ", \"peers\": " << lists.size()
-          << ", \"send_rows\": " << send_rows << ",\n     \"variants\": [";
+          << ", \"send_rows\": " << send_rows;
+      if (coder != coder_rows.end()) {
+        out << ", \"raw_bytes\": " << coder->second.first
+            << ", \"coded_ratio\": " << coder->second.second;
+      }
+      out << ",\n     \"variants\": [";
       first_case = false;
       double scalar_ms = 0.0;
       for (size_t vi = variants.size(); vi-- > 0;) {  // scalar first
@@ -1200,11 +1278,21 @@ int RunCodecBench(const std::string& json_path) {
         if (vi + 1 == variants.size()) scalar_ms = ms;
         out << (vi + 1 == variants.size() ? "" : ", ") << "{\"variant\": \""
             << v->name << "\", \"ms\": " << ms
-            << ", \"speedup_vs_scalar\": " << scalar_ms / ms
-            << ", \"memcmp_equal\": " << (equal ? "true" : "false") << "}";
-        std::printf("%-32s %-7s %9.3f ms  %6.2fx  %s\n", name.c_str(),
-                    v->name, ms, scalar_ms / ms,
+            << ", \"speedup_vs_scalar\": " << scalar_ms / ms;
+        if (coder != coder_rows.end()) {
+          out << ", \"ns_per_raw_byte\": "
+              << ms * 1e6 / static_cast<double>(coder->second.first);
+        }
+        out << ", \"memcmp_equal\": " << (equal ? "true" : "false") << "}";
+        std::printf("%-32s %-7s %9.3f ms  %6.2fx  %s", name.c_str(), v->name,
+                    ms, scalar_ms / ms,
                     equal ? "memcmp-equal" : "MISMATCH vs scalar");
+        if (coder != coder_rows.end()) {
+          std::printf("  %.2f ns/B  coded %.3f",
+                      ms * 1e6 / static_cast<double>(coder->second.first),
+                      coder->second.second);
+        }
+        std::printf("\n");
       }
       out << "]}";
     }

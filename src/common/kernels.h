@@ -10,10 +10,10 @@ namespace ecg::kern {
 
 /// Runtime-dispatched kernel registry. Every hot inner loop of the
 /// compression pipeline (quantize pack, dequantize unpack, min/max
-/// reduction, bit packing, the halo row gather, zero suppression, the ReqEC
-/// selector and predictor) and the float tensor kernels (dense GEMM in all its
-/// transpose forms, CSR SpMM) goes through one of the function pointers
-/// below. The same implementation source (kernels_impl.inc) is compiled
+/// reduction, bit packing, the halo row gather, zero suppression, the
+/// entropy coder of the packed ids, the ReqEC selector and predictor) and
+/// the float tensor kernels (dense GEMM in all its transpose forms, CSR
+/// SpMM) goes through one of the function pointers below. The same implementation source (kernels_impl.inc) is compiled
 /// once per architecture variant — scalar, AVX2, AVX-512, NEON — each in
 /// its own translation unit with per-file arch flags, and the table
 /// matching the host CPU (or the ECG_KERNELS override) is selected at
@@ -31,13 +31,14 @@ namespace ecg::kern {
 /// variant TUs compile with -ffp-contract=off, so no multiply-add is
 /// fused. The min/max folds use a fixed lane count written in the shared
 /// source, so even the sign of a zero bound is variant-independent. The
-/// integer kernels (bitpack) are exact in any evaluation order. For
-/// non-finite inputs the float reductions follow IEEE arithmetic with no
-/// zero-skipping (0 * inf is NaN): every
-/// variant yields NaN in the same elements and identical bits in every
-/// other element, while NaN sign and payload bits are unspecified.
-/// tests/kern_test.cc enforces the contract across every registered
-/// variant.
+/// integer kernels (bitpack) are exact in any evaluation order; the rANS
+/// coder fixes its 32-lane interleave in the shared source, so every
+/// variant writes the same stream. For non-finite inputs the float
+/// reductions follow IEEE arithmetic with no zero-skipping (0 * inf is
+/// NaN): every variant yields NaN in the same elements and identical bits
+/// in every other element, while NaN sign and payload bits are
+/// unspecified. tests/kern_test.cc enforces the contract across every
+/// registered variant.
 struct Kernels {
   /// Registry name: "scalar", "avx2", "avx512" or "neon".
   const char* name;
@@ -100,6 +101,27 @@ struct Kernels {
   size_t (*nonzero_unpack)(const uint8_t* map, uint64_t bit0, size_t n,
                            const uint8_t* values, float* dst);
 
+  /// Order-0 rANS coding of the packed quantizer bytes (DESIGN.md §8):
+  /// codes in[0, n) under `freq` (256 entries, each byte of `in` nonzero,
+  /// summing to 1 << kRansScaleBits) and writes the stream to the END of
+  /// buf[0, cap), cap >= RansEncodeCapacity(n); returns its length. The
+  /// stream is the kRansLanes initial decoder states (u32, lane order),
+  /// then the 16-bit renormalisation words in the order the decoder reads
+  /// them: byte i rides lane i % kRansLanes, lanes in ascending order
+  /// within each group of kRansLanes bytes. buf bytes before the stream
+  /// may be overwritten.
+  size_t (*rans_encode)(const uint8_t* in, size_t n, const uint32_t* freq,
+                        uint8_t* buf, size_t cap);
+
+  /// Inverse of rans_encode: decodes n bytes from stream[0, size) into
+  /// out under `freq` (as above). Total on any stream and table: returns
+  /// false, leaving out unspecified, unless `freq` sums to
+  /// 1 << kRansScaleBits, every initial state is in range, no read passes the stream's end,
+  /// the stream is consumed exactly and every final state is back at its
+  /// initial value.
+  bool (*rans_decode)(const uint8_t* stream, size_t size,
+                      const uint32_t* freq, size_t n, uint8_t* out);
+
   /// ReqEC vertex selector distances (Eqs. 8-10). For row i < count and
   /// column c < cols: v = truth[i * cols + c], cps = cps[i * cols + c] (the
   /// requester's decode of v's bucket), pdt = last + rate * step and
@@ -151,6 +173,16 @@ struct Kernels {
                     const float* top, size_t top_rows, const float* bottom,
                     size_t n, size_t count, float* y);
 };
+
+/// rANS coder geometry: probabilities in 12 bits, 32 interleaved states.
+constexpr uint32_t kRansScaleBits = 12;
+constexpr size_t kRansLanes = 32;
+
+/// Bytes rans_encode may touch for an n-byte input: the states plus at
+/// most one 16-bit word per byte.
+constexpr size_t RansEncodeCapacity(size_t n) {
+  return kRansLanes * sizeof(uint32_t) + 2 * n;
+}
 
 /// The table the runtime dispatch (or a force) selected. First call
 /// resolves the ECG_KERNELS environment override ("scalar" | "avx2" |

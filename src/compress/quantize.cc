@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -291,17 +292,227 @@ void DecodeFlat(const QuantizedMatrix& q, const float* lut, bool subtract,
       });
 }
 
+/// Tags of the bucket-ID payload that closes every message.
+constexpr uint8_t kRawIds = 0;   // length-prefixed packed words
+constexpr uint8_t kRansIds = 1;  // order-0 rANS coding of their bytes
+
+/// Symbol-presence bitmap of the coded payload's frequency table.
+constexpr size_t kSymbolMapBytes = 256 / 8;
+
+/// Bytes of nsym 12-bit frequencies, packed little-endian.
+size_t FreqListBytes(size_t nsym) { return (12 * nsym + 7) / 8; }
+
+/// Byte histogram of p[0, n), over four interleaved sub-histograms so
+/// repeated bytes do not serialize on one counter.
+void ByteHistogram(const uint8_t* p, size_t n, uint32_t* hist) {
+  uint32_t h[4][256] = {};
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    ++h[0][p[i]];
+    ++h[1][p[i + 1]];
+    ++h[2][p[i + 2]];
+    ++h[3][p[i + 3]];
+  }
+  for (; i < n; ++i) ++h[0][p[i]];
+  for (size_t s = 0; s < 256; ++s) hist[s] = h[0][s] + h[1][s] + h[2][s] + h[3][s];
+}
+
+/// Scales a histogram of n > 0 bytes to rANS frequencies: every present
+/// byte gets at least 1 and the sum is exactly 1 << kRansScaleBits. The
+/// shortfall goes to the most frequent byte; an excess (from bytes raised
+/// to 1) comes off the largest frequencies. Integer arithmetic only, so
+/// the table, and with it the stream, is the same on every host.
+void NormalizeFreqs(const uint32_t* hist, size_t n, uint32_t* freq) {
+  constexpr uint64_t kM = uint64_t{1} << kern::kRansScaleBits;
+  uint64_t sum = 0;
+  uint32_t top = 0;
+  for (uint32_t s = 0; s < 256; ++s) {
+    freq[s] = hist[s] == 0 ? 0
+                           : static_cast<uint32_t>(std::max<uint64_t>(
+                                 1, hist[s] * kM / n));
+    sum += freq[s];
+    if (hist[s] > hist[top]) top = s;
+  }
+  if (sum < kM) freq[top] += static_cast<uint32_t>(kM - sum);
+  while (sum > kM) {
+    uint32_t big = 0;
+    for (uint32_t s = 1; s < 256; ++s) {
+      if (freq[s] > freq[big]) big = s;
+    }
+    const uint32_t take =
+        static_cast<uint32_t>(std::min<uint64_t>(sum - kM, freq[big] / 2));
+    freq[big] -= take;
+    sum -= take;
+  }
+}
+
+/// Order-0 entropy of the histogram under `freq`, in bytes: what the
+/// rANS stream costs beyond its states, to within a few bytes.
+double CodedBytesEstimate(const uint32_t* hist, const uint32_t* freq) {
+  double bits = 0.0;
+  for (uint32_t s = 0; s < 256; ++s) {
+    if (hist[s] == 0) continue;
+    bits += hist[s] * (kern::kRansScaleBits - std::log2(freq[s]));
+  }
+  return bits / 8.0;
+}
+
+/// Check word of a coded payload, over the words it decodes to. The end
+/// states alone cannot vouch for a stream: rANS decoders resynchronize, so
+/// a corrupted stream can come back to the initial states after a burst of
+/// wrong bytes (and a single-symbol stream decodes to any length).
+/// Fletcher-style from the id count, folded to 32 bits: a changed word
+/// moves the plain sum, and changes that cancel there still move the sum
+/// of prefix sums.
+uint32_t IdChecksum(size_t count, const std::vector<uint32_t>& words) {
+  uint32_t a = static_cast<uint32_t>(count ^ (uint64_t{count} >> 32)), b = 0;
+  for (uint32_t v : words) {
+    a += v;
+    b += a;
+  }
+  return a ^ (b * 0x9e3779b1u);
+}
+
+/// Encoder output space, kept per thread across messages. It is never
+/// value-initialized and the stream fills it from the end, so only the
+/// pages of the largest coded stream become resident.
+uint8_t* RansScratch(size_t cap) {
+  thread_local std::unique_ptr<uint8_t[]> buf;
+  thread_local size_t size = 0;
+  if (size < cap) {
+    buf.reset(new uint8_t[cap]);
+    size = cap;
+  }
+  return buf.get();
+}
+
+/// Writes the ID payload: the rANS coding of the packed words' bytes when
+/// that is shorter, else the words as they are (one tag byte more than a
+/// bare length-prefixed vector, the worst case).
+void AppendIds(size_t count, const std::vector<uint32_t>& words,
+               ecg::ByteWriter* w) {
+  const size_t n = words.size() * sizeof(uint32_t);
+  const auto* bytes = reinterpret_cast<const uint8_t*>(words.data());
+  const size_t raw_size = 1 + sizeof(uint64_t) + n;
+  if (n > 0) {
+    uint32_t hist[256], freq[256];
+    ByteHistogram(bytes, n, hist);
+    NormalizeFreqs(hist, n, freq);
+    size_t nsym = 0;
+    for (uint32_t f : freq) nsym += f != 0;
+    const size_t fixed = 1 + kSymbolMapBytes + FreqListBytes(nsym) +
+                         2 * sizeof(uint32_t) +
+                         kern::kRansLanes * sizeof(uint32_t);
+    // Skip the encoder when the entropy already rules the coding out.
+    if (static_cast<double>(fixed) + CodedBytesEstimate(hist, freq) <
+        static_cast<double>(raw_size)) {
+      const size_t cap = kern::RansEncodeCapacity(n);
+      uint8_t* buf = RansScratch(cap);
+      const size_t len =
+          kern::Active().rans_encode(bytes, n, freq, buf, cap);
+      if (fixed - kern::kRansLanes * sizeof(uint32_t) + len < raw_size) {
+        w->PutU8(kRansIds);
+        uint8_t* table = w->Extend(kSymbolMapBytes + FreqListBytes(nsym));
+        uint8_t* list = table + kSymbolMapBytes;
+        uint32_t acc = 0, acc_bits = 0;
+        for (uint32_t s = 0; s < 256; ++s) {
+          if (freq[s] == 0) continue;
+          table[s / 8] |= static_cast<uint8_t>(1u << (s % 8));
+          acc |= (freq[s] - 1) << acc_bits;
+          for (acc_bits += 12; acc_bits >= 8; acc_bits -= 8, acc >>= 8) {
+            *list++ = static_cast<uint8_t>(acc);
+          }
+        }
+        if (acc_bits > 0) *list = static_cast<uint8_t>(acc);
+        w->PutU32(IdChecksum(count, words));
+        w->PutU32(static_cast<uint32_t>(len));
+        std::memcpy(w->Extend(len), buf + cap - len, len);
+        return;
+      }
+    }
+  }
+  w->PutU8(kRawIds);
+  w->PutU32Vector(words);
+}
+
+/// Reads the ID payload of a count-element message at `bits` into words.
+/// Every length is checked against the bytes left before it is used; the
+/// only allocation is the count's packed words, which the caller bounded.
+Status ParseIds(ecg::ByteReader* r, size_t count, int bits,
+                std::vector<uint32_t>* words) {
+  const size_t num_words = PackedWordCount(count, bits);
+  uint8_t tag = 0;
+  ECG_RETURN_IF_ERROR(r->GetU8(&tag));
+  if (tag == kRawIds) {
+    ECG_RETURN_IF_ERROR(r->GetU32Vector(words));
+    if (words->size() != num_words) {
+      return Status::InvalidArgument(
+          "corrupt quantized matrix: packed ids hold " +
+          std::to_string(words->size()) + " words, expected " +
+          std::to_string(num_words));
+    }
+    return Status::OK();
+  }
+  if (tag != kRansIds) {
+    return Status::InvalidArgument("corrupt quantized matrix: id payload tag " +
+                                   std::to_string(tag));
+  }
+  const uint8_t* map = nullptr;
+  ECG_RETURN_IF_ERROR(r->GetSpan(kSymbolMapBytes, &map));
+  size_t nsym = 0;
+  for (size_t s = 0; s < 256; ++s) nsym += (map[s / 8] >> (s % 8)) & 1u;
+  const uint8_t* list = nullptr;
+  ECG_RETURN_IF_ERROR(r->GetSpan(FreqListBytes(nsym), &list));
+  // Ascending distinct symbols come from the bitmap; each frequency is
+  // 1 + a 12-bit field, so only the sum and the padding are left to check.
+  uint32_t freq[256] = {};
+  uint32_t sum = 0;
+  size_t bit = 0;
+  for (uint32_t s = 0; s < 256; ++s) {
+    if (((map[s / 8] >> (s % 8)) & 1u) == 0) continue;
+    const uint32_t field =
+        (static_cast<uint32_t>(list[bit / 8]) |
+         static_cast<uint32_t>(list[bit / 8 + 1]) << 8) >> (bit % 8);
+    freq[s] = (field & 0xfffu) + 1;
+    sum += freq[s];
+    bit += 12;
+  }
+  if (nsym % 2 == 1 && (list[bit / 8] >> 4) != 0) {
+    return Status::InvalidArgument(
+        "corrupt quantized matrix: frequency table padding is not zero");
+  }
+  if (sum != (1u << kern::kRansScaleBits)) {
+    return Status::InvalidArgument(
+        "corrupt quantized matrix: frequencies sum to " + std::to_string(sum) +
+        ", expected " + std::to_string(1u << kern::kRansScaleBits));
+  }
+  uint32_t check = 0, len = 0;
+  const uint8_t* stream = nullptr;
+  ECG_RETURN_IF_ERROR(r->GetU32(&check));
+  ECG_RETURN_IF_ERROR(r->GetU32(&len));
+  ECG_RETURN_IF_ERROR(r->GetSpan(len, &stream));
+  words->resize(num_words);
+  if (!kern::Active().rans_decode(stream, len, freq,
+                                  num_words * sizeof(uint32_t),
+                                  reinterpret_cast<uint8_t*>(words->data()))) {
+    return Status::InvalidArgument(
+        "corrupt quantized matrix: rANS stream of " + std::to_string(len) +
+        " bytes does not decode to " + std::to_string(count) + " ids");
+  }
+  if (IdChecksum(count, *words) != check) {
+    return Status::InvalidArgument(
+        "corrupt quantized matrix: decoded ids fail their check word");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 size_t QuantizedMatrix::WireBytes() const {
-  // rows + cols + bits + table-mode flag + table (implicit: min & width;
-  // explicit: length-prefixed floats) + length-prefixed packed IDs.
-  const size_t table_bytes =
-      implicit_midpoints ? 2 * sizeof(float)
-                         : sizeof(uint64_t) +
-                               bucket_values.size() * sizeof(float);
-  return sizeof(rows) + sizeof(cols) + 1 + 1 + table_bytes +
-         sizeof(uint64_t) + packed_ids.size() * sizeof(uint32_t);
+  std::vector<uint8_t> buf;
+  ecg::ByteWriter w(&buf);
+  AppendTo(&w);
+  return buf.size();
 }
 
 void QuantizedMatrix::AppendTo(ecg::ByteWriter* w) const {
@@ -315,10 +526,11 @@ void QuantizedMatrix::AppendTo(ecg::ByteWriter* w) const {
   } else {
     w->PutF32Vector(bucket_values);
   }
-  w->PutU32Vector(packed_ids);
+  AppendIds(static_cast<size_t>(rows) * cols, packed_ids, w);
 }
 
-Status QuantizedMatrix::ParseFrom(ecg::ByteReader* r, QuantizedMatrix* out) {
+Status QuantizedMatrix::ParseFrom(ecg::ByteReader* r, const WireShape& limit,
+                                  QuantizedMatrix* out) {
   uint8_t bits8 = 0, implicit = 0;
   ECG_RETURN_IF_ERROR(r->GetU32(&out->rows));
   ECG_RETURN_IF_ERROR(r->GetU32(&out->cols));
@@ -332,6 +544,15 @@ Status QuantizedMatrix::ParseFrom(ecg::ByteReader* r, QuantizedMatrix* out) {
         std::to_string(out->bits) + " (expected 1/2/4/8/16) for " +
         std::to_string(out->rows) + "x" + std::to_string(out->cols));
   }
+  if (out->rows > limit.max_rows ||
+      (limit.cols_up_to ? out->cols > limit.cols : out->cols != limit.cols)) {
+    return Status::InvalidArgument(
+        "quantized matrix is " + std::to_string(out->rows) + "x" +
+        std::to_string(out->cols) + "; the receiver takes at most " +
+        std::to_string(limit.max_rows) + " rows of " +
+        (limit.cols_up_to ? "up to " : "") + std::to_string(limit.cols) +
+        " columns");
+  }
   if (out->implicit_midpoints) {
     ECG_RETURN_IF_ERROR(r->GetF32(&out->min_value));
     ECG_RETURN_IF_ERROR(r->GetF32(&out->bucket_width));
@@ -340,8 +561,6 @@ Status QuantizedMatrix::ParseFrom(ecg::ByteReader* r, QuantizedMatrix* out) {
   } else {
     ECG_RETURN_IF_ERROR(r->GetF32Vector(&out->bucket_values));
   }
-  ECG_RETURN_IF_ERROR(r->GetU32Vector(&out->packed_ids));
-  const size_t count = static_cast<size_t>(out->rows) * out->cols;
   if (out->bucket_values.size() != (1u << out->bits)) {
     return Status::InvalidArgument(
         "corrupt quantized matrix: bucket table has " +
@@ -349,15 +568,8 @@ Status QuantizedMatrix::ParseFrom(ecg::ByteReader* r, QuantizedMatrix* out) {
         std::to_string(1u << out->bits) + " for bits=" +
         std::to_string(out->bits));
   }
-  if (out->packed_ids.size() != PackedWordCount(count, out->bits)) {
-    return Status::InvalidArgument(
-        "corrupt quantized matrix: packed ids hold " +
-        std::to_string(out->packed_ids.size()) + " words, expected " +
-        std::to_string(PackedWordCount(count, out->bits)) + " for " +
-        std::to_string(out->rows) + "x" + std::to_string(out->cols) +
-        " at bits=" + std::to_string(out->bits));
-  }
-  return Status::OK();
+  return ParseIds(r, static_cast<size_t>(out->rows) * out->cols, out->bits,
+                  &out->packed_ids);
 }
 
 Result<QuantizedMatrix> Quantize(const tensor::Matrix& m,

@@ -28,10 +28,26 @@ struct QuantizerOptions {
   BucketValueMode value_mode = BucketValueMode::kMidpoint;
 };
 
+/// The largest message a receiver accepts: at most `max_rows` rows of
+/// exactly `cols` columns (of up to `cols` with `cols_up_to`, for ReqEC's
+/// one-row element responses). ParseFrom checks the header against it
+/// before the header sizes anything.
+struct WireShape {
+  uint64_t max_rows = 0;
+  uint64_t cols = 0;
+  bool cols_up_to = false;
+};
+
 /// A matrix compressed with the paper's bucket scheme: per-element bucket
 /// IDs packed `bits` to the element, plus the table of 2^bits bucket
-/// representative values. WireBytes() is its exact serialized size, i.e.
-/// d·B bits per row plus the amortized 2^B·32-bit table of Section IV-A.
+/// representative values (Section IV-A). On the wire the packed IDs are
+/// entropy-coded: a tag byte, then either the packed words as they are or,
+/// when shorter, an order-0 rANS coding of their bytes (a sparse table of
+/// 12-bit frequencies and a kern::rans_encode stream; DESIGN.md §8). The
+/// IDs come back bit for bit either way, so only the size changes: at most
+/// d·B bits per row plus the table and one tag byte, and far less for the
+/// skewed IDs of ReLU activations and of gradients with zero rows.
+/// WireBytes() is the exact serialized size.
 struct QuantizedMatrix {
   uint32_t rows = 0;
   uint32_t cols = 0;
@@ -50,12 +66,17 @@ struct QuantizedMatrix {
   /// Bit-packed bucket IDs, row-major.
   std::vector<uint32_t> packed_ids;
 
-  /// Exact number of bytes this message occupies on the wire.
+  /// Exact number of bytes this message occupies on the wire (it encodes
+  /// the message into a scratch buffer; for tests and benches).
   size_t WireBytes() const;
 
   /// Serializes into `w` (self-describing; ParseFrom inverts).
   void AppendTo(ecg::ByteWriter* w) const;
-  static Status ParseFrom(ecg::ByteReader* r, QuantizedMatrix* out);
+  /// Total on any input: a header outside `limit`, a malformed frequency
+  /// table or a stream that does not decode exactly returns an error
+  /// before anything is sized by it.
+  static Status ParseFrom(ecg::ByteReader* r, const WireShape& limit,
+                          QuantizedMatrix* out);
 };
 
 /// Compresses `m` with B-bit bucket quantization over the matrix's global

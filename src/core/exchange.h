@@ -535,17 +535,17 @@ class HaloExchanger {
   /// Serializes the exchanger's compensation state (ReqEC trend baselines,
   /// ResEC residuals, adaptive widths) into the epoch checkpoint.
   /// Stateless exchangers write nothing.
-  virtual void SaveState(ByteWriter* w) const {}
-  virtual Status LoadState(ByteReader* r) { return Status::OK(); }
+  virtual void SaveState(ByteWriter*) const {}
+  virtual Status LoadState(ByteReader*) { return Status::OK(); }
 
   /// Elastic membership support: re-keys the compensation state by global
   /// vertex id into `bag` (Export) / pulls this plan's rows back out
   /// (Import), so state follows a vertex across a delta-repartition.
   /// Stateless exchangers are no-ops.
-  virtual void ExportElasticState(const WorkerPlan& plan,
-                                  elastic::ElasticStateBag* bag) const {}
-  virtual Status ImportElasticState(const WorkerPlan& plan,
-                                    const elastic::ElasticStateBag& bag) {
+  virtual void ExportElasticState(const WorkerPlan&,
+                                  elastic::ElasticStateBag*) const {}
+  virtual Status ImportElasticState(const WorkerPlan&,
+                                    const elastic::ElasticStateBag&) {
     return Status::OK();
   }
 

@@ -834,7 +834,8 @@ class ReqEcFpExchanger : public HaloExchanger {
     if (kind == kTrend) return ParseTrendResponse(r, &st, halo_rows, h_halo);
     if (kind == kColdStart) {
       QuantizedMatrix q;
-      ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(r, &q));
+      ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(
+          r, {halo_rows.size(), h_halo->cols()}, &q));
       widths_.Feed(layer, peer,
                    static_cast<double>(q.rows) * static_cast<double>(q.cols),
                    q);
@@ -857,11 +858,15 @@ class ReqEcFpExchanger : public HaloExchanger {
     ECG_RETURN_IF_ERROR(r->GetU8(&bits));
     ECG_RETURN_IF_ERROR(r->GetU64(&n));
     ECG_RETURN_IF_ERROR(r->GetU32Vector(&packed_slt));
-    QuantizedMatrix q_sub;
-    ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(r, &q_sub));
-    ECG_RETURN_IF_ERROR(r->GetF32(&proportion_from_[peer]));
     const size_t dim = st.h_last.cols();
     const bool element = kind == kSelectedElement;
+    QuantizedMatrix q_sub;
+    ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(
+        r,
+        element ? compress::WireShape{1, halo_rows.size() * dim, true}
+                : compress::WireShape{halo_rows.size(), dim},
+        &q_sub));
+    ECG_RETURN_IF_ERROR(r->GetF32(&proportion_from_[peer]));
     // Shipped units are whole rows `dim` wide (vertex) or the coordinates
     // of one row (element); only that shape splits back into units.
     if (element ? q_sub.rows != 1 : q_sub.cols != dim) {

@@ -99,7 +99,8 @@ class RowExchanger : public HaloExchanger {
                      return AssignRows(m, rows, halo);
                    }
                    QuantizedMatrix q;
-                   ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(r, &q));
+                   ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(
+                       r, {rows.size(), halo->cols()}, &q));
                    return compress::DequantizeInto(q, rows, halo);
                  });
   }

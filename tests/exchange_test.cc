@@ -188,7 +188,7 @@ TEST(ExchangeTest, DelayedFpRefreshesOnlyScheduledRows) {
   config.delay_rounds = 2;
   // Values change every epoch; with r=2 only half the halo tracks the
   // current epoch, the other half is one epoch stale (except epoch 0).
-  auto value = [](uint32_t v, size_t c, uint32_t epoch) {
+  auto value = [](uint32_t v, size_t, uint32_t epoch) {
     return static_cast<float>(v) + 100.0f * static_cast<float>(epoch);
   };
   RunFpRounds(&fx, FpMode::kDelayed, config, 4, value,
@@ -1187,43 +1187,43 @@ TEST(ExchangeTest, CodecParityWithRecordedDigests) {
       {"fp_exact", true, FpMode::kExact, BpMode::kExact, v2,
        0x943853d0db73d3d3ull, 0x6b12ab303879deb8ull},
       {"fp_cp2", true, FpMode::kCompressed, BpMode::kExact, v2,
-       0x647ca960166a4785ull, 0x693a29a4085cff0eull},
+       0x647ca960166a4785ull, 0x386b1eae0e61f256ull},
       {"fp_cp4_datamean", true, FpMode::kCompressed, BpMode::kExact, d4,
-       0xc1fd9ba4a731636aull, 0xef07826eeb040e9cull},
+       0xc1fd9ba4a731636aull, 0x1da8110756645b83ull},
       {"fp_cp16", true, FpMode::kCompressed, BpMode::kExact, s16,
-       0x77fa57567461bd4eull, 0x9e2f2e38a544bbaull},
+       0x77fa57567461bd4eull, 0x68717f55b4fe98d3ull},
       {"fp_delayed", true, FpMode::kDelayed, BpMode::kExact, v2,
        0x390ba95db98dc645ull, 0xdf73274e2b8789b1ull},
       {"fp_reqec_vertex2", true, FpMode::kReqEc, BpMode::kExact, v2,
-       0x5b34fc900bc7ebf7ull, 0x2deb50d585fe8054ull},
+       0x5b34fc900bc7ebf7ull, 0x3acee9408362f1e0ull},
       {"fp_reqec_vertex8", true, FpMode::kReqEc, BpMode::kExact, v8,
-       0xa718da534530eeb5ull, 0x1b4ab12a7fd50c7aull},
+       0xa718da534530eeb5ull, 0x1eecf5ba2ec16edull},
       {"fp_reqec_element4", true, FpMode::kReqEc, BpMode::kExact, e4,
-       0x5a6a0abdc7faa081ull, 0x14968ef0434afull},
+       0x5a6a0abdc7faa081ull, 0xc183d1d214856349ull},
       {"fp_reqec_matrix1", true, FpMode::kReqEc, BpMode::kExact, m1,
-       0xef0d1aa96877bf30ull, 0x4152413a0bb064fdull},
+       0xef0d1aa96877bf30ull, 0x9c304c6b747c8f55ull},
       {"fp_reqec_datamean4", true, FpMode::kReqEc, BpMode::kExact, d4,
-       0x2d66620a29b622b7ull, 0x3d4f760518b739ddull},
+       0x2d66620a29b622b7ull, 0x98e0b006141046dfull},
       {"fp_reqec_adaptive", true, FpMode::kReqEc, BpMode::kExact, adapt,
-       0x50a2db89b9e3734eull, 0x1a4e97ac1f84238cull},
+       0x50a2db89b9e3734eull, 0x803f8536f2ba9b2eull},
       {"fp_reqec_bitalloc", true, FpMode::kReqEc, BpMode::kExact, alloc,
-       0xe44144bf0054c500ull, 0x97a4a1bda751a271ull},
+       0xe44144bf0054c500ull, 0xfbcd851a3b865eb5ull},
       {"bp_exact", false, FpMode::kExact, BpMode::kExact, v2,
        0xb4854aa0a4dcc3e8ull, 0x6b12ab303879deb8ull},
       {"bp_cp2", false, FpMode::kExact, BpMode::kCompressed, v2,
-       0xb19aa914f4a29f83ull, 0x693a29a4085cff0eull},
+       0xb19aa914f4a29f83ull, 0x386b1eae0e61f256ull},
       {"bp_cp4_datamean", false, FpMode::kExact, BpMode::kCompressed, d4,
-       0xac0e46414b956090ull, 0xef07826eeb040e9cull},
+       0xac0e46414b956090ull, 0x1da8110756645b83ull},
       {"bp_resec2", false, FpMode::kExact, BpMode::kResEc, v2,
-       0x9e2069f158741e24ull, 0x693a29a4085cff0eull},
+       0x9e2069f158741e24ull, 0x386b1eae0e61f256ull},
       {"bp_resec1", false, FpMode::kExact, BpMode::kResEc, m1,
-       0x892c256ee12eb5b5ull, 0x6b21853e3a04dafcull},
+       0x892c256ee12eb5b5ull, 0x62de531d782e789bull},
       {"bp_resec_datamean4", false, FpMode::kExact, BpMode::kResEc, d4,
-       0xb9841dadc8069a53ull, 0xef07826eeb040e9cull},
+       0xb9841dadc8069a53ull, 0x1da8110756645b83ull},
       {"bp_resec16", false, FpMode::kExact, BpMode::kResEc, s16,
-       0xffab87af5c0d23acull, 0x9e2f2e38a544bbaull},
+       0xffab87af5c0d23acull, 0xd57b1fcd58fd38bdull},
       {"bp_resec_bitalloc", false, FpMode::kExact, BpMode::kResEc, alloc,
-       0xc9485775796f4e06ull, 0x655bb988db420d44ull},
+       0xc9485775796f4e06ull, 0xefebfdc6548376ffull},
   };
   for (const ParityCase& pc : cases) {
     const ParityDigests d = ParityDigest(pc);

@@ -317,6 +317,91 @@ TEST_F(KernTest, NonzeroPackRoundTripsBitExactAcrossVariants) {
   }
 }
 
+/// A valid rANS table for `in`: each present byte at least 1, the sum
+/// 1 << kRansScaleBits, the rounding left over on the most frequent byte.
+std::vector<uint32_t> RansFreqs(const std::vector<uint8_t>& in) {
+  constexpr uint32_t kM = 1u << kern::kRansScaleBits;
+  std::vector<uint32_t> hist(256, 0), freq(256, 0);
+  for (uint8_t b : in) ++hist[b];
+  if (in.empty()) {
+    freq[0] = kM;
+    return freq;
+  }
+  uint32_t sum = 0;
+  for (size_t s = 0; s < 256; ++s) {
+    if (hist[s] == 0) continue;
+    freq[s] = std::max<uint32_t>(
+        1, static_cast<uint32_t>(uint64_t{hist[s]} * (kM - 256) / in.size()));
+    sum += freq[s];
+  }
+  freq[std::max_element(hist.begin(), hist.end()) - hist.begin()] += kM - sum;
+  return freq;
+}
+
+TEST_F(KernTest, RansBitIdenticalAcrossVariants) {
+  std::vector<std::vector<uint8_t>> inputs = {{}, {7}};
+  Rng rng(1500);
+  // Skewed bytes at sizes around the 32-lane groups.
+  for (size_t n : {size_t{31}, size_t{32}, size_t{33}, size_t{95},
+                   size_t{1000}, size_t{4096 + 7}}) {
+    std::vector<uint8_t>& in = inputs.emplace_back(n);
+    for (uint8_t& b : in) {
+      const uint64_t r = rng.NextU64();
+      b = (r & 7) != 0 ? 0 : static_cast<uint8_t>(r >> 8);
+    }
+  }
+  inputs.emplace_back(1000, uint8_t{0x11});  // one symbol of frequency 4096
+  std::vector<uint8_t>& all = inputs.emplace_back(256 * 40 + 13);
+  for (size_t i = 0; i < all.size(); ++i) {
+    all[i] = static_cast<uint8_t>(rng.NextU64());
+  }
+  // The packed ids of a ReLU-like matrix at every quantizer width.
+  Matrix relu = RandomMatrix(37, 29, 1501);
+  for (size_t i = 0; i < relu.size(); ++i) {
+    relu.data()[i] = std::max(relu.data()[i] - 0.8f, 0.0f);
+  }
+  for (int bits : {1, 2, 4, 8, 16}) {
+    auto q = compress::Quantize(relu, {bits, BucketValueMode::kMidpoint});
+    ASSERT_TRUE(q.ok());
+    const auto* p = reinterpret_cast<const uint8_t*>(q->packed_ids.data());
+    inputs.emplace_back(p, p + q->packed_ids.size() * sizeof(uint32_t));
+  }
+
+  const auto variants = kern::AvailableVariants();
+  const kern::Kernels* scalar = variants.back();
+  for (const std::vector<uint8_t>& in : inputs) {
+    const std::vector<uint32_t> freq = RansFreqs(in);
+    const size_t cap = kern::RansEncodeCapacity(in.size());
+    std::vector<uint8_t> buf(cap);
+    const size_t len =
+        scalar->rans_encode(in.data(), in.size(), freq.data(), buf.data(), cap);
+    ASSERT_LE(len, cap);
+    const std::vector<uint8_t> ref(buf.end() - len, buf.end());
+    for (const kern::Kernels* v : variants) {
+      SCOPED_TRACE(testing::Message() << v->name << " n=" << in.size());
+      std::vector<uint8_t> vbuf(cap);
+      const size_t vlen =
+          v->rans_encode(in.data(), in.size(), freq.data(), vbuf.data(), cap);
+      EXPECT_EQ(std::vector<uint8_t>(vbuf.end() - vlen, vbuf.end()), ref);
+      std::vector<uint8_t> out(in.size());
+      EXPECT_TRUE(v->rans_decode(ref.data(), ref.size(), freq.data(),
+                                 in.size(), out.data()));
+      EXPECT_EQ(out, in);
+      // A stream cut short or run long is refused, never read past.
+      if (!ref.empty()) {
+        const std::vector<uint8_t> cut(ref.begin(), ref.end() - 2);
+        EXPECT_FALSE(v->rans_decode(cut.data(), cut.size(), freq.data(),
+                                    in.size(), out.data()));
+      }
+      std::vector<uint8_t> longer = ref;
+      longer.push_back(0);
+      longer.push_back(0);
+      EXPECT_FALSE(v->rans_decode(longer.data(), longer.size(), freq.data(),
+                                  in.size(), out.data()));
+    }
+  }
+}
+
 TEST_F(KernTest, GatherRowsBitIdenticalAcrossVariants) {
   const auto variants = kern::AvailableVariants();
   const kern::Kernels* scalar = variants.back();

@@ -79,7 +79,7 @@ TEST(QuantizeTest, WireRoundTrip) {
 
   ByteReader r(buf);
   QuantizedMatrix parsed;
-  ASSERT_TRUE(QuantizedMatrix::ParseFrom(&r, &parsed).ok());
+  ASSERT_TRUE(QuantizedMatrix::ParseFrom(&r, {q->rows, q->cols}, &parsed).ok());
   EXPECT_EQ(parsed.rows, q->rows);
   EXPECT_EQ(parsed.cols, q->cols);
   EXPECT_EQ(parsed.bits, q->bits);
@@ -97,20 +97,140 @@ TEST(QuantizeTest, ParseRejectsCorruptPayload) {
   buf[8] = 33;  // corrupt the bits field
   ByteReader r(buf);
   QuantizedMatrix parsed;
-  EXPECT_FALSE(QuantizedMatrix::ParseFrom(&r, &parsed).ok());
+  EXPECT_FALSE(QuantizedMatrix::ParseFrom(&r, {q->rows, q->cols}, &parsed).ok());
 }
 
 TEST(QuantizeTest, CompressionRatioMatchesTheory) {
   // Per Section IV-A: d*b bits -> d*B + 2^B*b. For a large matrix the
-  // table amortizes and the ratio approaches 32/B.
-  const Matrix m = RandomMatrix(500, 64, 5, 1.0f);
+  // table amortizes and the ratio approaches 32/B. That is the size of the
+  // uncoded ids, and the wire never exceeds it by more than the one tag
+  // byte. Uniform ids do not compress and sit at the theory; the skewed
+  // ids of Gaussian data are entropy-coded below it.
+  const Matrix gauss = RandomMatrix(500, 64, 5, 1.0f);
+  Matrix uniform(500, 64);
+  Rng rng(5);
+  for (size_t i = 0; i < uniform.size(); ++i) {
+    uniform.data()[i] = rng.NextFloat();
+  }
   for (int bits : {1, 2, 4, 8, 16}) {
-    auto q = Quantize(m, {bits, BucketValueMode::kMidpoint});
+    for (const Matrix* m : {&gauss, static_cast<const Matrix*>(&uniform)}) {
+      auto q = Quantize(*m, {bits, BucketValueMode::kMidpoint});
+      ASSERT_TRUE(q.ok());
+      const double raw_bytes = m->size() * sizeof(float);
+      const size_t uncoded = 4 + 4 + 1 + 1 + 2 * sizeof(float) +
+                             sizeof(uint64_t) +
+                             q->packed_ids.size() * sizeof(uint32_t);
+      const double ratio = raw_bytes / static_cast<double>(q->WireBytes());
+      EXPECT_LE(q->WireBytes(), uncoded + 1) << "bits=" << bits;
+      EXPECT_GT(ratio, 32.0 / bits * 0.8) << "bits=" << bits;
+      if (m == &uniform) {
+        EXPECT_EQ(q->WireBytes(), uncoded + 1) << "bits=" << bits;
+        EXPECT_LE(ratio, 32.0 / bits + 1.0) << "bits=" << bits;
+      }
+    }
+  }
+}
+
+/// Serializes q, and where its id payload starts (after the header and the
+/// bucket table).
+std::vector<uint8_t> WireOf(const QuantizedMatrix& q, size_t* ids_at) {
+  std::vector<uint8_t> buf;
+  ByteWriter w(&buf);
+  q.AppendTo(&w);
+  *ids_at = 4 + 4 + 1 + 1 +
+            (q.implicit_midpoints
+                 ? 2 * sizeof(float)
+                 : sizeof(uint64_t) + q.bucket_values.size() * sizeof(float));
+  return buf;
+}
+
+TEST(QuantizeTest, CodedPayloadMutationsAreRejected) {
+  // Golden payloads: three rANS-coded (a ReLU-like matrix at 4 bits, a
+  // Gaussian one at 2, a constant one whose single byte value takes the
+  // whole frequency table) and one that falls back to raw words (uniform
+  // ids at 16 bits).
+  Matrix relu = RandomMatrix(48, 40, 31, 1.0f);
+  for (size_t i = 0; i < relu.size(); ++i) {
+    relu.data()[i] = std::max(relu.data()[i] - 1.0f, 0.0f);
+  }
+  Matrix constant(60, 40);
+  constant.Fill(0.5f);
+  Matrix uniform(12, 10);
+  Rng rng(32);
+  for (size_t i = 0; i < uniform.size(); ++i) {
+    uniform.data()[i] = rng.NextFloat();
+  }
+  struct Golden {
+    const char* name;
+    const Matrix* m;
+    int bits;
+    bool coded;
+  };
+  const Matrix gauss = RandomMatrix(120, 48, 33, 1.0f);
+  const Golden goldens[] = {{"relu4", &relu, 4, true},
+                            {"gauss2", &gauss, 2, true},
+                            {"single", &constant, 2, true},
+                            {"raw16", &uniform, 16, false}};
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.name);
+    auto q = Quantize(*g.m, {g.bits, BucketValueMode::kMidpoint});
     ASSERT_TRUE(q.ok());
-    const double raw_bytes = m.size() * sizeof(float);
-    const double ratio = raw_bytes / static_cast<double>(q->WireBytes());
-    EXPECT_GT(ratio, 32.0 / bits * 0.8) << "bits=" << bits;
-    EXPECT_LE(ratio, 32.0 / bits + 1.0) << "bits=" << bits;
+    size_t ids_at = 0;
+    const std::vector<uint8_t> golden = WireOf(*q, &ids_at);
+    ASSERT_EQ(golden[ids_at], g.coded ? 1 : 0);
+    const WireShape limit{q->rows, q->cols};
+    {
+      ByteReader r(golden);
+      QuantizedMatrix parsed;
+      ASSERT_TRUE(QuantizedMatrix::ParseFrom(&r, limit, &parsed).ok());
+      ASSERT_EQ(parsed.packed_ids, q->packed_ids);
+      ASSERT_EQ(r.remaining(), 0u);
+    }
+    for (size_t len = 0; len < golden.size(); ++len) {
+      ByteReader r(golden.data(), len);
+      QuantizedMatrix parsed;
+      EXPECT_FALSE(QuantizedMatrix::ParseFrom(&r, limit, &parsed).ok())
+          << "truncated to " << len << " of " << golden.size() << " bytes";
+    }
+    // Raw words carry no redundancy: a flip there reaches exactly one id
+    // bit. Everything else either fails or leaves the ids as they were
+    // (a flip in the bucket table moves values, not ids).
+    const size_t words_at = ids_at + 1 + sizeof(uint64_t);
+    size_t accepted = 0;
+    for (size_t bit = 0; bit < golden.size() * 8; ++bit) {
+      std::vector<uint8_t> bytes = golden;
+      bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      ByteReader r(bytes);
+      QuantizedMatrix parsed;
+      const Status st = QuantizedMatrix::ParseFrom(&r, limit, &parsed);
+      if (!g.coded && bit / 8 >= words_at) {
+        std::vector<uint32_t> want = q->packed_ids;
+        const size_t at = bit - 8 * words_at;
+        want[at / 32] ^= 1u << (at % 32);
+        ASSERT_TRUE(st.ok()) << st;
+        EXPECT_EQ(parsed.packed_ids, want) << "bit " << bit;
+        continue;
+      }
+      if (!st.ok()) continue;
+      ++accepted;
+      EXPECT_EQ(parsed.packed_ids, q->packed_ids) << "bit " << bit;
+    }
+    EXPECT_LE(accepted, 8 * ids_at) << "only header and table flips pass";
+    // Inflated shapes are refused by the limit, before the header sizes
+    // anything (the single-symbol stream would decode to any length).
+    for (const auto& [offset, value] :
+         {std::pair<size_t, uint32_t>{0, q->rows + 1},
+          {0, 0xffffffffu},
+          {4, q->cols + 1},
+          {4, 0xffffffffu}}) {
+      std::vector<uint8_t> bytes = golden;
+      std::memcpy(bytes.data() + offset, &value, sizeof(value));
+      ByteReader r(bytes);
+      QuantizedMatrix parsed;
+      const Status st = QuantizedMatrix::ParseFrom(&r, limit, &parsed);
+      EXPECT_FALSE(st.ok()) << "offset " << offset << " value " << value;
+      EXPECT_TRUE(parsed.packed_ids.empty());
+    }
   }
 }
 
