@@ -13,8 +13,9 @@ namespace ecg::kern {
 /// reduction, bit packing, the halo row gather, zero suppression, the
 /// entropy coder of the packed ids, the ReqEC selector and predictor) and
 /// the float tensor kernels (dense GEMM in all its transpose forms, CSR
-/// SpMM) goes through one of the function pointers below. The same implementation source (kernels_impl.inc) is compiled
-/// once per architecture variant — scalar, AVX2, AVX-512, NEON — each in
+/// SpMM) goes through one of the function pointers below. The same
+/// implementation source (kernels_impl.inc) is compiled once per
+/// architecture variant — scalar, AVX2, AVX-512, NEON — each in
 /// its own translation unit with per-file arch flags, and the table
 /// matching the host CPU (or the ECG_KERNELS override) is selected at
 /// first use.
@@ -116,9 +117,9 @@ struct Kernels {
   /// Inverse of rans_encode: decodes n bytes from stream[0, size) into
   /// out under `freq` (as above). Total on any stream and table: returns
   /// false, leaving out unspecified, unless `freq` sums to
-  /// 1 << kRansScaleBits, every initial state is in range, no read passes the stream's end,
-  /// the stream is consumed exactly and every final state is back at its
-  /// initial value.
+  /// 1 << kRansScaleBits, every initial state is in range, no read passes
+  /// the stream's end, the stream is consumed exactly and every final
+  /// state is back at its initial value.
   bool (*rans_decode)(const uint8_t* stream, size_t size,
                       const uint32_t* freq, size_t n, uint8_t* out);
 

@@ -314,7 +314,9 @@ void ByteHistogram(const uint8_t* p, size_t n, uint32_t* hist) {
     ++h[3][p[i + 3]];
   }
   for (; i < n; ++i) ++h[0][p[i]];
-  for (size_t s = 0; s < 256; ++s) hist[s] = h[0][s] + h[1][s] + h[2][s] + h[3][s];
+  for (size_t s = 0; s < 256; ++s) {
+    hist[s] = h[0][s] + h[1][s] + h[2][s] + h[3][s];
+  }
 }
 
 /// Scales a histogram of n > 0 bytes to rANS frequencies: every present

@@ -79,7 +79,8 @@ TEST(QuantizeTest, WireRoundTrip) {
 
   ByteReader r(buf);
   QuantizedMatrix parsed;
-  ASSERT_TRUE(QuantizedMatrix::ParseFrom(&r, {q->rows, q->cols}, &parsed).ok());
+  ASSERT_TRUE(
+      QuantizedMatrix::ParseFrom(&r, {q->rows, q->cols}, &parsed).ok());
   EXPECT_EQ(parsed.rows, q->rows);
   EXPECT_EQ(parsed.cols, q->cols);
   EXPECT_EQ(parsed.bits, q->bits);
@@ -97,7 +98,8 @@ TEST(QuantizeTest, ParseRejectsCorruptPayload) {
   buf[8] = 33;  // corrupt the bits field
   ByteReader r(buf);
   QuantizedMatrix parsed;
-  EXPECT_FALSE(QuantizedMatrix::ParseFrom(&r, {q->rows, q->cols}, &parsed).ok());
+  EXPECT_FALSE(
+      QuantizedMatrix::ParseFrom(&r, {q->rows, q->cols}, &parsed).ok());
 }
 
 TEST(QuantizeTest, CompressionRatioMatchesTheory) {
