@@ -302,20 +302,20 @@ constexpr size_t kSymbolMapBytes = 256 / 8;
 /// Bytes of nsym 12-bit frequencies, packed little-endian.
 size_t FreqListBytes(size_t nsym) { return (12 * nsym + 7) / 8; }
 
-/// Byte histogram of p[0, n), over four interleaved sub-histograms so
-/// repeated bytes do not serialize on one counter.
+/// Byte histogram of p[0, n), over eight interleaved sub-histograms so a
+/// repeated byte (ReLU zeros) does not serialize on one counter.
 void ByteHistogram(const uint8_t* p, size_t n, uint32_t* hist) {
-  uint32_t h[4][256] = {};
+  constexpr size_t kWays = 8;
+  uint32_t h[kWays][256] = {};
   size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    ++h[0][p[i]];
-    ++h[1][p[i + 1]];
-    ++h[2][p[i + 2]];
-    ++h[3][p[i + 3]];
+  for (; i + kWays <= n; i += kWays) {
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kWays; ++j) ++h[j][p[i + j]];
   }
   for (; i < n; ++i) ++h[0][p[i]];
   for (size_t s = 0; s < 256; ++s) {
-    hist[s] = h[0][s] + h[1][s] + h[2][s] + h[3][s];
+    hist[s] = 0;
+    for (size_t j = 0; j < kWays; ++j) hist[s] += h[j][s];
   }
 }
 
