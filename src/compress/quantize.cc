@@ -402,17 +402,19 @@ void AppendIds(size_t count, const std::vector<uint32_t>& words,
     NormalizeFreqs(hist, n, freq);
     size_t nsym = 0;
     for (uint32_t f : freq) nsym += f != 0;
-    const size_t fixed = 1 + kSymbolMapBytes + FreqListBytes(nsym) +
-                         2 * sizeof(uint32_t) +
-                         kern::kRansLanes * sizeof(uint32_t);
-    // Skip the encoder when the entropy already rules the coding out.
-    if (static_cast<double>(fixed) + CodedBytesEstimate(hist, freq) <
+    // Tag, table, check word and stream length.
+    const size_t header = 1 + kSymbolMapBytes + FreqListBytes(nsym) +
+                          2 * sizeof(uint32_t);
+    // Skip the encoder when the states plus the entropy already rule the
+    // coding out.
+    if (static_cast<double>(header + kern::kRansLanes * sizeof(uint32_t)) +
+            CodedBytesEstimate(hist, freq) <
         static_cast<double>(raw_size)) {
       const size_t cap = kern::RansEncodeCapacity(n);
       uint8_t* buf = RansScratch(cap);
       const size_t len =
           kern::Active().rans_encode(bytes, n, freq, buf, cap);
-      if (fixed - kern::kRansLanes * sizeof(uint32_t) + len < raw_size) {
+      if (header + len < raw_size) {
         w->PutU8(kRansIds);
         uint8_t* table = w->Extend(kSymbolMapBytes + FreqListBytes(nsym));
         uint8_t* list = table + kSymbolMapBytes;
