@@ -103,8 +103,9 @@ struct Kernels {
                            const uint8_t* values, float* dst);
 
   /// Order-0 rANS coding of the packed quantizer bytes (DESIGN.md §8):
-  /// codes in[0, n) under `freq` (256 entries, each byte of `in` nonzero,
-  /// summing to 1 << kRansScaleBits) and writes the stream to the END of
+  /// codes in[0, n) under `freq` (256 entries summing to
+  /// 1 << kRansScaleBits, nonzero for every byte value that occurs in
+  /// `in`) and writes the stream to the END of
   /// buf[0, cap), cap >= RansEncodeCapacity(n); returns its length. The
   /// stream is the kRansLanes initial decoder states (u32, lane order),
   /// then the 16-bit renormalisation words in the order the decoder reads
