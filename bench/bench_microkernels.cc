@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -984,7 +985,9 @@ int RunGemmBench(const std::string& json_path) {
 //   reqec_predict        the pdt candidate of each send list's baseline
 //                        (ReqEC receive and lost-response fallback)
 //   trend_encode         EncodeNonzeroRows of each send list (a ReqEC
-//                        trend response, zero-suppressed ReLU rows)
+//                        trend response: zero-suppressed ReLU rows, the
+//                        bitmap and the four float byte planes as coded
+//                        blocks)
 //   trend_decode         DecodeNonzeroRows + ExpandNonzeroRows of each
 //                        trend response into its halo rows
 //   resec_encode         GatherQuantizeRows with the δ fold, then
@@ -997,8 +1000,9 @@ int RunGemmBench(const std::string& json_path) {
 //                        g2: BP G^2, a dense gradient; g3: BP G^3, zero on
 //                        every row outside the train set)
 //   rans_decode.<p>      QuantizedMatrix::ParseFrom of each coded payload
-// The coder rows also report the packed bytes they code, ns per such byte
-// and the coded share of them.
+// The coder rows (rans_* and trend_*) also report the bytes they code (the
+// packed ids; the trend payload's bitmap and kept floats), ns per such
+// byte and the coded share of them.
 // ---------------------------------------------------------------------------
 
 struct CodecShape {
@@ -1056,6 +1060,7 @@ int RunCodecBench(const std::string& json_path) {
     std::vector<Matrix> last, rate, delta;
     std::vector<ecg::compress::QuantizedMatrix> messages;
     std::vector<std::vector<uint8_t>> trend_msgs;
+    size_t trend_raw = 0, trend_wire = 0;
     // One baseline row per owned vertex, as the responder's store keeps it.
     Matrix store_last = h, store_rate = RandomMatrix(h.rows(), shape.dim, 49);
     Matrix store_noise = RandomMatrix(h.rows(), shape.dim, 48);
@@ -1075,6 +1080,14 @@ int RunCodecBench(const std::string& json_path) {
       messages.push_back(*ecg::compress::QuantizeRows(h, *lists[i], opts));
       ecg::ByteWriter w(&trend_msgs.emplace_back());
       ecg::core::EncodeNonzeroRows(h, *lists[i], &w);
+      size_t nnz = 0;
+      for (uint32_t r : *lists[i]) {
+        for (size_t c = 0; c < shape.dim; ++c) {
+          nnz += std::bit_cast<uint32_t>(h.At(r, c)) != 0;
+        }
+      }
+      trend_raw += (lists[i]->size() * shape.dim + 7) / 8 + nnz * sizeof(float);
+      trend_wire += trend_msgs.back().size();
     }
 
     // The entropy coder's payloads: FP cold-start H^1 (the ReLU rows
@@ -1182,7 +1195,10 @@ int RunCodecBench(const std::string& json_path) {
            for (size_t i = 0; i < lists.size(); ++i) {
              ecg::ByteReader r(trend_msgs[i]);
              ecg::core::NonzeroRows nz;
-             ecg::core::DecodeNonzeroRows(&r, &nz).CheckOk();
+             ecg::core::DecodeNonzeroRows(
+                 &r, static_cast<uint32_t>(lists[i]->size()),
+                 static_cast<uint32_t>(shape.dim), &nz)
+                 .CheckOk();
              ecg::core::ExpandNonzeroRows(nz, *lists[i], &halo);
            }
            if (bytes != nullptr) AppendBytes(bytes, halo.data(), halo.size());
@@ -1222,6 +1238,10 @@ int RunCodecBench(const std::string& json_path) {
 
     // Per coder path: the packed bytes it codes and the coded share.
     std::map<std::string, std::pair<size_t, double>> coder_rows;
+    const double trend_ratio =
+        static_cast<double>(trend_wire) / static_cast<double>(trend_raw);
+    coder_rows["trend_encode"] = {trend_raw, trend_ratio};
+    coder_rows["trend_decode"] = {trend_raw, trend_ratio};
     for (const CoderPayload& pl : payloads) {
       const double ratio = static_cast<double>(pl.coded_bytes) /
                            static_cast<double>(pl.raw_bytes);

@@ -4,11 +4,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <string>
 
 #include "common/bitpack.h"
+#include "common/coded_block.h"
 #include "common/kernels.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -292,224 +292,6 @@ void DecodeFlat(const QuantizedMatrix& q, const float* lut, bool subtract,
       });
 }
 
-/// Tags of the bucket-ID payload that closes every message.
-constexpr uint8_t kRawIds = 0;   // length-prefixed packed words
-constexpr uint8_t kRansIds = 1;  // order-0 rANS coding of their bytes
-
-/// Symbol-presence bitmap of the coded payload's frequency table.
-constexpr size_t kSymbolMapBytes = 256 / 8;
-
-/// Bytes of nsym 12-bit frequencies, packed little-endian.
-size_t FreqListBytes(size_t nsym) { return (12 * nsym + 7) / 8; }
-
-/// Byte histogram of p[0, n), over eight interleaved sub-histograms so a
-/// repeated byte (ReLU zeros) does not serialize on one counter.
-void ByteHistogram(const uint8_t* p, size_t n, uint32_t* hist) {
-  constexpr size_t kWays = 8;
-  uint32_t h[kWays][256] = {};
-  size_t i = 0;
-  for (; i + kWays <= n; i += kWays) {
-#pragma GCC unroll 8
-    for (size_t j = 0; j < kWays; ++j) ++h[j][p[i + j]];
-  }
-  for (; i < n; ++i) ++h[0][p[i]];
-  for (size_t s = 0; s < 256; ++s) {
-    hist[s] = 0;
-    for (size_t j = 0; j < kWays; ++j) hist[s] += h[j][s];
-  }
-}
-
-/// Scales a histogram of n > 0 bytes to rANS frequencies: every present
-/// byte gets at least 1 and the sum is exactly 1 << kRansScaleBits. The
-/// shortfall goes to the most frequent byte; an excess (from bytes raised
-/// to 1) comes off the largest frequencies. Integer arithmetic only, so
-/// the table, and with it the stream, is the same on every host.
-void NormalizeFreqs(const uint32_t* hist, size_t n, uint32_t* freq) {
-  constexpr uint64_t kM = uint64_t{1} << kern::kRansScaleBits;
-  uint64_t sum = 0;
-  uint32_t top = 0;
-  for (uint32_t s = 0; s < 256; ++s) {
-    freq[s] = hist[s] == 0 ? 0
-                           : static_cast<uint32_t>(std::max<uint64_t>(
-                                 1, hist[s] * kM / n));
-    sum += freq[s];
-    if (hist[s] > hist[top]) top = s;
-  }
-  if (sum < kM) freq[top] += static_cast<uint32_t>(kM - sum);
-  while (sum > kM) {
-    uint32_t big = 0;
-    for (uint32_t s = 1; s < 256; ++s) {
-      if (freq[s] > freq[big]) big = s;
-    }
-    const uint32_t take =
-        static_cast<uint32_t>(std::min<uint64_t>(sum - kM, freq[big] / 2));
-    freq[big] -= take;
-    sum -= take;
-  }
-}
-
-/// Order-0 entropy of the histogram under `freq`, in bytes: what the
-/// rANS stream costs beyond its states, to within a few bytes.
-double CodedBytesEstimate(const uint32_t* hist, const uint32_t* freq) {
-  double bits = 0.0;
-  for (uint32_t s = 0; s < 256; ++s) {
-    if (hist[s] == 0) continue;
-    bits += hist[s] * (kern::kRansScaleBits - std::log2(freq[s]));
-  }
-  return bits / 8.0;
-}
-
-/// Check word of a coded payload, over the words it decodes to. The end
-/// states alone cannot vouch for a stream: rANS decoders resynchronize, so
-/// a corrupted stream can come back to the initial states after a burst of
-/// wrong bytes (and a single-symbol stream decodes to any length).
-/// Fletcher-style from the id count, folded to 32 bits: a changed word
-/// moves the plain sum, and changes that cancel there still move the sum
-/// of prefix sums.
-uint32_t IdChecksum(size_t count, const std::vector<uint32_t>& words) {
-  uint32_t a = static_cast<uint32_t>(count ^ (uint64_t{count} >> 32)), b = 0;
-  for (uint32_t v : words) {
-    a += v;
-    b += a;
-  }
-  return a ^ (b * 0x9e3779b1u);
-}
-
-/// Encoder output space, kept per thread across messages. It is never
-/// value-initialized and the stream fills it from the end, so only the
-/// pages of the largest coded stream become resident.
-uint8_t* RansScratch(size_t cap) {
-  thread_local std::unique_ptr<uint8_t[]> buf;
-  thread_local size_t size = 0;
-  if (size < cap) {
-    buf.reset(new uint8_t[cap]);
-    size = cap;
-  }
-  return buf.get();
-}
-
-/// Writes the ID payload: the rANS coding of the packed words' bytes when
-/// that is shorter, else the words as they are (one tag byte more than a
-/// bare length-prefixed vector, the worst case).
-void AppendIds(size_t count, const std::vector<uint32_t>& words,
-               ecg::ByteWriter* w) {
-  const size_t n = words.size() * sizeof(uint32_t);
-  const auto* bytes = reinterpret_cast<const uint8_t*>(words.data());
-  const size_t raw_size = 1 + sizeof(uint64_t) + n;
-  if (n > 0) {
-    uint32_t hist[256], freq[256];
-    ByteHistogram(bytes, n, hist);
-    NormalizeFreqs(hist, n, freq);
-    size_t nsym = 0;
-    for (uint32_t f : freq) nsym += f != 0;
-    // Tag, table, check word and stream length.
-    const size_t header = 1 + kSymbolMapBytes + FreqListBytes(nsym) +
-                          2 * sizeof(uint32_t);
-    // Skip the encoder when the states plus the entropy already rule the
-    // coding out.
-    if (static_cast<double>(header + kern::kRansLanes * sizeof(uint32_t)) +
-            CodedBytesEstimate(hist, freq) <
-        static_cast<double>(raw_size)) {
-      const size_t cap = kern::RansEncodeCapacity(n);
-      uint8_t* buf = RansScratch(cap);
-      const size_t len =
-          kern::Active().rans_encode(bytes, n, freq, buf, cap);
-      if (header + len < raw_size) {
-        w->PutU8(kRansIds);
-        uint8_t* table = w->Extend(kSymbolMapBytes + FreqListBytes(nsym));
-        uint8_t* list = table + kSymbolMapBytes;
-        uint32_t acc = 0, acc_bits = 0;
-        for (uint32_t s = 0; s < 256; ++s) {
-          if (freq[s] == 0) continue;
-          table[s / 8] |= static_cast<uint8_t>(1u << (s % 8));
-          acc |= (freq[s] - 1) << acc_bits;
-          for (acc_bits += 12; acc_bits >= 8; acc_bits -= 8, acc >>= 8) {
-            *list++ = static_cast<uint8_t>(acc);
-          }
-        }
-        if (acc_bits > 0) *list = static_cast<uint8_t>(acc);
-        w->PutU32(IdChecksum(count, words));
-        w->PutU32(static_cast<uint32_t>(len));
-        std::memcpy(w->Extend(len), buf + cap - len, len);
-        return;
-      }
-    }
-  }
-  w->PutU8(kRawIds);
-  w->PutU32Vector(words);
-}
-
-/// Reads the ID payload of a count-element message at `bits` into words.
-/// Every length is checked against the bytes left before it is used; the
-/// only allocation is the count's packed words, which the caller bounded.
-Status ParseIds(ecg::ByteReader* r, size_t count, int bits,
-                std::vector<uint32_t>* words) {
-  const size_t num_words = PackedWordCount(count, bits);
-  uint8_t tag = 0;
-  ECG_RETURN_IF_ERROR(r->GetU8(&tag));
-  if (tag == kRawIds) {
-    ECG_RETURN_IF_ERROR(r->GetU32Vector(words));
-    if (words->size() != num_words) {
-      return Status::InvalidArgument(
-          "corrupt quantized matrix: packed ids hold " +
-          std::to_string(words->size()) + " words, expected " +
-          std::to_string(num_words));
-    }
-    return Status::OK();
-  }
-  if (tag != kRansIds) {
-    return Status::InvalidArgument("corrupt quantized matrix: id payload tag " +
-                                   std::to_string(tag));
-  }
-  const uint8_t* map = nullptr;
-  ECG_RETURN_IF_ERROR(r->GetSpan(kSymbolMapBytes, &map));
-  size_t nsym = 0;
-  for (size_t s = 0; s < 256; ++s) nsym += (map[s / 8] >> (s % 8)) & 1u;
-  const uint8_t* list = nullptr;
-  ECG_RETURN_IF_ERROR(r->GetSpan(FreqListBytes(nsym), &list));
-  // Ascending distinct symbols come from the bitmap; each frequency is
-  // 1 + a 12-bit field, so only the sum and the padding are left to check.
-  uint32_t freq[256] = {};
-  uint32_t sum = 0;
-  size_t bit = 0;
-  for (uint32_t s = 0; s < 256; ++s) {
-    if (((map[s / 8] >> (s % 8)) & 1u) == 0) continue;
-    const uint32_t field =
-        (static_cast<uint32_t>(list[bit / 8]) |
-         static_cast<uint32_t>(list[bit / 8 + 1]) << 8) >> (bit % 8);
-    freq[s] = (field & 0xfffu) + 1;
-    sum += freq[s];
-    bit += 12;
-  }
-  if (nsym % 2 == 1 && (list[bit / 8] >> 4) != 0) {
-    return Status::InvalidArgument(
-        "corrupt quantized matrix: frequency table padding is not zero");
-  }
-  if (sum != (1u << kern::kRansScaleBits)) {
-    return Status::InvalidArgument(
-        "corrupt quantized matrix: frequencies sum to " + std::to_string(sum) +
-        ", expected " + std::to_string(1u << kern::kRansScaleBits));
-  }
-  uint32_t check = 0, len = 0;
-  const uint8_t* stream = nullptr;
-  ECG_RETURN_IF_ERROR(r->GetU32(&check));
-  ECG_RETURN_IF_ERROR(r->GetU32(&len));
-  ECG_RETURN_IF_ERROR(r->GetSpan(len, &stream));
-  words->resize(num_words);
-  if (!kern::Active().rans_decode(stream, len, freq,
-                                  num_words * sizeof(uint32_t),
-                                  reinterpret_cast<uint8_t*>(words->data()))) {
-    return Status::InvalidArgument(
-        "corrupt quantized matrix: rANS stream of " + std::to_string(len) +
-        " bytes does not decode to " + std::to_string(count) + " ids");
-  }
-  if (IdChecksum(count, *words) != check) {
-    return Status::InvalidArgument(
-        "corrupt quantized matrix: decoded ids fail their check word");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 size_t QuantizedMatrix::WireBytes() const {
@@ -530,7 +312,8 @@ void QuantizedMatrix::AppendTo(ecg::ByteWriter* w) const {
   } else {
     w->PutF32Vector(bucket_values);
   }
-  AppendIds(static_cast<size_t>(rows) * cols, packed_ids, w);
+  AppendCodedBlock(reinterpret_cast<const uint8_t*>(packed_ids.data()),
+                   packed_ids.size() * sizeof(uint32_t), w);
 }
 
 Status QuantizedMatrix::ParseFrom(ecg::ByteReader* r, const WireShape& limit,
@@ -572,8 +355,11 @@ Status QuantizedMatrix::ParseFrom(ecg::ByteReader* r, const WireShape& limit,
         std::to_string(1u << out->bits) + " for bits=" +
         std::to_string(out->bits));
   }
-  return ParseIds(r, static_cast<size_t>(out->rows) * out->cols, out->bits,
-                  &out->packed_ids);
+  // The word count follows from the shape the limit has bounded.
+  out->packed_ids.resize(PackedWordCount(
+      static_cast<size_t>(out->rows) * out->cols, out->bits));
+  return ParseCodedBlock(r, out->packed_ids.size() * sizeof(uint32_t),
+                         reinterpret_cast<uint8_t*>(out->packed_ids.data()));
 }
 
 Result<QuantizedMatrix> Quantize(const tensor::Matrix& m,

@@ -40,10 +40,9 @@ struct WireShape {
 
 /// A matrix compressed with the paper's bucket scheme: per-element bucket
 /// IDs packed `bits` to the element, plus the table of 2^bits bucket
-/// representative values (Section IV-A). On the wire the packed IDs are
-/// entropy-coded: a tag byte, then either the packed words as they are or,
-/// when shorter, an order-0 rANS coding of their bytes (a sparse table of
-/// 12-bit frequencies and a kern::rans_encode stream; DESIGN.md §8). The
+/// representative values (Section IV-A). On the wire the packed IDs' bytes
+/// are one coded block (common/coded_block.h): the words as they are or,
+/// when shorter, an order-0 rANS coding of their bytes (DESIGN.md §8). The
 /// IDs come back bit for bit either way, so only the size changes: at most
 /// d·B bits per row plus the table and one tag byte, and far less for the
 /// skewed IDs of ReLU activations and of gradients with zero rows.

@@ -6,6 +6,7 @@
 
 #include "common/bitpack.h"
 #include "common/bytes.h"
+#include "common/coded_block.h"
 #include "common/kernels.h"
 #include "common/logging.h"
 #include "common/stats.h"
@@ -756,7 +757,8 @@ class ReqEcFpExchanger : public HaloExchanger {
     std::vector<uint32_t> packed_slt;
     ECG_RETURN_IF_ERROR(PackBits(sel.slt, /*bits=*/2, &packed_slt));
     w->PutU64(sel.slt.size());
-    w->PutU32Vector(packed_slt);
+    AppendCodedBlock(reinterpret_cast<const uint8_t*>(packed_slt.data()),
+                     packed_slt.size() * sizeof(uint32_t), w);
     sel.shipped.AppendTo(w);
     w->PutF32(sel.slt.empty() ? 0.0f
                               : static_cast<float>(sel.predicted) /
@@ -800,14 +802,9 @@ class ReqEcFpExchanger : public HaloExchanger {
                             const std::vector<uint32_t>& halo_rows,
                             Matrix* h_halo) {
     NonzeroRows nz;
-    ECG_RETURN_IF_ERROR(DecodeNonzeroRows(r, &nz));
-    if (nz.rows != halo_rows.size() || nz.cols != h_halo->cols()) {
-      return Status::InvalidArgument(
-          "ReqEC trend response is " + std::to_string(nz.rows) + "x" +
-          std::to_string(nz.cols) + " for a halo slice of " +
-          std::to_string(halo_rows.size()) + " rows of width " +
-          std::to_string(h_halo->cols()));
-    }
+    ECG_RETURN_IF_ERROR(DecodeNonzeroRows(
+        r, static_cast<uint32_t>(halo_rows.size()),
+        static_cast<uint32_t>(h_halo->cols()), &nz));
     if (r->remaining() != 0) {
       return Status::InvalidArgument(
           "ReqEC trend response has " + std::to_string(r->remaining()) +
@@ -854,12 +851,20 @@ class ReqEcFpExchanger : public HaloExchanger {
     // vertices or coordinates.
     uint8_t bits = 0;
     uint64_t n = 0;
-    std::vector<uint32_t> packed_slt;
     ECG_RETURN_IF_ERROR(r->GetU8(&bits));
     ECG_RETURN_IF_ERROR(r->GetU64(&n));
-    ECG_RETURN_IF_ERROR(r->GetU32Vector(&packed_slt));
     const size_t dim = st.h_last.cols();
     const bool element = kind == kSelectedElement;
+    // The selector count sizes the decoded array, so it is checked first.
+    if (n != (element ? halo_rows.size() * dim : halo_rows.size())) {
+      return Status::InvalidArgument(element
+                                         ? "element selector size mismatch"
+                                         : "selector size mismatch");
+    }
+    std::vector<uint32_t> packed_slt(PackedWordCount(n, /*bits=*/2));
+    ECG_RETURN_IF_ERROR(
+        ParseCodedBlock(r, packed_slt.size() * sizeof(uint32_t),
+                        reinterpret_cast<uint8_t*>(packed_slt.data())));
     QuantizedMatrix q_sub;
     ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(
         r,
@@ -881,11 +886,6 @@ class ReqEcFpExchanger : public HaloExchanger {
                  element ? static_cast<double>(q_sub.cols)
                          : static_cast<double>(q_sub.rows) * dim,
                  q_sub);
-    if (n != (element ? halo_rows.size() * dim : halo_rows.size())) {
-      return Status::InvalidArgument(element
-                                         ? "element selector size mismatch"
-                                         : "selector size mismatch");
-    }
     std::vector<uint32_t> slt;
     ECG_RETURN_IF_ERROR(UnpackBits(packed_slt, n, /*bits=*/2, &slt));
     ECG_ASSIGN_OR_RETURN(Matrix d_sub, compress::Dequantize(q_sub));

@@ -18,6 +18,7 @@
 
 #include "common/bitpack.h"
 #include "common/bytes.h"
+#include "common/coded_block.h"
 #include "common/random.h"
 #include "common/stats.h"
 #include "core/halo.h"
@@ -795,7 +796,8 @@ std::vector<uint8_t> SelectedResponse(bool element, uint32_t rows,
   w.PutU64(slt.size());
   std::vector<uint32_t> packed;
   EXPECT_TRUE(PackBits(slt, 2, &packed).ok());
-  w.PutU32Vector(packed);
+  AppendCodedBlock(reinterpret_cast<const uint8_t*>(packed.data()),
+                   packed.size() * sizeof(uint32_t), &w);
   Matrix subset(rows, cols);
   for (size_t i = 0; i < subset.size(); ++i) {
     subset.data()[i] = static_cast<float>(i);
@@ -1195,19 +1197,19 @@ TEST(ExchangeTest, CodecParityWithRecordedDigests) {
       {"fp_delayed", true, FpMode::kDelayed, BpMode::kExact, v2,
        0x390ba95db98dc645ull, 0xdf73274e2b8789b1ull},
       {"fp_reqec_vertex2", true, FpMode::kReqEc, BpMode::kExact, v2,
-       0x5b34fc900bc7ebf7ull, 0x3acee9408362f1e0ull},
+       0x5b34fc900bc7ebf7ull, 0x8f642f0dc109bf17ull},
       {"fp_reqec_vertex8", true, FpMode::kReqEc, BpMode::kExact, v8,
-       0xa718da534530eeb5ull, 0x1eecf5ba2ec16edull},
+       0xa718da534530eeb5ull, 0xbc68dc45f13015e7ull},
       {"fp_reqec_element4", true, FpMode::kReqEc, BpMode::kExact, e4,
-       0x5a6a0abdc7faa081ull, 0xc183d1d214856349ull},
+       0x5a6a0abdc7faa081ull, 0xa5011f396b4a1e04ull},
       {"fp_reqec_matrix1", true, FpMode::kReqEc, BpMode::kExact, m1,
-       0xef0d1aa96877bf30ull, 0x9c304c6b747c8f55ull},
+       0xef0d1aa96877bf30ull, 0x7db8750c30e7f0bdull},
       {"fp_reqec_datamean4", true, FpMode::kReqEc, BpMode::kExact, d4,
-       0x2d66620a29b622b7ull, 0x98e0b006141046dfull},
+       0x2d66620a29b622b7ull, 0xbc1c7dea1ae46261ull},
       {"fp_reqec_adaptive", true, FpMode::kReqEc, BpMode::kExact, adapt,
-       0x50a2db89b9e3734eull, 0x803f8536f2ba9b2eull},
+       0x50a2db89b9e3734eull, 0x61d03174f40be4bull},
       {"fp_reqec_bitalloc", true, FpMode::kReqEc, BpMode::kExact, alloc,
-       0xe44144bf0054c500ull, 0xfbcd851a3b865eb5ull},
+       0xe44144bf0054c500ull, 0x974ea789ce4fae55ull},
       {"bp_exact", false, FpMode::kExact, BpMode::kExact, v2,
        0xb4854aa0a4dcc3e8ull, 0x6b12ab303879deb8ull},
       {"bp_cp2", false, FpMode::kExact, BpMode::kCompressed, v2,
@@ -1284,6 +1286,37 @@ bool SameSide(const TrendSide& a, const TrendSide& b) {
 constexpr uint16_t kTrendLayers = 3;  // FP exchanges H^1 and H^2
 
 size_t TrendCols(uint16_t layer) { return layer == 1 ? 12 : 5; }
+
+/// A trend payload (after its kind byte) assembled field by field: the
+/// shape and nnz, then the bitmap and the four byte planes of `floats`,
+/// each one block, coded by AppendCodedBlock or, with `raw`, raw whatever
+/// coding would save.
+std::vector<uint8_t> TrendPayload(uint32_t rows, uint32_t cols, uint64_t nnz,
+                                  const std::vector<uint8_t>& map,
+                                  const std::vector<float>& floats,
+                                  bool raw) {
+  std::vector<uint8_t> buf;
+  ByteWriter w(&buf);
+  w.PutU32(rows);
+  w.PutU32(cols);
+  w.PutU64(nnz);
+  const auto block = [&](const std::vector<uint8_t>& bytes) {
+    if (!raw) return AppendCodedBlock(bytes.data(), bytes.size(), &w);
+    w.PutU8(0);
+    w.PutU64(bytes.size());
+    for (uint8_t b : bytes) w.PutU8(b);
+  };
+  block(map);
+  std::vector<uint8_t> plane(floats.size());
+  for (size_t p = 0; p < sizeof(float); ++p) {
+    for (size_t i = 0; i < floats.size(); ++i) {
+      plane[i] = static_cast<uint8_t>(std::bit_cast<uint32_t>(floats[i]) >>
+                                      (8 * p));
+    }
+    block(plane);
+  }
+  return buf;
+}
 
 /// ReqEC workers (two on `tiny` by default) whose exchangers and halos
 /// outlive each simulated cluster, so a run can stop, checkpoint or migrate
@@ -1406,18 +1439,26 @@ TEST(ExchangeTest, ReqEcTrendResponsesShipOnlyH) {
         const WorkerPlan& plan = run.plans[w];
         const uint64_t rows = plan.send_rows[1 - w].size();
         ASSERT_GT(rows, 0u);
-        uint64_t nnz = 0;
+        std::vector<uint8_t> map((rows * TrendCols(layer) + 7) / 8);
+        std::vector<float> kept;
+        size_t e = 0;
         for (uint32_t r : plan.send_rows[1 - w]) {
-          for (size_t c = 0; c < TrendCols(layer); ++c) {
-            nnz += std::bit_cast<uint32_t>(ParityValue(
-                       plan.owned[r], c, epoch, layer, true)) != 0;
+          for (size_t c = 0; c < TrendCols(layer); ++c, ++e) {
+            const float v = ParityValue(plan.owned[r], c, epoch, layer, true);
+            if (std::bit_cast<uint32_t>(v) == 0) continue;
+            map[e / 8] |= static_cast<uint8_t>(1u << (e % 8));
+            kept.push_back(v);
           }
         }
         // A 1-byte request, then kind + the rows with their zeros
-        // suppressed (header, bitmap, nonzero floats).
+        // suppressed (header, then the bitmap and the nonzero floats' byte
+        // planes as blocks).
         EXPECT_EQ(run.sent.at({w, epoch, layer}),
-                  1 + (1 + NonzeroRowsBytes(rows, TrendCols(layer), nnz)));
-        EXPECT_LT(nnz, rows * TrendCols(layer));
+                  1 + (1 + TrendPayload(static_cast<uint32_t>(rows),
+                                        TrendCols(layer), kept.size(), map,
+                                        kept, /*raw=*/false)
+                               .size()));
+        EXPECT_LT(kept.size(), rows * TrendCols(layer));
       }
     }
   }
@@ -1662,7 +1703,7 @@ TEST(ExchangeTest, ReqEcRejectsAMalformedTrendResponse) {
     uint64_t nnz = 2 * kDim;         // header nonzero count
     uint64_t set = 2 * kDim;         // leading bitmap bits set
     bool stray = false;              // + the last bitmap byte's top bit
-    uint64_t floats = 2 * kDim;      // floats after the bitmap
+    uint64_t floats = 2 * kDim;      // floats in the byte planes
     size_t cut = 0;                  // bytes cut off the end
     size_t trailing = 0;             // bytes appended
     size_t halo_cols = kDim;         // requester's halo width
@@ -1674,11 +1715,14 @@ TEST(ExchangeTest, ReqEcRejectsAMalformedTrendResponse) {
       {.name = "well-formed"},
       {.name = "truncated", .cut = 4, .code = StatusCode::kOutOfRange},
       {.name = "truncated bitmap",
-       .cut = n * 4 + 1,
+       .cut = 4 * (9 + n) + 1,  // four raw planes and a bitmap byte
        .code = StatusCode::kOutOfRange},
-      {.name = "nnz beyond the buffer",
+      {.name = "nnz above rows x cols",
        .nnz = n + 1,
-       .code = StatusCode::kOutOfRange},
+       .code = StatusCode::kInvalidArgument},
+      {.name = "planes shorter than nnz",
+       .floats = n - 1,
+       .code = StatusCode::kInvalidArgument},
       {.name = "popcount != nnz",
        .nnz = n - 1,
        .floats = n - 1,
@@ -1720,17 +1764,15 @@ TEST(ExchangeTest, ReqEcRejectsAMalformedTrendResponse) {
                              8);
     for (uint64_t i = 0; i < c.set; ++i) map[i / 8] |= 1u << (i % 8);
     if (c.stray) map.back() |= 0x80;
-    std::vector<uint8_t> response;
-    ByteWriter w(&response);
-    w.PutU8(0);  // kTrend
-    w.PutU32(c.rows);
-    w.PutU32(c.cols);
-    w.PutU64(c.nnz);
-    for (uint8_t b : map) w.PutU8(b);
+    std::vector<float> floats;
     for (uint64_t i = 0; i < c.floats; ++i) {
-      w.PutF32(0.5f + static_cast<float>(i));
+      floats.push_back(0.5f + static_cast<float>(i));
     }
-    for (size_t i = 0; i < c.trailing; ++i) w.PutU8(0);
+    std::vector<uint8_t> response = {0};  // kTrend
+    const std::vector<uint8_t> payload =
+        TrendPayload(c.rows, c.cols, c.nnz, map, floats, /*raw=*/true);
+    response.insert(response.end(), payload.begin(), payload.end());
+    response.resize(response.size() + c.trailing);
     response.resize(response.size() - c.cut);
     for (const bool baseline : {false, true}) {
       if (c.needs_baseline && !baseline) continue;
@@ -1742,34 +1784,117 @@ TEST(ExchangeTest, ReqEcRejectsAMalformedTrendResponse) {
   }
 }
 
-// A golden trend response, then every truncation of it and every single
-// bit flip of its shape header, nonzero count and bitmap: each must be
-// rejected before a halo or baseline row is written. (A flip inside a
-// float is a well-formed payload carrying another value.)
-TEST(ExchangeTest, ReqEcTrendPayloadMutationsAreRejected) {
-  Matrix rows(2, kDim);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    rows.data()[i] = i % 3 == 0 ? 0.0f : 0.5f + static_cast<float>(i);
-  }
-  std::vector<uint8_t> golden;
-  ByteWriter w(&golden);
-  w.PutU8(0);  // kTrend
-  EncodeNonzeroRows(rows, {0, 1}, &w);
-  const size_t checked = 1 + 16 + (rows.size() + 7) / 8;  // through bitmap
-  for (const bool baseline : {false, true}) {
-    SCOPED_TRACE(testing::Message() << "baseline=" << baseline);
-    ASSERT_TRUE(ExchangeHandBuiltTrendResponse(golden, kDim, baseline).ok());
-    for (size_t len = 1; len < golden.size(); ++len) {
-      const std::vector<uint8_t> cut(golden.begin(), golden.begin() + len);
-      EXPECT_FALSE(ExchangeHandBuiltTrendResponse(cut, kDim, baseline).ok())
-          << "truncated to " << len << " bytes";
+/// Where each of a trend response's five blocks starts and ends, and its
+/// tag, read off the layout: a raw block is a tag, a u64 length and the
+/// bytes; a coded one a tag, the symbol map, the 12-bit frequencies, the
+/// check word, a u32 length and the stream.
+struct BlockExtent {
+  size_t at = 0, end = 0;
+  uint8_t tag = 0;
+};
+std::vector<BlockExtent> TrendBlocks(const std::vector<uint8_t>& response) {
+  std::vector<BlockExtent> blocks;
+  size_t at = 1 + 16;  // kind, shape, nnz
+  for (int b = 0; b < 5; ++b) {
+    BlockExtent e{at, 0, response[at]};
+    if (e.tag == 0) {
+      uint64_t n = 0;
+      std::memcpy(&n, &response[at + 1], sizeof(n));
+      e.end = at + 1 + sizeof(n) + n;
+    } else {
+      size_t nsym = 0;
+      for (size_t i = 0; i < 32; ++i) {
+        nsym += std::popcount(response[at + 1 + i]);
+      }
+      const size_t len_at = at + 1 + 32 + (12 * nsym + 7) / 8 + 4;
+      uint32_t len = 0;
+      std::memcpy(&len, &response[len_at], sizeof(len));
+      e.end = len_at + sizeof(len) + len;
     }
-    for (size_t bit = 8; bit < 8 * checked; ++bit) {
-      std::vector<uint8_t> flipped = golden;
-      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      EXPECT_FALSE(
-          ExchangeHandBuiltTrendResponse(flipped, kDim, baseline).ok())
-          << "bit " << bit << " flipped";
+    blocks.push_back(e);
+    at = e.end;
+  }
+  EXPECT_EQ(at, response.size());
+  return blocks;
+}
+
+// Golden trend responses, then truncations and single bit flips of them:
+// each must be rejected before a halo or baseline row is written. A flip in
+// a raw plane's bytes is a well-formed payload carrying another value, so
+// those bytes are left out. One golden ships every block raw and is checked
+// with and without a baseline: every cut, every bit of its header and
+// bitmap, one bit of each byte of the planes' tags and lengths. The other
+// is wide enough that its bitmap and top plane code, and is checked at the
+// first trend epoch (no baseline has its width) on a stride of cuts and
+// flips; WireUtilTest.NonzeroRowsMutationsAreRejected and
+// CodedBlockTest.BlockMutationsAreRejected cover the coded layout
+// exhaustively.
+TEST(ExchangeTest, ReqEcTrendPayloadMutationsAreRejected) {
+  Matrix narrow(2, kDim);
+  for (size_t i = 0; i < narrow.size(); ++i) {
+    narrow.data()[i] = i % 3 == 0 ? 0.0f : 0.5f + static_cast<float>(i);
+  }
+  constexpr size_t kWide = 1024;
+  Matrix wide(2, kWide);
+  for (size_t r = 0; r < 2; ++r) {
+    for (size_t c = 0; c < kWide; ++c) {
+      if ((r + c / 64) % 2 == 1) {
+        wide.At(r, c) = 1.0f + static_cast<float>(c % 97) / 97.0f;
+      }
+    }
+  }
+  struct Golden {
+    const Matrix* m;
+    bool coded;
+  };
+  for (const Golden& g : {Golden{&narrow, false}, Golden{&wide, true}}) {
+    SCOPED_TRACE(testing::Message() << "coded=" << g.coded);
+    const size_t cols = g.m->cols();
+    std::vector<uint8_t> golden;
+    ByteWriter w(&golden);
+    w.PutU8(0);  // kTrend
+    EncodeNonzeroRows(*g.m, {0, 1}, &w);
+    const std::vector<BlockExtent> blocks = TrendBlocks(golden);
+    EXPECT_EQ(blocks[0].tag, g.coded ? 1 : 0) << "bitmap";
+    EXPECT_EQ(blocks[4].tag, g.coded ? 1 : 0) << "top plane";
+    const auto in_raw_plane = [&](size_t byte) {
+      for (size_t b = 1; b < 5; ++b) {
+        if (blocks[b].tag == 0 && byte >= blocks[b].at + 9 &&
+            byte < blocks[b].end) {
+          return true;
+        }
+      }
+      return false;
+    };
+    const size_t stride = g.coded ? 16 : 1;
+    std::vector<size_t> cuts, flips;
+    for (size_t len = 1; len < golden.size(); len += stride) {
+      cuts.push_back(len);
+    }
+    for (size_t byte = 1; byte < golden.size(); ++byte) {
+      if (in_raw_plane(byte)) continue;
+      if (!g.coded && byte < blocks[1].at) {
+        for (size_t b = 0; b < 8; ++b) flips.push_back(8 * byte + b);
+      } else if (!g.coded || byte % 4 == 0) {
+        flips.push_back(8 * byte + byte % 8);
+      }
+    }
+    for (const bool baseline : {false, true}) {
+      if (g.coded && baseline) continue;
+      SCOPED_TRACE(testing::Message() << "baseline=" << baseline);
+      ASSERT_TRUE(ExchangeHandBuiltTrendResponse(golden, cols, baseline).ok());
+      for (size_t len : cuts) {
+        const std::vector<uint8_t> cut(golden.begin(), golden.begin() + len);
+        EXPECT_FALSE(ExchangeHandBuiltTrendResponse(cut, cols, baseline).ok())
+            << "truncated to " << len << " bytes";
+      }
+      for (size_t bit : flips) {
+        std::vector<uint8_t> flipped = golden;
+        flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        EXPECT_FALSE(
+            ExchangeHandBuiltTrendResponse(flipped, cols, baseline).ok())
+            << "bit " << bit << " flipped";
+      }
     }
   }
 }

@@ -39,7 +39,9 @@ void CheckIsPartition(const Partition& p, uint32_t n) {
     for (uint32_t v : p.members[part]) {
       EXPECT_EQ(p.owner[v], part);
       EXPECT_TRUE(seen.insert(v).second) << "vertex " << v << " duplicated";
-      if (!first) EXPECT_GT(v, prev);
+      if (!first) {
+        EXPECT_GT(v, prev);
+      }
       prev = v;
       first = false;
     }

@@ -47,7 +47,9 @@ TEST(SageTest, MeanWeightExcludesSelfAndNormalizesRows) {
     EXPECT_EQ(g.MeanWeight(v, v), 0.0f);
     float row_sum = 0.0f;
     for (uint32_t u : g.Neighbors(v)) row_sum += g.MeanWeight(v, u);
-    if (g.Degree(v) > 0) EXPECT_NEAR(row_sum, 1.0f, 1e-5f);
+    if (g.Degree(v) > 0) {
+      EXPECT_NEAR(row_sum, 1.0f, 1e-5f);
+    }
   }
 }
 

@@ -23,7 +23,7 @@ TEST(ThreadCpuTimerTest, CountsOwnCpuOnly) {
   ThreadCpuTimer t;
   // Busy work on this thread registers...
   volatile double acc = 0;
-  for (int i = 0; i < 2000000; ++i) acc += i * 0.5;
+  for (int i = 0; i < 2000000; ++i) acc = acc + i * 0.5;
   const double busy = t.ElapsedSeconds();
   EXPECT_GT(busy, 0.0);
 
@@ -38,7 +38,7 @@ TEST(ThreadCpuTimerTest, OtherThreadsCpuIsInvisible) {
   ThreadCpuTimer t;
   std::thread burner([] {
     volatile double acc = 0;
-    for (int i = 0; i < 5000000; ++i) acc += i;
+    for (int i = 0; i < 5000000; ++i) acc = acc + i;
   });
   burner.join();
   // The burner's cycles must not appear on this thread's clock.
