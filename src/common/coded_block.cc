@@ -104,71 +104,136 @@ uint32_t BlockChecksum(const uint8_t* p, size_t n) {
   return a ^ (b * 0x9e3779b1u);
 }
 
+/// Bytes of a raw block's tag and length.
+constexpr size_t kRawHeader = 1 + sizeof(uint64_t);
+
+/// The coded form of a block: its frequency table, check word and stream.
+struct Coding {
+  uint32_t freq[256];
+  size_t nsym = 0;
+  uint32_t check = 0;
+  const uint8_t* stream = nullptr;  // in the thread's scratch
+  size_t len = 0;
+
+  size_t Bytes() const {
+    return 1 + kSymbolMapBytes + FreqListBytes(nsym) + 2 * sizeof(uint32_t) +
+           len;
+  }
+};
+
+/// Codes in[0, n) into *c; false when the raw block is no longer.
+bool CodeBytes(const uint8_t* in, size_t n, Coding* c) {
+  if (n == 0) return false;
+  uint32_t hist[256];
+  ByteHistogram(in, n, hist);
+  NormalizeFreqs(hist, n, c->freq);
+  for (uint32_t f : c->freq) c->nsym += f != 0;
+  // Skip the encoder when the states plus the entropy already rule the
+  // coding out.
+  if (static_cast<double>(c->Bytes() + kern::kRansLanes * sizeof(uint32_t)) +
+          CodedBytesEstimate(hist, c->freq) >=
+      static_cast<double>(kRawHeader + n)) {
+    return false;
+  }
+  // The stream fills the scratch from its end, so only the pages of the
+  // largest coded stream become resident.
+  thread_local ScratchBuffer scratch;
+  const size_t cap = kern::RansEncodeCapacity(n);
+  uint8_t* const buf = scratch.Get(cap);
+  c->len = kern::Active().rans_encode(in, n, c->freq, buf, cap);
+  c->stream = buf + cap - c->len;
+  if (c->Bytes() >= kRawHeader + n) return false;
+  c->check = BlockChecksum(in, n);
+  return true;
+}
+
+/// Writes the coded block to out[0, c.Bytes()).
+void WriteCoding(const Coding& c, uint8_t* out) {
+  *out++ = kCodedBlock;
+  uint8_t* const table = out;
+  std::memset(table, 0, kSymbolMapBytes + FreqListBytes(c.nsym));
+  uint8_t* list = table + kSymbolMapBytes;
+  uint32_t acc = 0, acc_bits = 0;
+  for (uint32_t s = 0; s < 256; ++s) {
+    if (c.freq[s] == 0) continue;
+    table[s / 8] |= static_cast<uint8_t>(1u << (s % 8));
+    acc |= (c.freq[s] - 1) << acc_bits;
+    for (acc_bits += 12; acc_bits >= 8; acc_bits -= 8, acc >>= 8) {
+      *list++ = static_cast<uint8_t>(acc);
+    }
+  }
+  if (acc_bits > 0) *list = static_cast<uint8_t>(acc);
+  out = table + kSymbolMapBytes + FreqListBytes(c.nsym);
+  const uint32_t len = static_cast<uint32_t>(c.len);
+  std::memcpy(out, &c.check, sizeof(c.check));
+  std::memcpy(out + sizeof(c.check), &len, sizeof(len));
+  std::memcpy(out + 2 * sizeof(uint32_t), c.stream, c.len);
+}
+
+/// Appends a raw block of n bytes and returns where they go.
+uint8_t* AppendRaw(size_t n, ByteWriter* w) {
+  w->PutU8(kRawBlock);
+  w->PutU64(n);
+  return w->Extend(n);
+}
+
 }  // namespace
 
 void AppendCodedBlock(const uint8_t* in, size_t n, ByteWriter* w) {
-  const size_t raw_size = 1 + sizeof(uint64_t) + n;
-  if (n > 0) {
-    uint32_t hist[256], freq[256];
-    ByteHistogram(in, n, hist);
-    NormalizeFreqs(hist, n, freq);
-    size_t nsym = 0;
-    for (uint32_t f : freq) nsym += f != 0;
-    // Tag, table, check word and stream length.
-    const size_t header = 1 + kSymbolMapBytes + FreqListBytes(nsym) +
-                          2 * sizeof(uint32_t);
-    // Skip the encoder when the states plus the entropy already rule the
-    // coding out.
-    if (static_cast<double>(header + kern::kRansLanes * sizeof(uint32_t)) +
-            CodedBytesEstimate(hist, freq) <
-        static_cast<double>(raw_size)) {
-      // The stream fills the scratch from its end, so only the pages of
-      // the largest coded stream become resident.
-      thread_local ScratchBuffer scratch;
-      const size_t cap = kern::RansEncodeCapacity(n);
-      uint8_t* buf = scratch.Get(cap);
-      const size_t len = kern::Active().rans_encode(in, n, freq, buf, cap);
-      if (header + len < raw_size) {
-        w->PutU8(kCodedBlock);
-        uint8_t* table = w->Extend(kSymbolMapBytes + FreqListBytes(nsym));
-        uint8_t* list = table + kSymbolMapBytes;
-        uint32_t acc = 0, acc_bits = 0;
-        for (uint32_t s = 0; s < 256; ++s) {
-          if (freq[s] == 0) continue;
-          table[s / 8] |= static_cast<uint8_t>(1u << (s % 8));
-          acc |= (freq[s] - 1) << acc_bits;
-          for (acc_bits += 12; acc_bits >= 8; acc_bits -= 8, acc >>= 8) {
-            *list++ = static_cast<uint8_t>(acc);
-          }
-        }
-        if (acc_bits > 0) *list = static_cast<uint8_t>(acc);
-        w->PutU32(BlockChecksum(in, n));
-        w->PutU32(static_cast<uint32_t>(len));
-        std::memcpy(w->Extend(len), buf + cap - len, len);
-        return;
-      }
-    }
-  }
-  w->PutU8(kRawBlock);
-  w->PutU64(n);
-  if (n > 0) std::memcpy(w->Extend(n), in, n);
+  Coding c;
+  if (CodeBytes(in, n, &c)) return WriteCoding(c, w->Extend(c.Bytes()));
+  uint8_t* const bytes = AppendRaw(n, w);
+  if (n > 0) std::memcpy(bytes, in, n);
 }
 
-Status ParseCodedBlock(ByteReader* r, size_t n, uint8_t* out) {
+void BeginCodedBlocks(const size_t* n, size_t k, ByteWriter* w,
+                      uint8_t** bytes) {
+  for (size_t i = 0; i < k; ++i) AppendRaw(n[i], w);
+  // Addresses are taken once the buffer is final.
+  size_t at = 0;
+  for (size_t i = 0; i < k; ++i) at += kRawHeader + n[i];
+  uint8_t* p = w->Tail(at);
+  for (size_t i = 0; i < k; ++i) {
+    bytes[i] = p + kRawHeader;
+    p += kRawHeader + n[i];
+  }
+}
+
+void FinishCodedBlocks(const size_t* n, size_t k, ByteWriter* w) {
+  size_t total = 0;
+  for (size_t i = 0; i < k; ++i) total += kRawHeader + n[i];
+  uint8_t* const base = w->Tail(total);
+  // Block i is read at `at` and written at `out` <= at; a coded block is
+  // shorter than the raw one it replaces and its stream is in the scratch,
+  // so no write reaches a block not yet read.
+  size_t at = 0, out = 0;
+  for (size_t i = 0; i < k; ++i) {
+    Coding c;
+    if (CodeBytes(base + at + kRawHeader, n[i], &c)) {
+      WriteCoding(c, base + out);
+      out += c.Bytes();
+    } else {
+      if (out != at) std::memmove(base + out, base + at, kRawHeader + n[i]);
+      out += kRawHeader + n[i];
+    }
+    at += kRawHeader + n[i];
+  }
+  w->Unwrite(total - out);
+}
+
+Status ParseCodedBlock(ByteReader* r, size_t n, uint8_t* out,
+                       const uint8_t** bytes) {
   uint8_t tag = 0;
   ECG_RETURN_IF_ERROR(r->GetU8(&tag));
   if (tag == kRawBlock) {
     uint64_t len = 0;
-    const uint8_t* bytes = nullptr;
     ECG_RETURN_IF_ERROR(r->GetU64(&len));
     if (len != n) {
       return Status::InvalidArgument("corrupt block: raw length " +
                                      std::to_string(len) + ", expected " +
                                      std::to_string(n));
     }
-    ECG_RETURN_IF_ERROR(r->GetSpan(n, &bytes));
-    if (n > 0) std::memcpy(out, bytes, n);
-    return Status::OK();
+    return r->GetSpan(n, bytes);
   }
   if (tag != kCodedBlock) {
     return Status::InvalidArgument("corrupt block: tag " +
@@ -217,6 +282,14 @@ Status ParseCodedBlock(ByteReader* r, size_t n, uint8_t* out) {
     return Status::InvalidArgument(
         "corrupt block: decoded bytes fail their check word");
   }
+  *bytes = out;
+  return Status::OK();
+}
+
+Status ParseCodedBlock(ByteReader* r, size_t n, uint8_t* out) {
+  const uint8_t* bytes = nullptr;
+  ECG_RETURN_IF_ERROR(ParseCodedBlock(r, n, out, &bytes));
+  if (bytes != out && n > 0) std::memcpy(out, bytes, n);
   return Status::OK();
 }
 

@@ -44,14 +44,15 @@ inline void EncodeMatrixRows(const tensor::Matrix& m,
 void EncodeNonzeroRows(const tensor::Matrix& m,
                        const std::vector<uint32_t>& rows, ByteWriter* w);
 
-/// An EncodeNonzeroRows payload DecodeNonzeroRows has checked, decoded into
-/// the calling thread's scratch: valid until that thread's next
-/// EncodeNonzeroRows or DecodeNonzeroRows.
+/// An EncodeNonzeroRows payload DecodeNonzeroRows has checked. Raw blocks
+/// are viewed where they lie in the buffer it was read from, coded ones in
+/// the calling thread's scratch: valid while that buffer lives, until the
+/// thread's next EncodeNonzeroRows or DecodeNonzeroRows.
 struct NonzeroRows {
   uint32_t rows = 0, cols = 0;
   uint64_t nnz = 0;
   const uint8_t* bitmap = nullptr;
-  const uint8_t* planes = nullptr;  // plane p's nnz bytes at p * nnz
+  const uint8_t* planes[sizeof(float)] = {};  // nnz bytes each
 };
 
 /// Reads an EncodeNonzeroRows payload of the receiver's `rows` x `cols`
