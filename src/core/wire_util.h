@@ -36,11 +36,12 @@ inline void EncodeMatrixRows(const tensor::Matrix& m,
 /// DESIGN.md §8). The first is a bitmap with one bit per element in
 /// row-major order (bit e % 8 of byte e / 8 is set iff element e is not
 /// +0.0). Plane k = 0..3 follows: byte k of each of the nnz kept floats, in
-/// element order (plane 3 holds the sign and seven exponent bits, the
-/// plane that codes). Only all-zero bits count as zero, so -0.0, NaN
-/// payloads and denormals ship verbatim and the decode is bit-exact. Each
-/// block falls back to raw when coding does not pay, so a payload is at
-/// most 1/32 plus 46 bytes larger than EncodeMatrixRows (no zeros at all).
+/// element order (plane 3 holds the sign and seven exponent bits; on ReLU
+/// activations it is the plane that codes). Only all-zero bits count as
+/// zero, so -0.0, NaN payloads and denormals ship verbatim and the decode
+/// is bit-exact. Each block falls back to raw when coding does not pay, so
+/// a payload is at most 1/32 plus 46 bytes larger than EncodeMatrixRows
+/// (no zeros at all).
 void EncodeNonzeroRows(const tensor::Matrix& m,
                        const std::vector<uint32_t>& rows, ByteWriter* w);
 
