@@ -57,9 +57,6 @@ class ByteWriter {
   /// Drops the last `n` bytes written (an in-place payload that came out
   /// shorter than the bound Extend reserved).
   void Unwrite(size_t n) { out_->resize(out_->size() - n); }
-  /// The last `n` bytes written, in place, for a codec that finishes its
-  /// payload there; valid until the next write.
-  uint8_t* Tail(size_t n) { return out_->data() + out_->size() - n; }
 
  private:
   void PutRaw(const void* data, size_t n) {

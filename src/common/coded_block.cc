@@ -170,55 +170,14 @@ void WriteCoding(const Coding& c, uint8_t* out) {
   std::memcpy(out + 2 * sizeof(uint32_t), c.stream, c.len);
 }
 
-/// Appends a raw block of n bytes and returns where they go.
-uint8_t* AppendRaw(size_t n, ByteWriter* w) {
-  w->PutU8(kRawBlock);
-  w->PutU64(n);
-  return w->Extend(n);
-}
-
 }  // namespace
 
 void AppendCodedBlock(const uint8_t* in, size_t n, ByteWriter* w) {
   Coding c;
   if (CodeBytes(in, n, &c)) return WriteCoding(c, w->Extend(c.Bytes()));
-  uint8_t* const bytes = AppendRaw(n, w);
-  if (n > 0) std::memcpy(bytes, in, n);
-}
-
-void BeginCodedBlocks(const size_t* n, size_t k, ByteWriter* w,
-                      uint8_t** bytes) {
-  for (size_t i = 0; i < k; ++i) AppendRaw(n[i], w);
-  // Addresses are taken once the buffer is final.
-  size_t at = 0;
-  for (size_t i = 0; i < k; ++i) at += kRawHeader + n[i];
-  uint8_t* p = w->Tail(at);
-  for (size_t i = 0; i < k; ++i) {
-    bytes[i] = p + kRawHeader;
-    p += kRawHeader + n[i];
-  }
-}
-
-void FinishCodedBlocks(const size_t* n, size_t k, ByteWriter* w) {
-  size_t total = 0;
-  for (size_t i = 0; i < k; ++i) total += kRawHeader + n[i];
-  uint8_t* const base = w->Tail(total);
-  // Block i is read at `at` and written at `out` <= at; a coded block is
-  // shorter than the raw one it replaces and its stream is in the scratch,
-  // so no write reaches a block not yet read.
-  size_t at = 0, out = 0;
-  for (size_t i = 0; i < k; ++i) {
-    Coding c;
-    if (CodeBytes(base + at + kRawHeader, n[i], &c)) {
-      WriteCoding(c, base + out);
-      out += c.Bytes();
-    } else {
-      if (out != at) std::memmove(base + out, base + at, kRawHeader + n[i]);
-      out += kRawHeader + n[i];
-    }
-    at += kRawHeader + n[i];
-  }
-  w->Unwrite(total - out);
+  w->PutU8(kRawBlock);
+  w->PutU64(n);
+  if (n > 0) std::memcpy(w->Extend(n), in, n);
 }
 
 Status ParseCodedBlock(ByteReader* r, size_t n, uint8_t* out,

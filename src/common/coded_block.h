@@ -44,16 +44,6 @@ class ScratchBuffer {
 /// fields it has already checked and passes it to ParseCodedBlock.
 void AppendCodedBlock(const uint8_t* in, size_t n, ByteWriter* w);
 
-/// A run of k blocks filled in place, for parts of a payload that are
-/// produced together: BeginCodedBlocks appends them raw, n[i] bytes each,
-/// and sets bytes[i] to where block i's bytes go (valid until the next
-/// write to w). Fill them, write nothing else to w, then call
-/// FinishCodedBlocks, which codes each block that coding shortens and
-/// closes the gaps: the same bytes as k AppendCodedBlock calls.
-void BeginCodedBlocks(const size_t* n, size_t k, ByteWriter* w,
-                      uint8_t** bytes);
-void FinishCodedBlocks(const size_t* n, size_t k, ByteWriter* w);
-
 /// Reads a block of exactly n bytes and points *bytes at them: at a raw
 /// block's bytes where they lie in r's buffer, or at out[0, n), which a
 /// coded block decodes into. Total on any input: an unknown tag, a raw

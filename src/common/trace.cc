@@ -29,6 +29,10 @@ double RealNowSeconds() {
       .count();
 }
 
+/// The worker TagCurrentThread last named for this thread (-1: none),
+/// applied when the thread's ring is created.
+thread_local int32_t t_worker_tag = -1;
+
 }  // namespace
 
 /// One thread's ring. Only the owning thread writes `events` and bumps
@@ -49,7 +53,7 @@ Tracer& Tracer::Global() {
   return *tracer;
 }
 
-Tracer::ThreadBuffer* Tracer::BufferForThisThread() {
+Tracer::ThreadBuffer* Tracer::BufferForThisThread(bool create) {
   // Cache {generation, buffer} per thread; a stale generation means
   // Enable()/Reset() happened since this thread last recorded, so its
   // counter restarts from zero for the new trace.
@@ -57,12 +61,16 @@ Tracer::ThreadBuffer* Tracer::BufferForThisThread() {
   thread_local uint64_t buffer_gen = ~0ull;
   const uint64_t gen = epoch_gen_.load(std::memory_order_acquire);
   if (buffer == nullptr) {
+    if (!create) return nullptr;
     std::lock_guard<std::mutex> lock(mu_);
     buffer = new ThreadBuffer(capacity_,
                               static_cast<uint32_t>(buffers_.size()));
     buffer->generation = gen;
     buffers_.push_back(buffer);
     buffer_gen = gen;
+    if (t_worker_tag >= 0) {
+      worker_by_tid_[buffer->tid] = static_cast<uint32_t>(t_worker_tag);
+    }
   } else if (buffer_gen != gen) {
     std::lock_guard<std::mutex> lock(mu_);
     buffer->count.store(0, std::memory_order_relaxed);
@@ -150,7 +158,12 @@ void Tracer::RecordFlow(FlowPhase phase, const char* name, uint32_t worker,
 }
 
 void Tracer::TagCurrentThread(uint32_t worker) {
-  ThreadBuffer* buf = BufferForThisThread();
+  t_worker_tag = static_cast<int32_t>(worker);
+  // A thread that has not recorded gets its tag with its ring, so tagging
+  // alone allocates nothing (a ring is capacity_ events, and every
+  // simulated worker thread is tagged, tracing on or off).
+  ThreadBuffer* buf = BufferForThisThread(/*create=*/false);
+  if (buf == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
   worker_by_tid_[buf->tid] = worker;
 }

@@ -128,7 +128,8 @@ class Tracer {
  private:
   Tracer() = default;
   struct ThreadBuffer;
-  ThreadBuffer* BufferForThisThread();
+  /// The calling thread's ring; nullptr if it has none and !create.
+  ThreadBuffer* BufferForThisThread(bool create = true);
 
   mutable std::mutex mu_;  // guards buffers_ registration and export
   std::vector<ThreadBuffer*> buffers_;

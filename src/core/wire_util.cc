@@ -12,10 +12,10 @@ namespace {
 /// Float bytes, one per byte plane.
 constexpr size_t kPlanes = sizeof(float);
 
-/// Per-thread scratch of the trend codec: the bitmap and the coded planes
-/// of the thread's last message, and one row of kept floats and its bitmap.
+/// Per-thread scratch of the trend codec: the bitmap and the byte planes
+/// of the thread's last message, and one row of kept floats.
 struct NonzeroScratch {
-  ScratchBuffer map, planes, row, row_map;
+  ScratchBuffer map, planes, row;
 };
 
 NonzeroScratch& Scratch() {
@@ -23,10 +23,13 @@ NonzeroScratch& Scratch() {
   return scratch;
 }
 
-/// Byte p of each of n floats to planes[p][0, n).
+/// Byte p of float i of `floats` (n of them) to planes[p * stride + i].
 void SplitPlanes(const uint8_t* __restrict floats, size_t n,
-                 uint8_t* __restrict p0, uint8_t* __restrict p1,
-                 uint8_t* __restrict p2, uint8_t* __restrict p3) {
+                 uint8_t* __restrict planes, size_t stride) {
+  uint8_t* __restrict p0 = planes;
+  uint8_t* __restrict p1 = planes + stride;
+  uint8_t* __restrict p2 = planes + 2 * stride;
+  uint8_t* __restrict p3 = planes + 3 * stride;
   for (size_t i = 0; i < n; ++i) {
     p0[i] = floats[4 * i];
     p1[i] = floats[4 * i + 1];
@@ -35,7 +38,7 @@ void SplitPlanes(const uint8_t* __restrict floats, size_t n,
   }
 }
 
-/// Inverse of SplitPlanes.
+/// Byte p of float i to floats[4 * i + p], from n bytes of each plane.
 void MergePlanes(const uint8_t* __restrict p0, const uint8_t* __restrict p1,
                  const uint8_t* __restrict p2, const uint8_t* __restrict p3,
                  size_t n, uint8_t* __restrict floats) {
@@ -69,39 +72,33 @@ void EncodeNonzeroRows(const tensor::Matrix& m,
   const size_t cols = m.cols();
   const uint64_t count = static_cast<uint64_t>(rows.size()) * cols;
   const size_t map_bytes = (count + 7) / 8;
-  const size_t row_map_bytes = (cols + 7) / 8;
   NonzeroScratch& s = Scratch();
   uint8_t* const map = s.map.Get(map_bytes);
-  uint8_t* const row = s.row.Get(cols * sizeof(float));
-  uint8_t* const row_map = s.row_map.Get(row_map_bytes);
   std::memset(map, 0, map_bytes);
+  // Plane p at p * count, room for every float; only the pages of the kept
+  // ones are touched.
+  uint8_t* const planes = s.planes.Get(count * kPlanes);
+  uint8_t* const row = s.row.Get(cols * sizeof(float));
   const kern::Kernels& k = kern::Active();
   uint64_t nnz = 0, bit = 0;
   for (uint32_t r : rows) {
-    nnz += k.nonzero_pack(m.Row(r), cols, bit, map, row);
+    const size_t kept = k.nonzero_pack(m.Row(r), cols, bit, map, row);
+    SplitPlanes(row, kept, planes + nnz, count);
+    nnz += kept;
     bit += cols;
   }
-  // Room for every block raw and every element kept, reserved but not
-  // touched. A buffer sized by the dense bound is mapped afresh and handed
-  // back when the message is freed; sized by nnz, the allocator kept it
-  // (products-gcn-ec peak RSS +7 MB).
+  // Room for every block raw and every element kept. A buffer sized by
+  // this dense bound is mapped afresh and handed back when the message is
+  // freed; sized by nnz, the allocator kept it (products-gcn-ec peak RSS
+  // +7 MB).
   w->Reserve(16 + 5 * (1 + sizeof(uint64_t)) + map_bytes + count * kPlanes);
   w->PutU32(static_cast<uint32_t>(rows.size()));
   w->PutU32(static_cast<uint32_t>(cols));
   w->PutU64(nnz);
   AppendCodedBlock(map, map_bytes, w);
-  // The planes are filled in place by a second pass over the rows, so no
-  // copy of the kept floats is made.
-  const size_t n[kPlanes] = {nnz, nnz, nnz, nnz};
-  uint8_t* planes[kPlanes];
-  BeginCodedBlocks(n, kPlanes, w, planes);
-  for (uint32_t r : rows) {
-    std::memset(row_map, 0, row_map_bytes);
-    const size_t kept = k.nonzero_pack(m.Row(r), cols, 0, row_map, row);
-    SplitPlanes(row, kept, planes[0], planes[1], planes[2], planes[3]);
-    for (uint8_t*& plane : planes) plane += kept;
+  for (size_t p = 0; p < kPlanes; ++p) {
+    AppendCodedBlock(planes + p * count, nnz, w);
   }
-  FinishCodedBlocks(n, kPlanes, w);
 }
 
 Status DecodeNonzeroRows(ByteReader* r, uint32_t rows, uint32_t cols,

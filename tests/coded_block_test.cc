@@ -87,42 +87,6 @@ TEST(CodedBlockTest, RoundTripsAndNeverExceedsRaw) {
   EXPECT_LT(BlockOf(Skewed(5000, 3)).size(), 5000u / 2);
 }
 
-TEST(CodedBlockTest, RunFilledInPlaceMatchesAppendedBlocks) {
-  // Coded blocks before, between and after raw ones, and an empty one.
-  const std::vector<std::vector<uint8_t>> parts = {
-      Skewed(3000, 11), Uniform(500, 12), {}, std::vector<uint8_t>(900, 7),
-      Uniform(40, 13),  Skewed(2000, 14)};
-  std::vector<uint8_t> want;
-  ByteWriter ww(&want);
-  ww.PutU8(0x5a);  // a run may follow other bytes
-  for (const std::vector<uint8_t>& p : parts) {
-    AppendCodedBlock(p.data(), p.size(), &ww);
-  }
-  std::vector<uint8_t> got;
-  ByteWriter gw(&got);
-  gw.PutU8(0x5a);
-  std::vector<size_t> n;
-  for (const std::vector<uint8_t>& p : parts) n.push_back(p.size());
-  std::vector<uint8_t*> bytes(parts.size());
-  BeginCodedBlocks(n.data(), n.size(), &gw, bytes.data());
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (!parts[i].empty()) {
-      std::memcpy(bytes[i], parts[i].data(), parts[i].size());
-    }
-  }
-  FinishCodedBlocks(n.data(), n.size(), &gw);
-  EXPECT_EQ(got, want);
-  ByteReader r(got);
-  uint8_t lead = 0;
-  ASSERT_TRUE(r.GetU8(&lead).ok());
-  for (const std::vector<uint8_t>& p : parts) {
-    std::vector<uint8_t> out(p.size());
-    ASSERT_TRUE(ParseCodedBlock(&r, p.size(), out.data()).ok());
-    EXPECT_EQ(out, p);
-  }
-  EXPECT_EQ(r.remaining(), 0u);
-}
-
 TEST(CodedBlockTest, RejectsAnotherLength) {
   // A single-symbol stream decodes to any length; the check word, seeded
   // with the length, still refuses it.

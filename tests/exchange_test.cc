@@ -30,6 +30,7 @@
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "tensor/ops.h"
+#include "trend_payload.h"
 
 namespace ecg::core {
 namespace {
@@ -1287,37 +1288,6 @@ constexpr uint16_t kTrendLayers = 3;  // FP exchanges H^1 and H^2
 
 size_t TrendCols(uint16_t layer) { return layer == 1 ? 12 : 5; }
 
-/// A trend payload (after its kind byte) assembled field by field: the
-/// shape and nnz, then the bitmap and the four byte planes of `floats`,
-/// each one block, coded by AppendCodedBlock or, with `raw`, raw whatever
-/// coding would save.
-std::vector<uint8_t> TrendPayload(uint32_t rows, uint32_t cols, uint64_t nnz,
-                                  const std::vector<uint8_t>& map,
-                                  const std::vector<float>& floats,
-                                  bool raw) {
-  std::vector<uint8_t> buf;
-  ByteWriter w(&buf);
-  w.PutU32(rows);
-  w.PutU32(cols);
-  w.PutU64(nnz);
-  const auto block = [&](const std::vector<uint8_t>& bytes) {
-    if (!raw) return AppendCodedBlock(bytes.data(), bytes.size(), &w);
-    w.PutU8(0);
-    w.PutU64(bytes.size());
-    for (uint8_t b : bytes) w.PutU8(b);
-  };
-  block(map);
-  std::vector<uint8_t> plane(floats.size());
-  for (size_t p = 0; p < sizeof(float); ++p) {
-    for (size_t i = 0; i < floats.size(); ++i) {
-      plane[i] = static_cast<uint8_t>(std::bit_cast<uint32_t>(floats[i]) >>
-                                      (8 * p));
-    }
-    block(plane);
-  }
-  return buf;
-}
-
 /// ReqEC workers (two on `tiny` by default) whose exchangers and halos
 /// outlive each simulated cluster, so a run can stop, checkpoint or migrate
 /// between epochs and go on.
@@ -1454,9 +1424,10 @@ TEST(ExchangeTest, ReqEcTrendResponsesShipOnlyH) {
         // suppressed (header, then the bitmap and the nonzero floats' byte
         // planes as blocks).
         EXPECT_EQ(run.sent.at({w, epoch, layer}),
-                  1 + (1 + TrendPayload(static_cast<uint32_t>(rows),
-                                        TrendCols(layer), kept.size(), map,
-                                        kept, /*raw=*/false)
+                  1 + (1 + test::AssembleTrendPayload(
+                                   static_cast<uint32_t>(rows),
+                                   TrendCols(layer), kept.size(), map, kept,
+                                   /*raw=*/false)
                                .size()));
         EXPECT_LT(kept.size(), rows * TrendCols(layer));
       }
@@ -1770,7 +1741,8 @@ TEST(ExchangeTest, ReqEcRejectsAMalformedTrendResponse) {
     }
     std::vector<uint8_t> response = {0};  // kTrend
     const std::vector<uint8_t> payload =
-        TrendPayload(c.rows, c.cols, c.nnz, map, floats, /*raw=*/true);
+        test::AssembleTrendPayload(c.rows, c.cols, c.nnz, map, floats,
+                                   /*raw=*/true);
     response.insert(response.end(), payload.begin(), payload.end());
     response.resize(response.size() + c.trailing);
     response.resize(response.size() - c.cut);
@@ -1784,52 +1756,17 @@ TEST(ExchangeTest, ReqEcRejectsAMalformedTrendResponse) {
   }
 }
 
-/// Where each of a trend response's five blocks starts and ends, and its
-/// tag, read off the layout: a raw block is a tag, a u64 length and the
-/// bytes; a coded one a tag, the symbol map, the 12-bit frequencies, the
-/// check word, a u32 length and the stream.
-struct BlockExtent {
-  size_t at = 0, end = 0;
-  uint8_t tag = 0;
-};
-std::vector<BlockExtent> TrendBlocks(const std::vector<uint8_t>& response) {
-  std::vector<BlockExtent> blocks;
-  size_t at = 1 + 16;  // kind, shape, nnz
-  for (int b = 0; b < 5; ++b) {
-    BlockExtent e{at, 0, response[at]};
-    if (e.tag == 0) {
-      uint64_t n = 0;
-      std::memcpy(&n, &response[at + 1], sizeof(n));
-      e.end = at + 1 + sizeof(n) + n;
-    } else {
-      size_t nsym = 0;
-      for (size_t i = 0; i < 32; ++i) {
-        nsym += std::popcount(response[at + 1 + i]);
-      }
-      const size_t len_at = at + 1 + 32 + (12 * nsym + 7) / 8 + 4;
-      uint32_t len = 0;
-      std::memcpy(&len, &response[len_at], sizeof(len));
-      e.end = len_at + sizeof(len) + len;
-    }
-    blocks.push_back(e);
-    at = e.end;
-  }
-  EXPECT_EQ(at, response.size());
-  return blocks;
-}
-
 // Golden trend responses, then truncations and single bit flips of them:
 // each must be rejected before a halo or baseline row is written. A flip in
-// a raw plane's bytes is a well-formed payload carrying another value, so
+// a raw plane's data is a well-formed payload carrying another value, so
 // those bytes are left out. One golden ships every block raw and is checked
-// against an existing baseline: every cut, every bit of its header and
-// bitmap block, one bit of each byte of the planes' tags and lengths. The
-// other is wide enough that its bitmap and top plane code, and is checked
-// at the first trend epoch (no baseline has its width) on a stride of cuts
-// and flips. Each check runs a two-worker cluster, so the exhaustive
-// mutations of the coded layout are left to
-// WireUtilTest.NonzeroRowsMutationsAreRejected and
-// CodedBlockTest.BlockMutationsAreRejected.
+// with and without an existing baseline: every cut, and every bit of its
+// header, its bitmap block and its planes' tags and lengths. The other is
+// wide enough that its bitmap and top plane code, and is checked at the
+// first trend epoch (no baseline has its width) on a stride of cuts and
+// flips; WireUtilTest.NonzeroRowsMutationsAreRejected and
+// CodedBlockTest.BlockMutationsAreRejected mutate the coded layout
+// exhaustively.
 TEST(ExchangeTest, ReqEcTrendPayloadMutationsAreRejected) {
   Matrix narrow(2, kDim);
   for (size_t i = 0; i < narrow.size(); ++i) {
@@ -1855,12 +1792,16 @@ TEST(ExchangeTest, ReqEcTrendPayloadMutationsAreRejected) {
     ByteWriter w(&golden);
     w.PutU8(0);  // kTrend
     EncodeNonzeroRows(*g.m, {0, 1}, &w);
-    const std::vector<BlockExtent> blocks = TrendBlocks(golden);
-    EXPECT_EQ(blocks[0].tag, g.coded ? 1 : 0) << "bitmap";
-    EXPECT_EQ(blocks[4].tag, g.coded ? 1 : 0) << "top plane";
+    const std::vector<test::BlockExtent> blocks =
+        test::TrendBlockExtents(golden, 1);
+    ASSERT_EQ(blocks.back().end, golden.size());
+    const uint8_t tag = g.coded ? test::kCodedBlockTag : test::kRawBlockTag;
+    EXPECT_EQ(blocks[0].tag, tag) << "bitmap";
+    EXPECT_EQ(blocks[4].tag, tag) << "top plane";
     const auto in_raw_plane = [&](size_t byte) {
-      for (size_t b = 1; b < 5; ++b) {
-        if (blocks[b].tag == 0 && byte >= blocks[b].at + 9 &&
+      for (size_t b = 1; b < test::kTrendBlocks; ++b) {
+        if (blocks[b].tag == test::kRawBlockTag &&
+            byte >= blocks[b].at + test::kRawBlockHeader &&
             byte < blocks[b].end) {
           return true;
         }
@@ -1873,24 +1814,30 @@ TEST(ExchangeTest, ReqEcTrendPayloadMutationsAreRejected) {
     }
     for (size_t byte = 1; byte < golden.size(); ++byte) {
       if (in_raw_plane(byte)) continue;
-      if (!g.coded && byte < blocks[1].at) {
+      if (!g.coded) {
         for (size_t b = 0; b < 8; ++b) flips.push_back(8 * byte + b);
-      } else if (!g.coded || byte % 16 == 0) {
+      } else if (byte % 16 == 0) {
         flips.push_back(8 * byte + byte % 8);
       }
     }
-    const bool baseline = !g.coded;
-    ASSERT_TRUE(ExchangeHandBuiltTrendResponse(golden, cols, baseline).ok());
-    for (size_t len : cuts) {
-      const std::vector<uint8_t> cut(golden.begin(), golden.begin() + len);
-      EXPECT_FALSE(ExchangeHandBuiltTrendResponse(cut, cols, baseline).ok())
-          << "truncated to " << len << " bytes";
-    }
-    for (size_t bit : flips) {
-      std::vector<uint8_t> flipped = golden;
-      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      EXPECT_FALSE(ExchangeHandBuiltTrendResponse(flipped, cols, baseline).ok())
-          << "bit " << bit << " flipped";
+    const std::vector<bool> baselines =
+        g.coded ? std::vector<bool>{false} : std::vector<bool>{false, true};
+    for (const bool baseline : baselines) {
+      SCOPED_TRACE(testing::Message() << "baseline=" << baseline);
+      ASSERT_TRUE(
+          ExchangeHandBuiltTrendResponse(golden, cols, baseline).ok());
+      for (size_t len : cuts) {
+        const std::vector<uint8_t> cut(golden.begin(), golden.begin() + len);
+        EXPECT_FALSE(ExchangeHandBuiltTrendResponse(cut, cols, baseline).ok())
+            << "truncated to " << len << " bytes";
+      }
+      for (size_t bit : flips) {
+        std::vector<uint8_t> flipped = golden;
+        flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        EXPECT_FALSE(
+            ExchangeHandBuiltTrendResponse(flipped, cols, baseline).ok())
+            << "bit " << bit << " flipped";
+      }
     }
   }
 }

@@ -248,10 +248,10 @@ TEST_F(TraceTest, NestedSpansAcrossPoolWorkersStayContained) {
     for (size_t i = begin; i < end; ++i) {
       ECG_TRACE_SCOPE("outer", worker, -1);
       volatile double acc = 0;
-      for (int k = 0; k < 10000; ++k) acc += k;
+      for (int k = 0; k < 10000; ++k) acc = acc + k;
       {
         ECG_TRACE_SCOPE("inner", worker, -1);
-        for (int k = 0; k < 10000; ++k) acc += k;
+        for (int k = 0; k < 10000; ++k) acc = acc + k;
       }
     }
   });

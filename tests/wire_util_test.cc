@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/coded_block.h"
 #include "common/random.h"
 #include "tensor/matrix.h"
+#include "trend_payload.h"
 
 namespace ecg::core {
 namespace {
@@ -112,66 +112,10 @@ Matrix ZeroStressRows(size_t cols, uint64_t seed) {
   return m;
 }
 
-/// Where a block sits in a payload, and its tag.
-struct BlockExtent {
-  size_t at = 0, size = 0;
-  uint8_t tag = 0;
-};
-
-/// Appends bytes[0, n) as one block: coded by AppendCodedBlock, or, with
-/// `raw`, a hand-built raw block whatever coding would save.
-BlockExtent AppendBlock(const uint8_t* bytes, size_t n, bool raw,
-                        std::vector<uint8_t>* buf) {
-  BlockExtent e;
-  e.at = buf->size();
-  ByteWriter w(buf);
-  if (raw) {
-    w.PutU8(0);
-    w.PutU64(n);
-    for (size_t i = 0; i < n; ++i) w.PutU8(bytes[i]);
-  } else {
-    AppendCodedBlock(bytes, n, &w);
-  }
-  e.size = buf->size() - e.at;
-  e.tag = (*buf)[e.at];
-  return e;
-}
-
-/// A trend payload assembled field by field: the header, then the bitmap
-/// and the four byte planes of `floats` as blocks (raw ones with `raw`).
-/// extents, when given, receives the five blocks' places.
-std::vector<uint8_t> AssemblePayload(uint32_t rows, uint32_t cols,
-                                     uint64_t nnz,
-                                     const std::vector<uint8_t>& map,
-                                     const std::vector<float>& floats,
-                                     bool raw = false,
-                                     std::vector<BlockExtent>* extents =
-                                         nullptr) {
-  std::vector<uint8_t> buf;
-  ByteWriter w(&buf);
-  w.PutU32(rows);
-  w.PutU32(cols);
-  w.PutU64(nnz);
-  std::vector<BlockExtent> e;
-  e.push_back(AppendBlock(map.data(), map.size(), raw, &buf));
-  std::vector<uint8_t> plane(floats.size());
-  for (size_t p = 0; p < sizeof(float); ++p) {
-    for (size_t i = 0; i < floats.size(); ++i) {
-      plane[i] = static_cast<uint8_t>(std::bit_cast<uint32_t>(floats[i]) >>
-                                      (8 * p));
-    }
-    e.push_back(AppendBlock(plane.data(), plane.size(), raw, &buf));
-  }
-  if (extents != nullptr) *extents = e;
-  return buf;
-}
-
 /// The EncodeNonzeroRows payload of rows `rows` of m, built element by
 /// element.
 std::vector<uint8_t> ReferencePayload(const Matrix& m,
-                                      const std::vector<uint32_t>& rows,
-                                      std::vector<BlockExtent>* extents =
-                                          nullptr) {
+                                      const std::vector<uint32_t>& rows) {
   std::vector<uint8_t> map((rows.size() * m.cols() + 7) / 8);
   std::vector<float> kept;
   size_t e = 0;
@@ -182,9 +126,9 @@ std::vector<uint8_t> ReferencePayload(const Matrix& m,
       kept.push_back(m.At(r, c));
     }
   }
-  return AssemblePayload(static_cast<uint32_t>(rows.size()),
-                         static_cast<uint32_t>(m.cols()), kept.size(), map,
-                         kept, /*raw=*/false, extents);
+  return test::AssembleTrendPayload(static_cast<uint32_t>(rows.size()),
+                                    static_cast<uint32_t>(m.cols()),
+                                    kept.size(), map, kept, /*raw=*/false);
 }
 
 TEST(WireUtilTest, NonzeroRowsRoundTripMatchesDenseBits) {
@@ -194,10 +138,11 @@ TEST(WireUtilTest, NonzeroRowsRoundTripMatchesDenseBits) {
   for (size_t cols : {1, 13, 16, 47, 64, 512}) {
     SCOPED_TRACE(testing::Message() << "cols " << cols);
     const Matrix m = ZeroStressRows(cols, 40 + cols);
-    std::vector<BlockExtent> extents;
-    const std::vector<uint8_t> want_payload =
-        ReferencePayload(m, rows, &extents);
-    for (const BlockExtent& e : extents) coded |= e.tag == 1;
+    const std::vector<uint8_t> want_payload = ReferencePayload(m, rows);
+    for (const test::BlockExtent& e :
+         test::TrendBlockExtents(want_payload, 0)) {
+      coded |= e.tag == test::kCodedBlockTag;
+    }
     std::vector<uint8_t> sparse, dense;
     ByteWriter sw(&sparse);
     sw.PutU8(0xa5);  // the payload may follow other bytes
@@ -267,7 +212,8 @@ std::vector<uint8_t> NonzeroPayload(uint32_t rows, uint32_t cols,
   if (stray) map.back() |= 0x80;
   std::vector<float> values;
   for (uint64_t i = 0; i < floats; ++i) values.push_back(1.0f + i);
-  return AssemblePayload(rows, cols, nnz, map, values, /*raw=*/true);
+  return test::AssembleTrendPayload(rows, cols, nnz, map, values,
+                                    /*raw=*/true);
 }
 
 TEST(WireUtilTest, NonzeroRowsDecodeRejectsMalformedPayloads) {
@@ -285,7 +231,9 @@ TEST(WireUtilTest, NonzeroRowsDecodeRejectsMalformedPayloads) {
   // code, so every length below is a coded block's.
   std::vector<float> ones(4000, 1.0f);
   const std::vector<uint8_t> full_map(500, 0xff);
-  std::vector<uint8_t> coded = AssemblePayload(4, 1000, 4000, full_map, ones);
+  std::vector<uint8_t> coded =
+      test::AssembleTrendPayload(4, 1000, 4000, full_map, ones,
+                                 /*raw=*/false);
   std::vector<uint8_t> coded_cut = coded;
   coded_cut.resize(coded_cut.size() - 1);
   std::vector<uint8_t> coded_plane_flip = coded;
@@ -355,11 +303,12 @@ TEST(WireUtilTest, NonzeroRowsMutationsAreRejected) {
   }
   std::vector<uint32_t> rows(kRows);
   for (uint32_t r = 0; r < kRows; ++r) rows[r] = r;
-  std::vector<BlockExtent> extents;
-  const std::vector<uint8_t> golden = ReferencePayload(m, rows, &extents);
-  ASSERT_EQ(extents.size(), 5u);
-  ASSERT_EQ(extents[0].tag, 1) << "bitmap coded";
-  ASSERT_EQ(extents[4].tag, 1) << "top plane coded";
+  const std::vector<uint8_t> golden = ReferencePayload(m, rows);
+  const std::vector<test::BlockExtent> extents =
+      test::TrendBlockExtents(golden, 0);
+  ASSERT_EQ(extents.back().end, golden.size());
+  ASSERT_EQ(extents[0].tag, test::kCodedBlockTag) << "bitmap coded";
+  ASSERT_EQ(extents[4].tag, test::kCodedBlockTag) << "top plane coded";
   const auto decode = [&](const uint8_t* data, size_t size,
                           Matrix* out) -> Status {
     ByteReader r(data, size);
@@ -389,9 +338,11 @@ TEST(WireUtilTest, NonzeroRowsMutationsAreRejected) {
     const size_t at = bit / 8;
     bool in_raw_plane = false;
     for (size_t p = 0; p < 4; ++p) {
-      const BlockExtent& e = extents[1 + p];
-      const size_t data_at = e.at + 1 + sizeof(uint64_t);
-      if (e.tag != 0 || at < data_at || at >= e.at + e.size) continue;
+      const test::BlockExtent& e = extents[1 + p];
+      const size_t data_at = e.at + test::kRawBlockHeader;
+      if (e.tag != test::kRawBlockTag || at < data_at || at >= e.end) {
+        continue;
+      }
       in_raw_plane = true;
       Matrix want = m;
       uint32_t v = std::bit_cast<uint32_t>(want.data()[kept[at - data_at]]);
