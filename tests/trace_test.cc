@@ -12,6 +12,7 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json_lite.h"
@@ -208,6 +209,34 @@ TEST_F(TraceTest, DisabledScopesRecordNothingAndAllocateNothing) {
   // Nothing reached a ring either.
   Tracer::Global().Enable(1);
   EXPECT_EQ(Tracer::Global().recorded_events(), 0u);
+}
+
+// Every simulated worker thread is named for its worker. The name waits
+// for the thread's ring, which only its first recorded event makes, so a
+// cluster run with tracing off allocates no ring (one is 64Ki events).
+TEST_F(TraceTest, WorkerTagMakesNoRingUntilTheThreadRecords) {
+  uint64_t tag_allocations = ~0ull;
+  std::thread([&] {
+    const uint64_t before = g_allocations.load();
+    SetCurrentThreadWorker(5);
+    tag_allocations = g_allocations.load() - before;
+  }).join();
+  EXPECT_EQ(tag_allocations, 0u);
+
+  const std::string path = ::testing::TempDir() + "/ecg_worker_tag.json";
+  Tracer::Global().Enable(1, path);
+  std::thread([] {
+    SetCurrentThreadWorker(6);
+    ECG_TRACE_SCOPE("fp_compute", 6, 0);
+  }).join();
+  ASSERT_TRUE(Tracer::Global().Flush().ok());
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find("\"name\":\"worker-6\""), std::string::npos)
+      << text.str();
+  EXPECT_EQ(text.str().find("worker-5"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST_F(TraceTest, RecordsNamedSpansWithCoordinates) {
