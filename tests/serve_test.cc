@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <ios>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/random.h"
 #include "core/checkpoint.h"
 #include "core/gcn.h"
+#include "graph/datasets.h"
 #include "graph/generator.h"
 #include "serve/load_gen.h"
 #include "tensor/matrix.h"
@@ -17,6 +21,8 @@ namespace ecg::serve {
 namespace {
 
 using tensor::Matrix;
+
+constexpr int kDigestBatches = 1500;
 
 graph::Graph ServeGraph(uint32_t n = 200, uint64_t seed = 11) {
   graph::SbmConfig cfg;
@@ -144,6 +150,47 @@ TEST(ServeTest, ParameterPublishInvalidatesTheCache) {
   EXPECT_EQ(std::memcmp(before.Row(0), after.Row(0),
                         queries.size() * before.cols() * sizeof(float)),
             0);  // same weights -> same bits
+}
+
+// Eviction-heavy serving on pubmed-sim through a 1 MiB cache: the logits
+// of every batch fold into one FNV-1a digest, compared with the digest
+// recorded under the cache's earlier LRU policy. The replacement policy
+// decides only which rows are recomputed, never their bits, so any
+// eviction order must reproduce it.
+TEST(ServeTest, EvictionHeavyRunMatchesRecordedLogitsDigest) {
+  const graph::Graph g = *graph::LoadDataset("pubmed-sim");
+  core::GcnConfig m;
+  m.num_layers = 2;
+  m.hidden_dim = 16;
+  m.seed = 5;
+  auto ps = MakePs(g, m);
+  ServeOptions opts;
+  opts.cache_mb = 1;
+  InferenceServer server = MakeServer(g, m, opts);
+  ASSERT_TRUE(server.Init().ok());
+  ASSERT_TRUE(server.AttachParameterServer(&ps).ok());
+
+  // Skewed traffic: the square of a uniform draw over every vertex, so
+  // low ids are hot and the tail keeps the cache evicting.
+  Rng rng(2024);
+  uint64_t digest = 0xcbf29ce484222325ull;
+  for (int batch = 0; batch < kDigestBatches; ++batch) {
+    std::vector<uint32_t> queries(32);
+    for (uint32_t& q : queries) {
+      const double u = rng.NextDouble();
+      q = static_cast<uint32_t>(u * u * g.num_vertices());
+    }
+    Matrix logits;
+    ASSERT_TRUE(server.Classify(queries, &logits).ok());
+    const auto* p = reinterpret_cast<const uint8_t*>(logits.data());
+    for (size_t i = 0; i < logits.size() * sizeof(float); ++i) {
+      digest = (digest ^ p[i]) * 0x100000001b3ull;
+    }
+  }
+  // The run must actually evict: most tail rows are recomputed.
+  EXPECT_GT(server.cache().GetStats().evictions, 10000u);
+  EXPECT_EQ(digest, 0xa3e4d719073647fbull)
+      << "logits digest: 0x" << std::hex << digest << "ull";
 }
 
 TEST(ServeTest, AdmissionControlShedsWhenQueueIsFull) {
