@@ -74,6 +74,7 @@ Status InferenceServer::Init() {
                                options_.sample_seed + static_cast<uint64_t>(l)));
     layers_.push_back(std::move(lg));
   }
+  row_of_.assign(g_->num_vertices(), 0);
   cache_ = std::make_unique<EmbeddingCache>(
       options_.cache_shards,
       static_cast<size_t>(options_.cache_mb) * 1024 * 1024);
@@ -176,8 +177,8 @@ void InferenceServer::RefreshWeightsIfDirty() {
 
 void InferenceServer::ComputeRow(size_t layer_idx, uint32_t v,
                                  const tensor::Matrix& inputs,
-                                 const std::vector<uint32_t>& row_of,
-                                 float* out, BatchStats* stats) const {
+                                 const uint32_t* row_of, float* out,
+                                 BatchStats* stats) {
   const core::SampledLayerGraph& lg = layers_[layer_idx];
   const tensor::Matrix& W = weights_[layer_idx];
   const tensor::Matrix& b = biases_[layer_idx];
@@ -186,13 +187,14 @@ void InferenceServer::ComputeRow(size_t layer_idx, uint32_t v,
   const size_t d_out = W.cols();
 
   auto input_row = [&](uint32_t u) -> const float* {
-    const size_t r = row_of.empty() ? u : row_of[u];
+    const size_t r = row_of == nullptr ? u : row_of[u];
     return inputs.Row(r);
   };
 
   // Aggregate in fixed order: sampled neighbours in CSR order, then self.
   // This makes the row a pure function of (layer, vertex, weights).
-  std::vector<float> agg(d_total, 0.0f);
+  std::vector<float>& agg = agg_;
+  agg.assign(d_total, 0.0f);
   const uint32_t deg = lg.SampledDegree(v);
   if (model_.kind == core::GnnKind::kSage) {
     // [H | mean]: self block first, neighbour mean second.
@@ -304,26 +306,30 @@ Status InferenceServer::Classify(const std::vector<uint32_t>& queries,
   }
 
   // Bottom-up compute of every unresolved row, reusing rows across the
-  // whole batch (the coalescing win) and publishing them to the cache.
-  std::vector<uint32_t> row_of;  // vertex -> row in the layer below
+  // whole batch (the coalescing win) and publishing them to the cache,
+  // priced at the FLOPs the row just cost.
   for (int l = 1; l <= L; ++l) {
     LayerPlanData& plan = plans[l];
     const size_t d_out = shapes[l - 1].out_dim;
     const tensor::Matrix& inputs =
         (l == 1) ? g_->features() : plans[l - 1].rows;
+    // vertex -> row in the layer below; only the below vertices' entries
+    // are written, and only theirs are read.
+    const uint32_t* row_of = nullptr;
     if (l > 1) {
-      row_of.assign(g_->num_vertices(), 0);
       const std::vector<uint32_t>& below = plans[l - 1].verts;
-      for (size_t i = 0; i < below.size(); ++i) row_of[below[i]] = i;
-    } else {
-      row_of.clear();
+      for (size_t i = 0; i < below.size(); ++i) {
+        row_of_[below[i]] = static_cast<uint32_t>(i);
+      }
+      row_of = row_of_.data();
     }
     for (size_t i = 0; i < plan.verts.size(); ++i) {
       if (plan.have[i]) continue;
       const uint32_t v = plan.verts[i];
+      const uint64_t flops_before = st->flops;
       ComputeRow(l - 1, v, inputs, row_of, plan.rows.Row(i), st);
       cache_->Put(static_cast<uint32_t>(l), v, version, plan.rows.Row(i),
-                  d_out);
+                  d_out, static_cast<double>(st->flops - flops_before));
     }
   }
 
@@ -426,6 +432,17 @@ Result<std::vector<InferenceServer::Completed>> InferenceServer::ServeBatch(
         ->Observe(static_cast<double>(done.size()));
     reg.GetGauge("ecg_serve_queue_depth", "Queries waiting for a batch.", {})
         ->Set(static_cast<double>(queue_.size()));
+    // The cache counts for its whole life; export what is new since the
+    // last batch.
+    const EmbeddingCache::Stats cs = cache_->GetStats();
+    reg.GetCounter("ecg_serve_cache_evictions_total",
+                   "Embedding-cache rows evicted for the byte budget.", {})
+        ->Inc(static_cast<double>(cs.evictions - exported_evictions_));
+    reg.GetCounter("ecg_serve_cache_stale_total",
+                   "Embedding-cache rows dropped by a weights publish.", {})
+        ->Inc(static_cast<double>(cs.stale - exported_stale_));
+    exported_evictions_ = cs.evictions;
+    exported_stale_ = cs.stale;
   }
   return done;
 }

@@ -70,6 +70,13 @@ std::string ServeSpecHelp();
 /// marks the weights dirty and the next batch re-pulls them and bumps the
 /// cache version, so no row computed under old weights is ever served
 /// after a publish.
+///
+/// Threading: one executor per server. Classify, ServeBatch, Enqueue and
+/// the weight loaders share per-server scratch and the admission queue, so
+/// they must not run concurrently on one server; run one server per
+/// serving thread instead. The publish callback may fire from any thread
+/// (it only marks the weights dirty), and the EmbeddingCache is safe for
+/// concurrent use.
 class InferenceServer {
  public:
   /// `g` must outlive the server. `model` must match the weights that will
@@ -144,11 +151,11 @@ class InferenceServer {
   void InstallVersion();
 
   /// Computes h_{layer_idx+1}(v) into out[0..d_out) from input rows held
-  /// in `inputs`. `row_of` maps vertex id -> row of `inputs`; when empty,
-  /// row index == vertex id (the feature matrix). Fixed-order, pure.
+  /// in `inputs`. `row_of` maps vertex id -> row of `inputs`; when null,
+  /// row index == vertex id (the feature matrix). Fixed-order, pure in its
+  /// result; aggregates in the server's scratch row.
   void ComputeRow(size_t layer_idx, uint32_t v, const tensor::Matrix& inputs,
-                  const std::vector<uint32_t>& row_of, float* out,
-                  BatchStats* stats) const;
+                  const uint32_t* row_of, float* out, BatchStats* stats);
 
   const graph::Graph* const g_;
   const core::GcnConfig model_;
@@ -158,6 +165,12 @@ class InferenceServer {
   std::vector<tensor::Matrix> weights_;
   std::vector<tensor::Matrix> biases_;
   std::unique_ptr<EmbeddingCache> cache_;
+
+  // Per-batch scratch, reused so that a batch costs no O(num_vertices)
+  // work: vertex -> row of the layer below (only the entries of that
+  // layer's vertices are current), and ComputeRow's aggregate row.
+  std::vector<uint32_t> row_of_;
+  std::vector<float> agg_;
 
   dist::ParameterServerGroup* ps_ = nullptr;
   std::atomic<bool> weights_dirty_{false};
@@ -175,6 +188,9 @@ class InferenceServer {
   /// collapses to zero under a zero-cost service model.
   double ewma_query_seconds_ = 1e-3;
   bool ewma_seeded_ = false;
+  /// Cache counts already added to the exported counters.
+  uint64_t exported_evictions_ = 0;
+  uint64_t exported_stale_ = 0;
 
   bool initialized_ = false;
 };

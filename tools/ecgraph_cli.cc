@@ -262,11 +262,14 @@ int CmdServe(const std::string& name,
               res->mean_batch);
   std::printf("latency      p50=%.3fms p99=%.3fms max=%.3fms\n",
               res->p50_ms, res->p99_ms, res->max_ms);
+  const ecg::serve::EmbeddingCache::Stats cache = server.cache().GetStats();
   std::printf("cache        hit-rate=%.2f (rows computed=%llu "
-              "cached=%llu)\n",
+              "cached=%llu, evicted=%llu stale=%llu)\n",
               res->cache_hit_rate,
               static_cast<unsigned long long>(res->rows_computed),
-              static_cast<unsigned long long>(res->rows_cached));
+              static_cast<unsigned long long>(res->rows_cached),
+              static_cast<unsigned long long>(cache.evictions),
+              static_cast<unsigned long long>(cache.stale));
   return 0;
 }
 
