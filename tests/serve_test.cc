@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "core/checkpoint.h"
 #include "core/gcn.h"
@@ -191,6 +192,55 @@ TEST(ServeTest, EvictionHeavyRunMatchesRecordedLogitsDigest) {
   EXPECT_GT(server.cache().GetStats().evictions, 10000u);
   EXPECT_EQ(digest, 0xa3e4d719073647fbull)
       << "logits digest: 0x" << std::hex << digest << "ull";
+}
+
+// ServeBatch exports the cache's capacity evictions and publish drops as
+// counters that track the cache's own totals.
+TEST(ServeTest, ExportsCacheEvictionsAndStaleDrops) {
+  auto& reg = obs::MetricsRegistry::Global();
+  reg.Reset();
+  reg.Enable();
+  const graph::Graph g = *graph::LoadDataset("pubmed-sim");
+  core::GcnConfig m = Model();
+  m.hidden_dim = 16;
+  auto ps = MakePs(g, m);
+  ServeOptions opts;
+  opts.cache_mb = 1;
+  InferenceServer server = MakeServer(g, m, opts);
+  ASSERT_TRUE(server.Init().ok());
+  ASSERT_TRUE(server.AttachParameterServer(&ps).ok());
+  auto serve_all = [&](uint32_t first, uint32_t count) {
+    for (uint32_t v = first; v < first + count; ++v) {
+      ASSERT_TRUE(server.Enqueue(v, 0).ok());
+      if (server.queue_size() == opts.max_batch) {
+        ASSERT_TRUE(server.ServeBatch().ok());
+      }
+    }
+    while (server.queue_size() > 0) ASSERT_TRUE(server.ServeBatch().ok());
+  };
+  auto counter = [&](const char* name) {
+    return reg.GetCounter(name, "", {})->Value();
+  };
+  serve_all(0, g.num_vertices());
+  EmbeddingCache::Stats stats = server.cache().GetStats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(counter("ecg_serve_cache_evictions_total"),
+            static_cast<double>(stats.evictions));
+  EXPECT_EQ(counter("ecg_serve_cache_stale_total"), 0.0);
+
+  std::vector<Matrix> dw, db;
+  for (size_t l = 0; l < ps.num_layers(); ++l) {
+    dw.emplace_back(ps.weight(l).rows(), ps.weight(l).cols());
+    db.emplace_back(1, ps.bias(l).cols());
+  }
+  ps.Push(0, std::move(dw), std::move(db));
+  serve_all(0, 64);
+  stats = server.cache().GetStats();
+  EXPECT_GT(stats.stale, 0u);
+  EXPECT_EQ(counter("ecg_serve_cache_stale_total"),
+            static_cast<double>(stats.stale));
+  reg.Disable();
+  reg.Reset();
 }
 
 TEST(ServeTest, AdmissionControlShedsWhenQueueIsFull) {
