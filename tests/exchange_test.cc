@@ -1033,11 +1033,12 @@ TEST(ExchangeTest, FusedSelectorMatchesTheOpSequenceItReplaced) {
 // ---------------------------------------------------------------------
 // Codec parity. Every byte the halo codec produces — halos, wire bytes,
 // checkpoint state — must stay what the previous implementation produced
-// on the same inputs. Each case records two digests from that
-// implementation: a values digest (per epoch and layer, each worker's halo
-// bits; at the end, its SaveState bytes) and a comm digest (per epoch and
-// layer, each worker's wire bytes), so a change of wire format can move
-// the second while the first pins every value. Inputs sit on a 1/64 grid
+// on the same inputs. Each case records three digests from that
+// implementation: a halo digest (per epoch and layer, each worker's halo
+// bits), a state digest (each worker's final SaveState bytes) and a comm
+// digest (per epoch and layer, each worker's wire bytes). A change of wire
+// format can move the comm digest, and a change of checkpoint layout the
+// state digest, while the halo digest pins every value. Inputs sit on a 1/64 grid
 // (exact in float, no libm), so the digests depend only on the codec's
 // arithmetic.
 
@@ -1080,12 +1081,16 @@ struct ParityCase {
   FpMode fp_mode;
   BpMode bp_mode;
   ExchangeConfig config;
-  uint64_t values;
+  uint64_t halo;
+  uint64_t state;
   uint64_t comm;
 };
 
+/// Three digests of one parity run: every exchange's halo bytes, the
+/// exchangers' final SaveState bytes, and the wire bytes.
 struct ParityDigests {
-  uint64_t values;
+  uint64_t halo;
+  uint64_t state;
   uint64_t comm;
 };
 
@@ -1099,7 +1104,8 @@ ParityDigests ParityDigest(const ParityCase& pc) {
   wire.bandwidth_bytes_per_sec = 1.0;
   wire.latency_sec = 0.0;
   SimulatedCluster cluster(3, wire);
-  std::vector<uint64_t> values(3, 0xcbf29ce484222325ull);
+  std::vector<uint64_t> halos_digest(3, 0xcbf29ce484222325ull);
+  std::vector<uint64_t> state_digest(3, 0xcbf29ce484222325ull);
   std::vector<uint64_t> comm(3, 0xcbf29ce484222325ull);
   const Status status = cluster.Run([&](WorkerContext* ctx) -> Status {
     const WorkerPlan& plan = plans[ctx->worker_id()];
@@ -1111,7 +1117,7 @@ ParityDigests ParityDigest(const ParityCase& pc) {
       bp = MakeBpExchanger(pc.bp_mode, pc.config, /*num_layers=*/3, plan);
     }
     std::vector<Matrix> halos(4, Matrix(plan.num_halo(), kParityDim));
-    uint64_t& h = values[ctx->worker_id()];
+    uint64_t& h = halos_digest[ctx->worker_id()];
     uint64_t& hc = comm[ctx->worker_id()];
     for (uint32_t epoch = 0; epoch < kParityEpochs; ++epoch) {
       // FP exchanges H^1, H^2 upward; BP exchanges G^3, G^2 downward.
@@ -1145,14 +1151,16 @@ ParityDigests ParityDigest(const ParityCase& pc) {
     } else {
       bp->SaveState(&w);
     }
-    h = Fnv(h, state.data(), state.size());
+    uint64_t& hs = state_digest[ctx->worker_id()];
+    hs = Fnv(hs, state.data(), state.size());
     return Status::OK();
   });
   EXPECT_TRUE(status.ok()) << status;
-  return {Fnv(0xcbf29ce484222325ull, values.data(),
-              values.size() * sizeof(uint64_t)),
-          Fnv(0xcbf29ce484222325ull, comm.data(),
-              comm.size() * sizeof(uint64_t))};
+  const auto fold = [](const std::vector<uint64_t>& per_worker) {
+    return Fnv(0xcbf29ce484222325ull, per_worker.data(),
+               per_worker.size() * sizeof(uint64_t));
+  };
+  return {fold(halos_digest), fold(state_digest), fold(comm)};
 }
 
 ExchangeConfig ParityConfig(int bits, SelectorGranularity selector,
@@ -1188,50 +1196,52 @@ TEST(ExchangeTest, CodecParityWithRecordedDigests) {
   alloc.bit_alloc = true;
   const ParityCase cases[] = {
       {"fp_exact", true, FpMode::kExact, BpMode::kExact, v2,
-       0x943853d0db73d3d3ull, 0x6b12ab303879deb8ull},
+       0x943853d0db73d3d3ull, 0x777824eb65f9184cull, 0x6b12ab303879deb8ull},
       {"fp_cp2", true, FpMode::kCompressed, BpMode::kExact, v2,
-       0x647ca960166a4785ull, 0x386b1eae0e61f256ull},
+       0x647ca960166a4785ull, 0x777824eb65f9184cull, 0x386b1eae0e61f256ull},
       {"fp_cp4_datamean", true, FpMode::kCompressed, BpMode::kExact, d4,
-       0xc1fd9ba4a731636aull, 0x1da8110756645b83ull},
+       0xc1fd9ba4a731636aull, 0x777824eb65f9184cull, 0x1da8110756645b83ull},
       {"fp_cp16", true, FpMode::kCompressed, BpMode::kExact, s16,
-       0x77fa57567461bd4eull, 0x68717f55b4fe98d3ull},
+       0x77fa57567461bd4eull, 0x777824eb65f9184cull, 0x68717f55b4fe98d3ull},
       {"fp_delayed", true, FpMode::kDelayed, BpMode::kExact, v2,
-       0x390ba95db98dc645ull, 0xdf73274e2b8789b1ull},
+       0x390ba95db98dc645ull, 0x777824eb65f9184cull, 0xdf73274e2b8789b1ull},
       {"fp_reqec_vertex2", true, FpMode::kReqEc, BpMode::kExact, v2,
-       0x5b34fc900bc7ebf7ull, 0x8f642f0dc109bf17ull},
+       0x1be2fcdbdfb5c9e5ull, 0xa9e044e172eed610ull, 0x8f642f0dc109bf17ull},
       {"fp_reqec_vertex8", true, FpMode::kReqEc, BpMode::kExact, v8,
-       0xa718da534530eeb5ull, 0xbc68dc45f13015e7ull},
+       0xe88cb7f69dd72542ull, 0x290452def3f85874ull, 0xbc68dc45f13015e7ull},
       {"fp_reqec_element4", true, FpMode::kReqEc, BpMode::kExact, e4,
-       0x5a6a0abdc7faa081ull, 0xa5011f396b4a1e04ull},
+       0xf9342088e8411c8full, 0x68024b9019a602f2ull, 0xa5011f396b4a1e04ull},
       {"fp_reqec_matrix1", true, FpMode::kReqEc, BpMode::kExact, m1,
-       0xef0d1aa96877bf30ull, 0x7db8750c30e7f0bdull},
+       0x74929f247e09e6a6ull, 0xb25bc027efe64d5aull, 0x7db8750c30e7f0bdull},
       {"fp_reqec_datamean4", true, FpMode::kReqEc, BpMode::kExact, d4,
-       0x2d66620a29b622b7ull, 0xbc1c7dea1ae46261ull},
+       0x63176e8403d5c2e1ull, 0x2227d53e9bb00e22ull, 0xbc1c7dea1ae46261ull},
       {"fp_reqec_adaptive", true, FpMode::kReqEc, BpMode::kExact, adapt,
-       0x50a2db89b9e3734eull, 0x61d03174f40be4bull},
+       0xf103ce97bf6e12b9ull, 0xb4578486dd480023ull, 0x61d03174f40be4bull},
       {"fp_reqec_bitalloc", true, FpMode::kReqEc, BpMode::kExact, alloc,
-       0xe44144bf0054c500ull, 0x974ea789ce4fae55ull},
+       0xa31ab247a45ccd0bull, 0x644cdab609788efaull, 0x974ea789ce4fae55ull},
       {"bp_exact", false, FpMode::kExact, BpMode::kExact, v2,
-       0xb4854aa0a4dcc3e8ull, 0x6b12ab303879deb8ull},
+       0xb4854aa0a4dcc3e8ull, 0x777824eb65f9184cull, 0x6b12ab303879deb8ull},
       {"bp_cp2", false, FpMode::kExact, BpMode::kCompressed, v2,
-       0xb19aa914f4a29f83ull, 0x386b1eae0e61f256ull},
+       0xb19aa914f4a29f83ull, 0x777824eb65f9184cull, 0x386b1eae0e61f256ull},
       {"bp_cp4_datamean", false, FpMode::kExact, BpMode::kCompressed, d4,
-       0xac0e46414b956090ull, 0x1da8110756645b83ull},
+       0xac0e46414b956090ull, 0x777824eb65f9184cull, 0x1da8110756645b83ull},
       {"bp_resec2", false, FpMode::kExact, BpMode::kResEc, v2,
-       0x9e2069f158741e24ull, 0x386b1eae0e61f256ull},
+       0x4ff8549a11f0bf9eull, 0xae1321272c6cca19ull, 0x386b1eae0e61f256ull},
       {"bp_resec1", false, FpMode::kExact, BpMode::kResEc, m1,
-       0x892c256ee12eb5b5ull, 0x62de531d782e789bull},
+       0xa3913dafdb6fb3aull, 0xc0d049fd816386fcull, 0x62de531d782e789bull},
       {"bp_resec_datamean4", false, FpMode::kExact, BpMode::kResEc, d4,
-       0xb9841dadc8069a53ull, 0x1da8110756645b83ull},
+       0x5b21659029ec717aull, 0xc266b5fb10a5187cull, 0x1da8110756645b83ull},
       {"bp_resec16", false, FpMode::kExact, BpMode::kResEc, s16,
-       0xffab87af5c0d23acull, 0xd57b1fcd58fd38bdull},
+       0x96f691a281895590ull, 0xf9c0c02d304ff356ull, 0xd57b1fcd58fd38bdull},
       {"bp_resec_bitalloc", false, FpMode::kExact, BpMode::kResEc, alloc,
-       0xc9485775796f4e06ull, 0xefebfdc6548376ffull},
+       0x71de0f4a4a5aa0f9ull, 0x360c4bc974561955ull, 0xefebfdc6548376ffull},
   };
   for (const ParityCase& pc : cases) {
     const ParityDigests d = ParityDigest(pc);
-    EXPECT_EQ(d.values, pc.values)
-        << pc.name << " values: 0x" << std::hex << d.values << "ull";
+    EXPECT_EQ(d.halo, pc.halo)
+        << pc.name << " halo: 0x" << std::hex << d.halo << "ull";
+    EXPECT_EQ(d.state, pc.state)
+        << pc.name << " state: 0x" << std::hex << d.state << "ull";
     EXPECT_EQ(d.comm, pc.comm)
         << pc.name << " comm: 0x" << std::hex << d.comm << "ull";
   }
