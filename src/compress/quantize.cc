@@ -325,6 +325,10 @@ Status QuantizedMatrix::ParseFrom(ecg::ByteReader* r, const WireShape& limit,
   ECG_RETURN_IF_ERROR(r->GetU8(&implicit));
   out->bits = bits8;
   out->implicit_midpoints = implicit != 0;
+  if (implicit > 1) {
+    return Status::InvalidArgument("corrupt quantized matrix: table flag " +
+                                   std::to_string(implicit));
+  }
   if (!IsSupportedBitWidth(out->bits)) {
     return Status::InvalidArgument(
         "corrupt quantized matrix: unsupported bit width " +

@@ -138,10 +138,10 @@ struct ExchangeConfig {
   double tuner_lo = 0.4;
   /// AdaQP-style per-(layer, peer) bit allocation (DESIGN.md §16): every
   /// trend_period epochs a greedy marginal-gain solver re-divides a total
-  /// traffic budget across message groups, replacing the single global
-  /// Bit-Tuner width. The FP requester drives its per-layer request widths
-  /// from observed range/saturation; ResEC-BP picks per-peer sender widths
-  /// from residual L2. Off = bit-identical to the global tuner path.
+  /// traffic budget across the sender's message groups, replacing the
+  /// single global Bit-Tuner width. ReqEC-FP weighs each group by its
+  /// bucket range; ResEC-BP adds its residual L2. Off = bit-identical to
+  /// the global tuner path.
   bool bit_alloc = false;
   /// Traffic budget of the solver as a fraction of what the same groups
   /// would weigh at the configured global width (fp_bits / bp_bits).
@@ -216,9 +216,10 @@ inline Result<PeerRecvResult> TryRecvFromActivePeers(
   return out;
 }
 
-/// Wire-tag kinds (combined with epoch/layer in MessageHub::MakeTag).
+/// Wire-tag kinds (combined with epoch/layer in MessageHub::MakeTag). The
+/// values are part of every tag, and the fault schedule is a function of
+/// tags, so they stay fixed.
 enum ExchangeTagKind : uint16_t {
-  kTagFpRequest = 1,
   kTagFpData = 2,
   kTagBpData = 3,
 };
@@ -360,11 +361,12 @@ inline Status FanIn(dist::WorkerContext* ctx, const WorkerPlan& plan,
       });
 }
 
-/// Per-(layer, peer) message widths of an adaptive exchanger (ReqEC-FP's
-/// request widths, ResEC-BP's sender widths) and everything that reads or
-/// writes them: the AdaQP-style solver's feed and solve (DESIGN.md §16),
-/// the checkpoint vectors and the elastic bag entries. Every width starts
-/// at the configured global one, which is also the solver's reference.
+/// Per-(layer, peer) message widths of an adaptive exchanger — the width
+/// this worker sends each peer, in ReqEC-FP and ResEC-BP alike — and
+/// everything that reads or writes them: the AdaQP-style solver's feed and
+/// solve (DESIGN.md §16), the checkpoint vectors and the elastic bag
+/// entries. Every width starts at the configured global one, which is also
+/// the solver's reference.
 class WidthTable {
  public:
   WidthTable(size_t layers, size_t peers, int bits, double budget,
@@ -382,12 +384,14 @@ class WidthTable {
     for (auto& per_layer : bits_) per_layer[peer] = bits;
   }
 
-  /// Solver feed of group (layer, peer): `elements` values went through
-  /// codec `q` this epoch. The group's error weight is elements·range²
-  /// plus `pressure` (ResEC adds its residual's squared L2). Per-group
-  /// slots are disjoint, so peers may feed in parallel.
-  void Feed(size_t layer, uint32_t peer, double elements,
-            const compress::QuantizedMatrix& q, double pressure = 0.0) {
+  /// Solver feed of group (layer, peer): this epoch's message `q`. The
+  /// group's error weight is elements·range² plus `pressure` (ResEC adds
+  /// its residual's squared L2). Per-group slots are disjoint, so peers
+  /// may feed in parallel.
+  void Feed(size_t layer, uint32_t peer, const compress::QuantizedMatrix& q,
+            double pressure = 0.0) {
+    const double elements =
+        static_cast<double>(q.rows) * static_cast<double>(q.cols);
     const double range =
         static_cast<double>(q.bucket_width) * std::exp2(q.bits);
     GroupFeed& f = feed_[layer][peer];
@@ -496,11 +500,10 @@ class HaloExchanger {
   const HaloDirection& direction() const { return direction_; }
 
   /// Split-phase API for overlapped schedules. Start encodes and SENDS
-  /// everything this exchange will put on the wire (for ReqEC that means
-  /// the whole request/respond handshake: it also *drains* the peers'
-  /// requests and ships the responses). Start may mutate sender-side
-  /// compensation state (ReqEC's responder baselines, ResEC's residuals);
-  /// it must not touch `halo`. Between Start and Finish the caller may run
+  /// everything this exchange will put on the wire: one message per
+  /// active peer. Start may mutate sender-side state (ReqEC's responder
+  /// baselines, ResEC's residuals, either's widths); it must not touch
+  /// `halo`. Between Start and Finish the caller may run
   /// arbitrary compute — the comm phase counters keep accumulating until
   /// the caller ends the phase.
   virtual Status Start(dist::WorkerContext* ctx, const WorkerPlan& plan,
@@ -527,9 +530,9 @@ class HaloExchanger {
     return Status::OK();
   }
 
-  /// Width on the wire of the (layer, peer) group whose width this worker
-  /// sets: what it sends `peer` (row exchangers) or asks `peer` for
-  /// (ReqEC); kRawBits for raw float32 rows.
+  /// Width on the wire of what this worker sends `peer` on `layer`
+  /// (ReqEC's trend responses excepted: they ship exact float32 rows);
+  /// kRawBits for raw float32 rows.
   virtual int BitsTowards(uint16_t layer, uint32_t peer) const = 0;
 
   /// Serializes the exchanger's compensation state (ReqEC trend baselines,

@@ -67,14 +67,14 @@ class DelayedFpExchanger : public HaloExchanger {
         [&](uint32_t p, ByteWriter* w, QuantizedMatrix*) -> Status {
           const auto& send_rows = plan.send_rows[p];
           std::vector<uint32_t> positions;  // positions within send list
-          for (uint32_t i = 0; i < send_rows.size(); ++i) {
-            if (epoch == 0 || i % r_ == epoch % r_) positions.push_back(i);
-          }
           std::vector<uint32_t> local_rows;
-          local_rows.reserve(positions.size());
-          for (uint32_t i : positions) local_rows.push_back(send_rows[i]);
+          for (uint32_t i = 0; i < send_rows.size(); ++i) {
+            if (epoch != 0 && i % r_ != epoch % r_) continue;
+            positions.push_back(i);
+            local_rows.push_back(send_rows[i]);
+          }
           w->PutU32Vector(positions);
-          EncodeMatrix(tensor::GatherRows(h_owned, local_rows), w);
+          EncodeMatrixRows(h_owned, local_rows, w);
           return Status::OK();
         });
   }
@@ -90,6 +90,7 @@ class DelayedFpExchanger : public HaloExchanger {
           ECG_RETURN_IF_ERROR(r->GetU32Vector(&positions));
           Matrix rows;
           ECG_RETURN_IF_ERROR(DecodeMatrix(r, &rows));
+          ECG_RETURN_IF_ERROR(CheckConsumed(*r, "delayed refresh"));
           const auto& halo_rows = plan.recv_halo_rows[p];
           std::vector<uint32_t> targets;
           targets.reserve(positions.size());
@@ -115,6 +116,12 @@ class DelayedFpExchanger : public HaloExchanger {
 /// epochs, three candidate approximations per vertex in between, 2-bit
 /// selector array on the wire, and the adaptive Bit-Tuner.
 ///
+/// One message per (layer, peer) and epoch: the responder sends without
+/// being asked (Algorithm 3's request RPC is gone, DESIGN.md §2). Widths
+/// are the sender's, as in ResEC-BP: every response carries its width
+/// inline, and the Bit-Tuner and the bit_alloc solver run where the
+/// selector counts and the bucket ranges they read are computed.
+///
 /// The responder keeps its trend baselines once per owned boundary vertex:
 /// a fault-free snapshot gives every (layer, peer) group the same rows of
 /// h_owned, so each layer has one (h_last, m_cr) store that every group
@@ -135,12 +142,11 @@ class ReqEcFpExchanger : public HaloExchanger {
         responder_(num_layers),
         requester_(num_layers,
                    std::vector<TrendState>(plan.send_rows.size())),
-        // One width per (layer, peer): the global Bit-Tuner keeps every
-        // layer's entry in lock-step (wire-identical to a single per-peer
-        // width), the bit_alloc solver diverges them.
+        // One width per (layer, peer) this worker sends to: the global
+        // Bit-Tuner keeps every layer's entry in lock-step (wire-identical
+        // to a single per-peer width), the bit_alloc solver diverges them.
         widths_(num_layers, plan.send_rows.size(), config.fp_bits,
-                config.bit_budget, "bitalloc.fp_bits"),
-        proportion_from_(plan.send_rows.size(), 0.0f) {
+                config.bit_budget, "bitalloc.fp_bits") {
     ECG_CHECK(config.tuner_hi > config.tuner_lo)
         << "Bit-Tuner thresholds inverted (hi=" << config.tuner_hi
         << " <= lo=" << config.tuner_lo << ")";
@@ -167,46 +173,26 @@ class ReqEcFpExchanger : public HaloExchanger {
                uint32_t epoch, uint16_t layer,
                const Matrix& h_owned) override {
     ECG_CHECK(layer < num_layers_) << "ReqEC layer out of range";
-    const uint64_t req_tag = MessageHub::MakeTag(epoch, layer, kTagFpRequest);
     const uint64_t data_tag = MessageHub::MakeTag(epoch, layer, kTagFpData);
     const bool trend_epoch = TrendEpoch(epoch);
     // Eq. 7's (t mod T_tr + 1): epochs since the last trend snapshot.
     const uint32_t step = epoch % config_.trend_period + 1;
 
-    // 1) Requests carry the bits the requester wants the responder to use
-    //    (Algorithm 3 line 1 passes B with the RPC).
-    for (uint32_t p = 0; p < ctx->num_workers(); ++p) {
-      if (!ActivePeer(plan, p)) continue;
-      std::vector<uint8_t> buf;
-      ByteWriter w(&buf);
-      w.PutU8(static_cast<uint8_t>(widths_.at(layer, p)));
-      ctx->Send(p, req_tag, std::move(buf));
-    }
-
-    // 2) Respond (Algorithm 4). Requests are drained first, then every
-    //    peer's response — candidate construction, selector, quantize —
-    //    is built in parallel (the store is read-only until every response
-    //    is built; private baselines are per peer). A lost request
-    //    degrades to the configured default bit width (the response
-    //    carries its bits inline, so the requester still decodes).
-    ECG_ASSIGN_OR_RETURN(PeerRecvResult reqs, TryRecvFromActivePeers(
-                             ctx, plan, req_tag, config_.fault_fallback));
+    // Respond (Algorithm 4): every peer's response — candidate
+    // construction, selector, quantize — is built in parallel (the store
+    // is read-only until every response is built; private baselines,
+    // widths and feeds are per peer). `share[p]` is the pdt share of a
+    // selected response, -1 for any other kind.
     ResponderLayer& rl = responder_[layer];
     if (trend_epoch) {
       ECG_RETURN_IF_ERROR(
           CheckBaseline(rl.store, store_owned_.size(), h_owned));
     }
+    std::vector<double> share(ctx->num_workers(), -1.0);
     dist::FaultInjector* injector = ctx->fault_injector();
     ECG_RETURN_IF_ERROR(FanOut(
         ctx, plan, kFpData, epoch, layer, h_owned.cols(),
         [&](uint32_t p, ByteWriter* w, QuantizedMatrix* q) -> Status {
-          int peer_bits = config_.fp_bits;
-          if (!reqs.lost[p]) {
-            ByteReader rr(reqs.bufs[p]);
-            uint8_t b = 0;
-            ECG_RETURN_IF_ERROR(rr.GetU8(&b));
-            peer_bits = b;
-          }
           if (trend_epoch) {
             // Both ends evaluate the fault schedule, so the responder
             // knows — without any extra message — when its response can
@@ -217,7 +203,8 @@ class ReqEcFpExchanger : public HaloExchanger {
                 !injector->PermanentlyLost(ctx->worker_id(), p, data_tag);
             return BuildTrendResponse(plan, p, layer, deliverable, h_owned, w);
           }
-          const QuantizerOptions qopts{peer_bits, config_.value_mode};
+          const QuantizerOptions qopts{widths_.at(layer, p),
+                                       config_.value_mode};
           const Baseline base = ResponderBaseline(layer, p);
           if (!base.st->have_trend) {
             // First trend group: no prediction baseline exists on either
@@ -227,6 +214,7 @@ class ReqEcFpExchanger : public HaloExchanger {
                                          h_owned, plan.send_rows[p], qopts));
             w->PutU8(kColdStart);
             q->AppendTo(w);
+            widths_.Feed(layer, p, *q);
             return Status::OK();
           }
           // The selector compares candidates against the truth, so the
@@ -235,8 +223,10 @@ class ReqEcFpExchanger : public HaloExchanger {
           ECG_ASSIGN_OR_RETURN(
               *q, compress::GatherQuantizeRows(h_owned, plan.send_rows[p],
                                                nullptr, qopts, &truth));
-          return BuildResponse(base, step, truth, *q, epoch, layer, p, w);
+          return BuildResponse(base, step, truth, *q, epoch, layer, p, w,
+                               &share[p]);
         }));
+    if (layer + 1 == num_layers_) AdaptWidths(plan, epoch, share);
     if (!trend_epoch) return Status::OK();
     // Every group that still shares the store takes this snapshot, once
     // per owned vertex. Two delivered snapshots after a fork, a private
@@ -257,10 +247,10 @@ class ReqEcFpExchanger : public HaloExchanger {
     ECG_CHECK(layer < num_layers_) << "ReqEC layer out of range";
     const uint32_t step = epoch % config_.trend_period + 1;
 
-    // 3) Parse responses (Algorithm 3) — per-peer requester state and halo
-    //    row ranges are disjoint, so peers decode in parallel too. A lost
-    //    response degrades to the pdt candidate (Eq. 8: H_last + step·M_cr,
-    //    reconstructible from requester state with zero wire bytes).
+    // Parse responses (Algorithm 3) — per-peer requester state and halo
+    // row ranges are disjoint, so peers decode in parallel too. A lost
+    // response degrades to the pdt candidate (Eq. 8: H_last + step·M_cr,
+    // reconstructible from requester state with zero wire bytes).
     ECG_RETURN_IF_ERROR(FanIn(
         ctx, plan, kFpData, epoch, layer, config_.fault_fallback,
         [&](uint32_t p, ByteReader* r) {
@@ -271,54 +261,19 @@ class ReqEcFpExchanger : public HaloExchanger {
                                      h_halo);
         }));
     if (TrendEpoch(epoch)) RecordStateBytes(epoch, layer);
-    if (layer + 1 != num_layers_) return Status::OK();
-
-    // 4) Bit-Tuner, once per epoch after the last exchanged FP layer
-    //    (Algorithm 3 lines 13-18). All layers move in lock-step, so the
-    //    wire behavior matches a single per-peer width. Growth saturates
-    //    at kBitTunerMaxBits — the widest id the packed codecs encode —
-    //    and shrink at 1.
-    if (config_.adaptive_bits && !config_.bit_alloc) {
-      for (uint32_t p = 0; p < ctx->num_workers(); ++p) {
-        if (!ActivePeer(plan, p)) continue;
-        const double prop = proportion_from_[p];
-        int b = widths_.at(0, p);
-        if (prop > config_.tuner_hi) {
-          b = std::min(b * 2, kBitTunerMaxBits);
-        } else if (prop < config_.tuner_lo && b > 1) {
-          b /= 2;
-        }
-        widths_.SetPeer(p, b);
-        if (obs::StatsEnabled()) {
-          obs::RecordStat("reqec.tuner_bits", static_cast<double>(b), epoch,
-                          /*layer=*/-1, static_cast<int32_t>(p));
-          obs::RecordStat("reqec.predicted_frac", prop, epoch,
-                          /*layer=*/-1, static_cast<int32_t>(p));
-        }
-      }
-    }
-
-    // 5) Bit-allocation solve at the end of the epoch before each trend
-    //    snapshot, from the feed this epoch's responses left behind: the
-    //    new widths are in this epoch's checkpoint, ride out with the
-    //    trend epoch's requests (which trend responses ignore) and first
-    //    shape the epoch after it.
-    if (config_.bit_alloc && (epoch + 2) % config_.trend_period == 0) {
-      widths_.Solve(epoch);
-    }
     return Status::OK();
   }
 
-  /// Width this requester asks `peer` for on `layer` (bench/test hook).
+  /// Width this worker sends `peer` on `layer` (bench/test hook).
   int BitsTowards(uint16_t layer, uint32_t peer) const override {
     return widths_.at(layer, peer);
   }
 
   /// Checkpoint format: per (layer, peer) the responder and requester
-  /// trend snapshots, then the per-layer width vectors and last predicted
-  /// proportions. Everything the paper's compensation depends on. A group
-  /// that shares the responder store writes its rows gathered in send
-  /// order, so the bytes do not depend on how the responder keeps them.
+  /// trend snapshots, then the per-layer sender width vectors. Everything
+  /// the paper's compensation depends on. A group that shares the
+  /// responder store writes its rows gathered in send order, so the bytes
+  /// do not depend on how the responder keeps them.
   void SaveState(ByteWriter* w) const override {
     for (uint16_t l = 0; l < num_layers_; ++l) {
       const ResponderLayer& rl = responder_[l];
@@ -336,7 +291,6 @@ class ReqEcFpExchanger : public HaloExchanger {
       }
     }
     widths_.Save(w);
-    w->PutF32Vector(proportion_from_);
   }
 
   /// Rebuilds the responder store from the per-group snapshots (Adopter).
@@ -351,15 +305,6 @@ class ReqEcFpExchanger : public HaloExchanger {
       }
     }
     ECG_RETURN_IF_ERROR(widths_.Load(r));
-    std::vector<float> proportion;
-    ECG_RETURN_IF_ERROR(r->GetF32Vector(&proportion));
-    if (proportion.size() != proportion_from_.size()) {
-      return Status::InvalidArgument(
-          "ReqEC checkpoint proportions: expected " +
-          std::to_string(proportion_from_.size()) + " peers, got " +
-          std::to_string(proportion.size()));
-    }
-    proportion_from_ = std::move(proportion);
     for (uint16_t l = 0; l < num_layers_; ++l) {
       RecordStateBytes(obs::kNoEpoch, l);
     }
@@ -397,11 +342,6 @@ class ReqEcFpExchanger : public HaloExchanger {
         }
       }
     }
-    for (uint32_t p = 0; p < proportion_from_.size(); ++p) {
-      if (!ActivePeer(plan, p)) continue;
-      bag->proportion[std::make_pair(plan.worker_id, p)] =
-          proportion_from_[p];
-    }
     widths_.Export(plan, &bag->fp_group_bits);
   }
 
@@ -432,10 +372,6 @@ class ReqEcFpExchanger : public HaloExchanger {
         for (uint32_t r : plan.recv_halo_rows[p]) gvs.push_back(plan.halo[r]);
         qs.have_trend = GatherTrend(bag, l, gvs, &qs.h_last, &qs.m_cr);
       }
-    }
-    for (uint32_t p = 0; p < proportion_from_.size(); ++p) {
-      auto itp = bag.proportion.find(std::make_pair(plan.worker_id, p));
-      if (itp != bag.proportion.end()) proportion_from_[p] = itp->second;
     }
     widths_.Import(plan, bag.fp_group_bits);
     for (uint16_t l = 0; l < num_layers_; ++l) {
@@ -598,6 +534,41 @@ class ReqEcFpExchanger : public HaloExchanger {
     return (epoch + 1) % config_.trend_period == 0;
   }
 
+  /// Once per epoch, after the last FP layer's responses are built.
+  /// Bit-Tuner (Algorithm 3 lines 13-18): each peer whose response was a
+  /// selected one steps on that response's pdt share `share[p]` (-1 for
+  /// any other kind: nothing observed, no step). All layers move in
+  /// lock-step, so the wire behavior matches a single per-peer width.
+  /// Growth saturates at kBitTunerMaxBits — the widest id the packed
+  /// codecs encode — and shrink at 1. bit_alloc instead solves at the end
+  /// of the epoch before each trend snapshot, from the feed this epoch's
+  /// responses left: the trend epoch ships exact rows, so the new widths
+  /// first shape the epoch after it.
+  void AdaptWidths(const WorkerPlan& plan, uint32_t epoch,
+                   const std::vector<double>& share) {
+    if (config_.bit_alloc) {
+      if ((epoch + 2) % config_.trend_period == 0) widths_.Solve(epoch);
+      return;
+    }
+    if (!config_.adaptive_bits) return;
+    for (uint32_t p = 0; p < share.size(); ++p) {
+      if (!ActivePeer(plan, p) || share[p] < 0.0) continue;
+      int b = widths_.at(0, p);
+      if (share[p] > config_.tuner_hi) {
+        b = std::min(b * 2, kBitTunerMaxBits);
+      } else if (share[p] < config_.tuner_lo && b > 1) {
+        b /= 2;
+      }
+      widths_.SetPeer(p, b);
+      if (obs::StatsEnabled()) {
+        obs::RecordStat("reqec.tuner_bits", static_cast<double>(b), epoch,
+                        /*layer=*/-1, static_cast<int32_t>(p));
+        obs::RecordStat("reqec.predicted_frac", share[p], epoch,
+                        /*layer=*/-1, static_cast<int32_t>(p));
+      }
+    }
+  }
+
   /// mem.reqec.{responder,requester}_bytes: the bytes of this worker's
   /// trend baselines on `layer` — the responder store plus its private
   /// groups, and the requester's groups.
@@ -741,16 +712,22 @@ class ReqEcFpExchanger : public HaloExchanger {
   }
 
   /// Between trend epochs: the selector's picks and the shipped subset of
-  /// `q_full` (the send set `truth` quantized at the requested width).
+  /// `q_full` (the send set `truth` quantized at this group's width). The
+  /// shipped subset feeds the solver, and `*share` is the pdt share the
+  /// Bit-Tuner steps on.
   Status BuildResponse(const Baseline& base, uint32_t step,
                        const Matrix& truth, const QuantizedMatrix& q_full,
                        uint32_t epoch, uint16_t layer, uint32_t peer,
-                       ByteWriter* w) {
+                       ByteWriter* w, double* share) {
     ECG_ASSIGN_OR_RETURN(
         const ReqEcSelection sel,
         SelectReqEc(truth, base.st->h_last, base.st->m_cr, step, q_full,
                     config_.selector, base.index));
     RecordSelectorStats(sel.slt, epoch, layer, peer);
+    widths_.Feed(layer, peer, sel.shipped);
+    *share = sel.slt.empty() ? 0.0
+                             : static_cast<double>(sel.predicted) /
+                                   static_cast<double>(sel.slt.size());
     const bool element = config_.selector == SelectorGranularity::kElement;
     w->PutU8(element ? kSelectedElement : kSelected);
     w->PutU8(static_cast<uint8_t>(q_full.bits));
@@ -760,9 +737,6 @@ class ReqEcFpExchanger : public HaloExchanger {
     AppendCodedBlock(reinterpret_cast<const uint8_t*>(packed_slt.data()),
                      packed_slt.size() * sizeof(uint32_t), w);
     sel.shipped.AppendTo(w);
-    w->PutF32(sel.slt.empty() ? 0.0f
-                              : static_cast<float>(sel.predicted) /
-                                    sel.slt.size());
     return Status::OK();
   }
 
@@ -805,11 +779,7 @@ class ReqEcFpExchanger : public HaloExchanger {
     ECG_RETURN_IF_ERROR(DecodeNonzeroRows(
         r, static_cast<uint32_t>(halo_rows.size()),
         static_cast<uint32_t>(h_halo->cols()), &nz));
-    if (r->remaining() != 0) {
-      return Status::InvalidArgument(
-          "ReqEC trend response has " + std::to_string(r->remaining()) +
-          " trailing bytes");
-    }
+    ECG_RETURN_IF_ERROR(CheckConsumed(*r, "ReqEC trend response"));
     ECG_RETURN_IF_ERROR(CheckBaseline(*st, nz.rows, *h_halo));
     for (uint32_t hr : halo_rows) {
       if (hr >= h_halo->rows()) {
@@ -833,9 +803,7 @@ class ReqEcFpExchanger : public HaloExchanger {
       QuantizedMatrix q;
       ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(
           r, {halo_rows.size(), h_halo->cols()}, &q));
-      widths_.Feed(layer, peer,
-                   static_cast<double>(q.rows) * static_cast<double>(q.cols),
-                   q);
+      ECG_RETURN_IF_ERROR(CheckConsumed(*r, "ReqEC cold-start response"));
       return compress::DequantizeInto(q, halo_rows, h_halo);
     }
     if (kind != kSelected && kind != kSelectedElement) {
@@ -871,32 +839,39 @@ class ReqEcFpExchanger : public HaloExchanger {
         element ? compress::WireShape{1, halo_rows.size() * dim, true}
                 : compress::WireShape{halo_rows.size(), dim},
         &q_sub));
-    ECG_RETURN_IF_ERROR(r->GetF32(&proportion_from_[peer]));
-    // Shipped units are whole rows `dim` wide (vertex) or the coordinates
-    // of one row (element); only that shape splits back into units.
-    if (element ? q_sub.rows != 1 : q_sub.cols != dim) {
+    ECG_RETURN_IF_ERROR(CheckConsumed(*r, "ReqEC selected response"));
+    if (bits != q_sub.bits) {
       return Status::InvalidArgument(
-          "ReqEC " + std::string(element ? "element" : "vertex") +
-          " response ships a " + std::to_string(q_sub.rows) + "x" +
-          std::to_string(q_sub.cols) + " subset; expected " +
-          (element ? std::string("one row")
-                   : "rows " + std::to_string(dim) + " wide"));
+          "ReqEC response width disagrees with its subset's");
     }
-    widths_.Feed(layer, peer,
-                 element ? static_cast<double>(q_sub.cols)
-                         : static_cast<double>(q_sub.rows) * dim,
-                 q_sub);
     std::vector<uint32_t> slt;
     ECG_RETURN_IF_ERROR(UnpackBits(packed_slt, n, /*bits=*/2, &slt));
+    // Checked before any halo row is written: every pick is a candidate,
+    // the selector's padding is zero, and the subset holds exactly the
+    // non-pdt units — whole rows `dim` wide (vertex) or coordinates
+    // (element).
+    const size_t units = element ? dim : 1;  // selector entries per row
+    const size_t unit = element ? 1 : dim;   // floats per selector entry
+    size_t shipped = 0;
+    for (uint32_t pick : slt) {
+      if (pick > kAvg) return Status::InvalidArgument("corrupt selector value");
+      if (pick != kPdt) shipped += unit;
+    }
+    if (n % 16 != 0 && packed_slt.back() >> (2 * (n % 16)) != 0) {
+      return Status::InvalidArgument("selector padding is not zero");
+    }
+    const size_t subset = static_cast<size_t>(q_sub.rows) * q_sub.cols;
+    if (shipped != subset) {
+      return Status::InvalidArgument(
+          "ReqEC selector ships " + std::to_string(shipped) +
+          " values; the subset holds " + std::to_string(subset));
+    }
     ECG_ASSIGN_OR_RETURN(Matrix d_sub, compress::Dequantize(q_sub));
 
     // Each row starts as its pdt candidate; shipped units overwrite it
     // with the compressed value (kCps) or the average of both (kAvg).
     const kern::Kernels& k = kern::Active();
     const float* cps = d_sub.data();
-    const size_t units = element ? dim : 1;  // selector entries per row
-    const size_t unit = element ? 1 : dim;   // floats per selector entry
-    size_t cursor = 0;
     for (size_t i = 0; i < halo_rows.size(); ++i) {
       float* out = h_halo->Row(halo_rows[i]);
       k.reqec_predict(st.h_last.Row(i), st.m_cr.Row(i), dim,
@@ -904,20 +879,11 @@ class ReqEcFpExchanger : public HaloExchanger {
       for (size_t u = 0; u < units; ++u) {
         const uint32_t pick = slt[i * units + u];
         if (pick == kPdt) continue;
-        if (pick != kCps && pick != kAvg) {
-          return Status::InvalidArgument("corrupt selector value");
-        }
-        if (cursor + unit > d_sub.size()) {
-          return Status::OutOfRange("compressed subset underflow");
-        }
         float* dst = out + u * unit;
-        for (size_t c = 0; c < unit; ++c, ++cursor) {
-          dst[c] = pick == kCps ? cps[cursor] : 0.5f * (dst[c] + cps[cursor]);
+        for (size_t c = 0; c < unit; ++c, ++cps) {
+          dst[c] = pick == kCps ? *cps : 0.5f * (dst[c] + *cps);
         }
       }
-    }
-    if (cursor != d_sub.size()) {
-      return Status::Internal("compressed subset not fully consumed");
     }
     return Status::OK();
   }
@@ -933,8 +899,7 @@ class ReqEcFpExchanger : public HaloExchanger {
   std::vector<std::vector<uint32_t>> store_index_;
   std::vector<ResponderLayer> responder_;            // [layer]
   std::vector<std::vector<TrendState>> requester_;  // [layer][peer]
-  WidthTable widths_;
-  std::vector<float> proportion_from_;  // [peer]
+  WidthTable widths_;  // [layer][peer]: the width this worker sends
 };
 
 }  // namespace

@@ -96,11 +96,13 @@ class RowExchanger : public HaloExchanger {
                    if (bits_ == kRawBits) {
                      Matrix m;
                      ECG_RETURN_IF_ERROR(DecodeMatrix(r, &m));
+                     ECG_RETURN_IF_ERROR(CheckConsumed(*r, "raw rows"));
                      return AssignRows(m, rows, halo);
                    }
                    QuantizedMatrix q;
                    ECG_RETURN_IF_ERROR(QuantizedMatrix::ParseFrom(
                        r, {rows.size(), halo->cols()}, &q));
+                   ECG_RETURN_IF_ERROR(CheckConsumed(*r, "quantized rows"));
                    return compress::DequantizeInto(q, rows, halo);
                  });
   }
@@ -245,9 +247,7 @@ class RowExchanger : public HaloExchanger {
       // Solver feed: the residual pressure left after compression joins
       // the range term — a group whose residual keeps growing bids for
       // more bits.
-      widths_.Feed(layer, peer,
-                   static_cast<double>(q->rows) * static_cast<double>(q->cols),
-                   *q, delta.SquaredNorm());
+      widths_.Feed(layer, peer, *q, delta.SquaredNorm());
     }
     if (obs::StatsEnabled()) {
       // ||δ^t||₂: the error-feedback state the next epoch will fold back

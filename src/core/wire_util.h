@@ -103,6 +103,16 @@ inline Status DecodeMatrix(ByteReader* r, tensor::Matrix* out) {
   return r->GetF32Array(out->data(), out->size());
 }
 
+/// Every halo payload is consumed exactly: a decoder calls this on its
+/// reader before it writes any halo row, so a payload with bytes after
+/// its last field is refused (`what` names the payload).
+inline Status CheckConsumed(const ByteReader& r, const char* what) {
+  if (r.remaining() == 0) return Status::OK();
+  return Status::InvalidArgument(std::string(what) + " has " +
+                                 std::to_string(r.remaining()) +
+                                 " trailing bytes");
+}
+
 /// dst.Row(indices[i]) = src.Row(i) (assignment, not accumulation).
 inline Status AssignRows(const tensor::Matrix& src,
                          const std::vector<uint32_t>& indices,

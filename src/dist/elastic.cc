@@ -99,17 +99,6 @@ void ElasticStateBag::RemapWorkers(const std::vector<int32_t>& old_to_new) {
   }
   bp_residual = std::move(residual);
 
-  std::map<std::pair<uint32_t, uint32_t>, float> prop;
-  for (const auto& [key, v] : proportion) {
-    const int32_t a = map_worker(key.first);
-    const int32_t b = map_worker(key.second);
-    if (a < 0 || b < 0) continue;
-    prop.emplace(std::make_pair(static_cast<uint32_t>(a),
-                                static_cast<uint32_t>(b)),
-                 v);
-  }
-  proportion = std::move(prop);
-
   // Per-(layer, link) solver widths: both coordinates are workers, so a
   // departed end drops the entry and a renumbered end follows its new id.
   auto remap_group_bits = [&](GroupBits* m) {
@@ -132,7 +121,6 @@ void ElasticStateBag::RemapWorkers(const std::vector<int32_t>& old_to_new) {
 void ElasticStateBag::Clear() {
   fp_trend.clear();
   bp_residual.clear();
-  proportion.clear();
   fp_group_bits.clear();
   bp_group_bits.clear();
 }

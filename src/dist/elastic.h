@@ -34,7 +34,7 @@ struct TrendRow {
 };
 
 /// Ownership-independent snapshot of the error-compensation state both
-/// exchangers keep per halo row, plus the Bit-Tuner's per-link knobs. The
+/// exchangers keep per halo row, plus the per-link message widths. The
 /// trainer fills it from the departing membership's checkpoint (via
 /// `ExportElasticState`), remaps worker-keyed entries, and the next round's
 /// exchangers pull their rows back out (via `ImportElasticState`) — so a
@@ -55,15 +55,11 @@ struct ElasticStateBag {
   /// per peer it ships gradients to.
   std::map<std::tuple<uint16_t, uint32_t, uint32_t>, std::vector<float>>
       bp_residual;
-  /// Bit-Tuner predicted proportion, keyed by directed link (requester,
-  /// responder).
-  std::map<std::pair<uint32_t, uint32_t>, float> proportion;
-  /// Message widths, one entry per message group: (layer, requester,
-  /// responder) for the FP request widths (Bit-Tuner or bit_alloc solver)
-  /// and (layer, sender, receiver) for the ResEC sender widths. Entries
-  /// whose link lost either end are dropped by RemapWorkers — the
-  /// surviving pairs keep their width, new pairs start at the configured
-  /// global width.
+  /// Message widths, one entry per message group keyed (layer, sender,
+  /// receiver): the ReqEC-FP widths (Bit-Tuner or bit_alloc solver) and
+  /// the ResEC-BP widths. Entries whose link lost either end are dropped
+  /// by RemapWorkers — the surviving pairs keep their width, new pairs
+  /// start at the configured global width.
   using GroupBits = std::map<std::tuple<uint16_t, uint32_t, uint32_t>, int>;
   GroupBits fp_group_bits;
   GroupBits bp_group_bits;
@@ -76,8 +72,8 @@ struct ElasticStateBag {
 
   void Clear();
   bool Empty() const {
-    return fp_trend.empty() && bp_residual.empty() && proportion.empty() &&
-           fp_group_bits.empty() && bp_group_bits.empty();
+    return fp_trend.empty() && bp_residual.empty() && fp_group_bits.empty() &&
+           bp_group_bits.empty();
   }
 };
 

@@ -331,8 +331,8 @@ TEST(BitAllocElasticTest, GroupWidthsRemapAcrossWorkerLeaveAndJoin) {
   // width until the next solve). Any group touching the departed worker on
   // either end must be dropped; survivors keep their exact width.
   elastic::ElasticStateBag bag;
-  bag.fp_group_bits[{0, 0u, 1u}] = 8;   // responder departs -> dropped
-  bag.fp_group_bits[{0, 1u, 2u}] = 4;   // requester departs -> dropped
+  bag.fp_group_bits[{0, 0u, 1u}] = 8;   // receiver departs -> dropped
+  bag.fp_group_bits[{0, 1u, 2u}] = 4;   // sender departs -> dropped
   bag.fp_group_bits[{0, 2u, 0u}] = 16;  // survives as (0, 1, 0)
   bag.fp_group_bits[{1, 0u, 2u}] = 2;   // survives as (1, 0, 1)
   bag.bp_group_bits[{1, 1u, 0u}] = 8;   // sender departs -> dropped

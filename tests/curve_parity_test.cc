@@ -118,27 +118,27 @@ TEST(CurveParityTest, FullBatchMatchesRecordedDigests) {
       {kGcn, kFpExact, kBpExact, 2,
        {0xac77c693c1e73493ull, 0x475011f97b00ff25ull}},
       {kGcn, kFpCp, kBpCp, 2, {0x49d6a77582c0a183ull, 0x752227b47d956f25ull}},
-      {kGcn, kReqEc, kResEc, 2, {0xf521d1c99a1842b4ull, 0xb56b71e435d69083ull}},
+      {kGcn, kReqEc, kResEc, 2, {0xf521d1c99a1842b4ull, 0xd5f535c038e2571eull}},
       {kGcn, kDelayed, kBpExact, 2,
        {0x4a8139158c7ab855ull, 0x1270ec92e2397d1dull}},
       {kGcn, kFpExact, kBpExact, 3,
        {0xf220692182a43d88ull, 0x35200d7c7557afa5ull}},
       {kGcn, kFpCp, kBpCp, 3, {0xe4c27074e138b7e2ull, 0xb141775deca0ad25ull}},
-      {kGcn, kReqEc, kResEc, 3, {0xb9d850390035d2c5ull, 0x73f7734093281c84ull}},
+      {kGcn, kReqEc, kResEc, 3, {0xb9d850390035d2c5ull, 0x7c64d034f1e4c3d4ull}},
       {kGcn, kDelayed, kBpExact, 3,
        {0x8a1541fb60e819f7ull, 0x382d46e97c0fdd55ull}},
       {kSage, kFpExact, kBpExact, 2,
        {0xbb23a474bec595ccull, 0x47ccff90afd17ba5ull}},
       {kSage, kFpCp, kBpCp, 2, {0x7e5080b9024ea418ull, 0xddad8740f6cb6b65ull}},
       {kSage, kReqEc, kResEc, 2,
-       {0x5c51374178f90b2bull, 0xbf663869fd264971ull}},
+       {0x5c51374178f90b2bull, 0x644012989c639600ull}},
       {kSage, kDelayed, kBpExact, 2,
        {0x4379301277ec505ull, 0xa6080e587e920f1dull}},
       {kSage, kFpExact, kBpExact, 3,
        {0xd56378bbe42ce2c9ull, 0xb29d112e66b8ff25ull}},
       {kSage, kFpCp, kBpCp, 3, {0xce450d6ffeca808aull, 0x2bb62366d43ea265ull}},
       {kSage, kReqEc, kResEc, 3,
-       {0x85dfde30f65d17f4ull, 0x9333517bc84ae58full}},
+       {0x85dfde30f65d17f4ull, 0xd1985e13f9103d83ull}},
       {kSage, kDelayed, kBpExact, 3,
        {0x32f6c1a013cf0973ull, 0x80ec0cfa656773d5ull}},
   };

@@ -280,10 +280,9 @@ TEST(ElasticStateBagTest, RemapDropsDepartedWorkersAndRewritesIds) {
   bag.fp_trend[{uint16_t{0}, 5u}] = {{1.0f}, {2.0f}};
   bag.bp_residual[{uint16_t{0}, 7u, 1u}] = {0.5f};  // receiver departs
   bag.bp_residual[{uint16_t{0}, 8u, 2u}] = {0.25f};
-  bag.fp_group_bits[{0, 0u, 1u}] = 4;  // responder departs -> dropped
-  bag.fp_group_bits[{0, 1u, 2u}] = 6;  // requester departs -> dropped
+  bag.fp_group_bits[{0, 0u, 1u}] = 4;  // receiver departs -> dropped
+  bag.fp_group_bits[{0, 1u, 2u}] = 6;  // sender departs -> dropped
   bag.fp_group_bits[{0, 2u, 0u}] = 8;  // survives as (0, 1, 0)
-  bag.proportion[{2u, 0u}] = 0.75f;
 
   bag.RemapWorkers({0, -1, 1});
 
@@ -300,8 +299,6 @@ TEST(ElasticStateBagTest, RemapDropsDepartedWorkersAndRewritesIds) {
   ASSERT_EQ(bag.fp_group_bits.size(), 1u);
   EXPECT_EQ(bag.fp_group_bits.begin()->first, std::make_tuple(0, 1u, 0u));
   EXPECT_EQ(bag.fp_group_bits.begin()->second, 8);
-  ASSERT_EQ(bag.proportion.size(), 1u);
-  EXPECT_EQ(bag.proportion.begin()->first, std::make_pair(1u, 0u));
 }
 
 void ExpectBagsEqual(const ElasticStateBag& a, const ElasticStateBag& b) {
@@ -316,7 +313,6 @@ void ExpectBagsEqual(const ElasticStateBag& a, const ElasticStateBag& b) {
   EXPECT_EQ(a.bp_residual, b.bp_residual);
   EXPECT_EQ(a.fp_group_bits, b.fp_group_bits);
   EXPECT_EQ(a.bp_group_bits, b.bp_group_bits);
-  EXPECT_EQ(a.proportion, b.proportion);
 }
 
 /// Property test: exporting the exchangers' compensation state to a bag,

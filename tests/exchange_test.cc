@@ -499,14 +499,16 @@ constexpr RowMode kRowModes[] = {
 /// H^1, H^2 (FP) or G^3, G^2 (BP) with 3 layers. Before each exchange
 /// `before(worker, epoch, layer, ex)` sees the exchanger; after it
 /// `after(worker, epoch, layer, plan, halo)` sees the halo. BP halos start
-/// each exchange at zero, as the trainers' do.
+/// each exchange at zero, as the trainers' do. `messages` (optional) gets
+/// the number of messages the workers sent.
 void RunRowMode(
     TwoWorkerFixture* fx, const RowMode& mode, const ExchangeConfig& config,
     dist::FaultInjector* injector, uint32_t epochs,
     const std::function<void(uint32_t, uint32_t, uint16_t,
                              const HaloExchanger&)>& before,
     const std::function<void(uint32_t, uint32_t, uint16_t,
-                             const WorkerPlan&, const Matrix&)>& after) {
+                             const WorkerPlan&, const Matrix&)>& after,
+    uint64_t* messages = nullptr) {
   SimulatedCluster cluster(2, dist::NetworkModel{});
   cluster.hub().set_fault_injector(injector);
   const Status status = cluster.Run([&](WorkerContext* ctx) -> Status {
@@ -533,6 +535,7 @@ void RunRowMode(
     }
     return Status::OK();
   });
+  if (messages != nullptr) *messages = cluster.stats().TotalMessages();
   ASSERT_TRUE(status.ok()) << mode.name << ": " << status;
 }
 
@@ -594,37 +597,66 @@ TEST(ExchangeTest, LostRowMessagesDegradePerDirection) {
 }
 
 TEST(ExchangeTest, BitsTowardsIsTheWidthOnTheWire) {
-  // For every row mode, BitsTowards(layer, peer) before an exchange is the
-  // `<dir>.bits` the sender records for the same (epoch, layer, peer):
-  // the configured width, the solver's width under bit_alloc, or 32 for
-  // raw float32 rows.
-  ExchangeConfig config;
-  config.fp_bits = config.bp_bits = 4;
-  config.trend_period = 2;
-  config.bit_alloc = true;
+  // For every row mode and for ReqEC, BitsTowards(layer, peer) before an
+  // exchange is the `<dir>.bits` the sender records for the same (epoch,
+  // layer, peer): the configured width, the solver's or the Bit-Tuner's
+  // width, or 32 for raw float32 rows. ReqEC's trend responses ship exact
+  // rows (recorded as 32), so only its other epochs compare. Every mode
+  // sends one message per (layer, active peer) and epoch.
+  ExchangeConfig alloc;
+  alloc.fp_bits = alloc.bp_bits = 4;
+  alloc.trend_period = 2;
+  alloc.bit_alloc = true;
+  ExchangeConfig reqec_alloc = alloc;
+  reqec_alloc.trend_period = 3;
+  ExchangeConfig reqec_adapt = reqec_alloc;
+  reqec_adapt.bit_alloc = false;
+  reqec_adapt.adaptive_bits = true;
+  struct Case {
+    RowMode mode;
+    const ExchangeConfig* config;
+    uint32_t epochs;
+    bool adaptive;  // widths move off the configured one
+  };
+  std::vector<Case> cases;
   for (const RowMode& mode : kRowModes) {
-    SCOPED_TRACE(mode.name);
+    cases.push_back(
+        {mode, &alloc, 6, !mode.fp && mode.bp_mode == BpMode::kResEc});
+  }
+  const RowMode reqec{"fp_reqec", true, FpMode::kReqEc, BpMode::kExact};
+  cases.push_back({reqec, &reqec_alloc, 12, true});
+  cases.push_back({reqec, &reqec_adapt, 12, true});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << c.mode.name << " bit_alloc=" << c.config->bit_alloc);
+    const bool reqec_mode = c.mode.fp && c.mode.fp_mode == FpMode::kReqEc;
     obs::StatsRegistry& stats = obs::StatsRegistry::Global();
     stats.Reset();
     stats.Enable();
     TwoWorkerFixture fx;
     std::mutex mu;
     std::map<obs::StatKey, int> expected;
+    uint64_t messages = 0;
     RunRowMode(
-        &fx, mode, config, nullptr, 6,
+        &fx, c.mode, *c.config, nullptr, c.epochs,
         [&](uint32_t worker, uint32_t epoch, uint16_t layer,
             const HaloExchanger& ex) {
+          if (reqec_mode && (epoch + 1) % c.config->trend_period == 0) return;
           const uint32_t peer = 1 - worker;
           std::lock_guard<std::mutex> lock(mu);
-          expected[obs::StatKey{std::string(mode.fp ? "fp" : "bp") + ".bits",
-                                epoch, layer, static_cast<int32_t>(peer)}] =
-              ex.BitsTowards(layer, peer);
+          expected[obs::StatKey{
+              std::string(c.mode.fp ? "fp" : "bp") + ".bits", epoch, layer,
+              static_cast<int32_t>(peer)}] = ex.BitsTowards(layer, peer);
         },
-        [](uint32_t, uint32_t, uint16_t, const WorkerPlan&, const Matrix&) {});
+        [](uint32_t, uint32_t, uint16_t, const WorkerPlan&, const Matrix&) {},
+        &messages);
     const auto snapshot = stats.Snapshot();
     stats.Disable();
     stats.Reset();
-    ASSERT_EQ(expected.size(), 6u * 2 * 2);
+    EXPECT_EQ(messages, c.epochs * 2u * 2u);  // 2 layers, 2 workers
+    const uint32_t compared =
+        reqec_mode ? c.epochs - c.epochs / c.config->trend_period : c.epochs;
+    ASSERT_EQ(expected.size(), compared * 2u * 2u);
     std::set<int> widths;
     for (const auto& [key, bits] : expected) {
       widths.insert(bits);
@@ -634,8 +666,7 @@ TEST(ExchangeTest, BitsTowardsIsTheWidthOnTheWire) {
           << key.name << " epoch " << key.epoch << " layer " << key.layer
           << " peer " << key.peer;
     }
-    // Only ResEC's solver moves a width off the configured one.
-    EXPECT_EQ(widths.size() > 1, mode.bp_mode == BpMode::kResEc && !mode.fp);
+    EXPECT_EQ(widths.size() > 1, c.adaptive);
   }
 }
 
@@ -694,24 +725,6 @@ TEST(ExchangeTest, ResEcRejectsAMisshapenResidual) {
 // baseline that does not fit the plan is an InvalidArgument, never an
 // out-of-bounds read.
 
-TEST(ExchangeTest, ReqEcLoadStateRejectsAShortProportionVector) {
-  TwoWorkerFixture fx;
-  auto ex = MakeFpExchanger(FpMode::kReqEc, {}, /*num_layers=*/2,
-                            fx.plans[0]);
-  std::vector<uint8_t> blob;
-  ByteWriter w(&blob);
-  ex->SaveState(&w);
-  // The blob ends with the per-peer proportion vector (u64 length + one
-  // float per worker); swap it for an empty one.
-  const size_t tail = sizeof(uint64_t) + 2 * sizeof(float);
-  ASSERT_GE(blob.size(), tail);
-  blob.resize(blob.size() - tail);
-  w.PutF32Vector({});
-  ByteReader r(blob);
-  const Status s = ex->LoadState(&r);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
-}
-
 /// A ReqEC checkpoint whose responder baselines are sound but whose
 /// requester baselines are one row short of the halo slice they predict.
 std::vector<uint8_t> ShortRequesterBaselineBlob(const WorkerPlan& plan) {
@@ -734,7 +747,6 @@ std::vector<uint8_t> ShortRequesterBaselineBlob(const WorkerPlan& plan) {
   for (uint16_t l = 0; l < 2; ++l) {
     w.PutU32Vector(std::vector<uint32_t>(workers, 2));
   }
-  w.PutF32Vector(std::vector<float>(workers, 0.0f));
   return blob;
 }
 
@@ -763,16 +775,11 @@ TEST(ExchangeTest, ReqEcRejectsABaselineShorterThanTheHaloSlice) {
   }
 }
 
-/// Worker 1's side of epoch `epoch` with a hand-built ReqEC response:
-/// it answers worker 0's request with `response` and drains the rest.
+/// Worker 1's side of epoch `epoch` with a hand-built ReqEC response: it
+/// sends worker 0 `response` and drains worker 0's response to it.
 Status FakeReqEcResponder(WorkerContext* ctx, uint32_t epoch,
                           std::vector<uint8_t> response) {
   const uint16_t layer = 1;
-  std::vector<uint8_t> request;
-  ByteWriter(&request).PutU8(2);
-  ctx->Send(0, dist::MessageHub::MakeTag(epoch, layer, kTagFpRequest),
-            std::move(request));
-  ctx->Recv(0, dist::MessageHub::MakeTag(epoch, layer, kTagFpRequest));
   ctx->Send(0, dist::MessageHub::MakeTag(epoch, layer, kTagFpData),
             std::move(response));
   ctx->Recv(0, dist::MessageHub::MakeTag(epoch, layer, kTagFpData));
@@ -807,7 +814,6 @@ std::vector<uint8_t> SelectedResponse(bool element, uint32_t rows,
       compress::Quantize(subset, {2, compress::BucketValueMode::kMidpoint});
   EXPECT_TRUE(q.ok());
   q->AppendTo(&w);
-  w.PutF32(0.5f);
   return buf;
 }
 
@@ -1206,19 +1212,19 @@ TEST(ExchangeTest, CodecParityWithRecordedDigests) {
       {"fp_delayed", true, FpMode::kDelayed, BpMode::kExact, v2,
        0x390ba95db98dc645ull, 0x777824eb65f9184cull, 0xdf73274e2b8789b1ull},
       {"fp_reqec_vertex2", true, FpMode::kReqEc, BpMode::kExact, v2,
-       0x1be2fcdbdfb5c9e5ull, 0xa9e044e172eed610ull, 0x8f642f0dc109bf17ull},
+       0x1be2fcdbdfb5c9e5ull, 0x8c66bce55d053a63ull, 0x54bbf07543c5a443ull},
       {"fp_reqec_vertex8", true, FpMode::kReqEc, BpMode::kExact, v8,
-       0xe88cb7f69dd72542ull, 0x290452def3f85874ull, 0xbc68dc45f13015e7ull},
+       0xe88cb7f69dd72542ull, 0x6e5ae96c6000d224ull, 0xff6d27327d381543ull},
       {"fp_reqec_element4", true, FpMode::kReqEc, BpMode::kExact, e4,
-       0xf9342088e8411c8full, 0x68024b9019a602f2ull, 0xa5011f396b4a1e04ull},
+       0xf9342088e8411c8full, 0x103f1966adfff823ull, 0x8a3468d5dc82b0adull},
       {"fp_reqec_matrix1", true, FpMode::kReqEc, BpMode::kExact, m1,
-       0x74929f247e09e6a6ull, 0xb25bc027efe64d5aull, 0x7db8750c30e7f0bdull},
+       0x74929f247e09e6a6ull, 0x855de3a941c0c32eull, 0x4aed12d6b571ecf9ull},
       {"fp_reqec_datamean4", true, FpMode::kReqEc, BpMode::kExact, d4,
-       0x63176e8403d5c2e1ull, 0x2227d53e9bb00e22ull, 0xbc1c7dea1ae46261ull},
+       0x63176e8403d5c2e1ull, 0x103f1966adfff823ull, 0x5d6b62411c5ed07bull},
       {"fp_reqec_adaptive", true, FpMode::kReqEc, BpMode::kExact, adapt,
-       0xf103ce97bf6e12b9ull, 0xb4578486dd480023ull, 0x61d03174f40be4bull},
+       0x633b39f3df5a4a92ull, 0xe6b1a8a6b620ff3eull, 0x73edd77713bf6877ull},
       {"fp_reqec_bitalloc", true, FpMode::kReqEc, BpMode::kExact, alloc,
-       0xa31ab247a45ccd0bull, 0x644cdab609788efaull, 0x974ea789ce4fae55ull},
+       0x79b66ee5b493075full, 0xee63eecae5d8ac2ull, 0xc66734e6d613404ull},
       {"bp_exact", false, FpMode::kExact, BpMode::kExact, v2,
        0xb4854aa0a4dcc3e8ull, 0x777824eb65f9184cull, 0x6b12ab303879deb8ull},
       {"bp_cp2", false, FpMode::kExact, BpMode::kCompressed, v2,
@@ -1306,8 +1312,8 @@ struct TrendRun {
   ExchangeConfig config;
   std::vector<std::unique_ptr<HaloExchanger>> ex;
   std::vector<std::vector<Matrix>> halos;  // [worker][layer]
-  /// Bytes each worker sent per (epoch, layer): one request plus one
-  /// response towards each peer.
+  /// Bytes each worker sent per (epoch, layer): one response towards each
+  /// peer.
   std::map<std::tuple<uint32_t, uint32_t, uint16_t>, uint64_t> sent;
 
   explicit TrendRun(uint32_t workers = 2, const char* dataset = "tiny") {
@@ -1430,15 +1436,14 @@ TEST(ExchangeTest, ReqEcTrendResponsesShipOnlyH) {
             kept.push_back(v);
           }
         }
-        // A 1-byte request, then kind + the rows with their zeros
-        // suppressed (header, then the bitmap and the nonzero floats' byte
-        // planes as blocks).
+        // The response only: kind + the rows with their zeros suppressed
+        // (header, then the bitmap and the nonzero floats' byte planes as
+        // blocks).
         EXPECT_EQ(run.sent.at({w, epoch, layer}),
-                  1 + (1 + test::AssembleTrendPayload(
-                                   static_cast<uint32_t>(rows),
-                                   TrendCols(layer), kept.size(), map, kept,
-                                   /*raw=*/false)
-                               .size()));
+                  1 + test::AssembleTrendPayload(
+                          static_cast<uint32_t>(rows), TrendCols(layer),
+                          kept.size(), map, kept, /*raw=*/false)
+                          .size());
         EXPECT_LT(kept.size(), rows * TrendCols(layer));
       }
     }
@@ -1849,6 +1854,236 @@ TEST(ExchangeTest, ReqEcTrendPayloadMutationsAreRejected) {
             << "bit " << bit << " flipped";
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Hand-built payloads of every mode. Worker 1 runs the real exchanger up to
+// `epoch`, then sends worker 0 a hand-built payload in place of its own
+// message. Worker 0 must decode a well-formed payload and refuse any other
+// with its halo, and a ReqEC requester's baselines, as they were.
+
+/// What worker 0's exchange of a hand-built payload did.
+struct HandBuilt {
+  Status status;
+  bool halo_kept = false;      // the halo is bit for bit what it was
+  bool baseline_kept = false;  // the requester baselines too (ReqEC)
+};
+
+HandBuilt ExchangeHandBuiltPayload(const RowMode& mode,
+                                   const ExchangeConfig& config,
+                                   uint32_t epoch,
+                                   const std::vector<uint8_t>& payload) {
+  TwoWorkerFixture fx;
+  const uint16_t layer = mode.fp ? 1 : 2;
+  const bool reqec = mode.fp && mode.fp_mode == FpMode::kReqEc;
+  HandBuilt out;
+  SimulatedCluster cluster(2, dist::NetworkModel{});
+  const Status run = cluster.Run([&](WorkerContext* ctx) -> Status {
+    const WorkerPlan& plan = fx.plans[ctx->worker_id()];
+    std::unique_ptr<HaloExchanger> ex =
+        mode.fp ? MakeFpExchanger(mode.fp_mode, config, 3, plan)
+                : MakeBpExchanger(mode.bp_mode, config, 3, plan);
+    const auto owned_at = [&](uint32_t e) {
+      return MakeOwned(plan, [&](uint32_t v, size_t c) {
+        return 0.25f * static_cast<float>(v + c) + static_cast<float>(e * e);
+      });
+    };
+    Matrix halo(plan.num_halo(), kDim);
+    for (uint32_t e = 0; e < epoch; ++e) {
+      ECG_RETURN_IF_ERROR(
+          ex->Exchange(ctx, plan, e, layer, owned_at(e), &halo));
+    }
+    const uint64_t tag = dist::MessageHub::MakeTag(
+        epoch, layer, ex->direction().tag_kind);
+    if (ctx->worker_id() == 1) {
+      ctx->Send(0, tag, payload);
+      ctx->Recv(0, tag);  // worker 0's own message
+      return Status::OK();
+    }
+    for (size_t i = 0; i < halo.size(); ++i) {
+      halo.data()[i] = -1.0f - static_cast<float>(i);
+    }
+    const Matrix halo_before = halo;
+    const TrendSides before =
+        reqec ? ReadTrendSides(*ex, 3, 2) : TrendSides{};
+    out.status = ex->Exchange(ctx, plan, epoch, layer, owned_at(epoch), &halo);
+    out.halo_kept = SameMatrix(halo, halo_before);
+    out.baseline_kept = true;
+    if (reqec) {
+      const TrendSides after = ReadTrendSides(*ex, 3, 2);
+      for (size_t l = 0; l < after.size(); ++l) {
+        out.baseline_kept &= SameSide(after[l][1][1], before[l][1][1]);
+      }
+    }
+    return Status::OK();
+  });
+  EXPECT_TRUE(run.ok()) << run;
+  return out;
+}
+
+/// The two rows worker 0 receives from worker 1, kDim wide.
+Matrix HandBuiltRows() {
+  Matrix m(2, kDim);
+  for (size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = i % 3 == 0 ? 0.0f : 0.5f + static_cast<float>(i);
+  }
+  return m;
+}
+
+std::vector<uint8_t> RawRowsPayload() {
+  std::vector<uint8_t> buf;
+  ByteWriter w(&buf);
+  EncodeMatrix(HandBuiltRows(), &w);
+  return buf;
+}
+
+/// A quantized payload, after `kind` (a ReqEC response kind) if given.
+std::vector<uint8_t> QuantizedRowsPayload(int kind = -1) {
+  std::vector<uint8_t> buf;
+  ByteWriter w(&buf);
+  if (kind >= 0) w.PutU8(static_cast<uint8_t>(kind));
+  auto q = compress::Quantize(HandBuiltRows(),
+                              {4, compress::BucketValueMode::kMidpoint});
+  EXPECT_TRUE(q.ok());
+  q->AppendTo(&w);
+  return buf;
+}
+
+// Every decode site takes its payload whole: one byte more than a
+// well-formed payload is refused before any halo row is written, in every
+// mode. So is a selected response in the old format, whose trailing float
+// carried the pdt share back to the requester.
+TEST(ExchangeTest, EveryHaloPayloadIsConsumedExactly) {
+  ExchangeConfig config;
+  config.trend_period = 4;  // ReqEC: cold start 0-2, trend 3, selected 4
+  ExchangeConfig element = config;
+  element.selector = SelectorGranularity::kElement;
+  const RowMode reqec{"fp_reqec", true, FpMode::kReqEc, BpMode::kExact};
+  std::vector<uint8_t> delayed;
+  {
+    ByteWriter w(&delayed);
+    w.PutU32Vector({0, 1});
+    EncodeMatrix(HandBuiltRows(), &w);
+  }
+  std::vector<uint8_t> trend = {0};  // kTrend
+  {
+    ByteWriter w(&trend);
+    EncodeNonzeroRows(HandBuiltRows(), {0, 1}, &w);
+  }
+  struct Case {
+    const char* name;
+    RowMode mode;
+    const ExchangeConfig* config;
+    uint32_t epoch;
+    std::vector<uint8_t> golden;
+  };
+  const Case cases[] = {
+      {"fp_exact", kRowModes[0], &config, 0, RawRowsPayload()},
+      {"fp_cp", kRowModes[1], &config, 0, QuantizedRowsPayload()},
+      {"bp_exact", kRowModes[2], &config, 0, RawRowsPayload()},
+      {"bp_cp", kRowModes[3], &config, 0, QuantizedRowsPayload()},
+      {"bp_resec", kRowModes[4], &config, 0, QuantizedRowsPayload()},
+      {"fp_delayed",
+       {"fp_delayed", true, FpMode::kDelayed, BpMode::kExact},
+       &config,
+       0,
+       delayed},
+      {"reqec_cold_start", reqec, &config, 0, QuantizedRowsPayload(2)},
+      {"reqec_trend", reqec, &config, 3, trend},
+      {"reqec_vertex", reqec, &config, 4, SelectedResponse(false, 1, kDim)},
+      {"reqec_element", reqec, &element, 4,
+       SelectedResponse(true, 1, 2 * kDim)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const HandBuilt good =
+        ExchangeHandBuiltPayload(c.mode, *c.config, c.epoch, c.golden);
+    ASSERT_TRUE(good.status.ok()) << good.status;
+    EXPECT_FALSE(good.halo_kept);
+    std::vector<std::vector<uint8_t>> longer(1, c.golden);
+    longer[0].push_back(0);
+    if (c.mode.fp_mode == FpMode::kReqEc && c.epoch == 4) {
+      longer.push_back(c.golden);
+      ByteWriter(&longer.back()).PutF32(0.5f);
+    }
+    for (const std::vector<uint8_t>& payload : longer) {
+      SCOPED_TRACE(testing::Message()
+                   << payload.size() - c.golden.size() << " bytes more");
+      const HandBuilt bad =
+          ExchangeHandBuiltPayload(c.mode, *c.config, c.epoch, payload);
+      EXPECT_EQ(bad.status.code(), StatusCode::kInvalidArgument) << bad.status;
+      EXPECT_TRUE(bad.halo_kept);
+      EXPECT_TRUE(bad.baseline_kept);
+    }
+  }
+}
+
+// Golden selected responses (vertex and element), then every truncation
+// and every single-bit flip of them. Each is refused with the halo and the
+// requester baselines as they were, or decodes. Only a flip in a byte that
+// carries no redundancy may decode: the raw id words, the bucket floats,
+// and a selector pick that turns cps into avg (both ship the unit). The
+// header, the selector's other bits and padding, and the blocks' tags and
+// lengths are all checked.
+TEST(ExchangeTest, ReqEcSelectedPayloadMutationsAreRejected) {
+  const RowMode reqec{"fp_reqec", true, FpMode::kReqEc, BpMode::kExact};
+  for (const bool element : {false, true}) {
+    SCOPED_TRACE(element ? "element" : "vertex");
+    ExchangeConfig config;
+    config.trend_period = 4;  // epoch 3 sets the baseline, epoch 4 selects
+    config.selector =
+        element ? SelectorGranularity::kElement : SelectorGranularity::kVertex;
+    const std::vector<uint8_t> golden =
+        SelectedResponse(element, 1, element ? 2 * kDim : kDim);
+    // kind, bits, u64 n, then the selector's raw block (tag, u64 length,
+    // one word), then the subset: u32 rows, u32 cols, bits, implicit, the
+    // two bucket floats and the ids' raw block (tag, u64 length, words).
+    const size_t slt_tag = 1 + 1 + 8;
+    const size_t slt_word = slt_tag + 1 + 8;
+    const size_t floats = slt_word + 4 + 4 + 4 + 1 + 1;
+    const size_t ids_tag = floats + 2 * sizeof(float);
+    const size_t ids_words = ids_tag + 1 + 8;
+    ASSERT_EQ(golden[slt_tag], test::kRawBlockTag);
+    ASSERT_EQ(golden[ids_tag], test::kRawBlockTag);
+    ASSERT_LT(ids_words, golden.size());
+    const uint64_t picks = element ? 2 * kDim : 2;
+    const auto may_decode = [&](size_t bit) {
+      const size_t byte = bit / 8;
+      if (byte >= ids_words || (byte >= floats && byte < ids_tag)) {
+        return true;
+      }
+      if (byte < slt_word || byte >= slt_word + 4) return false;
+      const size_t at = bit - 8 * slt_word;  // bit of the selector word
+      if (at >= 2 * picks || at % 2 == 0) return false;
+      std::vector<uint32_t> word(1);
+      std::memcpy(word.data(), golden.data() + slt_word, 4);
+      return (word[0] >> (at - 1) & 3u) == kCps;  // cps -> avg
+    };
+    {
+      const HandBuilt good =
+          ExchangeHandBuiltPayload(reqec, config, 4, golden);
+      ASSERT_TRUE(good.status.ok()) << good.status;
+    }
+    for (size_t len = 0; len < golden.size(); ++len) {
+      const std::vector<uint8_t> cut(golden.begin(), golden.begin() + len);
+      const HandBuilt r = ExchangeHandBuiltPayload(reqec, config, 4, cut);
+      EXPECT_FALSE(r.status.ok()) << "truncated to " << len << " bytes";
+      EXPECT_TRUE(r.halo_kept && r.baseline_kept) << "truncated to " << len;
+    }
+    size_t decoded = 0;
+    for (size_t bit = 0; bit < 8 * golden.size(); ++bit) {
+      std::vector<uint8_t> flipped = golden;
+      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      const HandBuilt r = ExchangeHandBuiltPayload(reqec, config, 4, flipped);
+      if (r.status.ok()) {
+        ++decoded;
+        EXPECT_TRUE(may_decode(bit)) << "bit " << bit << " flipped decodes";
+        continue;
+      }
+      EXPECT_TRUE(r.halo_kept && r.baseline_kept) << "bit " << bit;
+    }
+    EXPECT_GT(decoded, 0u);
   }
 }
 
