@@ -138,9 +138,10 @@ Result<TrainResult> DistributedTrainer::Train() {
                                     num_layers, plan);
     if (have_bag) {
       // Compensation state migrated from the previous membership round,
-      // keyed by global vertex id: rows this worker now owns (or now
-      // requests) pick up exactly the history they had under the old
-      // assignment; rows with no history cold-start as usual.
+      // keyed by global vertex id, and message widths keyed by link:
+      // rows this worker now owns (or now receives as halo) pick up
+      // exactly the history they had under the old assignment; rows with
+      // no history cold-start as usual.
       ECG_RETURN_IF_ERROR(fp_ex->ImportElasticState(plan, bag));
       ECG_RETURN_IF_ERROR(bp_ex->ImportElasticState(plan, bag));
     }
