@@ -494,6 +494,9 @@ constexpr RowMode kRowModes[] = {
     {"bp_cp", false, FpMode::kExact, BpMode::kCompressed},
     {"bp_resec", false, FpMode::kExact, BpMode::kResEc},
 };
+/// ReqEC-FP, which the helpers below also drive.
+constexpr RowMode kReqEcMode{"fp_reqec", true, FpMode::kReqEc,
+                             BpMode::kExact};
 
 /// Runs `epochs` epochs of `mode` on the fixture's two workers, exchanging
 /// H^1, H^2 (FP) or G^3, G^2 (BP) with 3 layers. Before each exchange
@@ -623,9 +626,8 @@ TEST(ExchangeTest, BitsTowardsIsTheWidthOnTheWire) {
     cases.push_back(
         {mode, &alloc, 6, !mode.fp && mode.bp_mode == BpMode::kResEc});
   }
-  const RowMode reqec{"fp_reqec", true, FpMode::kReqEc, BpMode::kExact};
-  cases.push_back({reqec, &reqec_alloc, 12, true});
-  cases.push_back({reqec, &reqec_adapt, 12, true});
+  cases.push_back({kReqEcMode, &reqec_alloc, 12, true});
+  cases.push_back({kReqEcMode, &reqec_adapt, 12, true});
   for (const Case& c : cases) {
     SCOPED_TRACE(testing::Message()
                  << c.mode.name << " bit_alloc=" << c.config->bit_alloc);
@@ -775,17 +777,6 @@ TEST(ExchangeTest, ReqEcRejectsABaselineShorterThanTheHaloSlice) {
   }
 }
 
-/// Worker 1's side of epoch `epoch` with a hand-built ReqEC response: it
-/// sends worker 0 `response` and drains worker 0's response to it.
-Status FakeReqEcResponder(WorkerContext* ctx, uint32_t epoch,
-                          std::vector<uint8_t> response) {
-  const uint16_t layer = 1;
-  ctx->Send(0, dist::MessageHub::MakeTag(epoch, layer, kTagFpData),
-            std::move(response));
-  ctx->Recv(0, dist::MessageHub::MakeTag(epoch, layer, kTagFpData));
-  return Status::OK();
-}
-
 /// A selected response (vertex or element schema) for two halo rows of
 /// width kDim whose selector and element count are consistent, but whose
 /// compressed subset is `rows` x `cols`.
@@ -815,46 +806,6 @@ std::vector<uint8_t> SelectedResponse(bool element, uint32_t rows,
   EXPECT_TRUE(q.ok());
   q->AppendTo(&w);
   return buf;
-}
-
-// A selected response splits its compressed subset back into whole units:
-// rows exactly `dim` wide (vertex) or the coordinates of one row
-// (element). A subset with the right element count but another shape is
-// malformed and must be rejected, not silently re-cut.
-TEST(ExchangeTest, ReqEcRejectsASubsetOfTheWrongShape) {
-  struct Shape {
-    bool element;
-    uint32_t rows, cols;
-  };
-  for (const Shape& shape : {Shape{false, 2, kDim / 2}, Shape{true, 2, kDim}}) {
-    SCOPED_TRACE(shape.element ? "element" : "vertex");
-    TwoWorkerFixture fx;
-    ExchangeConfig config;
-    config.trend_period = 4;  // epoch 3 sets the baseline, epoch 4 selects
-    config.selector = shape.element ? SelectorGranularity::kElement
-                                    : SelectorGranularity::kVertex;
-    SimulatedCluster cluster(2, dist::NetworkModel{});
-    const Status status = cluster.Run([&](WorkerContext* ctx) -> Status {
-      const WorkerPlan& plan = fx.plans[ctx->worker_id()];
-      auto ex = MakeFpExchanger(FpMode::kReqEc, config, 2, plan);
-      Matrix halo(plan.num_halo(), kDim);
-      for (uint32_t epoch = 0; epoch < 4; ++epoch) {
-        const Matrix owned = MakeOwned(plan, [&](uint32_t v, size_t c) {
-          return 0.25f * static_cast<float>(v + c + epoch);
-        });
-        ECG_RETURN_IF_ERROR(ex->Exchange(ctx, plan, epoch, 1, owned, &halo));
-      }
-      if (ctx->worker_id() == 1) {
-        return FakeReqEcResponder(
-            ctx, 4, SelectedResponse(shape.element, shape.rows, shape.cols));
-      }
-      const Matrix owned = MakeOwned(plan, [](uint32_t v, size_t c) {
-        return 0.25f * static_cast<float>(v + c + 4);
-      });
-      return ex->Exchange(ctx, plan, 4, 1, owned, &halo);
-    });
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -1044,9 +995,9 @@ TEST(ExchangeTest, FusedSelectorMatchesTheOpSequenceItReplaced) {
 // bits), a state digest (each worker's final SaveState bytes) and a comm
 // digest (per epoch and layer, each worker's wire bytes). A change of wire
 // format can move the comm digest, and a change of checkpoint layout the
-// state digest, while the halo digest pins every value. Inputs sit on a 1/64 grid
-// (exact in float, no libm), so the digests depend only on the codec's
-// arithmetic.
+// state digest, while the halo digest pins every value. Inputs sit on a
+// 1/64 grid (exact in float, no libm), so the digests depend only on the
+// codec's arithmetic.
 
 constexpr size_t kParityDim = 12;  // 12·bits is word-ragged below 8 bits
 constexpr uint32_t kParityEpochs = 12;
@@ -1627,6 +1578,80 @@ TEST(ExchangeTest, ReqEcLostTrendResponseForksOnlyItsGroup) {
             store_bytes);
 }
 
+// ---------------------------------------------------------------------
+// Hand-built payloads. Worker 1 runs the real exchanger up to `epoch`,
+// then sends worker 0 a hand-built payload in place of its own message.
+// Worker 0 must decode a well-formed payload and refuse any other with its
+// halo, and a ReqEC requester's baselines, as they were.
+
+/// What worker 0's exchange of a hand-built payload did.
+struct HandBuilt {
+  Status status;
+  bool halo_kept = false;      // the halo is bit for bit what it was
+  bool baseline_kept = false;  // the requester baselines too (ReqEC)
+  /// ReqEC: worker 0's layer-1 baseline towards worker 1 existed before
+  /// and after the exchange.
+  bool baseline_before = false, baseline_after = false;
+};
+
+/// Worker 0 exchanges layer 1 (FP) or 2 (BP) of 3 at `epoch` into a halo
+/// `halo_cols` wide, filled with values no payload carries.
+HandBuilt ExchangeHandBuiltPayload(const RowMode& mode,
+                                   const ExchangeConfig& config,
+                                   uint32_t epoch,
+                                   const std::vector<uint8_t>& payload,
+                                   size_t halo_cols = kDim) {
+  TwoWorkerFixture fx;
+  const uint16_t layer = mode.fp ? 1 : 2;
+  const bool reqec = mode.fp && mode.fp_mode == FpMode::kReqEc;
+  HandBuilt out;
+  SimulatedCluster cluster(2, dist::NetworkModel{});
+  const Status run = cluster.Run([&](WorkerContext* ctx) -> Status {
+    const WorkerPlan& plan = fx.plans[ctx->worker_id()];
+    std::unique_ptr<HaloExchanger> ex =
+        mode.fp ? MakeFpExchanger(mode.fp_mode, config, 3, plan)
+                : MakeBpExchanger(mode.bp_mode, config, 3, plan);
+    const auto owned_at = [&](uint32_t e) {
+      return MakeOwned(plan, [&](uint32_t v, size_t c) {
+        return 0.25f * static_cast<float>(v + c) + static_cast<float>(e * e);
+      });
+    };
+    Matrix halo(plan.num_halo(), kDim);
+    for (uint32_t e = 0; e < epoch; ++e) {
+      ECG_RETURN_IF_ERROR(
+          ex->Exchange(ctx, plan, e, layer, owned_at(e), &halo));
+    }
+    const uint64_t tag = dist::MessageHub::MakeTag(
+        epoch, layer, ex->direction().tag_kind);
+    if (ctx->worker_id() == 1) {
+      ctx->Send(0, tag, payload);
+      ctx->Recv(0, tag);  // worker 0's own message
+      return Status::OK();
+    }
+    halo.Reset(plan.num_halo(), halo_cols);
+    for (size_t i = 0; i < halo.size(); ++i) {
+      halo.data()[i] = -1.0f - static_cast<float>(i);
+    }
+    const Matrix halo_before = halo;
+    const TrendSides before =
+        reqec ? ReadTrendSides(*ex, 3, 2) : TrendSides{};
+    out.status = ex->Exchange(ctx, plan, epoch, layer, owned_at(epoch), &halo);
+    out.halo_kept = SameMatrix(halo, halo_before);
+    out.baseline_kept = true;
+    if (reqec) {
+      const TrendSides after = ReadTrendSides(*ex, 3, 2);
+      for (size_t l = 0; l < after.size(); ++l) {
+        out.baseline_kept &= SameSide(after[l][1][1], before[l][1][1]);
+      }
+      out.baseline_before = before[1][1][1].have != 0;
+      out.baseline_after = after[1][1][1].have != 0;
+    }
+    return Status::OK();
+  });
+  EXPECT_TRUE(run.ok()) << run;
+  return out;
+}
+
 /// Worker 0's layer-1 exchange at a trend epoch, answered by worker 1 with
 /// `response` (kind byte first) into a halo `halo_cols` wide; with
 /// `baseline`, an earlier trend epoch has set worker 0's trend baseline.
@@ -1634,47 +1659,43 @@ TEST(ExchangeTest, ReqEcLostTrendResponseForksOnlyItsGroup) {
 /// and requester baseline as they were, and an accepted one updated both.
 Status ExchangeHandBuiltTrendResponse(const std::vector<uint8_t>& response,
                                       size_t halo_cols, bool baseline) {
-  // Trend epochs are 3 and 7; with a baseline, epoch 3 sets it.
-  const uint32_t epoch = baseline ? 7 : 3;
-  TwoWorkerFixture fx;
   ExchangeConfig config;
   config.trend_period = 4;
-  SimulatedCluster cluster(2, dist::NetworkModel{});
-  return cluster.Run([&](WorkerContext* ctx) -> Status {
-    const WorkerPlan& plan = fx.plans[ctx->worker_id()];
-    auto ex = MakeFpExchanger(FpMode::kReqEc, config, 2, plan);
-    const auto owned_at = [&](uint32_t e) {
-      return MakeOwned(plan, [&](uint32_t v, size_t col) {
-        return 0.25f * static_cast<float>(v + col) +
-               static_cast<float>(e * e);
-      });
-    };
-    Matrix halo(plan.num_halo(), kDim);
-    for (uint32_t e = 0; e < epoch; ++e) {
-      ECG_RETURN_IF_ERROR(ex->Exchange(ctx, plan, e, 1, owned_at(e), &halo));
-    }
-    if (ctx->worker_id() == 1) {
-      return FakeReqEcResponder(ctx, epoch, response);
-    }
-    Matrix wide(plan.num_halo(), halo_cols);
-    for (size_t i = 0; i < wide.size(); ++i) {
-      wide.data()[i] = -1.0f - static_cast<float>(i);
-    }
-    const Matrix halo_before = wide;
-    const TrendSides before = ReadTrendSides(*ex, 2, 2);
-    const Status s =
-        ex->Exchange(ctx, plan, epoch, 1, owned_at(epoch), &wide);
-    const TrendSides after = ReadTrendSides(*ex, 2, 2);
-    EXPECT_EQ(before[1][1][1].have, baseline ? 1 : 0);
-    if (s.ok()) {
-      EXPECT_FALSE(SameMatrix(wide, halo_before));
-      EXPECT_EQ(after[1][1][1].have, 1);
-    } else {
-      EXPECT_TRUE(SameMatrix(wide, halo_before));
-      EXPECT_TRUE(SameSide(after[1][1][1], before[1][1][1]));
-    }
-    return s;
-  });
+  // Trend epochs are 3 and 7; with a baseline, epoch 3 sets it.
+  const HandBuilt r = ExchangeHandBuiltPayload(
+      kReqEcMode, config, baseline ? 7 : 3, response, halo_cols);
+  EXPECT_EQ(r.baseline_before, baseline);
+  if (r.status.ok()) {
+    EXPECT_FALSE(r.halo_kept);
+    EXPECT_TRUE(r.baseline_after);
+  } else {
+    EXPECT_TRUE(r.halo_kept);
+    EXPECT_TRUE(r.baseline_kept);
+  }
+  return r.status;
+}
+
+// A selected response splits its compressed subset back into whole units:
+// rows exactly `dim` wide (vertex) or the coordinates of one row
+// (element). A subset with the right element count but another shape is
+// malformed and must be rejected, not silently re-cut.
+TEST(ExchangeTest, ReqEcRejectsASubsetOfTheWrongShape) {
+  struct Shape {
+    bool element;
+    uint32_t rows, cols;
+  };
+  for (const Shape& shape : {Shape{false, 2, kDim / 2}, Shape{true, 2, kDim}}) {
+    SCOPED_TRACE(shape.element ? "element" : "vertex");
+    ExchangeConfig config;
+    config.trend_period = 4;  // epoch 3 sets the baseline, epoch 4 selects
+    config.selector = shape.element ? SelectorGranularity::kElement
+                                    : SelectorGranularity::kVertex;
+    const HandBuilt r = ExchangeHandBuiltPayload(
+        kReqEcMode, config, 4,
+        SelectedResponse(shape.element, shape.rows, shape.cols));
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << r.status;
+    EXPECT_TRUE(r.halo_kept);
+  }
 }
 
 // A trend response is decoded in full and checked against the halo slice
@@ -1857,71 +1878,6 @@ TEST(ExchangeTest, ReqEcTrendPayloadMutationsAreRejected) {
   }
 }
 
-// ---------------------------------------------------------------------
-// Hand-built payloads of every mode. Worker 1 runs the real exchanger up to
-// `epoch`, then sends worker 0 a hand-built payload in place of its own
-// message. Worker 0 must decode a well-formed payload and refuse any other
-// with its halo, and a ReqEC requester's baselines, as they were.
-
-/// What worker 0's exchange of a hand-built payload did.
-struct HandBuilt {
-  Status status;
-  bool halo_kept = false;      // the halo is bit for bit what it was
-  bool baseline_kept = false;  // the requester baselines too (ReqEC)
-};
-
-HandBuilt ExchangeHandBuiltPayload(const RowMode& mode,
-                                   const ExchangeConfig& config,
-                                   uint32_t epoch,
-                                   const std::vector<uint8_t>& payload) {
-  TwoWorkerFixture fx;
-  const uint16_t layer = mode.fp ? 1 : 2;
-  const bool reqec = mode.fp && mode.fp_mode == FpMode::kReqEc;
-  HandBuilt out;
-  SimulatedCluster cluster(2, dist::NetworkModel{});
-  const Status run = cluster.Run([&](WorkerContext* ctx) -> Status {
-    const WorkerPlan& plan = fx.plans[ctx->worker_id()];
-    std::unique_ptr<HaloExchanger> ex =
-        mode.fp ? MakeFpExchanger(mode.fp_mode, config, 3, plan)
-                : MakeBpExchanger(mode.bp_mode, config, 3, plan);
-    const auto owned_at = [&](uint32_t e) {
-      return MakeOwned(plan, [&](uint32_t v, size_t c) {
-        return 0.25f * static_cast<float>(v + c) + static_cast<float>(e * e);
-      });
-    };
-    Matrix halo(plan.num_halo(), kDim);
-    for (uint32_t e = 0; e < epoch; ++e) {
-      ECG_RETURN_IF_ERROR(
-          ex->Exchange(ctx, plan, e, layer, owned_at(e), &halo));
-    }
-    const uint64_t tag = dist::MessageHub::MakeTag(
-        epoch, layer, ex->direction().tag_kind);
-    if (ctx->worker_id() == 1) {
-      ctx->Send(0, tag, payload);
-      ctx->Recv(0, tag);  // worker 0's own message
-      return Status::OK();
-    }
-    for (size_t i = 0; i < halo.size(); ++i) {
-      halo.data()[i] = -1.0f - static_cast<float>(i);
-    }
-    const Matrix halo_before = halo;
-    const TrendSides before =
-        reqec ? ReadTrendSides(*ex, 3, 2) : TrendSides{};
-    out.status = ex->Exchange(ctx, plan, epoch, layer, owned_at(epoch), &halo);
-    out.halo_kept = SameMatrix(halo, halo_before);
-    out.baseline_kept = true;
-    if (reqec) {
-      const TrendSides after = ReadTrendSides(*ex, 3, 2);
-      for (size_t l = 0; l < after.size(); ++l) {
-        out.baseline_kept &= SameSide(after[l][1][1], before[l][1][1]);
-      }
-    }
-    return Status::OK();
-  });
-  EXPECT_TRUE(run.ok()) << run;
-  return out;
-}
-
 /// The two rows worker 0 receives from worker 1, kDim wide.
 Matrix HandBuiltRows() {
   Matrix m(2, kDim);
@@ -1959,7 +1915,6 @@ TEST(ExchangeTest, EveryHaloPayloadIsConsumedExactly) {
   config.trend_period = 4;  // ReqEC: cold start 0-2, trend 3, selected 4
   ExchangeConfig element = config;
   element.selector = SelectorGranularity::kElement;
-  const RowMode reqec{"fp_reqec", true, FpMode::kReqEc, BpMode::kExact};
   std::vector<uint8_t> delayed;
   {
     ByteWriter w(&delayed);
@@ -1989,10 +1944,11 @@ TEST(ExchangeTest, EveryHaloPayloadIsConsumedExactly) {
        &config,
        0,
        delayed},
-      {"reqec_cold_start", reqec, &config, 0, QuantizedRowsPayload(2)},
-      {"reqec_trend", reqec, &config, 3, trend},
-      {"reqec_vertex", reqec, &config, 4, SelectedResponse(false, 1, kDim)},
-      {"reqec_element", reqec, &element, 4,
+      {"reqec_cold_start", kReqEcMode, &config, 0, QuantizedRowsPayload(2)},
+      {"reqec_trend", kReqEcMode, &config, 3, trend},
+      {"reqec_vertex", kReqEcMode, &config, 4,
+       SelectedResponse(false, 1, kDim)},
+      {"reqec_element", kReqEcMode, &element, 4,
        SelectedResponse(true, 1, 2 * kDim)},
   };
   for (const Case& c : cases) {
@@ -2027,7 +1983,6 @@ TEST(ExchangeTest, EveryHaloPayloadIsConsumedExactly) {
 // header, the selector's other bits and padding, and the blocks' tags and
 // lengths are all checked.
 TEST(ExchangeTest, ReqEcSelectedPayloadMutationsAreRejected) {
-  const RowMode reqec{"fp_reqec", true, FpMode::kReqEc, BpMode::kExact};
   for (const bool element : {false, true}) {
     SCOPED_TRACE(element ? "element" : "vertex");
     ExchangeConfig config;
@@ -2062,12 +2017,12 @@ TEST(ExchangeTest, ReqEcSelectedPayloadMutationsAreRejected) {
     };
     {
       const HandBuilt good =
-          ExchangeHandBuiltPayload(reqec, config, 4, golden);
+          ExchangeHandBuiltPayload(kReqEcMode, config, 4, golden);
       ASSERT_TRUE(good.status.ok()) << good.status;
     }
     for (size_t len = 0; len < golden.size(); ++len) {
       const std::vector<uint8_t> cut(golden.begin(), golden.begin() + len);
-      const HandBuilt r = ExchangeHandBuiltPayload(reqec, config, 4, cut);
+      const HandBuilt r = ExchangeHandBuiltPayload(kReqEcMode, config, 4, cut);
       EXPECT_FALSE(r.status.ok()) << "truncated to " << len << " bytes";
       EXPECT_TRUE(r.halo_kept && r.baseline_kept) << "truncated to " << len;
     }
@@ -2075,7 +2030,8 @@ TEST(ExchangeTest, ReqEcSelectedPayloadMutationsAreRejected) {
     for (size_t bit = 0; bit < 8 * golden.size(); ++bit) {
       std::vector<uint8_t> flipped = golden;
       flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      const HandBuilt r = ExchangeHandBuiltPayload(reqec, config, 4, flipped);
+      const HandBuilt r =
+          ExchangeHandBuiltPayload(kReqEcMode, config, 4, flipped);
       if (r.status.ok()) {
         ++decoded;
         EXPECT_TRUE(may_decode(bit)) << "bit " << bit << " flipped decodes";
