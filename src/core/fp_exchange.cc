@@ -116,10 +116,10 @@ class DelayedFpExchanger : public HaloExchanger {
 /// epochs, three candidate approximations per vertex in between, 2-bit
 /// selector array on the wire, and the adaptive Bit-Tuner.
 ///
-/// One message per (layer, peer) and epoch: the responder sends without
-/// being asked (Algorithm 3's request RPC is gone, DESIGN.md §2). Widths
-/// are the sender's, as in ResEC-BP: every response carries its width
-/// inline, and the Bit-Tuner and the bit_alloc solver run where the
+/// One message per (layer, peer) and epoch: the responder sends unasked,
+/// with no request RPC before it (DESIGN.md §2 says why none is needed).
+/// Widths are the sender's, as in ResEC-BP: every response carries its
+/// width inline, and the Bit-Tuner and the bit_alloc solver run where the
 /// selector counts and the bucket ranges they read are computed.
 ///
 /// The responder keeps its trend baselines once per owned boundary vertex:
