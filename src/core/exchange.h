@@ -159,63 +159,6 @@ struct ExchangeConfig {
   bool fault_fallback = true;
 };
 
-/// Result of a loss-tolerant halo fan-in. `bufs[p]` holds the payload of
-/// every peer whose message arrived; `lost[p]` marks peers whose message
-/// was permanently lost (retries exhausted) and must be covered by a
-/// degradation path.
-struct PeerRecvResult {
-  std::vector<std::vector<uint8_t>> bufs;
-  std::vector<bool> lost;
-  bool any_lost = false;
-};
-
-/// Receives from every active peer with bounded waits, consuming peers in
-/// *arrival order* (MessageHub::TryRecvAny) rather than fixed ascending
-/// peer id — a slow or faulty peer no longer head-of-line blocks the fast
-/// ones. The receiver waits on all peers concurrently, so the fault
-/// penalties (retry backoff, injected delay) are charged as the MAX across
-/// peers, not the sum. A permanently lost message (ResourceExhausted from
-/// the transport's retry protocol) is tolerated when `allow_loss` is set
-/// and reported via `lost`; any other failure — including loss with
-/// fallback disabled — propagates.
-inline Result<PeerRecvResult> TryRecvFromActivePeers(
-    dist::WorkerContext* ctx, const WorkerPlan& plan, uint64_t tag,
-    bool allow_loss) {
-  PeerRecvResult out;
-  out.bufs.resize(ctx->num_workers());
-  out.lost.assign(ctx->num_workers(), false);
-  std::vector<uint32_t> pending;
-  for (uint32_t p = 0; p < ctx->num_workers(); ++p) {
-    if (ActivePeer(plan, p)) pending.push_back(p);
-  }
-  double max_penalty = 0.0;
-  while (!pending.empty()) {
-    uint32_t from = 0;
-    std::vector<uint8_t> buf;
-    double penalty = 0.0;
-    Status s = ctx->TryRecvAny(pending, tag, &from, &buf, &penalty);
-    if (s.ok() || s.code() == StatusCode::kResourceExhausted) {
-      max_penalty = std::max(max_penalty, penalty);
-      pending.erase(std::find(pending.begin(), pending.end(), from));
-      if (s.ok()) {
-        out.bufs[from] = std::move(buf);
-        continue;
-      }
-      if (!allow_loss) {
-        ctx->ChargePhasePenalty(max_penalty);
-        return s;
-      }
-      out.lost[from] = true;
-      out.any_lost = true;
-      continue;
-    }
-    ctx->ChargePhasePenalty(max_penalty);
-    return s;
-  }
-  ctx->ChargePhasePenalty(max_penalty);
-  return out;
-}
-
 /// Wire-tag kinds (combined with epoch/layer in MessageHub::MakeTag). The
 /// values are part of every tag, and the fault schedule is a function of
 /// tags, so they stay fixed.
@@ -332,31 +275,63 @@ inline Status FanOut(dist::WorkerContext* ctx, const WorkerPlan& plan,
   return Status::OK();
 }
 
-/// Receive half of every halo exchange: fans in every active peer's
-/// message (TryRecvFromActivePeers, so arrival order and loss tolerance
-/// are the same everywhere), then runs `decode` on each delivered payload,
-/// peers in parallel. A permanently lost message runs the mode's own
+/// Receive half of every halo exchange. Receives from every active peer
+/// with bounded waits, consuming peers in *arrival order*
+/// (MessageHub::TryRecvAny) rather than fixed ascending peer id — a slow
+/// or faulty peer does not head-of-line block the fast ones. The receiver
+/// waits on all peers concurrently, so the fault penalties (retry backoff,
+/// injected delay) are charged as the MAX across peers, not the sum. Then
+/// runs `decode` on each delivered payload, peers in parallel. A
+/// permanently lost message (ResourceExhausted from the transport's retry
+/// protocol) is tolerated when `allow_loss` is set: it runs the mode's own
 /// `on_lost` fallback if it has one; otherwise the peer's halo rows stay
 /// as they are and the loss is booked (CountLost). FP then keeps its stale
 /// cached rows (h_halo persists across epochs); BP skips the gradient
-/// (g_halo is zeroed every epoch).
+/// (g_halo is zeroed every epoch). Any other failure — including loss with
+/// fallback disabled — propagates.
 inline Status FanIn(dist::WorkerContext* ctx, const WorkerPlan& plan,
                     const HaloDirection& dir, uint32_t epoch, uint16_t layer,
                     bool allow_loss,
                     const std::function<Status(uint32_t, ByteReader*)>& decode,
                     const std::function<Status(uint32_t)>& on_lost = nullptr) {
   const uint64_t tag = dist::MessageHub::MakeTag(epoch, layer, dir.tag_kind);
-  ECG_ASSIGN_OR_RETURN(PeerRecvResult in,
-                       TryRecvFromActivePeers(ctx, plan, tag, allow_loss));
+  std::vector<std::vector<uint8_t>> bufs(ctx->num_workers());
+  std::vector<bool> lost(ctx->num_workers(), false);
+  std::vector<uint32_t> pending;
+  for (uint32_t p = 0; p < ctx->num_workers(); ++p) {
+    if (ActivePeer(plan, p)) pending.push_back(p);
+  }
+  double max_penalty = 0.0;
+  while (!pending.empty()) {
+    uint32_t from = 0;
+    std::vector<uint8_t> buf;
+    double penalty = 0.0;
+    Status s = ctx->TryRecvAny(pending, tag, &from, &buf, &penalty);
+    if (!s.ok() && s.code() != StatusCode::kResourceExhausted) {
+      ctx->ChargePhasePenalty(max_penalty);
+      return s;
+    }
+    max_penalty = std::max(max_penalty, penalty);
+    pending.erase(std::find(pending.begin(), pending.end(), from));
+    if (s.ok()) {
+      bufs[from] = std::move(buf);
+    } else if (allow_loss) {
+      lost[from] = true;
+    } else {
+      ctx->ChargePhasePenalty(max_penalty);
+      return s;
+    }
+  }
+  ctx->ChargePhasePenalty(max_penalty);
   return ForEachActivePeerParallel(
       plan, ctx->num_workers(), [&](uint32_t p) -> Status {
         ECG_TRACE_SCOPE_DETAIL(dir.decode_span, ctx->worker_id(), layer);
-        if (in.lost[p]) {
+        if (lost[p]) {
           if (on_lost) return on_lost(p);
           CountLost(ctx, dir, epoch, layer, p);
           return Status::OK();
         }
-        ByteReader r(in.bufs[p]);
+        ByteReader r(bufs[p]);
         return decode(p, &r);
       });
 }
