@@ -2011,9 +2011,9 @@ TEST(ExchangeTest, ReqEcSelectedPayloadMutationsAreRejected) {
       if (byte < slt_word || byte >= slt_word + 4) return false;
       const size_t at = bit - 8 * slt_word;  // bit of the selector word
       if (at >= 2 * picks || at % 2 == 0) return false;
-      std::vector<uint32_t> word(1);
-      std::memcpy(word.data(), golden.data() + slt_word, 4);
-      return (word[0] >> (at - 1) & 3u) == kCps;  // cps -> avg
+      uint32_t word = 0;
+      std::memcpy(&word, golden.data() + slt_word, sizeof(word));
+      return (word >> (at - 1) & 3u) == kCps;  // cps -> avg
     };
     {
       const HandBuilt good =
