@@ -683,14 +683,16 @@ int RunMetricsOverhead(const std::string& json_path) {
 
 // ---------------------------------------------------------------------------
 // --fault_overhead mode: cost of the fault-injection hooks on the message
-// hub hot path. Four variants of the same Send/Recv loop:
+// hub hot path. Four variants of the same send/receive loop; the real hub
+// receives through TryRecvAny, the one receive the exchangers' fan-in runs,
+// with one candidate sender:
 //   * seedref   — an inline replica of the pre-fault-tolerance hub (plain
 //                 mutex + map<(from,tag), deque> push/pop, no injector
 //                 branch, no framing) as the reference;
 //   * disabled  — the real MessageHub with no injector attached. This is
 //                 what every fault-free run pays; budget < 1% over seedref.
 //   * framed    — an empty injector attached: every payload is framed
-//                 (envelope + CRC32C) and received via TryRecv, no faults.
+//                 (envelope + CRC32C) and validated on receipt, no faults.
 //   * chaos     — a 2% drop schedule, exercising NACK/retransmit.
 // ---------------------------------------------------------------------------
 
@@ -706,7 +708,7 @@ struct SeedHubRef {
   void Send(uint32_t from, uint32_t to, uint64_t tag,
             std::vector<uint8_t> payload) {
     ECG_CHECK(from < parties && to < parties) << "bad worker id in Send";
-    stats.RecordSend(from, to, payload.size());
+    stats.RecordSend(from, payload.size());
     {
       std::lock_guard<std::mutex> lock(mu);
       const auto key = std::make_pair(from, tag);
@@ -753,11 +755,15 @@ FaultOverheadRow MeasureFaultOverhead(size_t payload_bytes,
   });
 
   ecg::dist::MessageHub hub(2);
+  const std::vector<uint32_t> sender = {0};
+  uint32_t from = 0;
   row.disabled_ms = BestOfMs(reps, [&] {
     for (uint32_t i = 0; i < messages; ++i) {
       const uint64_t tag = ecg::dist::MessageHub::MakeTag(i, 0, 2);
       hub.Send(0, 1, tag, payload);
-      benchmark::DoNotOptimize(hub.Recv(1, 0, tag).data());
+      std::vector<uint8_t> out;
+      hub.TryRecvAny(1, sender, tag, &from, &out).CheckOk();
+      benchmark::DoNotOptimize(out.data());
     }
   });
 
@@ -768,7 +774,7 @@ FaultOverheadRow MeasureFaultOverhead(size_t payload_bytes,
       const uint64_t tag = ecg::dist::MessageHub::MakeTag(i, 0, 2);
       hub.Send(0, 1, tag, payload);
       std::vector<uint8_t> out;
-      hub.TryRecv(1, 0, tag, &out).CheckOk();
+      hub.TryRecvAny(1, sender, tag, &from, &out).CheckOk();
       benchmark::DoNotOptimize(out.data());
     }
   });
@@ -783,7 +789,7 @@ FaultOverheadRow MeasureFaultOverhead(size_t payload_bytes,
       std::vector<uint8_t> out;
       // A permanently lost message (p^4 per message) is fine to skip: the
       // bench measures transport cost, not delivery guarantees.
-      (void)hub.TryRecv(1, 0, tag, &out);
+      (void)hub.TryRecvAny(1, sender, tag, &from, &out);
       benchmark::DoNotOptimize(out.data());
     }
   });

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace ecg::core {
@@ -22,19 +20,6 @@ struct EpochMetrics {
   uint64_t comm_bytes = 0;
   /// Worker<->parameter-server bytes this epoch.
   uint64_t param_bytes = 0;
-  /// Optional per-phase breakdown of the epoch's simulated seconds,
-  /// name-sorted, *summed across workers* (divide by the worker count for
-  /// a per-machine view). Populated by the trainers via
-  /// MetricsBoard::AddPhase; empty when phase accounting is off.
-  std::vector<std::pair<std::string, double>> phase_seconds;
-
-  /// Seconds of one named phase (0 when absent).
-  double PhaseSeconds(const std::string& phase) const {
-    for (const auto& [name, seconds] : phase_seconds) {
-      if (name == phase) return seconds;
-    }
-    return 0.0;
-  }
 };
 
 /// Full curve plus summary of a run.

@@ -2,9 +2,7 @@
 #define ECGRAPH_CORE_METRICS_BOARD_H_
 
 #include <atomic>
-#include <map>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -38,12 +36,6 @@ struct MetricsBoard {
   /// rebuild the last_* values from the retained epochs' deltas.
   double base_clock = 0.0;
   uint64_t base_comm_bytes = 0;
-  /// Per-phase simulated seconds by epoch, folded into
-  /// EpochMetrics::phase_seconds by ToResult. Keyed by epoch rather than
-  /// folded at FinalizeEpoch because a worker books its "barrier" phase
-  /// only once the barrier returns, which can be after worker 0 has
-  /// finalized that epoch.
-  std::map<uint32_t, std::map<std::string, double>> phase_acc;
 
   double best_val = -1.0;
   double test_at_best_val = 0.0;
@@ -87,7 +79,6 @@ struct MetricsBoard {
     if (epochs.size() > keep_epochs) epochs.resize(keep_epochs);
     loss_of.assign(loss_of.size(), 0.0);
     for (int i = 0; i < 3; ++i) correct[i] = totals[i] = 0;
-    phase_acc.erase(phase_acc.lower_bound(keep_epochs), phase_acc.end());
     last_clock = base_clock;
     last_comm_bytes = base_comm_bytes;
     last_param_bytes = 0;
@@ -110,17 +101,6 @@ struct MetricsBoard {
       }
     }
     stop.store(false, std::memory_order_relaxed);
-  }
-
-  /// Adds one worker's simulated seconds of a named phase for the epoch in
-  /// flight; also mirrored into the obs stats registry (as
-  /// "phase.<name>") when stats collection is enabled.
-  void AddPhase(uint32_t epoch, const char* phase, double sim_seconds) {
-    if (obs::StatsEnabled()) {
-      obs::RecordStat(std::string("phase.") + phase, sim_seconds, epoch);
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    phase_acc[epoch][phase] += sim_seconds;
   }
 
   /// Worker 0 calls this after the epoch barrier: folds the accumulators
@@ -164,9 +144,8 @@ struct MetricsBoard {
       stop.store(true, std::memory_order_relaxed);
     }
 
-    // Telemetry: fold the epoch summary into the stats registry and flush
-    // this epoch's rows to the JSONL stream (every worker's exchange stats
-    // for `epoch` are in — the caller sits between the BSP barriers).
+    // Telemetry: fold the epoch summary into the stats registry; the
+    // caller flushes the epoch's rows once the epoch barrier has passed.
     if (obs::StatsEnabled()) {
       obs::RecordStat("epoch.loss", m.loss, epoch);
       obs::RecordStat("epoch.val_acc", m.val_acc, epoch);
@@ -175,7 +154,6 @@ struct MetricsBoard {
                       static_cast<double>(m.comm_bytes), epoch);
       obs::RecordStat("epoch.param_bytes",
                       static_cast<double>(m.param_bytes), epoch);
-      obs::StatsRegistry::Global().FlushEpoch(epoch);
     }
   }
 
@@ -183,10 +161,6 @@ struct MetricsBoard {
   TrainResult ToResult(double preprocess_seconds) {
     TrainResult result;
     result.epochs = std::move(epochs);
-    for (size_t e = 0; e < result.epochs.size(); ++e) {
-      const auto& phases = phase_acc[static_cast<uint32_t>(e)];
-      result.epochs[e].phase_seconds.assign(phases.begin(), phases.end());
-    }
     result.best_val_acc = best_val < 0.0 ? 0.0 : best_val;
     result.test_acc_at_best_val = test_at_best_val;
     result.best_epoch = best_epoch;
@@ -201,33 +175,6 @@ struct MetricsBoard {
     }
     return result;
   }
-};
-
-/// Books the simulated seconds a scope advances the worker's clock by
-/// (compute charges + modelled comm + stalls) as one named phase of the
-/// epoch in flight. Complements ECG_TRACE_SCOPE, which records the *real*
-/// seconds of the same scope: together they populate the sim phase
-/// breakdown (EpochMetrics::phase_seconds, "phase.*" stats) and the
-/// real-clock trace track. Templated on the context type only to keep this
-/// header free of a dist/ dependency; Ctx is always WorkerContext.
-template <typename Ctx>
-class PhaseScope {
- public:
-  PhaseScope(Ctx* ctx, MetricsBoard* board, uint32_t epoch, const char* name)
-      : ctx_(ctx), board_(board), epoch_(epoch), name_(name),
-        start_(ctx->total_seconds()) {}
-  ~PhaseScope() {
-    board_->AddPhase(epoch_, name_, ctx_->total_seconds() - start_);
-  }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  Ctx* ctx_;
-  MetricsBoard* board_;
-  uint32_t epoch_;
-  const char* name_;
-  double start_;
 };
 
 }  // namespace ecg::core::internal

@@ -21,10 +21,8 @@ using dist::ParameterServerGroup;
 using dist::SimulatedCluster;
 using dist::WorkerContext;
 using internal::MetricsBoard;
+using internal::PhaseScope;
 using tensor::Matrix;
-
-/// Sim-clock phase accounting for one scope (see metrics_board.h).
-using Phase = internal::PhaseScope<WorkerContext>;
 
 /// Per-epoch sampled structure, built once (by worker 0, between barriers)
 /// and read by everyone: one plan set per layer.
@@ -142,7 +140,7 @@ Result<TrainResult> SamplingTrainer::Train() {
       // measured cost is divided by the worker count — each machine of the
       // modelled cluster samples its own share in parallel). -------------
       {
-        Phase phase(ctx, &board, epoch, "sample");
+        PhaseScope phase(ctx, epoch, "sample");
         if (me == 0) {
           ECG_TRACE_SCOPE("sample", me, -1);
           ThreadCpuTimer sample_cpu;
@@ -174,8 +172,8 @@ Result<TrainResult> SamplingTrainer::Train() {
             for (uint32_t p = 0; p < workers; ++p) {
               if (p == me || plan.recv_halo_rows[p].empty()) continue;
               const uint64_t each_way = plan.recv_halo_rows[p].size() * 4ull;
-              cluster.stats().RecordSend(me, p, each_way);  // request
-              cluster.stats().RecordSend(p, me, each_way);  // response
+              cluster.stats().RecordSend(me, each_way);  // request
+              cluster.stats().RecordSend(p, each_way);   // response
               bytes += 2 * each_way;
               msgs += 2;
             }
@@ -235,7 +233,7 @@ Result<TrainResult> SamplingTrainer::Train() {
 
       sched.Push(&ps, std::move(dw), std::move(db));
       {
-        Phase phase(ctx, &board, epoch, "barrier");
+        PhaseScope phase(ctx, epoch, "barrier");
         ctx->BarrierSync();
       }
 

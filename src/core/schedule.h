@@ -23,19 +23,47 @@
 
 namespace ecg::core::internal {
 
+/// Books the simulated seconds a scope advances the worker's clock by
+/// (compute charges + modelled comm + stalls) as one row of the
+/// "phase.<name>" stat at (`epoch`, `layer`); `layer` is the one the
+/// scope's trace span carries, -1 where it has none. These rows are the
+/// one store of the sim-clock phase breakdown; ECG_TRACE_SCOPE records the
+/// *real* seconds of the same scope on the trace track.
+class PhaseScope {
+ public:
+  PhaseScope(dist::WorkerContext* ctx, uint32_t epoch, const char* name,
+             int32_t layer = -1)
+      : ctx_(ctx), epoch_(epoch), name_(name), layer_(layer),
+        start_(ctx->total_seconds()) {}
+  ~PhaseScope() {
+    if (obs::StatsEnabled()) {
+      obs::RecordStat(std::string("phase.") + name_,
+                      ctx_->total_seconds() - start_, epoch_, layer_);
+    }
+  }
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+ private:
+  dist::WorkerContext* ctx_;
+  uint32_t epoch_;
+  const char* name_;
+  int32_t layer_;
+  double start_;
+};
+
 /// One compute step of a trainer's epoch: books the scope's simulated
 /// seconds as phase `phase` (PhaseScope), records the real-clock span
-/// `span` at `layer`, and on close charges the thread CPU the scope used
-/// to the worker's compute clock. `*charged` (optional) receives the
+/// `span`, both at `layer`, and on close charges the thread CPU the scope
+/// used to the worker's compute clock. `*charged` (optional) receives the
 /// charged, machine-scaled seconds — an overlapped exchange's credit.
 class ComputeStep {
  public:
-  ComputeStep(dist::WorkerContext* ctx, MetricsBoard* board, uint32_t epoch,
-              const char* phase, const char* span, int32_t layer,
-              double* charged = nullptr)
+  ComputeStep(dist::WorkerContext* ctx, uint32_t epoch, const char* phase,
+              const char* span, int32_t layer, double* charged = nullptr)
       : ctx_(ctx),
         charged_(charged),
-        phase_(ctx, board, epoch, phase),
+        phase_(ctx, epoch, phase, layer),
         trace_(span, ctx->worker_id(), layer) {}
   ~ComputeStep() {
     const double charged = ctx_->ChargeCompute(cpu_.ElapsedSeconds());
@@ -49,7 +77,7 @@ class ComputeStep {
   double* charged_;
   // Declaration order is construction order: the CPU timer starts last,
   // and the charge lands before the span and the phase close.
-  PhaseScope<dist::WorkerContext> phase_;
+  PhaseScope phase_;
   obs::TraceScope trace_;
   ThreadCpuTimer cpu_;
 };
@@ -76,8 +104,8 @@ class Schedule {
   /// phase name) at `layer`.
   ComputeStep Step(const char* phase, int32_t layer,
                    const char* span = nullptr) const {
-    return ComputeStep(ctx_, board_, epoch_, phase,
-                       span != nullptr ? span : phase, layer);
+    return ComputeStep(ctx_, epoch_, phase, span != nullptr ? span : phase,
+                       layer);
   }
 
   /// Split-phase halo exchange of layer `layer`'s `owned` rows into
@@ -92,19 +120,19 @@ class Schedule {
     const HaloDirection& dir = ex->direction();
     const int32_t compute_layer = layer + dir.compute_layer_offset;
     {
-      Phase phase(ctx_, board_, epoch_, dir.exchange);
+      PhaseScope phase(ctx_, epoch_, dir.exchange, layer);
       ECG_TRACE_SCOPE(dir.exchange, ctx_->worker_id(), layer);
       ECG_RETURN_IF_ERROR(ex->Start(ctx_, plan, epoch_, layer, owned));
     }
     double credit = 0.0;
     {
-      ComputeStep step(ctx_, board_, epoch_, dir.compute, dir.compute,
-                       compute_layer, &credit);
+      ComputeStep step(ctx_, epoch_, dir.compute, dir.compute, compute_layer,
+                       &credit);
       owned_step();
     }
     if (!overlap_) credit = 0.0;
     {
-      Phase phase(ctx_, board_, epoch_, dir.exchange);
+      PhaseScope phase(ctx_, epoch_, dir.exchange, layer);
       ECG_TRACE_SCOPE(dir.finish, ctx_->worker_id(), layer);
       ECG_RETURN_IF_ERROR(ex->Finish(ctx_, plan, epoch_, layer, halo));
       double comm_s = 0.0;
@@ -117,8 +145,7 @@ class Schedule {
         }
       }
     }
-    ComputeStep step(ctx_, board_, epoch_, dir.compute, dir.compute,
-                     compute_layer);
+    ComputeStep step(ctx_, epoch_, dir.compute, dir.compute, compute_layer);
     halo_step();
     return Status::OK();
   }
@@ -167,7 +194,7 @@ class Schedule {
   /// Pulls layer `layer`'s weights and bias (param_sync phase).
   void Pull(const dist::ParameterServerGroup& ps, int32_t layer,
             tensor::Matrix* w, tensor::Matrix* b) const {
-    Phase phase(ctx_, board_, epoch_, "param_sync");
+    PhaseScope phase(ctx_, epoch_, "param_sync", layer);
     ECG_TRACE_SCOPE("param_pull", ctx_->worker_id(), layer);
     const auto pull = ps.Pull(layer, w, b);
     ctx_->ChargeCommSeconds(pull.Seconds(ctx_->net()));
@@ -181,7 +208,7 @@ class Schedule {
   /// Pushes the epoch's gradients (param_sync phase).
   void Push(dist::ParameterServerGroup* ps, std::vector<tensor::Matrix> dw,
             std::vector<tensor::Matrix> db) const {
-    Phase phase(ctx_, board_, epoch_, "param_sync");
+    PhaseScope phase(ctx_, epoch_, "param_sync");
     ECG_TRACE_SCOPE("param_push", ctx_->worker_id(), -1);
     const auto push =
         ps->Push(ctx_->worker_id(), std::move(dw), std::move(db));
@@ -218,7 +245,9 @@ class Schedule {
 
   /// Ends the epoch: worker 0 books it at `clock` with `comm_bytes` sent
   /// so far (logged as `tag` every `log_every` epochs), then all workers
-  /// sync. Returns whether early stopping ends the run.
+  /// sync, and worker 0 flushes the epoch's stats rows: every worker's
+  /// rows of the epoch precede that barrier, so each (epoch, series) is
+  /// written as one row. Returns whether early stopping ends the run.
   bool EndEpoch(double clock, uint64_t comm_bytes, size_t global_train,
                 uint32_t patience, uint32_t log_every,
                 const std::string& tag) const {
@@ -233,12 +262,13 @@ class Schedule {
       }
     }
     ctx_->BarrierSync();
+    if (ctx_->worker_id() == 0 && obs::StatsEnabled()) {
+      obs::StatsRegistry::Global().FlushEpoch(epoch_);
+    }
     return board_->stop.load(std::memory_order_relaxed);
   }
 
  private:
-  using Phase = PhaseScope<dist::WorkerContext>;
-
   dist::WorkerContext* ctx_;
   MetricsBoard* board_;
   uint32_t epoch_;

@@ -27,10 +27,8 @@ using dist::ParameterServerGroup;
 using dist::SimulatedCluster;
 using dist::WorkerContext;
 using internal::MetricsBoard;
+using internal::PhaseScope;
 using tensor::Matrix;
-
-/// Sim-clock phase accounting for one scope (see metrics_board.h).
-using Phase = internal::PhaseScope<WorkerContext>;
 
 }  // namespace
 
@@ -325,7 +323,7 @@ Result<TrainResult> DistributedTrainer::Train() {
       // Superstep boundary: everyone's push is in, Adam has been applied
       // by the last pusher, clocks align to the slowest worker.
       {
-        Phase phase(ctx, &board, epoch, "barrier");
+        PhaseScope phase(ctx, epoch, "barrier");
         ctx->BarrierSync();
       }
 
@@ -363,7 +361,7 @@ Result<TrainResult> DistributedTrainer::Train() {
           ((checkpoint_every > 0 && (epoch + 1) % checkpoint_every == 0 &&
             epoch + 1 < options_.epochs) ||
            boundary_next)) {
-        Phase phase(ctx, &board, epoch, "checkpoint");
+        PhaseScope phase(ctx, epoch, "checkpoint");
         take_checkpoint(epoch + 1);
       }
 

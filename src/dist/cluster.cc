@@ -25,25 +25,6 @@ void WorkerContext::Send(uint32_t to, uint64_t tag,
   hub_->Send(worker_id_, to, tag, std::move(payload));
 }
 
-std::vector<uint8_t> WorkerContext::Recv(uint32_t from, uint64_t tag) {
-  std::vector<uint8_t> payload = hub_->Recv(worker_id_, from, tag);
-  phase_recv_bytes_ += payload.size();
-  ++phase_recv_msgs_;
-  return payload;
-}
-
-Status WorkerContext::TryRecv(uint32_t from, uint64_t tag,
-                              std::vector<uint8_t>* out) {
-  RecvOutcome outcome;
-  Status status = hub_->TryRecv(worker_id_, from, tag, out, &outcome);
-  phase_penalty_seconds_ += outcome.penalty_seconds;
-  if (status.ok()) {
-    phase_recv_bytes_ += out->size();
-    ++phase_recv_msgs_;
-  }
-  return status;
-}
-
 Status WorkerContext::TryRecvAny(const std::vector<uint32_t>& froms,
                                  uint64_t tag, uint32_t* from_out,
                                  std::vector<uint8_t>* out,
@@ -149,12 +130,8 @@ Status SimulatedCluster::Run(
   for (auto& t : threads) t.join();
 
   makespan_seconds_ = 0.0;
-  total_compute_seconds_ = 0.0;
-  total_comm_seconds_ = 0.0;
   for (const auto& ctx : contexts) {
     makespan_seconds_ = std::max(makespan_seconds_, ctx.total_seconds());
-    total_compute_seconds_ += ctx.compute_seconds();
-    total_comm_seconds_ += ctx.comm_seconds();
   }
   return first_error;
 }

@@ -37,20 +37,12 @@ class WorkerContext {
   /// Sends a payload to `to`; traffic is attributed to the current phase.
   void Send(uint32_t to, uint64_t tag, std::vector<uint8_t> payload);
 
-  /// Blocking receive of the (from, tag) message.
-  std::vector<uint8_t> Recv(uint32_t from, uint64_t tag);
-
-  /// Bounded receive (see MessageHub::TryRecv). With no fault injector on
-  /// the hub this blocks exactly like Recv and always returns OK. Retry
-  /// backoff and injected delays are charged to the current comm phase so
-  /// chaos runs report honest makespans.
-  Status TryRecv(uint32_t from, uint64_t tag, std::vector<uint8_t>* out);
-
-  /// Arrival-order bounded receive over a candidate peer set (see
-  /// MessageHub::TryRecvAny). Unlike TryRecv, the fault penalty is NOT
-  /// folded into the phase automatically: a receiver fanning in from many
-  /// peers waits on them concurrently, so the caller collects the per-peer
-  /// penalties, takes the max, and charges it once via ChargePhasePenalty.
+  /// The one receive: arrival-order, bounded under faults, over a
+  /// candidate peer set (see MessageHub::TryRecvAny). The received bytes
+  /// count toward the current comm phase. The fault penalty is NOT folded
+  /// into the phase: a receiver fanning in from many peers waits on them
+  /// concurrently, so the caller collects the per-peer penalties, takes
+  /// the max, and charges it once via ChargePhasePenalty.
   /// `*penalty_seconds` (optional) reports this call's penalty.
   Status TryRecvAny(const std::vector<uint32_t>& froms, uint64_t tag,
                     uint32_t* from_out, std::vector<uint8_t>* out,
@@ -116,7 +108,8 @@ class WorkerContext {
   uint64_t phase_recv_bytes_ = 0;
   uint64_t phase_recv_msgs_ = 0;
   // Simulated seconds of fault-induced retry backoff and injected delay
-  // accumulated this phase (TryRecv), folded in by EndCommPhase().
+  // accumulated this phase (ChargePhasePenalty), folded in by
+  // EndCommPhase().
   double phase_penalty_seconds_ = 0.0;
 
   double compute_seconds_ = 0.0;
@@ -155,8 +148,6 @@ class SimulatedCluster {
 
   /// After Run: simulated makespan = max over workers of total_seconds.
   double MakespanSeconds() const { return makespan_seconds_; }
-  double TotalComputeSeconds() const { return total_compute_seconds_; }
-  double TotalCommSeconds() const { return total_comm_seconds_; }
 
  private:
   friend class WorkerContext;
@@ -171,8 +162,6 @@ class SimulatedCluster {
   Barrier barrier_;
   std::vector<double> clocks_;  // per-worker total_seconds at last sync
   double makespan_seconds_ = 0.0;
-  double total_compute_seconds_ = 0.0;
-  double total_comm_seconds_ = 0.0;
 };
 
 }  // namespace ecg::dist

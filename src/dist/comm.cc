@@ -96,6 +96,10 @@ Status MessageHub::ParseEnvelope(const std::vector<uint8_t>& frame,
         "envelope version mismatch: got " + std::to_string(version) +
         " want " + std::to_string(kEnvelopeVersion));
   }
+  if (flags != 0) {
+    return Status::InvalidArgument("envelope flags byte is reserved: got " +
+                                   std::to_string(flags) + " want 0");
+  }
   if (tag_echo != tag) {
     return Status::InvalidArgument(
         "envelope tag echo mismatch: got " + std::to_string(tag_echo) +
@@ -163,7 +167,7 @@ void MessageHub::Send(uint32_t from, uint32_t to, uint64_t tag,
   ECG_CHECK(from < parties_ && to < parties_)
       << "Send worker id out of range: from=" << from << " to=" << to
       << " parties=" << parties_;
-  stats_.RecordSend(from, to, payload.size());
+  stats_.RecordSend(from, payload.size());
   if (obs::TraceEnabled(1)) {
     obs::Tracer::Global().RecordFlow(obs::FlowPhase::kStart, "msg", from, to,
                                      FlowLayer(tag), FlowId(from, to, tag));
@@ -185,124 +189,31 @@ void MessageHub::Send(uint32_t from, uint32_t to, uint64_t tag,
     const auto key = std::make_pair(from, tag);
     ECG_CHECK(box.retained.find(key) == box.retained.end())
         << "duplicate message from " << from << " tag " << tag;
-    Retained& slot = box.retained[key];
-    slot.frame = frame;
-    slot.last_attempt = 0;
+    box.retained[key] = frame;
     DeliverAttempt(box, from, to, tag, /*attempt=*/0, frame);
   }
   box.cv.notify_all();
 }
 
-std::vector<uint8_t> MessageHub::Recv(uint32_t to, uint32_t from,
-                                      uint64_t tag) {
-  ECG_CHECK(from < parties_ && to < parties_)
-      << "Recv worker id out of range: to=" << to << " from=" << from
-      << " parties=" << parties_;
-  if (injector_ != nullptr) {
-    // The payload is framed when an injector is attached, so even traffic
-    // the fault model exempts (preprocessing) must go through envelope
-    // parsing. TryRecv handles both.
-    std::vector<uint8_t> payload;
-    Status status = TryRecv(to, from, tag, &payload);
-    ECG_CHECK(status.ok()) << "blocking Recv on fault-injected hub failed: "
-                           << status.ToString() << " (use TryRecv)";
-    return payload;
-  }
-  Mailbox& box = boxes_[to];
-  std::unique_lock<std::mutex> lock(box.mu);
-  const auto key = std::make_pair(from, tag);
-#ifndef NDEBUG
-  // Debug-build stall diagnostic: if the message does not arrive within the
-  // threshold, dump every pending (from, epoch, layer, kind) in the mailbox
-  // once — almost always a tag-mismatch bug — then keep waiting.
-  constexpr auto kStallThreshold = std::chrono::seconds(10);
-  if (!box.cv.wait_for(lock, kStallThreshold,
-                       [&] { return box.messages.count(key) > 0; })) {
-    std::ostringstream os;
-    os << "Recv stalled >10s: worker " << to << " waiting on from=" << from
-       << " epoch=" << TagEpoch(tag) << " layer=" << TagLayer(tag)
-       << " kind=" << TagKind(tag) << "; pending mailbox tags:";
-    if (box.messages.empty()) os << " (none)";
-    for (const auto& [k, queue] : box.messages) {
-      os << " [from=" << k.first << " epoch=" << TagEpoch(k.second)
-         << " layer=" << TagLayer(k.second) << " kind=" << TagKind(k.second)
-         << " n=" << queue.size() << "]";
-    }
-    ECG_LOG(Warning) << os.str();
-  }
-#endif
-  box.cv.wait(lock, [&] { return box.messages.count(key) > 0; });
-  auto it = box.messages.find(key);
-  std::vector<uint8_t> payload = std::move(it->second.front().bytes);
-  box.messages.erase(it);
-  if (obs::TraceEnabled(1)) {
-    obs::Tracer::Global().RecordFlow(obs::FlowPhase::kEnd, "msg", to, from,
-                                     FlowLayer(tag), FlowId(from, to, tag));
-  }
-  return payload;
-}
-
-Status MessageHub::TryRecv(uint32_t to, uint32_t from, uint64_t tag,
-                           std::vector<uint8_t>* out, RecvOutcome* outcome) {
-  ECG_CHECK(from < parties_ && to < parties_)
-      << "TryRecv worker id out of range: to=" << to << " from=" << from
-      << " parties=" << parties_;
-  RecvOutcome local;
-  RecvOutcome& oc = outcome != nullptr ? *outcome : local;
-  oc = RecvOutcome{};
-  if (injector_ == nullptr) {
-    *out = Recv(to, from, tag);
-    return Status::OK();
-  }
-
-  Mailbox& box = boxes_[to];
-  std::unique_lock<std::mutex> lock(box.mu);
-  return ResolveFramedLocked(box, lock, to, from, tag, out, oc);
-}
-
-Status MessageHub::ResolveFramedLocked(Mailbox& box,
-                                       std::unique_lock<std::mutex>& lock,
-                                       uint32_t to, uint32_t from,
-                                       uint64_t tag,
+Status MessageHub::ResolveFramedLocked(Mailbox& box, uint32_t to,
+                                       uint32_t from, uint64_t tag,
                                        std::vector<uint8_t>* out,
                                        RecvOutcome& oc) {
   FaultCounters& counters = injector_->counters();
   const uint32_t max_retries = injector_->max_retries();
-  const auto attempt_timeout =
-      std::chrono::milliseconds(injector_->recv_timeout_ms());
-  // Overall real-time budget: a sender that never calls Send at all (a hung
-  // peer, not a faulty link) must not hang us forever either.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        attempt_timeout * (max_retries + 2);
-
   const auto key = std::make_pair(from, tag);
   uint32_t attempt = 0;
   oc.attempts = 0;
   while (true) {
-    // Wait until either a delivery is queued or the sender's retained slot
-    // proves attempt `attempt` was already applied (i.e. it was dropped:
-    // applied but nothing queued).
-    const bool signalled = box.cv.wait_until(lock, deadline, [&] {
-      if (box.messages.count(key) > 0) return true;
-      auto it = box.retained.find(key);
-      return it != box.retained.end() && it->second.last_attempt >= attempt;
-    });
-    if (!signalled) {
-      // Nobody ever sent: distinct from fault-schedule loss.
-      return Status::IoError(
-          "TryRecv deadline: no sender for to=" + std::to_string(to) +
-          " from=" + std::to_string(from) +
-          " epoch=" + std::to_string(TagEpoch(tag)) +
-          " layer=" + std::to_string(TagLayer(tag)) +
-          " kind=" + std::to_string(TagKind(tag)));
-    }
-
+    // Each pass consumes one attempt. No wait is needed: the peer is ready
+    // (its retained slot exists), and every retransmission below is
+    // applied before the next pass, so an empty queue means the current
+    // attempt was applied and dropped.
+    ++oc.attempts;
     auto qit = box.messages.find(key);
-    bool attempt_failed = false;
     if (qit != box.messages.end()) {
       Delivery delivery = qit->second.pop_front();
       if (qit->second.empty()) box.messages.erase(qit);
-      oc.attempts += 1;
       oc.penalty_seconds += delivery.delay_seconds;
       Status parsed = ParseEnvelope(delivery.bytes, tag, out);
       if (parsed.ok()) {
@@ -317,66 +228,57 @@ Status MessageHub::ResolveFramedLocked(Mailbox& box,
         }
         return Status::OK();
       }
-      ECG_LOG(Debug) << "TryRecv attempt " << attempt
+      ECG_LOG(Debug) << "receive attempt " << attempt
                      << " failed validation: " << parsed.ToString();
-      attempt_failed = true;
-    } else {
-      // Retained proves the attempt was applied but nothing arrived — it
-      // was dropped. Counts as a consumed attempt without a timeout wait.
-      oc.attempts += 1;
-      attempt_failed = true;
     }
 
-    if (attempt_failed) {
-      if (attempt >= max_retries) {
-        box.messages.erase(key);
-        box.retained.erase(key);
-        counters.lost.fetch_add(1, std::memory_order_relaxed);
-        obs::RecordStat("fault.lost", 1.0, TagEpoch(tag), TagLayer(tag),
-                        static_cast<int32_t>(from));
-        return Status::ResourceExhausted(
-            "message lost after " + std::to_string(max_retries + 1) +
-            " attempts: from=" + std::to_string(from) +
-            " epoch=" + std::to_string(TagEpoch(tag)) +
-            " layer=" + std::to_string(TagLayer(tag)) +
-            " kind=" + std::to_string(TagKind(tag)));
-      }
-      // NACK: re-request the retained pristine frame. The retransmission
-      // draws its own fault decision, and its backoff is charged to the
-      // simulated clock.
-      ++attempt;
-      auto rit = box.retained.find(key);
-      ECG_CHECK(rit != box.retained.end())
-          << "retransmit buffer missing for from=" << from << " tag=" << tag;
-      rit->second.last_attempt = attempt;
-      counters.retried.fetch_add(1, std::memory_order_relaxed);
-      counters.nacks.fetch_add(1, std::memory_order_relaxed);
-      obs::RecordStat("fault.retried", 1.0, TagEpoch(tag), TagLayer(tag),
+    if (attempt >= max_retries) {
+      box.messages.erase(key);
+      box.retained.erase(key);
+      counters.lost.fetch_add(1, std::memory_order_relaxed);
+      obs::RecordStat("fault.lost", 1.0, TagEpoch(tag), TagLayer(tag),
                       static_cast<int32_t>(from));
-      const double backoff = injector_->retry_backoff_seconds();
-      oc.penalty_seconds += backoff;
-      std::vector<uint8_t> frame =
-          FrameEnvelope(tag, attempt,
-                        std::vector<uint8_t>(
-                            rit->second.frame.begin() + kEnvelopeBytes,
-                            rit->second.frame.end()));
-      counters.retransmit_bytes.fetch_add(frame.size(),
-                                          std::memory_order_relaxed);
-      obs::RecordStat("fault.retransmit_bytes",
-                      static_cast<double>(frame.size()), TagEpoch(tag),
-                      TagLayer(tag), static_cast<int32_t>(from));
-      // Per-link backoff: the retry-storm signal the chaos bench watches
-      // (worker = the receiver issuing the NACK).
-      obs::RecordStat("fault.backoff_seconds", backoff, TagEpoch(tag),
-                      TagLayer(tag), static_cast<int32_t>(from),
-                      static_cast<int32_t>(to));
-      if (obs::TraceEnabled(1)) {
-        obs::Tracer::Global().RecordFlow(obs::FlowPhase::kStep, "msg", to,
-                                         from, FlowLayer(tag),
-                                         FlowId(from, to, tag));
-      }
-      DeliverAttempt(box, from, to, tag, attempt, frame);
+      return Status::ResourceExhausted(
+          "message lost after " + std::to_string(max_retries + 1) +
+          " attempts: from=" + std::to_string(from) +
+          " epoch=" + std::to_string(TagEpoch(tag)) +
+          " layer=" + std::to_string(TagLayer(tag)) +
+          " kind=" + std::to_string(TagKind(tag)));
     }
+    // NACK: re-request the retained pristine frame. The retransmission
+    // draws its own fault decision, and its backoff is charged to the
+    // simulated clock.
+    ++attempt;
+    auto rit = box.retained.find(key);
+    ECG_CHECK(rit != box.retained.end())
+        << "retransmit buffer missing for from=" << from << " tag=" << tag;
+    counters.retried.fetch_add(1, std::memory_order_relaxed);
+    counters.nacks.fetch_add(1, std::memory_order_relaxed);
+    obs::RecordStat("fault.retried", 1.0, TagEpoch(tag), TagLayer(tag),
+                    static_cast<int32_t>(from));
+    const double backoff = injector_->retry_backoff_seconds();
+    oc.penalty_seconds += backoff;
+    std::vector<uint8_t> frame =
+        FrameEnvelope(tag, attempt,
+                      std::vector<uint8_t>(
+                          rit->second.begin() + kEnvelopeBytes,
+                          rit->second.end()));
+    counters.retransmit_bytes.fetch_add(frame.size(),
+                                        std::memory_order_relaxed);
+    obs::RecordStat("fault.retransmit_bytes",
+                    static_cast<double>(frame.size()), TagEpoch(tag),
+                    TagLayer(tag), static_cast<int32_t>(from));
+    // Per-link backoff: the retry-storm signal the chaos bench watches
+    // (worker = the receiver issuing the NACK).
+    obs::RecordStat("fault.backoff_seconds", backoff, TagEpoch(tag),
+                    TagLayer(tag), static_cast<int32_t>(from),
+                    static_cast<int32_t>(to));
+    if (obs::TraceEnabled(1)) {
+      obs::Tracer::Global().RecordFlow(obs::FlowPhase::kStep, "msg", to,
+                                       from, FlowLayer(tag),
+                                       FlowId(from, to, tag));
+    }
+    DeliverAttempt(box, from, to, tag, attempt, frame);
   }
 }
 
@@ -402,8 +304,8 @@ Status MessageHub::TryRecvAny(uint32_t to,
   Mailbox& box = boxes_[to];
   std::unique_lock<std::mutex> lock(box.mu);
   if (injector_ == nullptr) {
-    // Fault-free transport: block until any candidate's message is queued
-    // (same unbounded-wait semantics as Recv).
+    // Fault-free transport: block, unbounded, until any candidate's
+    // message is queued.
     box.cv.wait(lock, [&] {
       for (uint32_t from : froms) {
         if (box.messages.count(std::make_pair(from, tag)) > 0) return true;
@@ -472,7 +374,7 @@ Status MessageHub::TryRecvAny(uint32_t to,
   }
   ECG_CHECK(chosen != parties_) << "TryRecvAny woke without a ready peer";
   *from_out = chosen;
-  return ResolveFramedLocked(box, lock, to, chosen, tag, out, oc);
+  return ResolveFramedLocked(box, to, chosen, tag, out, oc);
 }
 
 }  // namespace ecg::dist

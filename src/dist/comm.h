@@ -19,15 +19,13 @@ namespace ecg::dist {
 class CommStats {
  public:
   explicit CommStats(uint32_t parties)
-      : bytes_sent_(parties, 0), bytes_received_(parties, 0),
-        messages_sent_(parties, 0), messages_received_(parties, 0) {}
+      : bytes_sent_(parties, 0), messages_sent_(parties, 0) {}
 
-  void RecordSend(uint32_t from, uint32_t to, uint64_t bytes) {
+  /// One message of `bytes` sent by worker `from`.
+  void RecordSend(uint32_t from, uint64_t bytes) {
     std::lock_guard<std::mutex> lock(mu_);
     bytes_sent_[from] += bytes;
-    bytes_received_[to] += bytes;
     ++messages_sent_[from];
-    ++messages_received_[to];
   }
 
   uint64_t TotalBytes() const {
@@ -47,20 +45,10 @@ class CommStats {
     return bytes_sent_[worker];
   }
 
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::fill(bytes_sent_.begin(), bytes_sent_.end(), 0);
-    std::fill(bytes_received_.begin(), bytes_received_.end(), 0);
-    std::fill(messages_sent_.begin(), messages_sent_.end(), 0);
-    std::fill(messages_received_.begin(), messages_received_.end(), 0);
-  }
-
  private:
   mutable std::mutex mu_;
   std::vector<uint64_t> bytes_sent_;
-  std::vector<uint64_t> bytes_received_;
   std::vector<uint64_t> messages_sent_;
-  std::vector<uint64_t> messages_received_;
 };
 
 /// What one bounded receive cost beyond the happy path. The simulated
@@ -73,19 +61,19 @@ struct RecvOutcome {
 };
 
 /// In-memory point-to-point transport between simulated workers. Messages
-/// are byte buffers addressed by (from, to, tag); Recv blocks until the
-/// matching message arrives. Tags disambiguate (epoch, layer, direction)
-/// so a fast worker can never consume a slow worker's message for the
-/// wrong superstep.
+/// are byte buffers addressed by (from, to, tag); TryRecvAny, the one
+/// receive, blocks until a candidate sender's message arrives. Tags
+/// disambiguate (epoch, layer, direction) so a fast worker can never
+/// consume a slow worker's message for the wrong superstep.
 ///
 /// When a FaultInjector is attached (set_fault_injector), every payload is
 /// wrapped in a framed envelope (magic, version, attempt, tag echo, length,
 /// CRC32C) and delivery attempts consult the injector: drops leave the
 /// mailbox empty, corruption flips payload bits that the CRC catches at
 /// parse time, duplicates enqueue twice, delays ride along as simulated
-/// seconds. The pristine frame is retained sender-side so TryRecv can run a
-/// bounded NACK/retransmit protocol; with no injector the wire format and
-/// blocking behavior are byte-identical to the fault-free build.
+/// seconds. The pristine frame is retained sender-side so the receive can
+/// run a bounded NACK/retransmit protocol; with no injector the wire format
+/// and blocking behavior are byte-identical to the fault-free build.
 class MessageHub {
  public:
   explicit MessageHub(uint32_t parties)
@@ -99,7 +87,7 @@ class MessageHub {
 
   /// Attaches the fault injector (not owned; nullptr detaches and restores
   /// the exact fault-free transport). Must be called before workers start
-  /// exchanging — the framing decision is read on every Send/Recv.
+  /// exchanging — the framing decision is read on every send and receive.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   FaultInjector* fault_injector() const { return injector_; }
 
@@ -109,34 +97,27 @@ class MessageHub {
   void Send(uint32_t from, uint32_t to, uint64_t tag,
             std::vector<uint8_t> payload);
 
-  /// Blocks until the (from, tag) message addressed to `to` arrives and
-  /// returns its payload. Requires the fault-free transport (no injector);
-  /// use TryRecv when faults may be active.
-  std::vector<uint8_t> Recv(uint32_t to, uint32_t from, uint64_t tag);
-
-  /// Bounded receive. With no injector attached this is exactly Recv
-  /// (blocking, always OK). With an injector it waits up to the injector's
-  /// per-attempt timeout, validates the envelope, and on a failed attempt
-  /// (drop detected, corrupt frame) NACKs a retransmission of the retained
-  /// pristine frame — the retransmitted attempt draws its own fault
-  /// decision — up to max_retries times. Returns ResourceExhausted when
-  /// every attempt failed (the caller degrades) or IoError when no sender
-  /// ever showed up within the overall deadline. `outcome` (optional)
-  /// reports attempts used and the simulated seconds of backoff/delay the
-  /// caller must charge to its comm clock.
-  Status TryRecv(uint32_t to, uint32_t from, uint64_t tag,
-                 std::vector<uint8_t>* out, RecvOutcome* outcome = nullptr);
-
-  /// Arrival-order receive: blocks until *any* of the candidate `froms`
-  /// peers is ready on `tag` — a delivery is queued, or (with an injector)
-  /// the sender's retained slot proves its attempt was applied — then
-  /// resolves that one peer with the full TryRecv NACK/retransmit protocol.
-  /// Peers with a clean queued delivery are preferred over peers with only
-  /// drop evidence, so fast arrivals are consumed first instead of
-  /// head-of-line blocking behind a slow or faulty peer. `*from_out` names
-  /// the resolved peer on OK and on ResourceExhausted (so the caller can
-  /// retire it from its pending set and degrade just that peer); it is
-  /// untouched on IoError (nobody sent within the deadline).
+  /// The transport's one receive, in arrival order: blocks until *any* of
+  /// the candidate `froms` peers is ready on `tag` and returns that peer's
+  /// payload. With no injector attached the wait is unbounded and the
+  /// result always OK. With an injector a peer is ready once a delivery is
+  /// queued or the sender's retained slot proves its attempt was applied;
+  /// that one peer is then resolved by the bounded NACK/retransmit
+  /// protocol: each attempt waits up to the injector's per-attempt timeout
+  /// and validates the envelope, and a failed attempt (drop detected,
+  /// corrupt frame) NACKs a retransmission of the retained pristine frame,
+  /// which draws its own fault decision, up to max_retries times. Peers
+  /// with a clean queued delivery are preferred over peers with only drop
+  /// evidence, so fast arrivals are consumed first instead of head-of-line
+  /// blocking behind a slow or faulty peer.
+  ///
+  /// Returns ResourceExhausted when every attempt failed (the caller
+  /// degrades) or IoError when no candidate sent within the overall
+  /// deadline. `*from_out` names the resolved peer on OK and on
+  /// ResourceExhausted (so the caller can retire it from its pending set
+  /// and degrade just that peer); it is untouched on IoError. `outcome`
+  /// (optional) reports attempts used and the simulated seconds of
+  /// backoff/delay the caller must charge to its comm clock.
   Status TryRecvAny(uint32_t to, const std::vector<uint32_t>& froms,
                     uint64_t tag, uint32_t* from_out,
                     std::vector<uint8_t>* out, RecvOutcome* outcome = nullptr);
@@ -170,8 +151,9 @@ class MessageHub {
   static std::vector<uint8_t> FrameEnvelope(uint64_t tag, uint32_t attempt,
                                             const std::vector<uint8_t>& payload);
 
-  /// Validates and strips the envelope: checks magic, version, tag echo,
-  /// length, and payload CRC. Exposed for tests.
+  /// Validates and strips the envelope: checks magic, version, the
+  /// reserved flags byte (must be 0), tag echo, length, and payload CRC.
+  /// The attempt field is not read. Exposed for tests.
   static Status ParseEnvelope(const std::vector<uint8_t>& frame, uint64_t tag,
                               std::vector<uint8_t>* payload);
 
@@ -216,20 +198,14 @@ class MessageHub {
     }
   };
 
-  /// Sender-retained pristine frame for NACK retransmission. `last_attempt`
-  /// is the highest attempt index already applied; the receiver uses
-  /// last_attempt >= its current attempt plus an empty queue to conclude
-  /// "that attempt was dropped" without waiting out the timeout.
-  struct Retained {
-    std::vector<uint8_t> frame;
-    uint32_t last_attempt = 0;
-  };
-
   struct Mailbox {
     std::mutex mu;
     std::condition_variable cv;
     std::map<std::pair<uint32_t, uint64_t>, DeliveryQueue> messages;
-    std::map<std::pair<uint32_t, uint64_t>, Retained> retained;
+    /// Sender-retained pristine frame per (from, tag), for NACK
+    /// retransmission. Send installs it before the first delivery attempt,
+    /// so its presence with an empty queue proves an attempt was dropped.
+    std::map<std::pair<uint32_t, uint64_t>, std::vector<uint8_t>> retained;
   };
 
   /// Applies the injector's verdict for one delivery attempt of the retained
@@ -237,13 +213,13 @@ class MessageHub {
   void DeliverAttempt(Mailbox& box, uint32_t from, uint32_t to, uint64_t tag,
                       uint32_t attempt, const std::vector<uint8_t>& frame);
 
-  /// The framed NACK/retransmit loop shared by TryRecv and TryRecvAny:
-  /// resolves one (from, tag) stream to either a validated payload, loss
-  /// (ResourceExhausted), or a no-sender deadline (IoError). Requires an
-  /// attached injector; caller holds `lock` on box.mu.
-  Status ResolveFramedLocked(Mailbox& box, std::unique_lock<std::mutex>& lock,
-                             uint32_t to, uint32_t from, uint64_t tag,
-                             std::vector<uint8_t>* out, RecvOutcome& oc);
+  /// The framed NACK/retransmit loop of TryRecvAny: resolves one ready
+  /// (from, tag) stream to either a validated payload or loss
+  /// (ResourceExhausted). Requires an attached injector; caller holds
+  /// box.mu.
+  Status ResolveFramedLocked(Mailbox& box, uint32_t to, uint32_t from,
+                             uint64_t tag, std::vector<uint8_t>* out,
+                             RecvOutcome& oc);
 
   const uint32_t parties_;
   std::vector<Mailbox> boxes_;

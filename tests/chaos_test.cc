@@ -12,6 +12,7 @@
 #include "dist/comm.h"
 #include "dist/fault.h"
 #include "graph/datasets.h"
+#include "recv_from.h"
 
 namespace ecg {
 namespace {
@@ -23,6 +24,8 @@ using dist::FaultKind;
 using dist::MessageHub;
 using dist::RecvOutcome;
 using dist::ScopedFaultInjector;
+using test::MustRecv;
+using test::RecvFrom;
 
 // ---------------------------------------------------------------------
 // Fault schedule grammar and determinism.
@@ -147,7 +150,7 @@ TEST(ChaosHubTest, EmptyInjectorRoundTripsFramedPayloads) {
   hub.Send(0, 1, tag, {1, 2, 3, 4, 5});
   std::vector<uint8_t> out;
   RecvOutcome outcome;
-  ASSERT_TRUE(hub.TryRecv(1, 0, tag, &out, &outcome).ok());
+  ASSERT_TRUE(RecvFrom(hub, 1, 0, tag, &out, &outcome).ok());
   EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
   EXPECT_EQ(outcome.attempts, 1u);
   EXPECT_DOUBLE_EQ(outcome.penalty_seconds, 0.0);
@@ -164,7 +167,7 @@ TEST(ChaosHubTest, TargetedDropExhaustsRetriesAndReportsLoss) {
   hub.Send(0, 1, tag, {7, 7, 7});
   std::vector<uint8_t> out;
   RecvOutcome outcome;
-  const Status s = hub.TryRecv(1, 0, tag, &out, &outcome);
+  const Status s = RecvFrom(hub, 1, 0, tag, &out, &outcome);
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(inj->counters().dropped.load(), 3u);  // attempts 0..2
   EXPECT_EQ(inj->counters().retried.load(), 2u);
@@ -193,7 +196,7 @@ TEST(ChaosHubTest, RetryRecoversWhenALaterAttemptSucceeds) {
   hub.Send(0, 1, tag, {9, 8, 7});
   std::vector<uint8_t> out;
   RecvOutcome outcome;
-  ASSERT_TRUE(hub.TryRecv(1, 0, tag, &out, &outcome).ok());
+  ASSERT_TRUE(RecvFrom(hub, 1, 0, tag, &out, &outcome).ok());
   EXPECT_EQ(out, (std::vector<uint8_t>{9, 8, 7}));
   EXPECT_GE(outcome.attempts, 2u);
   EXPECT_GT(inj->counters().retried.load(), 0u);
@@ -208,7 +211,7 @@ TEST(ChaosHubTest, CorruptionIsCaughtByCrcAndRetried) {
   const uint64_t tag = MessageHub::MakeTag(2, 0, 2);
   hub.Send(0, 1, tag, std::vector<uint8_t>(128, 0x5A));
   std::vector<uint8_t> out;
-  const Status s = hub.TryRecv(1, 0, tag, &out);
+  const Status s = RecvFrom(hub, 1, 0, tag, &out);
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(inj->counters().corrupted.load(), 3u);
   EXPECT_EQ(inj->counters().lost.load(), 1u);
@@ -222,13 +225,13 @@ TEST(ChaosHubTest, DuplicateDeliveriesAreDrained) {
   const uint64_t tag = MessageHub::MakeTag(1, 1, 3);
   hub.Send(0, 1, tag, {4, 4});
   std::vector<uint8_t> out;
-  ASSERT_TRUE(hub.TryRecv(1, 0, tag, &out).ok());
+  ASSERT_TRUE(RecvFrom(hub, 1, 0, tag, &out).ok());
   EXPECT_EQ(out, (std::vector<uint8_t>{4, 4}));
   EXPECT_EQ(inj->counters().duplicated.load(), 1u);
   // The duplicate must not satisfy a different tag's receive.
   const uint64_t other = MessageHub::MakeTag(1, 2, 3);
   hub.Send(0, 1, other, {5});
-  ASSERT_TRUE(hub.TryRecv(1, 0, other, &out).ok());
+  ASSERT_TRUE(RecvFrom(hub, 1, 0, other, &out).ok());
   EXPECT_EQ(out, (std::vector<uint8_t>{5}));
 }
 
@@ -241,7 +244,7 @@ TEST(ChaosHubTest, InjectedDelayChargesSimulatedSeconds) {
   hub.Send(0, 1, tag, {1});
   std::vector<uint8_t> out;
   RecvOutcome outcome;
-  ASSERT_TRUE(hub.TryRecv(1, 0, tag, &out, &outcome).ok());
+  ASSERT_TRUE(RecvFrom(hub, 1, 0, tag, &out, &outcome).ok());
   EXPECT_DOUBLE_EQ(outcome.penalty_seconds, 0.25);
   EXPECT_EQ(inj->counters().delayed.load(), 1u);
 }
@@ -255,11 +258,11 @@ TEST(ChaosHubTest, StragglerDelaysEverySendOfTheSlowWorker) {
   RecvOutcome outcome;
   const uint64_t t0 = MessageHub::MakeTag(1, 0, 2);
   hub.Send(0, 2, t0, {1});
-  ASSERT_TRUE(hub.TryRecv(2, 0, t0, &out, &outcome).ok());
+  ASSERT_TRUE(RecvFrom(hub, 2, 0, t0, &out, &outcome).ok());
   EXPECT_DOUBLE_EQ(outcome.penalty_seconds, 0.125);
   // Worker 1 is not the straggler: its sends arrive on time.
   hub.Send(1, 2, t0, {2});
-  ASSERT_TRUE(hub.TryRecv(2, 1, t0, &out, &outcome).ok());
+  ASSERT_TRUE(RecvFrom(hub, 2, 1, t0, &out, &outcome).ok());
   EXPECT_DOUBLE_EQ(outcome.penalty_seconds, 0.0);
 }
 
@@ -314,7 +317,7 @@ TEST(ChaosHubTest, TimeoutWithoutSenderIsIoError) {
   MessageHub hub(2);
   hub.set_fault_injector(&*inj);
   std::vector<uint8_t> out;
-  const Status s = hub.TryRecv(1, 0, MessageHub::MakeTag(1, 0, 2), &out);
+  const Status s = RecvFrom(hub, 1, 0, MessageHub::MakeTag(1, 0, 2), &out);
   EXPECT_EQ(s.code(), StatusCode::kIoError);
   EXPECT_NE(s.message().find("no sender"), std::string::npos);
 }
@@ -325,7 +328,7 @@ TEST(ChaosHubTest, BlockedRecvStillWorksAcrossThreadsWithInjector) {
   hub.set_fault_injector(&inj);
   const uint64_t tag = MessageHub::MakeTag(2, 0, 2);
   std::vector<uint8_t> got;
-  std::thread receiver([&] { got = hub.Recv(1, 0, tag); });
+  std::thread receiver([&] { got = MustRecv(hub, 1, 0, tag); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   hub.Send(0, 1, tag, {3, 3, 3});
   receiver.join();

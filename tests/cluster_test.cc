@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "dist/network_model.h"
+#include "recv_from.h"
 
 namespace ecg::dist {
 namespace {
@@ -66,7 +67,8 @@ TEST(ClusterTest, SendRecvAcrossWorkersAndPhaseAccounting) {
   auto status = cluster.Run([&](WorkerContext* ctx) -> Status {
     const uint32_t peer = 1 - ctx->worker_id();
     ctx->Send(peer, 1, std::vector<uint8_t>(500));  // 0.5 s of bandwidth
-    const auto got = ctx->Recv(peer, 1);
+    std::vector<uint8_t> got;
+    EXPECT_TRUE(test::RecvFrom(ctx, peer, 1, &got).ok());
     EXPECT_EQ(got.size(), 500u);
     ctx->EndCommPhase();
     // Full duplex: max(send, recv) = 0.5 latency + 0.5 transfer = 1.0 s.
@@ -101,7 +103,6 @@ TEST(ClusterTest, ChargeCommSecondsAddsDirectly) {
   });
   ASSERT_TRUE(status.ok());
   EXPECT_DOUBLE_EQ(cluster.MakespanSeconds(), 2.5);
-  EXPECT_DOUBLE_EQ(cluster.TotalCommSeconds(), 2.5);
 }
 
 TEST(ClusterTest, ComputeChargesAreScaledByMachineModel) {

@@ -6,26 +6,28 @@
 #include <thread>
 #include <vector>
 
+#include "recv_from.h"
+
 namespace ecg::dist {
 namespace {
 
+using test::MustRecv;
+
 TEST(CommStatsTest, RecordsPerWorkerTraffic) {
   CommStats stats(3);
-  stats.RecordSend(0, 1, 100);
-  stats.RecordSend(0, 2, 50);
-  stats.RecordSend(2, 0, 25);
+  stats.RecordSend(0, 100);
+  stats.RecordSend(0, 50);
+  stats.RecordSend(2, 25);
   EXPECT_EQ(stats.TotalBytes(), 175u);
   EXPECT_EQ(stats.TotalMessages(), 3u);
   EXPECT_EQ(stats.BytesSent(0), 150u);
   EXPECT_EQ(stats.BytesSent(2), 25u);
-  stats.Reset();
-  EXPECT_EQ(stats.TotalBytes(), 0u);
 }
 
 TEST(MessageHubTest, PointToPointDelivery) {
   MessageHub hub(2);
   hub.Send(0, 1, 7, {1, 2, 3});
-  const auto payload = hub.Recv(1, 0, 7);
+  const auto payload = MustRecv(hub, 1, 0, 7);
   EXPECT_EQ(payload, (std::vector<uint8_t>{1, 2, 3}));
   EXPECT_EQ(hub.stats().TotalBytes(), 3u);
 }
@@ -36,9 +38,9 @@ TEST(MessageHubTest, TagsIsolateSupersteps) {
   hub.Send(0, 1, MessageHub::MakeTag(6, 2, 1), {6});
   hub.Send(0, 1, MessageHub::MakeTag(5, 3, 1), {7});
   // Receive out of order; each tag gets its own payload.
-  EXPECT_EQ(hub.Recv(1, 0, MessageHub::MakeTag(5, 3, 1))[0], 7);
-  EXPECT_EQ(hub.Recv(1, 0, MessageHub::MakeTag(6, 2, 1))[0], 6);
-  EXPECT_EQ(hub.Recv(1, 0, MessageHub::MakeTag(5, 2, 1))[0], 5);
+  EXPECT_EQ(MustRecv(hub, 1, 0, MessageHub::MakeTag(5, 3, 1))[0], 7);
+  EXPECT_EQ(MustRecv(hub, 1, 0, MessageHub::MakeTag(6, 2, 1))[0], 6);
+  EXPECT_EQ(MustRecv(hub, 1, 0, MessageHub::MakeTag(5, 2, 1))[0], 5);
 }
 
 TEST(MessageHubTest, MakeTagIsCollisionFreeAcrossFields) {
@@ -133,6 +135,40 @@ TEST(EnvelopeTest, TruncatedFrameDetected) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(EnvelopeTest, FrameMutationsAreRejected) {
+  // Every truncation and every single-bit flip of a golden frame must be
+  // refused, except a flip inside the attempt field, which the receiver
+  // never reads: that frame still decodes to the original payload.
+  constexpr size_t kAttemptAt = 4 + 1 + 1;  // after magic, version, flags
+  const uint64_t tag = MessageHub::MakeTag(9, 2, 1);
+  const std::vector<std::vector<uint8_t>> payloads = {
+      {0x00, 0x11, 0x7F, 0x80, 0xFF, 0x42, 0x03}, {}};
+  for (const std::vector<uint8_t>& payload : payloads) {
+    const auto golden = MessageHub::FrameEnvelope(tag, /*attempt=*/3, payload);
+    std::vector<uint8_t> decoded;
+    ASSERT_TRUE(MessageHub::ParseEnvelope(golden, tag, &decoded).ok());
+    for (size_t len = 0; len < golden.size(); ++len) {
+      const std::vector<uint8_t> cut(golden.begin(), golden.begin() + len);
+      EXPECT_FALSE(MessageHub::ParseEnvelope(cut, tag, &decoded).ok())
+          << "payload " << payload.size() << " B, truncated to " << len;
+    }
+    for (size_t bit = 0; bit < golden.size() * 8; ++bit) {
+      std::vector<uint8_t> frame = golden;
+      frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      decoded = {0xEE};
+      const Status s = MessageHub::ParseEnvelope(frame, tag, &decoded);
+      const size_t at = bit / 8;
+      if (at >= kAttemptAt && at < kAttemptAt + sizeof(uint32_t)) {
+        ASSERT_TRUE(s.ok()) << "attempt bit " << bit << ": " << s;
+        EXPECT_EQ(decoded, payload) << "attempt bit " << bit;
+      } else {
+        EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+            << "payload " << payload.size() << " B, bit " << bit;
+      }
+    }
+  }
+}
+
 TEST(MessageHubDeathTest, SendRejectsOutOfRangeWorkerIds) {
   MessageHub hub(2);
   EXPECT_DEATH(hub.Send(0, 5, 1, {1}), "out of range");
@@ -142,16 +178,19 @@ TEST(MessageHubDeathTest, SendRejectsOutOfRangeWorkerIds) {
 TEST(MessageHubDeathTest, RecvRejectsOutOfRangeWorkerIds) {
   MessageHub hub(2);
   hub.Send(0, 1, 1, {1});
-  EXPECT_DEATH(hub.Recv(3, 0, 1), "out of range");
-  EXPECT_DEATH(hub.Recv(1, 9, 1), "out of range");
+  EXPECT_DEATH(MustRecv(hub, 3, 0, 1), "out of range");
+  EXPECT_DEATH(MustRecv(hub, 1, 9, 1), "out of range");
+  // Every candidate is checked, not only the one that is ready.
   std::vector<uint8_t> out;
-  EXPECT_DEATH((void)hub.TryRecv(1, 9, 1, &out), "out of range");
+  uint32_t from = 0;
+  EXPECT_DEATH((void)hub.TryRecvAny(1, {0, 9}, 1, &from, &out),
+               "out of range");
 }
 
 TEST(MessageHubTest, RecvBlocksUntilSendArrives) {
   MessageHub hub(2);
   std::vector<uint8_t> got;
-  std::thread receiver([&] { got = hub.Recv(1, 0, 42); });
+  std::thread receiver([&] { got = MustRecv(hub, 1, 0, 42); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   hub.Send(0, 1, 42, {9, 9});
   receiver.join();
@@ -169,7 +208,7 @@ TEST(MessageHubTest, ConcurrentAllToAll) {
         if (p != w) hub.Send(w, p, 1, {static_cast<uint8_t>(w)});
       }
       for (uint32_t p = 0; p < n; ++p) {
-        if (p != w) sums[w] += hub.Recv(w, p, 1)[0];
+        if (p != w) sums[w] += MustRecv(hub, w, p, 1)[0];
       }
     });
   }

@@ -29,6 +29,7 @@
 #include "graph/datasets.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
+#include "recv_from.h"
 #include "tensor/ops.h"
 #include "trend_payload.h"
 
@@ -1625,8 +1626,8 @@ HandBuilt ExchangeHandBuiltPayload(const RowMode& mode,
         epoch, layer, ex->direction().tag_kind);
     if (ctx->worker_id() == 1) {
       ctx->Send(0, tag, payload);
-      ctx->Recv(0, tag);  // worker 0's own message
-      return Status::OK();
+      std::vector<uint8_t> own;  // worker 0's own message
+      return test::RecvFrom(ctx, 0, tag, &own);
     }
     halo.Reset(plan.num_halo(), halo_cols);
     for (size_t i = 0; i < halo.size(); ++i) {

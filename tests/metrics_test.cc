@@ -29,6 +29,7 @@
 #include "dist/fault.h"
 #include "dist/param_server.h"
 #include "graph/datasets.h"
+#include "recv_from.h"
 
 // Allocation counter for the disabled-path check: with the plane off, the
 // instrumentation shape `if (MetricsEnabled()) {...}` and RecordStat must
@@ -411,7 +412,7 @@ TEST_F(MetricsTest, SentBytesPerWorkerMatchTheHub) {
       }
       for (uint32_t from = 0; from < 3; ++from) {
         std::vector<uint8_t> out;
-        if (from != me) (void)ctx->TryRecv(from, tag, &out);
+        if (from != me) (void)test::RecvFrom(ctx, from, tag, &out);
       }
     }
     return Status::OK();

@@ -401,14 +401,17 @@ TEST(OverlapTrainerTest, OverlapNeverChargesMoreCommThanSequential) {
   opt.network.bandwidth_bytes_per_sec = 1e6;
   opt.network.latency_sec = 5e-3;
 
+  obs::StatsRegistry& stats = obs::StatsRegistry::Global();
   auto sum_comm = [&](bool overlap) {
+    stats.Reset();
+    stats.Enable();
     opt.overlap = overlap;
     auto r = TrainDistributed(g, 3, opt);
     EXPECT_TRUE(r.ok()) << r.status();
-    double comm = 0.0;
-    for (const auto& e : r->epochs) {
-      comm += e.PhaseSeconds("fp_exchange") + e.PhaseSeconds("bp_exchange");
-    }
+    const double comm =
+        stats.SumFor("phase.fp_exchange") + stats.SumFor("phase.bp_exchange");
+    stats.Disable();
+    stats.Reset();
     return comm;
   };
   const double sequential = sum_comm(false);

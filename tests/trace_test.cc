@@ -19,6 +19,7 @@
 #include "common/thread_pool.h"
 #include "dist/comm.h"
 #include "dist/fault.h"
+#include "recv_from.h"
 
 // Allocation counter for the zero-allocation check: the disabled tracer
 // hot path must be a branch, never a malloc. Counting in the test binary's
@@ -383,7 +384,7 @@ TEST_F(TraceTest, FaultyHubEmitsFlowEventsWithRetransmitSteps) {
                                                    /*layer=*/m, /*kind=*/7);
     hub.Send(0, 1, tag, std::vector<uint8_t>(16, static_cast<uint8_t>(m)));
     std::vector<uint8_t> out;
-    if (hub.TryRecv(1, 0, tag, &out).ok()) {
+    if (test::RecvFrom(hub, 1, 0, tag, &out).ok()) {
       ++received;
       EXPECT_EQ(out.size(), 16u);
     }

@@ -3,10 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "baselines/single_machine.h"
+#include "common/json_lite.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "graph/datasets.h"
 #include "graph/partition.h"
 #include "tensor/nn.h"
@@ -24,6 +32,42 @@ TrainOptions BaseOptions(int epochs) {
   opt.model.hidden_dim = 16;
   opt.epochs = static_cast<uint32_t>(epochs);
   return opt;
+}
+
+/// A distributed run with its stats written as JSONL to a temp file (what
+/// --stats_out does), and that file's epoch rows in file order; the header
+/// and the summary rows are dropped.
+struct StatsRun {
+  TrainResult result;
+  std::vector<json::JsonValue> rows;
+};
+
+StatsRun TrainWithStats(const graph::Graph& g, uint32_t workers,
+                        const TrainOptions& opt) {
+  const std::string path = ::testing::TempDir() + "/ecg_trainer_stats.jsonl";
+  obs::StatsRegistry& stats = obs::StatsRegistry::Global();
+  stats.Reset();
+  stats.Enable(path);
+  auto r = TrainDistributed(g, workers, opt);
+  stats.FlushAll();
+  stats.Disable();
+  stats.Reset();
+  StatsRun run;
+  EXPECT_TRUE(r.ok()) << r.status();
+  if (r.ok()) run.result = *r;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    auto row = json::Parse(line);
+    EXPECT_TRUE(row.ok()) << line;
+    if (row.ok() && row->Find("epoch") != nullptr) run.rows.push_back(*row);
+  }
+  std::remove(path.c_str());
+  return run;
+}
+
+bool IsPhaseRow(const json::JsonValue& row) {
+  return row.GetString("name").rfind("phase.", 0) == 0;
 }
 
 TEST(GcnConfigTest, LayerShapesChainDimensions) {
@@ -284,27 +328,75 @@ TEST(TrainerTest, SimulatedTimeAccountsComputeAndComm) {
 
 TEST(TrainerTest, EpochsCarryPhaseBreakdown) {
   const graph::Graph g = TinyGraph();
-  TrainOptions opt = BaseOptions(3);
-  auto r = TrainDistributed(g, 3, opt);
-  ASSERT_TRUE(r.ok());
-  for (const auto& e : r->epochs) {
-    ASSERT_FALSE(e.phase_seconds.empty());
+  const StatsRun run = TrainWithStats(g, 3, BaseOptions(3));
+  const std::vector<EpochMetrics>& epochs = run.result.epochs;
+  ASSERT_EQ(epochs.size(), 3u);
+  // Per epoch: the phase.* rows' seconds, in total and by phase.
+  std::vector<double> total(epochs.size(), 0.0);
+  std::vector<std::map<std::string, double>> by_phase(epochs.size());
+  for (const json::JsonValue& row : run.rows) {
+    const auto e = static_cast<size_t>(row.GetNumber("epoch"));
+    if (!IsPhaseRow(row) || e >= epochs.size()) continue;
+    const double seconds = row.GetNumber("sum");
+    EXPECT_GE(seconds, 0.0) << row.GetString("name");
+    total[e] += seconds;
+    by_phase[e][row.GetString("name")] += seconds;
+  }
+  for (size_t e = 0; e < epochs.size(); ++e) {
     // Phases are summed across the 3 workers, so the breakdown is bounded
     // by 3x the lock-step epoch time (sim_seconds is the max over
     // workers, read at finalize — allow sub-percent accounting jitter
     // from clock charges that straddle the epoch barrier).
-    double total = 0.0;
-    for (const auto& [name, seconds] : e.phase_seconds) {
-      EXPECT_GE(seconds, 0.0) << name;
-      total += seconds;
-    }
-    EXPECT_GT(total, 0.0);
-    EXPECT_LE(total, 3.0 * e.sim_seconds * 1.01 + 1e-9);
-    EXPECT_GT(e.PhaseSeconds("fp_compute"), 0.0);
-    EXPECT_GT(e.PhaseSeconds("fp_exchange"), 0.0);
-    EXPECT_GT(e.PhaseSeconds("param_sync"), 0.0);
-    EXPECT_DOUBLE_EQ(e.PhaseSeconds("no_such_phase"), 0.0);
+    EXPECT_GT(total[e], 0.0) << "epoch " << e;
+    EXPECT_LE(total[e], 3.0 * epochs[e].sim_seconds * 1.01 + 1e-9)
+        << "epoch " << e;
+    EXPECT_GT(by_phase[e]["phase.fp_compute"], 0.0) << "epoch " << e;
+    EXPECT_GT(by_phase[e]["phase.fp_exchange"], 0.0) << "epoch " << e;
+    EXPECT_GT(by_phase[e]["phase.param_sync"], 0.0) << "epoch " << e;
   }
+}
+
+TEST(TrainerTest, PhaseRowsCarryTheLayer) {
+  // A 2-layer run books fp_compute at both layers; the barrier has no
+  // layer.
+  const graph::Graph g = TinyGraph();
+  const StatsRun run = TrainWithStats(g, 3, BaseOptions(2));
+  std::set<int> fp_layers, barrier_layers;
+  for (const json::JsonValue& row : run.rows) {
+    const int layer = static_cast<int>(row.GetNumber("layer", -1));
+    if (row.GetString("name") == "phase.fp_compute") fp_layers.insert(layer);
+    if (row.GetString("name") == "phase.barrier") {
+      barrier_layers.insert(layer);
+    }
+  }
+  EXPECT_EQ(fp_layers, (std::set<int>{1, 2}));
+  EXPECT_EQ(barrier_layers, (std::set<int>{-1}));
+}
+
+TEST(TrainerTest, StatsJsonlWritesOneRowPerEpochSeries) {
+  // Every worker's rows of an epoch are in before the epoch is flushed, so
+  // no series of an epoch is split over two rows and no row lands after a
+  // later epoch's rows. Workers book their barrier phase just after the
+  // barrier returns, which races a flush made before the next barrier.
+  const graph::Graph g = TinyGraph();
+  const StatsRun run = TrainWithStats(g, 3, BaseOptions(12));
+  ASSERT_EQ(run.result.epochs.size(), 12u);
+  std::set<std::tuple<double, std::string, double, double, double>> keys;
+  double last_epoch = 0.0;
+  size_t phase_rows = 0;
+  for (const json::JsonValue& row : run.rows) {
+    const double epoch = row.GetNumber("epoch");
+    EXPECT_GE(epoch, last_epoch) << row.GetString("name");
+    last_epoch = epoch;
+    const bool fresh =
+        keys.emplace(epoch, row.GetString("name"), row.GetNumber("layer", -1),
+                     row.GetNumber("peer", -1), row.GetNumber("worker", -1))
+            .second;
+    EXPECT_TRUE(fresh) << "epoch " << epoch << " " << row.GetString("name")
+                       << " written twice";
+    if (IsPhaseRow(row)) ++phase_rows;
+  }
+  EXPECT_GT(phase_rows, 0u);
 }
 
 TEST(TrainerTest, ConvergenceEpochOnDegenerateCurves) {
